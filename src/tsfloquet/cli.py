@@ -301,6 +301,11 @@ def _run_one(path: Path, n, tol, oracle, use_shi, as_json) -> int:
     except TsfloquetError as exc:
         click.echo(f"error: {exc}", err=True)
         return 4
+    except Exception as exc:
+        # exit 1 means "unstable", so an unexpected failure must not reach
+        # the interpreter's default handler; batch mode goes on to the next
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        return 4
     click.echo(out, nl=False)
     return code
 

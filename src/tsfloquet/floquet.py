@@ -10,19 +10,19 @@ Computes, for x^DD + p(t) x^D + q(t) x = 0 on a periodic time scale:
   accounts for the truncation error.
 
 The nested integrals are never evaluated as literal n-fold quadratures.
-On purely discrete scales A_n is an exact finite sum over decreasing
-tuples of scattered points. Otherwise the series is folded into two
-one-dimensional running delta integrals per order: writing
-E(t) = e_{i phi}(t, t0), the kernels P, Q become real/imaginary parts of
-E(t) / E(sigma(s)), so each integration level is a cumulative integral of
+On every scale the series is folded into two one-dimensional running
+delta integrals per order: writing E(t) = e_{i phi}(t, t0), the kernels
+P, Q become real/imaginary parts of E(t) / E(sigma(s)), so each
+integration level is a cumulative integral of
 W(s) = h(s) / (phi(sigma(s)) E(sigma(s))) against the previous level,
 evaluated on a fixed refinement grid (spacing <= T/4096) plus exact jump
-contributions at scattered points.
+contributions at scattered points. On a purely discrete scale there are
+only jumps, so the same level recursion is exact up to rounding and costs
+O(n k) for k scattered points.
 """
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -52,6 +52,7 @@ class PhiDiscontinuityWarning(UserWarning):
 _PHI_MIN = 1e-14
 _GRID_DIVISIONS = 4096
 _BOUNDS_GRID = 512
+_BOUNDS_ROWS = 64
 _MAX_DEPTH_DENSE = 8
 
 
@@ -115,11 +116,14 @@ def _check_phi(v: float, where: float) -> float:
     return v
 
 
-def solve_phi(spec: SystemSpec, seed: float = 1.0) -> PhaseTable:
+def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     """Construct the phase function phi with phi(sigma(t)) phi(t) = q(t).
 
     Dense parts use phi = sqrt(q). On a purely discrete scale the chain
-    starts from phi(t0) = seed and runs forward. On hybrid scales each
+    starts from phi(t0) = seed and runs forward; the default seed
+    sqrt(|q(t0)|) keeps phi of the order of sqrt(|q|) along the chain,
+    where phi(t0) = 1 would alternate between 1 and q and blow up h on
+    long periods. A does not depend on the seed. On hybrid scales each
     scattered run ending at the left endpoint of a dense interval is
     back-substituted from sqrt(q) there; scattered points after the last
     dense interval are back-substituted from phi(t0+T) = phi(t0).
@@ -131,6 +135,8 @@ def solve_phi(spec: SystemSpec, seed: float = 1.0) -> PhaseTable:
 
     if ts.is_discrete:
         chain = [s.x for s in segs]
+        if seed is None:
+            seed = math.sqrt(abs(spec.q_at(chain[0])))
         phi = _check_phi(float(seed), chain[0])
         values[chain[0]] = phi
         for c, nxt in zip(chain, chain[1:]):
@@ -233,6 +239,27 @@ def compute_B(spec: SystemSpec) -> float:
 
 # -- series engine ----------------------------------------------------------
 
+def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
+    """(x, sqrt(q), h) on the n + 1 equally spaced nodes x of [a, b],
+    where h = -p - q' / (2 q) is the perturbation coefficient for
+    phi = sqrt(q)."""
+    x = np.linspace(a, b, n + 1)
+    # endpoint samples are nudged inward: coefficient values on a dense
+    # part are one-sided limits, and isolated-point redefinitions live
+    # exactly on the segment boundary
+    xe = x.copy()
+    eps = (b - a) * 1e-9
+    xe[0] += eps
+    xe[-1] -= eps
+    q = np.array([spec.q_at(t) for t in xe])
+    if np.any(q <= 0):
+        bad = xe[np.argmin(q)]
+        raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
+    p = np.array([spec.p_at(t) for t in xe])
+    qp = np.array([spec.qprime_at(t) for t in xe])
+    return x, np.sqrt(q), -p - qp / (2.0 * q)
+
+
 class _DenseCell:
     """One dense interval with its refinement grid and cached samples."""
 
@@ -243,24 +270,8 @@ class _DenseCell:
         spacing = spec.ts.period / divisions
         n = max(16, int(math.ceil((b - a) / spacing)))
         n += n % 2
-        x = np.linspace(a, b, n + 1)
-        # endpoint samples are nudged inward: coefficient values on a dense
-        # part are one-sided limits, and isolated-point redefinitions live
-        # exactly on the segment boundary
-        xe = x.copy()
-        eps = (b - a) * 1e-9
-        xe[0] += eps
-        xe[-1] -= eps
-        q = np.array([spec.q_at(t) for t in xe])
-        if np.any(q <= 0):
-            bad = xe[np.argmin(q)]
-            raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
-        p = np.array([spec.p_at(t) for t in xe])
-        qp = np.array([spec.qprime_at(t) for t in xe])
-        self.x = x
-        self.sqrtq = np.sqrt(q)
-        self.h = -p - qp / (2.0 * q)
-        phase = _cumint(self.sqrtq, x)
+        self.x, self.sqrtq, self.h = _sample_dense(spec, a, b, n)
+        phase = _cumint(self.sqrtq, self.x)
         self.E = E0 * np.exp(1j * phase)
         self.W = self.h / (self.sqrtq * self.E)
 
@@ -388,78 +399,27 @@ class _SeriesEngine:
         M_s = np.concatenate(Ms + [np.array([1.0 / (self.phiT * self.E_T)])])
 
         K3 = float(np.max(np.abs(h_t)))
-        q_ts = np.abs(np.outer(phi_t * E_t, M_s).real)
-        K2 = float(np.max(q_ts))
         QT = self.phiT * (self.E_T * M_s).real
         PT = (self.E_T * M_s).imag
+        u_t = phi_t * E_t
         a_t = E_t.real * phi_t / self.phi0
         b_t = E_t.imag * phi_t
-        K1 = float(np.max(np.abs(np.outer(a_t, QT) - np.outer(b_t, PT))))
+        # the N x N tables are reduced a block of rows at a time, so memory
+        # stays O(N) for long discrete periods
+        blocks = [slice(i, i + _BOUNDS_ROWS)
+                  for i in range(0, len(u_t), _BOUNDS_ROWS)]
+        K2 = float(np.max([np.abs(np.outer(u_t[r], M_s).real).max()
+                           for r in blocks]))
+        K1 = float(np.max([
+            np.abs(np.outer(a_t[r], QT) - np.outer(b_t[r], PT)).max()
+            for r in blocks]))
         return K1, K2, K3
-
-
-def _discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
-    """Exact A_0..A_n on a purely discrete scale by tuple enumeration."""
-    ts = spec.ts
-    scattered = ts.scattered_with_mu()
-    k = len(scattered)
-    coords = [t for t, _ in scattered]
-    mus = [m for _, m in scattered]
-    phis = [table.value(t) for t in coords]
-    hs = []
-    E_before, E_after = [], []
-    E = 1.0 + 0.0j
-    for (t, mu), phi in zip(scattered, phis):
-        E_before.append(E)
-        E = (1.0 + 1j * mu * phi) * E
-        E_after.append(E)
-        phi_sigma = table.value(t + mu)
-        hs.append(-spec.p_at(t) - (phi_sigma - phi) / (mu * phi))
-    E_T = E
-    phi0 = table.value(ts.t0)
-    phiT = table.value(ts.t_end)
-
-    def phi_sigma(i):
-        return table.value(coords[i] + mus[i])
-
-    # Q between scattered points (row: outer/later, col: inner/earlier)
-    Q = np.zeros((k, k))
-    for a in range(k):
-        for b in range(k):
-            Q[a, b] = (
-                phis[a] * (E_before[a] / E_after[b]).real / phi_sigma(b)
-            )
-    PT_vec = [(E_T / E_after[b]).imag / phi_sigma(b) for b in range(k)]
-    QT_vec = [phiT * (E_T / E_after[b]).real / phi_sigma(b) for b in range(k)]
-    cos_t = [e.real for e in E_before]
-    sin_t = [e.imag for e in E_before]
-
-    terms = [(1.0 + phiT / phi0) * E_T.real]
-    desc = list(range(k - 1, -1, -1))  # indices by descending coordinate
-    for order in range(1, n + 1):
-        total = 0.0
-        for combo in itertools.combinations(desc, order):
-            first, last = combo[0], combo[-1]
-            val = (
-                cos_t[last] * QT_vec[first] / phi0
-                - sin_t[last] * PT_vec[first]
-            ) * phis[last]
-            for prev, cur in zip(combo, combo[1:]):
-                val *= Q[prev, cur] * hs[cur]
-            val *= hs[first]
-            for i in combo:
-                val *= mus[i]
-            total += val
-        terms.append(total)
-    return terms
 
 
 def _series_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
     if n < 0:
         raise ValueError("n must be >= 0")
-    if spec.ts.is_discrete:
-        return _discrete_terms(spec, table, n)
-    if n > _MAX_DEPTH_DENSE:
+    if not spec.ts.is_discrete and n > _MAX_DEPTH_DENSE:
         raise DepthBudgetExceeded(
             f"n={n} exceeds the depth budget {_MAX_DEPTH_DENSE} on a "
             "non-discrete scale"
@@ -479,8 +439,8 @@ def a_partial(spec: SystemSpec, table: PhaseTable, n: int) -> float:
 
 def estimate_bounds(spec: SystemSpec, table: PhaseTable):
     """(K1, K2, K3): suprema of the two-argument kernel |h(t,s)|, of
-    |Q(t,s)| and of |h(t)|, estimated on scattered points plus a 512-point
-    grid per dense segment."""
+    |Q(t,s)| and of |h(t)|, estimated on all scattered points plus dense
+    grids of 512 points per period, at least 16 per dense cell."""
     return _SeriesEngine(spec, table, divisions=_BOUNDS_GRID).bound_constants()
 
 
@@ -497,7 +457,10 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
     """Tail bound (K1/K2) (e^{K2 K3 T} - sum_{k<=n} (K2 K3 T)^k / k!).
 
     On a purely discrete scale with k scattered points the series is a
-    finite sum, so the bound is exact zero once n >= k.
+    finite sum, computed by the same level recursion as on other scales
+    (exact up to rounding, O(n k) work), so the bound is exact zero once
+    n >= k. When e^z or z^k is beyond the float range the bound is
+    infinite, which leaves the verdict undetermined unless B decides it.
     """
     ts = spec.ts
     if ts.is_discrete and n >= len(ts.scattered_with_mu()):
@@ -506,8 +469,12 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
     if K2 <= _PHI_MIN or K3 == 0.0:
         return ErrorBound(0.0, exact=True)
     z = K2 * K3 * ts.period
-    partial = math.fsum(z ** k / math.factorial(k) for k in range(n + 1))
-    return ErrorBound(max(0.0, (K1 / K2) * (math.exp(z) - partial)))
+    try:
+        partial = math.fsum(z ** k / math.factorial(k) for k in range(n + 1))
+        tail = math.exp(z) - partial
+    except OverflowError:
+        return ErrorBound(math.inf)
+    return ErrorBound(max(0.0, (K1 / K2) * tail))
 
 
 def shi_continuous_a(spec: SystemSpec, n: int) -> float:
@@ -530,18 +497,8 @@ def shi_continuous_a(spec: SystemSpec, n: int) -> float:
 
     a, b = ts.dense_intervals()[0]
     npts = 8192
-    x = np.linspace(a, b, npts + 1)
-    xe = x.copy()
-    eps = (b - a) * 1e-9
-    xe[0] += eps
-    xe[-1] -= eps
-    q = np.array([spec.q_at(t) for t in xe])
-    if np.any(q <= 0):
-        raise NegativeQOnDense("q <= 0 on a dense part")
-    p = np.array([spec.p_at(t) for t in xe])
-    qp = np.array([spec.qprime_at(t) for t in xe])
-    h = -p - qp / (2.0 * q)
-    phase = _cumint(np.sqrt(q), x)
+    x, sqrtq, h = _sample_dense(spec, a, b, npts)
+    phase = _cumint(sqrtq, x)
     u = np.exp(-2j * phase)  # e^{-2i Phi(t)}
     outer_phase = cmath.exp(1j * phase[-1])
 
@@ -558,6 +515,9 @@ def shi_continuous_a(spec: SystemSpec, n: int) -> float:
 # -- multipliers and verdict -------------------------------------------------
 
 def _moduli_at(A: float, B: float):
+    if math.isinf(A):
+        # the roots of rho^2 - A rho + B tend to B / A -> 0 and A -> inf
+        return 0.0, math.inf
     root = cmath.sqrt(complex(A * A / 4.0 - B))
     lo, hi = sorted((abs(A / 2.0 - root), abs(A / 2.0 + root)))
     return lo, hi
@@ -607,32 +567,6 @@ def verdict(a_interval, B: float):
     return Verdict.UNDETERMINED, (
         "increase n or handle the unit-modulus critical case manually"
     )
-
-
-# -- fundamental matrix helpers (used by the identity test suites) ----------
-
-def fundamental_matrix(spec: SystemSpec, table: PhaseTable, t: float):
-    """X(t) built from cos_phi, sin_phi and phi; X(t0) = I."""
-    ts = spec.ts
-    phi0 = table.value(ts.t0)
-    phi_t = table.value(t)
-    c = tscalc.cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    s = tscalc.sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    return np.array([[c, s / phi0], [-phi_t * s, phi_t * c / phi0]])
-
-
-def fundamental_matrix_inverse(spec: SystemSpec, table: PhaseTable, t: float):
-    """Closed-form X(t)^{-1}; e_{mu phi^2}(t, t0) = cos_phi^2 + sin_phi^2."""
-    ts = spec.ts
-    phi0 = table.value(ts.t0)
-    phi_t = table.value(t)
-    c = tscalc.cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    s = tscalc.sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    e = c * c + s * s
-    return np.array([
-        [c / e, -s / (phi_t * e)],
-        [phi0 * s / e, phi0 * c / (phi_t * e)],
-    ])
 
 
 # -- top-level report --------------------------------------------------------

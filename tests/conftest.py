@@ -1,17 +1,21 @@
-"""Shared fixtures: the four worked examples and randomized system
-generators used by the property and oracle-equivalence suites."""
+"""Shared fixtures: the four worked examples, randomized system
+generators used by the property and oracle-equivalence suites, and the
+fundamental matrix helpers of the identity suites."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from tsfloquet import (
     Interval,
     PeriodicTimeScale,
+    PhaseTable,
     Point,
     SystemSpec,
     parse,
     solve_phi,
+    tscalc,
     validate,
 )
 from tsfloquet.errors import FloquetError
@@ -89,11 +93,12 @@ def _coeffs(rng, T):
     return p, q
 
 
-def random_discrete_system(seed, max_points=6):
-    """A regressive discrete system with 1..max_points scattered points."""
+def random_discrete_system(seed, max_points=6, min_points=1):
+    """A regressive discrete system with min_points..max_points scattered
+    points."""
     rng = random.Random(seed)
     for _ in range(100):
-        k = rng.randint(1, max_points)
+        k = rng.randint(min_points, max_points)
         pts = [0.0]
         for _ in range(k):
             pts.append(pts[-1] + rng.uniform(0.4, 1.6))
@@ -159,3 +164,29 @@ def random_hybrid_system(seed):
                 assert abs(table.value(seg.a) - phi_val(seg.a)) < 1e-12
         return spec
     raise AssertionError("could not generate a valid hybrid system")
+
+
+# -- fundamental matrix helpers (used by the identity test suites) ----------
+
+def fundamental_matrix(spec: SystemSpec, table: PhaseTable, t: float):
+    """X(t) built from cos_phi, sin_phi and phi; X(t0) = I."""
+    ts = spec.ts
+    phi0 = table.value(ts.t0)
+    phi_t = table.value(t)
+    c = tscalc.cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    s = tscalc.sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    return np.array([[c, s / phi0], [-phi_t * s, phi_t * c / phi0]])
+
+
+def fundamental_matrix_inverse(spec: SystemSpec, table: PhaseTable, t: float):
+    """Closed-form X(t)^{-1}; e_{mu phi^2}(t, t0) = cos_phi^2 + sin_phi^2."""
+    ts = spec.ts
+    phi0 = table.value(ts.t0)
+    phi_t = table.value(t)
+    c = tscalc.cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    s = tscalc.sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    e = c * c + s * s
+    return np.array([
+        [c / e, -s / (phi_t * e)],
+        [phi0 * s / e, phi0 * c / (phi_t * e)],
+    ])

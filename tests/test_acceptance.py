@@ -24,10 +24,11 @@ from tsfloquet import (
     ts_exponential,
 )
 from tsfloquet.cli import build_system, load_config, main
-from tsfloquet.floquet import fundamental_matrix, fundamental_matrix_inverse
 from tsfloquet.oracle import monodromy
 
 from conftest import (
+    fundamental_matrix,
+    fundamental_matrix_inverse,
     points_scale,
     random_discrete_system,
     random_hybrid_system,

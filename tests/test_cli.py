@@ -172,6 +172,35 @@ def test_config_error_exit_code(tmp_path):
     assert "config error" in result.stderr
 
 
+@pytest.mark.parametrize("k", [48, 96])
+def test_long_discrete_period_is_undetermined(tmp_path, k):
+    # mu = 0.5 and B < 1; at n = 3 the tail bound is huge (k = 48) or
+    # beyond the float range (k = 96), so no verdict can be certified
+    T = 0.5 * k
+    points = ", ".join(repr(0.5 * i) for i in range(k + 1))
+    f = tmp_path / "long.cfg"
+    f.write_text(
+        f"period = {T!r}\n"
+        f"points = [{points}]\n"
+        f"p = 0.7 + 0.1*sin(2*pi*t/{T!r})\n"
+        f"q = 0.5 + 0.1*cos(2*pi*t/{T!r})\n"
+    )
+    result = invoke(str(f), "--n", "3")
+    assert "verdict = undetermined" in result.output.splitlines()
+    assert result.exit_code == 2
+
+
+def test_unexpected_exception_exit_code(monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tsfloquet.cli.analyze", boom)
+    result = invoke(str(CONFIGS / "example_discrete_z.cfg"))
+    assert result.exit_code == 4
+    assert result.stderr.startswith("error:")
+    assert "boom" in result.stderr
+
+
 def test_missing_file_exit_code():
     result = invoke("/nonexistent.cfg")
     assert result.exit_code != 0

@@ -35,15 +35,17 @@ from tsfloquet.errors import (
     NotRegressive,
     PhiVanishes,
 )
-from tsfloquet.floquet import (
-    _SeriesEngine,
-    _discrete_terms,
+from tsfloquet.floquet import _SeriesEngine, validate_system
+from tsfloquet.oracle import monodromy
+
+from conftest import (
     fundamental_matrix,
     fundamental_matrix_inverse,
-    validate_system,
+    points_scale,
+    random_discrete_system,
+    random_hybrid_system,
 )
-
-from conftest import points_scale, random_discrete_system, random_hybrid_system
+from discrete_reference import discrete_terms
 
 PI = math.pi
 
@@ -51,7 +53,7 @@ PI = math.pi
 # -- phi ---------------------------------------------------------------------
 
 def test_solve_phi_integer_example(example_z):
-    table = solve_phi(example_z)
+    table = solve_phi(example_z, seed=1.0)
     assert table.value(0) == 1.0
     assert table.value(1) == pytest.approx(-7 / 8, abs=1e-15)
     assert table.value(2) == pytest.approx(-8 / 7, abs=1e-15)
@@ -109,7 +111,7 @@ def test_gauge_invariance_of_A(example_z):
 
 
 def test_phi_delta(example_z, example_hybrid):
-    table = solve_phi(example_z)
+    table = solve_phi(example_z, seed=1.0)
     assert phi_delta(table, 0) == pytest.approx(-15 / 8)
     table_h = solve_phi(example_hybrid)
     assert phi_delta(table_h, 1.0) == 0.0  # q constant on the dense part
@@ -118,7 +120,7 @@ def test_phi_delta(example_z, example_hybrid):
 # -- h and kernels -----------------------------------------------------------
 
 def test_h_values(example_z, example_hybrid):
-    table = solve_phi(example_z)
+    table = solve_phi(example_z, seed=1.0)
     assert h_fn(example_z, table, 0) == pytest.approx(2.0)
     assert h_fn(example_z, table, 1) == pytest.approx(83 / 49)
     table_h = solve_phi(example_hybrid)
@@ -127,7 +129,7 @@ def test_h_values(example_z, example_hybrid):
 
 
 def test_kernels_integer_example(example_z):
-    table = solve_phi(example_z)
+    table = solve_phi(example_z, seed=1.0)
     assert kernel_P(example_z, table, 1, 0) == pytest.approx(0.0, abs=1e-14)
     assert kernel_Q(example_z, table, 1, 0) == pytest.approx(1.0)
     assert kernel_P(example_z, table, 2, 0) == pytest.approx(1.0)
@@ -164,7 +166,7 @@ def test_compute_B_examples(example_z, example_hybrid, example_continuous):
 # -- series terms ------------------------------------------------------------
 
 def test_terms_integer_example(example_z):
-    table = solve_phi(example_z)
+    table = solve_phi(example_z, seed=1.0)
     assert a_term(example_z, table, 0) == pytest.approx(-15 / 56, abs=1e-14)
     assert a_term(example_z, table, 1) == pytest.approx(
         128 / 49 - (7 / 8) * (83 / 49), abs=1e-13)
@@ -213,9 +215,23 @@ def test_engine_matches_enumeration_on_discrete(seed):
     spec = random_discrete_system(500 + seed)
     table = solve_phi(spec)
     k = len(spec.ts.scattered_with_mu())
-    exact = _discrete_terms(spec, table, k)
+    exact = discrete_terms(spec, table, k)
     engine = _SeriesEngine(spec, table).terms(k)
     assert engine == pytest.approx(exact, rel=1e-9, abs=1e-11)
+
+
+@pytest.mark.parametrize("k", [24, 40])
+def test_discrete_series_matches_monodromy(k):
+    # on a discrete scale the monodromy is a product of one-step matrices,
+    # exact up to rounding, and so is the series at order k
+    for seed in range(20):
+        spec = random_discrete_system(seed, max_points=k, min_points=k)
+        trace = float(np.trace(monodromy(spec)))
+        assert a_partial(spec, solve_phi(spec), k) == pytest.approx(
+            trace, rel=1e-9)
+        report = analyze(spec)
+        assert report.n == k
+        assert report.A_partial == pytest.approx(trace, rel=1e-9)
 
 
 # -- bounds ------------------------------------------------------------------
@@ -337,6 +353,17 @@ def test_fundamental_matrix_dense_derivative(example_continuous):
                       [-spec.q_at(t), phi_delta(table, t) / phi]])
         rhs = C @ fundamental_matrix(spec, table, t)
         assert float(np.max(np.abs(dX - rhs))) <= 1e-8
+
+
+def test_infinite_bound_verdict():
+    # an infinite A interval leaves the smaller modulus in [0, sqrt(B)] and
+    # the larger in [sqrt(B), inf]; only B > 1 decides
+    (slo, shi_), (llo, lhi) = multipliers((-math.inf, math.inf), 0.25)
+    assert (slo, shi_, llo, lhi) == (0.0, 0.5, 0.5, math.inf)
+    v, _ = verdict((-math.inf, math.inf), 0.25)
+    assert v is Verdict.UNDETERMINED
+    v, _ = verdict((-math.inf, math.inf), 4.0)
+    assert v is Verdict.UNSTABLE
 
 
 def test_verdict_examples():

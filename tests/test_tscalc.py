@@ -92,7 +92,7 @@ def test_exponential_reciprocal():
 
 
 def test_trig_example_values(example_z):
-    table = solve_phi(example_z)
+    table = solve_phi(example_z, seed=1.0)
     phi = table.value
     ts = example_z.ts
     assert cos_phi(phi, 0, 0, ts) == 1.0
