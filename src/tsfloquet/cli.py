@@ -241,7 +241,7 @@ def run(config: ConfigFile, n: Optional[int] = None,
     start = time.perf_counter()
     spec = build_system(config)
     report = analyze(spec, n=n, use_shi=use_shi)
-    check = cross_check(spec, report.n, rk_tol=1e-10) if oracle else None
+    check = cross_check(spec, report, rk_tol=1e-10) if oracle else None
     elapsed = time.perf_counter() - start
     if as_json:
         return _json_report(report, check, elapsed), _EXIT[report.verdict.value]

@@ -91,6 +91,14 @@ def validate_system(spec: SystemSpec) -> None:
             raise PhiVanishes(f"q(t)=0 at scattered t={t}")
 
 
+def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
+    """sqrt(q(t)), the value of phi on a dense part."""
+    q = ex.evaluate(q_expr, t)
+    if q <= 0:
+        raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
+    return math.sqrt(q)
+
+
 @dataclass
 class PhaseTable:
     """phi at the scattered points plus the sqrt(q) rule on dense parts."""
@@ -104,10 +112,7 @@ class PhaseTable:
         _, t = self.ts.locate(t)
         if t in self.values:
             return self.values[t]
-        q = ex.evaluate(self.q, t)
-        if q <= 0:
-            raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
-        return math.sqrt(q)
+        return _sqrt_q(self.q, t)
 
 
 def _check_phi(v: float, where: float) -> float:
@@ -144,12 +149,6 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
             values[nxt] = phi
         return table
 
-    def sqrt_q(t: float) -> float:
-        q = spec.q_at(t)
-        if q <= 0:
-            raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
-        return math.sqrt(q)
-
     def seg_end(s):
         return s.x if isinstance(s, Point) else s.b
 
@@ -162,10 +161,10 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     for i in range(last_interval - 1, -1, -1):
         c = seg_end(segs[i])
         succ = seg_start(segs[i + 1])
-        phi_succ = values[succ] if succ in values else sqrt_q(succ)
+        phi_succ = values[succ] if succ in values else _sqrt_q(spec.q, succ)
         values[c] = _check_phi(spec.q_at(c) / phi_succ, c)
 
-    phi0 = values[ts.t0] if ts.t0 in values else sqrt_q(ts.t0)
+    phi0 = values[ts.t0] if ts.t0 in values else _sqrt_q(spec.q, ts.t0)
     values[ts.t_end] = _check_phi(phi0, ts.t_end)
 
     # trailing run after the last dense interval, wrapped through t0+T
@@ -176,16 +175,15 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
 
     # phi may be discontinuous where a dense interval meets its scattered
     # right endpoint; the computation proceeds, but the user is told
-    for seg in segs:
-        if isinstance(seg, Interval):
-            stored = values.get(seg.b)
-            if stored is not None and abs(stored - sqrt_q(seg.b)) > 1e-6:
-                warnings.warn(
-                    f"phi is discontinuous at t={seg.b}: chain value "
-                    f"{stored} vs dense limit {sqrt_q(seg.b)}",
-                    PhiDiscontinuityWarning,
-                    stacklevel=2,
-                )
+    for _, b in ts.dense_intervals():
+        stored = values.get(b)
+        if stored is not None and abs(stored - _sqrt_q(spec.q, b)) > 1e-6:
+            warnings.warn(
+                f"phi is discontinuous at t={b}: chain value "
+                f"{stored} vs dense limit {_sqrt_q(spec.q, b)}",
+                PhiDiscontinuityWarning,
+                stacklevel=2,
+            )
     return table
 
 
@@ -197,10 +195,8 @@ def phi_delta(table: PhaseTable, t: float) -> float:
     mu = ts.mu(t)
     if mu > 0 and t != ts.t_end:
         return (table.value(t + mu) - table.value(t)) / mu
-    q = ex.evaluate(table.q, t)
-    if q <= 0:
-        raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
-    return ex.evaluate(table.qprime, t) / (2.0 * math.sqrt(q))
+    sqrt_q = _sqrt_q(table.q, t)
+    return ex.evaluate(table.qprime, t) / (2.0 * sqrt_q)
 
 
 def h_fn(spec: SystemSpec, table: PhaseTable, t: float) -> float:
@@ -371,8 +367,9 @@ class _SeriesEngine:
                     newH.append(ev.phi * (ev.E_before * accK).real)
                     accJ = accJ + ev.mu * ev.W * g
                     accK = accK + ev.mu * ev.W * h
+            # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             out.append(
-                -(self.E_T * accJ).imag + ratio * (self.E_T * accK).real
+                -(self.E_T * accJ).imag + ratio * (self.E_T * accK).real + 0.0
             )
             G, H = newG, newH
         return out
@@ -564,6 +561,8 @@ def verdict(a_interval, B: float):
             "B = 1 and the A interval lies inside (-2, 2): two distinct "
             "unit-circle multipliers"
         )
+    if abs(B) > 1.0:  # reached when B overflows and the moduli are NaN
+        return Verdict.UNSTABLE, "|B| > 1 forces a multiplier modulus above 1"
     return Verdict.UNDETERMINED, (
         "increase n or handle the unit-modulus critical case manually"
     )

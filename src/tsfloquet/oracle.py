@@ -4,8 +4,9 @@ Propagates the 2x2 identity across one period of the first-order system
 Y' = S(t) Y with S = [[0, 1], [-q, -p]]: an adaptive Runge-Kutta
 integration over each dense interval and the exact one-step product
 Y <- (I + mu S) Y at each scattered point. Shares nothing with the series
-path except expression evaluation, so agreement of trace and determinant
-with a_partial and compute_B is a genuine cross-check.
+path except expression evaluation. ``cross_check`` compares the trace and
+determinant with the A(n), B and error bound of a report that ``analyze``
+produced, so it checks the numbers the user sees without recomputing them.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CheckFailed, StepSizeUnderflow
-from .floquet import SystemSpec, a_partial, compute_B, error_bound, solve_phi
+from .floquet import FloquetReport, SystemSpec
 from .timescale import Interval, Point
 
 
@@ -59,35 +60,32 @@ class CheckResult:
     b_oracle: float
     a_delta: float  # |A_oracle - A(n)|
     b_delta: float  # |B_oracle - B|
-    allowed: float  # error_bound(n) + tol
+    allowed: float  # report.err_bound.value + tol
 
 
-def cross_check(spec: SystemSpec, n: int, tol: float = 1e-8,
+def cross_check(spec: SystemSpec, report: FloquetReport, tol: float = 1e-8,
                 rk_tol: float = 1e-10) -> CheckResult:
-    """Compare the series A(n), B against the monodromy trace and det.
+    """Compare the report's A(n) and B against the monodromy trace and det.
 
-    The A comparison allows the truncation bound plus tol; B is exact up
-    to quadrature, so only tol is allowed.
+    The A comparison allows the report's truncation bound plus tol; B is
+    exact up to quadrature, so only tol is allowed.
     """
     Y = monodromy(spec, rk_tol)
     a_oracle = float(np.trace(Y))
     b_oracle = float(np.linalg.det(Y))
-    table = solve_phi(spec)
-    a_n = a_partial(spec, table, n)
-    b = compute_B(spec)
-    allowed = error_bound(spec, table, n).value + tol
+    allowed = report.err_bound.value + tol
     result = CheckResult(
         a_oracle=a_oracle,
         b_oracle=b_oracle,
-        a_delta=abs(a_oracle - a_n),
-        b_delta=abs(b_oracle - b),
+        a_delta=abs(a_oracle - report.A_partial),
+        b_delta=abs(b_oracle - report.B),
         allowed=allowed,
     )
     if result.a_delta > allowed or result.b_delta > tol:
         raise CheckFailed(
-            f"oracle disagreement: |A_oracle - A({n})| = {result.a_delta} "
-            f"(allowed {allowed}), |B_oracle - B| = {result.b_delta} "
-            f"(allowed {tol})",
+            f"oracle disagreement: |A_oracle - A({report.n})| = "
+            f"{result.a_delta} (allowed {allowed}), |B_oracle - B| = "
+            f"{result.b_delta} (allowed {tol})",
             a_delta=result.a_delta,
             b_delta=result.b_delta,
         )

@@ -190,6 +190,25 @@ def test_long_discrete_period_is_undetermined(tmp_path, k):
     assert result.exit_code == 2
 
 
+def test_overflowing_B_is_unstable(tmp_path):
+    # 500 unit steps with 1 - mu p + mu^2 q > 4: B = prod(1 - mu p +
+    # mu^2 q) overflows to inf and the moduli come out NaN, but |B| > 1
+    # still proves a multiplier outside the unit circle
+    k = 500
+    points = ", ".join(str(i) for i in range(k + 1))
+    f = tmp_path / "overflow.cfg"
+    f.write_text(
+        f"period = {k}\n"
+        f"points = [{points}]\n"
+        "p = 0.1\n"
+        f"q = 4 + 0.5*cos(2*pi*t/{k})\n"
+    )
+    result = invoke(str(f))
+    assert "B = inf" in result.output.splitlines()
+    assert "verdict = unstable" in result.output.splitlines()
+    assert result.exit_code == 1
+
+
 def test_unexpected_exception_exit_code(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")

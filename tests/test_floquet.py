@@ -176,6 +176,14 @@ def test_terms_integer_example(example_z):
     assert a_partial(example_z, table, 2) == pytest.approx(17 / 4, abs=1e-10)
 
 
+def test_terminated_discrete_terms_are_positive_zero(example_z):
+    # past the termination order the level recursion's running sums are
+    # zero; the report must show 0.0, not -0.0
+    k = len(example_z.ts.scattered_with_mu())
+    terms = analyze(example_z, n=k + 3).A_terms
+    assert all(math.copysign(1.0, t) == 1.0 for t in terms[k + 1:])
+
+
 def test_terms_hybrid_example(example_hybrid):
     table = solve_phi(example_hybrid)
     assert a_term(example_hybrid, table, 0) == pytest.approx(-2.0, abs=1e-12)

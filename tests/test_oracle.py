@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ from tsfloquet import (
     SystemSpec,
     a_partial,
     a_term,
+    analyze,
     compute_B,
     error_bound,
     parse,
     solve_phi,
 )
+from tsfloquet import floquet as floquet_mod
 from tsfloquet.errors import CheckFailed
 from tsfloquet.oracle import cross_check, monodromy
 
@@ -46,23 +49,37 @@ def test_monodromy_single_point():
 
 
 def test_cross_check_examples(example_z, example_2z, example_continuous):
-    r = cross_check(example_z, 2)
+    r = cross_check(example_z, analyze(example_z, n=2))
     assert r.a_delta <= 1e-10 and r.b_delta <= 1e-10
-    r = cross_check(example_2z, 3)
+    r = cross_check(example_2z, analyze(example_2z, n=3))
     assert r.a_delta <= 1e-9
     assert abs(r.a_oracle - (-0.752)) <= 1e-9
-    r = cross_check(example_continuous, 3)
+    r = cross_check(example_continuous, analyze(example_continuous, n=3))
     assert r.a_delta <= 0.360017
 
 
-def test_cross_check_failure(example_z, monkeypatch):
-    import tsfloquet.oracle as oracle_mod
-    monkeypatch.setattr(oracle_mod, "a_partial",
-                        lambda spec, table, n: 999.0)
+def test_cross_check_failure(example_z):
+    report = dataclasses.replace(analyze(example_z, n=2), A_partial=999.0)
     with pytest.raises(CheckFailed) as exc:
-        cross_check(example_z, 2)
+        cross_check(example_z, report)
     assert exc.value.a_delta == pytest.approx(999.0 - 4.25)
     assert exc.value.b_delta <= 1e-10
+
+
+def test_cross_check_uses_the_given_report(example_continuous, monkeypatch):
+    # the oracle checks the numbers analyze reported and never recomputes
+    # them: with the series engine and B disabled it still succeeds, and
+    # under the phase form it checks the phase-form A that is printed
+    report = analyze(example_continuous, n=3, use_shi=True)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("cross_check re-ran the analysis")
+
+    monkeypatch.setattr(floquet_mod, "_SeriesEngine", boom)
+    monkeypatch.setattr(floquet_mod, "compute_B", boom)
+    r = cross_check(example_continuous, report)
+    assert r.a_delta == abs(r.a_oracle - report.A_partial)
+    assert r.b_delta == abs(r.b_oracle - report.B)
 
 
 @pytest.mark.parametrize("seed", range(100))
