@@ -561,7 +561,7 @@ def verdict(a_interval, B: float):
             "B = 1 and the A interval lies inside (-2, 2): two distinct "
             "unit-circle multipliers"
         )
-    if abs(B) > 1.0:  # reached when B overflows and the moduli are NaN
+    if math.isnan(llo) and abs(B) > 1.0:  # B overflowed, the moduli are NaN
         return Verdict.UNSTABLE, "|B| > 1 forces a multiplier modulus above 1"
     return Verdict.UNDETERMINED, (
         "increase n or handle the unit-modulus critical case manually"

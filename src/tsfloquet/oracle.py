@@ -17,6 +17,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import CheckFailed, StepSizeUnderflow
 from .floquet import FloquetReport, SystemSpec
+# unused here; kept because benchmarks/tracer.py wraps them in this module
+from .floquet import a_partial, compute_B, error_bound, solve_phi  # noqa: F401
 from .timescale import Interval, Point
 
 

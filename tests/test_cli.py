@@ -140,6 +140,20 @@ def test_json_roundtrip():
     assert payload["verdict"] == "stable"
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(CONFIGS.glob("*.cfg")) + sorted(CONFIGS.glob("mathieu/*.cfg")),
+    ids=lambda p: p.relative_to(CONFIGS).as_posix(),
+)
+def test_oracle_agrees_on_committed_configs(path):
+    # run raises CheckFailed if the RK monodromy disagrees with the report;
+    # the phase form is checked too where it applies (dense scales)
+    config = load_config(path)
+    run(config, oracle=True)
+    if build_system(config).ts.is_continuous:
+        run(config, oracle=True, use_shi=True)
+
+
 def test_oracle_flag():
     result = invoke(str(CONFIGS / "example_discrete_z.cfg"), "--oracle")
     assert "oracle A delta" in result.output

@@ -383,6 +383,12 @@ def test_verdict_examples():
     assert v is Verdict.EXPONENTIALLY_STABLE
     v, _ = verdict((1.9, 2.1), 1.0)
     assert v is Verdict.UNDETERMINED
+    # B one ulp above 1 (rounding of a true B = 1) leaves the critical
+    # case undetermined; only an overflowed B with NaN moduli uses |B| > 1
+    v, _ = verdict((1.9, 2.1), 1.0 + 2**-52)
+    assert v is Verdict.UNDETERMINED
+    v, _ = verdict((math.nan, math.nan), math.inf)
+    assert v is Verdict.UNSTABLE
     # B > 1 forces a multiplier off the unit circle for any A
     v, _ = verdict((-600.0, 600.0), PI * PI - PI / 4 + 1)
     assert v is Verdict.UNSTABLE
