@@ -228,7 +228,9 @@ def compute_B(spec: SystemSpec) -> float:
     ts = spec.ts
 
     def g(t: float) -> float:
-        return -spec.p_at(t) + ts.mu(t) * spec.q_at(t)
+        # mu = 0 on dense parts, where q is not needed
+        mu, p = ts.mu(t), spec.p_at(t)
+        return -p + mu * spec.q_at(t) if mu else -p
 
     return float(tscalc.ts_exponential(g, ts.t_end, ts.t0, ts, spec.quad_tol))
 
@@ -257,55 +259,51 @@ def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
 
 
 class _DenseCell:
-    """One dense interval with its refinement grid and cached samples."""
+    """One dense interval on its refinement grid x, with the fields it
+    shares with ``_Jump`` per node: phi = sqrt(q), the phase factor E, h,
+    D = phi E (sigma(t) = t here) and the level weight W = h / D."""
 
-    __slots__ = ("x", "sqrtq", "h", "E", "W")
+    __slots__ = ("x", "phi", "E", "h", "D", "W")
 
     def __init__(self, spec: SystemSpec, a: float, b: float, E0: complex,
                  divisions: int):
         spacing = spec.ts.period / divisions
         n = max(16, int(math.ceil((b - a) / spacing)))
         n += n % 2
-        self.x, self.sqrtq, self.h = _sample_dense(spec, a, b, n)
-        phase = _cumint(self.sqrtq, self.x)
+        self.x, self.phi, self.h = _sample_dense(spec, a, b, n)
+        phase = cumulative_simpson(self.phi, x=self.x, initial=0.0)
         self.E = E0 * np.exp(1j * phase)
-        self.W = self.h / (self.sqrtq * self.E)
+        self.D = self.phi * self.E
+        self.W = self.h / self.D
 
 
 class _Jump:
-    """One right-scattered point."""
+    """One right-scattered point t with graininess mu and the fields of
+    ``_DenseCell`` as scalars: phi(t), E before the point's own step, h(t),
+    D = phi(sigma(t)) E(sigma(t)) and W = h / D; E_after = E(sigma(t))."""
 
-    __slots__ = ("t", "mu", "phi", "phi_sigma", "h", "E_before", "E_after", "W")
+    __slots__ = ("mu", "phi", "E", "h", "D", "W", "E_after")
 
-    def __init__(self, spec, table, t, mu, E_before):
-        self.t = t
+    def __init__(self, spec, table, t, mu, E):
         self.mu = mu
         self.phi = table.value(t)
-        self.phi_sigma = table.value(t + mu)
-        self.h = -spec.p_at(t) - (self.phi_sigma - self.phi) / (mu * self.phi)
-        self.E_before = E_before
-        factor = 1.0 + 1j * mu * self.phi
-        self.E_after = factor * E_before
-        self.W = self.h / (self.phi_sigma * self.E_after)
-
-
-def _cumint(y, x):
-    """Cumulative integral of samples y over nodes x, starting at 0."""
-    if np.iscomplexobj(y):
-        return (
-            cumulative_simpson(y.real, x=x, initial=0.0)
-            + 1j * cumulative_simpson(y.imag, x=x, initial=0.0)
-        )
-    return cumulative_simpson(y, x=x, initial=0.0)
+        phi_sigma = table.value(t + mu)
+        self.h = -spec.p_at(t) - (phi_sigma - self.phi) / (mu * self.phi)
+        self.E = E
+        self.E_after = (1.0 + 1j * mu * self.phi) * E
+        self.D = phi_sigma * self.E_after
+        self.W = self.h / self.D
 
 
 class _SeriesEngine:
     """Precomputed grids for evaluating the series terms A_n.
 
     Walks the period once, carrying the complex phase factor
-    E(t) = e_{i phi}(t, t0) across dense cells and scattered jumps; each
-    series order is then two cumulative integrals over the same grid.
-    State is per-instance, never shared.
+    E(t) = e_{i phi}(t, t0) across dense cells and scattered jumps, which
+    hold their nodes' phi, E, h, D and W under the same names; each series
+    order is then two running integrals over those nodes: Simpson within a
+    cell, the exact mu W step at a jump. State is per-instance, never
+    shared.
     """
 
     def __init__(self, spec: SystemSpec, table: PhaseTable,
@@ -313,18 +311,18 @@ class _SeriesEngine:
         self.spec = spec
         self.table = table
         ts = spec.ts
-        self.events = []  # ("cell", _DenseCell) | ("jump", _Jump)
+        self.events = []  # _DenseCell | _Jump, in time order
         E = 1.0 + 0.0j
         scattered = dict(ts.scattered_with_mu())
         for i, seg in enumerate(ts.segments):
             if isinstance(seg, Interval):
                 cell = _DenseCell(spec, seg.a, seg.b, E, divisions)
-                self.events.append(("cell", cell))
+                self.events.append(cell)
                 E = cell.E[-1]
             end = seg.x if isinstance(seg, Point) else seg.b
             if i < len(ts.segments) - 1:
                 jump = _Jump(spec, table, end, scattered[end], E)
-                self.events.append(("jump", jump))
+                self.events.append(jump)
                 E = jump.E_after
         self.E_T = E
         self.phi0 = table.value(ts.t0)
@@ -339,34 +337,28 @@ class _SeriesEngine:
         if n == 0:
             return out
         # seeds: G_0 = phi sin_phi, H_0 = phi cos_phi
-        G, H = [], []
-        for kind, ev in self.events:
-            if kind == "cell":
-                G.append(ev.sqrtq * ev.E.imag)
-                H.append(ev.sqrtq * ev.E.real)
-            else:
-                G.append(ev.phi * ev.E_before.imag)
-                H.append(ev.phi * ev.E_before.real)
+        G = [ev.phi * ev.E.imag for ev in self.events]
+        H = [ev.phi * ev.E.real for ev in self.events]
         ratio = self.phiT / self.phi0
         for _ in range(n):
             accJ = 0.0 + 0.0j
             accK = 0.0 + 0.0j
-            J, K = [], []
             newG, newH = [], []
-            for (kind, ev), g, h in zip(self.events, G, H):
-                if kind == "cell":
-                    cumJ = accJ + _cumint(ev.W * g, ev.x)
-                    cumK = accK + _cumint(ev.W * h, ev.x)
-                    accJ = cumJ[-1]
-                    accK = cumK[-1]
-                    newG.append(ev.sqrtq * (ev.E * cumJ).real)
-                    newH.append(ev.sqrtq * (ev.E * cumK).real)
+            for ev, g, h in zip(self.events, G, H):
+                if isinstance(ev, _DenseCell):
+                    runJ = accJ + cumulative_simpson(ev.W * g, x=ev.x,
+                                                     initial=0.0)
+                    runK = accK + cumulative_simpson(ev.W * h, x=ev.x,
+                                                     initial=0.0)
+                    accJ = runJ[-1]
+                    accK = runK[-1]
                 else:
                     # running value excludes the jump at the point itself
-                    newG.append(ev.phi * (ev.E_before * accJ).real)
-                    newH.append(ev.phi * (ev.E_before * accK).real)
+                    runJ, runK = accJ, accK
                     accJ = accJ + ev.mu * ev.W * g
                     accK = accK + ev.mu * ev.W * h
+                newG.append(ev.phi * (ev.E * runJ).real)
+                newH.append(ev.phi * (ev.E * runK).real)
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             out.append(
                 -(self.E_T * accJ).imag + ratio * (self.E_T * accK).real + 0.0
@@ -378,22 +370,12 @@ class _SeriesEngine:
 
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|."""
-        phis, Es, hs, Ms = [], [], [], []
-        for kind, ev in self.events:
-            if kind == "cell":
-                phis.append(ev.sqrtq)
-                Es.append(ev.E)
-                hs.append(ev.h)
-                Ms.append(1.0 / (ev.sqrtq * ev.E))
-            else:
-                phis.append(np.array([ev.phi]))
-                Es.append(np.array([ev.E_before]))
-                hs.append(np.array([ev.h]))
-                Ms.append(np.array([1.0 / (ev.phi_sigma * ev.E_after)]))
-        phi_t = np.concatenate(phis + [np.array([self.phiT])])
-        E_t = np.concatenate(Es + [np.array([self.E_T])])
-        h_t = np.concatenate(hs)
-        M_s = np.concatenate(Ms + [np.array([1.0 / (self.phiT * self.E_T)])])
+        ev = self.events
+        phi_t = np.hstack([e.phi for e in ev] + [self.phiT])
+        E_t = np.hstack([e.E for e in ev] + [self.E_T])
+        h_t = np.hstack([e.h for e in ev])
+        M_s = np.hstack([1.0 / e.D for e in ev]
+                        + [1.0 / (self.phiT * self.E_T)])
 
         K3 = float(np.max(np.abs(h_t)))
         QT = self.phiT * (self.E_T * M_s).real
@@ -495,7 +477,7 @@ def shi_continuous_a(spec: SystemSpec, n: int) -> float:
     a, b = ts.dense_intervals()[0]
     npts = 8192
     x, sqrtq, h = _sample_dense(spec, a, b, npts)
-    phase = _cumint(sqrtq, x)
+    phase = cumulative_simpson(sqrtq, x=x, initial=0.0)
     u = np.exp(-2j * phase)  # e^{-2i Phi(t)}
     outer_phase = cmath.exp(1j * phase[-1])
 
@@ -503,7 +485,7 @@ def shi_continuous_a(spec: SystemSpec, n: int) -> float:
     F = np.ones(npts + 1, dtype=complex)
     for level in range(1, n + 1):
         factor = h / u if level % 2 == 1 else h * u
-        F = _cumint(factor * F, x)
+        F = cumulative_simpson(factor * F, x=x, initial=0.0)
         if level % 2 == 0:
             total += 2.0 ** (1 - level) * (outer_phase * F[-1]).real
     return total

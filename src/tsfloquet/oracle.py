@@ -70,7 +70,8 @@ def cross_check(spec: SystemSpec, report: FloquetReport, tol: float = 1e-8,
     """Compare the report's A(n) and B against the monodromy trace and det.
 
     The A comparison allows the report's truncation bound plus tol; B is
-    exact up to quadrature, so only tol is allowed.
+    exact up to quadrature, so only tol is allowed. A delta that is NaN
+    fails the check.
     """
     Y = monodromy(spec, rk_tol)
     a_oracle = float(np.trace(Y))
@@ -83,7 +84,8 @@ def cross_check(spec: SystemSpec, report: FloquetReport, tol: float = 1e-8,
         b_delta=abs(b_oracle - report.B),
         allowed=allowed,
     )
-    if result.a_delta > allowed or result.b_delta > tol:
+    # written so that a NaN delta (an overflowed A, B or monodromy) fails
+    if not (result.a_delta <= allowed and result.b_delta <= tol):
         raise CheckFailed(
             f"oracle disagreement: |A_oracle - A({report.n})| = "
             f"{result.a_delta} (allowed {allowed}), |B_oracle - B| = "

@@ -204,11 +204,9 @@ def test_long_discrete_period_is_undetermined(tmp_path, k):
     assert result.exit_code == 2
 
 
-def test_overflowing_B_is_unstable(tmp_path):
-    # 500 unit steps with 1 - mu p + mu^2 q > 4: B = prod(1 - mu p +
-    # mu^2 q) overflows to inf and the moduli come out NaN, but |B| > 1
-    # still proves a multiplier outside the unit circle
-    k = 500
+def _overflow_config(tmp_path, k):
+    """k unit steps with 1 - mu p + mu^2 q > 4: B = prod(1 - mu p + mu^2 q)
+    overflows to inf, and so does the monodromy."""
     points = ", ".join(str(i) for i in range(k + 1))
     f = tmp_path / "overflow.cfg"
     f.write_text(
@@ -217,10 +215,26 @@ def test_overflowing_B_is_unstable(tmp_path):
         "p = 0.1\n"
         f"q = 4 + 0.5*cos(2*pi*t/{k})\n"
     )
-    result = invoke(str(f))
+    return str(f)
+
+
+def test_overflowing_B_is_unstable(tmp_path):
+    # the moduli come out NaN, but |B| > 1 still proves a multiplier
+    # outside the unit circle
+    result = invoke(_overflow_config(tmp_path, 500))
     assert "B = inf" in result.output.splitlines()
     assert "verdict = unstable" in result.output.splitlines()
     assert result.exit_code == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [500, 1000])
+def test_oracle_fails_on_nan_deltas(tmp_path, k):
+    # the B delta (k = 500) or both deltas (k = 1000) are NaN, which is
+    # no agreement
+    result = invoke(_overflow_config(tmp_path, k), "--n", "3", "--oracle")
+    assert result.exit_code == 4
+    assert "oracle disagreement" in result.stderr
 
 
 def test_unexpected_exception_exit_code(monkeypatch):

@@ -35,7 +35,9 @@ from tsfloquet.errors import (
     NotRegressive,
     PhiVanishes,
 )
-from tsfloquet.floquet import _SeriesEngine, validate_system
+from scipy.integrate import cumulative_simpson
+
+from tsfloquet.floquet import _DenseCell, _SeriesEngine, validate_system
 from tsfloquet.oracle import monodromy
 
 from conftest import (
@@ -240,6 +242,80 @@ def test_discrete_series_matches_monodromy(k):
         report = analyze(spec)
         assert report.n == k
         assert report.A_partial == pytest.approx(trace, rel=1e-9)
+
+
+def test_complex_cumulative_simpson_is_the_split(example_hybrid):
+    # the engine integrates complex samples in one call; that must equal
+    # integrating the real and imaginary parts apart, bit for bit
+    engine = _SeriesEngine(example_hybrid, solve_phi(example_hybrid))
+    cell = next(ev for ev in engine.events if isinstance(ev, _DenseCell))
+    for y in (cell.E, cell.W * cell.phi * cell.E.imag):
+        assert np.iscomplexobj(y)
+        whole = cumulative_simpson(y, x=cell.x, initial=0.0)
+        split = (cumulative_simpson(y.real, x=cell.x, initial=0.0)
+                 + 1j * cumulative_simpson(y.imag, x=cell.x, initial=0.0))
+        assert np.iscomplexobj(whole)
+        assert np.array_equal(whole, split)
+
+
+def _layout_system(segs, T):
+    """phi = 1.1 + 0.3 cos(2 pi t / T) on segs, q = phi^2 on dense parts
+    and q = phi(sigma(t)) phi(t) at each scattered point."""
+    ts = validate(PeriodicTimeScale(0.0, T, segs))
+    phi_text = f"(1.1 + 0.3*cos(2*pi*t/{T!r}))"
+
+    def phi(t):
+        return 1.1 + 0.3 * math.cos(2 * math.pi * t / T)
+
+    q_text = f"({phi_text} * {phi_text})"
+    for tau, mu in ts.scattered_with_mu():
+        v = phi(tau + mu) * phi(tau)
+        q_text = f"if(eq(mod(t, {T!r}), {tau % T!r}), {v!r}, {q_text})"
+    p = parse(f"0.2 + 0.1*sin(2*pi*t/{T!r})")
+    return SystemSpec(ts, p, parse(q_text))
+
+
+# runs of two or more scattered points before the first dense cell, between
+# two cells and after the last one, with recorded reference values of
+# A_0..A_8
+_LAYOUTS = {
+    "before": (
+        [Point(0.0), Point(0.4), Interval(0.8, 1.6), Point(2.0)], 2.0,
+        [-1.5019761080084173, 0.3298015368537712, -0.13554680446004647,
+         0.030988513159609817, -0.00475656128327566, 0.0005076488626662416,
+         -3.869222430905158e-05, 2.001452358619677e-06,
+         -4.5141020428848434e-08]),
+    "between": (
+        [Interval(0.0, 0.8), Point(1.2), Point(1.5), Interval(1.9, 2.7)], 2.7,
+        [-2.295122215279524, 0.5948325340888028, -0.16634077523897753,
+         0.02848464121414627, -0.003956759701162963, 0.00042514767287337243,
+         -3.6911829515697735e-05, 2.657173905893929e-06,
+         -1.629236349233182e-07]),
+    "after": (
+        [Interval(0.0, 0.8), Point(1.2), Point(1.5), Point(1.9)], 1.9,
+        [-0.8878929819911383, -0.1008208493232973, -0.040276124228141225,
+         0.0037526114152295013, 0.0004998129016083926,
+         -6.280340223706034e-06, -6.310999083183811e-06,
+         -7.790501548789198e-07, -6.0399004085299e-08]),
+    "all": (
+        [Point(0.0), Point(0.4), Interval(0.8, 1.6), Point(2.0), Point(2.3),
+         Interval(2.7, 3.5), Point(3.9), Point(4.3), Point(4.7)], 4.7,
+        [0.86916044221797, 0.0899922771008459, -0.2778047881410669,
+         0.09675149088245474, -0.019484052079568825, 0.00277358820038597,
+         -0.0003047919311203216, 2.720062691980702e-05,
+         -2.0382736523216215e-06]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_scattered_runs_around_dense_cells(layout):
+    segs, T, recorded = _LAYOUTS[layout]
+    spec = _layout_system(segs, T)
+    report = analyze(spec, n=8)
+    scale = max(abs(a) for a in recorded)
+    assert report.A_terms == pytest.approx(recorded, rel=0, abs=1e-12 * scale)
+    trace = float(np.trace(monodromy(spec)))
+    assert abs(trace - report.A_partial) <= report.err_bound.value + 1e-8
 
 
 # -- bounds ------------------------------------------------------------------

@@ -66,6 +66,20 @@ def test_cross_check_failure(example_z):
     assert exc.value.b_delta <= 1e-10
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("k", [500, 1000])
+def test_cross_check_fails_on_nan(k):
+    # unit steps with 1 - mu p + mu^2 q > 4: B and the monodromy overflow;
+    # at k = 500 the B delta is NaN (A = 1.2e177 against a trace of
+    # -2.7e172), at k = 1000 both deltas are
+    spec = SystemSpec(points_scale(list(range(k + 1))), parse("0.1"),
+                      parse(f"4 + 0.5*cos(2*pi*t/{k})"))
+    with pytest.raises(CheckFailed) as exc:
+        cross_check(spec, analyze(spec, n=3))
+    assert math.isnan(exc.value.b_delta)
+    assert math.isnan(exc.value.a_delta) == (k == 1000)
+
+
 def test_cross_check_uses_the_given_report(example_continuous, monkeypatch):
     # the oracle checks the numbers analyze reported and never recomputes
     # them: with the series engine and B disabled it still succeeds, and
