@@ -1,7 +1,7 @@
 """Expression language for the periodic coefficients p(t), q(t).
 
-Small recursive-descent parser, evaluator and symbolic derivative for the
-grammar:
+Small recursive-descent parser, scalar and array evaluators and symbolic
+derivative for the grammar:
 
     expr  := term (('+'|'-') term)*
     term  := unary (('*'|'/') unary)*
@@ -14,6 +14,13 @@ ge}. Exponents and the second arguments of mod/comparisons must be
 constant. ``neg1pow(e)`` is (-1)**e for integer-valued e; comparison
 functions are only legal as the first argument of ``if``.
 
+``evaluate(e, t)`` evaluates at one point. ``evaluate_array(e, x)`` walks
+the AST once and applies numpy ufuncs to a whole array of nodes; an ``if``
+evaluates each branch only on the nodes that take it (masking, not
+``np.where``), so an error in an untaken branch is not raised, and wherever
+``evaluate`` would raise at some node it raises the same exception class,
+naming the first offending t. No numpy warning escapes it.
+
 Expressions are immutable after parsing and may be evaluated concurrently.
 """
 from __future__ import annotations
@@ -21,6 +28,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -34,8 +43,8 @@ from .errors import (
 __all__ = [
     "Expression", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
     "Sin", "Cos", "Exp", "Sqrt", "Abs", "Mod", "Neg1Pow", "Cmp", "If",
-    "parse", "evaluate", "differentiate", "serialize", "is_constant",
-    "const_value",
+    "parse", "evaluate", "evaluate_array", "differentiate", "serialize",
+    "is_constant", "const_value",
 ]
 
 
@@ -430,17 +439,165 @@ def evaluate(e: Expression, t: float) -> float:
 def _cmp(c: Cmp, t: float) -> bool:
     tol = 1e-12 * max(1.0, abs(t))
     v = evaluate(c.arg, t)
-    if c.op == "eq":
-        return abs(v - c.ref) <= tol
-    if c.op == "lt":
-        return v < c.ref - tol
-    if c.op == "le":
-        return v <= c.ref + tol
-    if c.op == "gt":
-        return v > c.ref + tol
-    if c.op == "ge":
-        return v >= c.ref - tol
-    raise TypeError(f"unknown comparison {c.op!r}")
+    return _compare(c.op, v, c.ref, tol)
+
+
+def _compare(op: str, v, ref: float, tol):
+    """v op ref within tol; elementwise when v and tol are arrays."""
+    if op == "eq":
+        return abs(v - ref) <= tol
+    if op == "lt":
+        return v < ref - tol
+    if op == "le":
+        return v <= ref + tol
+    if op == "gt":
+        return v > ref + tol
+    if op == "ge":
+        return v >= ref - tol
+    raise TypeError(f"unknown comparison {op!r}")
+
+
+def evaluate_array(e: Expression, x) -> np.ndarray:
+    """IEEE double evaluation at every node of the array x.
+
+    One walk of the AST applies numpy ufuncs to whole node arrays; the
+    values agree with ``evaluate`` node for node up to the last-ulp
+    differences of numpy's sin, cos, exp and power. An ``if`` evaluates
+    each branch only on the nodes that take it, so an error in a branch
+    no node takes is not raised. Wherever ``evaluate`` would raise at some
+    node, this raises the same exception class for the first such node,
+    named by its t.
+    """
+    x = np.array(x, dtype=float)
+    walk = _ArrayWalk()
+    with np.errstate(all="ignore"):
+        v = walk.eval(e, x, np.arange(len(x)))
+    if walk.error is not None:
+        raise walk.error
+    return v
+
+
+class _ArrayWalk:
+    """One ``evaluate_array`` call.
+
+    Every node array travels with ``idx``, the nodes' positions in the
+    caller's array. An error is recorded, not raised, so that the walk can
+    find the lowest position that fails anywhere; at one position the
+    error met first in walk order wins, which is the one the scalar walk
+    raises there. Values at a failed node are never read again.
+    """
+
+    def __init__(self):
+        self.first = math.inf
+        self.error = None
+
+    def fail(self, bad, x, idx, make):
+        """Record make(t, j) for the first node j in the mask ``bad``."""
+        if bad.any():
+            j = int(np.argmax(bad))
+            if idx[j] < self.first:
+                self.first = idx[j]
+                self.error = make(x[j], j)
+
+    def eval(self, e: Expression, x, idx):
+        if isinstance(e, Const):
+            return np.full(len(x), e.value)
+        if isinstance(e, Var):
+            return x
+        if isinstance(e, Add):
+            return self.eval(e.left, x, idx) + self.eval(e.right, x, idx)
+        if isinstance(e, Sub):
+            return self.eval(e.left, x, idx) - self.eval(e.right, x, idx)
+        if isinstance(e, Mul):
+            return self.eval(e.left, x, idx) * self.eval(e.right, x, idx)
+        if isinstance(e, Div):
+            den = self.eval(e.right, x, idx)
+            self.fail(den == 0.0, x, idx,
+                      lambda t, j: DomainError(f"division by zero at t={t}"))
+            return self.eval(e.left, x, idx) / den
+        if isinstance(e, Neg):
+            return -self.eval(e.arg, x, idx)
+        if isinstance(e, Pow):
+            return self.pow(e, x, idx)
+        if isinstance(e, (Sin, Cos)):
+            v = self.eval(e.arg, x, idx)
+            # math.sin and math.cos reject infinite arguments
+            self.fail(np.isinf(v), x, idx, lambda t, j: ValueError(
+                f"{type(e).__name__.lower()} of {v[j]} at t={t}"))
+            return np.sin(v) if isinstance(e, Sin) else np.cos(v)
+        if isinstance(e, Exp):
+            v = self.eval(e.arg, x, idx)
+            out = np.exp(v)
+            self.fail(np.isinf(out) & np.isfinite(v), x, idx,
+                      lambda t, j: OverflowError(f"exp({v[j]}) at t={t}"))
+            return out
+        if isinstance(e, Sqrt):
+            v = self.eval(e.arg, x, idx)
+            self.fail(v < 0, x, idx, lambda t, j: DomainError(
+                f"sqrt of negative value {v[j]} at t={t}"))
+            return np.sqrt(v)
+        if isinstance(e, Abs):
+            return np.abs(self.eval(e.arg, x, idx))
+        if isinstance(e, Mod):
+            if e.modulus == 0.0:
+                # checked before the argument, as in the scalar walk
+                self.fail(np.ones(len(x), dtype=bool), x, idx,
+                          lambda t, j: DomainError(
+                              f"mod with zero divisor at t={t}"))
+                return np.full(len(x), math.nan)
+            return np.mod(self.eval(e.arg, x, idx), e.modulus)
+        if isinstance(e, Neg1Pow):
+            v = self.eval(e.arg, x, idx)
+            # round() raises on NaN (ValueError) and on inf (OverflowError)
+            self.fail(np.isnan(v), x, idx, lambda t, j: ValueError(
+                f"neg1pow argument {v[j]} at t={t}"))
+            self.fail(np.isinf(v), x, idx, lambda t, j: OverflowError(
+                f"neg1pow argument {v[j]} at t={t}"))
+            k = np.round(v)
+            self.fail(np.abs(v - k) > 1e-9, x, idx,
+                      lambda t, j: NonIntegerNeg1Pow(
+                          f"neg1pow argument {v[j]} at t={t}"))
+            return np.where(np.mod(k, 2.0) == 1.0, -1.0, 1.0)
+        if isinstance(e, If):
+            c = e.cond
+            tol = 1e-12 * np.maximum(1.0, np.abs(x))
+            m = _compare(c.op, self.eval(c.arg, x, idx), c.ref, tol)
+            out = np.empty(len(x))
+            for branch, mask in ((e.then, m), (e.other, ~m)):
+                if mask.any():
+                    out[mask] = self.eval(branch, x[mask], idx[mask])
+            return out
+        if isinstance(e, _NonDiff):
+            self.fail(np.ones(len(x), dtype=bool), x, idx,
+                      lambda t, j: NonDifferentiableNode(
+                          f"{e.reason} at t={t}"))
+            return np.full(len(x), math.nan)
+        raise TypeError(f"unknown node {e!r}")
+
+    def pow(self, e: Pow, x, idx):
+        base = self.eval(e.base, x, idx)
+        p = float(e.exponent)
+        out = np.power(base, p)
+        # zero and infinite bases take Python's float semantics, which
+        # numpy's sqrt fast path for p = 0.5 does not share on -0.0 and -inf
+        special = (base == 0.0) | np.isinf(base)
+        if special.any():
+            for b in (0.0, -0.0, math.inf, -math.inf):
+                at = special & (base == b) & (np.signbit(base) == (
+                    math.copysign(1.0, b) < 0))
+                try:
+                    out[at] = b ** p
+                except ZeroDivisionError:
+                    self.fail(at, x, idx, lambda t, j: DomainError(
+                        f"{base[j]} ** {p} at t={t}"))
+        finite = np.isfinite(base) & ~special
+        if math.isfinite(p):
+            self.fail(finite & np.isinf(out), x, idx, lambda t, j:
+                      DomainError(f"{base[j]} ** {p} at t={t}"))
+            if not p.is_integer():
+                self.fail(finite & (base < 0), x, idx, lambda t, j:
+                          DomainError(f"{base[j]} ** {p} is complex at t={t}"))
+        return out
 
 
 # -- symbolic derivative ---------------------------------------------------

@@ -76,9 +76,6 @@ class SystemSpec:
     def q_at(self, t: float) -> float:
         return ex.evaluate(self.q, t)
 
-    def qprime_at(self, t: float) -> float:
-        return ex.evaluate(self.qprime, t)
-
 
 def validate_system(spec: SystemSpec) -> None:
     """Check regressivity and the sign conditions on q at scattered points."""
@@ -174,13 +171,18 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
         values[c] = _check_phi(spec.q_at(c) / values[succ], c)
 
     # phi may be discontinuous where a dense interval meets its scattered
-    # right endpoint; the computation proceeds, but the user is told
-    for _, b in ts.dense_intervals():
+    # right endpoint; the computation proceeds, but the user is told. The
+    # dense limit is read just inside the interval, as _sample_dense does,
+    # because q(b) itself may be an isolated-point redefinition
+    for a, b in ts.dense_intervals():
         stored = values.get(b)
-        if stored is not None and abs(stored - _sqrt_q(spec.q, b)) > 1e-6:
+        if stored is None:
+            continue
+        limit = _sqrt_q(spec.q, b - (b - a) * 1e-9)
+        if abs(stored - limit) > 1e-6:
             warnings.warn(
                 f"phi is discontinuous at t={b}: chain value "
-                f"{stored} vs dense limit {_sqrt_q(spec.q, b)}",
+                f"{stored} vs dense limit {limit}",
                 PhiDiscontinuityWarning,
                 stacklevel=2,
             )
@@ -249,12 +251,12 @@ def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
     eps = (b - a) * 1e-9
     xe[0] += eps
     xe[-1] -= eps
-    q = np.array([spec.q_at(t) for t in xe])
+    q = ex.evaluate_array(spec.q, xe)
     if np.any(q <= 0):
         bad = xe[np.argmin(q)]
         raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
-    p = np.array([spec.p_at(t) for t in xe])
-    qp = np.array([spec.qprime_at(t) for t in xe])
+    p = ex.evaluate_array(spec.p, xe)
+    qp = ex.evaluate_array(spec.qprime, xe)
     return x, np.sqrt(q), -p - qp / (2.0 * q)
 
 
@@ -438,13 +440,16 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
     On a purely discrete scale with k scattered points the series is a
     finite sum, computed by the same level recursion as on other scales
     (exact up to rounding, O(n k) work), so the bound is exact zero once
-    n >= k. When e^z or z^k is beyond the float range the bound is
-    infinite, which leaves the verdict undetermined unless B decides it.
+    n >= k. When e^z or z^k is beyond the float range, or a bound constant
+    or the tail is NaN, the bound is infinite, which leaves the verdict
+    undetermined unless B decides it.
     """
     ts = spec.ts
     if ts.is_discrete and n >= len(ts.scattered_with_mu()):
         return ErrorBound(0.0, exact=True)
     K1, K2, K3 = estimate_bounds(spec, table)
+    if any(math.isnan(k) for k in (K1, K2, K3)):
+        return ErrorBound(math.inf)
     if K2 <= _PHI_MIN or K3 == 0.0:
         return ErrorBound(0.0, exact=True)
     z = K2 * K3 * ts.period
@@ -453,7 +458,10 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
         tail = math.exp(z) - partial
     except OverflowError:
         return ErrorBound(math.inf)
-    return ErrorBound(max(0.0, (K1 / K2) * tail))
+    bound = (K1 / K2) * tail
+    if math.isnan(bound):  # a NaN tail, or inf / inf
+        return ErrorBound(math.inf)
+    return ErrorBound(max(0.0, bound))
 
 
 def shi_continuous_a(spec: SystemSpec, n: int) -> float:

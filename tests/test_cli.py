@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from tsfloquet.cli import build_system, load_config, main, run
 from tsfloquet.errors import ConfigParseError, ValidationError
+from tsfloquet.floquet import analyze
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -235,6 +236,16 @@ def test_oracle_fails_on_nan_deltas(tmp_path, k):
     result = invoke(_overflow_config(tmp_path, k), "--n", "3", "--oracle")
     assert result.exit_code == 4
     assert "oracle disagreement" in result.stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_bound_constants_give_an_infinite_bound(tmp_path):
+    # at 1000 points the bound constants come out NaN; a NaN must never
+    # read as the bound 0, which would claim A(3) is exact
+    spec = build_system(load_config(_overflow_config(tmp_path, 1000)))
+    report = analyze(spec, n=3)
+    assert report.err_bound.value == math.inf
+    assert not report.err_bound.exact
 
 
 def test_unexpected_exception_exit_code(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,13 @@ from tsfloquet.errors import (
 )
 from scipy.integrate import cumulative_simpson
 
-from tsfloquet.floquet import _DenseCell, _SeriesEngine, validate_system
+from tsfloquet import expr as ex
+from tsfloquet.floquet import (
+    PhiDiscontinuityWarning,
+    _DenseCell,
+    _SeriesEngine,
+    validate_system,
+)
 from tsfloquet.oracle import monodromy
 
 from conftest import (
@@ -102,6 +109,16 @@ def test_phi_discontinuity_warning():
     spec = SystemSpec(ts, parse("0"), parse("1 + t/2"))
     from tsfloquet.floquet import PhiDiscontinuityWarning
     with pytest.warns(PhiDiscontinuityWarning):
+        solve_phi(spec)
+
+
+def test_no_phi_warning_at_redefined_right_endpoint():
+    # q(0.8) is redefined as phi(1.2) phi(0.8); the chain value at 0.8 must
+    # be compared with the dense limit of sqrt(q), not with sqrt(q(0.8))
+    segs, T, _ = _LAYOUTS["after"]
+    spec = _layout_system(segs, T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PhiDiscontinuityWarning)
         solve_phi(spec)
 
 
@@ -316,6 +333,22 @@ def test_scattered_runs_around_dense_cells(layout):
     assert report.A_terms == pytest.approx(recorded, rel=0, abs=1e-12 * scale)
     trace = float(np.trace(monodromy(spec)))
     assert abs(trace - report.A_partial) <= report.err_bound.value + 1e-8
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_array_sampling_matches_scalar_sampling(seed, monkeypatch):
+    # numpy's sin, cos, exp and power may differ from math's in the last
+    # ulp on some platforms; the series and the bound must not notice
+    spec = random_hybrid_system(seed)
+    fast = analyze(spec, n=8)
+    monkeypatch.setattr(ex, "evaluate_array", lambda e, x: np.array(
+        [ex.evaluate(e, t) for t in x]))
+    slow = analyze(spec, n=8)
+    scale = max(abs(a) for a in slow.A_terms)
+    assert fast.A_terms == pytest.approx(slow.A_terms, rel=0,
+                                         abs=1e-13 * scale)
+    assert fast.err_bound.value == pytest.approx(slow.err_bound.value,
+                                                 rel=1e-12)
 
 
 # -- bounds ------------------------------------------------------------------
