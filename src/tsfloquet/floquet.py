@@ -16,9 +16,12 @@ P, Q become real/imaginary parts of E(t) / E(sigma(s)), so each
 integration level is a cumulative integral of
 W(s) = h(s) / (phi(sigma(s)) E(sigma(s))) against the previous level,
 evaluated on a fixed refinement grid (spacing <= T/4096) plus exact jump
-contributions at scattered points. On a purely discrete scale there are
-only jumps, so the same level recursion is exact up to rounding and costs
-O(n k) for k scattered points.
+contributions at scattered points. The dense cells are the rows of one
+stacked (cells, nodes) array, so each order makes one cumulative Simpson
+call per running integral whatever the number of cells; a scalar walk
+over the cells and jumps in time order then carries the running offsets.
+On a purely discrete scale there are only jumps, so the same level
+recursion is exact up to rounding and costs O(n k) for k scattered points.
 """
 from __future__ import annotations
 
@@ -239,50 +242,69 @@ def compute_B(spec: SystemSpec) -> float:
 
 # -- series engine ----------------------------------------------------------
 
-def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
-    """(x, sqrt(q), h) on the n + 1 equally spaced nodes x of [a, b],
-    where h = -p - q' / (2 q) is the perturbation coefficient for
-    phi = sqrt(q)."""
-    x = np.linspace(a, b, n + 1)
+def _sample_dense(spec: SystemSpec, cells: list):
+    """The dense cells ``[(a, b, n), ...]``, ascending with n even, sampled
+    as one stacked grid: row c holds the n + 1 equally spaced nodes of cell
+    c, padded past its last node to the longest row.
+
+    Returns (x, phi, h, last): (cells, nodes) arrays of the nodes, of
+    phi = sqrt(q) and of the perturbation coefficient h = -p - q' / (2 q)
+    for that phi, and each row's last node index. Padded nodes keep x
+    increasing and hold phi = 1, h = 0; as every n is even, Simpson never
+    carries them into a real node. Each expression is evaluated once, on
+    the real nodes of all cells in time order.
+    """
+    last = [n for _, _, n in cells]
+    width = max(last) + 1
+    uniform = min(last) + 1 == width
+    a, b, n = np.array(cells).T
+    # node k is a + k (b - a) / n, as np.linspace computes it
+    x = np.arange(float(width)) * ((b - a) / n)[:, None] + a[:, None]
+    tip = (slice(None), -1) if uniform else (range(len(cells)), last)
+    x[tip] = b
     # endpoint samples are nudged inward: coefficient values on a dense
     # part are one-sided limits, and isolated-point redefinitions live
     # exactly on the segment boundary
-    xe = x.copy()
     eps = (b - a) * 1e-9
-    xe[0] += eps
-    xe[-1] -= eps
+    xe = x.copy()
+    xe[:, 0] += eps
+    xe[tip] -= eps
+    real = None if uniform else np.arange(width) <= np.array(last)[:, None]
+    xe = xe.ravel() if uniform else xe[real]
     q = ex.evaluate_array(spec.q, xe)
     if np.any(q <= 0):
-        bad = xe[np.argmin(q)]
+        # named by the minimum of the first cell, in time order, that fails
+        ends = np.cumsum([m + 1 for m in last])
+        c = int(np.searchsorted(ends, np.argmax(q <= 0), side="right"))
+        lo = ends[c] - last[c] - 1
+        bad = xe[lo + np.argmin(q[lo:ends[c]])]
         raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
     p = ex.evaluate_array(spec.p, xe)
     qp = ex.evaluate_array(spec.qprime, xe)
-    return x, np.sqrt(q), -p - qp / (2.0 * q)
+    phi, h = np.sqrt(q), -p - qp / (2.0 * q)
+    if uniform:
+        return x, phi.reshape(x.shape), h.reshape(x.shape), last
+    phi_rows, h_rows = np.ones(x.shape), np.zeros(x.shape)
+    phi_rows[real] = phi
+    h_rows[real] = h
+    return x, phi_rows, h_rows, last
 
 
-class _DenseCell:
-    """One dense interval on its refinement grid x, with the fields it
-    shares with ``_Jump`` per node: phi = sqrt(q), the phase factor E, h,
-    D = phi E (sigma(t) = t here) and the level weight W = h / D."""
-
-    __slots__ = ("x", "phi", "E", "h", "D", "W")
-
-    def __init__(self, spec: SystemSpec, a: float, b: float, E0: complex,
-                 divisions: int):
-        spacing = spec.ts.period / divisions
-        n = max(16, int(math.ceil((b - a) / spacing)))
-        n += n % 2
-        self.x, self.phi, self.h = _sample_dense(spec, a, b, n)
-        phase = cumulative_simpson(self.phi, x=self.x, initial=0.0)
-        self.E = E0 * np.exp(1j * phase)
-        self.D = self.phi * self.E
-        self.W = self.h / self.D
+def _row_integrals(y, x):
+    """Cumulative Simpson integrals of every row of the stack y over its
+    nodes x, in one call. A single row goes to SciPy as 1-D: the result is
+    the same, and SciPy's per-call overhead on 2-D input would make
+    one-cell scales pay for the stacking."""
+    if len(x) == 1:
+        return cumulative_simpson(y[0], x=x[0], initial=0.0)[None]
+    return cumulative_simpson(y, x=x, initial=0.0)
 
 
 class _Jump:
-    """One right-scattered point t with graininess mu and the fields of
-    ``_DenseCell`` as scalars: phi(t), E before the point's own step, h(t),
-    D = phi(sigma(t)) E(sigma(t)) and W = h / D; E_after = E(sigma(t))."""
+    """One right-scattered point t with graininess mu and, as scalars, the
+    fields a dense row holds per node: phi(t), E before the point's own
+    step, h(t) and D = phi(sigma(t)) E(sigma(t)); also the level weight
+    W = h / D and E_after = E(sigma(t))."""
 
     __slots__ = ("mu", "phi", "E", "h", "D", "W", "E_after")
 
@@ -300,12 +322,15 @@ class _Jump:
 class _SeriesEngine:
     """Precomputed grids for evaluating the series terms A_n.
 
-    Walks the period once, carrying the complex phase factor
-    E(t) = e_{i phi}(t, t0) across dense cells and scattered jumps, which
-    hold their nodes' phi, E, h, D and W under the same names; each series
-    order is then two running integrals over those nodes: Simpson within a
-    cell, the exact mu W step at a jump. State is per-instance, never
-    shared.
+    The dense cells are the rows of one stacked (cells, nodes) grid that
+    holds x, phi, h, the complex phase factor E(t) = e_{i phi}(t, t0) and
+    D = phi E (sigma(t) = t there); the scattered points are scalar
+    ``_Jump``s with the same fields. Each series order is two running
+    integrals of W = h / D against the previous level: one Simpson call
+    over the whole stack for each, then a scalar walk over cells and jumps
+    in time order that carries the running offsets, adding a cell's row
+    total or a jump's exact mu W g step, and broadcasts them onto the rows.
+    State is per-instance, never shared.
     """
 
     def __init__(self, spec: SystemSpec, table: PhaseTable,
@@ -313,19 +338,37 @@ class _SeriesEngine:
         self.spec = spec
         self.table = table
         ts = spec.ts
-        self.events = []  # _DenseCell | _Jump, in time order
+        spacing = ts.period / divisions
+        cells = []
+        for a, b in ts.dense_intervals():
+            n = max(16, int(math.ceil((b - a) / spacing)))
+            cells.append((a, b, n + n % 2))
+        self.rows = len(cells)
+        if cells:
+            self.x, self.phi, self.h, self.last = _sample_dense(spec, cells)
+            U = np.exp(1j * _row_integrals(self.phi, self.x))
+            self.E = np.empty_like(U)
+        self.events = []  # dense row index | _Jump, in time order
+        self.jumps = []
         E = 1.0 + 0.0j
         scattered = dict(ts.scattered_with_mu())
+        row = 0
         for i, seg in enumerate(ts.segments):
             if isinstance(seg, Interval):
-                cell = _DenseCell(spec, seg.a, seg.b, E, divisions)
-                self.events.append(cell)
-                E = cell.E[-1]
+                # E carries on from the row's last node: the scalar product
+                # E * U[row, last] would round differently
+                np.multiply(E, U[row], out=self.E[row])
+                E = self.E[row, self.last[row]]
+                self.events.append(row)
+                row += 1
             end = seg.x if isinstance(seg, Point) else seg.b
             if i < len(ts.segments) - 1:
                 jump = _Jump(spec, table, end, scattered[end], E)
                 self.events.append(jump)
+                self.jumps.append(jump)
                 E = jump.E_after
+        if cells:
+            self.D = self.phi * self.E
         self.E_T = E
         self.phi0 = table.value(ts.t0)
         self.phiT = table.value(ts.t_end)
@@ -338,46 +381,62 @@ class _SeriesEngine:
         out = [self.term0()]
         if n == 0:
             return out
-        # seeds: G_0 = phi sin_phi, H_0 = phi cos_phi
-        G = [ev.phi * ev.E.imag for ev in self.events]
-        H = [ev.phi * ev.E.real for ev in self.events]
+        # seeds: G_0 = phi sin_phi, H_0 = phi cos_phi, on the rows and at
+        # the jumps
+        if self.rows:
+            W = self.h / self.D
+            G = self.phi * self.E.imag
+            H = self.phi * self.E.real
+            last = self.last
+            # the running offsets of the J and K integrals at each row
+            offJ, offK = np.empty((2, self.rows, 1), dtype=complex)
+        Gj = [ev.phi * ev.E.imag for ev in self.jumps]
+        Hj = [ev.phi * ev.E.real for ev in self.jumps]
         ratio = self.phiT / self.phi0
-        for _ in range(n):
+        for level in range(1, n + 1):
+            if self.rows:
+                SJ = _row_integrals(W * G, self.x)
+                SK = _row_integrals(W * H, self.x)
             accJ = 0.0 + 0.0j
             accK = 0.0 + 0.0j
-            newG, newH = [], []
-            for ev, g, h in zip(self.events, G, H):
-                if isinstance(ev, _DenseCell):
-                    runJ = accJ + cumulative_simpson(ev.W * g, x=ev.x,
-                                                     initial=0.0)
-                    runK = accK + cumulative_simpson(ev.W * h, x=ev.x,
-                                                     initial=0.0)
-                    accJ = runJ[-1]
-                    accK = runK[-1]
-                else:
+            at_jumps = zip(Gj, Hj)
+            Gj, Hj = [], []
+            for ev in self.events:
+                if isinstance(ev, _Jump):
+                    g, h = next(at_jumps)
                     # running value excludes the jump at the point itself
-                    runJ, runK = accJ, accK
+                    Gj.append(ev.phi * (ev.E * accJ).real)
+                    Hj.append(ev.phi * (ev.E * accK).real)
                     accJ = accJ + ev.mu * ev.W * g
                     accK = accK + ev.mu * ev.W * h
-                newG.append(ev.phi * (ev.E * runJ).real)
-                newH.append(ev.phi * (ev.E * runK).real)
+                else:
+                    offJ[ev] = accJ
+                    offK[ev] = accK
+                    accJ = accJ + SJ[ev, last[ev]]
+                    accK = accK + SK[ev, last[ev]]
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             out.append(
                 -(self.E_T * accJ).imag + ratio * (self.E_T * accK).real + 0.0
             )
-            G, H = newG, newH
+            if self.rows and level < n:  # the last order needs only totals
+                G = self.phi * (self.E * (offJ + SJ)).real
+                H = self.phi * (self.E * (offK + SK)).real
         return out
 
     # -- supremum grids for the truncation bound ---------------------------
 
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|."""
-        ev = self.events
-        phi_t = np.hstack([e.phi for e in ev] + [self.phiT])
-        E_t = np.hstack([e.E for e in ev] + [self.E_T])
-        h_t = np.hstack([e.h for e in ev])
-        M_s = np.hstack([1.0 / e.D for e in ev]
-                        + [1.0 / (self.phiT * self.E_T)])
+        stack = (self.phi, self.E, self.h, 1.0 / self.D) if self.rows else ()
+        # phi, E, h and 1 / D at every node and jump, in time order
+        nodes = [(ev.phi, ev.E, ev.h, 1.0 / ev.D) if isinstance(ev, _Jump)
+                 else [a[ev, :self.last[ev] + 1] for a in stack]
+                 for ev in self.events]
+        phi_t, E_t, h_t, M_s = zip(*nodes)
+        phi_t = np.hstack(phi_t + (self.phiT,))
+        E_t = np.hstack(E_t + (self.E_T,))
+        h_t = np.hstack(h_t)
+        M_s = np.hstack(M_s + (1.0 / (self.phiT * self.E_T),))
 
         K3 = float(np.max(np.abs(h_t)))
         QT = self.phiT * (self.E_T * M_s).real
@@ -484,7 +543,7 @@ def shi_continuous_a(spec: SystemSpec, n: int) -> float:
 
     a, b = ts.dense_intervals()[0]
     npts = 8192
-    x, sqrtq, h = _sample_dense(spec, a, b, npts)
+    x, sqrtq, h = (r[0] for r in _sample_dense(spec, [(a, b, npts)])[:3])
     phase = cumulative_simpson(sqrtq, x=x, initial=0.0)
     u = np.exp(-2j * phase)  # e^{-2i Phi(t)}
     outer_phase = cmath.exp(1j * phase[-1])

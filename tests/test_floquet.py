@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from tsfloquet import (
 from tsfloquet.errors import (
     BNotOne,
     DepthBudgetExceeded,
+    DomainError,
     NegativeQOnDense,
     NotContinuousScale,
     NotRegressive,
@@ -39,9 +42,11 @@ from tsfloquet.errors import (
 from scipy.integrate import cumulative_simpson
 
 from tsfloquet import expr as ex
+from tsfloquet.cli import build_system, load_config
 from tsfloquet.floquet import (
+    _BOUNDS_GRID,
     PhiDiscontinuityWarning,
-    _DenseCell,
+    _row_integrals,
     _SeriesEngine,
     validate_system,
 )
@@ -54,6 +59,7 @@ from conftest import (
     random_discrete_system,
     random_hybrid_system,
 )
+from cell_reference import CellEngine
 from discrete_reference import discrete_terms
 
 PI = math.pi
@@ -262,17 +268,64 @@ def test_discrete_series_matches_monodromy(k):
 
 
 def test_complex_cumulative_simpson_is_the_split(example_hybrid):
-    # the engine integrates complex samples in one call; that must equal
-    # integrating the real and imaginary parts apart, bit for bit
-    engine = _SeriesEngine(example_hybrid, solve_phi(example_hybrid))
-    cell = next(ev for ev in engine.events if isinstance(ev, _DenseCell))
-    for y in (cell.E, cell.W * cell.phi * cell.E.imag):
-        assert np.iscomplexobj(y)
-        whole = cumulative_simpson(y, x=cell.x, initial=0.0)
-        split = (cumulative_simpson(y.real, x=cell.x, initial=0.0)
-                 + 1j * cumulative_simpson(y.imag, x=cell.x, initial=0.0))
-        assert np.iscomplexobj(whole)
-        assert np.array_equal(whole, split)
+    # the engine integrates the complex samples of all stacked cells in one
+    # call; that must equal integrating the real and imaginary parts apart,
+    # bit for bit. Seeds 0 and 12 have two cells of unequal node counts, so
+    # the shorter row of the stack is padded
+    for spec in (example_hybrid, random_hybrid_system(0),
+                 random_hybrid_system(12)):
+        engine = _SeriesEngine(spec, solve_phi(spec))
+        assert engine.rows == 1 or engine.last[0] != engine.last[1]
+        W = engine.h / engine.D
+        for y in (engine.E, W * engine.phi * engine.E.imag):
+            assert np.iscomplexobj(y)
+            for integrate in (
+                    lambda v: cumulative_simpson(v, x=engine.x, initial=0.0),
+                    lambda v: _row_integrals(v, engine.x)):
+                whole = integrate(y)
+                split = integrate(y.real) + 1j * integrate(y.imag)
+                assert np.iscomplexobj(whole)
+                assert np.array_equal(whole, split)
+
+
+def _two_cell_system(p_text, q_text):
+    """Dense cells [0, 1] and [2, 3], period 3."""
+    ts = validate(PeriodicTimeScale(
+        0.0, 3.0, [Interval(0.0, 1.0), Interval(2.0, 3.0)]))
+    return SystemSpec(ts, parse(p_text), parse(q_text))
+
+
+@pytest.mark.parametrize("q_text, lo, hi", [
+    # q <= 0 only on (2.3, 2.7), inside the second cell
+    ("if(lt(t, 1.5), 1, (t - 2.5)^2 - 0.04)", 2.3, 2.7),
+    # q <= 0 in both cells, deeper in the second: time order names the first
+    ("if(lt(t, 1.5), (t - 0.5)^2 - 0.01, (t - 2.5)^2 - 0.04)", 0.4, 0.6),
+])
+def test_negative_q_is_named_in_time_order(q_text, lo, hi):
+    # all cells are sampled in one pass; the error still names a t in the
+    # first cell, in time order, where q <= 0, as the per-cell loop did
+    spec = _two_cell_system("0", q_text)
+    table = solve_phi(spec)
+    with pytest.raises(NegativeQOnDense) as stacked:
+        _SeriesEngine(spec, table)
+    with pytest.raises(NegativeQOnDense) as per_cell:
+        CellEngine(spec, table)
+    assert str(stacked.value) == str(per_cell.value)
+    named = re.match(r"q\((.*)\) <= 0", str(stacked.value))[1]
+    assert lo < float(named) < hi
+
+
+def test_evaluation_error_in_the_second_cell():
+    # sqrt of a negative value only in the second cell raises the class and
+    # message of the per-cell loop, at the first failing node
+    spec = _two_cell_system("sqrt(2.2 - t)", "1")
+    table = solve_phi(spec)
+    with pytest.raises(DomainError) as stacked:
+        _SeriesEngine(spec, table)
+    with pytest.raises(DomainError) as per_cell:
+        CellEngine(spec, table)
+    assert str(stacked.value) == str(per_cell.value)
+    assert 2.2 < float(str(stacked.value).rsplit("t=", 1)[1]) < 3.0
 
 
 def _layout_system(segs, T):
@@ -333,6 +386,43 @@ def test_scattered_runs_around_dense_cells(layout):
     assert report.A_terms == pytest.approx(recorded, rel=0, abs=1e-12 * scale)
     trace = float(np.trace(monodromy(spec)))
     assert abs(trace - report.A_partial) <= report.err_bound.value + 1e-8
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# at least 30 seeded hybrids (9 of these 32 have two cells of unequal
+# length), every layout above, and every committed config with intervals
+_REFERENCE_CASES = (
+    [("seed", s) for s in range(32)]
+    + [("layout", k) for k in sorted(_LAYOUTS)]
+    + [("config", p.relative_to(_CONFIGS).as_posix())
+       for p in sorted(_CONFIGS.rglob("*.cfg"))
+       if re.search(r"^intervals\s*=", p.read_text(), re.M)])
+
+
+def _reference_spec(kind, key):
+    if kind == "seed":
+        return random_hybrid_system(key)
+    if kind == "layout":
+        segs, T, _ = _LAYOUTS[key]
+        return _layout_system(segs, T)
+    return build_system(load_config(_CONFIGS / key))
+
+
+@pytest.mark.parametrize("kind, key", _REFERENCE_CASES,
+                         ids=[f"{k}-{v}" for k, v in _REFERENCE_CASES])
+def test_stacked_engine_matches_cell_reference(kind, key):
+    # the stacked engine keeps every floating-point operation of the
+    # per-cell loop in cell_reference.py, so its terms and bound constants
+    # are equal to the loop's, not just close
+    spec = _reference_spec(kind, key)
+    table = solve_phi(spec)
+    assert _SeriesEngine(spec, table).terms(8) == \
+        CellEngine(spec, table).terms(8)
+    stacked = _SeriesEngine(spec, table, divisions=_BOUNDS_GRID)
+    per_cell = CellEngine(spec, table, divisions=_BOUNDS_GRID)
+    assert stacked.terms(8) == per_cell.terms(8)
+    assert stacked.bound_constants() == per_cell.bound_constants()
 
 
 @pytest.mark.parametrize("seed", range(20))
