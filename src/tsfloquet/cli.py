@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -21,6 +22,8 @@ from . import expr as ex
 from .errors import (
     ConfigError,
     ConfigParseError,
+    ExpressionError,
+    TimeScaleError,
     TsfloquetError,
     ValidationError,
 )
@@ -151,15 +154,29 @@ def load_config(path) -> ConfigFile:
     )
 
 
+def _expression(key: str, text: str) -> ex.Expression:
+    try:
+        return ex.parse(text)
+    except ExpressionError as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
+
+
 def build_system(config: ConfigFile) -> SystemSpec:
+    """SystemSpec of a config; its content errors raise ValidationError."""
+    if config.tol is not None and not 0 < config.tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {config.tol}")
     segments = [Point(x) for x in config.points]
     segments += [Interval(a, b) for a, b in config.intervals]
-    ts = validate(PeriodicTimeScale(config.t0, config.period, segments))
+    try:
+        ts = validate(PeriodicTimeScale(config.t0, config.period, segments))
+    except TimeScaleError as exc:
+        # t0 and period place the window that points and intervals must fill
+        raise ValidationError(f"t0/period/points/intervals: {exc}") from exc
     return SystemSpec(
         ts=ts,
-        p=ex.parse(config.p),
-        q=ex.parse(config.q),
-        qprime=ex.parse(config.qprime) if config.qprime else None,
+        p=_expression("p", config.p),
+        q=_expression("q", config.q),
+        qprime=_expression("qprime", config.qprime) if config.qprime else None,
         quad_tol=config.tol if config.tol is not None else 1e-9,
     )
 
@@ -236,6 +253,8 @@ def run(config: ConfigFile, n: Optional[int] = None,
     """Analyze one config; returns (output text, exit code)."""
     if n is None:
         n = config.n
+    elif n < 0:
+        raise ValidationError(f"n must be a non-negative integer, got {n}")
     if tol is not None:
         config = dataclasses.replace(config, tol=tol)
     start = time.perf_counter()

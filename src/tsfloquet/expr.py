@@ -14,12 +14,15 @@ ge}. Exponents and the second arguments of mod/comparisons must be
 constant. ``neg1pow(e)`` is (-1)**e for integer-valued e; comparison
 functions are only legal as the first argument of ``if``.
 
-``evaluate(e, t)`` evaluates at one point. ``evaluate_array(e, x)`` walks
-the AST once and applies numpy ufuncs to a whole array of nodes; an ``if``
-evaluates each branch only on the nodes that take it (masking, not
-``np.where``), so an error in an untaken branch is not raised, and wherever
-``evaluate`` would raise at some node it raises the same exception class,
-naming the first offending t. No numpy warning escapes it.
+``evaluate(e, t)`` evaluates at one point, and it alone defines the
+language's errors: whether an expression fails at t, and what it raises,
+always naming t. ``evaluate_array(e, x)`` walks the AST once and applies
+numpy ufuncs to a whole array of nodes; an ``if`` evaluates each branch
+only on the nodes that take it (masking, not ``np.where``), so an error in
+an untaken branch is not raised. The array walk computes values only:
+where some node may fail, it replays ``evaluate`` over the nodes in order,
+so what it raises is the scalar walk's exception at the first offending t.
+No numpy warning escapes it.
 
 Expressions are immutable after parsing and may be evaluated concurrently.
 """
@@ -407,11 +410,23 @@ def evaluate(e: Expression, t: float) -> float:
             raise DomainError(f"{base} ** {e.exponent} is complex at t={t}")
         return v
     if isinstance(e, Sin):
-        return math.sin(evaluate(e.arg, t))
+        v = evaluate(e.arg, t)
+        try:
+            return math.sin(v)
+        except ValueError as exc:  # inf
+            raise ValueError(f"sin of {v} at t={t}") from exc
     if isinstance(e, Cos):
-        return math.cos(evaluate(e.arg, t))
+        v = evaluate(e.arg, t)
+        try:
+            return math.cos(v)
+        except ValueError as exc:  # inf
+            raise ValueError(f"cos of {v} at t={t}") from exc
     if isinstance(e, Exp):
-        return math.exp(evaluate(e.arg, t))
+        v = evaluate(e.arg, t)
+        try:
+            return math.exp(v)
+        except OverflowError as exc:
+            raise OverflowError(f"exp({v}) at t={t}") from exc
     if isinstance(e, Sqrt):
         v = evaluate(e.arg, t)
         if v < 0:
@@ -421,18 +436,21 @@ def evaluate(e: Expression, t: float) -> float:
         return abs(evaluate(e.arg, t))
     if isinstance(e, Mod):
         if e.modulus == 0.0:
-            raise DomainError("mod with zero divisor")
+            raise DomainError(f"mod with zero divisor at t={t}")
         return evaluate(e.arg, t) % e.modulus
     if isinstance(e, Neg1Pow):
         v = evaluate(e.arg, t)
-        k = round(v)
+        try:
+            k = round(v)
+        except (ValueError, OverflowError) as exc:  # NaN, inf
+            raise type(exc)(f"neg1pow argument {v} at t={t}") from exc
         if abs(v - k) > 1e-9:
             raise NonIntegerNeg1Pow(f"neg1pow argument {v} at t={t}")
         return -1.0 if k % 2 else 1.0
     if isinstance(e, If):
         return evaluate(e.then if _cmp(e.cond, t) else e.other, t)
     if isinstance(e, _NonDiff):
-        raise NonDifferentiableNode(e.reason)
+        raise NonDifferentiableNode(f"{e.reason} at t={t}")
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -464,139 +482,100 @@ def evaluate_array(e: Expression, x) -> np.ndarray:
     values agree with ``evaluate`` node for node up to the last-ulp
     differences of numpy's sin, cos, exp and power. An ``if`` evaluates
     each branch only on the nodes that take it, so an error in a branch
-    no node takes is not raised. Wherever ``evaluate`` would raise at some
-    node, this raises the same exception class for the first such node,
-    named by its t.
+    no node takes is not raised. The walk computes values only: where the
+    scalar walk could raise at some node, it replays ``evaluate`` over the
+    nodes in order, which raises its own exception at the first offending
+    t, or else returns the replayed values.
     """
     x = np.array(x, dtype=float)
     walk = _ArrayWalk()
     with np.errstate(all="ignore"):
-        v = walk.eval(e, x, np.arange(len(x)))
-    if walk.error is not None:
-        raise walk.error
+        v = walk.eval(e, x)
+    if walk.failed:
+        return np.array([evaluate(e, float(t)) for t in x], dtype=float)
     return v
 
 
 class _ArrayWalk:
-    """One ``evaluate_array`` call.
+    """One ``evaluate_array`` walk.
 
-    Every node array travels with ``idx``, the nodes' positions in the
-    caller's array. An error is recorded, not raised, so that the walk can
-    find the lowest position that fails anywhere; at one position the
-    error met first in walk order wins, which is the one the scalar walk
-    raises there. Values at a failed node are never read again.
+    ``failed`` is set once any node meets a case where ``evaluate`` may
+    raise; the values at such a node are never read.
     """
 
-    def __init__(self):
-        self.first = math.inf
-        self.error = None
+    failed = False
 
-    def fail(self, bad, x, idx, make):
-        """Record make(t, j) for the first node j in the mask ``bad``."""
-        if bad.any():
-            j = int(np.argmax(bad))
-            if idx[j] < self.first:
-                self.first = idx[j]
-                self.error = make(x[j], j)
-
-    def eval(self, e: Expression, x, idx):
+    def eval(self, e: Expression, x):
         if isinstance(e, Const):
             return np.full(len(x), e.value)
         if isinstance(e, Var):
             return x
         if isinstance(e, Add):
-            return self.eval(e.left, x, idx) + self.eval(e.right, x, idx)
+            return self.eval(e.left, x) + self.eval(e.right, x)
         if isinstance(e, Sub):
-            return self.eval(e.left, x, idx) - self.eval(e.right, x, idx)
+            return self.eval(e.left, x) - self.eval(e.right, x)
         if isinstance(e, Mul):
-            return self.eval(e.left, x, idx) * self.eval(e.right, x, idx)
+            return self.eval(e.left, x) * self.eval(e.right, x)
         if isinstance(e, Div):
-            den = self.eval(e.right, x, idx)
-            self.fail(den == 0.0, x, idx,
-                      lambda t, j: DomainError(f"division by zero at t={t}"))
-            return self.eval(e.left, x, idx) / den
+            den = self.eval(e.right, x)
+            self.failed |= (den == 0.0).any()
+            return self.eval(e.left, x) / den
         if isinstance(e, Neg):
-            return -self.eval(e.arg, x, idx)
+            return -self.eval(e.arg, x)
         if isinstance(e, Pow):
-            return self.pow(e, x, idx)
+            return self.pow(e, x)
         if isinstance(e, (Sin, Cos)):
-            v = self.eval(e.arg, x, idx)
+            v = self.eval(e.arg, x)
             # math.sin and math.cos reject infinite arguments
-            self.fail(np.isinf(v), x, idx, lambda t, j: ValueError(
-                f"{type(e).__name__.lower()} of {v[j]} at t={t}"))
+            self.failed |= np.isinf(v).any()
             return np.sin(v) if isinstance(e, Sin) else np.cos(v)
         if isinstance(e, Exp):
-            v = self.eval(e.arg, x, idx)
+            v = self.eval(e.arg, x)
             out = np.exp(v)
-            self.fail(np.isinf(out) & np.isfinite(v), x, idx,
-                      lambda t, j: OverflowError(f"exp({v[j]}) at t={t}"))
+            self.failed |= (np.isinf(out) & np.isfinite(v)).any()
             return out
         if isinstance(e, Sqrt):
-            v = self.eval(e.arg, x, idx)
-            self.fail(v < 0, x, idx, lambda t, j: DomainError(
-                f"sqrt of negative value {v[j]} at t={t}"))
+            v = self.eval(e.arg, x)
+            self.failed |= (v < 0).any()
             return np.sqrt(v)
         if isinstance(e, Abs):
-            return np.abs(self.eval(e.arg, x, idx))
-        if isinstance(e, Mod):
-            if e.modulus == 0.0:
-                # checked before the argument, as in the scalar walk
-                self.fail(np.ones(len(x), dtype=bool), x, idx,
-                          lambda t, j: DomainError(
-                              f"mod with zero divisor at t={t}"))
-                return np.full(len(x), math.nan)
-            return np.mod(self.eval(e.arg, x, idx), e.modulus)
+            return np.abs(self.eval(e.arg, x))
+        if isinstance(e, Mod) and e.modulus != 0.0:
+            return np.mod(self.eval(e.arg, x), e.modulus)
         if isinstance(e, Neg1Pow):
-            v = self.eval(e.arg, x, idx)
-            # round() raises on NaN (ValueError) and on inf (OverflowError)
-            self.fail(np.isnan(v), x, idx, lambda t, j: ValueError(
-                f"neg1pow argument {v[j]} at t={t}"))
-            self.fail(np.isinf(v), x, idx, lambda t, j: OverflowError(
-                f"neg1pow argument {v[j]} at t={t}"))
+            v = self.eval(e.arg, x)
             k = np.round(v)
-            self.fail(np.abs(v - k) > 1e-9, x, idx,
-                      lambda t, j: NonIntegerNeg1Pow(
-                          f"neg1pow argument {v[j]} at t={t}"))
+            # NaN and inf fail the test too, as round() rejects them
+            self.failed |= (~(np.abs(v - k) <= 1e-9)).any()
             return np.where(np.mod(k, 2.0) == 1.0, -1.0, 1.0)
         if isinstance(e, If):
             c = e.cond
             tol = 1e-12 * np.maximum(1.0, np.abs(x))
-            m = _compare(c.op, self.eval(c.arg, x, idx), c.ref, tol)
+            m = _compare(c.op, self.eval(c.arg, x), c.ref, tol)
             out = np.empty(len(x))
             for branch, mask in ((e.then, m), (e.other, ~m)):
                 if mask.any():
-                    out[mask] = self.eval(branch, x[mask], idx[mask])
+                    out[mask] = self.eval(branch, x[mask])
             return out
-        if isinstance(e, _NonDiff):
-            self.fail(np.ones(len(x), dtype=bool), x, idx,
-                      lambda t, j: NonDifferentiableNode(
-                          f"{e.reason} at t={t}"))
+        if isinstance(e, (Mod, _NonDiff)):
+            # mod by zero or a derivative of mod or neg1pow: the scalar
+            # walk raises at every node
+            self.failed = True
             return np.full(len(x), math.nan)
         raise TypeError(f"unknown node {e!r}")
 
-    def pow(self, e: Pow, x, idx):
-        base = self.eval(e.base, x, idx)
+    def pow(self, e: Pow, x):
+        base = self.eval(e.base, x)
         p = float(e.exponent)
         out = np.power(base, p)
-        # zero and infinite bases take Python's float semantics, which
-        # numpy's sqrt fast path for p = 0.5 does not share on -0.0 and -inf
-        special = (base == 0.0) | np.isinf(base)
-        if special.any():
-            for b in (0.0, -0.0, math.inf, -math.inf):
-                at = special & (base == b) & (np.signbit(base) == (
-                    math.copysign(1.0, b) < 0))
-                try:
-                    out[at] = b ** p
-                except ZeroDivisionError:
-                    self.fail(at, x, idx, lambda t, j: DomainError(
-                        f"{base[j]} ** {p} at t={t}"))
-        finite = np.isfinite(base) & ~special
         if math.isfinite(p):
-            self.fail(finite & np.isinf(out), x, idx, lambda t, j:
-                      DomainError(f"{base[j]} ** {p} at t={t}"))
-            if not p.is_integer():
-                self.fail(finite & (base < 0), x, idx, lambda t, j:
-                          DomainError(f"{base[j]} ** {p} is complex at t={t}"))
+            # overflow, zero to a negative power or a complex result
+            self.failed |= (np.isfinite(base) & ~np.isfinite(out)).any()
+        if not self.failed:
+            # zero and infinite bases take Python's float results, which
+            # numpy's sqrt fast path for p = 0.5 does not share on -0.0 and -inf
+            for j in np.flatnonzero((base == 0.0) | np.isinf(base)):
+                out[j] = float(base[j]) ** p
         return out
 
 

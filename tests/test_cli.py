@@ -187,6 +187,35 @@ def test_config_error_exit_code(tmp_path):
     assert "config error" in result.stderr
 
 
+_VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
+
+
+@pytest.mark.parametrize("text, args", [
+    pytest.param(_VALID + "p = sin(\n", (), id="p-syntax"),
+    pytest.param("period = 2\nintervals = [[0, 2]]\nq = sin(\n", (),
+                 id="q-syntax"),
+    pytest.param(_VALID + "qprime = sin(\n", (), id="qprime-syntax"),
+    pytest.param("period = -2\nintervals = [[0, 2]]\nq = 1\n", (),
+                 id="period-negative"),
+    pytest.param("period = 2\nintervals = [[0, 1], [0.5, 2]]\nq = 1\n", (),
+                 id="intervals-overlap"),
+    pytest.param("period = 2\npoints = [0, 1]\nq = 1\n", (),
+                 id="endpoint-not-covered"),
+    pytest.param(_VALID, ("--n", "-1"), id="n-flag-negative"),
+    pytest.param(_VALID + "tol = -1\n", (), id="tol-negative"),
+    pytest.param(_VALID + "tol = 1e300*1e300 - 1e300*1e300\n", (),
+                 id="tol-nan"),
+    pytest.param(_VALID, ("--tol", "-1"), id="tol-flag-negative"),
+    pytest.param(_VALID, ("--tol", "nan"), id="tol-flag-nan"),
+])
+def test_config_content_errors_exit_3(tmp_path, text, args):
+    f = tmp_path / "bad.cfg"
+    f.write_text(text)
+    result = invoke(str(f), *args)
+    assert result.exit_code == 3
+    assert "config error" in result.stderr
+
+
 @pytest.mark.parametrize("k", [48, 96])
 def test_long_discrete_period_is_undetermined(tmp_path, k):
     # mu = 0.5 and B < 1; at n = 3 the tail bound is huge (k = 48) or

@@ -250,9 +250,10 @@ def test_evaluate_array_matches_scalar(text, xs):
         assert type(info.value) is type(exc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(Exception) as info:
+            with pytest.raises(Exception) as array_info:
                 evaluate_array(e, xs)
-        assert type(info.value) is type(exc)
+        assert type(array_info.value) is type(exc)
+        assert str(array_info.value) == str(info.value)
         return
     values = np.array([v for v, _ in want])
     assert np.array_equal(values, [evaluate(e, t) for t in xs],
@@ -327,6 +328,34 @@ def test_evaluate_array_error_classes():
         evaluate_array(parse("(t - 1) ^ (0 - 2)"), [0.0, 1.0])
     with pytest.raises(DomainError):
         evaluate_array(parse("t ^ 0.5"), [1.0, -1.0])
+
+
+@pytest.mark.parametrize("e, error", [
+    (parse("exp(1000*t)"), OverflowError),
+    (parse("sin(t * 1e300 * 1e300)"), ValueError),
+    (parse("cos(t * 1e300 * 1e300)"), ValueError),
+    (parse("neg1pow(t * 1e300 * 1e300)"), OverflowError),
+    (parse("neg1pow(t * 1e300 * 1e300 - t * 1e300 * 1e300)"), ValueError),
+    (parse("mod(t, 0)"), DomainError),
+    (differentiate(parse("mod(t, 2)")), NonDifferentiableNode),
+])
+def test_every_evaluation_error_names_t(e, error):
+    with pytest.raises(error, match=r" at t=1\.0$") as scalar:
+        evaluate(e, 1.0)
+    # the array walk raises the scalar walk's own exception
+    with pytest.raises(error) as array:
+        evaluate_array(e, [1.0, 2.0])
+    assert str(array.value) == str(scalar.value)
+
+
+def test_a_replay_that_raises_nothing_returns_its_values(monkeypatch):
+    # numpy and math may differ in the last ulp, so a node the array walk
+    # flags can pass the scalar walk; its array value is then a failed
+    # operation's NaN or inf, and the replayed values are returned instead
+    monkeypatch.setattr(ex._ArrayWalk, "failed", True)
+    e = parse("sqrt(t) + exp(t) * sin(t)")
+    x = [0.0, 0.5, 2.0]
+    assert list(evaluate_array(e, x)) == [evaluate(e, t) for t in x]
 
 
 def test_evaluate_array_emits_no_warning():

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import warnings
 from pathlib import Path
@@ -63,6 +64,7 @@ from cell_reference import CellEngine
 from discrete_reference import discrete_terms
 
 PI = math.pi
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- phi ---------------------------------------------------------------------
@@ -439,6 +441,41 @@ def test_array_sampling_matches_scalar_sampling(seed, monkeypatch):
                                          abs=1e-13 * scale)
     assert fast.err_bound.value == pytest.approx(slow.err_bound.value,
                                                  rel=1e-12)
+
+
+def test_valid_grids_never_replay_the_scalar_walk(monkeypatch, tmp_path):
+    # evaluate_array replays the scalar walk, one evaluate per node, only
+    # where a node may fail; a valid dense grid must never get there
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import workloads
+
+    hybrid = tmp_path / "hybrid.cfg"  # nested if and mod in q
+    hybrid.write_text(
+        workloads.hybrid_system(random.Random(1), "h", 100, True).text)
+    grids = []
+    array = ex.evaluate_array
+
+    def record(e, x):
+        grids.append((e, x))
+        return array(e, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(ex, "evaluate_array", record)
+        for path in sorted((ROOT / "configs").rglob("*.cfg")) + [hybrid]:
+            spec = build_system(load_config(path))
+            analyze(spec, n=3)
+            if spec.ts.is_continuous:
+                analyze(spec, n=3, use_shi=True)
+    # p, q and q' on two grids per run: series (or phase) and bound; 15
+    # scales have intervals, 13 of them are continuous
+    assert len(grids) == 3 * 2 * (15 + 13)
+
+    def replay(e, t):
+        raise AssertionError(f"scalar replay at t={t}")
+
+    monkeypatch.setattr(ex, "evaluate", replay)
+    for e, x in grids:
+        array(e, x)
 
 
 # -- bounds ------------------------------------------------------------------
