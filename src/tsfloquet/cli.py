@@ -4,7 +4,7 @@
 description, runs the series analysis and prints either a text report
 (six-decimal formatting, suitable for golden-file comparison) or a
 full-precision JSON report. Exit codes: 0 stable or exponentially stable,
-1 unstable, 2 undetermined, 3 configuration errors, 4 computation errors.
+1 unstable, 2 undetermined, 3 config or usage errors, 4 computation errors.
 """
 from __future__ import annotations
 
@@ -267,12 +267,31 @@ def run(config: ConfigFile, n: Optional[int] = None,
     return _text_report(report, check), _EXIT[report.verdict.value]
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group. A usage error keeps click's message but exits 3
+    like any input error: click's own code 2 would read as undetermined."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exit_3(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exit_3(super().invoke, ctx)
+
+
+def _usage_exit_3(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 3
+        raise
+
+
+@click.group(cls=_Main)
 def main():
     """Floquet multipliers and certified stability on periodic time scales."""
 
 
-@main.command()
+@main.command("analyze")
 @click.argument("config", required=False,
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "n", type=int, default=None,
@@ -302,11 +321,6 @@ def analyze_cmd(config, n, tol, oracle, use_shi, as_json, batch):
                 worst = max(worst, code)
         sys.exit(worst)
     sys.exit(_run_one(Path(config), n, tol, oracle, use_shi, as_json))
-
-
-# click identifies the subcommand by name, not by the function identifier
-analyze_cmd.name = "analyze"
-main.add_command(analyze_cmd, name="analyze")
 
 
 def _run_one(path: Path, n, tol, oracle, use_shi, as_json) -> int:

@@ -45,7 +45,7 @@ from .errors import (
     NotRegressive,
     PhiVanishes,
 )
-from .timescale import Interval, Point, ValidatedTimeScale
+from .timescale import Interval, ValidatedTimeScale
 
 class PhiDiscontinuityWarning(UserWarning):
     """phi does not match sqrt(q) where a dense interval meets its
@@ -149,18 +149,11 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
             values[nxt] = phi
         return table
 
-    def seg_end(s):
-        return s.x if isinstance(s, Point) else s.b
-
-    def seg_start(s):
-        return s.x if isinstance(s, Point) else s.a
-
     last_interval = max(i for i, s in enumerate(segs) if isinstance(s, Interval))
 
     # runs that terminate at a dense left endpoint
     for i in range(last_interval - 1, -1, -1):
-        c = seg_end(segs[i])
-        succ = seg_start(segs[i + 1])
+        c, succ = segs[i].end, segs[i + 1].start
         phi_succ = values[succ] if succ in values else _sqrt_q(spec.q, succ)
         values[c] = _check_phi(spec.q_at(c) / phi_succ, c)
 
@@ -169,8 +162,7 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
 
     # trailing run after the last dense interval, wrapped through t0+T
     for i in range(len(segs) - 2, last_interval - 1, -1):
-        c = seg_end(segs[i])
-        succ = seg_start(segs[i + 1])
+        c, succ = segs[i].end, segs[i + 1].start
         values[c] = _check_phi(spec.q_at(c) / values[succ], c)
 
     # phi may be discontinuous where a dense interval meets its scattered
@@ -256,11 +248,10 @@ def _sample_dense(spec: SystemSpec, cells: list):
     """
     last = [n for _, _, n in cells]
     width = max(last) + 1
-    uniform = min(last) + 1 == width
     a, b, n = np.array(cells).T
     # node k is a + k (b - a) / n, as np.linspace computes it
     x = np.arange(float(width)) * ((b - a) / n)[:, None] + a[:, None]
-    tip = (slice(None), -1) if uniform else (range(len(cells)), last)
+    tip = (range(len(cells)), last)
     x[tip] = b
     # endpoint samples are nudged inward: coefficient values on a dense
     # part are one-sided limits, and isolated-point redefinitions live
@@ -269,8 +260,8 @@ def _sample_dense(spec: SystemSpec, cells: list):
     xe = x.copy()
     xe[:, 0] += eps
     xe[tip] -= eps
-    real = None if uniform else np.arange(width) <= np.array(last)[:, None]
-    xe = xe.ravel() if uniform else xe[real]
+    real = np.arange(width) <= n[:, None]
+    xe = xe[real]
     q = ex.evaluate_array(spec.q, xe)
     if np.any(q <= 0):
         # named by the minimum of the first cell, in time order, that fails
@@ -282,8 +273,6 @@ def _sample_dense(spec: SystemSpec, cells: list):
     p = ex.evaluate_array(spec.p, xe)
     qp = ex.evaluate_array(spec.qprime, xe)
     phi, h = np.sqrt(q), -p - qp / (2.0 * q)
-    if uniform:
-        return x, phi.reshape(x.shape), h.reshape(x.shape), last
     phi_rows, h_rows = np.ones(x.shape), np.zeros(x.shape)
     phi_rows[real] = phi
     h_rows[real] = h
@@ -351,9 +340,8 @@ class _SeriesEngine:
         self.events = []  # dense row index | _Jump, in time order
         self.jumps = []
         E = 1.0 + 0.0j
-        scattered = dict(ts.scattered_with_mu())
         row = 0
-        for i, seg in enumerate(ts.segments):
+        for seg, step in ts.steps():
             if isinstance(seg, Interval):
                 # E carries on from the row's last node: the scalar product
                 # E * U[row, last] would round differently
@@ -361,9 +349,8 @@ class _SeriesEngine:
                 E = self.E[row, self.last[row]]
                 self.events.append(row)
                 row += 1
-            end = seg.x if isinstance(seg, Point) else seg.b
-            if i < len(ts.segments) - 1:
-                jump = _Jump(spec, table, end, scattered[end], E)
+            if step is not None:
+                jump = _Jump(spec, table, *step, E)
                 self.events.append(jump)
                 self.jumps.append(jump)
                 E = jump.E_after

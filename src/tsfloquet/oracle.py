@@ -19,7 +19,7 @@ from .errors import CheckFailed, StepSizeUnderflow
 from .floquet import FloquetReport, SystemSpec
 # unused here; kept because benchmarks/tracer.py wraps them in this module
 from .floquet import a_partial, compute_B, error_bound, solve_phi  # noqa: F401
-from .timescale import Interval, Point
+from .timescale import Interval
 
 
 def _S(spec: SystemSpec, t: float) -> np.ndarray:
@@ -30,8 +30,7 @@ def monodromy(spec: SystemSpec, rk_tol: float = 1e-10) -> np.ndarray:
     """Phi_S(t0+T, t0) as a 2x2 array."""
     ts = spec.ts
     Y = np.eye(2)
-    scattered = dict(ts.scattered_with_mu())
-    for i, seg in enumerate(ts.segments):
+    for seg, step in ts.steps():
         if isinstance(seg, Interval):
             a, b = seg.a, seg.b
             eps = (b - a) * 1e-9
@@ -49,10 +48,9 @@ def monodromy(spec: SystemSpec, rk_tol: float = 1e-10) -> np.ndarray:
                     f"integration failed on [{a}, {b}]: {sol.message}"
                 )
             Y = sol.y[:, -1].reshape(2, 2)
-        end = seg.x if isinstance(seg, Point) else seg.b
-        if i < len(ts.segments) - 1:
-            mu = scattered[end]
-            Y = (np.eye(2) + mu * _S(spec, end)) @ Y
+        if step is not None:
+            t, mu = step
+            Y = (np.eye(2) + mu * _S(spec, t)) @ Y
     return Y
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Union
+from operator import attrgetter
 
 from .errors import (
     EndpointNotCovered,
@@ -24,27 +24,21 @@ from .errors import (
 class Point:
     x: float
 
+    start = end = property(attrgetter("x"))
+
 
 @dataclass(frozen=True)
 class Interval:
     a: float
     b: float
 
-
-Segment = Union[Point, Interval]
+    start = property(attrgetter("a"))
+    end = property(attrgetter("b"))
 
 
 def _tol(t: float) -> float:
     # membership tolerance; inputs contain pi-valued endpoints typed in decimal
     return 1e-12 * max(1.0, abs(t))
-
-
-def _start(seg: Segment) -> float:
-    return seg.x if isinstance(seg, Point) else seg.a
-
-
-def _end(seg: Segment) -> float:
-    return seg.x if isinstance(seg, Point) else seg.b
 
 
 @dataclass(frozen=True)
@@ -70,8 +64,7 @@ class ValidatedTimeScale:
     def __init__(self, ts: PeriodicTimeScale):
         if not ts.period > 0:
             raise NonpositivePeriod(f"period must be positive, got {ts.period}")
-        segs = sorted(ts.segments, key=_start)
-        for seg in segs:
+        for seg in ts.segments:
             if isinstance(seg, Interval):
                 if not seg.a < seg.b:
                     raise InvalidSegment(
@@ -79,22 +72,23 @@ class ValidatedTimeScale:
                     )
             elif not isinstance(seg, Point):
                 raise InvalidSegment(f"not a segment: {seg!r}")
+        segs = sorted(ts.segments, key=attrgetter("start"))
         for prev, cur in zip(segs, segs[1:]):
-            if _start(cur) <= _end(prev) + _tol(_end(prev)):
+            if cur.start <= prev.end + _tol(prev.end):
                 raise OverlappingSegments(
                     f"segments {prev} and {cur} overlap or touch"
                 )
         if not segs:
             raise EndpointNotCovered("empty segment list")
         t0, t_end = ts.t0, ts.t0 + ts.period
-        if abs(_start(segs[0]) - t0) > _tol(t0):
+        if abs(segs[0].start - t0) > _tol(t0):
             raise EndpointNotCovered(f"t0={t0} is not the left extremity")
-        if abs(_end(segs[-1]) - t_end) > _tol(t_end):
+        if abs(segs[-1].end - t_end) > _tol(t_end):
             raise EndpointNotCovered(f"t0+T={t_end} is not the right extremity")
         lo = t0 - _tol(t0)
         hi = t_end + _tol(t_end)
         for seg in segs:
-            if _start(seg) < lo or _end(seg) > hi:
+            if seg.start < lo or seg.end > hi:
                 raise EndpointNotCovered(f"segment {seg} outside [t0, t0+T]")
 
         # snap the extremities exactly
@@ -111,14 +105,12 @@ class ValidatedTimeScale:
         self.period = ts.period
         self.t_end = t_end
         self.segments: tuple = tuple(segs)
-        self._starts = [_start(s) for s in segs]
+        self._starts = [s.start for s in segs]
 
         # right-scattered coordinates in [t0, t0+T) with their graininess
-        scattered = []
-        for seg, nxt in zip(segs, segs[1:]):
-            scattered.append((_end(seg), _start(nxt) - _end(seg)))
-        self._scattered = scattered
-        self._scattered_coords = [c for c, _ in scattered]
+        self._scattered = [(seg.end, nxt.start - seg.end)
+                           for seg, nxt in zip(segs, segs[1:])]
+        self._scattered_coords = [c for c, _ in self._scattered]
 
     # -- classification ----------------------------------------------------
 
@@ -137,6 +129,11 @@ class ValidatedTimeScale:
     def scattered_with_mu(self) -> list:
         """(t, mu(t)) for every right-scattered t in [t0, t0+T), ascending."""
         return list(self._scattered)
+
+    def steps(self) -> list:
+        """The period walk: (segment, (t, mu)) in time order, the jump at
+        the segment's right end t; None for the last segment, at t0+T."""
+        return list(zip(self.segments, self._scattered + [None]))
 
     # -- membership --------------------------------------------------------
 
@@ -174,7 +171,7 @@ class ValidatedTimeScale:
         seg = self.segments[i]
         if t == self.t_end:
             return self.mu(self.t0)
-        if isinstance(seg, Interval) and t < seg.b:
+        if t < seg.end:
             return 0.0
         # a Point, or the right end of an Interval
         return self._starts[i + 1] - t

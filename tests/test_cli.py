@@ -293,6 +293,24 @@ def test_missing_file_exit_code():
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("args, named", [
+    pytest.param(["analyze", str(CONFIGS / "example_hybrid.cfg"), "--n", "1.5"],
+                 "1.5", id="n-not-an-integer"),
+    pytest.param(["analyze", str(CONFIGS / "example_hybrid.cfg"), "--bogus"],
+                 "--bogus", id="unknown-option"),
+    pytest.param(["analyze", "/nonexistent.cfg"], "/nonexistent.cfg",
+                 id="missing-config"),
+    pytest.param(["bogus"], "bogus", id="unknown-subcommand"),
+])
+def test_usage_errors_exit_3(args, named):
+    # click's own usage exit code 2 would read as "undetermined"; its
+    # message, which names the offending input, is kept
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 3
+    assert "Usage:" in result.stderr
+    assert named in result.stderr.split("Error:", 1)[1]
+
+
 def test_batch_mode(tmp_path):
     for name in ("example_discrete_z.cfg", "example_continuous.cfg"):
         (tmp_path / name).write_text((CONFIGS / name).read_text())

@@ -54,6 +54,12 @@ def test_invalid_segment():
         validate(PeriodicTimeScale(0, 2, [Interval(1.5, 0.5), Point(2)]))
 
 
+def test_non_segment_is_invalid():
+    # checked before the segments are sorted by their start
+    with pytest.raises(InvalidSegment):
+        validate(PeriodicTimeScale(0, 1, [Point(0), (0.5, 1.0)]))
+
+
 def test_endpoints_must_be_covered():
     with pytest.raises(EndpointNotCovered):
         validate(PeriodicTimeScale(0, 2, [Point(1), Point(2)]))
@@ -120,3 +126,30 @@ def test_discrete_mu_sigma_properties(gaps):
         assert ts.sigma(t) == pytest.approx(t + mu)
         assert ts.contains(ts.sigma(t))
     assert len(ts.scattered_with_mu()) == len(pts) - 1
+
+
+def test_segment_start_and_end():
+    assert (Point(1.5).start, Point(1.5).end) == (1.5, 1.5)
+    assert (Interval(0.5, 2.0).start, Interval(0.5, 2.0).end) == (0.5, 2.0)
+
+
+@pytest.mark.parametrize("period, segments", [
+    pytest.param(2, [Point(2), Point(0), Point(1)], id="discrete"),
+    pytest.param(2, [Interval(0, 2)], id="continuous"),
+    pytest.param(2 * PI, [Point(2 * PI), Interval(0, 1), Point(1.5),
+                          Interval(2, PI), Point(4)], id="hybrid"),
+])
+def test_steps_walk_the_period(period, segments):
+    # each segment in time order with the jump at its right end; the last
+    # segment ends at t0 + T and has none
+    ts = validate(PeriodicTimeScale(0, period, segments))
+    steps = ts.steps()
+    assert [seg for seg, _ in steps] == list(ts.segments)
+    starts = [seg.start for seg in ts.segments]
+    assert starts == sorted(starts)
+    assert [jump for _, jump in steps[:-1]] == ts.scattered_with_mu()
+    assert steps[-1][1] is None
+    for seg, jump in steps[:-1]:
+        t, mu = jump
+        assert t == seg.end
+        assert ts.mu(t) == mu
