@@ -20,6 +20,9 @@ contributions at scattered points. The dense cells are the rows of one
 stacked (cells, nodes) array, so each order makes one cumulative Simpson
 call per running integral whatever the number of cells; a scalar walk
 over the cells and jumps in time order then carries the running offsets.
+The grid owns its Simpson weights: ``simpson_weights`` computes them once
+per grid, and each running integral is then a few array products and one
+cumulative sum, equal bit for bit to SciPy's ``cumulative_simpson``.
 On a purely discrete scale there are only jumps, so the same level
 recursion is exact up to rounding and costs O(n k) for k scattered points.
 """
@@ -33,7 +36,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import expr as ex
 from . import tscalc
@@ -279,14 +281,50 @@ def _sample_dense(spec: SystemSpec, cells: list):
     return x, phi_rows, h_rows, last
 
 
-def _row_integrals(y, x):
-    """Cumulative Simpson integrals of every row of the stack y over its
-    nodes x, in one call. A single row goes to SciPy as 1-D: the result is
-    the same, and SciPy's per-call overhead on 2-D input would make
-    one-cell scales pay for the stacking."""
-    if len(x) == 1:
-        return cumulative_simpson(y[0], x=x[0], initial=0.0)[None]
-    return cumulative_simpson(y, x=x, initial=0.0)
+def simpson_weights(x):
+    """The cumulative Simpson weights of the grid x (odd node count >= 3,
+    strictly increasing along the last axis; 2-D for a stack of rows).
+
+    Returns ((w, c1, c2, c3) for the even subintervals, (w, c1, c2, c3)
+    for the odd ones), each with one value per pair of subintervals.
+    Subinterval 2m is integrated forward over nodes 2m, 2m + 1, 2m + 2
+    with x21 = dx[2m], x32 = dx[2m + 1]; subinterval 2m + 1 over the same
+    nodes backward, with x21 = dx[2m + 1], x32 = dx[2m]. The coefficients are
+    SciPy's unequal-interval ones, x21 / 6 and 3 - x21/x31,
+    3 + x21^2/(x31 x32) + x21/x31, -x21^2/(x31 x32), in its operation order,
+    so ``cumulative_simpson`` reproduces its values bit for bit.
+    """
+    if x.shape[-1] < 3 or x.shape[-1] % 2 == 0:
+        raise ValueError("Simpson grids need an odd number of nodes >= 3, "
+                         f"got {x.shape[-1]}")
+    dx = np.diff(x, axis=-1)
+    if np.any(dx <= 0):
+        raise ValueError("Input x must be strictly increasing.")  # SciPy's
+
+    def coefficients(x21, x32):
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return (x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31,
+                -x21x21_x31x32)
+
+    return (coefficients(dx[..., 0::2], dx[..., 1::2]),
+            coefficients(dx[..., 1::2], dx[..., 0::2]))
+
+
+def cumulative_simpson(y, weights):
+    """Running Simpson integrals of y along its last axis, 0 at the first
+    node, on the grid whose ``simpson_weights`` are given: SciPy's
+    ``cumulative_simpson(y, x=x, initial=0.0)``, bit for bit."""
+    (w, c1, c2, c3), (v, d1, d2, d3) = weights
+    f0, f1, f2 = y[..., 0:-2:2], y[..., 1:-1:2], y[..., 2::2]
+    out = np.empty(y.shape, dtype=np.result_type(y, 1.0))
+    out[..., 0] = 0.0
+    run = out[..., 1:]
+    run[..., 0::2] = w * (c1 * f0 + c2 * f1 + c3 * f2)
+    run[..., 1::2] = v * (d1 * f2 + d2 * f1 + d3 * f0)
+    np.cumsum(run, axis=-1, out=run)
+    run += 0.0  # as SciPy's initial=0.0 does: -0.0 becomes 0.0
+    return out
 
 
 class _Jump:
@@ -335,7 +373,8 @@ class _SeriesEngine:
         self.rows = len(cells)
         if cells:
             self.x, self.phi, self.h, self.last = _sample_dense(spec, cells)
-            U = np.exp(1j * _row_integrals(self.phi, self.x))
+            self.weights = simpson_weights(self.x)
+            U = np.exp(1j * cumulative_simpson(self.phi, self.weights))
             self.E = np.empty_like(U)
         self.events = []  # dense row index | _Jump, in time order
         self.jumps = []
@@ -382,8 +421,8 @@ class _SeriesEngine:
         ratio = self.phiT / self.phi0
         for level in range(1, n + 1):
             if self.rows:
-                SJ = _row_integrals(W * G, self.x)
-                SK = _row_integrals(W * H, self.x)
+                SJ = cumulative_simpson(W * G, self.weights)
+                SK = cumulative_simpson(W * H, self.weights)
             accJ = 0.0 + 0.0j
             accK = 0.0 + 0.0j
             at_jumps = zip(Gj, Hj)
@@ -510,19 +549,22 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
     return ErrorBound(max(0.0, bound))
 
 
-def shi_continuous_a(spec: SystemSpec, n: int) -> float:
+def shi_continuous_a(spec: SystemSpec, n: int,
+                     B: Optional[float] = None) -> float:
     """A(n) on a purely continuous scale with B = 1, via the cosine-phase
     form of the series.
 
     ``n`` counts integration levels the way the reference computation
     does: the 2m-fold integrals for 2m <= n contribute, odd levels are
-    identically zero.
+    identically zero. ``B`` is ``compute_B(spec)`` when the caller has it
+    already; the scale is checked first either way.
     """
     ts = spec.ts
     if not ts.is_continuous:
         raise NotContinuousScale("the phase-form series needs a purely "
                                  "continuous scale")
-    B = compute_B(spec)
+    if B is None:
+        B = compute_B(spec)
     if abs(B - 1.0) > 1e-9:
         raise BNotOne(f"B = {B} differs from 1 beyond 1e-9")
     if n > 2 * _MAX_DEPTH_DENSE:
@@ -531,7 +573,8 @@ def shi_continuous_a(spec: SystemSpec, n: int) -> float:
     a, b = ts.dense_intervals()[0]
     npts = 8192
     x, sqrtq, h = (r[0] for r in _sample_dense(spec, [(a, b, npts)])[:3])
-    phase = cumulative_simpson(sqrtq, x=x, initial=0.0)
+    weights = simpson_weights(x)
+    phase = cumulative_simpson(sqrtq, weights)
     u = np.exp(-2j * phase)  # e^{-2i Phi(t)}
     outer_phase = cmath.exp(1j * phase[-1])
 
@@ -539,7 +582,7 @@ def shi_continuous_a(spec: SystemSpec, n: int) -> float:
     F = np.ones(npts + 1, dtype=complex)
     for level in range(1, n + 1):
         factor = h / u if level % 2 == 1 else h * u
-        F = cumulative_simpson(factor * F, x=x, initial=0.0)
+        F = cumulative_simpson(factor * F, weights)
         if level % 2 == 0:
             total += 2.0 ** (1 - level) * (outer_phase * F[-1]).real
     return total
@@ -638,7 +681,7 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
     table = solve_phi(spec)
     B = compute_B(spec)
     if use_shi:
-        A = shi_continuous_a(spec, n)
+        A = shi_continuous_a(spec, n, B)
         terms = []
         method = "phase-form"
     else:

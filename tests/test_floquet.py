@@ -43,11 +43,11 @@ from tsfloquet.errors import (
 from scipy.integrate import cumulative_simpson
 
 from tsfloquet import expr as ex
+from tsfloquet import floquet
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.floquet import (
     _BOUNDS_GRID,
     PhiDiscontinuityWarning,
-    _row_integrals,
     _SeriesEngine,
     validate_system,
 )
@@ -283,7 +283,7 @@ def test_complex_cumulative_simpson_is_the_split(example_hybrid):
             assert np.iscomplexobj(y)
             for integrate in (
                     lambda v: cumulative_simpson(v, x=engine.x, initial=0.0),
-                    lambda v: _row_integrals(v, engine.x)):
+                    lambda v: floquet.cumulative_simpson(v, engine.weights)):
                 whole = integrate(y)
                 split = integrate(y.real) + 1j * integrate(y.imag)
                 assert np.iscomplexobj(whole)
@@ -637,6 +637,32 @@ def test_shi_matches_series(example_continuous):
     shi = shi_continuous_a(example_continuous, 3)
     assert shi == pytest.approx(a_partial(example_continuous, table, 3),
                                 abs=1e-5)
+
+
+@pytest.mark.parametrize("config, n, A, B, bound, v", [
+    ("example_continuous.cfg", 3, "-0x1.0c152382d73c0p-4",
+     "0x1.0000000000000p+0", 0.3600164065280386, Verdict.STABLE),
+    ("mathieu/h2_2.cfg", 8, "0x1.0002eab4675dep+1",
+     "0x1.0000000000000p+0", 0.023827398495474297, Verdict.UNDETERMINED),
+])
+def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
+                                      monkeypatch):
+    # analyze hands its B to the phase-form series instead of having
+    # shi_continuous_a compute it again; the report is unchanged
+    spec = build_system(load_config(ROOT / "configs" / config))
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return compute_B(spec)
+
+    monkeypatch.setattr(floquet, "compute_B", counted)
+    report = analyze(spec, n=n, use_shi=True)
+    assert len(calls) == 1
+    assert (report.A_partial.hex(), report.B.hex()) == (A, B)
+    assert report.err_bound.value == bound
+    assert report.verdict is v and report.method == "phase-form"
+    assert report.A_terms == []
 
 
 def test_shi_requires_continuous(example_hybrid):
