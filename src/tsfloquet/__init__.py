@@ -15,17 +15,12 @@ from .floquet import (
     compute_B,
     error_bound,
     estimate_bounds,
-    h_fn,
-    kernel_P,
-    kernel_Q,
     multipliers,
-    phi_delta,
     shi_continuous_a,
     solve_phi,
     verdict,
 )
 from .timescale import Interval, PeriodicTimeScale, Point, validate
-from .tscalc import cos_phi, delta_integral, sin_phi, ts_exponential
 
 __version__ = "0.1.0"
 
@@ -33,10 +28,9 @@ __all__ = [
     "TsfloquetError",
     "parse", "evaluate", "differentiate", "serialize",
     "Point", "Interval", "PeriodicTimeScale", "validate",
-    "delta_integral", "ts_exponential", "cos_phi", "sin_phi",
-    "SystemSpec", "PhaseTable", "solve_phi", "phi_delta", "h_fn",
-    "kernel_P", "kernel_Q", "compute_B", "a_term", "a_partial",
-    "estimate_bounds", "ErrorBound", "error_bound", "shi_continuous_a",
-    "multipliers", "Verdict", "verdict", "analyze", "FloquetReport",
+    "SystemSpec", "PhaseTable", "solve_phi", "compute_B", "a_term",
+    "a_partial", "estimate_bounds", "ErrorBound", "error_bound",
+    "shi_continuous_a", "multipliers", "Verdict", "verdict", "analyze",
+    "FloquetReport",
     "__version__",
 ]

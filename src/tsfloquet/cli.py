@@ -328,7 +328,8 @@ def _run_one(path: Path, n, tol, oracle, use_shi, as_json) -> int:
         cfg = load_config(path)
         out, code = run(cfg, n=n, tol=tol, oracle=oracle,
                         use_shi=use_shi, as_json=as_json)
-    except ConfigError as exc:
+    except (ConfigError, TimeScaleError) as exc:
+        # a time scale the analysis cannot grid is a config error too
         click.echo(f"config error: {exc}", err=True)
         return 3
     except TsfloquetError as exc:

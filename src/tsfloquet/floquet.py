@@ -42,6 +42,7 @@ from . import tscalc
 from .errors import (
     BNotOne,
     DepthBudgetExceeded,
+    InvalidSegment,
     NegativeQOnDense,
     NotContinuousScale,
     NotRegressive,
@@ -186,52 +187,22 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     return table
 
 
-def phi_delta(table: PhaseTable, t: float) -> float:
-    """Delta derivative of phi: difference quotient at scattered t,
-    q'(t) / (2 sqrt(q(t))) at dense t."""
-    ts = table.ts
-    _, t = ts.locate(t)
-    mu = ts.mu(t)
-    if mu > 0 and t != ts.t_end:
-        return (table.value(t + mu) - table.value(t)) / mu
-    sqrt_q = _sqrt_q(table.q, t)
-    return ex.evaluate(table.qprime, t) / (2.0 * sqrt_q)
-
-
-def h_fn(spec: SystemSpec, table: PhaseTable, t: float) -> float:
-    """Perturbation coefficient h(t) = -p(t) - phi^D(t) / phi(t)."""
-    return -spec.p_at(t) - phi_delta(table, t) / table.value(t)
-
-
-def kernel_P(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
-    """P(t, s) = sin_phi(t, sigma(s)) / phi(sigma(s))."""
-    ss = spec.ts.sigma(s)
-    return (
-        tscalc.sin_phi(table.value, t, ss, spec.ts, spec.quad_tol)
-        / table.value(ss)
-    )
-
-
-def kernel_Q(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
-    """Q(t, s) = phi(t) cos_phi(t, sigma(s)) / phi(sigma(s))."""
-    ss = spec.ts.sigma(s)
-    return (
-        table.value(t)
-        * tscalc.cos_phi(table.value, t, ss, spec.ts, spec.quad_tol)
-        / table.value(ss)
-    )
-
-
 def compute_B(spec: SystemSpec) -> float:
-    """Multiplier product B = e_{-p + mu q}(t0+T, t0) (Liouville)."""
+    """Multiplier product B = e_{-p + mu q}(t0+T, t0) by Liouville's
+    formula: the product of 1 - mu p + mu^2 q over the scattered points
+    times exp(-integral of p) over the dense intervals, in time order."""
     ts = spec.ts
-
-    def g(t: float) -> float:
-        # mu = 0 on dense parts, where q is not needed
-        mu, p = ts.mu(t), spec.p_at(t)
-        return -p + mu * spec.q_at(t) if mu else -p
-
-    return float(tscalc.ts_exponential(g, ts.t_end, ts.t0, ts, spec.quad_tol))
+    prod = 1.0
+    for t, mu in ts.scattered_with_mu():
+        factor = 1.0 + mu * (-spec.p_at(t) + mu * spec.q_at(t))
+        if abs(factor) < 1e-14:
+            raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t}")
+        prod *= factor
+    integral = 0.0
+    for a, b in ts.dense_intervals():
+        integral += tscalc._adaptive_quad(lambda t: -spec.p_at(t), a, b,
+                                          spec.quad_tol)
+    return float(prod * math.exp(integral))
 
 
 # -- series engine ----------------------------------------------------------
@@ -246,7 +217,8 @@ def _sample_dense(spec: SystemSpec, cells: list):
     for that phi, and each row's last node index. Padded nodes keep x
     increasing and hold phi = 1, h = 0; as every n is even, Simpson never
     carries them into a real node. Each expression is evaluated once, on
-    the real nodes of all cells in time order.
+    the real nodes of all cells in time order. A row that does not strictly
+    increase raises InvalidSegment naming the first such cell.
     """
     last = [n for _, _, n in cells]
     width = max(last) + 1
@@ -255,6 +227,13 @@ def _sample_dense(spec: SystemSpec, cells: list):
     x = np.arange(float(width)) * ((b - a) / n)[:, None] + a[:, None]
     tip = (range(len(cells)), last)
     x[tip] = b
+    # an interval shorter than its grid steps at the float spacing repeats
+    # nodes; it is named before any coefficient is evaluated
+    stalled = np.any(np.diff(x, axis=1) <= 0, axis=1)
+    if stalled.any():
+        lo, hi, m = cells[int(np.argmax(stalled))]
+        raise InvalidSegment(f"interval [{lo}, {hi}] is too short for its "
+                             f"{m} grid steps at the float spacing")
     # endpoint samples are nudged inward: coefficient values on a dense
     # part are one-sided limits, and isolated-point redefinitions live
     # exactly on the segment boundary
@@ -451,6 +430,9 @@ class _SeriesEngine:
 
     # -- supremum grids for the truncation bound ---------------------------
 
+    # on long periods E overflows and the tables hold inf and NaN;
+    # error_bound reads a NaN constant as an infinite bound
+    @np.errstate(invalid="ignore", over="ignore")
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|."""
         stack = (self.phi, self.E, self.h, 1.0 / self.D) if self.rows else ()

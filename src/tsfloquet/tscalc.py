@@ -1,27 +1,19 @@
-"""Core time-scale calculus.
+"""Adaptive Gauss-Kronrod quadrature for the dense parts of a time scale.
 
-Delta integrals, the generalized exponential e_g(t,s) and the time-scale
-trigonometric functions cos_phi/sin_phi. Scattered contributions are exact
-sums; dense contributions use adaptive Gauss-Kronrod (7,15) panels, whose
-nodes are strictly interior, so isolated-point redefinitions of piecewise
-coefficients at segment endpoints never contaminate dense integrals.
-
-All functions are pure; results are accumulated in ascending segment order
-so repeated runs are bit-stable.
+One GK(7,15) panel and its adaptive panel-halving loop, with an
+absolute tolerance and an evaluation budget. The panel nodes are strictly
+interior, so isolated-point redefinitions of piecewise coefficients at
+segment endpoints never contaminate a dense integral. ``compute_B``
+integrates -p over each dense interval with it. The time-scale calculus
+built on it (delta integrals, e_g(t, s), cos_phi/sin_phi) is kept, as the
+literal definitions the engine is tested against, in
+``tests/calculus_reference.py``.
 """
 from __future__ import annotations
 
-import cmath
-import math
-from typing import Callable, Union
+from typing import Union
 
-from .errors import (
-    EndpointsNotInTimeScale,
-    NotRegressive,
-    PointNotInTimeScale,
-    QuadratureNonConvergence,
-)
-from .timescale import ValidatedTimeScale
+from .errors import QuadratureNonConvergence
 
 Number = Union[float, complex]
 
@@ -82,95 +74,3 @@ def _adaptive_quad(f, a: float, b: float, tol: float) -> Number:
             stack.append((lo, mid, 0.5 * budget))
             stack.append((mid, hi, 0.5 * budget))
     return total
-
-
-def _dense_overlaps(ts: ValidatedTimeScale, a: float, b: float):
-    for ia, ib in ts.dense_intervals():
-        lo, hi = max(a, ia), min(b, ib)
-        if hi > lo:
-            yield lo, hi
-
-
-def delta_integral(
-    f: Callable[[float], Number],
-    a: float,
-    b: float,
-    ts: ValidatedTimeScale,
-    tol: float = 1e-9,
-) -> Number:
-    """Delta integral of a rd-continuous f over [a, b] in the time scale.
-
-    Sum of mu(t) f(t) over right-scattered t in [a, b) plus adaptive
-    quadrature over the dense parts. Both endpoints must lie in the scale.
-    """
-    try:
-        _, a = ts.locate(a)
-        _, b = ts.locate(b)
-    except PointNotInTimeScale as exc:
-        raise EndpointsNotInTimeScale(str(exc)) from exc
-    if a > b:
-        raise EndpointsNotInTimeScale(f"need a <= b, got {a} > {b}")
-    total: Number = 0.0
-    for t in ts.scattered_points_in(a, b):
-        total += ts.mu(t) * f(t)
-    for lo, hi in _dense_overlaps(ts, a, b):
-        total += _adaptive_quad(f, lo, hi, tol)
-    return total
-
-
-def ts_exponential(
-    g: Callable[[float], Number],
-    t: float,
-    s: float,
-    ts: ValidatedTimeScale,
-    tol: float = 1e-9,
-) -> Number:
-    """Generalized exponential e_g(t, s).
-
-    Product of (1 + mu g) over scattered points in [s, t) times the
-    classical exponential of the dense integral of g. The product form is
-    the cylinder-transform definition and stays correct when factors are
-    negative or complex. For t < s the reciprocal 1 / e_g(s, t) is
-    returned.
-    """
-    try:
-        _, t = ts.locate(t)
-        _, s = ts.locate(s)
-    except PointNotInTimeScale as exc:
-        raise EndpointsNotInTimeScale(str(exc)) from exc
-    if t < s:
-        return 1.0 / ts_exponential(g, s, t, ts, tol)
-    prod: Number = 1.0
-    for tau in ts.scattered_points_in(s, t):
-        factor = 1.0 + ts.mu(tau) * g(tau)
-        if abs(factor) < 1e-14:
-            raise NotRegressive(f"1 + mu*g vanishes at t={tau}")
-        prod *= factor
-    integral: Number = 0.0
-    for lo, hi in _dense_overlaps(ts, s, t):
-        integral += _adaptive_quad(g, lo, hi, tol)
-    if isinstance(integral, complex) or isinstance(prod, complex):
-        return prod * cmath.exp(integral)
-    return prod * math.exp(integral)
-
-
-def cos_phi(
-    phi: Callable[[float], float],
-    t: float,
-    s: float,
-    ts: ValidatedTimeScale,
-    tol: float = 1e-9,
-) -> float:
-    """Time-scale cosine: real part of e_{i phi}(t, s)."""
-    return complex(ts_exponential(lambda u: 1j * phi(u), t, s, ts, tol)).real
-
-
-def sin_phi(
-    phi: Callable[[float], float],
-    t: float,
-    s: float,
-    ts: ValidatedTimeScale,
-    tol: float = 1e-9,
-) -> float:
-    """Time-scale sine: imaginary part of e_{i phi}(t, s)."""
-    return complex(ts_exponential(lambda u: 1j * phi(u), t, s, ts, tol)).imag

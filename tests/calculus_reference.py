@@ -1,0 +1,154 @@
+"""Reference time-scale calculus: the literal definitions.
+
+Delta integrals, the generalized exponential e_g(t,s), the time-scale
+trigonometric functions cos_phi/sin_phi, and the pointwise phi^Delta,
+h and kernels P, Q of the Floquet series, each evaluated from its
+definition with the scale's own mu/sigma/locate queries and the
+adaptive GK(7,15) quadrature of ``tsfloquet.tscalc``. The runtime never
+calls them: ``compute_B`` walks the period once, and the series engine
+folds the kernels into running integrals. Tests check the engine against
+these.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Callable
+
+from tsfloquet import expr as ex
+from tsfloquet.errors import (
+    EndpointsNotInTimeScale,
+    NotRegressive,
+    PointNotInTimeScale,
+)
+from tsfloquet.floquet import PhaseTable, SystemSpec, _sqrt_q
+from tsfloquet.timescale import ValidatedTimeScale
+from tsfloquet.tscalc import Number, _adaptive_quad
+
+
+def _dense_overlaps(ts: ValidatedTimeScale, a: float, b: float):
+    for ia, ib in ts.dense_intervals():
+        lo, hi = max(a, ia), min(b, ib)
+        if hi > lo:
+            yield lo, hi
+
+
+def delta_integral(
+    f: Callable[[float], Number],
+    a: float,
+    b: float,
+    ts: ValidatedTimeScale,
+    tol: float = 1e-9,
+) -> Number:
+    """Delta integral of a rd-continuous f over [a, b] in the time scale.
+
+    Sum of mu(t) f(t) over right-scattered t in [a, b) plus adaptive
+    quadrature over the dense parts. Both endpoints must lie in the scale.
+    """
+    try:
+        _, a = ts.locate(a)
+        _, b = ts.locate(b)
+    except PointNotInTimeScale as exc:
+        raise EndpointsNotInTimeScale(str(exc)) from exc
+    if a > b:
+        raise EndpointsNotInTimeScale(f"need a <= b, got {a} > {b}")
+    total: Number = 0.0
+    for t in ts.scattered_points_in(a, b):
+        total += ts.mu(t) * f(t)
+    for lo, hi in _dense_overlaps(ts, a, b):
+        total += _adaptive_quad(f, lo, hi, tol)
+    return total
+
+
+def ts_exponential(
+    g: Callable[[float], Number],
+    t: float,
+    s: float,
+    ts: ValidatedTimeScale,
+    tol: float = 1e-9,
+) -> Number:
+    """Generalized exponential e_g(t, s).
+
+    Product of (1 + mu g) over scattered points in [s, t) times the
+    classical exponential of the dense integral of g. The product form is
+    the cylinder-transform definition and stays correct when factors are
+    negative or complex. For t < s the reciprocal 1 / e_g(s, t) is
+    returned.
+    """
+    try:
+        _, t = ts.locate(t)
+        _, s = ts.locate(s)
+    except PointNotInTimeScale as exc:
+        raise EndpointsNotInTimeScale(str(exc)) from exc
+    if t < s:
+        return 1.0 / ts_exponential(g, s, t, ts, tol)
+    prod: Number = 1.0
+    for tau in ts.scattered_points_in(s, t):
+        factor = 1.0 + ts.mu(tau) * g(tau)
+        if abs(factor) < 1e-14:
+            raise NotRegressive(f"1 + mu*g vanishes at t={tau}")
+        prod *= factor
+    integral: Number = 0.0
+    for lo, hi in _dense_overlaps(ts, s, t):
+        integral += _adaptive_quad(g, lo, hi, tol)
+    if isinstance(integral, complex) or isinstance(prod, complex):
+        return prod * cmath.exp(integral)
+    return prod * math.exp(integral)
+
+
+def cos_phi(
+    phi: Callable[[float], float],
+    t: float,
+    s: float,
+    ts: ValidatedTimeScale,
+    tol: float = 1e-9,
+) -> float:
+    """Time-scale cosine: real part of e_{i phi}(t, s)."""
+    return complex(ts_exponential(lambda u: 1j * phi(u), t, s, ts, tol)).real
+
+
+def sin_phi(
+    phi: Callable[[float], float],
+    t: float,
+    s: float,
+    ts: ValidatedTimeScale,
+    tol: float = 1e-9,
+) -> float:
+    """Time-scale sine: imaginary part of e_{i phi}(t, s)."""
+    return complex(ts_exponential(lambda u: 1j * phi(u), t, s, ts, tol)).imag
+
+
+def phi_delta(table: PhaseTable, t: float) -> float:
+    """Delta derivative of phi: difference quotient at scattered t,
+    q'(t) / (2 sqrt(q(t))) at dense t."""
+    ts = table.ts
+    _, t = ts.locate(t)
+    mu = ts.mu(t)
+    if mu > 0 and t != ts.t_end:
+        return (table.value(t + mu) - table.value(t)) / mu
+    sqrt_q = _sqrt_q(table.q, t)
+    return ex.evaluate(table.qprime, t) / (2.0 * sqrt_q)
+
+
+def h_fn(spec: SystemSpec, table: PhaseTable, t: float) -> float:
+    """Perturbation coefficient h(t) = -p(t) - phi^D(t) / phi(t)."""
+    return -spec.p_at(t) - phi_delta(table, t) / table.value(t)
+
+
+def kernel_P(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
+    """P(t, s) = sin_phi(t, sigma(s)) / phi(sigma(s))."""
+    ss = spec.ts.sigma(s)
+    return (
+        sin_phi(table.value, t, ss, spec.ts, spec.quad_tol)
+        / table.value(ss)
+    )
+
+
+def kernel_Q(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
+    """Q(t, s) = phi(t) cos_phi(t, sigma(s)) / phi(sigma(s))."""
+    ss = spec.ts.sigma(s)
+    return (
+        table.value(t)
+        * cos_phi(table.value, t, ss, spec.ts, spec.quad_tol)
+        / table.value(ss)
+    )

@@ -15,11 +15,12 @@ from tsfloquet import (
     SystemSpec,
     parse,
     solve_phi,
-    tscalc,
     validate,
 )
 from tsfloquet.errors import FloquetError
 from tsfloquet.floquet import validate_system
+
+from calculus_reference import cos_phi, sin_phi
 
 
 _ACCEPTANCE_LINES = []
@@ -173,8 +174,8 @@ def fundamental_matrix(spec: SystemSpec, table: PhaseTable, t: float):
     ts = spec.ts
     phi0 = table.value(ts.t0)
     phi_t = table.value(t)
-    c = tscalc.cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    s = tscalc.sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    c = cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    s = sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
     return np.array([[c, s / phi0], [-phi_t * s, phi_t * c / phi0]])
 
 
@@ -183,8 +184,8 @@ def fundamental_matrix_inverse(spec: SystemSpec, table: PhaseTable, t: float):
     ts = spec.ts
     phi0 = table.value(ts.t0)
     phi_t = table.value(t)
-    c = tscalc.cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    s = tscalc.sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    c = cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    s = sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
     e = c * c + s * s
     return np.array([
         [c / e, -s / (phi_t * e)],

@@ -15,17 +15,14 @@ from tsfloquet import (
     a_term,
     analyze,
     compute_B,
-    cos_phi,
-    delta_integral,
     error_bound,
     shi_continuous_a,
-    sin_phi,
     solve_phi,
-    ts_exponential,
 )
 from tsfloquet.cli import build_system, load_config, main
 from tsfloquet.oracle import monodromy
 
+from calculus_reference import cos_phi, delta_integral, sin_phi, ts_exponential
 from conftest import (
     fundamental_matrix,
     fundamental_matrix_inverse,

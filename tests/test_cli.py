@@ -1,12 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from tsfloquet.cli import build_system, load_config, main, run
-from tsfloquet.errors import ConfigParseError, ValidationError
+from tsfloquet.errors import ConfigParseError, InvalidSegment, ValidationError
 from tsfloquet.floquet import analyze
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -216,6 +217,25 @@ def test_config_content_errors_exit_3(tmp_path, text, args):
     assert "config error" in result.stderr
 
 
+@pytest.mark.parametrize("text, named", [
+    pytest.param("period = 3\npoints = [3]\n"
+                 "intervals = [[0, 1], [2, 2.000000000000001]]\n",
+                 "[2.0, 2.000000000000001]", id="sub-ulp-second-cell"),
+    pytest.param("t0 = 1e15\nperiod = 1\nintervals = [[1e15, 1e15+1]]\n",
+                 "[1000000000000000.0, 1000000000000001.0]",
+                 id="steps-below-the-spacing"),
+])
+def test_interval_too_short_for_its_grid_exits_3(tmp_path, text, named):
+    # the grid's nodes of the named interval collapse at the float spacing
+    f = tmp_path / "short.cfg"
+    f.write_text(text + "p = 0\nq = 1\n")
+    result = invoke(str(f))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("config error: interval " + named)
+    with pytest.raises(InvalidSegment, match=re.escape(named)):
+        analyze(build_system(load_config(f)))
+
+
 @pytest.mark.parametrize("k", [48, 96])
 def test_long_discrete_period_is_undetermined(tmp_path, k):
     # mu = 0.5 and B < 1; at n = 3 the tail bound is huge (k = 48) or
@@ -267,7 +287,6 @@ def test_oracle_fails_on_nan_deltas(tmp_path, k):
     assert "oracle disagreement" in result.stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_bound_constants_give_an_infinite_bound(tmp_path):
     # at 1000 points the bound constants come out NaN; a NaN must never
     # read as the bound 0, which would claim A(3) is exact

@@ -20,12 +20,8 @@ from tsfloquet import (
     compute_B,
     error_bound,
     estimate_bounds,
-    h_fn,
-    kernel_P,
-    kernel_Q,
     multipliers,
     parse,
-    phi_delta,
     shi_continuous_a,
     solve_phi,
     validate,
@@ -53,6 +49,13 @@ from tsfloquet.floquet import (
 )
 from tsfloquet.oracle import monodromy
 
+from calculus_reference import (
+    h_fn,
+    kernel_P,
+    kernel_Q,
+    phi_delta,
+    ts_exponential,
+)
 from conftest import (
     fundamental_matrix,
     fundamental_matrix_inverse,
@@ -188,6 +191,43 @@ def test_compute_B_examples(example_z, example_hybrid, example_continuous):
     assert compute_B(example_hybrid) == pytest.approx(
         PI * PI - PI / 4 + 1, abs=1e-10)
     assert compute_B(example_continuous) == pytest.approx(1.0, abs=1e-10)
+
+
+def _reference_B(spec):
+    """e_{-p + mu q}(t0+T, t0) from the generalized exponential, with q
+    read only where mu > 0."""
+    ts = spec.ts
+
+    def g(t):
+        mu, p = ts.mu(t), spec.p_at(t)
+        return -p + mu * spec.q_at(t) if mu else -p
+
+    return float(ts_exponential(g, ts.t_end, ts.t0, ts, spec.quad_tol))
+
+
+@pytest.mark.parametrize("family", ["configs", "hybrid", "discrete",
+                                    "workload"])
+def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
+    # one walk over the scattered points and the dense intervals keeps the
+    # generalized exponential's arithmetic in its order, bit for bit
+    if family == "configs":
+        paths = sorted((ROOT / "configs").rglob("*.cfg"))
+        systems = [build_system(load_config(path)) for path in paths]
+    elif family == "hybrid":
+        systems = [random_hybrid_system(seed) for seed in range(100)]
+    elif family == "discrete":
+        systems = [random_discrete_system(seed) for seed in range(100)]
+    else:  # a 100-cell benchmark hybrid
+        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+        import workloads
+
+        cfg = tmp_path / "hybrid.cfg"
+        cfg.write_text(
+            workloads.hybrid_system(random.Random(1), "h", 100, True).text)
+        systems = [build_system(load_config(cfg))]
+    assert systems
+    for spec in systems:
+        assert compute_B(spec).hex() == _reference_B(spec).hex()
 
 
 # -- series terms ------------------------------------------------------------
@@ -713,7 +753,6 @@ def test_fundamental_matrix_det(seed):
     spec = random_hybrid_system(700 + seed)
     ts = spec.ts
     table = solve_phi(spec)
-    from tsfloquet import ts_exponential
     t = ts.t_end
     X = fundamental_matrix(spec, table, t)
     e = ts_exponential(lambda u: ts.mu(u) * table.value(u) ** 2, t, ts.t0, ts)

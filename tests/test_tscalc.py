@@ -6,17 +6,14 @@ from tsfloquet import (
     Interval,
     PeriodicTimeScale,
     Point,
-    cos_phi,
-    delta_integral,
     parse,
     evaluate,
-    sin_phi,
     solve_phi,
-    ts_exponential,
     validate,
 )
 from tsfloquet.errors import EndpointsNotInTimeScale, QuadratureNonConvergence
 
+from calculus_reference import cos_phi, delta_integral, sin_phi, ts_exponential
 from conftest import random_discrete_system, random_hybrid_system
 
 PI = math.pi
