@@ -59,6 +59,7 @@ _PHI_MIN = 1e-14
 _GRID_DIVISIONS = 4096
 _BOUNDS_GRID = 512
 _BOUNDS_ROWS = 64
+_TINY = np.finfo(float).tiny
 _MAX_DEPTH_DENSE = 8
 
 
@@ -434,7 +435,23 @@ class _SeriesEngine:
     # error_bound reads a NaN constant as an infinite bound
     @np.errstate(invalid="ignore", over="ignore")
     def bound_constants(self):
-        """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|."""
+        """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|.
+
+        K2 is the maximum of |Re(u_t M_s)| and K1 of |a_t QT_s - b_t PT_s|
+        over every pair (t, s) of nodes and jumps, a 2-D dot product per
+        pair. By Cauchy-Schwarz each float entry is at most
+        rn[t] cn[s] (1 + 1e-12), with rn = |u_t|, cn = |M_s| for K2 and
+        rn = hypot(a_t, b_t), cn = hypot(QT_s, PT_s) for K1; the 1e-12
+        slack covers the few roundings of the entry and of rn and cn.
+        ``_pruned_max`` takes the largest entry of the row at argmax rn
+        and of the column at argmax cn as a lower bound lo, keeps only the
+        rows and columns whose bound reaches lo and reduces that sub-table:
+        every pair left out is below lo, itself a table entry, so K1 and
+        K2 equal the full tables' maxima bit for bit. Nothing is pruned
+        when max(rn) max(cn) is not finite (an overflowed E, whose NaN
+        must reach the bound) or lo is below the smallest normal float,
+        where rounding is no longer relative.
+        """
         stack = (self.phi, self.E, self.h, 1.0 / self.D) if self.rows else ()
         # phi, E, h and 1 / D at every node and jump, in time order
         nodes = [(ev.phi, ev.E, ev.h, 1.0 / ev.D) if isinstance(ev, _Jump)
@@ -452,16 +469,35 @@ class _SeriesEngine:
         u_t = phi_t * E_t
         a_t = E_t.real * phi_t / self.phi0
         b_t = E_t.imag * phi_t
-        # the N x N tables are reduced a block of rows at a time, so memory
-        # stays O(N) for long discrete periods
-        blocks = [slice(i, i + _BOUNDS_ROWS)
-                  for i in range(0, len(u_t), _BOUNDS_ROWS)]
-        K2 = float(np.max([np.abs(np.outer(u_t[r], M_s).real).max()
-                           for r in blocks]))
-        K1 = float(np.max([
-            np.abs(np.outer(a_t[r], QT) - np.outer(b_t[r], PT)).max()
-            for r in blocks]))
+        K2 = _pruned_max(lambda u, M: np.outer(u, M).real,
+                         (u_t,), (M_s,), np.abs(u_t), np.abs(M_s))
+        K1 = _pruned_max(lambda a, b, Q, P: np.outer(a, Q) - np.outer(b, P),
+                         (a_t, b_t), (QT, PT),
+                         np.hypot(a_t, b_t), np.hypot(QT, PT))
         return K1, K2, K3
+
+
+def _pruned_max(table, rows, cols, rn, cn) -> float:
+    """max |table(*rows, *cols)|, the row operands indexed by t and the
+    column operands by s, where |table(t, s)| <= rn[t] cn[s] (1 + 1e-12):
+    rows and columns whose bound falls below an entry already seen are
+    left out. The table is reduced a block of rows at a time, so memory
+    stays O(N) for long periods."""
+    rmax, cmax = rn.max(), cn.max()
+    # one block of rows costs less than finding the ones to keep
+    if len(rn) > _BOUNDS_ROWS and math.isfinite(rmax * cmax):
+        i, j = rn.argmax(), cn.argmax()
+        lo = np.maximum(
+            np.abs(table(*[a[i:i + 1] for a in rows], *cols)).max(),
+            np.abs(table(*rows, *[a[j:j + 1] for a in cols])).max())
+        if lo >= _TINY:
+            keep_t = rn * cmax * (1.0 + 1e-12) >= lo
+            keep_s = cn * rmax * (1.0 + 1e-12) >= lo
+            rows = [a[keep_t] for a in rows]
+            cols = [a[keep_s] for a in cols]
+    return float(np.max([
+        np.abs(table(*[a[i:i + _BOUNDS_ROWS] for a in rows], *cols)).max()
+        for i in range(0, len(rows[0]), _BOUNDS_ROWS)]))
 
 
 def _series_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:

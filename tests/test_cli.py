@@ -277,7 +277,6 @@ def test_overflowing_B_is_unstable(tmp_path):
     assert result.exit_code == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("k", [500, 1000])
 def test_oracle_fails_on_nan_deltas(tmp_path, k):
     # the B delta (k = 500) or both deltas (k = 1000) are NaN, which is

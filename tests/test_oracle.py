@@ -66,7 +66,6 @@ def test_cross_check_failure(example_z):
     assert exc.value.b_delta <= 1e-10
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("k", [500, 1000])
 def test_cross_check_fails_on_nan(k):
     # unit steps with 1 - mu p + mu^2 q > 4: B and the monodromy overflow;
