@@ -299,7 +299,8 @@ def main():
 @click.option("--tol", type=float, default=None,
               help="Quadrature tolerance (default 1e-9).")
 @click.option("--oracle", is_flag=True,
-              help="Cross-check A and B against a Runge-Kutta monodromy.")
+              help="Cross-check A and B against an independent monodromy "
+                   "(Gauss-Legendre panels on dense parts).")
 @click.option("--shi", "use_shi", is_flag=True,
               help="Use the cosine-phase series (continuous scales, B = 1).")
 @click.option("--json", "as_json", is_flag=True,

@@ -42,6 +42,7 @@ from . import tscalc
 from .errors import (
     BNotOne,
     DepthBudgetExceeded,
+    DomainError,
     InvalidSegment,
     NegativeQOnDense,
     NotContinuousScale,
@@ -219,7 +220,8 @@ def _sample_dense(spec: SystemSpec, cells: list):
     increasing and hold phi = 1, h = 0; as every n is even, Simpson never
     carries them into a real node. Each expression is evaluated once, on
     the real nodes of all cells in time order. A row that does not strictly
-    increase raises InvalidSegment naming the first such cell.
+    increase raises InvalidSegment naming the first such cell, and a NaN or
+    infinite coefficient value raises DomainError naming the first node.
     """
     last = [n for _, _, n in cells]
     width = max(last) + 1
@@ -244,7 +246,7 @@ def _sample_dense(spec: SystemSpec, cells: list):
     xe[tip] -= eps
     real = np.arange(width) <= n[:, None]
     xe = xe[real]
-    q = ex.evaluate_array(spec.q, xe)
+    q = _finite("q", ex.evaluate_array(spec.q, xe), xe)
     if np.any(q <= 0):
         # named by the minimum of the first cell, in time order, that fails
         ends = np.cumsum([m + 1 for m in last])
@@ -252,13 +254,24 @@ def _sample_dense(spec: SystemSpec, cells: list):
         lo = ends[c] - last[c] - 1
         bad = xe[lo + np.argmin(q[lo:ends[c]])]
         raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
-    p = ex.evaluate_array(spec.p, xe)
-    qp = ex.evaluate_array(spec.qprime, xe)
+    p = _finite("p", ex.evaluate_array(spec.p, xe), xe)
+    qp = _finite("qprime", ex.evaluate_array(spec.qprime, xe), xe)
     phi, h = np.sqrt(q), -p - qp / (2.0 * q)
     phi_rows, h_rows = np.ones(x.shape), np.zeros(x.shape)
     phi_rows[real] = phi
     h_rows[real] = h
     return x, phi_rows, h_rows, last
+
+
+def _finite(name: str, values, x):
+    """values, unless one is NaN or infinite: then DomainError naming the
+    coefficient and the first such node."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"{name} = {values[i]} is not finite at t={x[i]} "
+                          "on a dense part")
+    return values
 
 
 def simpson_weights(x):

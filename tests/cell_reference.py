@@ -157,6 +157,9 @@ class CellEngine:
 
     # -- supremum grids for the truncation bound ---------------------------
 
+    # as in the engine: on long periods E overflows and the tables hold inf
+    # and NaN
+    @np.errstate(invalid="ignore", over="ignore")
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|."""
         ev = self.events

@@ -3,6 +3,7 @@ generators used by the property and oracle-equivalence suites, and the
 fundamental matrix helpers of the identity suites."""
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from tsfloquet.floquet import validate_system
 from calculus_reference import cos_phi, sin_phi
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
 _ACCEPTANCE_LINES = []
 
 
@@ -38,6 +41,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in sorted(_ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's seeded system generators, ``benchmarks/workloads``."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import workloads
+
+    return workloads
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """The benchmark's independent monodromy, ``benchmarks/reference``."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import reference
+
+    return reference
 
 
 def points_scale(pts):

@@ -6,7 +6,6 @@ seen; these tests hold it to the full-table maximum bit for bit and check
 that it really builds only a small part of the tables.
 """
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,16 +22,6 @@ from tsfloquet.floquet import (
 
 from cell_reference import CellEngine
 from conftest import points_scale
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
-    import workloads
-
-    return workloads
 
 
 def _hex(constants):
@@ -79,7 +68,6 @@ def _overflow(k):
 @pytest.mark.parametrize("kind, k", [("workload", 200), ("workload", 500),
                                      ("workload", 1000), ("overflow", 500),
                                      ("overflow", 1000)])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # CellEngine's tables
 def test_long_discrete_matches_the_full_table(workloads, tmp_path, kind, k):
     spec = (_discrete(workloads, tmp_path, k) if kind == "workload"
             else _overflow(k))

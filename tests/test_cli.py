@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,23 @@ def test_nan_bound_constants_give_an_infinite_bound(tmp_path):
     report = analyze(spec, n=3)
     assert report.err_bound.value == math.inf
     assert not report.err_bound.exact
+
+
+@pytest.mark.parametrize("args", [(), ("--oracle",)])
+def test_non_finite_coefficient_exits_4(tmp_path, args):
+    # q is 1 + 0 * (inf - inf) = NaN on the dense part: it is named before
+    # any NaN reaches A or a numpy warning, with or without the oracle
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("period = 1\nintervals = [[0, 1]]\n"
+                   "q = 1 + 0*(1e200*1e200 - 1e200*1e200)\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(str(cfg), *args)
+    assert result.exit_code == 4
+    assert result.stderr == ("error: q = nan is not finite at t=1e-09 on a "
+                             "dense part\n")
+    assert result.output == result.stderr
+    assert caught == []
 
 
 def test_unexpected_exception_exit_code(monkeypatch):

@@ -370,6 +370,23 @@ def test_evaluation_error_in_the_second_cell():
     assert 2.2 < float(str(stacked.value).rsplit("t=", 1)[1]) < 3.0
 
 
+@pytest.mark.parametrize("p_text, q_text, named", [
+    # NaN (0 * (inf - inf)) in q, or infinite p, on the second cell only
+    ("0", "if(lt(t, 1.5), 1, 1 + 0*(1e200*1e200 - 1e200*1e200))", "q = nan"),
+    ("if(lt(t, 2.5), 0, 1e200*1e200)", "1", "p = inf"),
+])
+def test_non_finite_coefficient_is_named(p_text, q_text, named):
+    # a NaN or infinite sample on a dense part raises before any term is
+    # formed, naming the coefficient and its first node in time order
+    spec = _two_cell_system(p_text, q_text)
+    with pytest.raises(DomainError) as exc:
+        _SeriesEngine(spec, solve_phi(spec))
+    message = re.fullmatch(r"(.*) is not finite at t=(.*) on a dense part",
+                           str(exc.value))
+    assert message[1] == named
+    assert 2.0 < float(message[2]) < 3.0
+
+
 def _layout_system(segs, T):
     """phi = 1.1 + 0.3 cos(2 pi t / T) on segs, q = phi^2 on dense parts
     and q = phi(sigma(t)) phi(t) at each scattered point."""
