@@ -16,7 +16,15 @@ functions are only legal as the first argument of ``if``.
 
 ``evaluate(e, t)`` evaluates at one point, and it alone defines the
 language's errors: whether an expression fails at t, and what it raises,
-always naming t. ``evaluate_array(e, x)`` walks the AST once and applies
+always naming t. It calls a closure tree: on a node's first scalar
+evaluation, each node below it that has none yet gets one closure, built
+from its children's, which makes that node's float operations in the
+order of a recursive walk over the AST and raises that walk's exception
+and message (``tests/expr_reference.py`` keeps the walk). A ``Div``
+evaluates its denominator first and an ``If`` its condition and then
+only the branch it takes. The tree is cached on the nodes, so later
+evaluations make no per-node type dispatch; the values equal the walk's
+bit for bit. ``evaluate_array(e, x)`` walks the AST once and applies
 numpy ufuncs to a whole array of nodes; an ``if`` evaluates each branch
 only on the nodes that take it (masking, not ``np.where``), so an error in
 an untaken branch is not raised. The array walk computes values only:
@@ -24,13 +32,16 @@ where some node may fail, it replays ``evaluate`` over the nodes in order,
 so what it raises is the scalar walk's exception at the first offending t.
 No numpy warning escapes it.
 
-Expressions are immutable after parsing and may be evaluated concurrently.
+Expressions are immutable after parsing and may be evaluated concurrently;
+two threads that build the same node's closure at once each build one
+that computes the same values, and either is kept.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +66,18 @@ class Expression:
     """Base class for AST nodes."""
 
     __slots__ = ()
+
+    @cached_property
+    def _closure(self):
+        """``evaluate``'s closure t -> value of this node, built on first
+        use with those of the nodes below that have none yet, and kept in
+        each node's ``__dict__``: it is no dataclass field, so equality
+        and hash still compare the fields alone."""
+        return _compile(self)
+
+    def __getstate__(self):
+        # a closure does not pickle; an unpickled node builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_closure"}
 
 
 @dataclass(frozen=True)
@@ -382,82 +405,178 @@ def const_value(e: Expression) -> float:
 
 
 def evaluate(e: Expression, t: float) -> float:
-    """IEEE double evaluation at the point t."""
+    """IEEE double evaluation at the point t, by the closure tree of e."""
+    try:
+        closure = e._closure
+    except AttributeError:  # not an Expression
+        raise TypeError(f"unknown node {e!r}") from None
+    return closure(t)
+
+
+def _compile(e):
+    """The closure t -> value of the node e, calling its children's.
+
+    Each closure makes the float operations of one node of the recursive
+    walk in the walk's order and raises what the walk raises there, with
+    the same message: a ``Div`` evaluates its denominator first, an ``If``
+    its condition and then only the branch it takes. A node's closure is
+    built once and kept where ``Expression._closure`` caches it; building
+    recurses one call per tree level, as the walk did.
+    """
+    if not isinstance(e, Expression):
+        return _raises(TypeError(f"unknown node {e!r}"))
+    closure = e.__dict__.get("_closure")
+    if closure is not None:
+        return closure
     if isinstance(e, Const):
-        return e.value
+        value = e.value
+
+        def closure(t):
+            return value
+        e.__dict__["_closure"] = closure
+        return closure
     if isinstance(e, Var):
-        return t
+        e.__dict__["_closure"] = _identity
+        return _identity
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left, right = _compile(e.left), _compile(e.right)
+    elif isinstance(e, Pow):
+        arg, exponent = _compile(e.base), e.exponent
+    elif isinstance(e, (Neg, Sin, Cos, Exp, Sqrt, Abs, Mod, Neg1Pow)):
+        arg = _compile(e.arg)
+
     if isinstance(e, Add):
-        return evaluate(e.left, t) + evaluate(e.right, t)
-    if isinstance(e, Sub):
-        return evaluate(e.left, t) - evaluate(e.right, t)
-    if isinstance(e, Mul):
-        return evaluate(e.left, t) * evaluate(e.right, t)
-    if isinstance(e, Div):
-        den = evaluate(e.right, t)
-        if den == 0.0:
-            raise DomainError(f"division by zero at t={t}")
-        return evaluate(e.left, t) / den
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, t)
-    if isinstance(e, Pow):
-        base = evaluate(e.base, t)
-        try:
-            v = base ** e.exponent
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"{base} ** {e.exponent} at t={t}") from exc
-        if isinstance(v, complex):
-            raise DomainError(f"{base} ** {e.exponent} is complex at t={t}")
-        return v
-    if isinstance(e, Sin):
-        v = evaluate(e.arg, t)
-        try:
-            return math.sin(v)
-        except ValueError as exc:  # inf
-            raise ValueError(f"sin of {v} at t={t}") from exc
-    if isinstance(e, Cos):
-        v = evaluate(e.arg, t)
-        try:
-            return math.cos(v)
-        except ValueError as exc:  # inf
-            raise ValueError(f"cos of {v} at t={t}") from exc
-    if isinstance(e, Exp):
-        v = evaluate(e.arg, t)
-        try:
-            return math.exp(v)
-        except OverflowError as exc:
-            raise OverflowError(f"exp({v}) at t={t}") from exc
-    if isinstance(e, Sqrt):
-        v = evaluate(e.arg, t)
-        if v < 0:
-            raise DomainError(f"sqrt of negative value {v} at t={t}")
-        return math.sqrt(v)
-    if isinstance(e, Abs):
-        return abs(evaluate(e.arg, t))
-    if isinstance(e, Mod):
-        if e.modulus == 0.0:
-            raise DomainError(f"mod with zero divisor at t={t}")
-        return evaluate(e.arg, t) % e.modulus
-    if isinstance(e, Neg1Pow):
-        v = evaluate(e.arg, t)
-        try:
-            k = round(v)
-        except (ValueError, OverflowError) as exc:  # NaN, inf
-            raise type(exc)(f"neg1pow argument {v} at t={t}") from exc
-        if abs(v - k) > 1e-9:
-            raise NonIntegerNeg1Pow(f"neg1pow argument {v} at t={t}")
-        return -1.0 if k % 2 else 1.0
-    if isinstance(e, If):
-        return evaluate(e.then if _cmp(e.cond, t) else e.other, t)
-    if isinstance(e, _NonDiff):
-        raise NonDifferentiableNode(f"{e.reason} at t={t}")
-    raise TypeError(f"unknown node {e!r}")
+        def closure(t):
+            return left(t) + right(t)
+    elif isinstance(e, Sub):
+        def closure(t):
+            return left(t) - right(t)
+    elif isinstance(e, Mul):
+        def closure(t):
+            return left(t) * right(t)
+    elif isinstance(e, Div):
+        def closure(t):
+            den = right(t)
+            if den == 0.0:
+                raise DomainError(f"division by zero at t={t}")
+            return left(t) / den
+    elif isinstance(e, Neg):
+        def closure(t):
+            return -arg(t)
+    elif isinstance(e, Pow):
+        def closure(t):
+            base = arg(t)
+            try:
+                v = base ** exponent
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"{base} ** {exponent} at t={t}") from exc
+            if isinstance(v, complex):
+                raise DomainError(f"{base} ** {exponent} is complex at t={t}")
+            return v
+    elif isinstance(e, Sin):
+        def closure(t):
+            v = arg(t)
+            try:
+                return math.sin(v)
+            except ValueError as exc:  # inf
+                raise ValueError(f"sin of {v} at t={t}") from exc
+    elif isinstance(e, Cos):
+        def closure(t):
+            v = arg(t)
+            try:
+                return math.cos(v)
+            except ValueError as exc:  # inf
+                raise ValueError(f"cos of {v} at t={t}") from exc
+    elif isinstance(e, Exp):
+        def closure(t):
+            v = arg(t)
+            try:
+                return math.exp(v)
+            except OverflowError as exc:
+                raise OverflowError(f"exp({v}) at t={t}") from exc
+    elif isinstance(e, Sqrt):
+        def closure(t):
+            v = arg(t)
+            if v < 0:
+                raise DomainError(f"sqrt of negative value {v} at t={t}")
+            return math.sqrt(v)
+    elif isinstance(e, Abs):
+        def closure(t):
+            return abs(arg(t))
+    elif isinstance(e, Mod):
+        modulus = e.modulus
+        if modulus == 0.0:
+            def closure(t):
+                raise DomainError(f"mod with zero divisor at t={t}")
+        else:
+            def closure(t):
+                return arg(t) % modulus
+    elif isinstance(e, Neg1Pow):
+        def closure(t):
+            v = arg(t)
+            try:
+                k = round(v)
+            except (ValueError, OverflowError) as exc:  # NaN, inf
+                raise type(exc)(f"neg1pow argument {v} at t={t}") from exc
+            if abs(v - k) > 1e-9:
+                raise NonIntegerNeg1Pow(f"neg1pow argument {v} at t={t}")
+            return -1.0 if k % 2 else 1.0
+    elif isinstance(e, If):
+        c = e.cond
+        closure = _if(c.op, _compile(c.arg), c.ref, _compile(e.then),
+                      _compile(e.other))
+    elif isinstance(e, _NonDiff):
+        reason = e.reason
+
+        def closure(t):
+            raise NonDifferentiableNode(f"{reason} at t={t}")
+    else:
+        closure = _raises(TypeError(f"unknown node {e!r}"))
+    e.__dict__["_closure"] = closure
+    return closure
 
 
-def _cmp(c: Cmp, t: float) -> bool:
-    tol = 1e-12 * max(1.0, abs(t))
-    v = evaluate(c.arg, t)
-    return _compare(c.op, v, c.ref, tol)
+def _identity(t):
+    return t
+
+
+def _raises(exc: Exception):
+    """A closure that raises exc, the same message at every t."""
+    kind, message = type(exc), str(exc)
+
+    def closure(t):
+        raise kind(message)
+    return closure
+
+
+def _if(op: str, arg, ref: float, then, other):
+    """``then(t) if op(arg(t), ref) else other(t)``, the comparison within
+    1e-12 max(1, |t|) as in ``_compare``."""
+    if op == "eq":
+        def closure(t):
+            tol = 1e-12 * max(1.0, abs(t))
+            return then(t) if abs(arg(t) - ref) <= tol else other(t)
+    elif op == "lt":
+        def closure(t):
+            tol = 1e-12 * max(1.0, abs(t))
+            return then(t) if arg(t) < ref - tol else other(t)
+    elif op == "le":
+        def closure(t):
+            tol = 1e-12 * max(1.0, abs(t))
+            return then(t) if arg(t) <= ref + tol else other(t)
+    elif op == "gt":
+        def closure(t):
+            tol = 1e-12 * max(1.0, abs(t))
+            return then(t) if arg(t) > ref + tol else other(t)
+    elif op == "ge":
+        def closure(t):
+            tol = 1e-12 * max(1.0, abs(t))
+            return then(t) if arg(t) >= ref - tol else other(t)
+    else:
+        def closure(t):
+            arg(t)
+            raise TypeError(f"unknown comparison {op!r}")
+    return closure
 
 
 def _compare(op: str, v, ref: float, tol):

@@ -86,19 +86,26 @@ class SystemSpec:
 
 
 def validate_system(spec: SystemSpec) -> None:
-    """Check regressivity and the sign conditions on q at scattered points."""
+    """Check that p and q are finite at the scattered points, and there
+    regressivity and the sign conditions on q."""
     ts = spec.ts
     for t, mu in ts.scattered_with_mu():
         p, q = spec.p_at(t), spec.q_at(t)
+        _check_finite("p", p, t, "at a scattered point")
+        _check_finite("q", q, t, "at a scattered point")
         if abs(1.0 - mu * p + mu * mu * q) <= 1e-12:
             raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t}")
         if abs(q) <= _PHI_MIN:
             raise PhiVanishes(f"q(t)=0 at scattered t={t}")
 
 
-def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
-    """sqrt(q(t)), the value of phi on a dense part."""
+def _sqrt_q(q_expr: ex.Expression, t: float, finite: bool = True) -> float:
+    """sqrt(q(t)), the value of phi on a dense part. A NaN or infinite
+    q(t) raises DomainError, unless ``finite`` is False: then it gives a
+    NaN or infinite phi."""
     q = ex.evaluate(q_expr, t)
+    if finite:
+        _check_finite("q", q, t, "on a dense part")
     if q <= 0:
         raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
     return math.sqrt(q)
@@ -156,13 +163,19 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
 
     last_interval = max(i for i, s in enumerate(segs) if isinstance(s, Interval))
 
+    def dense_phi(t):
+        # unchecked: a NaN or infinite q is named later, in time order.
+        # The series grid names the first such node inside a dense part,
+        # then PhaseTable.value a dense endpoint where the series reads phi
+        return _sqrt_q(spec.q, t, finite=False)
+
     # runs that terminate at a dense left endpoint
     for i in range(last_interval - 1, -1, -1):
         c, succ = segs[i].end, segs[i + 1].start
-        phi_succ = values[succ] if succ in values else _sqrt_q(spec.q, succ)
+        phi_succ = values[succ] if succ in values else dense_phi(succ)
         values[c] = _check_phi(spec.q_at(c) / phi_succ, c)
 
-    phi0 = values[ts.t0] if ts.t0 in values else _sqrt_q(spec.q, ts.t0)
+    phi0 = values[ts.t0] if ts.t0 in values else dense_phi(ts.t0)
     values[ts.t_end] = _check_phi(phi0, ts.t_end)
 
     # trailing run after the last dense interval, wrapped through t0+T
@@ -178,7 +191,7 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
         stored = values.get(b)
         if stored is None:
             continue
-        limit = _sqrt_q(spec.q, b - (b - a) * 1e-9)
+        limit = dense_phi(b - (b - a) * 1e-9)
         if abs(stored - limit) > 1e-6:
             warnings.warn(
                 f"phi is discontinuous at t={b}: chain value "
@@ -269,9 +282,15 @@ def _finite(name: str, values, x):
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DomainError(f"{name} = {values[i]} is not finite at t={x[i]} "
-                          "on a dense part")
+        _check_finite(name, values[i], x[i], "on a dense part")
     return values
+
+
+def _check_finite(name: str, value: float, t: float, where: str) -> None:
+    """DomainError naming the coefficient, t and where t lies, if value is
+    NaN or infinite."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {value} is not finite at t={t} {where}")
 
 
 def simpson_weights(x):

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; kept because benchmarks/tracer.py wraps it in this module
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from . import expr as ex
 from .errors import CheckFailed, StepSizeUnderflow
@@ -48,6 +46,16 @@ _B = np.array([5 / 18, 4 / 9, 5 / 18])
 _A5 = _A[None, :, None, :, None]
 _I6 = np.eye(6)
 _STAGE_RHS = np.tile(np.eye(2), (3, 1))
+
+
+def __getattr__(name: str):
+    # solve_ivp is unused here; benchmarks/tracer.py wraps it in this
+    # module. It is imported on first access, so importing the package
+    # does not load SciPy
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _S(spec: SystemSpec, t: float) -> np.ndarray:

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -313,6 +316,45 @@ def test_non_finite_coefficient_exits_4(tmp_path, args):
     assert caught == []
 
 
+_NAN = "1 + 0*(1e200*1e200 - 1e200*1e200)"
+
+
+@pytest.mark.parametrize("args", [(), ("--oracle",)])
+@pytest.mark.parametrize("text, message", [
+    # a NaN q at every point printed A = nan, B = nan and exited 2
+    pytest.param("period = 4\npoints = [0, 1, 2, 3, 4]\np = 0.5\n"
+                 f"q = {_NAN}\n",
+                 "q = nan is not finite at t=0.0 at a scattered point",
+                 id="q-nan-discrete"),
+    # a NaN q at the point 2 leaked a RuntimeWarning from the jump weights
+    pytest.param("period = 3\nintervals = [[0, 1]]\npoints = [2, 3]\n"
+                 f"p = 0.5\nq = if(eq(t, 2), {_NAN}, 1)\n",
+                 "q = nan is not finite at t=2.0 at a scattered point",
+                 id="q-nan-hybrid-point"),
+    # an infinite p at 2 printed B = -inf and exited 1, "unstable"
+    pytest.param("period = 4\npoints = [0, 1, 2, 3, 4]\n"
+                 "p = if(eq(t, 2), 1e308*10, 0.5)\nq = 1\n",
+                 "p = inf is not finite at t=2.0 at a scattered point",
+                 id="p-inf-discrete"),
+    # a NaN q at the dense left endpoint 1 gave A(3) = nan and a warning
+    pytest.param("period = 2\npoints = [0, 0.5]\nintervals = [[1, 2]]\n"
+                 f"p = 0.5\nq = if(eq(t, 1), {_NAN}, 1)\n",
+                 "q = nan is not finite at t=1.0 on a dense part",
+                 id="q-nan-dense-endpoint"),
+])
+def test_non_finite_coefficient_at_a_point_exits_4(tmp_path, text, message,
+                                                   args):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(str(cfg), *args)
+    assert result.exit_code == 4
+    assert result.stderr == f"error: {message}\n"
+    assert result.output == result.stderr
+    assert caught == []
+
+
 def test_unexpected_exception_exit_code(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
@@ -362,3 +404,28 @@ def test_batch_and_config_are_exclusive(tmp_path):
         main, ["analyze", str(CONFIGS / "example_discrete_z.cfg"),
                "--batch", str(tmp_path)])
     assert result.exit_code == 3
+
+
+def test_the_runtime_loads_no_scipy():
+    # SciPy serves the tests and the benchmark; importing the CLI and
+    # analyzing a hybrid config with the oracle loads none of it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, tsfloquet.cli as cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        f"cfg = cli.load_config({str(CONFIGS / 'example_hybrid.cfg')!r})\n"
+        "cli.run(cfg, oracle=True)\n"
+        "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(loaded)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+    # the oracle module still resolves solve_ivp, imported on first access
+    from scipy.integrate import solve_ivp
+
+    from tsfloquet import oracle
+    assert oracle.solve_ivp is solve_ivp
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        oracle.nothing

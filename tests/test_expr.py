@@ -1,5 +1,10 @@
 import math
+import pickle
+import random
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tsfloquet import differentiate, evaluate, parse, serialize
 from tsfloquet import expr as ex
+from tsfloquet.cli import build_system, load_config
 from tsfloquet.errors import (
     DomainError,
     ExpressionSyntaxError,
@@ -15,6 +21,9 @@ from tsfloquet.errors import (
     NonIntegerNeg1Pow,
 )
 from tsfloquet.expr import const_value, evaluate_array, is_constant
+
+import expr_reference
+from conftest import random_discrete_system, random_hybrid_system
 
 
 def test_parse_example_coefficients():
@@ -186,7 +195,7 @@ def _slack(e, t):
         tol = 1e-12 * max(1.0, abs(t))
         _near(c, e.cond.ref - tol, sc)
         _near(c, e.cond.ref + tol, sc)
-        return _slack(e.then if ex._cmp(e.cond, t) else e.other, t)
+        return _slack(e.then if expr_reference._cmp(e.cond, t) else e.other, t)
     if isinstance(e, ex.Div):
         b, sb = _slack(e.right, t)
         _near(b, 0.0, sb)
@@ -371,3 +380,188 @@ def test_evaluate_array_emits_no_warning():
         # Python's float semantics at zero and infinite bases
         e = parse("(t * 1e300 * 1e300 - 1e308) ^ 0.5")
         assert evaluate_array(e, [-1.0])[0] == evaluate(e, -1.0) == math.inf
+
+
+# -- closure tree against the recursive walk ---------------------------------
+
+def _outcome(evaluator, e, t):
+    """The value's hex digits, or the exception's type and message."""
+    try:
+        return evaluator(e, t).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_walk_equal(e, ts):
+    got = [_outcome(evaluate, e, t) for t in ts]
+    assert got == [_outcome(expr_reference.evaluate, e, t) for t in ts]
+
+
+def _system_nodes(spec):
+    """The series grid's nodes, with its endpoints nudged inward as the
+    grid samples them, the scattered points and their successors."""
+    from tsfloquet.floquet import _SeriesEngine, solve_phi
+
+    ts = [x for t, mu in spec.ts.scattered_with_mu() for x in (t, t + mu)]
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    if engine.rows:
+        for row, last, (a, b) in zip(engine.x, engine.last,
+                                     spec.ts.dense_intervals()):
+            eps = (b - a) * 1e-9
+            ts += row[:last + 1].tolist() + [a + eps, b - eps]
+    return ts
+
+
+def _assert_system_walk_equal(spec):
+    ts = _system_nodes(spec)
+    for e in (spec.p, spec.q, spec.qprime):
+        _assert_walk_equal(e, ts)
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs")
+                  .rglob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=lambda p: p.stem)
+def test_closures_match_the_walk_on_committed_configs(path):
+    _assert_system_walk_equal(build_system(load_config(path)))
+
+
+@pytest.mark.parametrize("system", [
+    ("hybrid", 1, 10, "gentle"), ("hybrid", 2, 10, "gentle"),
+    ("hybrid", 1, 100, "gentle"), ("hybrid", 3, 100, "steep"),
+    ("discrete", 1, 16), ("discrete", 2, 200)], ids=str)
+def test_closures_match_the_walk_on_workload_systems(workloads, tmp_path,
+                                                     system):
+    kind, seed, size, *geometry = system
+    rng = random.Random(seed)
+    if kind == "hybrid":
+        text = workloads.hybrid_system(rng, "h", size, seed % 2 == 1,
+                                       *geometry).text
+    else:
+        text = workloads.discrete_system(rng, "d", size).text
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(text)
+    _assert_system_walk_equal(build_system(load_config(cfg)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closures_match_the_walk_on_random_systems(seed):
+    _assert_system_walk_equal(random_discrete_system(seed))
+    _assert_system_walk_equal(random_hybrid_system(seed))
+
+
+_huge = "t * 1e300 * 1e300"
+
+
+@pytest.mark.parametrize("e, t", [
+    (parse("1 / (t - 1)"), 1.0),
+    # the denominator is evaluated first, so its error wins
+    (parse("sqrt(t - 2) / (t - 1)"), 1.0),
+    (parse("sqrt(t - 5) / sqrt(t - 3)"), 1.0),
+    (parse("sqrt(t - 2)"), 1.0),
+    (parse("(t - 2) ^ 0.5"), 1.0),  # complex
+    (parse("t ^ (0 - 1)"), 0.0),  # zero to a negative power
+    (parse("(t * 1e200) ^ 2"), 1.0),  # overflow
+    (parse(f"sin({_huge})"), 1.0),
+    (parse(f"cos({_huge})"), 1.0),
+    (parse("exp(1000 * t)"), 1.0),
+    (parse("mod(t, 0)"), 1.0),
+    (parse("neg1pow(t)"), 0.5),
+    (parse(f"neg1pow({_huge})"), 1.0),
+    (parse(f"neg1pow({_huge} - {_huge})"), 1.0),
+    (differentiate(parse("mod(t, 2)")), 0.5),
+    (differentiate(parse("neg1pow(t) + t")), 1.0),
+    # unknown nodes: a bare comparison, a non-node child, a non-node, and
+    # an unknown comparison, raised after its argument is evaluated
+    (ex.Cmp("lt", ex.Var(), 1.0), 0.0),
+    (ex.Add(ex.Var(), 2.0), 0.0),
+    (3.0, 0.0),
+    (ex.If(ex.Cmp("ne", ex.Var(), 1.0), ex.Const(1.0), ex.Const(2.0)), 0.0),
+    (ex.If(ex.Cmp("ne", parse("1 / t"), 1.0), ex.Const(1.0), ex.Const(2.0)),
+     0.0),
+])
+def test_closures_raise_what_the_walk_raises(e, t):
+    want = _outcome(expr_reference.evaluate, e, t)
+    assert isinstance(want, tuple)
+    assert _outcome(evaluate, e, t) == want
+
+
+@pytest.mark.parametrize("text", [
+    "if(lt(t, 10), t, sqrt(0 - 1))",
+    "if(gt(t, 10), 1 / (t - 1), t)",
+    "if(eq(t, 2), mod(t, 0), t)",
+    "if(ge(t, 1.5), exp(1000 * t), t)",
+    "if(le(t, 0), neg1pow(t + 0.5), t)",
+])
+def test_an_untaken_branch_does_not_raise(text):
+    assert evaluate(parse(text), 1.0) == 1.0
+
+
+@pytest.mark.parametrize("op", ["eq", "lt", "le", "gt", "ge"])
+def test_closures_compare_at_the_tolerance_edge(op):
+    # |t - 0| equals the tolerance 1e-12 max(1, |t|) at t = +-1e-12
+    e = parse(f"if({op}(t, 0), 1, 2)")
+    edge = [s * 1e-12 * f for s in (1.0, -1.0)
+            for f in (1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53)]
+    _assert_walk_equal(e, edge + [0.0, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_array_expr_text, st.floats(allow_nan=True, allow_infinity=True))
+def test_closures_match_the_walk(text, t):
+    _assert_walk_equal(parse(text), [t])
+
+
+def test_the_closure_is_built_once_and_kept_out_of_equality():
+    e = parse("if(eq(t, 1), 2, sin(t) * t)")
+    twin = parse("if(eq(t, 1), 2, sin(t) * t)")
+    assert evaluate(e, 0.5) == expr_reference.evaluate(e, 0.5)
+    closure = e._closure
+    evaluate(e, 1.0)
+    assert e._closure is closure
+    # the built closure is not a field: equality, hash and pickling see
+    # the fields only, and an unpickled node builds its own
+    assert e == twin and hash(e) == hash(twin)
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e and "_closure" not in vars(again)
+    assert evaluate(again, 0.5) == evaluate(e, 0.5)
+
+
+def test_threads_building_one_tree_agree_with_the_walk():
+    # every thread evaluates fresh trees whose closures the others are
+    # building at the same time; a closure built twice is harmless, one
+    # built wrong or half-way shows as a value or error unlike the walk's
+    texts = ["if(eq(mod(t, 1.0), 0.8), 1.5, (1.02 + 0.07*cos(2*pi*t))^2)",
+             "0.3 + 0.01*sin(2*pi*t/10.0) / sqrt(t)", "neg1pow(t) * exp(t)"]
+    ts = [0.0, 0.8, 1.0, 2.5, 7.8, -3.0]
+    trees = [[parse(text) for text in texts] for _ in range(20)]
+    want = [[_outcome(expr_reference.evaluate, e, t) for t in ts]
+            for e in trees[0]]
+    mismatches = []
+
+    def work():
+        for row in trees:
+            got = [[_outcome(evaluate, e, t) for t in ts] for e in row]
+            if got != want:
+                mismatches.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert mismatches == []
+
+
+def test_building_recurses_no_deeper_than_evaluating():
+    # a left-deep sum as deep as the walk can evaluate: each node's closure
+    # calls its children's, but building them does not recurse
+    e = parse(" + ".join(["t"] * 600))
+    assert evaluate(e, 0.5) == expr_reference.evaluate(e, 0.5) == 300.0
