@@ -193,8 +193,19 @@ class _NonDiff(Expression):
 _NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-_FUNCS = {"sin", "cos", "exp", "sqrt", "abs", "mod", "neg1pow", "if"}
-_CMPS = {"eq", "lt", "le", "gt", "ge"}
+# the function names and their nodes, read by the parser and ``serialize``
+_FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": Sqrt, "abs": Abs,
+          "mod": Mod, "neg1pow": Neg1Pow, "if": If}
+_NAMES = {node: name for name, node in _FUNCS.items()}
+# the comparisons of an if-condition: v op ref within tol, elementwise when
+# v and tol are arrays
+_CMP = {
+    "eq": lambda v, ref, tol: abs(v - ref) <= tol,
+    "lt": lambda v, ref, tol: v < ref - tol,
+    "le": lambda v, ref, tol: v <= ref + tol,
+    "gt": lambda v, ref, tol: v > ref + tol,
+    "ge": lambda v, ref, tol: v >= ref - tol,
+}
 
 
 def _tokenize(text: str):
@@ -309,7 +320,7 @@ class _Parser:
                 return Const(math.pi)
             if value in _FUNCS:
                 return self.call(value, off)
-            if value in _CMPS:
+            if value in _CMP:
                 raise ExpressionSyntaxError(
                     f"comparison {value!r} only allowed as if-condition", off
                 )
@@ -326,7 +337,8 @@ class _Parser:
         return out
 
     def call(self, name: str, off: int) -> Expression:
-        if name == "if":
+        node = _FUNCS[name]
+        if node is If:
             cond = self.if_condition()
             self.expect(",")
             then = self.expr()
@@ -335,7 +347,7 @@ class _Parser:
             self.expect(")")
             return If(cond, then, other)
         args = self.args()
-        if name == "mod":
+        if node is Mod:
             if len(args) != 2:
                 raise ArityError("mod takes 2 arguments")
             try:
@@ -347,16 +359,12 @@ class _Parser:
             return Mod(args[0], modulus)
         if len(args) != 1:
             raise ArityError(f"{name} takes 1 argument")
-        node = {
-            "sin": Sin, "cos": Cos, "exp": Exp, "sqrt": Sqrt, "abs": Abs,
-            "neg1pow": Neg1Pow,
-        }[name]
         return node(args[0])
 
     def if_condition(self) -> Cmp:
         self.expect("(")
         tok = self.next()
-        if tok[0] != "name" or tok[1] not in _CMPS:
+        if tok[0] != "name" or tok[1] not in _CMP:
             raise ExpressionSyntaxError("if-condition must be a comparison", tok[2])
         op = tok[1]
         self.expect("(")
@@ -473,20 +481,16 @@ def _compile(e):
             if isinstance(v, complex):
                 raise DomainError(f"{base} ** {exponent} is complex at t={t}")
             return v
-    elif isinstance(e, Sin):
+    elif isinstance(e, (Sin, Cos)):
+        trig = math.sin if isinstance(e, Sin) else math.cos
+        name = _NAMES[type(e)]
+
         def closure(t):
             v = arg(t)
             try:
-                return math.sin(v)
+                return trig(v)
             except ValueError as exc:  # inf
-                raise ValueError(f"sin of {v} at t={t}") from exc
-    elif isinstance(e, Cos):
-        def closure(t):
-            v = arg(t)
-            try:
-                return math.cos(v)
-            except ValueError as exc:  # inf
-                raise ValueError(f"cos of {v} at t={t}") from exc
+                raise ValueError(f"{name} of {v} at t={t}") from exc
     elif isinstance(e, Exp):
         def closure(t):
             v = arg(t)
@@ -551,47 +555,22 @@ def _raises(exc: Exception):
 
 def _if(op: str, arg, ref: float, then, other):
     """``then(t) if op(arg(t), ref) else other(t)``, the comparison within
-    1e-12 max(1, |t|) as in ``_compare``."""
-    if op == "eq":
-        def closure(t):
-            tol = 1e-12 * max(1.0, abs(t))
-            return then(t) if abs(arg(t) - ref) <= tol else other(t)
-    elif op == "lt":
-        def closure(t):
-            tol = 1e-12 * max(1.0, abs(t))
-            return then(t) if arg(t) < ref - tol else other(t)
-    elif op == "le":
-        def closure(t):
-            tol = 1e-12 * max(1.0, abs(t))
-            return then(t) if arg(t) <= ref + tol else other(t)
-    elif op == "gt":
-        def closure(t):
-            tol = 1e-12 * max(1.0, abs(t))
-            return then(t) if arg(t) > ref + tol else other(t)
-    elif op == "ge":
-        def closure(t):
-            tol = 1e-12 * max(1.0, abs(t))
-            return then(t) if arg(t) >= ref - tol else other(t)
-    else:
-        def closure(t):
-            arg(t)
-            raise TypeError(f"unknown comparison {op!r}")
+    1e-12 max(1, |t|) by the rule ``_CMP`` holds for op; an unknown op
+    raises ``_compare``'s TypeError once arg(t) is evaluated."""
+    rule = _CMP.get(op, lambda v, ref, tol: _compare(op, v, ref, tol))
+
+    def closure(t):
+        tol = 1e-12 * max(1.0, abs(t))
+        return then(t) if rule(arg(t), ref, tol) else other(t)
     return closure
 
 
 def _compare(op: str, v, ref: float, tol):
-    """v op ref within tol; elementwise when v and tol are arrays."""
-    if op == "eq":
-        return abs(v - ref) <= tol
-    if op == "lt":
-        return v < ref - tol
-    if op == "le":
-        return v <= ref + tol
-    if op == "gt":
-        return v > ref + tol
-    if op == "ge":
-        return v >= ref - tol
-    raise TypeError(f"unknown comparison {op!r}")
+    """v op ref within tol by ``_CMP``; elementwise when v and tol are
+    arrays."""
+    if op not in _CMP:
+        raise TypeError(f"unknown comparison {op!r}")
+    return _CMP[op](v, ref, tol)
 
 
 def evaluate_array(e: Expression, x) -> np.ndarray:
@@ -782,26 +761,17 @@ def serialize(e: Expression) -> str:
         # as -(b ^ c) on re-parse
         exp = repr(e.exponent) if e.exponent >= 0 else f"(0 - {repr(-e.exponent)})"
         return f"(({serialize(e.base)}) ^ {exp})"
-    if isinstance(e, Sin):
-        return f"sin({serialize(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({serialize(e.arg)})"
-    if isinstance(e, Exp):
-        return f"exp({serialize(e.arg)})"
-    if isinstance(e, Sqrt):
-        return f"sqrt({serialize(e.arg)})"
-    if isinstance(e, Abs):
-        return f"abs({serialize(e.arg)})"
+    name = _NAMES.get(type(e))
     if isinstance(e, Mod):
         m = repr(e.modulus) if e.modulus >= 0 else f"(0 - {repr(-e.modulus)})"
-        return f"mod({serialize(e.arg)}, {m})"
-    if isinstance(e, Neg1Pow):
-        return f"neg1pow({serialize(e.arg)})"
+        return f"{name}({serialize(e.arg)}, {m})"
     if isinstance(e, If):
         c = e.cond
         ref = repr(c.ref) if c.ref >= 0 else f"(0 - {repr(-c.ref)})"
         return (
-            f"if({c.op}({serialize(c.arg)}, {ref}), "
+            f"{name}({c.op}({serialize(c.arg)}, {ref}), "
             f"{serialize(e.then)}, {serialize(e.other)})"
         )
+    if name is not None:
+        return f"{name}({serialize(e.arg)})"
     raise TypeError(f"cannot serialize {e!r}")

@@ -17,9 +17,10 @@ integration level is a cumulative integral of
 W(s) = h(s) / (phi(sigma(s)) E(sigma(s))) against the previous level,
 evaluated on a fixed refinement grid (spacing <= T/4096) plus exact jump
 contributions at scattered points. The dense cells are the rows of one
-stacked (cells, nodes) array, so each order makes one cumulative Simpson
-call per running integral whatever the number of cells; a scalar walk
-over the cells and jumps in time order then carries the running offsets.
+stacked (cells, nodes) array and an order's two running integrals are
+stacked on it, so each order makes one cumulative Simpson call whatever
+the number of cells; a scalar walk over the cells and jumps in time order
+then carries the running offsets.
 The grid owns its Simpson weights: ``simpson_weights`` computes them once
 per grid, and each running integral is then a few array products and one
 cumulative sum, equal bit for bit to SciPy's ``cumulative_simpson``.
@@ -93,10 +94,18 @@ def validate_system(spec: SystemSpec) -> None:
         p, q = spec.p_at(t), spec.q_at(t)
         _check_finite("p", p, t, "at a scattered point")
         _check_finite("q", q, t, "at a scattered point")
-        if abs(1.0 - mu * p + mu * mu * q) <= 1e-12:
-            raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t}")
+        _step_factor(t, mu, p, q)
         if abs(q) <= _PHI_MIN:
             raise PhiVanishes(f"q(t)=0 at scattered t={t}")
+
+
+def _step_factor(t: float, mu: float, p: float, q: float) -> float:
+    """The factor 1 - mu p + mu^2 q of one step from the scattered point t;
+    NotRegressive where it vanishes within 1e-12."""
+    factor = 1.0 + mu * (-p + mu * q)
+    if abs(factor) <= 1e-12:
+        raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t}")
+    return factor
 
 
 def _sqrt_q(q_expr: ex.Expression, t: float, finite: bool = True) -> float:
@@ -209,10 +218,7 @@ def compute_B(spec: SystemSpec) -> float:
     ts = spec.ts
     prod = 1.0
     for t, mu in ts.scattered_with_mu():
-        factor = 1.0 + mu * (-spec.p_at(t) + mu * spec.q_at(t))
-        if abs(factor) < 1e-14:
-            raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t}")
-        prod *= factor
+        prod *= _step_factor(t, mu, spec.p_at(t), spec.q_at(t))
     integral = 0.0
     for a, b in ts.dense_intervals():
         integral += tscalc._adaptive_quad(lambda t: -spec.p_at(t), a, b,
@@ -227,14 +233,15 @@ def _sample_dense(spec: SystemSpec, cells: list):
     as one stacked grid: row c holds the n + 1 equally spaced nodes of cell
     c, padded past its last node to the longest row.
 
-    Returns (x, phi, h, last): (cells, nodes) arrays of the nodes, of
-    phi = sqrt(q) and of the perturbation coefficient h = -p - q' / (2 q)
-    for that phi, and each row's last node index. Padded nodes keep x
-    increasing and hold phi = 1, h = 0; as every n is even, Simpson never
-    carries them into a real node. Each expression is evaluated once, on
-    the real nodes of all cells in time order. A row that does not strictly
-    increase raises InvalidSegment naming the first such cell, and a NaN or
-    infinite coefficient value raises DomainError naming the first node.
+    Returns (x, phi, h, last, real): (cells, nodes) arrays of the nodes,
+    of phi = sqrt(q) and of the perturbation coefficient h = -p - q' / (2 q)
+    for that phi, each row's last node index and the mask of real (not
+    padded) nodes. Padded nodes keep x increasing and hold phi = 1, h = 0;
+    as every n is even, Simpson never carries them into a real node. Each
+    expression is evaluated once, on the real nodes of all cells in time
+    order. A row that does not strictly increase raises InvalidSegment
+    naming the first such cell, and a NaN or infinite coefficient value
+    raises DomainError naming the first node.
     """
     last = [n for _, _, n in cells]
     width = max(last) + 1
@@ -273,7 +280,7 @@ def _sample_dense(spec: SystemSpec, cells: list):
     phi_rows, h_rows = np.ones(x.shape), np.zeros(x.shape)
     phi_rows[real] = phi
     h_rows[real] = h
-    return x, phi_rows, h_rows, last
+    return x, phi_rows, h_rows, last, real
 
 
 def _finite(name: str, values, x):
@@ -364,18 +371,17 @@ class _SeriesEngine:
     The dense cells are the rows of one stacked (cells, nodes) grid that
     holds x, phi, h, the complex phase factor E(t) = e_{i phi}(t, t0) and
     D = phi E (sigma(t) = t there); the scattered points are scalar
-    ``_Jump``s with the same fields. Each series order is two running
-    integrals of W = h / D against the previous level: one Simpson call
-    over the whole stack for each, then a scalar walk over cells and jumps
-    in time order that carries the running offsets, adding a cell's row
-    total or a jump's exact mu W g step, and broadcasts them onto the rows.
-    State is per-instance, never shared.
+    ``_Jump``s with the same fields. Each series order is the two running
+    integrals J and K of W = h / D against the previous level's G and H:
+    one Simpson call over the (2, cells, nodes) stack of W G and W H, then
+    a scalar walk over cells and jumps in time order that carries both
+    running offsets, adding a cell's row totals or a jump's exact mu W g
+    and mu W h steps, and broadcasts them onto the rows. State is
+    per-instance, never shared.
     """
 
     def __init__(self, spec: SystemSpec, table: PhaseTable,
                  divisions: int = _GRID_DIVISIONS):
-        self.spec = spec
-        self.table = table
         ts = spec.ts
         spacing = ts.period / divisions
         cells = []
@@ -384,7 +390,8 @@ class _SeriesEngine:
             cells.append((a, b, n + n % 2))
         self.rows = len(cells)
         if cells:
-            self.x, self.phi, self.h, self.last = _sample_dense(spec, cells)
+            (self.x, self.phi, self.h, self.last,
+             self.real) = _sample_dense(spec, cells)
             self.weights = simpson_weights(self.x)
             U = np.exp(1j * cumulative_simpson(self.phi, self.weights))
             self.E = np.empty_like(U)
@@ -411,54 +418,47 @@ class _SeriesEngine:
         self.phi0 = table.value(ts.t0)
         self.phiT = table.value(ts.t_end)
 
-    def term0(self) -> float:
-        return (1.0 + self.phiT / self.phi0) * self.E_T.real
-
     def terms(self, n: int) -> list:
         """[A_0, ..., A_n] by the level recursion."""
-        out = [self.term0()]
+        ratio = self.phiT / self.phi0
+        out = [(1.0 + ratio) * self.E_T.real]
         if n == 0:
             return out
-        # seeds: G_0 = phi sin_phi, H_0 = phi cos_phi, on the rows and at
-        # the jumps
+        # seeds: G_0 = phi sin_phi and H_0 = phi cos_phi, stacked as GH on
+        # the rows and paired at the jumps
         if self.rows:
             W = self.h / self.D
-            G = self.phi * self.E.imag
-            H = self.phi * self.E.real
+            GH = self.phi * np.stack([self.E.imag, self.E.real])
             last = self.last
             # the running offsets of the J and K integrals at each row
-            offJ, offK = np.empty((2, self.rows, 1), dtype=complex)
-        Gj = [ev.phi * ev.E.imag for ev in self.jumps]
-        Hj = [ev.phi * ev.E.real for ev in self.jumps]
-        ratio = self.phiT / self.phi0
+            off = np.empty((2, self.rows, 1), dtype=complex)
+        at_jumps = [(ev.phi * ev.E.imag, ev.phi * ev.E.real)
+                    for ev in self.jumps]
         for level in range(1, n + 1):
             if self.rows:
-                SJ = cumulative_simpson(W * G, self.weights)
-                SK = cumulative_simpson(W * H, self.weights)
+                S = cumulative_simpson(W * GH, self.weights)
             accJ = 0.0 + 0.0j
             accK = 0.0 + 0.0j
-            at_jumps = zip(Gj, Hj)
-            Gj, Hj = [], []
+            seeds, at_jumps = iter(at_jumps), []
             for ev in self.events:
                 if isinstance(ev, _Jump):
-                    g, h = next(at_jumps)
+                    g, h = next(seeds)
                     # running value excludes the jump at the point itself
-                    Gj.append(ev.phi * (ev.E * accJ).real)
-                    Hj.append(ev.phi * (ev.E * accK).real)
+                    at_jumps.append((ev.phi * (ev.E * accJ).real,
+                                     ev.phi * (ev.E * accK).real))
                     accJ = accJ + ev.mu * ev.W * g
                     accK = accK + ev.mu * ev.W * h
                 else:
-                    offJ[ev] = accJ
-                    offK[ev] = accK
-                    accJ = accJ + SJ[ev, last[ev]]
-                    accK = accK + SK[ev, last[ev]]
+                    off[:, ev, 0] = accJ, accK
+                    totalJ, totalK = S[:, ev, last[ev]]
+                    accJ = accJ + totalJ
+                    accK = accK + totalK
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             out.append(
                 -(self.E_T * accJ).imag + ratio * (self.E_T * accK).real + 0.0
             )
             if self.rows and level < n:  # the last order needs only totals
-                G = self.phi * (self.E * (offJ + SJ)).real
-                H = self.phi * (self.E * (offK + SK)).real
+                GH = self.phi * (self.E * (off + S)).real
         return out
 
     # -- supremum grids for the truncation bound ---------------------------
@@ -484,16 +484,18 @@ class _SeriesEngine:
         must reach the bound) or lo is below the smallest normal float,
         where rounding is no longer relative.
         """
-        stack = (self.phi, self.E, self.h, 1.0 / self.D) if self.rows else ()
-        # phi, E, h and 1 / D at every node and jump, in time order
-        nodes = [(ev.phi, ev.E, ev.h, 1.0 / ev.D) if isinstance(ev, _Jump)
-                 else [a[ev, :self.last[ev] + 1] for a in stack]
-                 for ev in self.events]
-        phi_t, E_t, h_t, M_s = zip(*nodes)
-        phi_t = np.hstack(phi_t + (self.phiT,))
-        E_t = np.hstack(E_t + (self.E_T,))
-        h_t = np.hstack(h_t)
-        M_s = np.hstack(M_s + (1.0 / (self.phiT * self.E_T),))
+        # phi, E, h and 1 / D at every real dense node, then at every jump:
+        # the constants are maxima, so the order of the nodes does not matter
+        phi_t, E_t, h_t, M_s = [], [], [], []
+        if self.rows:
+            phi_t, E_t, h_t, M_s = (a[self.real] for a in
+                                    (self.phi, self.E, self.h, 1.0 / self.D))
+        jumps = self.jumps
+        phi_t = np.hstack([phi_t, [ev.phi for ev in jumps], [self.phiT]])
+        E_t = np.hstack([E_t, [ev.E for ev in jumps], [self.E_T]])
+        h_t = np.hstack([h_t, [ev.h for ev in jumps]])
+        M_s = np.hstack([M_s, [1.0 / ev.D for ev in jumps],
+                         [1.0 / (self.phiT * self.E_T)]])
 
         K3 = float(np.max(np.abs(h_t)))
         QT = self.phiT * (self.E_T * M_s).real
@@ -649,21 +651,32 @@ def _moduli_at(A: float, B: float):
     return lo, hi
 
 
+# compute_B's rounding above 1: a conservative system's B = 1 may come out
+# this far above, so such a B may be exactly 1
+_B_ROUNDING = 8 * 2.0 ** -52
+
+
 def multipliers(a_interval, B: float):
     """Modulus intervals (smaller, larger) of the two multipliers as A
     ranges over ``a_interval``.
 
     The modulus functions are piecewise monotone in A with breakpoints at
-    0 and +-2 sqrt(B), so endpoint plus breakpoint evaluation is exact.
+    0 and +-2 sqrt(B), so endpoint plus breakpoint evaluation is exact. A
+    B within ``_B_ROUNDING`` above 1 may be exactly 1, so the intervals
+    then hold the moduli at both B and 1: an interval lies above 1 only if
+    it does for every B in [1, B].
     """
     lo, hi = a_interval
-    cands = [lo, hi]
-    breakpoints = [0.0]
-    if B > 0:
-        r = 2.0 * math.sqrt(B)
-        breakpoints += [r, -r]
-    cands += [c for c in breakpoints if lo < c < hi]
-    small, large = zip(*(_moduli_at(A, B) for A in cands))
+    moduli = []
+    for b in (B, 1.0) if 1.0 < B <= 1.0 + _B_ROUNDING else (B,):
+        cands = [lo, hi]
+        breakpoints = [0.0]
+        if b > 0:
+            r = 2.0 * math.sqrt(b)
+            breakpoints += [r, -r]
+        cands += [c for c in breakpoints if lo < c < hi]
+        moduli += [_moduli_at(A, b) for A in cands]
+    small, large = zip(*moduli)
     return (min(small), max(small)), (min(large), max(large))
 
 
@@ -675,7 +688,9 @@ class Verdict(str, Enum):
 
 
 def verdict(a_interval, B: float):
-    """(Verdict, justification) for A in ``a_interval`` and exact B."""
+    """(Verdict, justification) for A in ``a_interval`` and B, from the
+    modulus intervals of ``multipliers``. STABLE needs B in [1 - 1e-9, 1]:
+    a B above 1, even within its rounding, is never read as 1."""
     (slo, shi_), (llo, lhi) = multipliers(a_interval, B)
     if slo > 1.0 or llo > 1.0:
         return Verdict.UNSTABLE, (
@@ -685,7 +700,8 @@ def verdict(a_interval, B: float):
         return Verdict.EXPONENTIALLY_STABLE, (
             "both multiplier modulus intervals lie entirely below 1"
         )
-    if abs(B - 1.0) <= 1e-9 and a_interval[0] > -2.0 and a_interval[1] < 2.0:
+    if (-1e-9 <= B - 1.0 <= 0.0 and a_interval[0] > -2.0
+            and a_interval[1] < 2.0):
         return Verdict.STABLE, (
             "B = 1 and the A interval lies inside (-2, 2): two distinct "
             "unit-circle multipliers"

@@ -6,7 +6,7 @@ panels, and each panel's propagator comes from one step of the 3-stage
 Gauss-Legendre method (order 6): for a linear system its stage equations
 are one 6x6 linear solve, batched over every panel of the period at once.
 Refinement compares each panel's propagator with the product of its two
-halves' and bisects only the panels that disagree beyond rk_tol; each
+halves' and bisects only the panels that disagree beyond _RK_TOL; each
 round samples p and q with one ``evaluate_array`` call each, at the Gauss
 nodes of every active half-panel. The accepted propagators of an interval
 are multiplied in time order by pairwise products, and each scattered
@@ -32,6 +32,10 @@ from .timescale import Interval
 
 # coefficient samples (p and q at one node count once) over all rounds
 _EVAL_BUDGET = 1_000_000
+# a panel's accepted propagator error, relative to max(1, its largest entry)
+_RK_TOL = 1e-10
+# what cross_check allows beyond the report's truncation bound
+_CHECK_TOL = 1e-8
 
 # Gauss-Legendre (3 stages, order 6) nodes, stage matrix and weights on [0, 1]
 _R15 = math.sqrt(15.0)
@@ -110,7 +114,7 @@ def _ordered_product(R) -> np.ndarray:
 
 # a panel whose propagator overflows is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _dense_flows(spec: SystemSpec, intervals: list, rk_tol: float) -> list:
+def _dense_flows(spec: SystemSpec, intervals: list) -> list:
     """The propagator of each dense interval [a, b], in the given order."""
     if not intervals:
         return []
@@ -125,7 +129,7 @@ def _dense_flows(spec: SystemSpec, intervals: list, rk_tol: float) -> list:
         if evals > _EVAL_BUDGET:
             a, b = ends[interval.min()]
             raise StepSizeUnderflow(
-                f"rk_tol {rk_tol} unreachable within {_EVAL_BUDGET} "
+                f"rk_tol {_RK_TOL} unreachable within {_EVAL_BUDGET} "
                 f"coefficient evaluations on [{a}, {b}]")
         mid = 0.5 * (lo + hi)
         RL, RR = np.split(_propagators(
@@ -136,7 +140,7 @@ def _dense_flows(spec: SystemSpec, intervals: list, rk_tol: float) -> list:
         _check_panels(np.isfinite(fine), ends, interval,
                       "non-finite propagator")
         err = np.abs(R - fine).max(axis=(1, 2))
-        ok = err <= rk_tol * np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
+        ok = err <= _RK_TOL * np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
         done.append((interval[ok], lo[ok], fine[ok]))
         bad = ~ok
         interval = np.concatenate([interval[bad], interval[bad]])
@@ -149,17 +153,17 @@ def _dense_flows(spec: SystemSpec, intervals: list, rk_tol: float) -> list:
     return [_ordered_product(part) for part in np.split(R[order], cuts)]
 
 
-def monodromy(spec: SystemSpec, rk_tol: float = 1e-10) -> np.ndarray:
+def monodromy(spec: SystemSpec) -> np.ndarray:
     """Phi_S(t0+T, t0) as a 2x2 array.
 
     A panel is accepted once its propagator and the product of its two
-    halves' differ by at most rk_tol max(1, max|entry of the product|), and
+    halves' differ by at most _RK_TOL max(1, max|entry of the product|), and
     the product is kept. StepSizeUnderflow names the first dense interval
     with a NaN or infinite coefficient or propagator, or whose panels still
     disagree after _EVAL_BUDGET coefficient samples over all rounds.
     """
     ts = spec.ts
-    flows = iter(_dense_flows(spec, ts.dense_intervals(), rk_tol))
+    flows = iter(_dense_flows(spec, ts.dense_intervals()))
     Y = np.eye(2)
     # on long discrete periods Y overflows to inf and NaN, which fails
     # cross_check
@@ -179,22 +183,21 @@ class CheckResult:
     b_oracle: float
     a_delta: float  # |A_oracle - A(n)|
     b_delta: float  # |B_oracle - B|
-    allowed: float  # report.err_bound.value + tol
+    allowed: float  # report.err_bound.value + _CHECK_TOL
 
 
-def cross_check(spec: SystemSpec, report: FloquetReport, tol: float = 1e-8,
-                rk_tol: float = 1e-10) -> CheckResult:
+def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
     """Compare the report's A(n) and B against the monodromy trace and det.
 
-    The A comparison allows the report's truncation bound plus tol; B is
-    exact up to quadrature, so only tol is allowed. A delta that is NaN
-    fails the check.
+    The A comparison allows the report's truncation bound plus _CHECK_TOL;
+    B is exact up to quadrature, so only _CHECK_TOL is allowed. A delta that
+    is NaN fails the check.
     """
-    Y = monodromy(spec, rk_tol)
+    Y = monodromy(spec)
     a_oracle = float(np.trace(Y))
     with np.errstate(over="ignore", invalid="ignore"):
         b_oracle = float(np.linalg.det(Y))
-    allowed = report.err_bound.value + tol
+    allowed = report.err_bound.value + _CHECK_TOL
     result = CheckResult(
         a_oracle=a_oracle,
         b_oracle=b_oracle,
@@ -203,11 +206,11 @@ def cross_check(spec: SystemSpec, report: FloquetReport, tol: float = 1e-8,
         allowed=allowed,
     )
     # written so that a NaN delta (an overflowed A, B or monodromy) fails
-    if not (result.a_delta <= allowed and result.b_delta <= tol):
+    if not (result.a_delta <= allowed and result.b_delta <= _CHECK_TOL):
         raise CheckFailed(
             f"oracle disagreement: |A_oracle - A({report.n})| = "
             f"{result.a_delta} (allowed {allowed}), |B_oracle - B| = "
-            f"{result.b_delta} (allowed {tol})",
+            f"{result.b_delta} (allowed {_CHECK_TOL})",
             a_delta=result.a_delta,
             b_delta=result.b_delta,
         )

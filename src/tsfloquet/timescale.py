@@ -8,6 +8,7 @@ at the right extremity equals the graininess at t0.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -17,6 +18,7 @@ from .errors import (
     NonpositivePeriod,
     OverlappingSegments,
     PointNotInTimeScale,
+    TimeScaleError,
 )
 
 
@@ -64,6 +66,9 @@ class ValidatedTimeScale:
     def __init__(self, ts: PeriodicTimeScale):
         if not ts.period > 0:
             raise NonpositivePeriod(f"period must be positive, got {ts.period}")
+        if not math.isfinite(ts.t0 + ts.period):
+            raise TimeScaleError("t0 and t0 + period must be finite, got "
+                                 f"t0 = {ts.t0}, period = {ts.period}")
         for seg in ts.segments:
             if isinstance(seg, Interval):
                 if not seg.a < seg.b:

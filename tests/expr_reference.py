@@ -2,7 +2,9 @@
 
 ``tsfloquet.expr.evaluate`` calls a closure tree built once per node. This
 is the walk it replaced, kept verbatim: one recursive call per node with
-an ``isinstance`` chain. Tests check that the closures give the walk's
+an ``isinstance`` chain. Its five ``if`` comparisons are written out here,
+not read from the package's comparison table, so a wrong rule in that
+table shows as a difference. Tests check that the closures give the walk's
 values bit for bit and raise its exceptions with its messages.
 """
 from __future__ import annotations
@@ -29,7 +31,6 @@ from tsfloquet.expr import (
     Sqrt,
     Sub,
     Var,
-    _compare,
     _NonDiff,
 )
 
@@ -110,4 +111,15 @@ def evaluate(e: Expression, t: float) -> float:
 def _cmp(c: Cmp, t: float) -> bool:
     tol = 1e-12 * max(1.0, abs(t))
     v = evaluate(c.arg, t)
-    return _compare(c.op, v, c.ref, tol)
+    # the five rules written out, independent of the package's table
+    if c.op == "eq":
+        return abs(v - c.ref) <= tol
+    if c.op == "lt":
+        return v < c.ref - tol
+    if c.op == "le":
+        return v <= c.ref + tol
+    if c.op == "gt":
+        return v > c.ref + tol
+    if c.op == "ge":
+        return v >= c.ref - tol
+    raise TypeError(f"unknown comparison {c.op!r}")

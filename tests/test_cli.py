@@ -212,6 +212,13 @@ _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
                  id="tol-nan"),
     pytest.param(_VALID, ("--tol", "-1"), id="tol-flag-negative"),
     pytest.param(_VALID, ("--tol", "nan"), id="tol-flag-nan"),
+    pytest.param(_VALID + "n = 1e400\n", (), id="n-inf"),
+    pytest.param(_VALID + "n = 1e400 - 1e400\n", (), id="n-nan"),
+    pytest.param("period = 1e400\nintervals = [[0, 1e400]]\nq = 1\n", (),
+                 id="period-inf"),
+    pytest.param("t0 = -1e308\nperiod = 1.9e308\n"
+                 "intervals = [[-1e308, 0.9e308]]\nq = 1\n", (),
+                 id="period-parses-to-inf"),
 ])
 def test_config_content_errors_exit_3(tmp_path, text, args):
     f = tmp_path / "bad.cfg"
@@ -255,6 +262,28 @@ def test_long_discrete_period_is_undetermined(tmp_path, k):
     )
     result = invoke(str(f), "--n", "3")
     assert "verdict = undetermined" in result.output.splitlines()
+    assert result.exit_code == 2
+
+
+def test_conservative_system_is_not_unstable(tmp_path):
+    # the integral of p over the period is 0, so B = 1, which Liouville's
+    # quadrature returns one ulp above; that ulp must not read as a
+    # modulus above 1
+    f = tmp_path / "conservative.cfg"
+    f.write_text("t0 = 0.1\nperiod = 3.7\nintervals = [[0.1, 3.8]]\n"
+                 "q = 30\np = 3*sin(2*pi*(t - 1.9127)/3.7)\n")
+    result = invoke(str(f))
+    assert "|rho| = 1.000000, 1.000000" in result.output.splitlines()
+    assert "verdict = undetermined" in result.output.splitlines()
+    assert result.exit_code == 2
+    # the reported modulus intervals are the ones the verdict reads: B may
+    # be exactly 1, so neither lies above 1
+    result = invoke(str(f), "--json")
+    payload = json.loads(result.output)
+    assert payload["B"] == 1.0 + 2 * 2.0 ** -52
+    assert payload["verdict"] == "undetermined"
+    assert payload["moduli"]["smaller_interval"][0] <= 1.0
+    assert payload["moduli"]["larger_interval"][0] <= 1.0
     assert result.exit_code == 2
 
 

@@ -507,6 +507,27 @@ def test_closures_compare_at_the_tolerance_edge(op):
     _assert_walk_equal(e, edge + [0.0, math.nan, math.inf, -math.inf])
 
 
+# the branch if(op(t, 0), 1, 2) takes at t = s 1e-12 f, for s = +1 then
+# -1 and f = 1, 1 + 2^-52, 1 - 2^-53 (a product that rounds to 1e-12)
+_EDGE_BRANCHES = {
+    "eq": [1, 2, 1, 1, 2, 1],
+    "lt": [2, 2, 2, 2, 1, 2],
+    "le": [1, 2, 1, 1, 1, 1],
+    "gt": [2, 1, 2, 2, 2, 2],
+    "ge": [1, 1, 1, 1, 2, 1],
+}
+
+
+@pytest.mark.parametrize("op", sorted(_EDGE_BRANCHES))
+def test_comparisons_take_the_stated_branch_at_the_edge(op):
+    e = parse(f"if({op}(t, 0), 1, 2)")
+    edge = [s * 1e-12 * f for s in (1.0, -1.0)
+            for f in (1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53)]
+    want = [float(b) for b in _EDGE_BRANCHES[op]]
+    assert [evaluate(e, t) for t in edge] == want
+    assert list(evaluate_array(e, np.array(edge))) == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(_array_expr_text, st.floats(allow_nan=True, allow_infinity=True))
 def test_closures_match_the_walk(text, t):

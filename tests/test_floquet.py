@@ -113,6 +113,20 @@ def test_not_regressive():
         validate_system(spec)
 
 
+@pytest.mark.parametrize("q", ["1", "1 + 5e-13", "1 - 5e-13"])
+def test_one_step_factor_rule(q):
+    # 1 - mu p + mu^2 q vanishes within 1e-12 at t = 1 only: the check and
+    # Liouville's product refuse the same step with the same message
+    spec = SystemSpec(points_scale([0, 1, 2]), parse("if(eq(t, 1), 2, 0.5)"),
+                      parse(q))
+    with pytest.raises(NotRegressive) as checked:
+        validate_system(spec)
+    with pytest.raises(NotRegressive) as product:
+        compute_B(spec)
+    assert str(checked.value) == str(product.value)
+    assert str(checked.value).endswith("at t=1")
+
+
 def test_phi_discontinuity_warning():
     # q whose chain value at the dense junction differs from sqrt(q)
     ts = validate(
@@ -680,10 +694,31 @@ def test_verdict_examples():
     # case undetermined; only an overflowed B with NaN moduli uses |B| > 1
     v, _ = verdict((1.9, 2.1), 1.0 + 2**-52)
     assert v is Verdict.UNDETERMINED
+    v, _ = verdict((-600.0, 600.0), 1.0 + 4e-16)
+    assert v is Verdict.UNDETERMINED
     v, _ = verdict((math.nan, math.nan), math.inf)
     assert v is Verdict.UNSTABLE
     # B > 1 forces a multiplier off the unit circle for any A
     v, _ = verdict((-600.0, 600.0), PI * PI - PI / 4 + 1)
+    assert v is Verdict.UNSTABLE
+
+
+@pytest.mark.parametrize("A", [0.5, -1.6275858])
+def test_verdict_near_B_one(A):
+    # a B within compute_B's rounding above 1 may be exactly 1: neither
+    # unstable nor, as B may also be above 1, stable
+    for B in (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 1.0 + 8 * 2.0 ** -52):
+        (slo, shi_), (llo, lhi) = multipliers((A, A), B)
+        assert slo <= 1.0 <= lhi and llo <= 1.0
+        v, _ = verdict((A, A), B)
+        assert v is Verdict.UNDETERMINED
+    # beyond that rounding B is above 1, so a modulus is too
+    for B in (1.0 + 9 * 2.0 ** -52, 1.0 + 1e-10):
+        v, _ = verdict((A, A), B)
+        assert v is Verdict.UNSTABLE
+    # the band only widens the intervals: an A far outside [-2, 2] still
+    # forces a modulus above 1
+    v, _ = verdict((A + 10.0, A + 20.0), 1.0 + 2.0 ** -51)
     assert v is Verdict.UNSTABLE
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from tsfloquet.errors import (
     NonpositivePeriod,
     OverlappingSegments,
     PointNotInTimeScale,
+    TimeScaleError,
 )
 
 PI = math.pi
@@ -38,6 +40,15 @@ def test_nonpositive_period():
         validate(PeriodicTimeScale(0, 0, [Point(0)]))
     with pytest.raises(NonpositivePeriod):
         validate(PeriodicTimeScale(0, -1, [Point(0)]))
+
+
+@pytest.mark.parametrize("t0, period", [
+    (0, math.inf), (math.inf, 1), (-math.inf, 1), (math.nan, 1),
+    (1e308, 1e308)])
+def test_non_finite_window(t0, period):
+    named = re.escape(f"t0 = {float(t0)}, period = {float(period)}")
+    with pytest.raises(TimeScaleError, match=named):
+        validate(PeriodicTimeScale(t0, period, [Interval(t0, t0 + period)]))
 
 
 def test_overlapping_segments():
