@@ -26,6 +26,14 @@ per grid, and each running integral is then a few array products and one
 cumulative sum, equal bit for bit to SciPy's ``cumulative_simpson``.
 On a purely discrete scale there are only jumps, so the same level
 recursion is exact up to rounding and costs O(n k) for k scattered points.
+
+Per-point work is done once per analysis. ``validate_system`` samples p
+and q once at every scattered point, in time order, and checks the
+sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` then
+holds one jump record per scattered point (mu, phi(t), phi(sigma(t)) and
+h(t)), which both engines, the series grid and the bound grid, read; each
+engine adds only the fields that depend on its grid. The level recursion
+is a resumable iterator over orders that takes its seeds as an argument.
 """
 from __future__ import annotations
 
@@ -34,6 +42,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -86,17 +96,29 @@ class SystemSpec:
         return ex.evaluate(self.q, t)
 
 
-def validate_system(spec: SystemSpec) -> None:
+def _scattered_sample(spec: SystemSpec):
+    """(t, mu, p(t), q(t)) at every right-scattered t, in time order; p is
+    evaluated before q at each point."""
+    for t, mu in spec.ts.scattered_with_mu():
+        yield t, mu, spec.p_at(t), spec.q_at(t)
+
+
+def validate_system(spec: SystemSpec) -> list:
     """Check that p and q are finite at the scattered points, and there
-    regressivity and the sign conditions on q."""
-    ts = spec.ts
-    for t, mu in ts.scattered_with_mu():
-        p, q = spec.p_at(t), spec.q_at(t)
+    regressivity and the sign conditions on q.
+
+    Returns the checked sample ``[(t, mu, p(t), q(t)), ...]`` for
+    ``solve_phi`` and ``compute_B``. Each point is checked as soon as it is
+    sampled, so the first failing point in time order is named."""
+    sample = []
+    for t, mu, p, q in _scattered_sample(spec):
         _check_finite("p", p, t, "at a scattered point")
         _check_finite("q", q, t, "at a scattered point")
         _step_factor(t, mu, p, q)
         if abs(q) <= _PHI_MIN:
             raise PhiVanishes(f"q(t)=0 at scattered t={t}")
+        sample.append((t, mu, p, q))
+    return sample
 
 
 def _step_factor(t: float, mu: float, p: float, q: float) -> float:
@@ -122,11 +144,21 @@ def _sqrt_q(q_expr: ex.Expression, t: float, finite: bool = True) -> float:
 
 @dataclass
 class PhaseTable:
-    """phi at the scattered points plus the sqrt(q) rule on dense parts."""
+    """phi at the scattered points plus the sqrt(q) rule on dense parts,
+    and the scattered sample it was built from.
+
+    ``jumps`` is the per-analysis jump record: (mu, phi(t), phi(sigma(t)),
+    h(t)) at every scattered t in time order, with
+    h = -p - (phi(sigma(t)) - phi(t)) / (mu phi(t)). It is built on first
+    read, by the first series engine after its dense sampling, so its
+    errors (a NaN q at a dense endpoint) come in the same order as when
+    each engine built its own; every later engine reads the same record.
+    """
 
     ts: ValidatedTimeScale
     q: ex.Expression
     qprime: ex.Expression
+    sample: list  # [(t, mu, p(t), q(t))] at the scattered points, in order
     values: dict = field(default_factory=dict)  # scattered coord (and t0+T) -> phi
 
     def value(self, t: float) -> float:
@@ -135,6 +167,16 @@ class PhaseTable:
             return self.values[t]
         return _sqrt_q(self.q, t)
 
+    @cached_property
+    def jumps(self) -> list:
+        record = []
+        for t, mu, p, _ in self.sample:
+            phi = self.value(t)
+            phi_sigma = self.value(t + mu)
+            record.append((mu, phi, phi_sigma,
+                           -p - (phi_sigma - phi) / (mu * phi)))
+        return record
+
 
 def _check_phi(v: float, where: float) -> float:
     if abs(v) < _PHI_MIN:
@@ -142,7 +184,8 @@ def _check_phi(v: float, where: float) -> float:
     return v
 
 
-def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
+def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
+              sample: Optional[list] = None) -> PhaseTable:
     """Construct the phase function phi with phi(sigma(t)) phi(t) = q(t).
 
     Dense parts use phi = sqrt(q). On a purely discrete scale the chain
@@ -153,20 +196,27 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     scattered run ending at the left endpoint of a dense interval is
     back-substituted from sqrt(q) there; scattered points after the last
     dense interval are back-substituted from phi(t0+T) = phi(t0).
+
+    ``sample`` is ``validate_system``'s sample of p and q at the scattered
+    points; without it, solve_phi samples them itself. The table keeps it.
     """
     ts = spec.ts
-    table = PhaseTable(ts, spec.q, spec.qprime)
+    if sample is None:
+        sample = list(_scattered_sample(spec))
+    table = PhaseTable(ts, spec.q, spec.qprime, sample)
     values = table.values
     segs = ts.segments
+    # q at the right end of segs[i], for every segment but the last
+    q_end = [q for _, _, _, q in sample]
 
     if ts.is_discrete:
         chain = [s.x for s in segs]
         if seed is None:
-            seed = math.sqrt(abs(spec.q_at(chain[0])))
+            seed = math.sqrt(abs(q_end[0]))
         phi = _check_phi(float(seed), chain[0])
         values[chain[0]] = phi
-        for c, nxt in zip(chain, chain[1:]):
-            phi = _check_phi(spec.q_at(c) / phi, nxt)
+        for q, nxt in zip(q_end, chain[1:]):
+            phi = _check_phi(q / phi, nxt)
             values[nxt] = phi
         return table
 
@@ -182,7 +232,7 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     for i in range(last_interval - 1, -1, -1):
         c, succ = segs[i].end, segs[i + 1].start
         phi_succ = values[succ] if succ in values else dense_phi(succ)
-        values[c] = _check_phi(spec.q_at(c) / phi_succ, c)
+        values[c] = _check_phi(q_end[i] / phi_succ, c)
 
     phi0 = values[ts.t0] if ts.t0 in values else dense_phi(ts.t0)
     values[ts.t_end] = _check_phi(phi0, ts.t_end)
@@ -190,7 +240,7 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     # trailing run after the last dense interval, wrapped through t0+T
     for i in range(len(segs) - 2, last_interval - 1, -1):
         c, succ = segs[i].end, segs[i + 1].start
-        values[c] = _check_phi(spec.q_at(c) / values[succ], c)
+        values[c] = _check_phi(q_end[i] / values[succ], c)
 
     # phi may be discontinuous where a dense interval meets its scattered
     # right endpoint; the computation proceeds, but the user is told. The
@@ -211,18 +261,20 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     return table
 
 
-def compute_B(spec: SystemSpec) -> float:
+def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     """Multiplier product B = e_{-p + mu q}(t0+T, t0) by Liouville's
     formula: the product of 1 - mu p + mu^2 q over the scattered points
-    times exp(-integral of p) over the dense intervals, in time order."""
+    times exp(-integral of p) over the dense intervals, in time order.
+    ``sample`` is ``validate_system``'s sample of p and q at the scattered
+    points; without it, compute_B samples them itself."""
     ts = spec.ts
     prod = 1.0
-    for t, mu in ts.scattered_with_mu():
-        prod *= _step_factor(t, mu, spec.p_at(t), spec.q_at(t))
+    for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
+        prod *= _step_factor(t, mu, p, q)
     integral = 0.0
+    minus_p = ex.Neg(spec.p)._closure  # -evaluate(p, t), bit for bit
     for a, b in ts.dense_intervals():
-        integral += tscalc._adaptive_quad(lambda t: -spec.p_at(t), a, b,
-                                          spec.quad_tol)
+        integral += tscalc._adaptive_quad(minus_p, a, b, spec.quad_tol)
     return float(prod * math.exp(integral))
 
 
@@ -350,17 +402,16 @@ class _Jump:
     """One right-scattered point t with graininess mu and, as scalars, the
     fields a dense row holds per node: phi(t), E before the point's own
     step, h(t) and D = phi(sigma(t)) E(sigma(t)); also the level weight
-    W = h / D and E_after = E(sigma(t))."""
+    W = h / D and E_after = E(sigma(t)). mu, phi(t), phi(sigma(t)) and h
+    come from the table's jump record; E, E_after, D and W depend on the
+    grid that E was carried over."""
 
     __slots__ = ("mu", "phi", "E", "h", "D", "W", "E_after")
 
-    def __init__(self, spec, table, t, mu, E):
-        self.mu = mu
-        self.phi = table.value(t)
-        phi_sigma = table.value(t + mu)
-        self.h = -spec.p_at(t) - (phi_sigma - self.phi) / (mu * self.phi)
+    def __init__(self, record, E):
+        self.mu, self.phi, phi_sigma, self.h = record
         self.E = E
-        self.E_after = (1.0 + 1j * mu * self.phi) * E
+        self.E_after = (1.0 + 1j * self.mu * self.phi) * E
         self.D = phi_sigma * self.E_after
         self.W = self.h / self.D
 
@@ -371,13 +422,15 @@ class _SeriesEngine:
     The dense cells are the rows of one stacked (cells, nodes) grid that
     holds x, phi, h, the complex phase factor E(t) = e_{i phi}(t, t0) and
     D = phi E (sigma(t) = t there); the scattered points are scalar
-    ``_Jump``s with the same fields. Each series order is the two running
-    integrals J and K of W = h / D against the previous level's G and H:
-    one Simpson call over the (2, cells, nodes) stack of W G and W H, then
-    a scalar walk over cells and jumps in time order that carries both
-    running offsets, adding a cell's row totals or a jump's exact mu W g
-    and mu W h steps, and broadcasts them onto the rows. State is
-    per-instance, never shared.
+    ``_Jump``s with the same fields, built from the table's jump record.
+    Each series order is the two running integrals J and K of W = h / D
+    against the previous level's G and H: one Simpson call over the
+    (2, cells, nodes) stack of W G and W H, then a scalar walk over cells
+    and jumps in time order, in Python complex arithmetic, that carries
+    both running offsets, adding a cell's row totals (read with one
+    ``tolist``) or a jump's exact (mu W) g and (mu W) h steps; the offsets
+    reach the rows in one assignment. State is per-instance, never
+    shared; the table's jump record is read, never written.
     """
 
     def __init__(self, spec: SystemSpec, table: PhaseTable,
@@ -397,6 +450,7 @@ class _SeriesEngine:
             self.E = np.empty_like(U)
         self.events = []  # dense row index | _Jump, in time order
         self.jumps = []
+        records = iter(table.jumps)  # built after the dense sampling
         E = 1.0 + 0.0j
         row = 0
         for seg, step in ts.steps():
@@ -408,7 +462,7 @@ class _SeriesEngine:
                 self.events.append(row)
                 row += 1
             if step is not None:
-                jump = _Jump(spec, table, *step, E)
+                jump = _Jump(next(records), E)
                 self.events.append(jump)
                 self.jumps.append(jump)
                 E = jump.E_after
@@ -418,47 +472,64 @@ class _SeriesEngine:
         self.phi0 = table.value(ts.t0)
         self.phiT = table.value(ts.t_end)
 
-    def terms(self, n: int) -> list:
-        """[A_0, ..., A_n] by the level recursion."""
+    def trace_seeds(self):
+        """The seeds of the trace series, G_0 = phi sin_phi and
+        H_0 = phi cos_phi: the (2, cells, nodes) stack GH on the rows
+        (None without rows) and the (g, h) pairs at the jumps."""
+        GH = None
+        if self.rows:
+            GH = self.phi * np.stack([self.E.imag, self.E.real])
+        return GH, [(ev.phi * ev.E.imag, ev.phi * ev.E.real)
+                    for ev in self.jumps]
+
+    def levels(self, seeds):
+        """Yield the terms A_1, A_2, ... of the level recursion started
+        from ``seeds``, as ``trace_seeds`` gives them.
+
+        The walk of a level leaves that level's G and H at the jumps as a
+        by-product; its G and H on the rows, the (2, cells, nodes) stack,
+        are formed only when the next level is pulled, so a caller that
+        stops after A_n forms no row stack past level n - 1.
+        """
+        GH, at_jumps = seeds
         ratio = self.phiT / self.phi0
-        out = [(1.0 + ratio) * self.E_T.real]
-        if n == 0:
-            return out
-        # seeds: G_0 = phi sin_phi and H_0 = phi cos_phi, stacked as GH on
-        # the rows and paired at the jumps
+        E_T = self.E_T
         if self.rows:
             W = self.h / self.D
-            GH = self.phi * np.stack([self.E.imag, self.E.real])
-            last = self.last
+            tips = (slice(None), range(self.rows), self.last)
             # the running offsets of the J and K integrals at each row
             off = np.empty((2, self.rows, 1), dtype=complex)
-        at_jumps = [(ev.phi * ev.E.imag, ev.phi * ev.E.real)
-                    for ev in self.jumps]
-        for level in range(1, n + 1):
+        while True:
             if self.rows:
                 S = cumulative_simpson(W * GH, self.weights)
+                totalJ, totalK = S[tips].tolist()
             accJ = 0.0 + 0.0j
             accK = 0.0 + 0.0j
+            offJ, offK = [], []
             seeds, at_jumps = iter(at_jumps), []
             for ev in self.events:
-                if isinstance(ev, _Jump):
+                if ev.__class__ is int:  # a dense row
+                    offJ.append(accJ)
+                    offK.append(accK)
+                    accJ = accJ + totalJ[ev]
+                    accK = accK + totalK[ev]
+                else:
                     g, h = next(seeds)
                     # running value excludes the jump at the point itself
                     at_jumps.append((ev.phi * (ev.E * accJ).real,
                                      ev.phi * (ev.E * accK).real))
                     accJ = accJ + ev.mu * ev.W * g
                     accK = accK + ev.mu * ev.W * h
-                else:
-                    off[:, ev, 0] = accJ, accK
-                    totalJ, totalK = S[:, ev, last[ev]]
-                    accJ = accJ + totalJ
-                    accK = accK + totalK
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
-            out.append(
-                -(self.E_T * accJ).imag + ratio * (self.E_T * accK).real + 0.0
-            )
-            if self.rows and level < n:  # the last order needs only totals
+            yield -(E_T * accJ).imag + ratio * (E_T * accK).real + 0.0
+            if self.rows:
+                off[:, :, 0] = offJ, offK
                 GH = self.phi * (self.E * (off + S)).real
+
+    def terms(self, n: int) -> list:
+        """[A_0, ..., A_n] by the level recursion."""
+        out = [(1.0 + self.phiT / self.phi0) * self.E_T.real]
+        out += islice(self.levels(self.trace_seeds()), n)
         return out
 
     # -- supremum grids for the truncation bound ---------------------------
@@ -479,10 +550,12 @@ class _SeriesEngine:
         and of the column at argmax cn as a lower bound lo, keeps only the
         rows and columns whose bound reaches lo and reduces that sub-table:
         every pair left out is below lo, itself a table entry, so K1 and
-        K2 equal the full tables' maxima bit for bit. Nothing is pruned
-        when max(rn) max(cn) is not finite (an overflowed E, whose NaN
-        must reach the bound) or lo is below the smallest normal float,
-        where rounding is no longer relative.
+        K2 equal the full tables' maxima bit for bit. Below the smallest
+        normal float rounding is no longer relative, so the slack does not
+        cover it: a row or column whose norm is subnormal is never left
+        out, and nothing is pruned when max(rn), max(cn) or lo is
+        subnormal, or when max(rn) max(cn) is not finite (an overflowed E,
+        whose NaN must reach the bound).
         """
         # phi, E, h and 1 / D at every real dense node, then at every jump:
         # the constants are maxima, so the order of the nodes does not matter
@@ -513,20 +586,23 @@ class _SeriesEngine:
 
 def _pruned_max(table, rows, cols, rn, cn) -> float:
     """max |table(*rows, *cols)|, the row operands indexed by t and the
-    column operands by s, where |table(t, s)| <= rn[t] cn[s] (1 + 1e-12):
-    rows and columns whose bound falls below an entry already seen are
-    left out. The table is reduced a block of rows at a time, so memory
-    stays O(N) for long periods."""
+    column operands by s, where |table(t, s)| <= rn[t] cn[s] (1 + 1e-12)
+    for norms rn, cn that are normal floats: rows and columns whose bound
+    falls below an entry already seen are left out, but never one whose
+    norm is subnormal, whose rounding the relative slack does not cover.
+    The table is reduced a block of rows at a time, so memory stays O(N)
+    for long periods."""
     rmax, cmax = rn.max(), cn.max()
     # one block of rows costs less than finding the ones to keep
-    if len(rn) > _BOUNDS_ROWS and math.isfinite(rmax * cmax):
+    if (len(rn) > _BOUNDS_ROWS and math.isfinite(rmax * cmax)
+            and min(rmax, cmax) >= _TINY):
         i, j = rn.argmax(), cn.argmax()
         lo = np.maximum(
             np.abs(table(*[a[i:i + 1] for a in rows], *cols)).max(),
             np.abs(table(*rows, *[a[j:j + 1] for a in cols])).max())
         if lo >= _TINY:
-            keep_t = rn * cmax * (1.0 + 1e-12) >= lo
-            keep_s = cn * rmax * (1.0 + 1e-12) >= lo
+            keep_t = (rn * cmax * (1.0 + 1e-12) >= lo) | (rn < _TINY)
+            keep_s = (cn * rmax * (1.0 + 1e-12) >= lo) | (cn < _TINY)
             rows = [a[keep_t] for a in rows]
             cols = [a[keep_s] for a in cols]
     return float(np.max([
@@ -740,12 +816,12 @@ def default_order(ts: ValidatedTimeScale) -> int:
 def analyze(spec: SystemSpec, n: Optional[int] = None,
             use_shi: bool = False) -> FloquetReport:
     """Run the full pipeline and assemble a certified report."""
-    validate_system(spec)
+    sample = validate_system(spec)
     ts = spec.ts
     if n is None:
         n = default_order(ts)
-    table = solve_phi(spec)
-    B = compute_B(spec)
+    table = solve_phi(spec, sample=sample)
+    B = compute_B(spec, sample)
     if use_shi:
         A = shi_continuous_a(spec, n, B)
         terms = []

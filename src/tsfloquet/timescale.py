@@ -70,13 +70,15 @@ class ValidatedTimeScale:
             raise TimeScaleError("t0 and t0 + period must be finite, got "
                                  f"t0 = {ts.t0}, period = {ts.period}")
         for seg in ts.segments:
-            if isinstance(seg, Interval):
-                if not seg.a < seg.b:
-                    raise InvalidSegment(
-                        f"interval [{seg.a}, {seg.b}] must have a < b"
-                    )
-            elif not isinstance(seg, Point):
+            if not isinstance(seg, (Point, Interval)):
                 raise InvalidSegment(f"not a segment: {seg!r}")
+            if not (math.isfinite(seg.start) and math.isfinite(seg.end)):
+                # a NaN would pass every overlap and coverage comparison
+                raise InvalidSegment(f"segment {seg} is not finite")
+            if isinstance(seg, Interval) and not seg.a < seg.b:
+                raise InvalidSegment(
+                    f"interval [{seg.a}, {seg.b}] must have a < b"
+                )
         segs = sorted(ts.segments, key=attrgetter("start"))
         for prev, cur in zip(segs, segs[1:]):
             if cur.start <= prev.end + _tol(prev.end):

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tsfloquet import SystemSpec, parse, solve_phi
 from tsfloquet.cli import build_system, load_config
@@ -148,11 +148,29 @@ def _same(table, rows, cols, rn, cn):
     assert pruned.hex() == full.hex()
 
 
+@st.composite
+def _complex_vectors(draw):
+    return draw(_vectors(draw(_LENGTHS), complex_=True))
+
+
+def _rows(big, first):
+    """One more row than a block: ``first``, then big (1 - 1j)."""
+    u = np.full(_BOUNDS_ROWS + 1, big * (1 - 1j))
+    u[0] = first
+    return u
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_pruned_K2_table_max_is_the_full_max(data):
-    u = data.draw(_vectors(data.draw(_LENGTHS), complex_=True))
-    M = data.draw(_vectors(data.draw(_LENGTHS), complex_=True))
+@given(_complex_vectors(), _complex_vectors())
+# a subnormal column norm: |M| rounds from 7e-324 down to 5e-324, so every
+# row's bound falls below the entries it should cover
+@example(u=_rows(3e15, 3e15 * (1 - 1j)),
+         M=np.array([5e-324 + 5e-324j]))
+# a subnormal row norm under a normal column maximum: the row holding the
+# maximum would be left out
+@example(u=_rows(2.0 ** -80, 5e-324 + 5e-324j),
+         M=np.array([2.0 ** 990 * (1 - 1j)]))
+def test_pruned_K2_table_max_is_the_full_max(u, M):
     with np.errstate(all="ignore"):
         rn, cn = np.abs(u), np.abs(M)
     _same(lambda u, M: np.outer(u, M).real, (u,), (M,), rn, cn)

@@ -247,6 +247,20 @@ def test_interval_too_short_for_its_grid_exits_3(tmp_path, text, named):
         analyze(build_system(load_config(f)))
 
 
+@pytest.mark.parametrize("points, named", [
+    ("[0, 1e400 - 1e400, 1, 2]", "Point(x=nan)"),
+    ("[0, 1, 1e400, 2]", "Point(x=inf)"),
+])
+def test_non_finite_point_exits_3(tmp_path, points, named):
+    # the CLI names the segment, not a later membership failure of t0
+    f = tmp_path / "nan.cfg"
+    f.write_text(f"period = 2\npoints = {points}\np = 0\nq = 1\n")
+    result = invoke(str(f))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("config error: ")
+    assert result.stderr.endswith(f": segment {named} is not finite\n")
+
+
 @pytest.mark.parametrize("k", [48, 96])
 def test_long_discrete_period_is_undetermined(tmp_path, k):
     # mu = 0.5 and B < 1; at n = 3 the tail bound is huge (k = 48) or

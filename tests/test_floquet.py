@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -464,31 +465,43 @@ def test_scattered_runs_around_dense_cells(layout):
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # at least 30 seeded hybrids (9 of these 32 have two cells of unequal
-# length), every layout above, and every committed config with intervals
+# length), seeded discrete scales, every layout above, every committed
+# config with intervals and the benchmark's 100-cell hybrids (seed 1)
 _REFERENCE_CASES = (
     [("seed", s) for s in range(32)]
+    + [("discrete", s) for s in range(16)]
     + [("layout", k) for k in sorted(_LAYOUTS)]
     + [("config", p.relative_to(_CONFIGS).as_posix())
        for p in sorted(_CONFIGS.rglob("*.cfg"))
-       if re.search(r"^intervals\s*=", p.read_text(), re.M)])
+       if re.search(r"^intervals\s*=", p.read_text(), re.M)]
+    + [("benchmark", "hybrid100_damped"), ("benchmark", "hybrid100_growing")])
 
 
-def _reference_spec(kind, key):
+def _reference_spec(kind, key, workloads, tmp_path):
     if kind == "seed":
         return random_hybrid_system(key)
+    if kind == "discrete":
+        return random_discrete_system(key, max_points=12)
     if kind == "layout":
         segs, T, _ = _LAYOUTS[key]
         return _layout_system(segs, T)
+    if kind == "benchmark":
+        system, = (s for s in workloads.build("hybrid", 1, ROOT).systems
+                   if s.name == key)
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(system.text)
+        return build_system(load_config(path))
     return build_system(load_config(_CONFIGS / key))
 
 
 @pytest.mark.parametrize("kind, key", _REFERENCE_CASES,
                          ids=[f"{k}-{v}" for k, v in _REFERENCE_CASES])
-def test_stacked_engine_matches_cell_reference(kind, key):
+def test_stacked_engine_matches_cell_reference(kind, key, workloads,
+                                               tmp_path):
     # the stacked engine keeps every floating-point operation of the
     # per-cell loop in cell_reference.py, so its terms and bound constants
     # are equal to the loop's, not just close
-    spec = _reference_spec(kind, key)
+    spec = _reference_spec(kind, key, workloads, tmp_path)
     table = solve_phi(spec)
     assert _SeriesEngine(spec, table).terms(8) == \
         CellEngine(spec, table).terms(8)
@@ -496,6 +509,51 @@ def test_stacked_engine_matches_cell_reference(kind, key):
     per_cell = CellEngine(spec, table, divisions=_BOUNDS_GRID)
     assert stacked.terms(8) == per_cell.terms(8)
     assert stacked.bound_constants() == per_cell.bound_constants()
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("seed", 3), ("discrete", 5), ("layout", "all"),
+    ("benchmark", "hybrid100_damped")])
+def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
+                                                     tmp_path, monkeypatch):
+    # validate_system, solve_phi, compute_B and both engines (the series
+    # grid and the bound grid) share one sample of p and q per scattered
+    # point and one jump record
+    spec = _reference_spec(kind, key, workloads, tmp_path)
+    scattered = {t for t, _ in spec.ts.scattered_with_mu()}
+    names = {id(spec.p): "p", id(spec.q): "q"}
+    evaluated = []
+    evaluate = ex.evaluate
+
+    def counted(e, t):
+        if t in scattered and id(e) in names:
+            evaluated.append((names[id(e)], t))
+        return evaluate(e, t)
+
+    built = []
+    record = floquet.PhaseTable.jumps.func
+
+    def counted_record(table):
+        built.append(table)
+        return record(table)
+
+    jumps = functools.cached_property(counted_record)
+    jumps.__set_name__(floquet.PhaseTable, "jumps")
+    monkeypatch.setattr(floquet.PhaseTable, "jumps", jumps)
+    monkeypatch.setattr(ex, "evaluate", counted)
+    engines = []
+    monkeypatch.setattr(floquet, "_SeriesEngine", functools.partial(
+        _counted_engine, engines))
+    report = analyze(spec, n=3)
+    # in time order, p before q
+    assert evaluated == [(c, t) for t in sorted(scattered) for c in "pq"]
+    assert len(built) == 1 and len(engines) == 2
+    assert not report.err_bound.exact
+
+
+def _counted_engine(engines, *args, **kwargs):
+    engines.append(_SeriesEngine(*args, **kwargs))
+    return engines[-1]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -744,9 +802,9 @@ def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
     spec = build_system(load_config(ROOT / "configs" / config))
     calls = []
 
-    def counted(spec):
+    def counted(spec, *sample):
         calls.append(spec)
-        return compute_B(spec)
+        return compute_B(spec, *sample)
 
     monkeypatch.setattr(floquet, "compute_B", counted)
     report = analyze(spec, n=n, use_shi=True)

@@ -51,6 +51,16 @@ def test_non_finite_window(t0, period):
         validate(PeriodicTimeScale(t0, period, [Interval(t0, t0 + period)]))
 
 
+@pytest.mark.parametrize("seg", [
+    Point(math.nan), Point(math.inf), Interval(0.5, math.nan),
+    Interval(math.nan, 1.5), Interval(-math.inf, 1.5)])
+def test_non_finite_segment(seg):
+    # a NaN passes every overlap and coverage comparison, and an infinite
+    # end is never inside [t0, t0 + T]: both are named as the segment
+    with pytest.raises(InvalidSegment, match=re.escape(f"segment {seg} is")):
+        validate(PeriodicTimeScale(0, 2, [Point(0), seg, Point(2)]))
+
+
 def test_overlapping_segments():
     with pytest.raises(OverlappingSegments):
         validate(PeriodicTimeScale(0, 2, [Interval(0, 1), Interval(0.5, 2)]))
