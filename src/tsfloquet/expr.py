@@ -16,21 +16,30 @@ functions are only legal as the first argument of ``if``.
 
 ``evaluate(e, t)`` evaluates at one point, and it alone defines the
 language's errors: whether an expression fails at t, and what it raises,
-always naming t. It calls a closure tree: on a node's first scalar
-evaluation, each node below it that has none yet gets one closure, built
-from its children's, which makes that node's float operations in the
-order of a recursive walk over the AST and raises that walk's exception
-and message (``tests/expr_reference.py`` keeps the walk). A ``Div``
-evaluates its denominator first and an ``If`` its condition and then
-only the branch it takes. The tree is cached on the nodes, so later
-evaluations make no per-node type dispatch; the values equal the walk's
-bit for bit. ``evaluate_array(e, x)`` walks the AST once and applies
-numpy ufuncs to a whole array of nodes; an ``if`` evaluates each branch
-only on the nodes that take it (masking, not ``np.where``), so an error in
-an untaken branch is not raised. The array walk computes values only:
-where some node may fail, it replays ``evaluate`` over the nodes in order,
-so what it raises is the scalar walk's exception at the first offending t.
-No numpy warning escapes it.
+always naming t. It calls a closure tree, built once per node from its
+children's closures and cached on the nodes, which makes the float
+operations of a recursive walk over the AST in the walk's order and raises
+its exceptions and messages (``tests/expr_reference.py`` keeps the walk).
+``evaluate_array(e, x)`` walks the AST once and applies numpy ufuncs to a
+whole array of nodes; an ``if`` evaluates each branch only on the nodes
+that take it (masking, not ``np.where``), so an error in an untaken branch
+is not raised. The array walk computes values only: where some node may
+fail, it replays ``evaluate`` over the nodes in order, so what it raises
+is the scalar walk's exception at the first offending t. No numpy warning
+escapes it.
+
+Each rule is stated once, in a table that all its readers read:
+``_LEVELS`` (and ``_BINARY``, by node) the binary operators' symbols,
+nodes and float operations, for the parser, ``serialize``, the closures
+and the array walk; ``_UNARY`` the one-argument nodes' scalar and array
+operations, the errors the scalar one raises and the array walk's test
+for them; ``_FUNCS`` the function names and ``_CMP`` the ``if``
+comparisons. Nodes whose evaluators differ keep their own branches: a
+``Div`` evaluates its denominator first and raises at zero; a ``Pow``
+turns Python's errors and complex results into DomainError, where numpy
+takes Python's results at zero and infinite bases; ``neg1pow`` rounds and
+tests its argument; mod by zero and a derivative placeholder raise at
+every node, and an ``if`` evaluates one branch per node.
 
 Expressions are immutable after parsing and may be evaluated concurrently;
 two threads that build the same node's closure at once each build one
@@ -39,9 +48,11 @@ that computes the same values, and either is kept.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -188,11 +199,42 @@ class _NonDiff(Expression):
     reason: str
 
 
-# -- tokenizer -------------------------------------------------------------
+# -- rule tables -----------------------------------------------------------
 
-_NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# the binary operators by precedence level, loosest first: symbol -> node
+# and its float operation, which numpy applies elementwise to arrays
+_LEVELS = ({"+": (Add, operator.add), "-": (Sub, operator.sub)},
+           {"*": (Mul, operator.mul), "/": (Div, operator.truediv)})
+_BINARY = {node: (symbol, op) for level in _LEVELS
+           for symbol, (node, op) in level.items()}
 
+
+class _Unary(NamedTuple):
+    """A one-argument node's operation on floats and on arrays. Where
+    ``scalar`` raises ``error[0]``, ``evaluate`` raises ``error[1]`` with
+    the message ``error[2]``, formatted with the argument v, then " at
+    t=..."; ``fails(v, out)`` marks where that may be, out = ``array(v)``."""
+
+    scalar: Callable
+    array: Callable
+    error: tuple = None
+    fails: Callable = None
+
+
+# math.sin and math.cos reject infinite arguments
+_UNARY = {
+    Neg: _Unary(operator.neg, operator.neg),
+    Abs: _Unary(abs, np.abs),
+    Sin: _Unary(math.sin, np.sin, (ValueError, ValueError, "sin of {v}"),
+                lambda v, out: np.isinf(v)),
+    Cos: _Unary(math.cos, np.cos, (ValueError, ValueError, "cos of {v}"),
+                lambda v, out: np.isinf(v)),
+    Exp: _Unary(math.exp, np.exp, (OverflowError, OverflowError, "exp({v})"),
+                lambda v, out: np.isinf(out) & np.isfinite(v)),
+    Sqrt: _Unary(math.sqrt, np.sqrt,
+                 (ValueError, DomainError, "sqrt of negative value {v}"),
+                 lambda v, out: v < 0),
+}
 # the function names and their nodes, read by the parser and ``serialize``
 _FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": Sqrt, "abs": Abs,
           "mod": Mod, "neg1pow": Neg1Pow, "if": If}
@@ -206,6 +248,9 @@ _CMP = {
     "gt": lambda v, ref, tol: v > ref + tol,
     "ge": lambda v, ref, tol: v >= ref - tol,
 }
+
+_NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _tokenize(text: str):
@@ -265,20 +310,16 @@ class _Parser:
             raise ExpressionSyntaxError("trailing input", tok[2])
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
-
-    def term(self) -> Expression:
-        e = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+    def expr(self, level: int = 0) -> Expression:
+        """A left-associative chain of the operators of ``_LEVELS[level]``
+        (level 0 is the grammar's expr, 1 its term) over the next level's
+        chains, or unaries past the last level."""
+        tighter = level + 1 < len(_LEVELS)
+        e = self.expr(level + 1) if tighter else self.unary()
+        operators = _LEVELS[level]
+        while self.peek()[0] in operators:
+            node, _ = operators[self.next()[0]]
+            e = node(e, self.expr(level + 1) if tighter else self.unary())
         return e
 
     def unary(self) -> Expression:
@@ -293,15 +334,8 @@ class _Parser:
     def power(self) -> Expression:
         base = self.atom()
         if self.peek()[0] == "^":
-            tok = self.next()
-            exponent = self.atom()
-            try:
-                value = const_value(exponent)
-            except ValueError:
-                raise NonConstantExponent(
-                    f"exponent must be constant (offset {tok[2]})"
-                ) from None
-            return Pow(base, value)
+            off = self.next()[2]
+            return Pow(base, self.constant(self.atom(), "exponent", off))
         return base
 
     def atom(self) -> Expression:
@@ -350,13 +384,7 @@ class _Parser:
         if node is Mod:
             if len(args) != 2:
                 raise ArityError("mod takes 2 arguments")
-            try:
-                modulus = const_value(args[1])
-            except ValueError:
-                raise NonConstantExponent(
-                    f"mod divisor must be constant (offset {off})"
-                ) from None
-            return Mod(args[0], modulus)
+            return Mod(args[0], self.constant(args[1], "mod divisor", off))
         if len(args) != 1:
             raise ArityError(f"{name} takes 1 argument")
         return node(args[0])
@@ -370,15 +398,17 @@ class _Parser:
         self.expect("(")
         arg = self.expr()
         self.expect(",")
-        ref_expr = self.expr()
+        ref = self.expr()
         self.expect(")")
+        return Cmp(op, arg, self.constant(ref, "comparison reference", tok[2]))
+
+    def constant(self, e: Expression, what: str, off: int) -> float:
+        """The value of e, which must be constant."""
         try:
-            ref = const_value(ref_expr)
+            return const_value(e)
         except ValueError:
             raise NonConstantExponent(
-                f"comparison reference must be constant (offset {tok[2]})"
-            ) from None
-        return Cmp(op, arg, ref)
+                f"{what} must be constant (offset {off})") from None
 
 
 def parse(text: str) -> Expression:
@@ -389,20 +419,13 @@ def parse(text: str) -> Expression:
 # -- evaluation ------------------------------------------------------------
 
 def is_constant(e: Expression) -> bool:
-    """True if the expression contains no occurrence of t."""
-    if isinstance(e, Var):
+    """True if the expression contains no occurrence of t: a walk over
+    each node's Expression-valued fields, in which a derivative
+    placeholder stands for a function of t."""
+    if isinstance(e, (Var, _NonDiff)):
         return False
-    if isinstance(e, Const):
-        return True
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return is_constant(e.left) and is_constant(e.right)
-    if isinstance(e, Pow):
-        return is_constant(e.base)
-    if isinstance(e, (Neg, Sin, Cos, Exp, Sqrt, Abs, Mod, Neg1Pow)):
-        return is_constant(e.arg)
-    if isinstance(e, If):
-        return is_constant(e.cond.arg) and is_constant(e.then) and is_constant(e.other)
-    return False
+    return all(is_constant(v) for v in vars(e).values()
+               if isinstance(v, Expression))
 
 
 def const_value(e: Expression) -> float:
@@ -422,56 +445,55 @@ def evaluate(e: Expression, t: float) -> float:
 
 
 def _compile(e):
-    """The closure t -> value of the node e, calling its children's.
-
-    Each closure makes the float operations of one node of the recursive
-    walk in the walk's order and raises what the walk raises there, with
-    the same message: a ``Div`` evaluates its denominator first, an ``If``
-    its condition and then only the branch it takes. A node's closure is
-    built once and kept where ``Expression._closure`` caches it; building
-    recurses one call per tree level, as the walk did.
+    """The closure t -> value of the node e, calling its children's: it
+    makes the float operations of e's step of the recursive walk, in the
+    walk's order, and raises what the walk raises there, with the same
+    message. A node's closure is built once and kept where
+    ``Expression._closure`` caches it; building recurses one call per tree
+    level, as the walk did.
     """
     if not isinstance(e, Expression):
         return _raises(TypeError(f"unknown node {e!r}"))
     closure = e.__dict__.get("_closure")
     if closure is not None:
         return closure
-    if isinstance(e, Const):
+    kind = type(e)
+    if kind in _BINARY:
+        left, right, op = _compile(e.left), _compile(e.right), _BINARY[kind][1]
+        if kind is Div:
+            def closure(t):
+                den = right(t)
+                if den == 0.0:
+                    raise DomainError(f"division by zero at t={t}")
+                return op(left(t), den)
+        else:
+            def closure(t):
+                return op(left(t), right(t))
+    elif kind in _UNARY:
+        arg, rule = _compile(e.arg), _UNARY[kind]
+        scalar, error = rule.scalar, rule.error
+        if error is None:
+            def closure(t):
+                return scalar(arg(t))
+        else:
+            caught, raised, message = error
+
+            def closure(t):
+                v = arg(t)
+                try:
+                    return scalar(v)
+                except caught as exc:
+                    raise raised(f"{message.format(v=v)} at t={t}") from exc
+    elif kind is Const:
         value = e.value
 
         def closure(t):
             return value
-        e.__dict__["_closure"] = closure
-        return closure
-    if isinstance(e, Var):
-        e.__dict__["_closure"] = _identity
-        return _identity
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        left, right = _compile(e.left), _compile(e.right)
-    elif isinstance(e, Pow):
+    elif kind is Var:
+        closure = _identity
+    elif kind is Pow:
         arg, exponent = _compile(e.base), e.exponent
-    elif isinstance(e, (Neg, Sin, Cos, Exp, Sqrt, Abs, Mod, Neg1Pow)):
-        arg = _compile(e.arg)
 
-    if isinstance(e, Add):
-        def closure(t):
-            return left(t) + right(t)
-    elif isinstance(e, Sub):
-        def closure(t):
-            return left(t) - right(t)
-    elif isinstance(e, Mul):
-        def closure(t):
-            return left(t) * right(t)
-    elif isinstance(e, Div):
-        def closure(t):
-            den = right(t)
-            if den == 0.0:
-                raise DomainError(f"division by zero at t={t}")
-            return left(t) / den
-    elif isinstance(e, Neg):
-        def closure(t):
-            return -arg(t)
-    elif isinstance(e, Pow):
         def closure(t):
             base = arg(t)
             try:
@@ -481,41 +503,17 @@ def _compile(e):
             if isinstance(v, complex):
                 raise DomainError(f"{base} ** {exponent} is complex at t={t}")
             return v
-    elif isinstance(e, (Sin, Cos)):
-        trig = math.sin if isinstance(e, Sin) else math.cos
-        name = _NAMES[type(e)]
-
-        def closure(t):
-            v = arg(t)
-            try:
-                return trig(v)
-            except ValueError as exc:  # inf
-                raise ValueError(f"{name} of {v} at t={t}") from exc
-    elif isinstance(e, Exp):
-        def closure(t):
-            v = arg(t)
-            try:
-                return math.exp(v)
-            except OverflowError as exc:
-                raise OverflowError(f"exp({v}) at t={t}") from exc
-    elif isinstance(e, Sqrt):
-        def closure(t):
-            v = arg(t)
-            if v < 0:
-                raise DomainError(f"sqrt of negative value {v} at t={t}")
-            return math.sqrt(v)
-    elif isinstance(e, Abs):
-        def closure(t):
-            return abs(arg(t))
-    elif isinstance(e, Mod):
-        modulus = e.modulus
+    elif kind is Mod:
+        arg, modulus = _compile(e.arg), e.modulus
         if modulus == 0.0:
             def closure(t):
                 raise DomainError(f"mod with zero divisor at t={t}")
         else:
             def closure(t):
                 return arg(t) % modulus
-    elif isinstance(e, Neg1Pow):
+    elif kind is Neg1Pow:
+        arg = _compile(e.arg)
+
         def closure(t):
             v = arg(t)
             try:
@@ -525,11 +523,11 @@ def _compile(e):
             if abs(v - k) > 1e-9:
                 raise NonIntegerNeg1Pow(f"neg1pow argument {v} at t={t}")
             return -1.0 if k % 2 else 1.0
-    elif isinstance(e, If):
+    elif kind is If:
         c = e.cond
         closure = _if(c.op, _compile(c.arg), c.ref, _compile(e.then),
                       _compile(e.other))
-    elif isinstance(e, _NonDiff):
+    elif kind is _NonDiff:
         reason = e.reason
 
         def closure(t):
@@ -604,49 +602,36 @@ class _ArrayWalk:
     failed = False
 
     def eval(self, e: Expression, x):
-        if isinstance(e, Const):
-            return np.full(len(x), e.value)
-        if isinstance(e, Var):
-            return x
-        if isinstance(e, Add):
-            return self.eval(e.left, x) + self.eval(e.right, x)
-        if isinstance(e, Sub):
-            return self.eval(e.left, x) - self.eval(e.right, x)
-        if isinstance(e, Mul):
-            return self.eval(e.left, x) * self.eval(e.right, x)
-        if isinstance(e, Div):
-            den = self.eval(e.right, x)
-            self.failed |= (den == 0.0).any()
-            return self.eval(e.left, x) / den
-        if isinstance(e, Neg):
-            return -self.eval(e.arg, x)
-        if isinstance(e, Pow):
-            return self.pow(e, x)
-        if isinstance(e, (Sin, Cos)):
+        kind = type(e)
+        if kind in _BINARY:
+            op = _BINARY[kind][1]
+            if kind is Div:
+                den = self.eval(e.right, x)
+                self.failed |= (den == 0.0).any()
+                return op(self.eval(e.left, x), den)
+            return op(self.eval(e.left, x), self.eval(e.right, x))
+        rule = _UNARY.get(kind)
+        if rule is not None:
             v = self.eval(e.arg, x)
-            # math.sin and math.cos reject infinite arguments
-            self.failed |= np.isinf(v).any()
-            return np.sin(v) if isinstance(e, Sin) else np.cos(v)
-        if isinstance(e, Exp):
-            v = self.eval(e.arg, x)
-            out = np.exp(v)
-            self.failed |= (np.isinf(out) & np.isfinite(v)).any()
+            out = rule.array(v)
+            if rule.fails is not None:
+                self.failed |= rule.fails(v, out).any()
             return out
-        if isinstance(e, Sqrt):
-            v = self.eval(e.arg, x)
-            self.failed |= (v < 0).any()
-            return np.sqrt(v)
-        if isinstance(e, Abs):
-            return np.abs(self.eval(e.arg, x))
-        if isinstance(e, Mod) and e.modulus != 0.0:
+        if kind is Const:
+            return np.full(len(x), e.value)
+        if kind is Var:
+            return x
+        if kind is Pow:
+            return self.pow(e, x)
+        if kind is Mod and e.modulus != 0.0:
             return np.mod(self.eval(e.arg, x), e.modulus)
-        if isinstance(e, Neg1Pow):
+        if kind is Neg1Pow:
             v = self.eval(e.arg, x)
             k = np.round(v)
             # NaN and inf fail the test too, as round() rejects them
             self.failed |= (~(np.abs(v - k) <= 1e-9)).any()
             return np.where(np.mod(k, 2.0) == 1.0, -1.0, 1.0)
-        if isinstance(e, If):
+        if kind is If:
             c = e.cond
             tol = 1e-12 * np.maximum(1.0, np.abs(x))
             m = _compare(c.op, self.eval(c.arg, x), c.ref, tol)
@@ -655,7 +640,7 @@ class _ArrayWalk:
                 if mask.any():
                     out[mask] = self.eval(branch, x[mask])
             return out
-        if isinstance(e, (Mod, _NonDiff)):
+        if kind in (Mod, _NonDiff):
             # mod by zero or a derivative of mod or neg1pow: the scalar
             # walk raises at every node
             self.failed = True
@@ -690,10 +675,8 @@ def differentiate(e: Expression) -> Expression:
         return Const(0.0)
     if isinstance(e, Var):
         return Const(1.0)
-    if isinstance(e, Add):
-        return Add(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Sub):
-        return Sub(differentiate(e.left), differentiate(e.right))
+    if isinstance(e, (Add, Sub)):
+        return type(e)(differentiate(e.left), differentiate(e.right))
     if isinstance(e, Mul):
         return Add(
             Mul(differentiate(e.left), e.right),
@@ -739,39 +722,39 @@ def differentiate(e: Expression) -> Expression:
 # -- serialization ---------------------------------------------------------
 
 def serialize(e: Expression) -> str:
-    """Render e in the input grammar; parse(serialize(e)) is structurally e."""
-    if isinstance(e, Const):
-        if e.value < 0:
-            return f"-{repr(-e.value)}"
-        return repr(e.value)
-    if isinstance(e, Var):
+    """Render e in the input grammar, as an atom; parse(serialize(e)) is
+    structurally e for every e that parse returns (a NaN exponent, modulus
+    or reference is written as the constant (1e999 - 1e999))."""
+    kind = type(e)
+    if kind is Const:
+        return _number(e.value)
+    if kind is Var:
         return "t"
-    if isinstance(e, Add):
-        return f"({serialize(e.left)} + {serialize(e.right)})"
-    if isinstance(e, Sub):
-        return f"({serialize(e.left)} - {serialize(e.right)})"
-    if isinstance(e, Mul):
-        return f"({serialize(e.left)} * {serialize(e.right)})"
-    if isinstance(e, Div):
-        return f"({serialize(e.left)} / {serialize(e.right)})"
-    if isinstance(e, Neg):
+    if kind in _BINARY:
+        return f"({serialize(e.left)} {_BINARY[kind][0]} {serialize(e.right)})"
+    if kind is Neg:
         return f"(-{serialize(e.arg)})"
-    if isinstance(e, Pow):
-        # base is re-wrapped: a bare negative constant would otherwise bind
-        # as -(b ^ c) on re-parse
-        exp = repr(e.exponent) if e.exponent >= 0 else f"(0 - {repr(-e.exponent)})"
-        return f"(({serialize(e.base)}) ^ {exp})"
-    name = _NAMES.get(type(e))
-    if isinstance(e, Mod):
-        m = repr(e.modulus) if e.modulus >= 0 else f"(0 - {repr(-e.modulus)})"
-        return f"{name}({serialize(e.arg)}, {m})"
-    if isinstance(e, If):
+    if kind is Pow:
+        return f"({serialize(e.base)} ^ {_number(e.exponent)})"
+    name = _NAMES.get(kind)
+    if kind is Mod:
+        return f"{name}({serialize(e.arg)}, {_number(e.modulus)})"
+    if kind is If:
         c = e.cond
-        ref = repr(c.ref) if c.ref >= 0 else f"(0 - {repr(-c.ref)})"
         return (
-            f"{name}({c.op}({serialize(c.arg)}, {ref}), "
+            f"{name}({c.op}({serialize(c.arg)}, {_number(c.ref)}), "
             f"{serialize(e.then)}, {serialize(e.other)})"
         )
     if name is not None:
         return f"{name}({serialize(e.arg)})"
     raise TypeError(f"cannot serialize {e!r}")
+
+
+def _number(v: float) -> str:
+    """The float v as an atom that parses back to v: a negative value,
+    -0.0 too, in parentheses, an infinite one as 1e999 and a NaN as
+    (1e999 - 1e999)."""
+    if math.isnan(v):
+        return "(1e999 - 1e999)"
+    text = "1e999" if math.isinf(v) else repr(abs(v))
+    return f"(-{text})" if math.copysign(1.0, v) < 0 else text

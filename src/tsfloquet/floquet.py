@@ -29,11 +29,11 @@ recursion is exact up to rounding and costs O(n k) for k scattered points.
 
 Per-point work is done once per analysis. ``validate_system`` samples p
 and q once at every scattered point, in time order, and checks the
-sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` then
-holds one jump record per scattered point (mu, phi(t), phi(sigma(t)) and
-h(t)), which both engines, the series grid and the bound grid, read; each
-engine adds only the fields that depend on its grid. The level recursion
-is a resumable iterator over orders that takes its seeds as an argument.
+sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` keeps
+phi at each dense start as ``solve_phi`` sampled it and one jump record per
+scattered point (mu, phi(t), phi(sigma(t)), h(t)); both engines, the series
+grid and the bound grid, read them and add only what depends on the grid.
+The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
 
@@ -147,6 +147,9 @@ class PhaseTable:
     """phi at the scattered points plus the sqrt(q) rule on dense parts,
     and the scattered sample it was built from.
 
+    ``starts`` keeps phi = sqrt(q) where ``solve_phi`` evaluated it, at
+    the start of each dense segment; ``start_phi`` reads it by segment.
+
     ``jumps`` is the per-analysis jump record: (mu, phi(t), phi(sigma(t)),
     h(t)) at every scattered t in time order, with
     h = -p - (phi(sigma(t)) - phi(t)) / (mu phi(t)). It is built on first
@@ -160,6 +163,7 @@ class PhaseTable:
     qprime: ex.Expression
     sample: list  # [(t, mu, p(t), q(t))] at the scattered points, in order
     values: dict = field(default_factory=dict)  # scattered coord (and t0+T) -> phi
+    starts: dict = field(default_factory=dict)  # dense segment index -> phi
 
     def value(self, t: float) -> float:
         _, t = self.ts.locate(t)
@@ -167,12 +171,23 @@ class PhaseTable:
             return self.values[t]
         return _sqrt_q(self.q, t)
 
+    def start_phi(self, i: int) -> float:
+        """phi at the start of segment i: the chain value at a point, else
+        sqrt(q) from ``starts``, checked as ``_sqrt_q`` checks it: phi is
+        NaN or infinite where q is, and prints as q does."""
+        t = self.ts.segments[i].start
+        if i not in self.starts:
+            return self.values[t]
+        _check_finite("q", self.starts[i], t, "on a dense part")
+        return self.starts[i]
+
     @cached_property
     def jumps(self) -> list:
         record = []
-        for t, mu, p, _ in self.sample:
-            phi = self.value(t)
-            phi_sigma = self.value(t + mu)
+        # the scattered point t ends segment i; sigma(t) starts i + 1
+        for i, (t, mu, p, _) in enumerate(self.sample):
+            phi = self.values[t]
+            phi_sigma = self.start_phi(i + 1)
             record.append((mu, phi, phi_sigma,
                            -p - (phi_sigma - phi) / (mu * phi)))
         return record
@@ -222,19 +237,20 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
 
     last_interval = max(i for i, s in enumerate(segs) if isinstance(s, Interval))
 
-    def dense_phi(t):
+    def dense_start(i):
         # unchecked: a NaN or infinite q is named later, in time order.
         # The series grid names the first such node inside a dense part,
-        # then PhaseTable.value a dense endpoint where the series reads phi
-        return _sqrt_q(spec.q, t, finite=False)
+        # then PhaseTable.start_phi a dense start where the series reads phi
+        table.starts[i] = _sqrt_q(spec.q, segs[i].start, finite=False)
+        return table.starts[i]
 
     # runs that terminate at a dense left endpoint
     for i in range(last_interval - 1, -1, -1):
         c, succ = segs[i].end, segs[i + 1].start
-        phi_succ = values[succ] if succ in values else dense_phi(succ)
+        phi_succ = values[succ] if succ in values else dense_start(i + 1)
         values[c] = _check_phi(q_end[i] / phi_succ, c)
 
-    phi0 = values[ts.t0] if ts.t0 in values else dense_phi(ts.t0)
+    phi0 = values[ts.t0] if ts.t0 in values else dense_start(0)
     values[ts.t_end] = _check_phi(phi0, ts.t_end)
 
     # trailing run after the last dense interval, wrapped through t0+T
@@ -250,7 +266,7 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
         stored = values.get(b)
         if stored is None:
             continue
-        limit = dense_phi(b - (b - a) * 1e-9)
+        limit = _sqrt_q(spec.q, b - (b - a) * 1e-9, finite=False)
         if abs(stored - limit) > 1e-6:
             warnings.warn(
                 f"phi is discontinuous at t={b}: chain value "
@@ -469,8 +485,8 @@ class _SeriesEngine:
         if cells:
             self.D = self.phi * self.E
         self.E_T = E
-        self.phi0 = table.value(ts.t0)
-        self.phiT = table.value(ts.t_end)
+        self.phi0 = table.start_phi(0)
+        self.phiT = table.values[ts.t_end]
 
     def trace_seeds(self):
         """The seeds of the trace series, G_0 = phi sin_phi and

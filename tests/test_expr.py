@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tsfloquet import differentiate, evaluate, parse, serialize
 from tsfloquet import expr as ex
@@ -123,7 +124,7 @@ _leaf = st.one_of(
 def _combine(children):
     a, b = children
     return st.sampled_from([
-        f"({a} + {b})", f"({a} - {b})", f"({a} * {b})",
+        f"({a} + {b})", f"({a} - {b})", f"({a} * {b})", f"(-{a})",
         f"sin({a})", f"cos({a})", f"(({a}) ^ 2)", f"abs({a})",
     ])
 
@@ -136,11 +137,19 @@ _expr_text = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(_expr_text, st.floats(min_value=-3, max_value=3, allow_nan=False))
+# non-finite and negative zero constants, exponents, moduli and references
+@example("1e400", 0.5)
+@example("t ^ 1e400", 0.5)
+@example("mod(t, 1e400)", -0.5)
+@example("if(lt(t, 1e400), 1, 2)", 0.5)
+@example("t ^ (1e400 - 1e400)", 0.5)
+@example("if(ge(t, -0), t ^ (-0), mod(t, -0.0))", 0.5)
 def test_serialize_roundtrip(text, t):
     e = parse(text)
     again = parse(serialize(e))
     assert serialize(again) == serialize(e)
-    assert evaluate(again, t) == evaluate(e, t)
+    # hex tells -0.0 from 0.0 and a NaN equals a NaN
+    assert evaluate(again, t).hex() == evaluate(e, t).hex()
 
 
 # -- array evaluator ---------------------------------------------------------
@@ -150,8 +159,10 @@ def _combine_array(children):
     a, b = children
     return st.one_of(_combine(children), st.sampled_from([
         f"({a} / {b})", f"sqrt({a})", f"exp({a})", f"(({a}) ^ 0.5)",
-        f"(({a}) ^ (0 - 1))", f"mod({a}, 1.5)", f"neg1pow({a})",
-        f"if(lt({a}, 0.5), {b}, sqrt({a}))",
+        f"(({a}) ^ (0 - 1))", f"mod({a}, 1.5)", f"mod({a}, 0)",
+        f"neg1pow({a})", f"if(lt({a}, 0.5), {b}, sqrt({a}))",
+        f"if(eq({a}, 1), {b}, {a})", f"if(le({a}, 0.5), {b}, {a})",
+        f"if(gt({a}, 0.5), {b}, {a})", f"if(ge({a}, 0.5), {b}, {a})",
     ]))
 
 
@@ -380,6 +391,28 @@ def test_evaluate_array_emits_no_warning():
         # Python's float semantics at zero and infinite bases
         e = parse("(t * 1e300 * 1e300 - 1e308) ^ 0.5")
         assert evaluate_array(e, [-1.0])[0] == evaluate(e, -1.0) == math.inf
+
+
+# every node type that can be parsed, that is all but the bare comparison,
+# legal only as an if-condition, and the derivative placeholder, which
+# raises wherever it is evaluated and has no text
+_PARSED_NODES = sorted(
+    set(ex.Expression.__subclasses__()) - {ex.Cmp, ex._NonDiff},
+    key=lambda node: node.__name__)
+
+
+@pytest.mark.parametrize("node", _PARSED_NODES, ids=lambda n: n.__name__)
+def test_every_node_type_has_every_rule(node):
+    # t for every child, 2 for every number and lt(t, 1.5) as a condition
+    fields = {"Expression": ex.Var(), "float": 2.0,
+              "Cmp": ex.Cmp("lt", ex.Var(), 1.5)}
+    e = node(*[fields[f.type] for f in dataclasses.fields(node)])
+    x = [1.0, 2.0]
+    want = [expr_reference.evaluate(e, t) for t in x]
+    assert [evaluate(e, t) for t in x] == want
+    assert list(evaluate_array(e, x)) == pytest.approx(want, rel=1e-15)
+    assert isinstance(differentiate(e), ex.Expression)
+    assert parse(serialize(e)) == e
 
 
 # -- closure tree against the recursive walk ---------------------------------

@@ -512,22 +512,26 @@ def test_stacked_engine_matches_cell_reference(kind, key, workloads,
 
 
 @pytest.mark.parametrize("kind, key", [
-    ("seed", 3), ("discrete", 5), ("layout", "all"),
-    ("benchmark", "hybrid100_damped")])
+    ("seed", 3), ("discrete", 5), ("layout", "all"), ("layout", "between"),
+    ("config", "example_continuous.cfg"), ("benchmark", "hybrid100_damped")])
 def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
                                                      tmp_path, monkeypatch):
     # validate_system, solve_phi, compute_B and both engines (the series
     # grid and the bound grid) share one sample of p and q per scattered
-    # point and one jump record
+    # point, one jump record and one sample of q per dense start
     spec = _reference_spec(kind, key, workloads, tmp_path)
     scattered = {t for t, _ in spec.ts.scattered_with_mu()}
+    starts = [a for a, _ in spec.ts.dense_intervals()]
     names = {id(spec.p): "p", id(spec.q): "q"}
     evaluated = []
+    at_starts = []
     evaluate = ex.evaluate
 
     def counted(e, t):
         if t in scattered and id(e) in names:
             evaluated.append((names[id(e)], t))
+        if t in starts and e is spec.q:
+            at_starts.append(t)
         return evaluate(e, t)
 
     built = []
@@ -547,6 +551,7 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
     report = analyze(spec, n=3)
     # in time order, p before q
     assert evaluated == [(c, t) for t in sorted(scattered) for c in "pq"]
+    assert sorted(at_starts) == starts
     assert len(built) == 1 and len(engines) == 2
     assert not report.err_bound.exact
 
