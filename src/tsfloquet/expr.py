@@ -668,8 +668,9 @@ def differentiate(e: Expression) -> Expression:
     """Symbolic derivative with respect to t.
 
     mod/neg1pow subtrees yield a placeholder that raises
-    NonDifferentiableNode when evaluated; if-nodes differentiate both
-    branches and keep the condition.
+    NonDifferentiableNode when evaluated, and that ``serialize`` cannot
+    write; if-nodes differentiate both branches and keep the condition.
+    Every other derivative tree round-trips through ``serialize``.
     """
     if isinstance(e, (Const, Cmp)):
         return Const(0.0)
@@ -689,7 +690,9 @@ def differentiate(e: Expression) -> Expression:
         )
         return Div(num, Mul(e.right, e.right))
     if isinstance(e, Neg):
-        return Neg(differentiate(e.arg))
+        d = differentiate(e.arg)
+        # folded as the parser folds it, so serialize round-trips the tree
+        return Const(-d.value) if isinstance(d, Const) else Neg(d)
     if isinstance(e, Pow):
         if e.exponent == 0.0:
             return Const(0.0)
@@ -723,8 +726,10 @@ def differentiate(e: Expression) -> Expression:
 
 def serialize(e: Expression) -> str:
     """Render e in the input grammar, as an atom; parse(serialize(e)) is
-    structurally e for every e that parse returns (a NaN exponent, modulus
-    or reference is written as the constant (1e999 - 1e999))."""
+    structurally e for every e that parse or differentiate returns (a NaN
+    exponent, modulus or reference is written as the constant
+    (1e999 - 1e999)). The placeholder that differentiate leaves for mod
+    and neg1pow cannot be written: TypeError."""
     kind = type(e)
     if kind is Const:
         return _number(e.value)

@@ -60,7 +60,7 @@ from .errors import (
     NotRegressive,
     PhiVanishes,
 )
-from .timescale import Interval, ValidatedTimeScale
+from .timescale import Interval, ValidatedTimeScale, inward
 
 class PhiDiscontinuityWarning(UserWarning):
     """phi does not match sqrt(q) where a dense interval meets its
@@ -260,13 +260,12 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
 
     # phi may be discontinuous where a dense interval meets its scattered
     # right endpoint; the computation proceeds, but the user is told. The
-    # dense limit is read just inside the interval, as _sample_dense does,
-    # because q(b) itself may be an isolated-point redefinition
+    # dense limit is read just inside the interval, as _sample_dense does
     for a, b in ts.dense_intervals():
         stored = values.get(b)
         if stored is None:
             continue
-        limit = _sqrt_q(spec.q, b - (b - a) * 1e-9, finite=False)
+        limit = _sqrt_q(spec.q, inward(a, b)[1], finite=False)
         if abs(stored - limit) > 1e-6:
             warnings.warn(
                 f"phi is discontinuous at t={b}: chain value "
@@ -325,13 +324,9 @@ def _sample_dense(spec: SystemSpec, cells: list):
         lo, hi, m = cells[int(np.argmax(stalled))]
         raise InvalidSegment(f"interval [{lo}, {hi}] is too short for its "
                              f"{m} grid steps at the float spacing")
-    # endpoint samples are nudged inward: coefficient values on a dense
-    # part are one-sided limits, and isolated-point redefinitions live
-    # exactly on the segment boundary
-    eps = (b - a) * 1e-9
+    # endpoint samples are one-sided limits, read just inside each cell
     xe = x.copy()
-    xe[:, 0] += eps
-    xe[tip] -= eps
+    xe[:, 0], xe[tip] = inward(a, b)
     real = np.arange(width) <= n[:, None]
     xe = xe[real]
     q = _finite("q", ex.evaluate_array(spec.q, xe), xe)
@@ -735,39 +730,37 @@ def shi_continuous_a(spec: SystemSpec, n: int,
 # -- multipliers and verdict -------------------------------------------------
 
 def _moduli_at(A: float, B: float):
-    if math.isinf(A):
-        # the roots of rho^2 - A rho + B tend to B / A -> 0 and A -> inf
-        return 0.0, math.inf
+    """(|A/2 - r|, |A/2 + r|) with r = sqrt(A^2/4 - B): the moduli of the
+    two roots of rho^2 - A rho + B, unsorted."""
     root = cmath.sqrt(complex(A * A / 4.0 - B))
-    lo, hi = sorted((abs(A / 2.0 - root), abs(A / 2.0 + root)))
-    return lo, hi
+    return abs(A / 2.0 - root), abs(A / 2.0 + root)
 
 
-# compute_B's rounding above 1: a conservative system's B = 1 may come out
-# this far above, so such a B may be exactly 1
+# compute_B's rounding: a conservative system's B = 1 may come out this far
+# on either side of 1, so such a B may be exactly 1
 _B_ROUNDING = 8 * 2.0 ** -52
+
+
+def _B_band(B: float) -> tuple:
+    """The values B may stand for: B and, within ``_B_ROUNDING`` of 1, 1."""
+    return (B, 1.0) if abs(B - 1.0) <= _B_ROUNDING else (B,)
 
 
 def multipliers(a_interval, B: float):
     """Modulus intervals (smaller, larger) of the two multipliers as A
-    ranges over ``a_interval``.
+    ranges over ``a_interval`` and B over ``_B_band(B)``.
 
     The modulus functions are piecewise monotone in A with breakpoints at
-    0 and +-2 sqrt(B), so endpoint plus breakpoint evaluation is exact. A
-    B within ``_B_ROUNDING`` above 1 may be exactly 1, so the intervals
-    then hold the moduli at both B and 1: an interval lies above 1 only if
-    it does for every B in [1, B].
+    0 and +-2 sqrt(B), so endpoint plus breakpoint evaluation is exact. At
+    an infinite A the roots tend to B / A -> 0 and A -> inf.
     """
     lo, hi = a_interval
     moduli = []
-    for b in (B, 1.0) if 1.0 < B <= 1.0 + _B_ROUNDING else (B,):
-        cands = [lo, hi]
-        breakpoints = [0.0]
-        if b > 0:
-            r = 2.0 * math.sqrt(b)
-            breakpoints += [r, -r]
-        cands += [c for c in breakpoints if lo < c < hi]
-        moduli += [_moduli_at(A, b) for A in cands]
+    for b in _B_band(B):
+        r = 2.0 * math.sqrt(b) if b > 0 else 0.0
+        cands = [lo, hi] + [c for c in (0.0, r, -r) if lo < c < hi]
+        moduli += [(0.0, math.inf) if math.isinf(A)
+                   else sorted(_moduli_at(A, b)) for A in cands]
     small, large = zip(*moduli)
     return (min(small), max(small)), (min(large), max(large))
 
@@ -781,14 +774,19 @@ class Verdict(str, Enum):
 
 def verdict(a_interval, B: float):
     """(Verdict, justification) for A in ``a_interval`` and B, from the
-    modulus intervals of ``multipliers``. STABLE needs B in [1 - 1e-9, 1]:
-    a B above 1, even within its rounding, is never read as 1."""
-    (slo, shi_), (llo, lhi) = multipliers(a_interval, B)
-    if slo > 1.0 or llo > 1.0:
+    larger-modulus interval of ``multipliers`` and ``_B_band(B)``. As
+    |rho1 rho2| = |B|, a band that lies above 1 in modulus, an overflowed
+    B's too, forces a modulus above 1, and one that reaches 1 rules out
+    exponential stability. STABLE needs B in [1 - 1e-9, 1]."""
+    band = _B_band(B)
+    _, (llo, lhi) = multipliers(a_interval, B)
+    if llo > 1.0:
         return Verdict.UNSTABLE, (
             "a multiplier modulus interval lies entirely above 1"
         )
-    if shi_ < 1.0 and lhi < 1.0:
+    if min(map(abs, band)) > 1.0:
+        return Verdict.UNSTABLE, "|B| > 1 forces a multiplier modulus above 1"
+    if max(band) < 1.0 and lhi < 1.0:
         return Verdict.EXPONENTIALLY_STABLE, (
             "both multiplier modulus intervals lie entirely below 1"
         )
@@ -798,8 +796,6 @@ def verdict(a_interval, B: float):
             "B = 1 and the A interval lies inside (-2, 2): two distinct "
             "unit-circle multipliers"
         )
-    if math.isnan(llo) and abs(B) > 1.0:  # B overflowed, the moduli are NaN
-        return Verdict.UNSTABLE, "|B| > 1 forces a multiplier modulus above 1"
     return Verdict.UNDETERMINED, (
         "increase n or handle the unit-modulus critical case manually"
     )
@@ -847,10 +843,11 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
         A = math.fsum(terms)
         method = "discrete" if ts.is_discrete else "series"
     err = error_bound(spec, table, n)
+    if not math.isfinite(A):  # a NaN or infinite A(n) is never exact
+        err = ErrorBound(math.inf)
     interval = (A - err.value, A + err.value)
     rho = multipliers(interval, B)
-    root = cmath.sqrt(complex(A * A - 4.0 * B))
-    point_moduli = (abs((A - root) / 2.0), abs((A + root) / 2.0))
+    point_moduli = _moduli_at(A, B)
     v, why = verdict(interval, B)
     return FloquetReport(
         n=n,

@@ -11,7 +11,8 @@ round samples p and q with one ``evaluate_array`` call each, at the Gauss
 nodes of every active half-panel. The accepted propagators of an interval
 are multiplied in time order by pairwise products, and each scattered
 point applies its exact one-step product Y <- (I + mu S) Y. Shares nothing
-with the series path except expression evaluation. ``cross_check`` compares
+with the series path but expression evaluation and the time scale's
+one-sided-limit convention, ``timescale.inward``. ``cross_check`` compares
 the trace and determinant with the A(n), B and error bound of a report
 that ``analyze`` produced, so it checks the numbers the user sees without
 recomputing them.
@@ -28,7 +29,7 @@ from .errors import CheckFailed, StepSizeUnderflow
 from .floquet import FloquetReport, SystemSpec
 # unused here; kept because benchmarks/tracer.py wraps them in this module
 from .floquet import a_partial, compute_B, error_bound, solve_phi  # noqa: F401
-from .timescale import Interval
+from .timescale import Interval, inward
 
 # coefficient samples (p and q at one node count once) over all rounds
 _EVAL_BUDGET = 1_000_000
@@ -79,9 +80,9 @@ def _propagators(spec, lo, hi, ends, interval):
     h = hi - lo
     # nodes are clamped inward: coefficient values on a dense part are
     # one-sided limits at the segment boundary
-    eps = (b - a) * 1e-9
-    t = np.clip(lo[:, None] + h[:, None] * _C, (a + eps)[:, None],
-                (b - eps)[:, None]).ravel()
+    a_in, b_in = inward(a, b)
+    t = np.clip(lo[:, None] + h[:, None] * _C, a_in[:, None],
+                b_in[:, None]).ravel()
     q = ex.evaluate_array(spec.q, t).reshape(-1, 3)
     p = ex.evaluate_array(spec.p, t).reshape(-1, 3)
     _check_panels(np.isfinite(q) & np.isfinite(p), ends, interval,

@@ -202,6 +202,15 @@ class ValidatedTimeScale:
         return self._scattered_coords[lo:hi]
 
 
+def inward(a, b):
+    """The points (a + eps, b - eps), eps = (b - a) 1e-9, just inside the
+    ends of a dense part [a, b], for floats or arrays. Its coefficients are
+    read there: their values at the ends are one-sided limits, since an
+    isolated-point redefinition lives exactly on the segment boundary."""
+    eps = (b - a) * 1e-9
+    return a + eps, b - eps
+
+
 def validate(ts: PeriodicTimeScale) -> ValidatedTimeScale:
     """Check all PeriodicTimeScale invariants and canonicalize the segments."""
     return ValidatedTimeScale(ts)

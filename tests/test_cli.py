@@ -342,6 +342,28 @@ def test_nan_bound_constants_give_an_infinite_bound(tmp_path):
     assert not report.err_bound.exact
 
 
+def test_non_finite_A_is_never_exact(tmp_path):
+    # 240 unit steps with q ~ 400 at the exact order: the phase factor
+    # overflows, so A(240) is lost; its bound is infinite, never exact, and
+    # B = inf still proves a multiplier outside the unit circle
+    points = ", ".join(str(i) for i in range(241))
+    f = tmp_path / "lost_A.cfg"
+    f.write_text(f"period = 240\npoints = [{points}]\np = 0.1\n"
+                 "q = 400 + 50*cos(2*pi*t/240)\n")
+    result = invoke(str(f))
+    lines = result.output.splitlines()
+    assert "A(240) = nan" in lines
+    assert "error bound = inf" in lines
+    assert "verdict = unstable" in lines
+    assert result.exit_code == 1
+    result = invoke(str(f), "--json")
+    payload = json.loads(result.output)
+    assert math.isnan(payload["A_partial"])
+    assert payload["err_bound"] == {"value": math.inf, "exact": False}
+    assert payload["verdict"] == "unstable"
+    assert result.exit_code == 1
+
+
 @pytest.mark.parametrize("args", [(), ("--oracle",)])
 def test_non_finite_coefficient_exits_4(tmp_path, args):
     # q is 1 + 0 * (inf - inf) = NaN on the dense part: it is named before

@@ -152,6 +152,18 @@ def test_serialize_roundtrip(text, t):
     assert evaluate(again, t).hex() == evaluate(e, t).hex()
 
 
+@settings(max_examples=150, deadline=None)
+@given(_expr_text)
+@example("(-t)")  # d(-t) is the constant -1, as the parser writes -1
+def test_serialize_roundtrip_derivatives(text):
+    # the derivative trees of expressions without mod or neg1pow, whose
+    # placeholder cannot be written
+    d = differentiate(parse(text))
+    again = parse(serialize(d))
+    assert again == d
+    assert serialize(again) == serialize(d)
+
+
 # -- array evaluator ---------------------------------------------------------
 
 def _combine_array(children):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tsfloquet import (
     ErrorBound,
@@ -754,7 +755,7 @@ def test_verdict_examples():
     v, _ = verdict((1.9, 2.1), 1.0)
     assert v is Verdict.UNDETERMINED
     # B one ulp above 1 (rounding of a true B = 1) leaves the critical
-    # case undetermined; only an overflowed B with NaN moduli uses |B| > 1
+    # case undetermined: |B| > 1 decides only beyond that rounding
     v, _ = verdict((1.9, 2.1), 1.0 + 2**-52)
     assert v is Verdict.UNDETERMINED
     v, _ = verdict((-600.0, 600.0), 1.0 + 4e-16)
@@ -783,6 +784,27 @@ def test_verdict_near_B_one(A):
     # forces a modulus above 1
     v, _ = verdict((A + 10.0, A + 20.0), 1.0 + 2.0 ** -51)
     assert v is Verdict.UNSTABLE
+    # the mirror below 1: such a B may be exactly 1 too, so |rho1 rho2|
+    # may be 1 and neither modulus surely below it; as B <= 1, stable
+    for B in (1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 - 8 * 2.0 ** -52):
+        v, _ = verdict((A, A), B)
+        assert v is Verdict.STABLE
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(min_value=-2.0, max_value=2.0, exclude_min=True,
+                 exclude_max=True),
+       st.floats(min_value=1.0 - floquet._B_ROUNDING,
+                 max_value=1.0 + floquet._B_ROUNDING))
+@example(-1.6275858, 1.0)  # both moduli round below 1 at B = 1.0
+@example(0.5, 0.9999999999999999)
+def test_verdict_B_within_rounding_of_one(A, B):
+    # B may be exactly 1 and A lies inside (-2, 2): the multipliers may be
+    # two distinct points of the unit circle, and are nowhere else
+    v, _ = verdict((A, A), B)
+    assert v not in (Verdict.EXPONENTIALLY_STABLE, Verdict.UNSTABLE)
+    if B <= 1.0:
+        assert v is Verdict.STABLE
 
 
 # -- phase-form series --------------------------------------------------------
