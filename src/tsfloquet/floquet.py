@@ -144,8 +144,8 @@ def _sqrt_q(q_expr: ex.Expression, t: float, finite: bool = True) -> float:
 
 @dataclass
 class PhaseTable:
-    """phi at the scattered points plus the sqrt(q) rule on dense parts,
-    and the scattered sample it was built from.
+    """phi at the scattered points and at the dense starts, and the
+    scattered sample it was built from; on a dense part phi = sqrt(q).
 
     ``starts`` keeps phi = sqrt(q) where ``solve_phi`` evaluated it, at
     the start of each dense segment; ``start_phi`` reads it by segment.
@@ -164,12 +164,6 @@ class PhaseTable:
     sample: list  # [(t, mu, p(t), q(t))] at the scattered points, in order
     values: dict = field(default_factory=dict)  # scattered coord (and t0+T) -> phi
     starts: dict = field(default_factory=dict)  # dense segment index -> phi
-
-    def value(self, t: float) -> float:
-        _, t = self.ts.locate(t)
-        if t in self.values:
-            return self.values[t]
-        return _sqrt_q(self.q, t)
 
     def start_phi(self, i: int) -> float:
         """phi at the start of segment i: the chain value at a point, else
@@ -281,15 +275,23 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     formula: the product of 1 - mu p + mu^2 q over the scattered points
     times exp(-integral of p) over the dense intervals, in time order.
     ``sample`` is ``validate_system``'s sample of p and q at the scattered
-    points; without it, compute_B samples them itself."""
-    ts = spec.ts
+    points; without it, compute_B samples them itself.
+
+    The dense integrals come from ``tscalc.quad_intervals``: one
+    ``evaluate_array`` call of -p on the first GK15 panel of every dense
+    interval, then the scalar panel-halving loop on each interval whose
+    first panel falls short of ``quad_tol``. Where numpy's exp or power
+    differ from the scalar ones in the last ulp, B can move by about an
+    ulp."""
     prod = 1.0
     for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
         prod *= _step_factor(t, mu, p, q)
+    minus_p = ex.Neg(spec.p)  # -evaluate(p, t), bit for bit
     integral = 0.0
-    minus_p = ex.Neg(spec.p)._closure  # -evaluate(p, t), bit for bit
-    for a, b in ts.dense_intervals():
-        integral += tscalc._adaptive_quad(minus_p, a, b, spec.quad_tol)
+    for value in tscalc.quad_intervals(
+            minus_p._closure, lambda x: ex.evaluate_array(minus_p, x),
+            spec.ts.dense_intervals(), spec.quad_tol):
+        integral += value
     return float(prod * math.exp(integral))
 
 

@@ -4,14 +4,18 @@ One GK(7,15) panel and its adaptive panel-halving loop, with an
 absolute tolerance and an evaluation budget. The panel nodes are strictly
 interior, so isolated-point redefinitions of piecewise coefficients at
 segment endpoints never contaminate a dense integral. ``compute_B``
-integrates -p over each dense interval with it. The time-scale calculus
-built on it (delta integrals, e_g(t, s), cos_phi/sin_phi) is kept, as the
-literal definitions the engine is tested against, in
-``tests/calculus_reference.py``.
+integrates -p over every dense interval with ``quad_intervals``: one array
+pass over the first panels of all intervals, then the scalar loop on
+the intervals whose first panel falls short of the tolerance. The
+time-scale calculus built on it (delta integrals, e_g(t, s),
+cos_phi/sin_phi) is kept, as the literal definitions the engine is tested
+against, in ``tests/calculus_reference.py``.
 """
 from __future__ import annotations
 
 from typing import Union
+
+import numpy as np
 
 from .errors import QuadratureNonConvergence
 
@@ -34,22 +38,40 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod panel: returns (K15, |K15 - G7|)."""
+# The panel arithmetic is one IEEE operation per step, so floats and
+# arrays of panels (elementwise) give the same values bit for bit.
+
+def _panel_nodes(a, b):
+    """(h, nodes): the half-width of [a, b] and its 15 GK(7,15) nodes in
+    evaluation order: the midpoint c, then c - x_j and c + x_j for
+    j = 0..6."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(c)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
+    nodes = [c]
     for j in range(7):
         x = h * _XGK[j]
-        fsum = f(c - x) + f(c + x)
-        kron += _WGK[j] * fsum
+        nodes += [c - x, c + x]
+    return h, nodes
+
+
+def _panel_sums(h, fx):
+    """(K15, |K15 - G7|) from the values fx at ``_panel_nodes``' nodes."""
+    kron = _WGK[7] * fx[0]
+    gauss = _WG[3] * fx[0]
+    for j in range(7):
+        fsum = fx[2 * j + 1] + fx[2 * j + 2]
+        kron = kron + _WGK[j] * fsum
         if j % 2 == 1:
-            gauss += _WG[j // 2] * fsum
-    kron *= h
-    gauss *= h
+            gauss = gauss + _WG[j // 2] * fsum
+    kron = kron * h
+    gauss = gauss * h
     return kron, abs(kron - gauss)
+
+
+def _gk15(f, a: float, b: float):
+    """One Gauss-Kronrod panel: returns (K15, |K15 - G7|)."""
+    h, nodes = _panel_nodes(a, b)
+    return _panel_sums(h, [f(x) for x in nodes])
 
 
 def _adaptive_quad(f, a: float, b: float, tol: float) -> Number:
@@ -74,3 +96,34 @@ def _adaptive_quad(f, a: float, b: float, tol: float) -> Number:
             stack.append((lo, mid, 0.5 * budget))
             stack.append((mid, hi, 0.5 * budget))
     return total
+
+
+def quad_intervals(f, f_array, intervals: list, tol: float) -> list:
+    """``_adaptive_quad(f, a, b, tol)`` for each (a, b) of ``intervals``,
+    in order, bit for bit where ``f_array`` agrees with f.
+
+    ``f_array`` gives f at every node of an array. It is called once, on
+    the first panel's nodes of all intervals; an interval whose first
+    panel meets the acceptance rule gives 0.0 + K15, as the loop does,
+    and any other runs the loop from its start. If ``f_array`` raises,
+    every interval runs the loop, so the exception raised is the one the
+    loop meets first.
+    """
+    if not intervals:
+        return []
+    a, b = np.array(intervals, dtype=float).T
+    # Python float arithmetic overflows silently, numpy's would warn
+    with np.errstate(all="ignore"):
+        h, nodes = _panel_nodes(a, b)
+        try:
+            fx = f_array(np.array(nodes).T.ravel())
+        except Exception:
+            # the array pass may name a later t than the loop meets first
+            return [_adaptive_quad(f, lo, hi, tol) for lo, hi in intervals]
+        value, err = _panel_sums(h, fx.reshape(len(intervals), 15).T)
+        # the loop's acceptance rule for a first panel, whose budget is tol
+        done = (a < b) & ((err <= tol)
+                          | ((b - a) <= 1e-14 * np.maximum(1.0, abs(b))))
+    return [0.0 + v if ok else _adaptive_quad(f, lo, hi, tol)
+            for (lo, hi), v, ok in zip(intervals, value.tolist(),
+                                       done.tolist())]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import partial
 from typing import Callable
 
 from tsfloquet import expr as ex
@@ -118,6 +119,15 @@ def sin_phi(
     return complex(ts_exponential(lambda u: 1j * phi(u), t, s, ts, tol)).imag
 
 
+def phase_value(table: PhaseTable, t: float) -> float:
+    """phi(t): the value ``solve_phi`` stored at a scattered point (or at
+    t0 + T), else sqrt(q(t)) on a dense part."""
+    _, t = table.ts.locate(t)
+    if t in table.values:
+        return table.values[t]
+    return _sqrt_q(table.q, t)
+
+
 def phi_delta(table: PhaseTable, t: float) -> float:
     """Delta derivative of phi: difference quotient at scattered t,
     q'(t) / (2 sqrt(q(t))) at dense t."""
@@ -125,30 +135,32 @@ def phi_delta(table: PhaseTable, t: float) -> float:
     _, t = ts.locate(t)
     mu = ts.mu(t)
     if mu > 0 and t != ts.t_end:
-        return (table.value(t + mu) - table.value(t)) / mu
+        return (phase_value(table, t + mu) - phase_value(table, t)) / mu
     sqrt_q = _sqrt_q(table.q, t)
     return ex.evaluate(table.qprime, t) / (2.0 * sqrt_q)
 
 
 def h_fn(spec: SystemSpec, table: PhaseTable, t: float) -> float:
     """Perturbation coefficient h(t) = -p(t) - phi^D(t) / phi(t)."""
-    return -spec.p_at(t) - phi_delta(table, t) / table.value(t)
+    return -spec.p_at(t) - phi_delta(table, t) / phase_value(table, t)
 
 
 def kernel_P(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
     """P(t, s) = sin_phi(t, sigma(s)) / phi(sigma(s))."""
     ss = spec.ts.sigma(s)
+    phi = partial(phase_value, table)
     return (
-        sin_phi(table.value, t, ss, spec.ts, spec.quad_tol)
-        / table.value(ss)
+        sin_phi(phi, t, ss, spec.ts, spec.quad_tol)
+        / phase_value(table, ss)
     )
 
 
 def kernel_Q(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
     """Q(t, s) = phi(t) cos_phi(t, sigma(s)) / phi(sigma(s))."""
     ss = spec.ts.sigma(s)
+    phi = partial(phase_value, table)
     return (
-        table.value(t)
-        * cos_phi(table.value, t, ss, spec.ts, spec.quad_tol)
-        / table.value(ss)
+        phase_value(table, t)
+        * cos_phi(phi, t, ss, spec.ts, spec.quad_tol)
+        / phase_value(table, ss)
     )

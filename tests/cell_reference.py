@@ -24,6 +24,8 @@ from tsfloquet.floquet import (
 )
 from tsfloquet.timescale import Interval, Point
 
+from calculus_reference import phase_value
+
 
 def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
     """(x, sqrt(q), h) on the n + 1 equally spaced nodes x of [a, b],
@@ -74,8 +76,8 @@ class _Jump:
 
     def __init__(self, spec, table, t, mu, E):
         self.mu = mu
-        self.phi = table.value(t)
-        phi_sigma = table.value(t + mu)
+        self.phi = phase_value(table, t)
+        phi_sigma = phase_value(table, t + mu)
         self.h = -spec.p_at(t) - (phi_sigma - self.phi) / (mu * self.phi)
         self.E = E
         self.E_after = (1.0 + 1j * mu * self.phi) * E
@@ -114,8 +116,8 @@ class CellEngine:
                 self.events.append(jump)
                 E = jump.E_after
         self.E_T = E
-        self.phi0 = table.value(ts.t0)
-        self.phiT = table.value(ts.t_end)
+        self.phi0 = phase_value(table, ts.t0)
+        self.phiT = phase_value(table, ts.t_end)
 
     def term0(self) -> float:
         return (1.0 + self.phiT / self.phi0) * self.E_T.real

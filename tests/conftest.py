@@ -3,6 +3,7 @@ generators used by the property and oracle-equivalence suites, and the
 fundamental matrix helpers of the identity suites."""
 import math
 import random
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from tsfloquet import (
 from tsfloquet.errors import FloquetError
 from tsfloquet.floquet import validate_system
 
-from calculus_reference import cos_phi, sin_phi
+from calculus_reference import cos_phi, phase_value, sin_phi
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,7 +184,7 @@ def random_hybrid_system(seed):
             continue
         for seg in ts.segments:
             if isinstance(seg, Interval):
-                assert abs(table.value(seg.a) - phi_val(seg.a)) < 1e-12
+                assert abs(phase_value(table, seg.a) - phi_val(seg.a)) < 1e-12
         return spec
     raise AssertionError("could not generate a valid hybrid system")
 
@@ -193,20 +194,22 @@ def random_hybrid_system(seed):
 def fundamental_matrix(spec: SystemSpec, table: PhaseTable, t: float):
     """X(t) built from cos_phi, sin_phi and phi; X(t0) = I."""
     ts = spec.ts
-    phi0 = table.value(ts.t0)
-    phi_t = table.value(t)
-    c = cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    s = sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    phi0 = phase_value(table, ts.t0)
+    phi_t = phase_value(table, t)
+    phi = partial(phase_value, table)
+    c = cos_phi(phi, t, ts.t0, ts, spec.quad_tol)
+    s = sin_phi(phi, t, ts.t0, ts, spec.quad_tol)
     return np.array([[c, s / phi0], [-phi_t * s, phi_t * c / phi0]])
 
 
 def fundamental_matrix_inverse(spec: SystemSpec, table: PhaseTable, t: float):
     """Closed-form X(t)^{-1}; e_{mu phi^2}(t, t0) = cos_phi^2 + sin_phi^2."""
     ts = spec.ts
-    phi0 = table.value(ts.t0)
-    phi_t = table.value(t)
-    c = cos_phi(table.value, t, ts.t0, ts, spec.quad_tol)
-    s = sin_phi(table.value, t, ts.t0, ts, spec.quad_tol)
+    phi0 = phase_value(table, ts.t0)
+    phi_t = phase_value(table, t)
+    phi = partial(phase_value, table)
+    c = cos_phi(phi, t, ts.t0, ts, spec.quad_tol)
+    s = sin_phi(phi, t, ts.t0, ts, spec.quad_tol)
     e = c * c + s * s
     return np.array([
         [c / e, -s / (phi_t * e)],

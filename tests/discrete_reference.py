@@ -12,6 +12,8 @@ import numpy as np
 
 from tsfloquet.floquet import PhaseTable, SystemSpec
 
+from calculus_reference import phase_value
+
 
 def discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
     """Exact A_0..A_n on a purely discrete scale by tuple enumeration."""
@@ -20,7 +22,7 @@ def discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
     k = len(scattered)
     coords = [t for t, _ in scattered]
     mus = [m for _, m in scattered]
-    phis = [table.value(t) for t in coords]
+    phis = [phase_value(table, t) for t in coords]
     hs = []
     E_before, E_after = [], []
     E = 1.0 + 0.0j
@@ -28,14 +30,14 @@ def discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
         E_before.append(E)
         E = (1.0 + 1j * mu * phi) * E
         E_after.append(E)
-        phi_sigma = table.value(t + mu)
+        phi_sigma = phase_value(table, t + mu)
         hs.append(-spec.p_at(t) - (phi_sigma - phi) / (mu * phi))
     E_T = E
-    phi0 = table.value(ts.t0)
-    phiT = table.value(ts.t_end)
+    phi0 = phase_value(table, ts.t0)
+    phiT = phase_value(table, ts.t_end)
 
     def phi_sigma(i):
-        return table.value(coords[i] + mus[i])
+        return phase_value(table, coords[i] + mus[i])
 
     # Q between scattered points (row: outer/later, col: inner/earlier)
     Q = np.zeros((k, k))

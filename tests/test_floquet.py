@@ -37,11 +37,12 @@ from tsfloquet.errors import (
     NotContinuousScale,
     NotRegressive,
     PhiVanishes,
+    QuadratureNonConvergence,
 )
 from scipy.integrate import cumulative_simpson
 
 from tsfloquet import expr as ex
-from tsfloquet import floquet
+from tsfloquet import floquet, tscalc
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.floquet import (
     _BOUNDS_GRID,
@@ -55,6 +56,7 @@ from calculus_reference import (
     h_fn,
     kernel_P,
     kernel_Q,
+    phase_value,
     phi_delta,
     ts_exponential,
 )
@@ -76,15 +78,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_solve_phi_integer_example(example_z):
     table = solve_phi(example_z, seed=1.0)
-    assert table.value(0) == 1.0
-    assert table.value(1) == pytest.approx(-7 / 8, abs=1e-15)
-    assert table.value(2) == pytest.approx(-8 / 7, abs=1e-15)
+    assert phase_value(table, 0) == 1.0
+    assert phase_value(table, 1) == pytest.approx(-7 / 8, abs=1e-15)
+    assert phase_value(table, 2) == pytest.approx(-8 / 7, abs=1e-15)
 
 
 def test_solve_phi_hybrid_is_one(example_hybrid):
     table = solve_phi(example_hybrid)
     for t in (0.0, 1.0, PI, 2 * PI):
-        assert table.value(t) == pytest.approx(1.0, abs=1e-14)
+        assert phase_value(table, t) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -94,11 +96,11 @@ def test_phi_defining_equation(seed):
     table = solve_phi(spec)
     ts = spec.ts
     for t, mu in ts.scattered_with_mu():
-        assert table.value(t + mu) * table.value(t) == pytest.approx(
-            spec.q_at(t), rel=1e-12)
+        product = phase_value(table, t + mu) * phase_value(table, t)
+        assert product == pytest.approx(spec.q_at(t), rel=1e-12)
     for a, b in ts.dense_intervals():
         mid = (a + b) / 2
-        assert table.value(mid) == pytest.approx(
+        assert phase_value(table, mid) == pytest.approx(
             math.sqrt(spec.q_at(mid)), rel=1e-14)
 
 
@@ -222,7 +224,7 @@ def _reference_B(spec):
 
 
 @pytest.mark.parametrize("family", ["configs", "hybrid", "discrete",
-                                    "workload"])
+                                    "workload", "kinked"])
 def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
     # one walk over the scattered points and the dense intervals keeps the
     # generalized exponential's arithmetic in its order, bit for bit
@@ -233,6 +235,14 @@ def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
         systems = [random_hybrid_system(seed) for seed in range(100)]
     elif family == "discrete":
         systems = [random_discrete_system(seed) for seed in range(100)]
+    elif family == "kinked":  # p with a kink or a step on the dense parts
+        systems = []
+        for seed in range(50):
+            spec = random_hybrid_system(seed)
+            a, b = spec.ts.dense_intervals()[0]
+            step = f"if(lt(t, {a + 0.3 * (b - a)!r}), 0.2, -0.1)"
+            for p in ("abs(sin(3*t))", step):
+                systems.append(SystemSpec(spec.ts, parse(p), spec.q))
     else:  # a 100-cell benchmark hybrid
         monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
         import workloads
@@ -244,6 +254,92 @@ def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
     assert systems
     for spec in systems:
         assert compute_B(spec).hex() == _reference_B(spec).hex()
+    if family == "kinked":
+        # first panels that fall short of quad_tol go on to the scalar loop
+        panels = _record_panels(monkeypatch)
+        for spec in systems:
+            compute_B(spec)
+        assert panels
+
+
+def _record_panels(monkeypatch) -> list:
+    """The list that (a, b) of every panel of the scalar loop goes to."""
+    panels = []
+    gk15 = tscalc._gk15
+
+    def record(f, a, b):
+        panels.append((a, b))
+        return gk15(f, a, b)
+    monkeypatch.setattr(tscalc, "_gk15", record)
+    return panels
+
+
+def _scalar_B(spec):
+    """compute_B with every dense interval integrated by the scalar
+    panel-halving loop from its start, in time order."""
+    prod = 1.0
+    for t, mu in spec.ts.scattered_with_mu():
+        prod *= floquet._step_factor(t, mu, spec.p_at(t), spec.q_at(t))
+    integral = 0.0
+    for a, b in spec.ts.dense_intervals():
+        integral += tscalc._adaptive_quad(lambda t: -spec.p_at(t), a, b,
+                                          spec.quad_tol)
+    return float(prod * math.exp(integral))
+
+
+def _outcome(B, spec):
+    """B(spec) in hex, or the type and message of what it raises."""
+    try:
+        return B(spec).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_compute_B_raises_what_the_scalar_loop_raises():
+    # p fails at a refinement node of [0, 1], where sqrt's argument is
+    # negative between the first panel's nodes, and at the first panel's
+    # midpoint 2.5 of [2, 3]; the array pass meets t = 2.5 first, the
+    # scalar loop the refinement node
+    ts = validate(PeriodicTimeScale(
+        0.0, 3.0, [Interval(0.0, 1.0), Interval(2.0, 3.0)]))
+    spec = SystemSpec(ts, parse("sqrt(abs(t - 0.25) - 0.01) + 1/(t - 2.5)"),
+                      parse("1"))
+    want = _outcome(_scalar_B, spec)
+    assert want[0] is DomainError and "t=2.5" not in want[1]
+    assert _outcome(compute_B, spec) == want
+
+
+_BUDGET_SPENT = (QuadratureNonConvergence,
+                 "tolerance 1e-09 unreachable within 1000000 evaluations")
+
+
+@pytest.mark.parametrize("width, p, want", [
+    pytest.param(2.0 ** -50, "1e308", "0x0.0p+0", id="short-1e308"),
+    pytest.param(2.0 ** -50, "-1e308*t", "inf", id="short-minus-1e308t"),
+    pytest.param(1.0, "1e308", _BUDGET_SPENT, id="unit-1e308"),
+])
+def test_compute_B_overflowing_panel_sums(width, p, want):
+    # f(c - x) + f(c + x) overflows on every panel: on the short interval
+    # the first panel is accepted by its width, so B is 0 or inf; on
+    # [1, 2] the NaN error refines until the budget runs out. Tier-1 turns
+    # a RuntimeWarning of the array pass into an error.
+    ts = validate(PeriodicTimeScale(1.0, width, [Interval(1.0, 1.0 + width)]))
+    spec = SystemSpec(ts, parse(p), parse("1"))
+    assert _outcome(_scalar_B, spec) == want
+    assert _outcome(compute_B, spec) == want
+
+
+def test_compute_B_quadrature_nonconvergence(monkeypatch):
+    # the array pass settles [0, 1]; [2, 3] runs the scalar loop from its
+    # start and spends its whole budget of 1,000,000 evaluations there
+    ts = validate(PeriodicTimeScale(
+        0.0, 3.0, [Interval(0.0, 1.0), Interval(2.0, 3.0)]))
+    spec = SystemSpec(ts, parse("if(lt(t, 1.5), 0.5, sin(1e6*t))"),
+                      parse("1"))
+    panels = _record_panels(monkeypatch)
+    assert _outcome(compute_B, spec) == _BUDGET_SPENT
+    assert len(panels) == 1_000_000 // 15 + 1
+    assert min(panels)[0] == 2.0 and max(panels)[1] == 3.0
 
 
 # -- series terms ------------------------------------------------------------
@@ -601,9 +697,10 @@ def test_valid_grids_never_replay_the_scalar_walk(monkeypatch, tmp_path):
             analyze(spec, n=3)
             if spec.ts.is_continuous:
                 analyze(spec, n=3, use_shi=True)
-    # p, q and q' on two grids per run: series (or phase) and bound; 15
-    # scales have intervals, 13 of them are continuous
-    assert len(grids) == 3 * 2 * (15 + 13)
+    # p, q and q' on two grids per run, series (or phase) and bound, and
+    # -p on the first GK15 panels of B; 15 scales have intervals, 13 of
+    # them are continuous
+    assert len(grids) == (3 * 2 + 1) * (15 + 13)
 
     def replay(e, t):
         raise AssertionError(f"scalar replay at t={t}")
@@ -716,7 +813,7 @@ def test_phi_constant_on_reals():
     spec = SystemSpec(ts, parse("0"), parse("1/4"))
     table = solve_phi(spec)
     for t in (0.0, 1.0, PI / 2, PI):
-        assert table.value(t) == pytest.approx(0.5, abs=1e-14)
+        assert phase_value(table, t) == pytest.approx(0.5, abs=1e-14)
         assert phi_delta(table, t) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -727,7 +824,7 @@ def test_fundamental_matrix_dense_derivative(example_continuous):
     for t in (0.4, 1.1, 2.3):
         dX = (fundamental_matrix(spec, table, t + h)
               - fundamental_matrix(spec, table, t - h)) / (2 * h)
-        phi = table.value(t)
+        phi = phase_value(table, t)
         C = np.array([[0.0, 1.0],
                       [-spec.q_at(t), phi_delta(table, t) / phi]])
         rhs = C @ fundamental_matrix(spec, table, t)
@@ -877,7 +974,7 @@ def test_fundamental_matrix_identities(seed):
     for s, mu in ts.scattered_with_mu():
         C = np.array([
             [0.0, 1.0],
-            [-spec.q_at(s), phi_delta(table, s) / table.value(s)],
+            [-spec.q_at(s), phi_delta(table, s) / phase_value(table, s)],
         ])
         lhs = fundamental_matrix(spec, table, s + mu)
         rhs = (np.eye(2) + mu * C) @ fundamental_matrix(spec, table, s)
@@ -892,8 +989,9 @@ def test_fundamental_matrix_det(seed):
     table = solve_phi(spec)
     t = ts.t_end
     X = fundamental_matrix(spec, table, t)
-    e = ts_exponential(lambda u: ts.mu(u) * table.value(u) ** 2, t, ts.t0, ts)
-    want = table.value(t) * e / table.value(ts.t0)
+    e = ts_exponential(lambda u: ts.mu(u) * phase_value(table, u) ** 2,
+                       t, ts.t0, ts)
+    want = phase_value(table, t) * e / phase_value(table, ts.t0)
     assert float(np.linalg.det(X)) == pytest.approx(want, rel=1e-8)
 
 
