@@ -54,22 +54,21 @@ def _const(text: str, line: int) -> float:
 
 
 def _split_top(text: str, line: int) -> list:
-    """Split a comma-separated list at bracket depth zero."""
-    parts, depth, cur = [], 0, []
+    """Split a comma-separated list outside all brackets and parentheses."""
+    parts, opened, cur = [], [], []
     for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ConfigParseError("unbalanced ']'", line)
-        if ch == "," and depth == 0:
+        if ch in "[(":
+            opened.append(ch)
+        elif ch in "])":
+            if not opened or opened.pop() + ch not in ("[]", "()"):
+                raise ConfigParseError(f"unbalanced {ch!r}", line)
+        if ch == "," and not opened:
             parts.append("".join(cur).strip())
             cur = []
         else:
             cur.append(ch)
-    if depth != 0:
-        raise ConfigParseError("unbalanced '['", line)
+    if opened:
+        raise ConfigParseError(f"unbalanced {opened[-1]!r}", line)
     tail = "".join(cur).strip()
     if tail:
         parts.append(tail)

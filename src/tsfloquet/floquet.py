@@ -30,9 +30,8 @@ recursion is exact up to rounding and costs O(n k) for k scattered points.
 Per-point work is done once per analysis. ``validate_system`` samples p
 and q once at every scattered point, in time order, and checks the
 sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` keeps
-phi at each dense start as ``solve_phi`` sampled it and one jump record per
-scattered point (mu, phi(t), phi(sigma(t)), h(t)); both engines, the series
-grid and the bound grid, read them and add only what depends on the grid.
+phi at each dense start as ``solve_phi`` sampled it, and the one series
+engine per analysis: the terms read its grid, the bound every 8th node.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -42,7 +41,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import islice
 from typing import Optional
 
@@ -69,7 +67,7 @@ class PhiDiscontinuityWarning(UserWarning):
 
 _PHI_MIN = 1e-14
 _GRID_DIVISIONS = 4096
-_BOUNDS_GRID = 512
+_BOUND_STRIDE = 8
 _BOUNDS_ROWS = 64
 _TINY = np.finfo(float).tiny
 _MAX_DEPTH_DENSE = 8
@@ -149,13 +147,8 @@ class PhaseTable:
 
     ``starts`` keeps phi = sqrt(q) where ``solve_phi`` evaluated it, at
     the start of each dense segment; ``start_phi`` reads it by segment.
-
-    ``jumps`` is the per-analysis jump record: (mu, phi(t), phi(sigma(t)),
-    h(t)) at every scattered t in time order, with
-    h = -p - (phi(sigma(t)) - phi(t)) / (mu phi(t)). It is built on first
-    read, by the first series engine after its dense sampling, so its
-    errors (a NaN q at a dense endpoint) come in the same order as when
-    each engine built its own; every later engine reads the same record.
+    ``engine`` is the analysis's one ``_SeriesEngine``, which ``_engine``
+    builds on first use for the series terms and the truncation bound.
     """
 
     ts: ValidatedTimeScale
@@ -164,6 +157,7 @@ class PhaseTable:
     sample: list  # [(t, mu, p(t), q(t))] at the scattered points, in order
     values: dict = field(default_factory=dict)  # scattered coord (and t0+T) -> phi
     starts: dict = field(default_factory=dict)  # dense segment index -> phi
+    engine: Optional[_SeriesEngine] = field(default=None, repr=False)
 
     def start_phi(self, i: int) -> float:
         """phi at the start of segment i: the chain value at a point, else
@@ -174,17 +168,6 @@ class PhaseTable:
             return self.values[t]
         _check_finite("q", self.starts[i], t, "on a dense part")
         return self.starts[i]
-
-    @cached_property
-    def jumps(self) -> list:
-        record = []
-        # the scattered point t ends segment i; sigma(t) starts i + 1
-        for i, (t, mu, p, _) in enumerate(self.sample):
-            phi = self.values[t]
-            phi_sigma = self.start_phi(i + 1)
-            record.append((mu, phi, phi_sigma,
-                           -p - (phi_sigma - phi) / (mu * phi)))
-        return record
 
 
 def _check_phi(v: float, where: float) -> float:
@@ -412,17 +395,19 @@ def cumulative_simpson(y, weights):
 
 
 class _Jump:
-    """One right-scattered point t with graininess mu and, as scalars, the
-    fields a dense row holds per node: phi(t), E before the point's own
-    step, h(t) and D = phi(sigma(t)) E(sigma(t)); also the level weight
-    W = h / D and E_after = E(sigma(t)). mu, phi(t), phi(sigma(t)) and h
-    come from the table's jump record; E, E_after, D and W depend on the
-    grid that E was carried over."""
+    """The right-scattered point t that ends segment i, with graininess mu
+    and, as scalars, the fields a dense row holds per node: phi(t), E
+    before the point's own step, h(t) = -p - (phi(sigma(t)) - phi(t)) /
+    (mu phi(t)) and D = phi(sigma(t)) E(sigma(t)); also the level weight
+    W = h / D and E_after = E(sigma(t)). p and phi come from the table."""
 
     __slots__ = ("mu", "phi", "E", "h", "D", "W", "E_after")
 
-    def __init__(self, record, E):
-        self.mu, self.phi, phi_sigma, self.h = record
+    def __init__(self, table: PhaseTable, i: int, E: complex):
+        t, self.mu, p, _ = table.sample[i]
+        self.phi = table.values[t]
+        phi_sigma = table.start_phi(i + 1)  # sigma(t) starts segment i + 1
+        self.h = -p - (phi_sigma - self.phi) / (self.mu * self.phi)
         self.E = E
         self.E_after = (1.0 + 1j * self.mu * self.phi) * E
         self.D = phi_sigma * self.E_after
@@ -430,26 +415,26 @@ class _Jump:
 
 
 class _SeriesEngine:
-    """Precomputed grids for evaluating the series terms A_n.
+    """Precomputed grids for the series terms A_n and their tail bound.
 
     The dense cells are the rows of one stacked (cells, nodes) grid that
     holds x, phi, h, the complex phase factor E(t) = e_{i phi}(t, t0) and
     D = phi E (sigma(t) = t there); the scattered points are scalar
-    ``_Jump``s with the same fields, built from the table's jump record.
+    ``_Jump``s with the same fields, built in time order after the dense
+    sampling, so a NaN q at a dense start is named after the grid's nodes.
     Each series order is the two running integrals J and K of W = h / D
     against the previous level's G and H: one Simpson call over the
     (2, cells, nodes) stack of W G and W H, then a scalar walk over cells
     and jumps in time order, in Python complex arithmetic, that carries
     both running offsets, adding a cell's row totals (read with one
     ``tolist``) or a jump's exact (mu W) g and (mu W) h steps; the offsets
-    reach the rows in one assignment. State is per-instance, never
-    shared; the table's jump record is read, never written.
+    reach the rows in one assignment. State is per-instance, and no method
+    changes it, so the series and the bound share one engine.
     """
 
-    def __init__(self, spec: SystemSpec, table: PhaseTable,
-                 divisions: int = _GRID_DIVISIONS):
+    def __init__(self, spec: SystemSpec, table: PhaseTable):
         ts = spec.ts
-        spacing = ts.period / divisions
+        spacing = ts.period / _GRID_DIVISIONS
         cells = []
         for a, b in ts.dense_intervals():
             n = max(16, int(math.ceil((b - a) / spacing)))
@@ -463,10 +448,9 @@ class _SeriesEngine:
             self.E = np.empty_like(U)
         self.events = []  # dense row index | _Jump, in time order
         self.jumps = []
-        records = iter(table.jumps)  # built after the dense sampling
         E = 1.0 + 0.0j
         row = 0
-        for seg, step in ts.steps():
+        for i, (seg, step) in enumerate(ts.steps()):
             if isinstance(seg, Interval):
                 # E carries on from the row's last node: the scalar product
                 # E * U[row, last] would round differently
@@ -475,7 +459,7 @@ class _SeriesEngine:
                 self.events.append(row)
                 row += 1
             if step is not None:
-                jump = _Jump(next(records), E)
+                jump = _Jump(table, i, E)
                 self.events.append(jump)
                 self.jumps.append(jump)
                 E = jump.E_after
@@ -547,11 +531,20 @@ class _SeriesEngine:
 
     # -- supremum grids for the truncation bound ---------------------------
 
+    def bound_nodes(self):
+        """The mask of the dense nodes the bound reads: every 8th node of a
+        row, closer where a row would keep under 16 intervals, and its last."""
+        last = np.array(self.last)[:, None]
+        stride = np.minimum(_BOUND_STRIDE, last // 16)
+        k = np.arange(self.x.shape[1])
+        return ((k % stride == 0) & self.real) | (k == last)
+
     # on long periods E overflows and the tables hold inf and NaN;
     # error_bound reads a NaN constant as an infinite bound
     @np.errstate(invalid="ignore", over="ignore")
     def bound_constants(self):
-        """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|.
+        """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|, over
+        the ``bound_nodes`` of the series grid and every jump.
 
         K2 is the maximum of |Re(u_t M_s)| and K1 of |a_t QT_s - b_t PT_s|
         over every pair (t, s) of nodes and jumps, a 2-D dot product per
@@ -570,12 +563,13 @@ class _SeriesEngine:
         subnormal, or when max(rn) max(cn) is not finite (an overflowed E,
         whose NaN must reach the bound).
         """
-        # phi, E, h and 1 / D at every real dense node, then at every jump:
+        # phi, E, h and 1 / D at the bound's dense nodes, then at every jump:
         # the constants are maxima, so the order of the nodes does not matter
         phi_t, E_t, h_t, M_s = [], [], [], []
         if self.rows:
-            phi_t, E_t, h_t, M_s = (a[self.real] for a in
-                                    (self.phi, self.E, self.h, 1.0 / self.D))
+            nodes = self.bound_nodes()
+            phi_t, E_t, h_t, M_s = (self.phi[nodes], self.E[nodes],
+                                    self.h[nodes], 1.0 / self.D[nodes])
         jumps = self.jumps
         phi_t = np.hstack([phi_t, [ev.phi for ev in jumps], [self.phiT]])
         E_t = np.hstack([E_t, [ev.E for ev in jumps], [self.E_T]])
@@ -631,7 +625,14 @@ def _series_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
             f"n={n} exceeds the depth budget {_MAX_DEPTH_DENSE} on a "
             "non-discrete scale"
         )
-    return _SeriesEngine(spec, table).terms(n)
+    return _engine(spec, table).terms(n)
+
+
+def _engine(spec: SystemSpec, table: PhaseTable) -> _SeriesEngine:
+    """The table's series engine, built on first use: one per analysis."""
+    if table.engine is None:
+        table.engine = _SeriesEngine(spec, table)
+    return table.engine
 
 
 def a_term(spec: SystemSpec, table: PhaseTable, n: int) -> float:
@@ -646,9 +647,9 @@ def a_partial(spec: SystemSpec, table: PhaseTable, n: int) -> float:
 
 def estimate_bounds(spec: SystemSpec, table: PhaseTable):
     """(K1, K2, K3): suprema of the two-argument kernel |h(t,s)|, of
-    |Q(t,s)| and of |h(t)|, estimated on all scattered points plus dense
-    grids of 512 points per period, at least 16 per dense cell."""
-    return _SeriesEngine(spec, table, divisions=_BOUNDS_GRID).bound_constants()
+    |Q(t,s)| and of |h(t)|, estimated on all scattered points plus every
+    8th node of the table's series grid, at least 16 intervals per cell."""
+    return _engine(spec, table).bound_constants()
 
 
 @dataclass(frozen=True)

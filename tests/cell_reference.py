@@ -17,6 +17,7 @@ from scipy.integrate import cumulative_simpson
 from tsfloquet import expr as ex
 from tsfloquet.errors import NegativeQOnDense
 from tsfloquet.floquet import (
+    _BOUND_STRIDE,
     _BOUNDS_ROWS,
     _GRID_DIVISIONS,
     PhaseTable,
@@ -55,9 +56,8 @@ class _DenseCell:
 
     __slots__ = ("x", "phi", "E", "h", "D", "W")
 
-    def __init__(self, spec: SystemSpec, a: float, b: float, E0: complex,
-                 divisions: int):
-        spacing = spec.ts.period / divisions
+    def __init__(self, spec: SystemSpec, a: float, b: float, E0: complex):
+        spacing = spec.ts.period / _GRID_DIVISIONS
         n = max(16, int(math.ceil((b - a) / spacing)))
         n += n % 2
         self.x, self.phi, self.h = _sample_dense(spec, a, b, n)
@@ -97,8 +97,7 @@ class CellEngine:
     shared.
     """
 
-    def __init__(self, spec: SystemSpec, table: PhaseTable,
-                 divisions: int = _GRID_DIVISIONS):
+    def __init__(self, spec: SystemSpec, table: PhaseTable):
         self.spec = spec
         self.table = table
         ts = spec.ts
@@ -107,7 +106,7 @@ class CellEngine:
         scattered = dict(ts.scattered_with_mu())
         for i, seg in enumerate(ts.segments):
             if isinstance(seg, Interval):
-                cell = _DenseCell(spec, seg.a, seg.b, E, divisions)
+                cell = _DenseCell(spec, seg.a, seg.b, E)
                 self.events.append(cell)
                 E = cell.E[-1]
             end = seg.x if isinstance(seg, Point) else seg.b
@@ -163,13 +162,21 @@ class CellEngine:
     # and NaN
     @np.errstate(invalid="ignore", over="ignore")
     def bound_constants(self):
-        """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|."""
-        ev = self.events
-        phi_t = np.hstack([e.phi for e in ev] + [self.phiT])
-        E_t = np.hstack([e.E for e in ev] + [self.E_T])
-        h_t = np.hstack([e.h for e in ev])
-        M_s = np.hstack([1.0 / e.D for e in ev]
-                        + [1.0 / (self.phiT * self.E_T)])
+        """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)| over
+        every jump and every 8th node of each cell, closer where a cell
+        would get under 16 intervals, and each cell's last node."""
+        fields = []  # (phi, E, h, 1 / D) at the nodes read, in time order
+        for e in self.events:
+            if isinstance(e, _DenseCell):
+                n = len(e.x) - 1
+                k = np.r_[0:n:min(_BOUND_STRIDE, n // 16), n]
+                fields.append((e.phi[k], e.E[k], e.h[k], 1.0 / e.D[k]))
+            else:
+                fields.append(([e.phi], [e.E], [e.h], [1.0 / e.D]))
+        phi_t, E_t, h_t, M_s = (np.hstack(f) for f in zip(*fields))
+        phi_t = np.hstack([phi_t, [self.phiT]])
+        E_t = np.hstack([E_t, [self.E_T]])
+        M_s = np.hstack([M_s, [1.0 / (self.phiT * self.E_T)]])
 
         K3 = float(np.max(np.abs(h_t)))
         QT = self.phiT * (self.E_T * M_s).real

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from tsfloquet import SystemSpec, parse, solve_phi
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.floquet import (
-    _BOUNDS_GRID,
     _BOUNDS_ROWS,
     _SeriesEngine,
     _pruned_max,
@@ -46,8 +45,8 @@ def test_long_hybrid_matches_the_full_table(workloads, tmp_path, seed,
                                             damped, geometry):
     spec = _hybrid(workloads, tmp_path, seed, damped, geometry)
     table = solve_phi(spec)
-    stacked = _SeriesEngine(spec, table, divisions=_BOUNDS_GRID)
-    per_cell = CellEngine(spec, table, divisions=_BOUNDS_GRID)
+    stacked = _SeriesEngine(spec, table)
+    per_cell = CellEngine(spec, table)
     assert _hex(stacked.bound_constants()) == \
         _hex(per_cell.bound_constants())
 
@@ -72,9 +71,8 @@ def test_long_discrete_matches_the_full_table(workloads, tmp_path, kind, k):
     spec = (_discrete(workloads, tmp_path, k) if kind == "workload"
             else _overflow(k))
     table = solve_phi(spec)
-    K = _SeriesEngine(spec, table, divisions=_BOUNDS_GRID).bound_constants()
-    assert _hex(K) == _hex(
-        CellEngine(spec, table, divisions=_BOUNDS_GRID).bound_constants())
+    K = _SeriesEngine(spec, table).bound_constants()
+    assert _hex(K) == _hex(CellEngine(spec, table).bound_constants())
     # the overflowing scales reach the NaN path at both lengths
     assert np.isnan(K[0]) == (kind == "overflow")
 
@@ -84,8 +82,8 @@ def test_long_hybrid_builds_few_table_entries(workloads, tmp_path,
     # K1 and K2 over N nodes are maxima over 2 N^2 pairs; building all of
     # them again would bring back the O(N^2) cost
     spec = _hybrid(workloads, tmp_path, 1, True, "gentle")
-    engine = _SeriesEngine(spec, solve_phi(spec), divisions=_BOUNDS_GRID)
-    N = sum(last + 1 for last in engine.last) + len(engine.jumps) + 1
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    N = engine.bound_nodes().sum() + len(engine.jumps) + 1
     built = []
     outer = np.outer
 
@@ -96,7 +94,7 @@ def test_long_hybrid_builds_few_table_entries(workloads, tmp_path,
 
     monkeypatch.setattr(np, "outer", counting)
     engine.bound_constants()
-    assert N == 1901
+    assert N == 2001
     assert 0 < sum(built) < 0.05 * 2 * N * N
 
 

@@ -78,6 +78,23 @@ def test_comments_and_constant_expressions(tmp_path):
     assert cfg.p == "0"  # default
 
 
+def test_list_entries_keep_their_parentheses(tmp_path):
+    # a comma inside a call's parentheses does not split a list entry
+    f = tmp_path / "ok.cfg"
+    f.write_text("period = 2\npoints = [0, mod(7, 6), 2]\nq = 1\n")
+    assert load_config(f).points == [0.0, 1.0, 2.0]
+    assert invoke(str(f)).exit_code in (0, 1)
+    for points, closer in (("[0, 1), 2]", ")"), ("[0, (1], 2]", "]"),
+                           ("[0, mod(1, 2]", "(")):
+        f.write_text(f"period = 2\npoints = {points}\nq = 1\n")
+        with pytest.raises(ConfigParseError,
+                           match=re.escape(f"unbalanced {closer!r}")) as exc:
+            load_config(f)
+        assert exc.value.line == 2
+        result = invoke(str(f))
+        assert result.exit_code == 3 and "config error" in result.stderr
+
+
 # -- golden transcripts ------------------------------------------------------
 
 GOLDEN_Z = """\

@@ -45,7 +45,6 @@ from tsfloquet import expr as ex
 from tsfloquet import floquet, tscalc
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.floquet import (
-    _BOUNDS_GRID,
     PhiDiscontinuityWarning,
     _SeriesEngine,
     validate_system,
@@ -600,10 +599,7 @@ def test_stacked_engine_matches_cell_reference(kind, key, workloads,
     # are equal to the loop's, not just close
     spec = _reference_spec(kind, key, workloads, tmp_path)
     table = solve_phi(spec)
-    assert _SeriesEngine(spec, table).terms(8) == \
-        CellEngine(spec, table).terms(8)
-    stacked = _SeriesEngine(spec, table, divisions=_BOUNDS_GRID)
-    per_cell = CellEngine(spec, table, divisions=_BOUNDS_GRID)
+    stacked, per_cell = _SeriesEngine(spec, table), CellEngine(spec, table)
     assert stacked.terms(8) == per_cell.terms(8)
     assert stacked.bound_constants() == per_cell.bound_constants()
 
@@ -613,9 +609,10 @@ def test_stacked_engine_matches_cell_reference(kind, key, workloads,
     ("config", "example_continuous.cfg"), ("benchmark", "hybrid100_damped")])
 def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
                                                      tmp_path, monkeypatch):
-    # validate_system, solve_phi, compute_B and both engines (the series
-    # grid and the bound grid) share one sample of p and q per scattered
-    # point, one jump record and one sample of q per dense start
+    # validate_system, solve_phi, compute_B and the one engine, which the
+    # series and the bound share, read one sample of p and q per scattered
+    # point and one sample of q per dense start; the engine builds one jump
+    # per scattered point
     spec = _reference_spec(kind, key, workloads, tmp_path)
     scattered = {t for t, _ in spec.ts.scattered_with_mu()}
     starts = [a for a, _ in spec.ts.dense_intervals()]
@@ -631,31 +628,44 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
             at_starts.append(t)
         return evaluate(e, t)
 
-    built = []
-    record = floquet.PhaseTable.jumps.func
-
-    def counted_record(table):
-        built.append(table)
-        return record(table)
-
-    jumps = functools.cached_property(counted_record)
-    jumps.__set_name__(floquet.PhaseTable, "jumps")
-    monkeypatch.setattr(floquet.PhaseTable, "jumps", jumps)
     monkeypatch.setattr(ex, "evaluate", counted)
-    engines = []
+    engines, jumps = [], []
     monkeypatch.setattr(floquet, "_SeriesEngine", functools.partial(
-        _counted_engine, engines))
+        _counted, engines, _SeriesEngine))
+    monkeypatch.setattr(floquet, "_Jump", functools.partial(
+        _counted, jumps, floquet._Jump))
     report = analyze(spec, n=3)
     # in time order, p before q
     assert evaluated == [(c, t) for t in sorted(scattered) for c in "pq"]
     assert sorted(at_starts) == starts
-    assert len(built) == 1 and len(engines) == 2
+    assert len(engines) == 1 and len(jumps) == len(scattered)
     assert not report.err_bound.exact
 
 
-def _counted_engine(engines, *args, **kwargs):
-    engines.append(_SeriesEngine(*args, **kwargs))
-    return engines[-1]
+def _counted(built, cls, *args):
+    built.append(cls(*args))
+    return built[-1]
+
+
+@pytest.mark.parametrize("path", [
+    path for path in sorted((ROOT / "configs").rglob("*.cfg"))
+    if len(build_system(load_config(path)).ts.dense_intervals()) == 1],
+    ids=lambda path: path.stem)
+def test_one_cell_bound_reads_the_512_grid(path):
+    # the bound reads every 8th node of the series grid: on a one-cell
+    # config those are the nodes of the grid that a bound of 512 divisions
+    # per period took for the cell, and x, phi and h there are those of
+    # sampling that grid itself
+    spec = build_system(load_config(path))
+    (a, b), = spec.ts.dense_intervals()
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    nodes = engine.bound_nodes()
+    n = max(16, math.ceil((b - a) / (spec.ts.period / 512)))
+    n += n % 2
+    x, phi, h = (r[0, :n + 1] for r in floquet._sample_dense(
+        spec, [(a, b, n)])[:3])
+    for fine, coarse in ((engine.x, x), (engine.phi, phi), (engine.h, h)):
+        assert [v.hex() for v in fine[nodes]] == [v.hex() for v in coarse]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -697,10 +707,11 @@ def test_valid_grids_never_replay_the_scalar_walk(monkeypatch, tmp_path):
             analyze(spec, n=3)
             if spec.ts.is_continuous:
                 analyze(spec, n=3, use_shi=True)
-    # p, q and q' on two grids per run, series (or phase) and bound, and
-    # -p on the first GK15 panels of B; 15 scales have intervals, 13 of
-    # them are continuous
-    assert len(grids) == (3 * 2 + 1) * (15 + 13)
+    # p, q and q' on the series grid, which the bound reads too, and -p on
+    # the first GK15 panels of B; under --shi on the phase-form grid and on
+    # the series grid, which the bound builds. 15 scales have intervals,
+    # 13 of them are continuous
+    assert len(grids) == (3 + 1) * 15 + (3 + 3 + 1) * 13
 
     def replay(e, t):
         raise AssertionError(f"scalar replay at t={t}")
@@ -917,7 +928,7 @@ def test_shi_matches_series(example_continuous):
     ("example_continuous.cfg", 3, "-0x1.0c152382d73c0p-4",
      "0x1.0000000000000p+0", 0.3600164065280386, Verdict.STABLE),
     ("mathieu/h2_2.cfg", 8, "0x1.0002eab4675dep+1",
-     "0x1.0000000000000p+0", 0.023827398495474297, Verdict.UNDETERMINED),
+     "0x1.0000000000000p+0", 0.023827398495469387, Verdict.UNDETERMINED),
 ])
 def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
                                       monkeypatch):
