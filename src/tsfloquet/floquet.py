@@ -70,6 +70,9 @@ _GRID_DIVISIONS = 4096
 _BOUND_STRIDE = 8
 _BOUNDS_ROWS = 64
 _TINY = np.finfo(float).tiny
+# the angular window's offsets: columns on three periods of pi, both edges
+_RING = np.array([[-np.pi], [0.0], [np.pi]])
+_SIDES = np.array([[-1.0], [1.0]])
 _MAX_DEPTH_DENSE = 8
 
 
@@ -265,7 +268,8 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     interval, then the scalar panel-halving loop on each interval whose
     first panel falls short of ``quad_tol``. Where numpy's exp or power
     differ from the scalar ones in the last ulp, B can move by about an
-    ulp."""
+    ulp. A B past the float range, once the integral of -p exceeds
+    ~709.78, is an infinity with the product's sign."""
     prod = 1.0
     for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
         prod *= _step_factor(t, mu, p, q)
@@ -275,7 +279,11 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
             minus_p._closure, lambda x: ex.evaluate_array(minus_p, x),
             spec.ts.dense_intervals(), spec.quad_tol):
         integral += value
-    return float(prod * math.exp(integral))
+    try:
+        growth = math.exp(integral)
+    except OverflowError:
+        return math.copysign(math.inf, prod)
+    return float(prod * growth)
 
 
 # -- series engine ----------------------------------------------------------
@@ -547,21 +555,20 @@ class _SeriesEngine:
         the ``bound_nodes`` of the series grid and every jump.
 
         K2 is the maximum of |Re(u_t M_s)| and K1 of |a_t QT_s - b_t PT_s|
-        over every pair (t, s) of nodes and jumps, a 2-D dot product per
-        pair. By Cauchy-Schwarz each float entry is at most
-        rn[t] cn[s] (1 + 1e-12), with rn = |u_t|, cn = |M_s| for K2 and
-        rn = hypot(a_t, b_t), cn = hypot(QT_s, PT_s) for K1; the 1e-12
-        slack covers the few roundings of the entry and of rn and cn.
-        ``_pruned_max`` takes the largest entry of the row at argmax rn
-        and of the column at argmax cn as a lower bound lo, keeps only the
-        rows and columns whose bound reaches lo and reduces that sub-table:
-        every pair left out is below lo, itself a table entry, so K1 and
-        K2 equal the full tables' maxima bit for bit. Below the smallest
-        normal float rounding is no longer relative, so the slack does not
-        cover it: a row or column whose norm is subnormal is never left
-        out, and nothing is pruned when max(rn), max(cn) or lo is
-        subnormal, or when max(rn) max(cn) is not finite (an overflowed E,
-        whose NaN must reach the bound).
+        over every pair (t, s) of nodes and jumps. Each entry is the 2-D
+        dot product v_t . w_s of a row vector and a column vector: for K2
+        v_t = (Re u_t, Im u_t) and w_s = (Re M_s, -Im M_s), for K1
+        v_t = (a_t phi0, b_t) and w_s = (QT_s / phi0, -PT_s). Rescaling
+        K1's rows by phi0 and its columns by 1 / phi0 leaves every product
+        unchanged and makes the norms |u_t| and |E_T M_s| (for phiT =
+        phi0), the scales of the entries: the norms of (a_t, b_t) and
+        (QT_s, PT_s) mix components that phi0 scales apart, and on
+        mathieu/h1_3 (phi0 = 2.8) the first lower bound is 0.35 of their
+        largest product against 0.98 of the rescaled one.
+        ``_windowed_max`` evaluates only the pairs whose norms and angles
+        can reach an entry already seen, with the same elementwise
+        expressions as the full tables, so K1 and K2 equal the full
+        tables' maxima bit for bit.
         """
         # phi, E, h and 1 / D at the bound's dense nodes, then at every jump:
         # the constants are maxima, so the order of the nodes does not matter
@@ -571,50 +578,128 @@ class _SeriesEngine:
             phi_t, E_t, h_t, M_s = (self.phi[nodes], self.E[nodes],
                                     self.h[nodes], 1.0 / self.D[nodes])
         jumps = self.jumps
-        phi_t = np.hstack([phi_t, [ev.phi for ev in jumps], [self.phiT]])
-        E_t = np.hstack([E_t, [ev.E for ev in jumps], [self.E_T]])
-        h_t = np.hstack([h_t, [ev.h for ev in jumps]])
-        M_s = np.hstack([M_s, [1.0 / ev.D for ev in jumps],
-                         [1.0 / (self.phiT * self.E_T)]])
+        phi_t = np.concatenate([phi_t, [ev.phi for ev in jumps],
+                                [self.phiT]])
+        E_t = np.concatenate([E_t, [ev.E for ev in jumps], [self.E_T]])
+        h_t = np.concatenate([h_t, [ev.h for ev in jumps]])
+        M_s = np.concatenate([M_s, [1.0 / ev.D for ev in jumps],
+                              [1.0 / (self.phiT * self.E_T)]])
 
         K3 = float(np.max(np.abs(h_t)))
-        QT = self.phiT * (self.E_T * M_s).real
-        PT = (self.E_T * M_s).imag
+        E_TM = self.E_T * M_s
+        QT = self.phiT * E_TM.real
+        PT = E_TM.imag
         u_t = phi_t * E_t
         a_t = E_t.real * phi_t / self.phi0
         b_t = E_t.imag * phi_t
-        K2 = _pruned_max(lambda u, M: np.outer(u, M).real,
-                         (u_t,), (M_s,), np.abs(u_t), np.abs(M_s))
-        K1 = _pruned_max(lambda a, b, Q, P: np.outer(a, Q) - np.outer(b, P),
-                         (a_t, b_t), (QT, PT),
-                         np.hypot(a_t, b_t), np.hypot(QT, PT))
+        K2 = _windowed_max(lambda u, M: (u * M).real, (u_t,), (M_s,),
+                           (u_t.real, u_t.imag), (M_s.real, -M_s.imag))
+        K1 = _windowed_max(lambda a, b, Q, P: a * Q - b * P,
+                           (a_t, b_t), (QT, PT),
+                           (a_t * self.phi0, b_t), (QT / self.phi0, -PT))
         return K1, K2, K3
 
 
-def _pruned_max(table, rows, cols, rn, cn) -> float:
-    """max |table(*rows, *cols)|, the row operands indexed by t and the
-    column operands by s, where |table(t, s)| <= rn[t] cn[s] (1 + 1e-12)
-    for norms rn, cn that are normal floats: rows and columns whose bound
-    falls below an entry already seen are left out, but never one whose
-    norm is subnormal, whose rounding the relative slack does not cover.
-    The table is reduced a block of rows at a time, so memory stays O(N)
-    for long periods."""
-    rmax, cmax = rn.max(), cn.max()
-    # one block of rows costs less than finding the ones to keep
-    if (len(rn) > _BOUNDS_ROWS and math.isfinite(rmax * cmax)
-            and min(rmax, cmax) >= _TINY):
-        i, j = rn.argmax(), cn.argmax()
-        lo = np.maximum(
-            np.abs(table(*[a[i:i + 1] for a in rows], *cols)).max(),
-            np.abs(table(*rows, *[a[j:j + 1] for a in cols])).max())
-        if lo >= _TINY:
-            keep_t = (rn * cmax * (1.0 + 1e-12) >= lo) | (rn < _TINY)
-            keep_s = (cn * rmax * (1.0 + 1e-12) >= lo) | (cn < _TINY)
-            rows = [a[keep_t] for a in rows]
-            cols = [a[keep_s] for a in cols]
+def _blocked_max(entry, rows, cols) -> float:
+    """max |entry| over the whole table of row operands ``rows`` against
+    column operands ``cols``, a block of rows at a time, so memory stays
+    O(N) for long periods. The operands are shaped as np.outer shapes
+    them: numpy's complex product is fused into an FMA on its vector
+    loop but not on the scalar one, which a (1, 1) by (1,) product
+    takes."""
     return float(np.max([
-        np.abs(table(*[a[i:i + _BOUNDS_ROWS] for a in rows], *cols)).max()
+        np.abs(entry(*[a[i:i + _BOUNDS_ROWS, None] for a in rows],
+                     *[a[None, :] for a in cols])).max()
         for i in range(0, len(rows[0]), _BOUNDS_ROWS)]))
+
+
+def _windowed_max(entry, rows, cols, v, w) -> float:
+    """max |entry(rows[t], cols[s])| over every pair (t, s), the row
+    operands indexed by t and the column operands by s, where the exact
+    entry is the dot product of v_t = (v[0][t], v[1][t]) and
+    w_s = (w[0][s], w[1][s]), that is |v_t| |w_s| cos(alpha_t - beta_s)
+    for their angles alpha_t and beta_s. ``entry`` is elementwise.
+
+    lo, the largest entry of the row at argmax |v| and of the column at
+    argmax |w|, is itself an entry, and a pair matters only if its float
+    entry exceeds lo. The float entry is within 2u |v_t| |w_s| of the
+    exact one (u = 2^-53), whether or not numpy fuses the complex product
+    into an FMA, plus at most 2^-1074 of underflow, under u lo as lo is
+    normal. So a pair that matters has
+    |cos(alpha_t - beta_s)| >= kappa_t = lo / (|v_t| max|w|) - 1e-12:
+    the 1e-12 covers those 3u and the few u by which hypot's norms, K1's
+    rescaled components and kappa_t's own division round. Such pairs lie
+    in the rows with |v_t| max|w| (1 + 1e-12) >= lo and the columns with
+    |w_s| max|v| (1 + 1e-12) >= lo, and in row t only the columns whose
+    angle lies within arccos(kappa_t) of alpha_t modulo pi, the period of
+    |cos|. The window's margin of 1e-9 rad covers the angles' errors:
+    arctan2 and the reduction mod pi are off by a few ulps of pi, a
+    rescaled component tilts its vector by at most u, and the ring's
+    offsets and the window's edges round by an ulp of 2 pi, under 1e-14
+    rad together. kappa_t is capped at 1 - 1e-12, where arccos's slope
+    1 / sqrt(1 - kappa^2) is at most ~7.1e5, so even an ulp of kappa
+    (1.1e-16) that the 1e-12 missed would move the window by < 1e-10 rad.
+
+    The kept columns are sorted by angle on a ring of three periods, one
+    searchsorted call finds both edges of every row's window, and the
+    windowed pairs are evaluated in one gathered call, a block of rows at
+    a time once they outnumber a block of the full table, so memory
+    stays O(N); the gathered 1-D products take numpy's vector loop, as
+    np.outer's rows do, so the entries equal the full table's bit for
+    bit. A kept sub-table of one block or less is reduced whole.
+
+    Below the smallest normal float rounding is no longer relative, so
+    the slack does not cover it: the whole table is reduced when max|v|,
+    max|w| or lo is subnormal, or when max|v| max|w| is not finite (an
+    overflowed E, whose NaN must reach the bound), and if any norm is
+    subnormal, every row and column whose norm bound reaches lo or whose
+    norm is subnormal is reduced, with no angular window.
+    """
+    rn, cn = np.hypot(*v), np.hypot(*w)
+    i, j = rn.argmax(), cn.argmax()
+    rmax, cmax = rn[i], cn[j]
+    # one block of rows costs less than finding the ones to keep
+    if not (len(rn) > _BOUNDS_ROWS and math.isfinite(rmax * cmax)
+            and min(rmax, cmax) >= _TINY):
+        return _blocked_max(entry, rows, cols)
+    lo = max(np.abs(entry(*[a[i] for a in rows], *cols)).max(),
+             np.abs(entry(*rows, *[a[j] for a in cols])).max())
+    if lo < _TINY:
+        return _blocked_max(entry, rows, cols)
+    bound = rn * cmax
+    keep_t = bound * (1.0 + 1e-12) >= lo
+    keep_s = cn * (rmax * (1.0 + 1e-12)) >= lo
+    subnormal = min(rn.min(), cn.min()) < _TINY
+    if subnormal:
+        keep_t |= rn < _TINY
+        keep_s |= cn < _TINY
+    t, s = np.flatnonzero(keep_t), np.flatnonzero(keep_s)
+    # one block of the sub-table costs less than finding its windows
+    if subnormal or len(t) * len(s) <= _BOUNDS_ROWS ** 2:
+        return _blocked_max(entry, [a[t] for a in rows], [a[s] for a in cols])
+    beta = _half_turn(np.arctan2(w[1][s], w[0][s]))
+    order = beta.argsort()
+    s, ring = s[order], (beta[order] + _RING).ravel()
+    alpha = _half_turn(np.arctan2(v[1][t], v[0][t]))
+    half = np.arccos(np.minimum(lo / bound[t], 1.0) - 1e-12) + 1e-9
+    first, last = np.searchsorted(ring, alpha + half * _SIDES)
+    # a window of pi or more holds every column: its first len(s) entries
+    count = np.minimum(last - first, len(s))
+    budget = _BOUNDS_ROWS * len(cn)
+    block = len(t) if count.sum() <= budget else budget // len(s)
+    for r in range(0, len(t), block):
+        n = count[r:r + block]
+        ends = n.cumsum()
+        at = np.arange(ends[-1]) + np.repeat(first[r:r + block] - ends + n, n)
+        ti, si = np.repeat(t[r:r + block], n), s[at % len(s)]
+        lo = np.abs(entry(*[a[ti] for a in rows],
+                          *[a[si] for a in cols])).max(initial=lo)
+    return float(lo)
+
+
+def _half_turn(angle):
+    """arctan2's angles, in [-pi, pi], taken modulo pi into [0, pi]."""
+    return np.where(angle < 0.0, angle + np.pi, angle)
 
 
 def _series_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:

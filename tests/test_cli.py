@@ -341,6 +341,35 @@ def test_overflowing_B_is_unstable(tmp_path):
     assert result.exit_code == 1
 
 
+def _long_unstable_config(tmp_path):
+    """p = -1 on one dense interval 800 long: B = e^800 lies past the
+    float range, where math.exp raises OverflowError."""
+    f = tmp_path / "long_unstable.cfg"
+    f.write_text("t0 = 0\nperiod = 800\nintervals = [[0, 800]]\n"
+                 "p = -1\nq = 1\n")
+    return str(f)
+
+
+def test_B_past_the_float_range_is_unstable(tmp_path):
+    # the run decides the system, with no numpy warning, instead of
+    # exiting 4 on the overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(_long_unstable_config(tmp_path))
+    lines = result.output.splitlines()
+    assert "B = inf" in lines
+    assert "verdict = unstable" in lines
+    assert result.exit_code == 1
+    assert caught == []
+
+
+def test_oracle_fails_on_B_past_the_float_range(tmp_path):
+    # the oracle's B is no finite number either, which is no agreement
+    result = invoke(_long_unstable_config(tmp_path), "--oracle")
+    assert result.exit_code == 4
+    assert "oracle disagreement" in result.stderr
+
+
 @pytest.mark.parametrize("k", [500, 1000])
 def test_oracle_fails_on_nan_deltas(tmp_path, k):
     # the B delta (k = 500) or both deltas (k = 1000) are NaN, which is
