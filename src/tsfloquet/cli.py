@@ -90,10 +90,17 @@ def _unquote(text: str) -> str:
 
 
 def load_config(path) -> ConfigFile:
-    """Parse a ``key = value`` config file into a ConfigFile."""
+    """Parse a ``key = value`` config file into a ConfigFile; a file that
+    cannot be read as UTF-8 text raises ConfigError naming its path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # its message repeats the path
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     raw = {}
     lines = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -31,7 +31,8 @@ Per-point work is done once per analysis. ``validate_system`` samples p
 and q once at every scattered point, in time order, and checks the
 sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` keeps
 phi at each dense start as ``solve_phi`` sampled it, and the one series
-engine per analysis: the terms read its grid, the bound every 8th node.
+engine per analysis: the terms read its grid, the bound every 8th node
+and the phase form its rows.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -151,7 +152,7 @@ class PhaseTable:
     ``starts`` keeps phi = sqrt(q) where ``solve_phi`` evaluated it, at
     the start of each dense segment; ``start_phi`` reads it by segment.
     ``engine`` is the analysis's one ``_SeriesEngine``, which ``_engine``
-    builds on first use for the series terms and the truncation bound.
+    builds on first use for the terms, the truncation bound and the phase form.
     """
 
     ts: ValidatedTimeScale
@@ -264,19 +265,21 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     points; without it, compute_B samples them itself.
 
     The dense integrals come from ``tscalc.quad_intervals``: one
-    ``evaluate_array`` call of -p on the first GK15 panel of every dense
+    ``evaluate_array`` call of p on the first GK15 panel of every dense
     interval, then the scalar panel-halving loop on each interval whose
-    first panel falls short of ``quad_tol``. Where numpy's exp or power
-    differ from the scalar ones in the last ulp, B can move by about an
-    ulp. A B past the float range, once the integral of -p exceeds
-    ~709.78, is an infinity with the product's sign."""
+    first panel falls short of ``quad_tol`` or holds a NaN or infinite p,
+    which raises DomainError at the first node the loop meets. Where
+    numpy's exp or power differ from the scalar ones in the last ulp, B can
+    move by about an ulp. A B past the float range, once the integral of -p
+    exceeds ~709.78, is an infinity with the product's sign."""
     prod = 1.0
     for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
         prod *= _step_factor(t, mu, p, q)
-    minus_p = ex.Neg(spec.p)  # -evaluate(p, t), bit for bit
+    p_at = spec.p._closure  # evaluate(p, t), bit for bit
     integral = 0.0
     for value in tscalc.quad_intervals(
-            minus_p._closure, lambda x: ex.evaluate_array(minus_p, x),
+            lambda t: -_check_finite("p", p_at(t), t, "on a dense part"),
+            lambda x: -_finite("p", ex.evaluate_array(spec.p, x), x),
             spec.ts.dense_intervals(), spec.quad_tol):
         integral += value
     try:
@@ -349,11 +352,12 @@ def _finite(name: str, values, x):
     return values
 
 
-def _check_finite(name: str, value: float, t: float, where: str) -> None:
-    """DomainError naming the coefficient, t and where t lies, if value is
-    NaN or infinite."""
+def _check_finite(name: str, value: float, t: float, where: str) -> float:
+    """value, unless it is NaN or infinite: then DomainError naming the
+    coefficient, t and where t lies."""
     if not math.isfinite(value):
         raise DomainError(f"{name} = {value} is not finite at t={t} {where}")
+    return value
 
 
 def simpson_weights(x):
@@ -776,18 +780,17 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
     return ErrorBound(max(0.0, bound))
 
 
-def shi_continuous_a(spec: SystemSpec, n: int,
+def shi_continuous_a(spec: SystemSpec, table: PhaseTable, n: int,
                      B: Optional[float] = None) -> float:
     """A(n) on a purely continuous scale with B = 1, via the cosine-phase
-    form of the series.
+    form of the series, on the one row of the table's series engine.
 
     ``n`` counts integration levels the way the reference computation
     does: the 2m-fold integrals for 2m <= n contribute, odd levels are
     identically zero. ``B`` is ``compute_B(spec)`` when the caller has it
     already; the scale is checked first either way.
     """
-    ts = spec.ts
-    if not ts.is_continuous:
+    if not spec.ts.is_continuous:
         raise NotContinuousScale("the phase-form series needs a purely "
                                  "continuous scale")
     if B is None:
@@ -797,21 +800,18 @@ def shi_continuous_a(spec: SystemSpec, n: int,
     if n > 2 * _MAX_DEPTH_DENSE:
         raise DepthBudgetExceeded(f"n={n} exceeds the depth budget")
 
-    a, b = ts.dense_intervals()[0]
-    npts = 8192
-    x, sqrtq, h = (r[0] for r in _sample_dense(spec, [(a, b, npts)])[:3])
-    weights = simpson_weights(x)
-    phase = cumulative_simpson(sqrtq, weights)
+    engine = _engine(spec, table)
+    phase = cumulative_simpson(engine.phi, engine.weights)
     u = np.exp(-2j * phase)  # e^{-2i Phi(t)}
-    outer_phase = cmath.exp(1j * phase[-1])
+    outer_phase = cmath.exp(1j * phase[0, -1])
 
-    total = 2.0 * math.cos(phase[-1])
-    F = np.ones(npts + 1, dtype=complex)
+    total = 2.0 * math.cos(phase[0, -1])
+    F = np.ones(phase.shape, dtype=complex)
     for level in range(1, n + 1):
-        factor = h / u if level % 2 == 1 else h * u
-        F = cumulative_simpson(factor * F, weights)
+        factor = engine.h / u if level % 2 == 1 else engine.h * u
+        F = cumulative_simpson(factor * F, engine.weights)
         if level % 2 == 0:
-            total += 2.0 ** (1 - level) * (outer_phase * F[-1]).real
+            total += 2.0 ** (1 - level) * (outer_phase * F[0, -1]).real
     return total
 
 
@@ -923,7 +923,7 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
     table = solve_phi(spec, sample=sample)
     B = compute_B(spec, sample)
     if use_shi:
-        A = shi_continuous_a(spec, n, B)
+        A = shi_continuous_a(spec, table, n, B)
         terms = []
         method = "phase-form"
     else:

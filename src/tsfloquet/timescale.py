@@ -117,7 +117,6 @@ class ValidatedTimeScale:
         # right-scattered coordinates in [t0, t0+T) with their graininess
         self._scattered = [(seg.end, nxt.start - seg.end)
                            for seg, nxt in zip(segs, segs[1:])]
-        self._scattered_coords = [c for c, _ in self._scattered]
 
     # -- classification ----------------------------------------------------
 
@@ -187,19 +186,6 @@ class ValidatedTimeScale:
         """Forward jump operator sigma(t) = t + mu(t)."""
         _, t = self.locate(t)
         return t + self.mu(t)
-
-    def scattered_points_in(self, a: float, b: float) -> list:
-        """All right-scattered t with a <= t < b, ascending.
-
-        Both endpoints must belong to the time scale.
-        """
-        _, a = self.locate(a)
-        _, b = self.locate(b)
-        if a > b:
-            raise PointNotInTimeScale(f"need a <= b, got a={a}, b={b}")
-        lo = bisect.bisect_left(self._scattered_coords, a)
-        hi = bisect.bisect_left(self._scattered_coords, b)
-        return self._scattered_coords[lo:hi]
 
 
 def inward(a, b):

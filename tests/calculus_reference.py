@@ -34,6 +34,11 @@ def _dense_overlaps(ts: ValidatedTimeScale, a: float, b: float):
             yield lo, hi
 
 
+def scattered_points_in(ts: ValidatedTimeScale, a: float, b: float) -> list:
+    """All right-scattered t with a <= t < b, ascending."""
+    return [t for t, _ in ts.scattered_with_mu() if a <= t < b]
+
+
 def delta_integral(
     f: Callable[[float], Number],
     a: float,
@@ -54,7 +59,7 @@ def delta_integral(
     if a > b:
         raise EndpointsNotInTimeScale(f"need a <= b, got {a} > {b}")
     total: Number = 0.0
-    for t in ts.scattered_points_in(a, b):
+    for t in scattered_points_in(ts, a, b):
         total += ts.mu(t) * f(t)
     for lo, hi in _dense_overlaps(ts, a, b):
         total += _adaptive_quad(f, lo, hi, tol)
@@ -84,7 +89,7 @@ def ts_exponential(
     if t < s:
         return 1.0 / ts_exponential(g, s, t, ts, tol)
     prod: Number = 1.0
-    for tau in ts.scattered_points_in(s, t):
+    for tau in scattered_points_in(ts, s, t):
         factor = 1.0 + ts.mu(tau) * g(tau)
         if abs(factor) < 1e-14:
             raise NotRegressive(f"1 + mu*g vanishes at t={tau}")

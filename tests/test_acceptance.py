@@ -238,7 +238,7 @@ def test_criterion_7_identity_suites():
 
 def test_criterion_8_phase_form_cross_validation(example_continuous):
     table = solve_phi(example_continuous)
-    shi = shi_continuous_a(example_continuous, 3)
+    shi = shi_continuous_a(example_continuous, table, 3)
     series = a_partial(example_continuous, table, 3)
     _report(8, "phase-form series matches A(3) on the continuous example",
             [abs(shi - series) <= 1e-5])

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -207,6 +208,29 @@ def test_config_error_exit_code(tmp_path):
     result = invoke(str(f))
     assert result.exit_code == 3
     assert "config error" in result.stderr
+
+
+def test_unreadable_config_exits_3(tmp_path):
+    # a Latin-1 byte in a comment printed "error: UnicodeDecodeError: ..."
+    # and exited 4
+    f = tmp_path / "latin1.cfg"
+    f.write_bytes(b"period = 2 # caf\xe9\nintervals = [[0, 2]]\nq = 1\n")
+    result = invoke(str(f))
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"config error: cannot read {f}: ")
+    assert "can't decode byte 0xe9" in result.stderr
+
+
+def test_batch_reports_an_unreadable_config_and_goes_on(tmp_path):
+    # a directory named x.cfg printed "error: IsADirectoryError: ..."
+    (tmp_path / "x.cfg").mkdir()
+    (tmp_path / "y.cfg").write_text(
+        (CONFIGS / "example_continuous.cfg").read_text())
+    result = CliRunner().invoke(main, ["analyze", "--batch", str(tmp_path)])
+    assert result.exit_code == 3
+    assert result.stderr == (f"config error: cannot read {tmp_path / 'x.cfg'}"
+                             ": Is a directory\n")
+    assert "== y.cfg ==\nThe value of A(3) is -0.065450" in result.output
 
 
 _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
@@ -425,6 +449,22 @@ def test_non_finite_coefficient_exits_4(tmp_path, args):
                              "dense part\n")
     assert result.output == result.stderr
     assert caught == []
+
+
+@pytest.mark.parametrize("args", [(), ("--shi",)])
+def test_non_finite_p_on_a_dense_part_exits_4_at_once(tmp_path, args):
+    # B's quadrature met a NaN error estimate on every panel and halved
+    # them for 1.4 s, until "tolerance 1e-09 unreachable within 1000000
+    # evaluations"; the first NaN p its scalar loop meets is named instead
+    cfg = tmp_path / "nan_p.cfg"
+    cfg.write_text("t0 = 0\nperiod = 2*pi\nintervals = [[0, 2*pi]]\n"
+                   "p = 0*(1e200*1e200 - 1e200*1e200)\nq = 1/4\n")
+    start = time.perf_counter()
+    result = invoke(str(cfg), *args)
+    assert time.perf_counter() - start < 0.2
+    assert result.exit_code == 4
+    assert result.stderr == ("error: p = nan is not finite at "
+                             "t=3.141592653589793 on a dense part\n")
 
 
 _NAN = "1 + 0*(1e200*1e200 - 1e200*1e200)"

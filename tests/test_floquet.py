@@ -707,11 +707,10 @@ def test_valid_grids_never_replay_the_scalar_walk(monkeypatch, tmp_path):
             analyze(spec, n=3)
             if spec.ts.is_continuous:
                 analyze(spec, n=3, use_shi=True)
-    # p, q and q' on the series grid, which the bound reads too, and -p on
-    # the first GK15 panels of B; under --shi on the phase-form grid and on
-    # the series grid, which the bound builds. 15 scales have intervals,
-    # 13 of them are continuous
-    assert len(grids) == (3 + 1) * 15 + (3 + 3 + 1) * 13
+    # p, q and q' on the series grid, which the bound and the phase form
+    # read too, and p on the first GK15 panels of B. 15 scales have
+    # intervals, 13 of them are continuous
+    assert len(grids) == (3 + 1) * 15 + (3 + 1) * 13
 
     def replay(e, t):
         raise AssertionError(f"scalar replay at t={t}")
@@ -816,7 +815,7 @@ def test_error_bound_zero_when_h_vanishes():
         assert abs(a_term(spec, table, n)) <= 1e-12
     assert error_bound(spec, table, 0).exact
     # the phase form degenerates to 2 cos(Phi(T)) = 2 cos(pi)
-    assert shi_continuous_a(spec, 4) == pytest.approx(-2.0, abs=1e-9)
+    assert shi_continuous_a(spec, table, 4) == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_phi_constant_on_reals():
@@ -917,17 +916,24 @@ def test_verdict_B_within_rounding_of_one(A, B):
 
 # -- phase-form series --------------------------------------------------------
 
-def test_shi_matches_series(example_continuous):
-    table = solve_phi(example_continuous)
-    shi = shi_continuous_a(example_continuous, 3)
-    assert shi == pytest.approx(a_partial(example_continuous, table, 3),
-                                abs=1e-5)
+@pytest.mark.parametrize("path", [
+    path for path in sorted((ROOT / "configs").rglob("*.cfg"))
+    if build_system(load_config(path)).ts.is_continuous],
+    ids=lambda path: path.stem)
+@pytest.mark.parametrize("n", [3, 8])
+def test_shi_matches_series(path, n):
+    # the phase form integrates on the series grid, so the two agree to
+    # rounding, not to the grids' discretization error
+    spec = build_system(load_config(path))
+    table = solve_phi(spec)
+    assert abs(shi_continuous_a(spec, table, n)
+               - a_partial(spec, table, n)) <= 2e-13
 
 
 @pytest.mark.parametrize("config, n, A, B, bound, v", [
-    ("example_continuous.cfg", 3, "-0x1.0c152382d73c0p-4",
+    ("example_continuous.cfg", 3, "-0x1.0c152382d78e6p-4",
      "0x1.0000000000000p+0", 0.3600164065280386, Verdict.STABLE),
-    ("mathieu/h2_2.cfg", 8, "0x1.0002eab4675dep+1",
+    ("mathieu/h2_2.cfg", 8, "0x1.0002eab4675a9p+1",
      "0x1.0000000000000p+0", 0.023827398495469387, Verdict.UNDETERMINED),
 ])
 def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
@@ -952,14 +958,14 @@ def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
 
 def test_shi_requires_continuous(example_hybrid):
     with pytest.raises(NotContinuousScale):
-        shi_continuous_a(example_hybrid, 3)
+        shi_continuous_a(example_hybrid, solve_phi(example_hybrid), 3)
 
 
 def test_shi_requires_B_one():
     ts = validate(PeriodicTimeScale(0, PI, [Interval(0, PI)]))
     spec = SystemSpec(ts, parse("1"), parse("1"))  # B = e^{-pi} != 1
     with pytest.raises(BNotOne):
-        shi_continuous_a(spec, 3)
+        shi_continuous_a(spec, solve_phi(spec), 3)
 
 
 # -- fundamental matrix identities --------------------------------------------

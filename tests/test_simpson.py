@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from tsfloquet.floquet import (
-    _sample_dense,
     _SeriesEngine,
     cumulative_simpson,
     simpson_weights,
@@ -84,21 +83,13 @@ def test_kernel_on_the_engine_stacks(seed):
     engine = _SeriesEngine(spec, solve_phi(spec))
     assert engine.rows == 2 and engine.last[0] != engine.last[1]
     W = engine.h / engine.D
+    # the phase form's integrand h e^{2i Phi} on the rows, too
+    phase = scipy_cumulative_simpson(engine.phi, x=engine.x, initial=0.0)
     for y in (engine.phi, engine.E, W * engine.phi * engine.E.imag,
-              W * engine.phi * engine.E.real):
+              W * engine.phi * engine.E.real, engine.h * np.exp(2j * phase)):
         assert_bitwise_equal(
             cumulative_simpson(y, engine.weights),
             scipy_cumulative_simpson(y, x=engine.x, initial=0.0))
-
-
-def test_kernel_on_the_phase_form_grid(example_continuous):
-    a, b = example_continuous.ts.dense_intervals()[0]
-    x, sqrtq, h = (r[0] for r in
-                   _sample_dense(example_continuous, [(a, b, 8192)])[:3])
-    assert len(x) == 8193
-    phase = scipy_cumulative_simpson(sqrtq, x=x, initial=0.0)
-    assert_matches_scipy(sqrtq, x)
-    assert_matches_scipy(h * np.exp(2j * phase), x)
 
 
 @pytest.mark.parametrize("nodes", [0, 1, 2, 4, 4096])

