@@ -83,13 +83,22 @@ def test_kernel_on_the_engine_stacks(seed):
     engine = _SeriesEngine(spec, solve_phi(spec))
     assert engine.rows == 2 and engine.last[0] != engine.last[1]
     W = engine.h / engine.D
-    # the phase form's integrand h e^{2i Phi} on the rows, too
-    phase = scipy_cumulative_simpson(engine.phi, x=engine.x, initial=0.0)
     for y in (engine.phi, engine.E, W * engine.phi * engine.E.imag,
-              W * engine.phi * engine.E.real, engine.h * np.exp(2j * phase)):
+              W * engine.phi * engine.E.real):
         assert_bitwise_equal(
             cumulative_simpson(y, engine.weights),
             scipy_cumulative_simpson(y, x=engine.x, initial=0.0))
+
+
+def test_kernel_on_the_phase_form_grid(example_continuous):
+    # the phase form integrates sqrt(q) and h e^{2i Phi} on the one row of
+    # the series engine
+    engine = _SeriesEngine(example_continuous, solve_phi(example_continuous))
+    assert engine.rows == 1
+    x, sqrtq, h = engine.x[0], engine.phi[0], engine.h[0]
+    phase = scipy_cumulative_simpson(sqrtq, x=x, initial=0.0)
+    assert_matches_scipy(sqrtq, x)
+    assert_matches_scipy(h * np.exp(2j * phase), x)
 
 
 @pytest.mark.parametrize("nodes", [0, 1, 2, 4, 4096])
