@@ -73,10 +73,6 @@ class CalculusError(TsfloquetError):
     pass
 
 
-class EndpointsNotInTimeScale(CalculusError):
-    pass
-
-
 class QuadratureNonConvergence(CalculusError):
     pass
 

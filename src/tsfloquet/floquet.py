@@ -19,8 +19,12 @@ evaluated on a fixed refinement grid (spacing <= T/4096) plus exact jump
 contributions at scattered points. The dense cells are the rows of one
 stacked (cells, nodes) array and an order's two running integrals are
 stacked on it, so each order makes one cumulative Simpson call whatever
-the number of cells; a scalar walk over the cells and jumps in time order
-then carries the running offsets.
+the number of cells; a walk over the cells and jumps in time order then
+carries the running offsets. Short periods walk in a Python loop in
+complex arithmetic; from ``_ARRAY_WALK_EVENTS`` cells and jumps on, each
+order's walk is one ``np.cumsum`` over its steps, which adds in the
+loop's order, with the loop's complex products written out as float
+products, so both walks give the same floats.
 The grid owns its Simpson weights: ``simpson_weights`` computes them once
 per grid, and each running integral is then a few array products and one
 cumulative sum, equal bit for bit to SciPy's ``cumulative_simpson``.
@@ -75,6 +79,9 @@ _TINY = np.finfo(float).tiny
 _RING = np.array([[-np.pi], [0.0], [np.pi]])
 _SIDES = np.array([[-1.0], [1.0]])
 _MAX_DEPTH_DENSE = 8
+# from this many events (rows and jumps) on, the series engine walks them
+# as one prefix sum per order; shorter walks are cheaper as a Python loop
+_ARRAY_WALK_EVENTS = 64
 
 
 @dataclass
@@ -436,12 +443,22 @@ class _SeriesEngine:
     sampling, so a NaN q at a dense start is named after the grid's nodes.
     Each series order is the two running integrals J and K of W = h / D
     against the previous level's G and H: one Simpson call over the
-    (2, cells, nodes) stack of W G and W H, then a scalar walk over cells
-    and jumps in time order, in Python complex arithmetic, that carries
-    both running offsets, adding a cell's row totals (read with one
-    ``tolist``) or a jump's exact (mu W) g and (mu W) h steps; the offsets
-    reach the rows in one assignment. State is per-instance, and no method
-    changes it, so the series and the bound share one engine.
+    (2, cells, nodes) stack of W G and W H, then a walk over the events,
+    cells and jumps in time order, that carries both running offsets,
+    adding a cell's row totals or a jump's exact (mu W) g and (mu W) h
+    steps; the offsets reach the rows in one assignment.
+
+    There are two walks, chosen by the number of events. Below
+    ``_ARRAY_WALK_EVENTS`` a scalar loop adds the steps in Python complex
+    arithmetic, reading the row totals with one ``tolist``. From there on
+    one order's steps fill a (2, events + 1) array behind a +0 slot and
+    one ``np.cumsum`` adds them: it adds strictly left to right, so every
+    running value is the loop's bit for bit. The steps and the next
+    level's values at the jumps are the loop's complex products written
+    out as float ufuncs, never numpy's complex product, which may fuse
+    into an FMA and round once where CPython rounds twice. State is
+    per-instance, and no method changes it, so the series and the bound
+    share one engine.
     """
 
     def __init__(self, spec: SystemSpec, table: PhaseTable):
@@ -458,6 +475,8 @@ class _SeriesEngine:
             self.weights = simpson_weights(self.x)
             U = np.exp(1j * cumulative_simpson(self.phi, self.weights))
             self.E = np.empty_like(U)
+            # each row's last node, as a flat index into a (cells, nodes) plane
+            self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
         self.events = []  # dense row index | _Jump, in time order
         self.jumps = []
         E = 1.0 + 0.0j
@@ -480,14 +499,43 @@ class _SeriesEngine:
         self.E_T = E
         self.phi0 = table.start_phi(0)
         self.phiT = table.values[ts.t_end]
+        self.slots = None
+        if len(self.events) >= _ARRAY_WALK_EVENTS:
+            self._array_walk_columns()
+
+    def _array_walk_columns(self):
+        """The array walk's columns: ``slots``, each row's and each jump's
+        slot, 1 + its place in time order, and the slots before them;
+        phi and E per jump; and ``step``, the (jumps, 2) factors and terms
+        of a jump's step. With mu W as the loop computes ``ev.mu * ev.W``,
+        CPython's (mu W) * g is (Re mu W g - Im mu W 0.0,
+        Re mu W 0.0 + Im mu W g): the factors are (Re mu W, Im mu W) and
+        the terms (Im mu W (-0.0), Re mu W 0.0), NaN where a part of mu W
+        is infinite."""
+        slots = np.arange(1, len(self.events) + 1)
+        is_row = np.array([ev.__class__ is int for ev in self.events])
+        rows, jumps = slots[is_row], slots[~is_row]
+        self.slots = rows, jumps, rows - 1, jumps - 1
+        self.jump_phi = np.array([ev.phi for ev in self.jumps])
+        self.jump_E = np.array([ev.E for ev in self.jumps], dtype=complex)
+        factor = np.array([ev.mu * ev.W for ev in self.jumps],
+                          dtype=complex).view(float).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):
+            self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
 
     def trace_seeds(self):
         """The seeds of the trace series, G_0 = phi sin_phi and
         H_0 = phi cos_phi: the (2, cells, nodes) stack GH on the rows
-        (None without rows) and the (g, h) pairs at the jumps."""
+        (None without rows) and, at the jumps, the (g, h) pairs or, on an
+        engine that walks arrays, the (2, jumps) array of g and h."""
         GH = None
         if self.rows:
             GH = self.phi * np.stack([self.E.imag, self.E.real])
+        if self.slots is not None:
+            E = self.jump_E
+            with np.errstate(over="ignore"):  # as Python's float product
+                return GH, np.stack([self.jump_phi * E.imag,
+                                     self.jump_phi * E.real])
         return GH, [(ev.phi * ev.E.imag, ev.phi * ev.E.real)
                     for ev in self.jumps]
 
@@ -498,42 +546,81 @@ class _SeriesEngine:
         The walk of a level leaves that level's G and H at the jumps as a
         by-product; its G and H on the rows, the (2, cells, nodes) stack,
         are formed only when the next level is pulled, so a caller that
-        stops after A_n forms no row stack past level n - 1.
+        stops after A_n forms no row stack past level n - 1. Long engines
+        walk the events as one prefix sum per order, short ones in a
+        scalar loop (see the class); both yield the same floats.
         """
         GH, at_jumps = seeds
         ratio = self.phiT / self.phi0
         E_T = self.E_T
+        walk = self._scalar_walk if self.slots is None else self._array_walk
+        totals = None
         if self.rows:
             W = self.h / self.D
-            tips = (slice(None), range(self.rows), self.last)
             # the running offsets of the J and K integrals at each row
             off = np.empty((2, self.rows, 1), dtype=complex)
         while True:
             if self.rows:
                 S = cumulative_simpson(W * GH, self.weights)
-                totalJ, totalK = S[tips].tolist()
-            accJ = 0.0 + 0.0j
-            accK = 0.0 + 0.0j
-            offJ, offK = [], []
-            seeds, at_jumps = iter(at_jumps), []
-            for ev in self.events:
-                if ev.__class__ is int:  # a dense row
-                    offJ.append(accJ)
-                    offK.append(accK)
-                    accJ = accJ + totalJ[ev]
-                    accK = accK + totalK[ev]
-                else:
-                    g, h = next(seeds)
-                    # running value excludes the jump at the point itself
-                    at_jumps.append((ev.phi * (ev.E * accJ).real,
-                                     ev.phi * (ev.E * accK).real))
-                    accJ = accJ + ev.mu * ev.W * g
-                    accK = accK + ev.mu * ev.W * h
+                totals = S.reshape(2, -1).take(self.tips, axis=1)
+            (accJ, accK), offsets, at_jumps = walk(totals, at_jumps)
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             yield -(E_T * accJ).imag + ratio * (E_T * accK).real + 0.0
             if self.rows:
-                off[:, :, 0] = offJ, offK
+                off[:, :, 0] = offsets
                 GH = self.phi * (self.E * (off + S)).real
+
+    def _scalar_walk(self, totals, at_jumps):
+        """One order's walk in Python complex arithmetic: the final J and
+        K, their offsets at each row and the next level's (g, h) pairs at
+        the jumps, from the (2, cells) row totals and this level's pairs."""
+        if self.rows:
+            totalJ, totalK = totals.tolist()
+        accJ = 0.0 + 0.0j
+        accK = 0.0 + 0.0j
+        offJ, offK = [], []
+        seeds, at_jumps = iter(at_jumps), []
+        for ev in self.events:
+            if ev.__class__ is int:  # a dense row
+                offJ.append(accJ)
+                offK.append(accK)
+                accJ = accJ + totalJ[ev]
+                accK = accK + totalK[ev]
+            else:
+                g, h = next(seeds)
+                # running value excludes the jump at the point itself
+                at_jumps.append((ev.phi * (ev.E * accJ).real,
+                                 ev.phi * (ev.E * accK).real))
+                accJ = accJ + ev.mu * ev.W * g
+                accK = accK + ev.mu * ev.W * h
+        return (accJ, accK), (offJ, offK), at_jumps
+
+    def _array_walk(self, totals, GH):
+        """``_scalar_walk`` as one prefix sum: the steps fill a
+        (2, events + 1) array behind a +0 slot, as the loop starts from
+        0j, and ``np.cumsum`` adds them in the loop's order. A jump's step
+        is CPython's (mu W) * g from the ``step`` columns, and the next
+        level's values are phi (Re E Re J - Im E Im J), each product
+        rounded on its own, so NaN and inf fall where the loop's do.
+        ``GH`` and the returned values at the jumps are (2, jumps) arrays,
+        the offsets a (2, cells) one; overflow stays in the values, and
+        numpy's error state is left as it was."""
+        rows, jumps, before_rows, before_jumps = self.slots
+        phi, E = self.jump_phi, self.jump_E
+        factor, term = self.step
+        acc = np.empty((2, len(self.events) + 1), dtype=complex)
+        parts = acc.view(float).reshape(2, -1, 2)  # (Re, Im) of each slot
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc[:, 0] = 0.0
+            if self.rows:
+                acc[:, rows] = totals
+            parts[:, jumps] = GH[..., None] * factor + term
+            np.cumsum(acc, axis=1, out=acc)
+            # running values exclude the event at their own slot
+            run = acc[:, before_jumps]
+            GH = phi * (E.real * run.real - E.imag * run.imag)
+            offsets = acc[:, before_rows]
+        return acc[:, -1].tolist(), offsets, GH
 
     def terms(self, n: int) -> list:
         """[A_0, ..., A_n] by the level recursion."""

@@ -18,13 +18,17 @@ from typing import Callable
 
 from tsfloquet import expr as ex
 from tsfloquet.errors import (
-    EndpointsNotInTimeScale,
+    CalculusError,
     NotRegressive,
     PointNotInTimeScale,
 )
 from tsfloquet.floquet import PhaseTable, SystemSpec, _sqrt_q
 from tsfloquet.timescale import ValidatedTimeScale
 from tsfloquet.tscalc import Number, _adaptive_quad
+
+
+class EndpointsNotInTimeScale(CalculusError):
+    """A delta integral's endpoints are not in the time scale, or a > b."""
 
 
 def _dense_overlaps(ts: ValidatedTimeScale, a: float, b: float):

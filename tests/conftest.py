@@ -137,6 +137,14 @@ def random_discrete_system(seed, max_points=6, min_points=1):
     raise AssertionError("could not generate a valid discrete system")
 
 
+def unit_step_overflow_system(k):
+    """k unit steps with |1 + i mu phi| > 2: E overflows within a few
+    hundred steps, and the series terms, B and the bound constants come
+    out infinite or NaN."""
+    return SystemSpec(points_scale(list(range(k + 1))), parse("0.1"),
+                      parse(f"4 + 0.5*cos(2*pi*t/{k})"))
+
+
 def random_hybrid_system(seed):
     """A regressive hybrid system with a continuous phase function.
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsfloquet import SystemSpec, floquet, parse, solve_phi
+from tsfloquet import floquet, solve_phi
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.floquet import (
     _BOUNDS_ROWS,
@@ -21,7 +21,7 @@ from tsfloquet.floquet import (
 )
 
 from cell_reference import CellEngine
-from conftest import points_scale
+from conftest import unit_step_overflow_system
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,19 +60,13 @@ def _discrete(workloads, tmp_path, k):
     return build_system(load_config(cfg))
 
 
-def _overflow(k):
-    """k unit steps with |1 + i mu phi| > 2: E overflows, and from some
-    k on K1 and then K2 come out NaN."""
-    return SystemSpec(points_scale(list(range(k + 1))), parse("0.1"),
-                      parse(f"4 + 0.5*cos(2*pi*t/{k})"))
-
-
 @pytest.mark.parametrize("kind, k", [("workload", 200), ("workload", 500),
                                      ("workload", 1000), ("overflow", 500),
                                      ("overflow", 1000)])
 def test_long_discrete_matches_the_full_table(workloads, tmp_path, kind, k):
+    # on the overflowing scales K1 and then K2 come out NaN from some k on
     spec = (_discrete(workloads, tmp_path, k) if kind == "workload"
-            else _overflow(k))
+            else unit_step_overflow_system(k))
     table = solve_phi(spec)
     K = _SeriesEngine(spec, table).bound_constants()
     assert _hex(K) == _hex(CellEngine(spec, table).bound_constants())

@@ -65,6 +65,7 @@ from conftest import (
     points_scale,
     random_discrete_system,
     random_hybrid_system,
+    unit_step_overflow_system,
 )
 from cell_reference import CellEngine
 from discrete_reference import discrete_terms
@@ -562,7 +563,9 @@ _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # at least 30 seeded hybrids (9 of these 32 have two cells of unequal
 # length), seeded discrete scales, every layout above, every committed
-# config with intervals and the benchmark's 100-cell hybrids (seed 1)
+# config with intervals, the benchmark's 100-cell hybrids (seed 1) and a
+# 64-point scale from its discrete generator; the last three have 64
+# events or more, so the engine walks them as arrays
 _REFERENCE_CASES = (
     [("seed", s) for s in range(32)]
     + [("discrete", s) for s in range(16)]
@@ -570,7 +573,8 @@ _REFERENCE_CASES = (
     + [("config", p.relative_to(_CONFIGS).as_posix())
        for p in sorted(_CONFIGS.rglob("*.cfg"))
        if re.search(r"^intervals\s*=", p.read_text(), re.M)]
-    + [("benchmark", "hybrid100_damped"), ("benchmark", "hybrid100_growing")])
+    + [("benchmark", "hybrid100_damped"), ("benchmark", "hybrid100_growing"),
+       ("benchmark-discrete", 64)])
 
 
 def _reference_spec(kind, key, workloads, tmp_path):
@@ -578,6 +582,15 @@ def _reference_spec(kind, key, workloads, tmp_path):
         return random_hybrid_system(key)
     if kind == "discrete":
         return random_discrete_system(key, max_points=12)
+    if kind == "discrete40":
+        return random_discrete_system(key, max_points=40)
+    if kind == "overflow":
+        return unit_step_overflow_system(key)
+    if kind == "benchmark-discrete":
+        path = tmp_path / f"discrete{key}.cfg"
+        path.write_text(workloads.discrete_system(random.Random(key), "d",
+                                                  key).text)
+        return build_system(load_config(path))
     if kind == "layout":
         segs, T, _ = _LAYOUTS[key]
         return _layout_system(segs, T)
@@ -600,8 +613,90 @@ def test_stacked_engine_matches_cell_reference(kind, key, workloads,
     spec = _reference_spec(kind, key, workloads, tmp_path)
     table = solve_phi(spec)
     stacked, per_cell = _SeriesEngine(spec, table), CellEngine(spec, table)
-    assert stacked.terms(8) == per_cell.terms(8)
+    n = 3 if kind == "benchmark-discrete" else 8
+    assert stacked.terms(n) == per_cell.terms(n)
     assert stacked.bound_constants() == per_cell.bound_constants()
+
+
+# seeded hybrids and discrete scales of up to 40 points, the benchmark's
+# 10- and 100-cell hybrids (seed 1) and two unit-step scales whose terms
+# overflow
+_WALK_CASES = (
+    [("seed", s) for s in range(32)]
+    + [("discrete40", s) for s in range(32)]
+    + [("benchmark", name) for name in (
+        "hybrid10_damped", "hybrid10_growing", "hybrid10_damped2",
+        "hybrid100_damped", "hybrid100_growing", "hybrid100_steep")]
+    + [("overflow", 500), ("overflow", 1000)])
+
+
+@pytest.mark.parametrize("kind, key", _WALK_CASES,
+                         ids=[f"{k}-{v}" for k, v in _WALK_CASES])
+def test_array_walk_matches_scalar_walk(kind, key, workloads, tmp_path,
+                                        monkeypatch):
+    # np.cumsum adds the steps in the loop's order, and the steps and the
+    # values at the jumps are the loop's products rounded as CPython rounds
+    # them, so both walks give the same floats, NaN and inf included
+    spec = _reference_spec(kind, key, workloads, tmp_path)
+    table = solve_phi(spec)
+    k = len(spec.ts.scattered_with_mu())
+    n = k if spec.ts.is_discrete and k <= 40 else 8
+    walks = []
+    for events, long in ((0, True), (math.inf, False)):
+        monkeypatch.setattr(floquet, "_ARRAY_WALK_EVENTS", events)
+        engine = _SeriesEngine(spec, table)
+        assert (engine.slots is not None) == long
+        walks.append([float(a).hex() for a in engine.terms(n)])
+    assert walks[0] == walks[1]
+    # at 500 unit steps the terms reach ~2^590; at 1000 they are NaN
+    assert ("nan" in walks[0]) == ((kind, key) == ("overflow", 1000))
+
+
+def _hex_parts(values):
+    return [[float(x).hex() for x in (z.real, z.imag)] for z in values]
+
+
+def test_array_walk_rounds_each_step_as_cpython():
+    # mu W = (-9.9e307, inf) at the first point: CPython's (mu W) * g takes
+    # Im mu W * 0.0 = NaN into the real part, where the parts' own products
+    # would give (finite, inf); the array walk's running values, and the
+    # values at the jumps they give, must take the NaN too
+    spec = SystemSpec(points_scale([1000.0 * i for i in range(71)]),
+                      parse("if(eq(t, 0), 1e305, 0.1)"), parse("0.0001"))
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    assert engine.slots is not None
+    muW = engine.jumps[0].mu * engine.jumps[0].W
+    assert math.isfinite(muW.real) and math.isinf(muW.imag)
+    _, GH = engine.trace_seeds()
+    pairs = GH.T.tolist()
+    for _ in range(3):
+        acc, _, pairs = engine._scalar_walk(None, pairs)
+        array_acc, _, GH = engine._array_walk(None, GH)
+        assert _hex_parts(array_acc) == _hex_parts(acc)
+        assert _hex_parts(GH.T.ravel()) == _hex_parts(np.ravel(pairs))
+
+
+@pytest.mark.parametrize("spec", [
+    unit_step_overflow_system(1000),
+    # q ~ 400: phi E overflows in the seeds while E is still finite
+    SystemSpec(points_scale(list(range(241))), parse("0.1"),
+               parse("400 + 50*cos(2*pi*t/240)"))], ids=["1000", "240"])
+def test_array_walk_leaves_numpy_error_state(spec):
+    # the walk's overflow stays in the values: under raising error states
+    # seeding and pulling an order raise nothing and leave the state as it
+    # was, and the overflowing analysis warns nothing
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    assert engine.slots is not None
+    with np.errstate(over="raise", invalid="raise"):
+        state = np.geterr()
+        A1 = next(engine.levels(engine.trace_seeds()))
+        assert np.geterr() == state
+    assert math.isnan(A1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = analyze(spec, n=3)
+    assert math.isnan(report.A_partial)
+    assert report.verdict is Verdict.UNSTABLE
 
 
 @pytest.mark.parametrize("kind, key", [

@@ -12,9 +12,10 @@ from tsfloquet import (
     solve_phi,
     validate,
 )
-from tsfloquet.errors import EndpointsNotInTimeScale, QuadratureNonConvergence
+from tsfloquet.errors import QuadratureNonConvergence
 
 from calculus_reference import (
+    EndpointsNotInTimeScale,
     cos_phi,
     delta_integral,
     phase_value,
