@@ -34,14 +34,15 @@ recursion is exact up to rounding and costs O(n k) for k scattered points.
 Per-point work is done once per analysis. ``validate_system`` samples p
 and q once at every scattered point, in time order, and checks the
 sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` keeps
-phi at each dense start as ``solve_phi`` sampled it, and the one series
-engine per analysis: the terms read its grid, the bound every 8th node
-and the phase form its rows.
+phi by segment, at each end and each dense start, and the one series
+engine per analysis, with phi and E at the jumps: the terms read its grid,
+the bound every 8th node and the jumps, the phase form its rows' phase.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -82,6 +83,8 @@ _MAX_DEPTH_DENSE = 8
 # from this many events (rows and jumps) on, the series engine walks them
 # as one prefix sum per order; shorter walks are cheaper as a Python loop
 _ARRAY_WALK_EVENTS = 64
+# overflow on long periods stays in the values, as in Python's float products
+_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 @dataclass
@@ -139,13 +142,10 @@ def _step_factor(t: float, mu: float, p: float, q: float) -> float:
     return factor
 
 
-def _sqrt_q(q_expr: ex.Expression, t: float, finite: bool = True) -> float:
-    """sqrt(q(t)), the value of phi on a dense part. A NaN or infinite
-    q(t) raises DomainError, unless ``finite`` is False: then it gives a
-    NaN or infinite phi."""
+def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
+    """sqrt(q(t)), the value of phi on a dense part: NaN or infinite where
+    q(t) is, as the callers name such a value later, in time order."""
     q = ex.evaluate(q_expr, t)
-    if finite:
-        _check_finite("q", q, t, "on a dense part")
     if q <= 0:
         raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
     return math.sqrt(q)
@@ -153,11 +153,12 @@ def _sqrt_q(q_expr: ex.Expression, t: float, finite: bool = True) -> float:
 
 @dataclass
 class PhaseTable:
-    """phi at the scattered points and at the dense starts, and the
-    scattered sample it was built from; on a dense part phi = sqrt(q).
+    """phi by segment index, and the scattered sample it was built from;
+    on a dense part phi = sqrt(q).
 
-    ``starts`` keeps phi = sqrt(q) where ``solve_phi`` evaluated it, at
-    the start of each dense segment; ``start_phi`` reads it by segment.
+    ``ends[i]`` is phi at the right end of segment i: the scattered point
+    there, or t0 + T for the last segment. ``starts`` keeps phi = sqrt(q)
+    where ``solve_phi`` evaluated it, at the start of each dense segment.
     ``engine`` is the analysis's one ``_SeriesEngine``, which ``_engine``
     builds on first use for the terms, the truncation bound and the phase form.
     """
@@ -166,19 +167,18 @@ class PhaseTable:
     q: ex.Expression
     qprime: ex.Expression
     sample: list  # [(t, mu, p(t), q(t))] at the scattered points, in order
-    values: dict = field(default_factory=dict)  # scattered coord (and t0+T) -> phi
+    ends: list = field(default_factory=list)  # segment index -> phi at its end
     starts: dict = field(default_factory=dict)  # dense segment index -> phi
     engine: Optional[_SeriesEngine] = field(default=None, repr=False)
 
     def start_phi(self, i: int) -> float:
-        """phi at the start of segment i: the chain value at a point, else
-        sqrt(q) from ``starts``, checked as ``_sqrt_q`` checks it: phi is
-        NaN or infinite where q is, and prints as q does."""
-        t = self.ts.segments[i].start
+        """phi at the start of segment i: sqrt(q) from ``starts``, checked
+        for a NaN or infinite q (phi is one where q is, and prints as q
+        does), else ``ends[i]``, since a point starts where it ends."""
         if i not in self.starts:
-            return self.values[t]
-        _check_finite("q", self.starts[i], t, "on a dense part")
-        return self.starts[i]
+            return self.ends[i]
+        return _check_finite("q", self.starts[i], self.ts.segments[i].start,
+                             "on a dense part")
 
 
 def _check_phi(v: float, where: float) -> float:
@@ -195,10 +195,11 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
     starts from phi(t0) = seed and runs forward; the default seed
     sqrt(|q(t0)|) keeps phi of the order of sqrt(|q|) along the chain,
     where phi(t0) = 1 would alternate between 1 and q and blow up h on
-    long periods. A does not depend on the seed. On hybrid scales each
-    scattered run ending at the left endpoint of a dense interval is
-    back-substituted from sqrt(q) there; scattered points after the last
-    dense interval are back-substituted from phi(t0+T) = phi(t0).
+    long periods. A does not depend on the seed. On hybrid scales sqrt(q)
+    is evaluated at every dense start first, in time order; then each
+    scattered run ending at a dense start is back-substituted from sqrt(q)
+    there, and the run after the last dense segment from
+    phi(t0+T) = phi(t0). The table holds phi at every segment's end.
 
     ``sample`` is ``validate_system``'s sample of p and q at the scattered
     points; without it, solve_phi samples them itself. The table keeps it.
@@ -207,57 +208,46 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
     if sample is None:
         sample = list(_scattered_sample(spec))
     table = PhaseTable(ts, spec.q, spec.qprime, sample)
-    values = table.values
     segs = ts.segments
+    ends = table.ends = [None] * len(segs)
     # q at the right end of segs[i], for every segment but the last
     q_end = [q for _, _, _, q in sample]
 
     if ts.is_discrete:
-        chain = [s.x for s in segs]
         if seed is None:
             seed = math.sqrt(abs(q_end[0]))
-        phi = _check_phi(float(seed), chain[0])
-        values[chain[0]] = phi
-        for q, nxt in zip(q_end, chain[1:]):
-            phi = _check_phi(q / phi, nxt)
-            values[nxt] = phi
+        ends[0] = _check_phi(float(seed), ts.t0)
+        for i, q in enumerate(q_end, 1):
+            ends[i] = _check_phi(q / ends[i - 1], segs[i].x)
         return table
 
-    last_interval = max(i for i, s in enumerate(segs) if isinstance(s, Interval))
+    # unchecked: a NaN or infinite q is named later, in time order. The
+    # series grid names the first such node inside a dense part, then
+    # PhaseTable.start_phi a dense start where the series reads phi
+    starts = table.starts = {i: _sqrt_q(spec.q, s.a) for i, s in
+                             enumerate(segs) if isinstance(s, Interval)}
 
-    def dense_start(i):
-        # unchecked: a NaN or infinite q is named later, in time order.
-        # The series grid names the first such node inside a dense part,
-        # then PhaseTable.start_phi a dense start where the series reads phi
-        table.starts[i] = _sqrt_q(spec.q, segs[i].start, finite=False)
-        return table.starts[i]
+    def back_substitute(last, first):
+        # phi at the scattered ends of segs[last], ..., segs[first], each
+        # from phi at the start of the next segment
+        for i in range(last, first - 1, -1):
+            phi_succ = starts.get(i + 1, ends[i + 1])
+            ends[i] = _check_phi(q_end[i] / phi_succ, segs[i].end)
 
-    # runs that terminate at a dense left endpoint
-    for i in range(last_interval - 1, -1, -1):
-        c, succ = segs[i].end, segs[i + 1].start
-        phi_succ = values[succ] if succ in values else dense_start(i + 1)
-        values[c] = _check_phi(q_end[i] / phi_succ, c)
-
-    phi0 = values[ts.t0] if ts.t0 in values else dense_start(0)
-    values[ts.t_end] = _check_phi(phi0, ts.t_end)
-
-    # trailing run after the last dense interval, wrapped through t0+T
-    for i in range(len(segs) - 2, last_interval - 1, -1):
-        c, succ = segs[i].end, segs[i + 1].start
-        values[c] = _check_phi(q_end[i] / values[succ], c)
+    last_interval = max(starts)
+    back_substitute(last_interval - 1, 0)  # the runs ending at dense starts
+    ends[-1] = _check_phi(starts.get(0, ends[0]), ts.t_end)
+    back_substitute(len(segs) - 2, last_interval)  # through t0+T
 
     # phi may be discontinuous where a dense interval meets its scattered
-    # right endpoint; the computation proceeds, but the user is told. The
-    # dense limit is read just inside the interval, as _sample_dense does
-    for a, b in ts.dense_intervals():
-        stored = values.get(b)
-        if stored is None:
-            continue
-        limit = _sqrt_q(spec.q, inward(a, b)[1], finite=False)
-        if abs(stored - limit) > 1e-6:
+    # right endpoint (or t0+T); the computation proceeds, but the user is
+    # told. The dense limit is read just inside, as _sample_dense does
+    for i in starts:
+        limit = _sqrt_q(spec.q, inward(segs[i].a, segs[i].b)[1])
+        if abs(ends[i] - limit) > 1e-6:
             warnings.warn(
-                f"phi is discontinuous at t={b}: chain value "
-                f"{stored} vs dense limit {limit}",
+                f"phi is discontinuous at t={segs[i].b}: chain value "
+                f"{ends[i]} vs dense limit {limit}",
                 PhiDiscontinuityWarning,
                 stacklevel=2,
             )
@@ -417,31 +407,36 @@ class _Jump:
     """The right-scattered point t that ends segment i, with graininess mu
     and, as scalars, the fields a dense row holds per node: phi(t), E
     before the point's own step, h(t) = -p - (phi(sigma(t)) - phi(t)) /
-    (mu phi(t)) and D = phi(sigma(t)) E(sigma(t)); also the level weight
-    W = h / D and E_after = E(sigma(t)). p and phi come from the table."""
+    (mu phi(t)) and D = phi(sigma(t)) E(sigma(t)); also muW, mu times the
+    level weight W = h / D, which a level's step at t carries, and
+    E_after = E(sigma(t)). p and phi come from the table."""
 
-    __slots__ = ("mu", "phi", "E", "h", "D", "W", "E_after")
+    __slots__ = ("mu", "phi", "E", "h", "D", "muW", "E_after")
 
     def __init__(self, table: PhaseTable, i: int, E: complex):
-        t, self.mu, p, _ = table.sample[i]
-        self.phi = table.values[t]
+        _, self.mu, p, _ = table.sample[i]
+        self.phi = table.ends[i]
         phi_sigma = table.start_phi(i + 1)  # sigma(t) starts segment i + 1
         self.h = -p - (phi_sigma - self.phi) / (self.mu * self.phi)
         self.E = E
         self.E_after = (1.0 + 1j * self.mu * self.phi) * E
         self.D = phi_sigma * self.E_after
-        self.W = self.h / self.D
+        self.muW = self.mu * (self.h / self.D)
 
 
 class _SeriesEngine:
     """Precomputed grids for the series terms A_n and their tail bound.
 
     The dense cells are the rows of one stacked (cells, nodes) grid that
-    holds x, phi, h, the complex phase factor E(t) = e_{i phi}(t, t0) and
-    D = phi E (sigma(t) = t there); the scattered points are scalar
+    holds x, phi, h, the phase (the running integral of phi), the complex
+    phase factor E(t) = e_{i phi}(t, t0), D = phi E (sigma(t) = t there)
+    and the level weight W = h / D; the scattered points are scalar
     ``_Jump``s with the same fields, built in time order after the dense
-    sampling, so a NaN q at a dense start is named after the grid's nodes.
-    Each series order is the two running integrals J and K of W = h / D
+    sampling, so a NaN q at a dense start is named after the grid's nodes;
+    ``jump_phi``, ``jump_E`` and the seeds ``jump_GH`` gather them once.
+    Overflow on long periods stays in the values, and numpy's error state
+    is the caller's at every return and yield. Each series order is the
+    two running integrals J and K of W
     against the previous level's G and H: one Simpson call over the
     (2, cells, nodes) stack of W G and W H, then a walk over the events,
     cells and jumps in time order, that carries both running offsets,
@@ -473,71 +468,71 @@ class _SeriesEngine:
             (self.x, self.phi, self.h, self.last,
              self.real) = _sample_dense(spec, cells)
             self.weights = simpson_weights(self.x)
-            U = np.exp(1j * cumulative_simpson(self.phi, self.weights))
+            self.phase = cumulative_simpson(self.phi, self.weights)
+            U = np.exp(1j * self.phase)
             self.E = np.empty_like(U)
             # each row's last node, as a flat index into a (cells, nodes) plane
             self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
         self.events = []  # dense row index | _Jump, in time order
         self.jumps = []
-        E = 1.0 + 0.0j
-        row = 0
-        for i, (seg, step) in enumerate(ts.steps()):
-            if isinstance(seg, Interval):
-                # E carries on from the row's last node: the scalar product
-                # E * U[row, last] would round differently
-                np.multiply(E, U[row], out=self.E[row])
-                E = self.E[row, self.last[row]]
-                self.events.append(row)
-                row += 1
-            if step is not None:
-                jump = _Jump(table, i, E)
-                self.events.append(jump)
-                self.jumps.append(jump)
-                E = jump.E_after
-        if cells:
-            self.D = self.phi * self.E
-        self.E_T = E
-        self.phi0 = table.start_phi(0)
-        self.phiT = table.values[ts.t_end]
-        self.slots = None
-        if len(self.events) >= _ARRAY_WALK_EVENTS:
-            self._array_walk_columns()
+        # past a dense row E is a numpy scalar; its overflow stays in the values
+        with _quiet():
+            E = 1.0 + 0.0j
+            row = 0
+            for i, (seg, step) in enumerate(ts.steps()):
+                if isinstance(seg, Interval):
+                    # E carries on from the row's last node: the scalar
+                    # product E * U[row, last] would round differently
+                    np.multiply(E, U[row], out=self.E[row])
+                    E = self.E[row, self.last[row]]
+                    self.events.append(row)
+                    row += 1
+                if step is not None:
+                    jump = _Jump(table, i, E)
+                    self.events.append(jump)
+                    self.jumps.append(jump)
+                    E = jump.E_after
+            if cells:
+                self.D = self.phi * self.E
+                self.W = self.h / self.D
+            self.jump_phi = np.array([ev.phi for ev in self.jumps])
+            self.jump_E = np.array([ev.E for ev in self.jumps], dtype=complex)
+            # the seeds G_0 and H_0 at the jumps, as Python's float products
+            self.jump_GH = self.jump_phi * np.array([self.jump_E.imag,
+                                                     self.jump_E.real])
+            self.E_T = E
+            self.phi0 = table.start_phi(0)
+            self.phiT = table.ends[-1]
+            self.slots = None
+            if len(self.events) >= _ARRAY_WALK_EVENTS:
+                self._array_walk_columns()
 
     def _array_walk_columns(self):
         """The array walk's columns: ``slots``, each row's and each jump's
-        slot, 1 + its place in time order, and the slots before them;
-        phi and E per jump; and ``step``, the (jumps, 2) factors and terms
-        of a jump's step. With mu W as the loop computes ``ev.mu * ev.W``,
-        CPython's (mu W) * g is (Re mu W g - Im mu W 0.0,
-        Re mu W 0.0 + Im mu W g): the factors are (Re mu W, Im mu W) and
-        the terms (Im mu W (-0.0), Re mu W 0.0), NaN where a part of mu W
-        is infinite."""
+        slot, 1 + its place in time order, and the slots before them; and
+        ``step``, the (jumps, 2) factors and terms of a jump's step. With
+        mu W as ``_Jump.muW``, CPython's (mu W) * g is
+        (Re mu W g - Im mu W 0.0, Re mu W 0.0 + Im mu W g): the factors are
+        (Re mu W, Im mu W) and the terms (Im mu W (-0.0), Re mu W 0.0), NaN
+        where a part of mu W is infinite."""
         slots = np.arange(1, len(self.events) + 1)
         is_row = np.array([ev.__class__ is int for ev in self.events])
         rows, jumps = slots[is_row], slots[~is_row]
         self.slots = rows, jumps, rows - 1, jumps - 1
-        self.jump_phi = np.array([ev.phi for ev in self.jumps])
-        self.jump_E = np.array([ev.E for ev in self.jumps], dtype=complex)
-        factor = np.array([ev.mu * ev.W for ev in self.jumps],
+        factor = np.array([ev.muW for ev in self.jumps],
                           dtype=complex).view(float).reshape(-1, 2)
-        with np.errstate(invalid="ignore"):
-            self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
+        self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
 
     def trace_seeds(self):
         """The seeds of the trace series, G_0 = phi sin_phi and
-        H_0 = phi cos_phi: the (2, cells, nodes) stack GH on the rows
-        (None without rows) and, at the jumps, the (g, h) pairs or, on an
-        engine that walks arrays, the (2, jumps) array of g and h."""
-        GH = None
-        if self.rows:
-            GH = self.phi * np.stack([self.E.imag, self.E.real])
-        if self.slots is not None:
-            E = self.jump_E
-            with np.errstate(over="ignore"):  # as Python's float product
-                return GH, np.stack([self.jump_phi * E.imag,
-                                     self.jump_phi * E.real])
-        return GH, [(ev.phi * ev.E.imag, ev.phi * ev.E.real)
-                    for ev in self.jumps]
+        H_0 = phi cos_phi: the (2, cells, nodes) stack GH on the rows (None
+        without rows) and ``jump_GH``, the (2, jumps) array of g and h at
+        the jumps."""
+        if not self.rows:
+            return None, self.jump_GH
+        with _quiet():
+            return (self.phi * np.stack([self.E.imag, self.E.real]),
+                    self.jump_GH)
 
     def levels(self, seeds):
         """Yield the terms A_1, A_2, ... of the level recursion started
@@ -553,22 +548,27 @@ class _SeriesEngine:
         GH, at_jumps = seeds
         ratio = self.phiT / self.phi0
         E_T = self.E_T
-        walk = self._scalar_walk if self.slots is None else self._array_walk
-        totals = None
-        if self.rows:
-            W = self.h / self.D
-            # the running offsets of the J and K integrals at each row
-            off = np.empty((2, self.rows, 1), dtype=complex)
+        if self.slots is None:
+            walk, at_jumps = self._scalar_walk, at_jumps.T.tolist()
+        else:
+            walk = self._array_walk
+        S = None
         while True:
             if self.rows:
-                S = cumulative_simpson(W * GH, self.weights)
-                totals = S.reshape(2, -1).take(self.tips, axis=1)
-            (accJ, accK), offsets, at_jumps = walk(totals, at_jumps)
+                with _quiet():
+                    if S is not None:  # this level's rows, from the last's
+                        # the running offsets of J and K at each row
+                        off = np.array(offsets, dtype=complex)[..., None]
+                        GH = self.phi * (self.E * (off + S)).real
+                    S = cumulative_simpson(self.W * GH, self.weights)
+                    totals = S.reshape(2, -1).take(self.tips, axis=1)
+                    (accJ, accK), offsets, at_jumps = walk(totals, at_jumps)
+                    A = -(E_T * accJ).imag + ratio * (E_T * accK).real
+            else:  # Python's arithmetic, or the array walk's own error state
+                (accJ, accK), _, at_jumps = walk(None, at_jumps)
+                A = -(E_T * accJ).imag + ratio * (E_T * accK).real
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
-            yield -(E_T * accJ).imag + ratio * (E_T * accK).real + 0.0
-            if self.rows:
-                off[:, :, 0] = offsets
-                GH = self.phi * (self.E * (off + S)).real
+            yield A + 0.0
 
     def _scalar_walk(self, totals, at_jumps):
         """One order's walk in Python complex arithmetic: the final J and
@@ -591,8 +591,8 @@ class _SeriesEngine:
                 # running value excludes the jump at the point itself
                 at_jumps.append((ev.phi * (ev.E * accJ).real,
                                  ev.phi * (ev.E * accK).real))
-                accJ = accJ + ev.mu * ev.W * g
-                accK = accK + ev.mu * ev.W * h
+                accJ = accJ + ev.muW * g
+                accK = accK + ev.muW * h
         return (accJ, accK), (offJ, offK), at_jumps
 
     def _array_walk(self, totals, GH):
@@ -610,7 +610,7 @@ class _SeriesEngine:
         factor, term = self.step
         acc = np.empty((2, len(self.events) + 1), dtype=complex)
         parts = acc.view(float).reshape(2, -1, 2)  # (Re, Im) of each slot
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             acc[:, 0] = 0.0
             if self.rows:
                 acc[:, rows] = totals
@@ -640,7 +640,7 @@ class _SeriesEngine:
 
     # on long periods E overflows and the tables hold inf and NaN;
     # error_bound reads a NaN constant as an infinite bound
-    @np.errstate(invalid="ignore", over="ignore")
+    @_quiet()
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|, over
         the ``bound_nodes`` of the series grid and every jump.
@@ -668,12 +668,10 @@ class _SeriesEngine:
             nodes = self.bound_nodes()
             phi_t, E_t, h_t, M_s = (self.phi[nodes], self.E[nodes],
                                     self.h[nodes], 1.0 / self.D[nodes])
-        jumps = self.jumps
-        phi_t = np.concatenate([phi_t, [ev.phi for ev in jumps],
-                                [self.phiT]])
-        E_t = np.concatenate([E_t, [ev.E for ev in jumps], [self.E_T]])
-        h_t = np.concatenate([h_t, [ev.h for ev in jumps]])
-        M_s = np.concatenate([M_s, [1.0 / ev.D for ev in jumps],
+        phi_t = np.concatenate([phi_t, self.jump_phi, [self.phiT]])
+        E_t = np.concatenate([E_t, self.jump_E, [self.E_T]])
+        h_t = np.concatenate([h_t, [ev.h for ev in self.jumps]])
+        M_s = np.concatenate([M_s, [1.0 / ev.D for ev in self.jumps],
                               [1.0 / (self.phiT * self.E_T)]])
 
         K3 = float(np.max(np.abs(h_t)))
@@ -888,7 +886,7 @@ def shi_continuous_a(spec: SystemSpec, table: PhaseTable, n: int,
         raise DepthBudgetExceeded(f"n={n} exceeds the depth budget")
 
     engine = _engine(spec, table)
-    phase = cumulative_simpson(engine.phi, engine.weights)
+    phase = engine.phase
     u = np.exp(-2j * phase)  # e^{-2i Phi(t)}
     outer_phase = cmath.exp(1j * phase[0, -1])
 

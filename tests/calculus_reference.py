@@ -22,7 +22,12 @@ from tsfloquet.errors import (
     NotRegressive,
     PointNotInTimeScale,
 )
-from tsfloquet.floquet import PhaseTable, SystemSpec, _sqrt_q
+from tsfloquet.floquet import (
+    PhaseTable,
+    SystemSpec,
+    _check_finite,
+    _sqrt_q,
+)
 from tsfloquet.timescale import ValidatedTimeScale
 from tsfloquet.tscalc import Number, _adaptive_quad
 
@@ -128,13 +133,21 @@ def sin_phi(
     return complex(ts_exponential(lambda u: 1j * phi(u), t, s, ts, tol)).imag
 
 
+def _checked_sqrt_q(q_expr, t: float) -> float:
+    """sqrt(q(t)) on a dense part; a NaN or infinite q(t) raises
+    DomainError."""
+    _check_finite("q", ex.evaluate(q_expr, t), t, "on a dense part")
+    return _sqrt_q(q_expr, t)
+
+
 def phase_value(table: PhaseTable, t: float) -> float:
-    """phi(t): the value ``solve_phi`` stored at a scattered point (or at
-    t0 + T), else sqrt(q(t)) on a dense part."""
-    _, t = table.ts.locate(t)
-    if t in table.values:
-        return table.values[t]
-    return _sqrt_q(table.q, t)
+    """phi(t): the value ``solve_phi`` stored at the right end of a
+    segment (a scattered point, or t0 + T), else sqrt(q(t)) on a dense
+    part."""
+    i, t = table.ts.locate(t)
+    if t == table.ts.segments[i].end:
+        return table.ends[i]
+    return _checked_sqrt_q(table.q, t)
 
 
 def phi_delta(table: PhaseTable, t: float) -> float:
@@ -145,7 +158,7 @@ def phi_delta(table: PhaseTable, t: float) -> float:
     mu = ts.mu(t)
     if mu > 0 and t != ts.t_end:
         return (phase_value(table, t + mu) - phase_value(table, t)) / mu
-    sqrt_q = _sqrt_q(table.q, t)
+    sqrt_q = _checked_sqrt_q(table.q, t)
     return ex.evaluate(table.qprime, t) / (2.0 * sqrt_q)
 
 

@@ -665,7 +665,7 @@ def test_array_walk_rounds_each_step_as_cpython():
                       parse("if(eq(t, 0), 1e305, 0.1)"), parse("0.0001"))
     engine = _SeriesEngine(spec, solve_phi(spec))
     assert engine.slots is not None
-    muW = engine.jumps[0].mu * engine.jumps[0].W
+    muW = engine.jumps[0].muW
     assert math.isfinite(muW.real) and math.isinf(muW.imag)
     _, GH = engine.trace_seeds()
     pairs = GH.T.tolist()
@@ -676,27 +676,53 @@ def test_array_walk_rounds_each_step_as_cpython():
         assert _hex_parts(GH.T.ravel()) == _hex_parts(np.ravel(pairs))
 
 
-@pytest.mark.parametrize("spec", [
-    unit_step_overflow_system(1000),
+def _hybrid_overflow_system(cells):
+    """Unit dense cells [2i, 2i + 1] and the point 2 cells, p = 0.1 and
+    q = 400: at 400 cells E overflows past a dense row, where it is a
+    numpy scalar."""
+    segs = [Interval(2.0 * i, 2.0 * i + 1) for i in range(cells)]
+    ts = validate(PeriodicTimeScale(0.0, 2.0 * cells,
+                                    segs + [Point(2.0 * cells)]))
+    return SystemSpec(ts, parse("0.1"), parse("400"))
+
+
+@pytest.mark.parametrize("spec, n", [
+    (unit_step_overflow_system(1000), 3),
     # q ~ 400: phi E overflows in the seeds while E is still finite
-    SystemSpec(points_scale(list(range(241))), parse("0.1"),
-               parse("400 + 50*cos(2*pi*t/240)"))], ids=["1000", "240"])
-def test_array_walk_leaves_numpy_error_state(spec):
-    # the walk's overflow stays in the values: under raising error states
-    # seeding and pulling an order raise nothing and leave the state as it
-    # was, and the overflowing analysis warns nothing
-    engine = _SeriesEngine(spec, solve_phi(spec))
-    assert engine.slots is not None
+    (SystemSpec(points_scale(list(range(241))), parse("0.1"),
+                parse("400 + 50*cos(2*pi*t/240)")), 3),
+    (_hybrid_overflow_system(400), 3), (_hybrid_overflow_system(400), 8)],
+    ids=["1000", "240", "hybrid400-n3", "hybrid400-n8"])
+def test_array_walk_leaves_numpy_error_state(spec, n):
+    # the engine's overflow stays in the values: under raising error
+    # states building the engine, seeding and pulling each order raise
+    # nothing and leave the state as it was at every term, and the
+    # overflowing analysis warns nothing
+    table = solve_phi(spec)
     with np.errstate(over="raise", invalid="raise"):
         state = np.geterr()
-        A1 = next(engine.levels(engine.trace_seeds()))
-        assert np.geterr() == state
-    assert math.isnan(A1)
+        engine = _SeriesEngine(spec, table)
+        terms = engine.levels(engine.trace_seeds())
+        for _ in range(n):
+            assert math.isnan(next(terms))
+            assert np.geterr() == state
+    assert engine.slots is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        report = analyze(spec, n=3)
+        report = analyze(spec, n=n)
     assert math.isnan(report.A_partial)
     assert report.verdict is Verdict.UNSTABLE
+
+
+def test_dense_starts_are_named_in_time_order():
+    # q = t - 3.5 is negative at the dense starts 0 and 2, not at 4:
+    # sqrt(q) is taken at every dense start in time order, so q(0) is named
+    ts = validate(PeriodicTimeScale(0.0, 5.0, [
+        Interval(0.0, 1.0), Interval(2.0, 3.0), Interval(4.0, 5.0)]))
+    spec = SystemSpec(ts, parse("0"), parse("t - 3.5"))
+    with pytest.raises(NegativeQOnDense) as exc:
+        analyze(spec)
+    assert str(exc.value) == "q(0.0) = -3.5 <= 0 on a dense part"
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -706,8 +732,8 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
                                                      tmp_path, monkeypatch):
     # validate_system, solve_phi, compute_B and the one engine, which the
     # series and the bound share, read one sample of p and q per scattered
-    # point and one sample of q per dense start; the engine builds one jump
-    # per scattered point
+    # point and one sample of q per dense start, in time order; the engine
+    # builds one jump per scattered point
     spec = _reference_spec(kind, key, workloads, tmp_path)
     scattered = {t for t, _ in spec.ts.scattered_with_mu()}
     starts = [a for a, _ in spec.ts.dense_intervals()]
@@ -732,7 +758,7 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
     report = analyze(spec, n=3)
     # in time order, p before q
     assert evaluated == [(c, t) for t in sorted(scattered) for c in "pq"]
-    assert sorted(at_starts) == starts
+    assert at_starts == starts
     assert len(engines) == 1 and len(jumps) == len(scattered)
     assert not report.err_bound.exact
 
