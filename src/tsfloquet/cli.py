@@ -210,7 +210,8 @@ def _text_report(report: FloquetReport, check: Optional[CheckResult]) -> str:
     if check is not None:
         lines.append(f"oracle A delta = {check.a_delta:.3e} "
                      f"(allowed {check.allowed:.3e})")
-        lines.append(f"oracle B delta = {check.b_delta:.3e}")
+        lines.append(f"oracle B delta = {check.b_delta:.3e} "
+                     f"(allowed {check.b_allowed:.3e})")
     return "\n".join(lines) + "\n"
 
 
@@ -240,6 +241,7 @@ def _json_report(report: FloquetReport, check: Optional[CheckResult],
             "a_delta": check.a_delta,
             "b_delta": check.b_delta,
             "allowed": check.allowed,
+            "b_allowed": check.b_allowed,
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -5,17 +5,22 @@ Y' = S(t) Y with S = [[0, 1], [-q, -p]]. Each dense interval is cut into
 panels, and each panel's propagator comes from one step of the 3-stage
 Gauss-Legendre method (order 6): for a linear system its stage equations
 are one 6x6 linear solve, batched over every panel of the period at once.
-Refinement compares each panel's propagator with the product of its two
-halves' and bisects only the panels that disagree beyond _RK_TOL; each
-round samples p and q with one ``evaluate_array`` call each, at the Gauss
-nodes of every active half-panel. The accepted propagators of an interval
-are multiplied in time order by pairwise products, and each scattered
-point applies its exact one-step product Y <- (I + mu S) Y. Shares nothing
-with the series path but expression evaluation and the time scale's
-one-sided-limit convention, ``timescale.inward``. ``cross_check`` compares
-the trace and determinant with the A(n), B and error bound of a report
-that ``analyze`` produced, so it checks the numbers the user sees without
-recomputing them.
+Refinement runs in rounds. Each round takes one step over every active
+panel and over both of its halves, sampling p and q with one
+``evaluate_array`` call each, and accepts the panels whose propagator
+agrees with the product of its halves' to _RK_TOL. A rejected panel's
+disagreement predicts how finely to cut it: an order-6 step's local error
+scales like h^7, so each factor of 2^7 = 128 by which it misses the
+tolerance asks for one more halving, at least one and at most six (64
+equal panels) per round. Smooth coefficients finish in two rounds, the
+committed Mathieu equations in three or four. The accepted propagators
+of an interval are multiplied in time order by pairwise products, and
+each scattered point applies its exact one-step product
+Y <- (I + mu S) Y. Shares nothing with the series path but expression
+evaluation and the time scale's one-sided-limit convention,
+``timescale.inward``. ``cross_check`` compares the trace and determinant
+with the A(n), B and error bound of a report that ``analyze`` produced,
+so it checks the numbers the user sees without recomputing them.
 """
 from __future__ import annotations
 
@@ -116,42 +121,65 @@ def _ordered_product(R) -> np.ndarray:
 # a panel whose propagator overflows is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def _dense_flows(spec: SystemSpec, intervals: list) -> list:
-    """The propagator of each dense interval [a, b], in the given order."""
+    """The propagator of each dense interval [a, b], in the given order.
+
+    Each round takes one ``_propagators`` call over every active panel and
+    both of its halves. A rejected panel is cut into 2^k equal panels for
+    the next round: the local error of an order-6 step scales like h^7, so
+    2^k with k = ceil(log2(err / allowed) / 7) brings it under the
+    tolerance where that scaling holds. k is at least 1, and at most 6 so
+    that one round multiplies a panel's cost by at most 64 and the budget,
+    checked before each round, stops a panel far from that regime, whose
+    error estimate says little, before it asks for 2^147 panels at once.
+    """
     if not intervals:
         return []
     ends = np.array(intervals, dtype=float)
     interval = np.arange(len(ends))
     lo, hi = ends.T
-    R = _propagators(spec, lo, hi, ends, interval)
-    evals = 3 * len(interval)
+    evals = 0
     done = []  # (interval index, left end, propagator) of accepted panels
     while len(interval):
-        evals += 6 * len(interval)
+        evals += 9 * len(interval)
         if evals > _EVAL_BUDGET:
             a, b = ends[interval.min()]
             raise StepSizeUnderflow(
                 f"rk_tol {_RK_TOL} unreachable within {_EVAL_BUDGET} "
                 f"coefficient evaluations on [{a}, {b}]")
         mid = 0.5 * (lo + hi)
-        RL, RR = np.split(_propagators(
-            spec, np.concatenate([lo, mid]), np.concatenate([mid, hi]),
-            ends, np.concatenate([interval, interval])), 2)
+        R, RL, RR = np.split(_propagators(
+            spec, np.concatenate([lo, lo, mid]),
+            np.concatenate([hi, mid, hi]), ends, np.tile(interval, 3)), 3)
         fine = RR @ RL
         # a non-finite half makes the product non-finite
         _check_panels(np.isfinite(fine), ends, interval,
                       "non-finite propagator")
         err = np.abs(R - fine).max(axis=(1, 2))
-        ok = err <= _RK_TOL * np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
+        allowed = _RK_TOL * np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
+        ok = err <= allowed
         done.append((interval[ok], lo[ok], fine[ok]))
         bad = ~ok
-        interval = np.concatenate([interval[bad], interval[bad]])
-        lo, hi = (np.concatenate([lo[bad], mid[bad]]),
-                  np.concatenate([mid[bad], hi[bad]]))
-        R = np.concatenate([RL[bad], RR[bad]])
+        ratio = err[bad] / allowed[bad]
+        k = np.where(np.isfinite(ratio),
+                     np.clip(np.ceil(np.log2(ratio) / 7), 1, 6), 1)
+        interval, lo, hi = _cut(interval[bad], lo[bad], hi[bad],
+                                2 ** k.astype(int))
     interval, lo, R = (np.concatenate(parts) for parts in zip(*done))
     order = np.lexsort((lo, interval))
     cuts = np.searchsorted(interval[order], np.arange(1, len(ends)))
     return [_ordered_product(part) for part in np.split(R[order], cuts)]
+
+
+def _cut(interval, lo, hi, m):
+    """Panel i of [lo, hi] cut into m[i] equal panels: the new panels'
+    interval index, left and right ends. Neighbours share their end bit
+    for bit, and the last panel ends at hi."""
+    edge = np.repeat(np.arange(len(m)), m + 1)
+    j = np.arange(len(edge)) - np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)
+    x = np.where(j == m[edge], hi[edge],
+                 lo[edge] + (hi - lo)[edge] * (j / m[edge]))
+    left = j < m[edge]
+    return interval[edge[left]], x[left], x[j > 0]
 
 
 def monodromy(spec: SystemSpec) -> np.ndarray:
@@ -161,7 +189,8 @@ def monodromy(spec: SystemSpec) -> np.ndarray:
     halves' differ by at most _RK_TOL max(1, max|entry of the product|), and
     the product is kept. StepSizeUnderflow names the first dense interval
     with a NaN or infinite coefficient or propagator, or whose panels still
-    disagree after _EVAL_BUDGET coefficient samples over all rounds.
+    disagree when the next round would take the coefficient samples over
+    all rounds past _EVAL_BUDGET.
     """
     ts = spec.ts
     flows = iter(_dense_flows(spec, ts.dense_intervals()))
@@ -184,34 +213,43 @@ class CheckResult:
     b_oracle: float
     a_delta: float  # |A_oracle - A(n)|
     b_delta: float  # |B_oracle - B|
-    allowed: float  # report.err_bound.value + _CHECK_TOL
+    allowed: float  # err_bound + _CHECK_TOL max(1, |A_oracle|)
+    b_allowed: float  # _CHECK_TOL max(1, |B_oracle|)
+
+
+def _scale(x: float) -> float:
+    """max(1, |x|), and 1 where x is not finite, so that an overflowed
+    oracle value allows no more than a unit one."""
+    return max(1.0, abs(x)) if math.isfinite(x) else 1.0
 
 
 def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
     """Compare the report's A(n) and B against the monodromy trace and det.
 
-    The A comparison allows the report's truncation bound plus _CHECK_TOL;
-    B is exact up to quadrature, so only _CHECK_TOL is allowed. A delta that
-    is NaN fails the check.
+    The A comparison allows the report's truncation bound plus _CHECK_TOL
+    relative to the trace; B is exact up to quadrature, so only _CHECK_TOL
+    relative to the determinant is allowed. A delta that is NaN fails the
+    check.
     """
     Y = monodromy(spec)
     a_oracle = float(np.trace(Y))
     with np.errstate(over="ignore", invalid="ignore"):
         b_oracle = float(np.linalg.det(Y))
-    allowed = report.err_bound.value + _CHECK_TOL
     result = CheckResult(
         a_oracle=a_oracle,
         b_oracle=b_oracle,
         a_delta=abs(a_oracle - report.A_partial),
         b_delta=abs(b_oracle - report.B),
-        allowed=allowed,
+        allowed=report.err_bound.value + _CHECK_TOL * _scale(a_oracle),
+        b_allowed=_CHECK_TOL * _scale(b_oracle),
     )
     # written so that a NaN delta (an overflowed A, B or monodromy) fails
-    if not (result.a_delta <= allowed and result.b_delta <= _CHECK_TOL):
+    if not (result.a_delta <= result.allowed
+            and result.b_delta <= result.b_allowed):
         raise CheckFailed(
             f"oracle disagreement: |A_oracle - A({report.n})| = "
-            f"{result.a_delta} (allowed {allowed}), |B_oracle - B| = "
-            f"{result.b_delta} (allowed {_CHECK_TOL})",
+            f"{result.a_delta} (allowed {result.allowed}), |B_oracle - B| = "
+            f"{result.b_delta} (allowed {result.b_allowed})",
             a_delta=result.a_delta,
             b_delta=result.b_delta,
         )

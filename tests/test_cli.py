@@ -394,6 +394,24 @@ def test_oracle_fails_on_B_past_the_float_range(tmp_path):
     assert "oracle disagreement" in result.stderr
 
 
+def test_oracle_scales_its_tolerances_with_large_A_and_B(tmp_path):
+    # p = -1 on [0, 20]: B = e^20 ~ 4.85e8, and the oracle's determinant
+    # differs from it by ~2e-2, 4.5e-11 relative; an unstable system
+    # (exit 1), not an oracle disagreement (exit 4)
+    f = tmp_path / "e20.cfg"
+    f.write_text("t0 = 0\nperiod = 20\nintervals = [[0, 20]]\n"
+                 "p = -1\nq = 1\n")
+    result = invoke(str(f), "--oracle", "--json")
+    assert result.exit_code == 1, result.stderr
+    oracle = json.loads(result.output)["oracle"]
+    assert oracle["b_allowed"] == 1e-8 * abs(oracle["b_oracle"])
+    assert 0.0 < oracle["b_delta"] <= oracle["b_allowed"]
+    result = invoke(str(f), "--oracle")
+    assert result.exit_code == 1
+    assert re.search(r"^oracle B delta = \S+ \(allowed 4\.85\de\+00\)$",
+                     result.output, re.M), result.output
+
+
 @pytest.mark.parametrize("k", [500, 1000])
 def test_oracle_fails_on_nan_deltas(tmp_path, k):
     # the B delta (k = 500) or both deltas (k = 1000) are NaN, which is

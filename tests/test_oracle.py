@@ -74,6 +74,23 @@ def test_cross_check_failure(example_z):
     assert exc.value.b_delta <= 1e-10
 
 
+def test_cross_check_tolerances_are_relative_to_the_oracle():
+    # B = e^20 ~ 4.85e8: the determinant is ~2e-2 off it, 4.5e-11
+    # relative, and passes; a B off by 1e-6 relative does not
+    spec = SystemSpec(validate(PeriodicTimeScale(
+        0.0, 20.0, [Interval(0.0, 20.0)])), parse("-1"), parse("1"))
+    report = analyze(spec, n=3)
+    r = cross_check(spec, report)
+    assert r.b_allowed == oracle._CHECK_TOL * abs(r.b_oracle)
+    assert r.allowed == report.err_bound.value + oracle._CHECK_TOL * abs(
+        r.a_oracle)
+    assert 1e-4 < r.b_delta <= r.b_allowed
+    with pytest.raises(CheckFailed) as exc:
+        cross_check(spec, dataclasses.replace(report,
+                                              B=report.B * (1 + 1e-6)))
+    assert exc.value.b_delta == pytest.approx(1e-6 * report.B, rel=1e-3)
+
+
 @pytest.mark.parametrize("k", [500, 1000])
 def test_cross_check_fails_on_nan(k):
     # unit steps with 1 - mu p + mu^2 q > 4: B and the monodromy overflow;
@@ -161,7 +178,8 @@ def test_nan_coefficient_names_its_interval_at_once(monkeypatch):
     with pytest.raises(StepSizeUnderflow,
                        match=r"non-finite coefficient on \[2\.0, 3\.0\]"):
         monodromy(spec)
-    assert sizes == [6]  # three Gauss nodes on each interval, once
+    # three Gauss nodes on each interval and on both of its halves, once
+    assert sizes == [18]
 
 
 def test_fast_oscillation_exhausts_the_evaluation_budget(monkeypatch):
@@ -182,6 +200,56 @@ def test_overflowing_propagator_names_its_interval():
     with pytest.raises(StepSizeUnderflow,
                        match=r"non-finite propagator on \[0\.0, 1\.0\]"):
         monodromy(spec)
+
+
+def test_refinement_takes_at_most_four_rounds(workloads, tmp_path,
+                                              monkeypatch):
+    # the halvings predicted from each panel's error settle the committed
+    # configs and the certify workload's hybrids in two to four rounds,
+    # one q sampling call each
+    paths = sorted(CONFIGS.glob("*.cfg")) + sorted(
+        CONFIGS.glob("mathieu/*.cfg"))
+    for system in workloads.build("certify", 1, CONFIGS.parent).systems:
+        if system.name.startswith("hybrid10"):
+            paths.append(tmp_path / f"{system.name}.cfg")
+            paths[-1].write_text(system.text)
+    assert len(paths) == 18
+    for path in paths:
+        spec = build_system(load_config(path))
+        sizes = _q_samples(monkeypatch, spec.q)
+        monodromy(spec)
+        assert len(sizes) <= 4, path.name
+
+
+def _uniform_monodromy(spec, panels):
+    """The monodromy with every dense interval cut into `panels` equal
+    panels, their propagators multiplied in time order, and the exact
+    one-step product at each scattered point."""
+    Y = np.eye(2)
+    for seg, step in spec.ts.steps():
+        if isinstance(seg, Interval):
+            edges = np.linspace(seg.start, seg.end, panels + 1)
+            R = oracle._propagators(spec, edges[:-1], edges[1:],
+                                    np.array([[seg.start, seg.end]]),
+                                    np.zeros(panels, dtype=int))
+            for r in R:
+                Y = r @ Y
+        if step is not None:
+            t, mu = step
+            Y = (np.eye(2) + mu * oracle._S(spec, t)) @ Y
+    return Y
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_adaptive_panels_match_a_uniform_grid(seed):
+    # the cutting and the time-ordered product of the refined panels,
+    # against 2048 equal panels per dense interval
+    spec = random_hybrid_system(seed)
+    Y = monodromy(spec)
+    want = _uniform_monodromy(spec, 2048)
+    tol = 1e-9 * max(1.0, np.abs(want).max())
+    assert abs(np.trace(Y) - np.trace(want)) <= tol
+    assert abs(np.linalg.det(Y) - np.linalg.det(want)) <= tol
 
 
 # -- accuracy against the benchmark's independent reference ------------------
