@@ -11,12 +11,13 @@ panel and over both of its halves, sampling p and q with one
 agrees with the product of its halves' to _RK_TOL. A rejected panel's
 disagreement predicts how finely to cut it: an order-6 step's local error
 scales like h^7, so each factor of 2^7 = 128 by which it misses the
-tolerance asks for one more halving, at least one and at most six (64
-equal panels) per round. Smooth coefficients finish in two rounds, the
-committed Mathieu equations in three or four. The accepted propagators
-of an interval are multiplied in time order by pairwise products, and
-each scattered point applies its exact one-step product
-Y <- (I + mu S) Y. Shares nothing with the series path but expression
+tolerance asks for one more halving, and a margin of 3 more factors of 2
+aims the new panels 8 times under the tolerance, at least one halving
+and at most six (64 equal panels) per round. Smooth coefficients and most
+committed Mathieu equations finish in two rounds, the others in three.
+The accepted propagators of an interval are multiplied in time order by
+pairwise products, and each scattered point applies its exact one-step
+product Y <- (I + mu S) Y. Shares nothing with the series path but expression
 evaluation and the time scale's one-sided-limit convention,
 ``timescale.inward``. ``cross_check`` compares the trace and determinant
 with the A(n), B and error bound of a report that ``analyze`` produced,
@@ -40,8 +41,13 @@ from .timescale import Interval, inward
 _EVAL_BUDGET = 1_000_000
 # a panel's accepted propagator error, relative to max(1, its largest entry)
 _RK_TOL = 1e-10
+# halvings beyond the bare prediction for a rejected panel: each sub-panel
+# aims 2^_MARGIN = 8 times under the tolerance
+_MARGIN = 3
 # what cross_check allows beyond the report's truncation bound
 _CHECK_TOL = 1e-8
+# unit roundoff of a float
+_U = 2.0 ** -53
 
 # Gauss-Legendre (3 stages, order 6) nodes, stage matrix and weights on [0, 1]
 _R15 = math.sqrt(15.0)
@@ -52,10 +58,14 @@ _A = np.array([
     [5 / 36 + _R15 / 30, 2 / 9 + _R15 / 15, 5 / 36],
 ])
 _B = np.array([5 / 18, 4 / 9, 5 / 18])
-# the stage matrix broadcast against S_j with axes (panel, i, r, j, c)
-_A5 = _A[None, :, None, :, None]
-_I6 = np.eye(6)
-_STAGE_RHS = np.tile(np.eye(2), (3, 1))
+_I2 = np.eye(2)
+_I3 = np.eye(3)
+# delta_ij delta_c1 with axes (i, j, c): the identity in M's (1, 1) blocks
+_I3_C1 = np.stack([np.zeros((3, 3)), _I3], axis=-1)
+_STAGE_RHS = np.vstack([_I2] * 3)
+# W's rows, with axes (i, k): b_i (0, 1), and -b_i times (q_i, p_i)
+_W0 = np.stack([np.zeros(3), _B], axis=-1)
+_NEG_B = -_B[:, None]
 
 
 def __getattr__(name: str):
@@ -79,7 +89,12 @@ def _propagators(spec, lo, hi, ends, interval):
     With h = hi - lo and S_j = S(lo + c_j h), the stage values Y_i solve
     Y_i - h sum_j a_ij S_j Y_j = I, one 6x6 system per panel with entries
     M[(i, r), (j, c)] = delta_ij delta_rc - h a_ij S_j[r, c], and the step
-    is I + h sum_i b_i S_i Y_i.
+    is I + h sum_i b_i S_i Y_i. As S_j's first row is (0, 1), M's first
+    block row holds delta_ij and -h a_ij, its second h a_ij q_j and
+    delta_ij + h a_ij p_j. S_i Y_i has rows Y_i[1] and
+    -q_i Y_i[0] - p_i Y_i[1], so the sum is W Y, with Y's rows Y_i[k]
+    stacked over (i, k) and W[0, (i, k)] = b_i delta_k1,
+    W[1, (i, k)] = -b_i (q_i, p_i)[k].
     """
     a, b = ends[interval].T
     h = hi - lo
@@ -88,18 +103,26 @@ def _propagators(spec, lo, hi, ends, interval):
     a_in, b_in = inward(a, b)
     t = np.clip(lo[:, None] + h[:, None] * _C, a_in[:, None],
                 b_in[:, None]).ravel()
-    q = ex.evaluate_array(spec.q, t).reshape(-1, 3)
-    p = ex.evaluate_array(spec.p, t).reshape(-1, 3)
-    _check_panels(np.isfinite(q) & np.isfinite(p), ends, interval,
-                  "non-finite coefficient")
-    S = np.zeros((len(h), 3, 2, 2))
-    S[..., 0, 1] = 1.0
-    S[..., 1, 0] = -q
-    S[..., 1, 1] = -p
-    M = _I6 - (h[:, None, None, None, None] * _A5
-               * S.transpose(0, 2, 1, 3)[:, None]).reshape(-1, 6, 6)
-    Y = np.linalg.solve(M, _STAGE_RHS).reshape(-1, 3, 2, 2)
-    return np.eye(2) + h[:, None, None] * np.einsum("i,pird->prd", _B, S @ Y)
+    # q_j and p_j with axes (panel, j, c)
+    qp = np.empty((len(t), 2))
+    qp[:, 0] = ex.evaluate_array(spec.q, t)
+    qp[:, 1] = ex.evaluate_array(spec.p, t)
+    if not np.isfinite(qp).all():
+        _check_panels(np.isfinite(qp), ends, interval,
+                      "non-finite coefficient")
+    qp = qp.reshape(-1, 3, 2)
+    hA = h[:, None, None] * _A
+    # axes (panel, i, r, j, c)
+    M = np.empty((len(h), 3, 2, 3, 2))
+    M[:, :, 0, :, 0] = _I3
+    M[:, :, 0, :, 1] = -hA
+    M[:, :, 1] = hA[..., None] * qp[:, None] + _I3_C1
+    # stage values with axes (panel, (i, k), d)
+    Y = np.linalg.solve(M.reshape(-1, 6, 6), _STAGE_RHS)
+    W = np.empty((len(h), 2, 3, 2))
+    W[:, 0] = _W0
+    W[:, 1] = _NEG_B * qp
+    return _I2 + h[:, None, None] * (W.reshape(-1, 2, 6) @ Y)
 
 
 def _check_panels(ok, ends, interval, what):
@@ -120,26 +143,36 @@ def _ordered_product(R) -> np.ndarray:
 
 # a panel whose propagator overflows is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _dense_flows(spec: SystemSpec, intervals: list) -> list:
-    """The propagator of each dense interval [a, b], in the given order.
+def _dense_flows(spec: SystemSpec, intervals: list) -> tuple[list, int]:
+    """The propagator of each dense interval [a, b], in the given order,
+    and the number of panels multiplied into them.
 
     Each round takes one ``_propagators`` call over every active panel and
     both of its halves. A rejected panel is cut into 2^k equal panels for
-    the next round: the local error of an order-6 step scales like h^7, so
-    2^k with k = ceil(log2(err / allowed) / 7) brings it under the
-    tolerance where that scaling holds. k is at least 1, and at most 6 so
-    that one round multiplies a panel's cost by at most 64 and the budget,
-    checked before each round, stops a panel far from that regime, whose
-    error estimate says little, before it asks for 2^147 panels at once.
+    the next round, with k = ceil((log2(err / allowed) + _MARGIN) / 7).
+    The 7 is the order of the local error of an order-6 step, which scales
+    like h^7: each of the 2^k new panels has about 2^(-7k) of the cut
+    panel's error, so k = ceil(log2(err / allowed) / 7) would just bring
+    it under the tolerance where that scaling holds. Such a prediction
+    lands near the tolerance and misses it about as often as not, which
+    costs a whole further round of numpy calls, however few panels it
+    holds. The + 3 aims each new panel 2^3 = 8 times under the tolerance,
+    a step factor of 8^(-1/7) ~ 0.74, the safety factor of step-size
+    control (Hairer, Norsett and Wanner, Solving Ordinary Differential
+    Equations I, section II.4). k is 1 where err / allowed is not finite,
+    at least 1, and at most 6 so that one round multiplies a panel's cost
+    by at most 64 and the budget, checked before each round, stops a panel
+    far from that regime, whose error estimate says little, before it asks
+    for 2^147 panels at once.
     """
     if not intervals:
-        return []
+        return [], 0
     ends = np.array(intervals, dtype=float)
     interval = np.arange(len(ends))
     lo, hi = ends.T
     evals = 0
     done = []  # (interval index, left end, propagator) of accepted panels
-    while len(interval):
+    while True:
         evals += 9 * len(interval)
         if evals > _EVAL_BUDGET:
             a, b = ends[interval.min()]
@@ -147,27 +180,34 @@ def _dense_flows(spec: SystemSpec, intervals: list) -> list:
                 f"rk_tol {_RK_TOL} unreachable within {_EVAL_BUDGET} "
                 f"coefficient evaluations on [{a}, {b}]")
         mid = 0.5 * (lo + hi)
-        R, RL, RR = np.split(_propagators(
-            spec, np.concatenate([lo, lo, mid]),
-            np.concatenate([hi, mid, hi]), ends, np.tile(interval, 3)), 3)
-        fine = RR @ RL
+        n = len(interval)
+        R = _propagators(spec, np.concatenate([lo, lo, mid]),
+                         np.concatenate([hi, mid, hi]), ends,
+                         np.concatenate([interval] * 3))
+        fine = R[2 * n:] @ R[n:2 * n]
+        R = R[:n]
         # a non-finite half makes the product non-finite
-        _check_panels(np.isfinite(fine), ends, interval,
-                      "non-finite propagator")
+        if not np.isfinite(fine).all():
+            _check_panels(np.isfinite(fine), ends, interval,
+                          "non-finite propagator")
         err = np.abs(R - fine).max(axis=(1, 2))
         allowed = _RK_TOL * np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
         ok = err <= allowed
         done.append((interval[ok], lo[ok], fine[ok]))
+        if ok.all():
+            break
         bad = ~ok
         ratio = err[bad] / allowed[bad]
-        k = np.where(np.isfinite(ratio),
-                     np.clip(np.ceil(np.log2(ratio) / 7), 1, 6), 1)
+        k = np.where(np.isfinite(ratio), np.clip(
+            np.ceil((np.log2(ratio) + _MARGIN) / 7), 1, 6), 1)
         interval, lo, hi = _cut(interval[bad], lo[bad], hi[bad],
                                 2 ** k.astype(int))
     interval, lo, R = (np.concatenate(parts) for parts in zip(*done))
     order = np.lexsort((lo, interval))
-    cuts = np.searchsorted(interval[order], np.arange(1, len(ends)))
-    return [_ordered_product(part) for part in np.split(R[order], cuts)]
+    R = R[order]
+    cuts = np.searchsorted(interval[order], np.arange(len(ends) + 1))
+    return ([_ordered_product(R[i:j]) for i, j in zip(cuts[:-1], cuts[1:])],
+            len(R))
 
 
 def _cut(interval, lo, hi, m):
@@ -182,7 +222,7 @@ def _cut(interval, lo, hi, m):
     return interval[edge[left]], x[left], x[j > 0]
 
 
-def monodromy(spec: SystemSpec) -> np.ndarray:
+def monodromy(spec: SystemSpec, factors: list | None = None) -> np.ndarray:
     """Phi_S(t0+T, t0) as a 2x2 array.
 
     A panel is accepted once its propagator and the product of its two
@@ -190,10 +230,13 @@ def monodromy(spec: SystemSpec) -> np.ndarray:
     the product is kept. StepSizeUnderflow names the first dense interval
     with a NaN or infinite coefficient or propagator, or whose panels still
     disagree when the next round would take the coefficient samples over
-    all rounds past _EVAL_BUDGET.
+    all rounds past _EVAL_BUDGET. If ``factors`` is a list, the number of
+    panels and scattered points multiplied into the result is appended to
+    it.
     """
     ts = spec.ts
-    flows = iter(_dense_flows(spec, ts.dense_intervals()))
+    flows, m = _dense_flows(spec, ts.dense_intervals())
+    flows = iter(flows)
     Y = np.eye(2)
     # on long discrete periods Y overflows to inf and NaN, which fails
     # cross_check
@@ -204,6 +247,9 @@ def monodromy(spec: SystemSpec) -> np.ndarray:
             if step is not None:
                 t, mu = step
                 Y = (np.eye(2) + mu * _S(spec, t)) @ Y
+                m += 1
+    if factors is not None:
+        factors.append(m)
     return Y
 
 
@@ -214,7 +260,9 @@ class CheckResult:
     a_delta: float  # |A_oracle - A(n)|
     b_delta: float  # |B_oracle - B|
     allowed: float  # err_bound + _CHECK_TOL max(1, |A_oracle|)
-    b_allowed: float  # _CHECK_TOL max(1, |B_oracle|)
+    # the larger of _CHECK_TOL max(1, |B_oracle|) and
+    # gamma_m (|Y00 Y11| + |Y01 Y10|)
+    b_allowed: float
 
 
 def _scale(x: float) -> float:
@@ -227,21 +275,41 @@ def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
     """Compare the report's A(n) and B against the monodromy trace and det.
 
     The A comparison allows the report's truncation bound plus _CHECK_TOL
-    relative to the trace; B is exact up to quadrature, so only _CHECK_TOL
-    relative to the determinant is allowed. A delta that is NaN fails the
-    check.
+    relative to the trace. B is exact up to quadrature, so the B comparison
+    allows _CHECK_TOL relative to the determinant or, where it is larger,
+    the rounding that det(Y) can amplify. In the model
+    fl(x op y) = (x op y)(1 + delta), |delta| <= u = 2^-53, each of the m
+    factors multiplied into Y (panels and scattered points) perturbs each
+    term of Y00 Y11 and of Y01 Y10, a product of one entry from every
+    factor, by at most one such relative amount, and m of them compound
+    to at most gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability
+    of Numerical Algorithms, Lemma 3.1). Each computed product is then
+    within a relative gamma_m of its exact-arithmetic value, and their
+    difference within gamma_m (|Y00 Y11| + |Y01 Y10|), however much the
+    two cancel: with 12 unit steps of q = -2 + 0.1 cos(t) that sum is
+    7.8e8 at det(Y) = 1.01, where _CHECK_TOL alone would fail a correct B.
+    Where det(Y) does not cancel, the rounding term is far below
+    _CHECK_TOL max(1, |det(Y)|) (at most 3.7e-14 on the committed
+    configs), which stays the allowance. A non-finite rounding term is
+    ignored, as an overflowed monodromy may not widen the check. A delta
+    that is NaN fails the check.
     """
-    Y = monodromy(spec)
+    factors = []
+    Y = monodromy(spec, factors)
     a_oracle = float(np.trace(Y))
     with np.errstate(over="ignore", invalid="ignore"):
         b_oracle = float(np.linalg.det(Y))
+        m_u = factors[0] * _U
+        cancel = m_u / (1 - m_u) * float(
+            abs(Y[0, 0] * Y[1, 1]) + abs(Y[0, 1] * Y[1, 0]))
     result = CheckResult(
         a_oracle=a_oracle,
         b_oracle=b_oracle,
         a_delta=abs(a_oracle - report.A_partial),
         b_delta=abs(b_oracle - report.B),
         allowed=report.err_bound.value + _CHECK_TOL * _scale(a_oracle),
-        b_allowed=_CHECK_TOL * _scale(b_oracle),
+        b_allowed=max(_CHECK_TOL * _scale(b_oracle),
+                      cancel if math.isfinite(cancel) else 0.0),
     )
     # written so that a NaN delta (an overflowed A, B or monodromy) fails
     if not (result.a_delta <= result.allowed

@@ -43,7 +43,7 @@ def test_conservative_systems_are_never_exponentially_stable():
 
 @pytest.mark.xfail(strict=True, reason=(
     "compute_B's value lands 9-12 ulps above 1, outside _B_ROUNDING, so "
-    "|B| > 1 reads unstable; ROADMAP item 1's B enclosure would contain 1"))
+    "|B| > 1 reads unstable; ROADMAP item 5's B enclosure would contain 1"))
 @pytest.mark.parametrize("seed", [248, 527, 1710])
 def test_conservative_systems_outside_the_B_band_are_not_unstable(seed):
     # the integral of p is 0, so B = 1, and the oracle's traces (0.43, 2.00

@@ -412,6 +412,17 @@ def test_oracle_scales_its_tolerances_with_large_A_and_B(tmp_path):
                      result.output, re.M), result.output
 
 
+def test_oracle_allows_for_det_cancellation(tmp_path):
+    # det(Y) = 1.01 subtracts two products of ~3.9e8: the oracle's
+    # determinant is ~3e-8 off B from rounding alone, which the check
+    # allows for; an unstable system (exit 1), not a disagreement (exit 4)
+    f = tmp_path / "det_cancel.cfg"
+    f.write_text("t0 = 0\nperiod = 12\npoints = [" + ", ".join(
+        map(str, range(13))) + "]\np = 0\nq = -2 + 0.1*cos(t)\n")
+    result = invoke(str(f), "--oracle")
+    assert result.exit_code == 1, result.stderr
+
+
 @pytest.mark.parametrize("k", [500, 1000])
 def test_oracle_fails_on_nan_deltas(tmp_path, k):
     # the B delta (k = 500) or both deltas (k = 1000) are NaN, which is

@@ -29,6 +29,7 @@ from conftest import (
     random_discrete_system,
     random_hybrid_system,
 )
+from oracle_reference import _propagators as reference_propagators
 
 PI = math.pi
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -89,6 +90,32 @@ def test_cross_check_tolerances_are_relative_to_the_oracle():
         cross_check(spec, dataclasses.replace(report,
                                               B=report.B * (1 + 1e-6)))
     assert exc.value.b_delta == pytest.approx(1e-6 * report.B, rel=1e-3)
+
+
+def test_cross_check_allows_for_det_cancellation():
+    # 12 unit steps of q = -2 + 0.1 cos(t): det(Y) = 1.01 subtracts two
+    # products of ~3.9e8, so the rounding of Y alone moves it by ~3e-8,
+    # past _CHECK_TOL; gamma_12 times their sum allows for it
+    spec = SystemSpec(points_scale(list(range(13))), parse("0"),
+                      parse("-2 + 0.1*cos(t)"))
+    r = cross_check(spec, analyze(spec, n=3))
+    assert 1e-8 < r.b_delta <= r.b_allowed
+    Y = monodromy(spec)
+    u = 12 * 2.0 ** -53
+    assert r.b_allowed == u / (1 - u) * (abs(Y[0, 0] * Y[1, 1])
+                                         + abs(Y[0, 1] * Y[1, 0]))
+
+
+@pytest.mark.parametrize("name", ["example_hybrid.cfg", "mathieu/h3_4.cfg"])
+def test_cross_check_still_fails_a_wrong_B(name):
+    # where det(Y) does not cancel, a B off by 1e-6 relative still fails
+    spec = build_system(load_config(CONFIGS / name))
+    report = analyze(spec, n=3)
+    r = cross_check(spec, report)
+    assert r.b_allowed == oracle._CHECK_TOL * max(1.0, abs(r.b_oracle))
+    with pytest.raises(CheckFailed):
+        cross_check(spec, dataclasses.replace(report,
+                                              B=report.B * (1 + 1e-6)))
 
 
 @pytest.mark.parametrize("k", [500, 1000])
@@ -202,11 +229,8 @@ def test_overflowing_propagator_names_its_interval():
         monodromy(spec)
 
 
-def test_refinement_takes_at_most_four_rounds(workloads, tmp_path,
-                                              monkeypatch):
-    # the halvings predicted from each panel's error settle the committed
-    # configs and the certify workload's hybrids in two to four rounds,
-    # one q sampling call each
+def _certify_paths(workloads, tmp_path):
+    """The committed configs and the certify workload's two hybrids."""
     paths = sorted(CONFIGS.glob("*.cfg")) + sorted(
         CONFIGS.glob("mathieu/*.cfg"))
     for system in workloads.build("certify", 1, CONFIGS.parent).systems:
@@ -214,11 +238,75 @@ def test_refinement_takes_at_most_four_rounds(workloads, tmp_path,
             paths.append(tmp_path / f"{system.name}.cfg")
             paths[-1].write_text(system.text)
     assert len(paths) == 18
-    for path in paths:
+    return paths
+
+
+def test_refinement_takes_at_most_three_rounds(workloads, tmp_path,
+                                               monkeypatch):
+    # the halvings predicted from each panel's error, with their margin,
+    # settle the committed configs and the certify workload's hybrids in
+    # two or three rounds, one q sampling call each
+    for path in _certify_paths(workloads, tmp_path):
         spec = build_system(load_config(path))
         sizes = _q_samples(monkeypatch, spec.q)
         monodromy(spec)
-        assert len(sizes) <= 4, path.name
+        assert len(sizes) <= 3, path.name
+
+
+def test_refinement_panels_stay_few(workloads, tmp_path, monkeypatch):
+    # every round samples 9 nodes per active panel: a panel and both its
+    # halves. The margin sends a rejected panel to its final size at once
+    # instead of through a further round of panels that narrowly miss
+    panels = 0
+    for path in _certify_paths(workloads, tmp_path):
+        spec = build_system(load_config(path))
+        sizes = _q_samples(monkeypatch, spec.q)
+        monodromy(spec)
+        panels += sum(sizes) // 9
+    assert panels <= 1400
+
+
+def _first_round(spec):
+    """The first round's panels: every dense interval and both halves."""
+    ends = np.array(spec.ts.dense_intervals(), dtype=float)
+    lo, hi = ends.T
+    mid = 0.5 * (lo + hi)
+    interval = np.arange(len(ends))
+    return (np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]),
+            ends, np.concatenate([interval] * 3))
+
+
+def _assert_matches_reference(spec, lo, hi, ends, interval):
+    R = oracle._propagators(spec, lo, hi, ends, interval)
+    want = reference_propagators(spec, lo, hi, ends, interval)
+    scale = np.abs(want).max(axis=(1, 2))
+    assert (np.abs(R - want).max(axis=(1, 2)) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(CONFIGS.glob("*.cfg")) + sorted(CONFIGS.glob("mathieu/*.cfg")),
+    ids=lambda p: p.relative_to(CONFIGS).as_posix(),
+)
+def test_propagators_match_the_reference_on_committed_configs(path):
+    spec = build_system(load_config(path))
+    if spec.ts.dense_intervals():
+        _assert_matches_reference(spec, *_first_round(spec))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_propagators_match_the_reference(seed):
+    # the first round's panels, and 200 random panels of widths from 1e-6
+    # of their interval to all of it
+    spec = random_hybrid_system(seed)
+    _assert_matches_reference(spec, *_first_round(spec))
+    rng = np.random.default_rng(seed)
+    ends = np.array(spec.ts.dense_intervals(), dtype=float)
+    interval = rng.integers(len(ends), size=200)
+    a, b = ends[interval].T
+    width = (b - a) * 10.0 ** rng.uniform(-6, 0, size=200)
+    lo = a + (b - a - width) * rng.uniform(size=200)
+    _assert_matches_reference(spec, lo, lo + width, ends, interval)
 
 
 def _uniform_monodromy(spec, panels):
