@@ -35,8 +35,10 @@ Per-point work is done once per analysis. ``validate_system`` samples p
 and q once at every scattered point, in time order, and checks the
 sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` keeps
 phi by segment, at each end and each dense start, and the one series
-engine per analysis, with phi and E at the jumps: the terms read its grid,
-the bound every 8th node and the jumps, the phase form its rows' phase.
+engine per analysis, with one table of each jump's phi, E, h, 1 / D and
+mu W, computed once in the period walk: the terms read its grid and that
+table, the bound every 8th node and the table, the phase form its rows'
+phase.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -403,37 +405,20 @@ def cumulative_simpson(y, weights):
     return out
 
 
-class _Jump:
-    """The right-scattered point t that ends segment i, with graininess mu
-    and, as scalars, the fields a dense row holds per node: phi(t), E
-    before the point's own step, h(t) = -p - (phi(sigma(t)) - phi(t)) /
-    (mu phi(t)) and D = phi(sigma(t)) E(sigma(t)); also muW, mu times the
-    level weight W = h / D, which a level's step at t carries, and
-    E_after = E(sigma(t)). p and phi come from the table."""
-
-    __slots__ = ("mu", "phi", "E", "h", "D", "muW", "E_after")
-
-    def __init__(self, table: PhaseTable, i: int, E: complex):
-        _, self.mu, p, _ = table.sample[i]
-        self.phi = table.ends[i]
-        phi_sigma = table.start_phi(i + 1)  # sigma(t) starts segment i + 1
-        self.h = -p - (phi_sigma - self.phi) / (self.mu * self.phi)
-        self.E = E
-        self.E_after = (1.0 + 1j * self.mu * self.phi) * E
-        self.D = phi_sigma * self.E_after
-        self.muW = self.mu * (self.h / self.D)
-
-
 class _SeriesEngine:
     """Precomputed grids for the series terms A_n and their tail bound.
 
     The dense cells are the rows of one stacked (cells, nodes) grid that
     holds x, phi, h, the phase (the running integral of phi), the complex
     phase factor E(t) = e_{i phi}(t, t0), D = phi E (sigma(t) = t there)
-    and the level weight W = h / D; the scattered points are scalar
-    ``_Jump``s with the same fields, built in time order after the dense
-    sampling, so a NaN q at a dense start is named after the grid's nodes;
-    ``jump_phi``, ``jump_E`` and the seeds ``jump_GH`` gather them once.
+    and the level weight W = h / D. The period walk, after the dense
+    sampling, so a NaN q at a dense start is named after the grid's nodes,
+    computes each scattered point t's fields once, in CPython scalars:
+    phi(t), E before the point's own step, h(t) = -p - (phi(sigma(t)) -
+    phi(t)) / (mu phi(t)), 1 / D with D = phi(sigma(t)) E(sigma(t)), and
+    mu W = mu (h / D), the weight of a level's step at t. ``jump_table``
+    holds them as the (5, jumps) complex rows phi, E, h, 1 / D and mu W;
+    ``events`` holds a row index or a jump's (phi, E, mu W), in time order.
     Overflow on long periods stays in the values, and numpy's error state
     is the caller's at every return and yield. Each series order is the
     two running integrals J and K of W
@@ -473,8 +458,8 @@ class _SeriesEngine:
             self.E = np.empty_like(U)
             # each row's last node, as a flat index into a (cells, nodes) plane
             self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
-        self.events = []  # dense row index | _Jump, in time order
-        self.jumps = []
+        self.events = []  # dense row index | a jump's (phi, E, muW), in time order
+        jumps = []
         # past a dense row E is a numpy scalar; its overflow stays in the values
         with _quiet():
             E = 1.0 + 0.0j
@@ -487,22 +472,27 @@ class _SeriesEngine:
                     E = self.E[row, self.last[row]]
                     self.events.append(row)
                     row += 1
-                if step is not None:
-                    jump = _Jump(table, i, E)
-                    self.events.append(jump)
-                    self.jumps.append(jump)
-                    E = jump.E_after
+                if step is not None:  # the point t ending segment i
+                    _, mu, p, _ = table.sample[i]
+                    phi = table.ends[i]
+                    phi_sigma = table.start_phi(i + 1)
+                    h = -p - (phi_sigma - phi) / (mu * phi)
+                    E_sigma = (1.0 + 1j * mu * phi) * E
+                    D = phi_sigma * E_sigma
+                    muW = mu * (h / D)
+                    self.events.append((phi, E, muW))
+                    jumps.append((phi, E, h, 1.0 / D, muW))
+                    E = E_sigma
             if cells:
                 self.D = self.phi * self.E
                 self.W = self.h / self.D
-            self.jump_phi = np.array([ev.phi for ev in self.jumps])
-            self.jump_E = np.array([ev.E for ev in self.jumps], dtype=complex)
-            # the seeds G_0 and H_0 at the jumps, as Python's float products
-            self.jump_GH = self.jump_phi * np.array([self.jump_E.imag,
-                                                     self.jump_E.real])
             self.E_T = E
             self.phi0 = table.start_phi(0)
             self.phiT = table.ends[-1]
+            self.jump_table = np.array(jumps, dtype=complex).reshape(-1, 5).T
+            # the seeds G_0 and H_0 at the jumps, as Python's float products
+            phi, E = self.jump_table[0].real, self.jump_table[1]
+            self.jump_GH = phi * np.array([E.imag, E.real])
             self.slots = None
             if len(self.events) >= _ARRAY_WALK_EVENTS:
                 self._array_walk_columns()
@@ -511,7 +501,7 @@ class _SeriesEngine:
         """The array walk's columns: ``slots``, each row's and each jump's
         slot, 1 + its place in time order, and the slots before them; and
         ``step``, the (jumps, 2) factors and terms of a jump's step. With
-        mu W as ``_Jump.muW``, CPython's (mu W) * g is
+        mu W from the jump table, CPython's (mu W) * g is
         (Re mu W g - Im mu W 0.0, Re mu W 0.0 + Im mu W g): the factors are
         (Re mu W, Im mu W) and the terms (Im mu W (-0.0), Re mu W 0.0), NaN
         where a part of mu W is infinite."""
@@ -519,15 +509,15 @@ class _SeriesEngine:
         is_row = np.array([ev.__class__ is int for ev in self.events])
         rows, jumps = slots[is_row], slots[~is_row]
         self.slots = rows, jumps, rows - 1, jumps - 1
-        factor = np.array([ev.muW for ev in self.jumps],
-                          dtype=complex).view(float).reshape(-1, 2)
+        muW = self.jump_table[4]
+        factor = np.stack([muW.real, muW.imag], axis=-1)
         self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
 
     def trace_seeds(self):
         """The seeds of the trace series, G_0 = phi sin_phi and
         H_0 = phi cos_phi: the (2, cells, nodes) stack GH on the rows (None
         without rows) and ``jump_GH``, the (2, jumps) array of g and h at
-        the jumps."""
+        the jumps, formed once from the jump table."""
         if not self.rows:
             return None, self.jump_GH
         with _quiet():
@@ -587,12 +577,12 @@ class _SeriesEngine:
                 accJ = accJ + totalJ[ev]
                 accK = accK + totalK[ev]
             else:
+                phi, E, muW = ev
                 g, h = next(seeds)
                 # running value excludes the jump at the point itself
-                at_jumps.append((ev.phi * (ev.E * accJ).real,
-                                 ev.phi * (ev.E * accK).real))
-                accJ = accJ + ev.muW * g
-                accK = accK + ev.muW * h
+                at_jumps.append((phi * (E * accJ).real, phi * (E * accK).real))
+                accJ = accJ + muW * g
+                accK = accK + muW * h
         return (accJ, accK), (offJ, offK), at_jumps
 
     def _array_walk(self, totals, GH):
@@ -606,7 +596,7 @@ class _SeriesEngine:
         the offsets a (2, cells) one; overflow stays in the values, and
         numpy's error state is left as it was."""
         rows, jumps, before_rows, before_jumps = self.slots
-        phi, E = self.jump_phi, self.jump_E
+        phi, E = self.jump_table[0].real, self.jump_table[1]
         factor, term = self.step
         acc = np.empty((2, len(self.events) + 1), dtype=complex)
         parts = acc.view(float).reshape(2, -1, 2)  # (Re, Im) of each slot
@@ -668,11 +658,11 @@ class _SeriesEngine:
             nodes = self.bound_nodes()
             phi_t, E_t, h_t, M_s = (self.phi[nodes], self.E[nodes],
                                     self.h[nodes], 1.0 / self.D[nodes])
-        phi_t = np.concatenate([phi_t, self.jump_phi, [self.phiT]])
-        E_t = np.concatenate([E_t, self.jump_E, [self.E_T]])
-        h_t = np.concatenate([h_t, [ev.h for ev in self.jumps]])
-        M_s = np.concatenate([M_s, [1.0 / ev.D for ev in self.jumps],
-                              [1.0 / (self.phiT * self.E_T)]])
+        phi, E, h, M, _ = self.jump_table
+        phi_t = np.concatenate([phi_t, phi.real, [self.phiT]])
+        E_t = np.concatenate([E_t, E, [self.E_T]])
+        h_t = np.concatenate([h_t, h.real])
+        M_s = np.concatenate([M_s, M, [1.0 / (self.phiT * self.E_T)]])
 
         K3 = float(np.max(np.abs(h_t)))
         E_TM = self.E_T * M_s

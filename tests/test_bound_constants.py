@@ -77,7 +77,7 @@ def test_long_discrete_matches_the_full_table(workloads, tmp_path, kind, k):
 def _evaluated(engine, monkeypatch):
     """The number of K1 and K2 table entries ``bound_constants`` evaluates,
     against the 2 N^2 of the full tables over N nodes and jumps."""
-    N = engine.bound_nodes().sum() + len(engine.jumps) + 1
+    N = engine.bound_nodes().sum() + engine.jump_table.shape[1] + 1
     counts = []
 
     def counting(entry, *args):

@@ -665,7 +665,7 @@ def test_array_walk_rounds_each_step_as_cpython():
                       parse("if(eq(t, 0), 1e305, 0.1)"), parse("0.0001"))
     engine = _SeriesEngine(spec, solve_phi(spec))
     assert engine.slots is not None
-    muW = engine.jumps[0].muW
+    muW = engine.jump_table[4, 0]
     assert math.isfinite(muW.real) and math.isinf(muW.imag)
     _, GH = engine.trace_seeds()
     pairs = GH.T.tolist()
@@ -733,7 +733,7 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
     # validate_system, solve_phi, compute_B and the one engine, which the
     # series and the bound share, read one sample of p and q per scattered
     # point and one sample of q per dense start, in time order; the engine
-    # builds one jump per scattered point
+    # holds one jump table column per scattered point
     spec = _reference_spec(kind, key, workloads, tmp_path)
     scattered = {t for t, _ in spec.ts.scattered_with_mu()}
     starts = [a for a, _ in spec.ts.dense_intervals()]
@@ -750,16 +750,15 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
         return evaluate(e, t)
 
     monkeypatch.setattr(ex, "evaluate", counted)
-    engines, jumps = [], []
+    engines = []
     monkeypatch.setattr(floquet, "_SeriesEngine", functools.partial(
         _counted, engines, _SeriesEngine))
-    monkeypatch.setattr(floquet, "_Jump", functools.partial(
-        _counted, jumps, floquet._Jump))
     report = analyze(spec, n=3)
     # in time order, p before q
     assert evaluated == [(c, t) for t in sorted(scattered) for c in "pq"]
     assert at_starts == starts
-    assert len(engines) == 1 and len(jumps) == len(scattered)
+    assert len(engines) == 1
+    assert engines[0].jump_table.shape == (5, len(scattered))
     assert not report.err_bound.exact
 
 
