@@ -51,8 +51,9 @@ def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
 
 class _DenseCell:
     """One dense interval on its refinement grid x, with the fields it
-    shares with ``_Jump`` per node: phi = sqrt(q), the phase factor E, h,
-    D = phi E (sigma(t) = t here) and the level weight W = h / D."""
+    shares per node with this module's ``_Jump`` and the engine's jump
+    table: phi = sqrt(q), the phase factor E, h, D = phi E (sigma(t) = t
+    here) and the level weight W = h / D."""
 
     __slots__ = ("x", "phi", "E", "h", "D", "W")
 

@@ -276,6 +276,10 @@ def test_config_content_errors_exit_3(tmp_path, text, args):
     pytest.param("t0 = 1e15\nperiod = 1\nintervals = [[1e15, 1e15+1]]\n",
                  "[1000000000000000.0, 1000000000000001.0]",
                  id="steps-below-the-spacing"),
+    # T / 4096 underflows to 0: every grid step is 0
+    pytest.param("t0 = 0\nperiod = 1e-320\nintervals = [[0, 1e-320]]\n",
+                 "[0.0, 1e-320] is too short for its 4096 grid steps",
+                 id="spacing-underflows"),
 ])
 def test_interval_too_short_for_its_grid_exits_3(tmp_path, text, named):
     # the grid's nodes of the named interval collapse at the float spacing

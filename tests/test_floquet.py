@@ -3,7 +3,9 @@ import math
 import random
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -874,6 +876,51 @@ def test_error_bound_discrete_exact(example_z):
     assert not eb.exact and eb.value > 0
 
 
+def _tail_reference(z: float, n: int) -> float:
+    """sum_{k>n} z^k / k! for z <= 1 in exact rationals, correctly
+    rounded: the terms from k = n + 60 on are below 1e-80 of the first."""
+    z = Fraction(z)
+    return float(sum(z ** k / math.factorial(k) for k in range(n + 1, n + 60)))
+
+
+def _unit_bound(z: float, n: int) -> float:
+    """error_bound's value at order n with K1 = K2 = 1 and K3 = z on a
+    unit period: the remainder of e^z after its Taylor polynomial."""
+    ts = validate(PeriodicTimeScale(0.0, 1.0, [Interval(0.0, 1.0)]))
+    spec = SystemSpec(ts, parse("0"), parse("1"))
+    with mock.patch.object(floquet, "estimate_bounds",
+                           lambda *_: (1.0, 1.0, z)):
+        return error_bound(spec, None, n).value
+
+
+@pytest.mark.parametrize("z, n", [(0.05, 8), (1.0, 16), (0.5, 3)])
+def test_error_bound_sums_the_remainder(z, n):
+    # e^z minus the partial sum gave 0.0 for 5.38e-18 at z = 0.05, n = 8
+    # and 2.66e-15 at z = 1, n = 16, below the first omitted term 2.81e-15
+    want = _tail_reference(z, n)
+    assert abs(_unit_bound(z, n) - want) <= 4 * math.ulp(want)
+
+
+def test_error_bound_of_a_mathieu_config_is_the_remainder():
+    # the cancelling difference read 1.1e-7 relative too small here
+    spec = build_system(load_config(ROOT / "configs" / "mathieu" / "h1_4.cfg"))
+    K1, K2, K3 = estimate_bounds(spec, solve_phi(spec))
+    want = (K1 / K2) * _tail_reference(K2 * K3 * spec.ts.period, 8)
+    got = analyze(spec, n=8).err_bound.value
+    assert abs(got - want) <= 4 * math.ulp(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=700.0), st.integers(0, 40))
+@example(0.05, 8)
+def test_error_bound_is_at_least_the_first_omitted_term(z, n):
+    try:
+        first = z ** (n + 1) / math.factorial(n + 1)
+    except OverflowError:
+        first = math.inf
+    assert _unit_bound(z, n) >= first
+
+
 # -- multipliers and verdict --------------------------------------------------
 
 def test_multipliers_point_interval():
@@ -1052,9 +1099,9 @@ def test_shi_matches_series(path, n):
 
 @pytest.mark.parametrize("config, n, A, B, bound, v", [
     ("example_continuous.cfg", 3, "-0x1.0c152382d78e6p-4",
-     "0x1.0000000000000p+0", 0.3600164065280386, Verdict.STABLE),
+     "0x1.0000000000000p+0", 0.3600164065280393, Verdict.STABLE),
     ("mathieu/h2_2.cfg", 8, "0x1.0002eab4675a9p+1",
-     "0x1.0000000000000p+0", 0.023827398495469387, Verdict.UNDETERMINED),
+     "0x1.0000000000000p+0", 0.023827398495469106, Verdict.UNDETERMINED),
 ])
 def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
                                       monkeypatch):
@@ -1074,6 +1121,16 @@ def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
     assert report.err_bound.value == bound
     assert report.verdict is v and report.method == "phase-form"
     assert report.A_terms == []
+
+
+@pytest.mark.parametrize("use_shi", [False, True], ids=["series", "shi"])
+def test_negative_order_is_refused_on_both_paths(use_shi):
+    # the phase form once summed no level and reported n = -1 with a bound
+    spec = build_system(load_config(ROOT / "configs" / "mathieu" / "h1_1.cfg"))
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        analyze(spec, n=-1, use_shi=use_shi)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        shi_continuous_a(spec, solve_phi(spec), -1)
 
 
 def test_shi_requires_continuous(example_hybrid):
