@@ -461,8 +461,9 @@ class _SeriesEngine:
             self.E = np.empty_like(U)
             # each row's last node, as a flat index into a (cells, nodes) plane
             self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
-        self.events = []  # dense row index | a jump's (phi, E, muW), in time order
-        jumps = []
+        # in time order: a dense row's index or a jump's (phi, E, muW)
+        self.events = []
+        jumps = []  # each jump's (phi, E, h, 1 / D, muW)
         # past a dense row E is a numpy scalar; its overflow stays in the values
         with _quiet():
             E = 1.0 + 0.0j
@@ -478,7 +479,7 @@ class _SeriesEngine:
                 if step is not None:  # the point t ending segment i
                     _, mu, p, _ = table.sample[i]
                     phi = table.ends[i]
-                    phi_sigma = table.start_phi(i + 1)
+                    phi_sigma = table.start_phi(i + 1)  # sigma(t) starts i + 1
                     h = -p - (phi_sigma - phi) / (mu * phi)
                     E_sigma = (1.0 + 1j * mu * phi) * E
                     D = phi_sigma * E_sigma

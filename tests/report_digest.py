@@ -52,18 +52,17 @@ def _digest(value) -> str:
     return repr(value)
 
 
-def _cases(change: Path, examples: bool):
+def _cases(change: Path, examples: bool, config_path: Path):
     """(label, build, n, use_shi) for every case; ``build()`` returns the
-    SystemSpec on the package imported in this process."""
+    SystemSpec on the package imported in this process. Config text is
+    read through ``config_path``."""
     from tsfloquet import cli
 
-    def from_text(text, directory):
-        path = Path(directory) / "system.cfg"
-        path.write_text(text)
-        config = cli.load_config(path)
+    def from_text(text):
+        config_path.write_text(text)
+        config = cli.load_config(config_path)
         return lambda: cli.build_system(config), config
 
-    tmp = tempfile.mkdtemp()
     names = EXAMPLES
     if not examples:
         sys.path.insert(0, str(change / "benchmarks"))
@@ -72,7 +71,7 @@ def _cases(change: Path, examples: bool):
         names = workloads.COMMITTED_CONFIGS
     for name in names:
         text = (change / "configs" / f"{name}.cfg").read_text()
-        build, config = from_text(text, tmp)
+        build, config = from_text(text)
         for n in (config.n, 3, 8):
             yield f"config {name} n={n}", build, n, False
             if not config.points:
@@ -103,7 +102,7 @@ def _cases(change: Path, examples: bool):
             for op in wl.ops + wl.probes:
                 if op.oracle:
                     continue
-                build, config = from_text(texts[op.system], tmp)
+                build, config = from_text(texts[op.system])
                 n = config.n if op.n is None else op.n
                 yield (f"{name}:{seed} {op.label}", build, n, op.use_shi)
 
@@ -113,14 +112,16 @@ def digest_lines(change: Path, examples: bool) -> list:
     from tsfloquet import analyze
 
     lines = []
-    for label, build, n, use_shi in _cases(change, examples):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                report = analyze(build(), n=n, use_shi=use_shi)
-            lines.append(f"{label}: {_digest(report)}")
-        except Exception as exc:  # the raised type and message are the digest
-            lines.append(f"{label}: raised {type(exc).__name__}: {exc}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, build, n, use_shi in _cases(change, examples,
+                                               Path(tmp) / "system.cfg"):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    report = analyze(build(), n=n, use_shi=use_shi)
+                lines.append(f"{label}: {_digest(report)}")
+            except Exception as exc:  # its type and message are the digest
+                lines.append(f"{label}: raised {type(exc).__name__}: {exc}")
     return lines
 
 
