@@ -15,7 +15,12 @@ package:
 * ``random_discrete_system`` 0-59 at the default n and at n = 3;
 * the unit-step overflow scales of 500 and 1000 points at n = 3 and 8;
 * every operation and probe of the four benchmark workloads at seeds 1-3
-  that does not run the oracle.
+  that does not run the oracle;
+* the ``ROWS`` configs, each at its own n: scales whose phi jumps where a
+  dense part ends, so the analysis warns.
+
+A case's line ends with the ``PhiDiscontinuityWarning`` messages the
+analysis gave, in order.
 
 ``--examples`` keeps only the four example configs. The two outputs are
 diffed; the script prints the differing lines and the counts, and exits 1
@@ -34,6 +39,20 @@ from pathlib import Path
 EXAMPLES = ("example_continuous", "example_discrete_2z",
             "example_discrete_z", "example_hybrid")
 SEEDS = (1, 2, 3)
+# the table rows of ROADMAP item 1 and a two-interval scale of q = 1 + t/2
+ROWS = {
+    "meissner": "period = 2*pi\nintervals = [[0, 2*pi]]\np = 0\n"
+                "q = if(lt(t, pi), 1.5, 0.5)\n",
+    "tiny period": "t0 = 0.1\nperiod = 1e-6\nintervals = [[0.1, 0.100001]]\n"
+                   "p = 0\nq = cos(t)\nn = 3\n",
+    "50 points": "period = 125\npoints = ["
+                 + ", ".join(repr(2.5 * i) for i in range(51))
+                 + "]\np = 0.54\nq = 0.001\n",
+    "junction": "period = 2*pi\npoints = [2*pi]\nintervals = [[0, pi]]\n"
+                "p = 0.1\nq = 2 + cos(t)\nn = 8\n",
+    "two intervals": "period = 4\nintervals = [[0, 1], [2, 4]]\np = 0\n"
+                     "q = 1 + t/2\n",
+}
 
 
 def _digest(value) -> str:
@@ -105,24 +124,35 @@ def _cases(change: Path, examples: bool, config_path: Path):
                 build, config = from_text(texts[op.system])
                 n = config.n if op.n is None else op.n
                 yield (f"{name}:{seed} {op.label}", build, n, op.use_shi)
+    for name, text in ROWS.items():
+        build, config = from_text(text)
+        yield f"row {name} n={config.n}", build, config.n, False
 
 
 def digest_lines(change: Path, examples: bool) -> list:
     """One line per case, on the ``tsfloquet`` this process imports."""
-    from tsfloquet import analyze
-
-    lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, build, n, use_shi in _cases(change, examples,
-                                               Path(tmp) / "system.cfg"):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    report = analyze(build(), n=n, use_shi=use_shi)
-                lines.append(f"{label}: {_digest(report)}")
-            except Exception as exc:  # its type and message are the digest
-                lines.append(f"{label}: raised {type(exc).__name__}: {exc}")
-    return lines
+        return [case_line(*case) for case in
+                _cases(change, examples, Path(tmp) / "system.cfg")]
+
+
+def case_line(label: str, build, n, use_shi: bool) -> str:
+    """The line of one case: its report, or the type and message of what
+    the analysis raised, then the ``PhiDiscontinuityWarning`` messages it
+    gave, if any."""
+    from tsfloquet import analyze
+    from tsfloquet.floquet import PhiDiscontinuityWarning
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            report = analyze(build(), n=n, use_shi=use_shi)
+            line = f"{label}: {_digest(report)}"
+        except Exception as exc:  # its type and message are the digest
+            line = f"{label}: raised {type(exc).__name__}: {exc}"
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, PhiDiscontinuityWarning)]
+    return line + (f" warns {_digest(messages)}" if messages else "")
 
 
 def differing(parent: list, change: list) -> list:

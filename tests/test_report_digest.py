@@ -3,8 +3,13 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT
-from report_digest import differing
+from report_digest import ROWS, case_line, differing
+from tsfloquet import analyze
+from tsfloquet.cli import build_system, load_config
+from tsfloquet.floquet import PhiDiscontinuityWarning
 
 DIGEST = ROOT / "tests" / "report_digest.py"
 
@@ -45,3 +50,22 @@ def test_differing_pairs_the_lines_of_each_case():
     assert differing(["a: 1", "b: 2"], ["a: 1", "b: 2"]) == []
     assert differing(["a: 1", "b: 2"], ["a: 1", "b: 3", "c: 4"]) == [
         ("-", "b: 2"), ("+", "b: 3"), ("+", "c: 4")]
+
+
+def test_a_case_line_ends_with_the_warnings_of_its_analysis(tmp_path):
+    # phi jumps where [0, 1] meets the scattered point 1 and at t0 + T = 4
+    config = tmp_path / "two.cfg"
+    config.write_text(ROWS["two intervals"])
+    spec = build_system(load_config(config))
+    with pytest.warns(PhiDiscontinuityWarning) as caught:
+        analyze(spec)
+    messages = [str(w.message) for w in caught
+                if issubclass(w.category, PhiDiscontinuityWarning)]
+    assert [m.split(":")[0] for m in messages] == [
+        "phi is discontinuous at t=1.0", "phi is discontinuous at t=4.0"]
+    line = case_line("two", lambda: spec, None, False)
+    assert line.startswith("two: {n=3, ")
+    assert line.endswith(f"}} warns {messages!r}")
+    config.write_text("period = 4\nintervals = [[0, 4]]\nq = 1\n")
+    spec = build_system(load_config(config))
+    assert " warns " not in case_line("flat", lambda: spec, None, False)
