@@ -38,7 +38,8 @@ phi by segment, at each end and each dense start, and the one series
 engine per analysis, with one table of each jump's phi, E, h, 1 / D and
 mu W, computed once in the period walk: the terms read its grid and that
 table, the bound every 8th node and the table, the phase form its rows'
-phase.
+phase. sqrt(q) at a dense part's right end is read once, as its row's
+last grid node, which the period walk checks against the chain's phi.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .timescale import Interval, ValidatedTimeScale, inward
 
 class PhiDiscontinuityWarning(UserWarning):
     """phi does not match sqrt(q) where a dense interval meets its
-    scattered right endpoint; the computation still proceeds."""
+    scattered right endpoint or t0 + T; the computation still proceeds."""
 
 
 _PHI_MIN = 1e-14
@@ -158,8 +159,9 @@ class PhaseTable:
     """phi by segment index, and the scattered sample it was built from;
     on a dense part phi = sqrt(q).
 
-    ``ends[i]`` is phi at the right end of segment i: the scattered point
-    there, or t0 + T for the last segment. ``starts`` keeps phi = sqrt(q)
+    ``ends[i]`` is phi at the right end of segment i, the scattered point
+    there or t0 + T for the last segment, from the chain alone even where
+    segment i is dense. ``starts`` keeps phi = sqrt(q)
     where ``solve_phi`` evaluated it, at the start of each dense segment.
     ``engine`` is the analysis's one ``_SeriesEngine``, which ``_engine``
     builds on first use for the terms, the truncation bound and the phase form.
@@ -201,7 +203,8 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
     is evaluated at every dense start first, in time order; then each
     scattered run ending at a dense start is back-substituted from sqrt(q)
     there, and the run after the last dense segment from
-    phi(t0+T) = phi(t0). The table holds phi at every segment's end.
+    phi(t0+T) = phi(t0). The table holds phi at every segment's end;
+    the series engine compares it with sqrt(q) at each dense end.
 
     ``sample`` is ``validate_system``'s sample of p and q at the scattered
     points; without it, solve_phi samples them itself. The table keeps it.
@@ -240,19 +243,6 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
     back_substitute(last_interval - 1, 0)  # the runs ending at dense starts
     ends[-1] = _check_phi(starts.get(0, ends[0]), ts.t_end)
     back_substitute(len(segs) - 2, last_interval)  # through t0+T
-
-    # phi may be discontinuous where a dense interval meets its scattered
-    # right endpoint (or t0+T); the computation proceeds, but the user is
-    # told. The dense limit is read just inside, as _sample_dense does
-    for i in starts:
-        limit = _sqrt_q(spec.q, inward(segs[i].a, segs[i].b)[1])
-        if abs(ends[i] - limit) > 1e-6:
-            warnings.warn(
-                f"phi is discontinuous at t={segs[i].b}: chain value "
-                f"{ends[i]} vs dense limit {limit}",
-                PhiDiscontinuityWarning,
-                stacklevel=2,
-            )
     return table
 
 
@@ -413,6 +403,8 @@ class _SeriesEngine:
     phase factor E(t) = e_{i phi}(t, t0), D = phi E (sigma(t) = t there)
     and the level weight W = h / D. The period walk, after the dense
     sampling, so a NaN q at a dense start is named after the grid's nodes,
+    raises ``PhiDiscontinuityWarning`` where a row's last phi, its dense
+    limit, is more than 1e-6 from the chain's ``table.ends`` there, and
     computes each scattered point t's fields once, in CPython scalars:
     phi(t), E before the point's own step, h(t) = -p - (phi(sigma(t)) -
     phi(t)) / (mu phi(t)), 1 / D with D = phi(sigma(t)) E(sigma(t)), and
@@ -474,6 +466,13 @@ class _SeriesEngine:
                     # product E * U[row, last] would round differently
                     np.multiply(E, U[row], out=self.E[row])
                     E = self.E[row, self.last[row]]
+                    # the row's last node holds phi's dense limit at its end
+                    limit = float(self.phi[row, self.last[row]])
+                    if abs(table.ends[i] - limit) > 1e-6:
+                        warnings.warn(
+                            f"phi is discontinuous at t={seg.b}: chain value "
+                            f"{table.ends[i]} vs dense limit {limit}",
+                            PhiDiscontinuityWarning)
                     self.events.append(row)
                     row += 1
                 if step is not None:  # the point t ending segment i

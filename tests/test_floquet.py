@@ -52,6 +52,7 @@ from tsfloquet.floquet import (
     validate_system,
 )
 from tsfloquet.oracle import monodromy
+from tsfloquet.timescale import inward
 
 from calculus_reference import (
     h_fn,
@@ -134,13 +135,14 @@ def test_one_step_factor_rule(q):
 
 
 def test_phi_discontinuity_warning():
-    # q whose chain value at the dense junction differs from sqrt(q)
+    # q whose chain value at the dense junction differs from sqrt(q): the
+    # analysis warns where the series grid's last node of a dense interval
+    # misses the chain value
     ts = validate(
         PeriodicTimeScale(0, 4, [Interval(0, 1), Interval(2, 4)]))
     spec = SystemSpec(ts, parse("0"), parse("1 + t/2"))
-    from tsfloquet.floquet import PhiDiscontinuityWarning
     with pytest.warns(PhiDiscontinuityWarning):
-        solve_phi(spec)
+        analyze(spec)
 
 
 def test_no_phi_warning_at_redefined_right_endpoint():
@@ -150,7 +152,7 @@ def test_no_phi_warning_at_redefined_right_endpoint():
     spec = _layout_system(segs, T)
     with warnings.catch_warnings():
         warnings.simplefilter("error", PhiDiscontinuityWarning)
-        solve_phi(spec)
+        analyze(spec)
 
 
 def test_gauge_invariance_of_A(example_z):
@@ -735,13 +737,17 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
     # validate_system, solve_phi, compute_B and the one engine, which the
     # series and the bound share, read one sample of p and q per scattered
     # point and one sample of q per dense start, in time order; the engine
-    # holds one jump table column per scattered point
+    # holds one jump table column per scattered point. q's dense limit at a
+    # dense interval's right end comes from the series grid alone, never
+    # from a scalar evaluation
     spec = _reference_spec(kind, key, workloads, tmp_path)
     scattered = {t for t, _ in spec.ts.scattered_with_mu()}
     starts = [a for a, _ in spec.ts.dense_intervals()]
+    limits = {inward(a, b)[1] for a, b in spec.ts.dense_intervals()}
     names = {id(spec.p): "p", id(spec.q): "q"}
     evaluated = []
     at_starts = []
+    at_limits = []
     evaluate = ex.evaluate
 
     def counted(e, t):
@@ -749,6 +755,8 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
             evaluated.append((names[id(e)], t))
         if t in starts and e is spec.q:
             at_starts.append(t)
+        if t in limits and e is spec.q:
+            at_limits.append(t)
         return evaluate(e, t)
 
     monkeypatch.setattr(ex, "evaluate", counted)
@@ -759,6 +767,7 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
     # in time order, p before q
     assert evaluated == [(c, t) for t in sorted(scattered) for c in "pq"]
     assert at_starts == starts
+    assert at_limits == []
     assert len(engines) == 1
     assert engines[0].jump_table.shape == (5, len(scattered))
     assert not report.err_bound.exact
