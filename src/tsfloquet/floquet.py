@@ -264,10 +264,9 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     prod = 1.0
     for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
         prod *= _step_factor(t, mu, p, q)
-    p_at = spec.p._closure  # evaluate(p, t), bit for bit
     integral = 0.0
     for value in tscalc.quad_intervals(
-            lambda t: -_check_finite("p", p_at(t), t, "on a dense part"),
+            lambda t: -_check_finite("p", spec.p_at(t), t, "on a dense part"),
             lambda x: -_finite("p", ex.evaluate_array(spec.p, x), x),
             spec.ts.dense_intervals(), spec.quad_tol):
         integral += value
@@ -927,8 +926,16 @@ def shi_continuous_a(spec: SystemSpec, table: PhaseTable, n: int,
 
 def _moduli_at(A: float, B: float):
     """(|A/2 - r|, |A/2 + r|) with r = sqrt(A^2/4 - B): the moduli of the
-    two roots of rho^2 - A rho + B, unsorted."""
-    root = cmath.sqrt(complex(A * A / 4.0 - B))
+    two roots of rho^2 - A rho + B, unsorted. For two distinct real roots
+    the larger is |A|/2 + r and the smaller |B| divided by it, at most the
+    larger, as |A/2 -+ r| cancels where A^2/4 >> |B|; a complex pair, a
+    double root, an infinite A^2/4 - B or a NaN take the complex root."""
+    disc = A * A / 4.0 - B
+    if 0.0 < disc < math.inf:
+        large = abs(A) / 2.0 + math.sqrt(disc)
+        small = min(abs(B) / large, large)
+        return (small, large) if A >= 0.0 else (large, small)
+    root = cmath.sqrt(complex(disc))
     return abs(A / 2.0 - root), abs(A / 2.0 + root)
 
 

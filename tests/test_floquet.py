@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -259,11 +260,24 @@ def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
     for spec in systems:
         assert compute_B(spec).hex() == _reference_B(spec).hex()
     if family == "kinked":
-        # first panels that fall short of quad_tol go on to the scalar loop
+        # first panels that fall short of quad_tol go on to the scalar loop,
+        # which evaluates p through expr.evaluate at each panel's 15 nodes
+        samples = [validate_system(spec) for spec in systems]
         panels = _record_panels(monkeypatch)
-        for spec in systems:
-            compute_B(spec)
-        assert panels
+        evaluated = []
+        evaluate = ex.evaluate
+
+        def counted(e, t):
+            evaluated.append(e)
+            return evaluate(e, t)
+        monkeypatch.setattr(ex, "evaluate", counted)
+        refined = 0
+        for spec, sample in zip(systems, samples):
+            del panels[:], evaluated[:]
+            compute_B(spec, sample)
+            assert evaluated == [spec.p] * (15 * len(panels))
+            refined += len(panels)
+        assert refined
 
 
 def _record_panels(monkeypatch) -> list:
@@ -960,6 +974,50 @@ def test_multipliers_breakpoint_inside_interval():
 def test_multipliers_pure_imaginary():
     (slo, shi_), (llo, lhi) = multipliers((0.0, 0.0), 1.0)
     assert (slo, shi_, llo, lhi) == pytest.approx((1, 1, 1, 1))
+
+
+def _mp_moduli(A, B):
+    """|A/2 - r| and |A/2 + r|, r = sqrt(A^2/4 - B), at 60 digits: the
+    moduli of the roots of rho^2 - A rho + B in ``_moduli_at``'s order."""
+    with mpmath.workdps(60):
+        A, B = mpmath.mpf(A), mpmath.mpf(B)
+        r = mpmath.sqrt(A * A / 4 - B)
+        return [float(abs(A / 2 - r)), float(abs(A / 2 + r))]
+
+
+def _within_8_ulps(got, want):
+    return all(abs(g - w) <= 8 * math.ulp(w) for g, w in zip(got, want))
+
+
+def test_moduli_at_is_within_8_ulps_of_mpmath():
+    # |A/2 - r| cancels where A^2/4 >> |B|: the smaller modulus of two
+    # real roots is |B| over the larger
+    rng = random.Random(30)
+    for _ in range(10000):
+        A = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 8)
+        B = rng.choice((-1, 1)) * 10 ** rng.uniform(-20, 4)
+        assert _within_8_ulps(floquet._moduli_at(A, B), _mp_moduli(A, B)), \
+            (A, B)
+
+
+def test_smaller_modulus_of_reports_does_not_cancel(workloads, tmp_path):
+    # a discrete scale whose interval A +- err_bound reaches |A| ~ 2.7e7
+    # with B = 9.15: the smaller modulus falls as |A| grows, to its least,
+    # ~B / 2.7e7, at an end of the interval
+    report = analyze(random_discrete_system(20), n=3)
+    A, err, B = report.A_partial, report.err_bound.value, report.B
+    want = min(min(_mp_moduli(a, B)) for a in (A - err, A + err))
+    assert want == pytest.approx(3.44100e-7, rel=1e-5)
+    assert _within_8_ulps([report.rho_moduli[0][0]], [want])
+    # a benchmark hybrid whose point moduli are ~B / A = 1.8e-16 and ~A
+    system, = (s for s in workloads.build("hybrid", 3, ROOT).systems
+               if s.name == "hybrid100_damped")
+    path = tmp_path / "hybrid100_damped.cfg"
+    path.write_text(system.text)
+    report = analyze(build_system(load_config(path)), n=3)
+    want = _mp_moduli(report.A_partial, report.B)
+    assert min(want) == pytest.approx(1.8e-16, rel=0.05)
+    assert _within_8_ulps(report.point_moduli, want)
 
 
 @pytest.mark.parametrize("seed", range(10))
