@@ -928,15 +928,21 @@ def _moduli_at(A: float, B: float):
     """(|A/2 - r|, |A/2 + r|) with r = sqrt(A^2/4 - B): the moduli of the
     two roots of rho^2 - A rho + B, unsorted. For two distinct real roots
     the larger is |A|/2 + r and the smaller |B| divided by it, at most the
-    larger, as |A/2 -+ r| cancels where A^2/4 >> |B|; a complex pair, a
-    double root, an infinite A^2/4 - B or a NaN take the complex root."""
+    larger, as |A/2 -+ r| cancels where A^2/4 >> |B|; where A^2/4
+    overflows with A and B finite, the larger is |A|/2 (1 + sqrt(1 - B /
+    (A/2)^2)) instead. A complex pair, a double root, an infinite A or B or
+    a NaN take the complex root."""
     disc = A * A / 4.0 - B
     if 0.0 < disc < math.inf:
         large = abs(A) / 2.0 + math.sqrt(disc)
-        small = min(abs(B) / large, large)
-        return (small, large) if A >= 0.0 else (large, small)
-    root = cmath.sqrt(complex(disc))
-    return abs(A / 2.0 - root), abs(A / 2.0 + root)
+    elif disc == math.inf and math.isfinite(A) and math.isfinite(B):
+        half = A / 2.0  # A^2/4 overflows, B does not
+        large = abs(half) * (1.0 + math.sqrt(1.0 - (B / half) / half))
+    else:
+        root = cmath.sqrt(complex(disc))
+        return abs(A / 2.0 - root), abs(A / 2.0 + root)
+    small = min(abs(B) / large, large)
+    return (small, large) if A >= 0.0 else (large, small)
 
 
 # compute_B's rounding: a conservative system's B = 1 may come out this far

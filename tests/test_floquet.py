@@ -976,10 +976,10 @@ def test_multipliers_pure_imaginary():
     assert (slo, shi_, llo, lhi) == pytest.approx((1, 1, 1, 1))
 
 
-def _mp_moduli(A, B):
-    """|A/2 - r| and |A/2 + r|, r = sqrt(A^2/4 - B), at 60 digits: the
+def _mp_moduli(A, B, dps=60):
+    """|A/2 - r| and |A/2 + r|, r = sqrt(A^2/4 - B), at ``dps`` digits: the
     moduli of the roots of rho^2 - A rho + B in ``_moduli_at``'s order."""
-    with mpmath.workdps(60):
+    with mpmath.workdps(dps):
         A, B = mpmath.mpf(A), mpmath.mpf(B)
         r = mpmath.sqrt(A * A / 4 - B)
         return [float(abs(A / 2 - r)), float(abs(A / 2 + r))]
@@ -998,6 +998,24 @@ def test_moduli_at_is_within_8_ulps_of_mpmath():
         B = rng.choice((-1, 1)) * 10 ** rng.uniform(-20, 4)
         assert _within_8_ulps(floquet._moduli_at(A, B), _mp_moduli(A, B)), \
             (A, B)
+
+
+def _within_4_ulps(got, want):
+    return all(abs(g - w) <= 4 * math.ulp(w) for g, w in zip(got, want))
+
+
+def test_moduli_stay_finite_where_A_squared_overflows():
+    # A^2/4 is inf from |A| ~ 1.3e154 on: r = sqrt(A^2/4 - B) read inf and
+    # both moduli with it, where the smaller is really |B| / |A|. |A/2 - r|
+    # cancels to ~1e-200 in mpmath too, so it works at 1000 digits
+    for A, B in ((1e200, 1.0), (-1e200, 1.0), (1e200, -3.0)):
+        got = floquet._moduli_at(A, B)
+        assert all(map(math.isfinite, got)), (A, B)
+        assert _within_4_ulps(got, _mp_moduli(A, B, 1000)), (A, B)
+    small, large = multipliers((1e170, 1e171), 2.0)
+    ends = [sorted(_mp_moduli(A, 2.0, 1000)) for A in (1e170, 1e171)]
+    assert _within_4_ulps(small, [ends[1][0], ends[0][0]])
+    assert _within_4_ulps(large, [ends[0][1], ends[1][1]])
 
 
 def test_smaller_modulus_of_reports_does_not_cancel(workloads, tmp_path):
