@@ -17,7 +17,9 @@ package:
 * every operation and probe of the four benchmark workloads at seeds 1-3
   that does not run the oracle;
 * the ``ROWS`` configs, each at its own n: scales whose phi jumps where a
-  dense part ends, so the analysis warns.
+  dense part ends, so the analysis warns;
+* the s-family (``s_family``) at n = 3 and 8: phi = sqrt(q) winds ~sqrt(s)
+  times over the period, so it shows what the dense grid resolves.
 
 A case's line ends with the ``PhiDiscontinuityWarning`` messages the
 analysis gave, in order.
@@ -53,6 +55,16 @@ ROWS = {
     "two intervals": "period = 4\nintervals = [[0, 1], [2, 4]]\np = 0\n"
                      "q = 1 + t/2\n",
 }
+# the scales s of the s-family
+S_FAMILY = (1e2, 1e4, 1e6)
+
+
+def s_family(s: float) -> str:
+    """p = 0.01 sin t and q = s (1 + 0.3 cos t) on [0, 2 pi]: the oracle
+    and the series agree only where the dense grid resolves the ~sqrt(s)
+    turns of the phase."""
+    return ("period = 2*pi\nintervals = [[0, 2*pi]]\np = 0.01*sin(t)\n"
+            f"q = {s!r}*(1 + 0.3*cos(t))\n")
 
 
 def _digest(value) -> str:
@@ -127,6 +139,10 @@ def _cases(change: Path, examples: bool, config_path: Path):
     for name, text in ROWS.items():
         build, config = from_text(text)
         yield f"row {name} n={config.n}", build, config.n, False
+    for s in S_FAMILY:
+        build, _ = from_text(s_family(s))
+        for n in (3, 8):
+            yield f"s-family s={s:g} n={n}", build, n, False
 
 
 def digest_lines(change: Path, examples: bool) -> list:
