@@ -15,31 +15,45 @@ delta integrals per order: writing E(t) = e_{i phi}(t, t0), the kernels
 P, Q become real/imaginary parts of E(t) / E(sigma(s)), so each
 integration level is a cumulative integral of
 W(s) = h(s) / (phi(sigma(s)) E(sigma(s))) against the previous level,
-evaluated on a fixed refinement grid (spacing <= T/4096) plus exact jump
-contributions at scattered points. The dense cells are the rows of one
-stacked (cells, nodes) array and an order's two running integrals are
-stacked on it, so each order makes one cumulative Simpson call whatever
+evaluated on a grid of Chebyshev panels plus exact jump contributions at
+scattered points. Each panel has 33 Chebyshev-Lobatto nodes, and its
+running integral is one product with the panel's spectral integration
+matrix (Greengard 1991; Trefethen, Approximation Theory and Approximation
+Practice, 2013); a row's running integral adds the cumulative sum of its
+panel totals. The layout adapts to each dense cell (``_panel_grid``): it
+starts from ceil(2 Delta Phi / 8 rad) equal panels, Delta Phi the cell's
+phase, since the level integrands carry e^{-+2i Phi}, and bisects a panel
+while the Chebyshev tail of phi or h is above ``_TAIL_TOL``, within a node
+cap and a width floor. The dense cells are the rows of one stacked (cells,
+nodes) array, padded by whole panels, and an order's two running integrals
+are stacked on it, so each order makes one panel-integral call whatever
 the number of cells; a walk over the cells and jumps in time order then
 carries the running offsets. Short periods walk in a Python loop in
 complex arithmetic; from ``_ARRAY_WALK_EVENTS`` cells and jumps on, each
 order's walk is one ``np.cumsum`` over its steps, which adds in the
 loop's order, with the loop's complex products written out as float
 products, so both walks give the same floats.
-The grid owns its Simpson weights: ``simpson_weights`` computes them once
-per grid, and each running integral is then a few array products and one
-cumulative sum, equal bit for bit to SciPy's ``cumulative_simpson``.
 On a purely discrete scale there are only jumps, so the same level
 recursion is exact up to rounding and costs O(n k) for k scattered points.
+
+The paper's truncation bound reads its own uniform sample of the dense
+cells, 512 divisions per period and at least 16 per cell, whose phase is
+a cumulative Simpson integral: the grid owns its Simpson weights
+(``simpson_weights``), and the running integral is a few array products
+and one cumulative sum, equal bit for bit to SciPy's
+``cumulative_simpson``. That sample is taken first, and its phase sets
+the panels' first cut.
 
 Per-point work is done once per analysis. ``validate_system`` samples p
 and q once at every scattered point, in time order, and checks the
 sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` keeps
 phi by segment, at each end and each dense start, and the one series
 engine per analysis, with one table of each jump's phi, E, h, 1 / D and
-mu W, computed once in the period walk: the terms read its grid and that
-table, the bound every 8th node and the table, the phase form its rows'
-phase. sqrt(q) at a dense part's right end is read once, as its row's
-last grid node, which the period walk checks against the chain's phi.
+mu W, computed once in the period walk: the terms read its panels and
+that table, the bound its uniform sample and the table, the phase form
+its row's phase. sqrt(q) at a dense part's right end is read once, as its
+row's last panel node, which the period walk checks against the chain's
+phi.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -75,8 +89,33 @@ class PhiDiscontinuityWarning(UserWarning):
 
 
 _PHI_MIN = 1e-14
-_GRID_DIVISIONS = 4096
-_BOUND_STRIDE = 8
+# the series grid's panels: degree 32, 33 Chebyshev-Lobatto nodes each; a
+# panel's rule integrates polynomials of that degree exactly, and an analytic
+# integrand to rounding once its coefficient tail is under _TAIL_TOL
+_PANEL_DEGREE = 32
+_NODES = _PANEL_DEGREE + 1
+# radians of 2 Phi per panel: the level integrands carry e^{-+2i Phi}, and
+# 8 rad (1.3 turns) on 33 nodes leave their coefficients at rounding level
+_PHASE_CUT = 8.0
+# a panel is bisected while its tail, the coefficients of T_30 and T_29
+# in the interpolant of its 31 interior values, exceeds this for phi or h,
+# relative to the row's largest phi or |p| + |q' / (2 q)|: 1e4 times the
+# samples' rounding, two degrees below the 33-node rule's own tail. A is
+# then within 6e-13 of a much finer layout's on the committed configs and
+# 2e-10 of its size on the benchmark's hybrids, about as close as at 1e-13,
+# which cuts every hybrid cell in two
+_TAIL_TOL = 1e-12
+# no panel is cut below 2^-40 of its row, or below 4096 float spacings,
+# where its 33 nodes would no longer be distinct: a kink, whose tail halves
+# with each cut, stops there, after at most 41 sampling rounds
+_WIDTH_FLOOR = 2.0 ** -40
+# no refinement round starts that would pass this many nodes per analysis:
+# s = 1e6 of the s-family (~6200 radians of Phi) takes 78 thousand; past
+# the cap the analysis goes on with the panels it has
+_NODE_CAP = 2 ** 17
+# the paper bound's own uniform sample: 512 divisions per period, at least
+# 16 per dense cell, read with the jumps by the K1 and K2 tables
+_BOUND_DIVISIONS = 512
 _BOUNDS_ROWS = 64
 _TINY = np.finfo(float).tiny
 # the angular window's offsets: columns on three periods of pi, both edges
@@ -279,55 +318,52 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
 
 # -- series engine ----------------------------------------------------------
 
-def _sample_dense(spec: SystemSpec, cells: list):
-    """The dense cells ``[(a, b, n), ...]``, ascending with n even, sampled
-    as one stacked grid: row c holds the n + 1 equally spaced nodes of cell
-    c, padded past its last node to the longest row.
+def _sample_dense(spec: SystemSpec, x, lo, hi, real=None):
+    """phi = sqrt(q), the perturbation coefficient h = -p - q' / (2 q) for
+    that phi, and |p| + |q' / (2 q)|, the size of h's two parts, on the node
+    rows x (rows, nodes): row r lies in [lo[r], hi[r]], a dense part or a
+    panel of one, and a node at either end is read just inside it, as the
+    coefficients' values there are one-sided limits. ``real`` masks the real nodes (all by
+    default); the others are padding, past a row's last node with x still
+    increasing, and hold phi = 1, h = 0 and size 0.
 
-    Returns (x, phi, h, last, real): (cells, nodes) arrays of the nodes,
-    of phi = sqrt(q) and of the perturbation coefficient h = -p - q' / (2 q)
-    for that phi, each row's last node index and the mask of real (not
-    padded) nodes. Padded nodes keep x increasing and hold phi = 1, h = 0;
-    as every n is even, Simpson never carries them into a real node. Each
-    expression is evaluated once, on the real nodes of all cells in time
-    order. A row that does not strictly increase raises InvalidSegment
-    naming the first such cell, and a NaN or infinite coefficient value
-    raises DomainError naming the first node.
+    Each expression is evaluated once, on the real nodes of all rows in
+    order, which the callers keep in time order. A row that does not
+    strictly increase raises InvalidSegment naming its [lo, hi], before
+    any coefficient is evaluated; a NaN or infinite coefficient value
+    raises DomainError naming the first node, and q <= 0 NegativeQOnDense
+    naming the minimum of the first row where it occurs.
     """
-    last = [n for _, _, n in cells]
-    width = max(last) + 1
-    a, b, n = np.array(cells).T
-    # node k is a + k (b - a) / n, as np.linspace computes it
-    x = np.arange(float(width)) * ((b - a) / n)[:, None] + a[:, None]
-    tip = (range(len(cells)), last)
-    x[tip] = b
-    # an interval shorter than its grid steps at the float spacing repeats
-    # nodes; it is named before any coefficient is evaluated
-    stalled = np.any(np.diff(x, axis=1) <= 0, axis=1)
+    # a part shorter than its grid steps at the float spacing repeats nodes
+    stalled = x[:, 1:] <= x[:, :-1]
     if stalled.any():
-        lo, hi, m = cells[int(np.argmax(stalled))]
-        raise InvalidSegment(f"interval [{lo}, {hi}] is too short for its "
-                             f"{m} grid steps at the float spacing")
-    # endpoint samples are one-sided limits, read just inside each cell
-    xe = x.copy()
-    xe[:, 0], xe[tip] = inward(a, b)
-    real = np.arange(width) <= n[:, None]
-    xe = xe[real]
+        r = int(np.argmax(stalled.any(axis=1)))
+        steps = x.shape[1] - 1 if real is None else real[r].sum() - 1
+        raise InvalidSegment(
+            f"interval [{float(lo[r])}, {float(hi[r])}] is too short for its "
+            f"{steps} grid steps at the float spacing")
+    a, b = lo[:, None], hi[:, None]
+    a_in, b_in = inward(a, b)
+    xe = np.where(x == a, a_in, np.where(x == b, b_in, x))
+    xe = xe.ravel() if real is None else xe[real]
     q = _finite("q", ex.evaluate_array(spec.q, xe), xe)
-    if np.any(q <= 0):
-        # named by the minimum of the first cell, in time order, that fails
-        ends = np.cumsum([m + 1 for m in last])
-        c = int(np.searchsorted(ends, np.argmax(q <= 0), side="right"))
-        lo = ends[c] - last[c] - 1
-        bad = xe[lo + np.argmin(q[lo:ends[c]])]
+    if q.min() <= 0:
+        ends = np.cumsum(real.sum(axis=1) if real is not None
+                         else np.full(len(x), x.shape[1]))
+        r = int(np.searchsorted(ends, np.argmax(q <= 0), side="right"))
+        first = ends[r - 1] if r else 0
+        bad = xe[first + np.argmin(q[first:ends[r]])]
         raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
     p = _finite("p", ex.evaluate_array(spec.p, xe), xe)
     qp = _finite("qprime", ex.evaluate_array(spec.qprime, xe), xe)
-    phi, h = np.sqrt(q), -p - qp / (2.0 * q)
-    phi_rows, h_rows = np.ones(x.shape), np.zeros(x.shape)
-    phi_rows[real] = phi
-    h_rows[real] = h
-    return x, phi_rows, h_rows, last, real
+    drift = qp / (2.0 * q)
+    values = np.sqrt(q), -p - drift, np.abs(p) + np.abs(drift)
+    if real is None:
+        return tuple(v.reshape(x.shape) for v in values)
+    rows = np.ones(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+    for row, v in zip(rows, values):
+        row[real] = v
+    return rows
 
 
 def _finite(name: str, values, x):
@@ -394,14 +430,199 @@ def cumulative_simpson(y, weights):
     return out
 
 
+def _chebyshev_panel(m: int):
+    """The degree-m Chebyshev-Lobatto panel on [-1, 1]: its m + 1 nodes t,
+    ascending, the integration matrix whose row i maps the panel's values
+    to the integral of their interpolant from -1 to t_i (Greengard, SIAM J.
+    Numer. Anal. 28, 1991), and the two rows that map them to the
+    coefficients of T_{m-3} and T_{m-2} in the interpolant of the m - 1
+    interior values: a panel's tail must not see its end values, which are
+    read just inside it (``inward``). Built with elementwise products only,
+    so importing the module starts no BLAS."""
+    j = np.arange(m + 1)
+    t = np.sin(np.pi * (2 * j - m) / (2 * m))  # symmetric, t[m / 2] = 0
+    T = np.cos(np.outer(np.pi * (m - j) / m, np.arange(m + 2)))  # T_k(t_j)
+    # values to coefficients: c_k = (2 / m) sum'' T_k(t_j) y_j, with the
+    # terms at j = 0, m and the coefficients c_0, c_m halved
+    ends = np.where((j == 0) | (j == m), 0.5, 1.0)
+    to_coefficients = (2.0 / m) * ends[:, None] * (T[:, :m + 1] * ends[:, None]).T
+    # the integral of T_k from -1 to t: t + 1, (t^2 - 1) / 2, and from k = 2
+    # on (T_{k+1} / (k + 1) - T_{k-1} / (k - 1)) / 2 less its value at -1
+    k = np.arange(2, m + 1)
+    at_minus_one = (-1.0) ** (k + 1)
+    integrals = np.empty((m + 1, m + 1))
+    integrals[:, 0] = t + 1.0
+    integrals[:, 1] = (t * t - 1.0) / 2.0
+    integrals[:, 2:] = ((T[:, 3:] - at_minus_one) / (2.0 * (k + 1))
+                        - (T[:, 1:m] - at_minus_one) / (2.0 * (k - 1)))
+    integrate = (integrals[:, :, None] * to_coefficients).sum(axis=1)
+    integrate[0] = 0.0
+    # the interior nodes cos(theta), theta = k pi / m, are the zeros of
+    # U_{m-1}, where sum sin^2(theta) U_i U_k is (m / 2) delta_ik; the top
+    # U coefficients give the top T ones twice over, U_n = 2 T_n + ...
+    theta = np.pi * (m - j[1:m]) / m
+    tail = np.zeros((2, m + 1))
+    tail[:, 1:m] = (4.0 / m) * np.sin(theta) * np.sin(
+        np.outer([m - 2, m - 1], theta))
+    return t, integrate, tail
+
+
+_T, _INTEGRATE, _TAIL = _chebyshev_panel(_PANEL_DEGREE)
+# a panel's layout rows: its Clenshaw-Curtis weights and its two tail rows
+_LAYOUT = np.vstack([_INTEGRATE[-1:], _TAIL])
+
+
+def _panel_integrals(y, half):
+    """Running integrals of y along its last axis, 0 at each row's first
+    node, on panel rows with half-widths ``half`` (rows, panels): within a
+    panel, half times the integration matrix applied to its values; across
+    panels, a cumulative sum of the panel totals. y is (..., rows, panels *
+    _NODES), real or complex.
+
+    Each panel's real and imaginary parts are the two columns of one
+    (_NODES, _NODES) by (_NODES, 2) matrix product, the same BLAS call for
+    every panel, so its values do not depend on how many rows and panels
+    are stacked with it: a product over a stack of panels may round a row
+    differently with the stack's shape (a single row takes gemv, which
+    sums in another order)."""
+    parts = np.ascontiguousarray(y, dtype=complex).view(float)
+    local = np.matmul(_INTEGRATE, parts.reshape(*y.shape[:-1], -1, _NODES, 2))
+    local *= half[..., None, None]
+    totals = np.cumsum(local[..., -1, :], axis=-2)
+    local[..., 1:, :, :] += totals[..., :-1, None, :]
+    out = local.view(complex).reshape(y.shape)
+    return out if np.iscomplexobj(y) else out.real.copy()
+
+
+def _panel_nodes(lo, hi):
+    """The (panels, _NODES) nodes of the panels [lo, hi], ends exact."""
+    x = lo[:, None] + ((hi - lo) / 2.0)[:, None] * (1.0 + _T)
+    x[:, -1] = hi
+    return x
+
+
+def _cuts(phi, h, lo, hi, limits, floor):
+    """How many equal panels each panel [lo, hi] of a layout becomes in the
+    next round: ceil(2 Delta Phi / ``_PHASE_CUT``) for its phase Delta Phi,
+    at least 2 where the tail of phi or h exceeds its ``limits`` (a row of
+    two per panel), and none narrower than its ``floor``."""
+    # per panel, (its phi, its h) by (weights, two tail rows)
+    dense = np.matmul(_LAYOUT, np.stack([phi, h], axis=-1))
+    turns = (hi - lo) * dense[:, 0, 0] / _PHASE_CUT  # 2 Delta Phi / cut
+    rough = np.any(np.abs(dense[:, 1:]).max(axis=1) > limits, axis=1)
+    k = np.minimum(np.maximum(np.ceil(turns), 1.0 + rough),
+                   np.floor((hi - lo) / floor))
+    return np.maximum(k, 1.0).astype(int)
+
+
+def _split(lo, hi, k):
+    """The panels [lo, hi] cut into k equal panels each: (parent, lo, hi),
+    each new panel's parent index and ends, in time order; a cut lies where
+    both panels that share it compute it."""
+    parent = np.repeat(np.arange(len(k)), k)
+    kp, start = k[parent], lo[parent]
+    j = np.arange(len(parent)) - (np.cumsum(k) - k)[parent]
+    width = hi[parent] - start
+    return parent, start + width * (j / kp), np.where(
+        j + 1 == kp, hi[parent], start + width * ((j + 1) / kp))
+
+
+def _float_floor(a, b):
+    """4096 float spacings at the larger end of each dense cell [a, b]: the
+    narrowest panel whose 33 nodes stay distinct and near the Chebyshev
+    points. A narrower cell raises InvalidSegment, as too short for its
+    grid steps; the engine asks before it samples anything, as a period
+    that small would underflow the bound's spacing T / 512 to 0."""
+    ulps = 4096.0 * np.spacing(np.maximum(abs(a), abs(b)))
+    if np.any(b - a < ulps):
+        r = int(np.argmax(b - a < ulps))
+        raise InvalidSegment(
+            f"interval [{float(a[r])}, {float(b[r])}] is too short for its "
+            f"{_PANEL_DEGREE} grid steps at the float spacing")
+    return ulps
+
+
+def _panel_grid(spec: SystemSpec, cells: list, turns, scales):
+    """The series grid of the dense cells [(a, b), ...], ascending, laid
+    out in rounds from what the bound's sample shows of each cell: its
+    ``turns``, 2 Delta Phi / ``_PHASE_CUT``, and its ``scales``, its
+    largest phi and |p| + |q' / (2 q)| (see ``_sample_dense``), the sizes
+    the tails of phi and h are measured against. The first round cuts each
+    cell into ceil(turns) equal panels (one per cell where that would pass
+    ``_NODE_CAP`` nodes); each later round cuts panels as ``_cuts`` says.
+    Every round samples q, p and q' on its new panels only, each panel's
+    end values read 1e-9 of its width inside it (``inward``), so a jump
+    that falls on a cut is read from its own side by each panel. The
+    layout is final when no panel is cut, or when the next round would pass
+    ``_NODE_CAP`` nodes, and no panel is cut below ``_float_floor``.
+
+    Returns (x, phi, h, half, panels, rounds): (cells, nodes) rows of the
+    nodes and of phi and h, a row's panels in time order and padded with
+    whole panels at x = b, phi = 1 and h = 0 to the longest row; the
+    (cells, panels) half-widths, 0 on padding; each row's panel count; and
+    the number of sampling rounds."""
+    a, b = np.array(cells, dtype=float).T
+    floor = np.maximum(_WIDTH_FLOOR * (b - a), _float_floor(a, b))
+    limits = _TAIL_TOL * scales
+    k = np.maximum(np.minimum(np.ceil(turns), np.floor((b - a) / floor)),
+                   1.0).astype(int)
+    if k.sum() * _NODES > _NODE_CAP:
+        k[:] = 1
+    row, lo, hi = _split(a, b, k)
+    x = _panel_nodes(lo, hi)
+    phi, h, _ = _sample_dense(spec, x, lo, hi)
+    rounds = 1
+    while True:
+        k = _cuts(phi, h, lo, hi, limits[row], floor[row])
+        if k.sum() == len(k) or k.sum() * _NODES > _NODE_CAP:
+            break
+        parent, lo, hi = _split(lo, hi, k)
+        row, new = row[parent], k[parent] > 1
+        x, phi, h = x[parent], phi[parent], h[parent]
+        x[new] = _panel_nodes(lo[new], hi[new])
+        phi[new], h[new], _ = _sample_dense(spec, x[new], lo[new], hi[new])
+        rounds += 1
+    panels = np.bincount(row, minlength=len(cells))
+    half = (hi - lo) / 2.0
+    if panels.min() < panels.max():  # pad the shorter rows
+        at = (row, np.arange(len(row)) - (np.cumsum(panels) - panels)[row])
+        shape = (len(cells), panels.max())
+        X = np.repeat(b, shape[1] * _NODES).reshape(*shape, _NODES)
+        PHI, H, HALF = np.ones(X.shape), np.zeros(X.shape), np.zeros(shape)
+        X[at], PHI[at], H[at], HALF[at] = x, phi, h, half
+        x, phi, h, half = X, PHI, H, HALF
+    rows = (len(cells), -1)
+    return (x.reshape(rows), phi.reshape(rows), h.reshape(rows),
+            half.reshape(rows), panels, rounds)
+
+
+def _uniform_rows(ts: ValidatedTimeScale, divisions: int):
+    """The dense cells as rows of equally spaced nodes, ``divisions`` per
+    period and at least 16 per cell, an even number: row c holds the n + 1
+    nodes a + k (b - a) / n of cell c, as np.linspace computes them, padded
+    past its last node, b, to the longest row with x still increasing.
+    Returns (x, a, b, last, real): the nodes, the cells' ends, each row's
+    last node index and the mask of real nodes."""
+    a, b = np.array(ts.dense_intervals()).T
+    n = np.maximum(16.0, np.ceil((b - a) / (ts.period / divisions)))
+    n += n % 2
+    last = n.astype(int)
+    x = np.arange(last.max() + 1.0) * ((b - a) / n)[:, None] + a[:, None]
+    x[np.arange(len(a)), last] = b
+    return x, a, b, last, np.arange(x.shape[1]) <= last[:, None]
+
+
 class _SeriesEngine:
     """Precomputed grids for the series terms A_n and their tail bound.
 
-    The dense cells are the rows of one stacked (cells, nodes) grid that
-    holds x, phi, h, the phase (the running integral of phi), the complex
-    phase factor E(t) = e_{i phi}(t, t0), D = phi E (sigma(t) = t there)
-    and the level weight W = h / D. The period walk, after the dense
-    sampling, so a NaN q at a dense start is named after the grid's nodes,
+    The dense cells are the rows of one stacked (cells, nodes) grid of
+    Chebyshev panels (``_panel_grid``), which holds x, phi, h, the phase
+    (the running integral of phi), the complex phase factor
+    E(t) = e_{i phi}(t, t0), D = phi E (sigma(t) = t there) and the level
+    weight W = h / D; ``half`` holds the panels' half-widths, ``panels``
+    each row's panel count and ``rounds`` the layout's sampling rounds.
+    The period walk, after the dense sampling, so a NaN q at a dense start
+    is named after the grid's nodes, records the E each row starts from,
     raises ``PhiDiscontinuityWarning`` where a row's last phi, its dense
     limit, is more than 1e-6 from the chain's ``table.ends`` there, and
     computes each scattered point t's fields once, in CPython scalars:
@@ -412,12 +633,12 @@ class _SeriesEngine:
     ``events`` holds a row index or a jump's (phi, E, mu W), in time order.
     Overflow on long periods stays in the values, and numpy's error state
     is the caller's at every return and yield. Each series order is the
-    two running integrals J and K of W
-    against the previous level's G and H: one Simpson call over the
-    (2, cells, nodes) stack of W G and W H, then a walk over the events,
-    cells and jumps in time order, that carries both running offsets,
-    adding a cell's row totals or a jump's exact (mu W) g and (mu W) h
-    steps; the offsets reach the rows in one assignment.
+    two running integrals J and K of W against the previous level's G and
+    H: one ``_panel_integrals`` call over the (2, cells, nodes) stack of
+    W G and W H, then a walk over the events, cells and jumps in time
+    order, that carries both running offsets, adding a cell's row totals
+    or a jump's exact (mu W) g and (mu W) h steps; the offsets reach the
+    rows in one assignment.
 
     There are two walks, chosen by the number of events. Below
     ``_ARRAY_WALK_EVENTS`` a scalar loop adds the steps in Python complex
@@ -429,29 +650,33 @@ class _SeriesEngine:
     out as float ufuncs, never numpy's complex product, which may fuse
     into an FMA and round once where CPython rounds twice. State is
     per-instance, and no method changes it, so the series and the bound
-    share one engine.
+    share one engine; the bound reads its own uniform sample
+    (``bound_sample``).
     """
 
     def __init__(self, spec: SystemSpec, table: PhaseTable):
         ts = spec.ts
-        spacing = ts.period / _GRID_DIVISIONS
-        cells = []
-        for a, b in ts.dense_intervals():
-            # where the spacing underflows to 0, the 4096 steps are 0 too
-            # and _sample_dense names the interval as too short for them
-            n = (max(16, int(math.ceil((b - a) / spacing))) if spacing
-                 else _GRID_DIVISIONS)
-            cells.append((a, b, n + n % 2))
+        cells = ts.dense_intervals()
         self.rows = len(cells)
         if cells:
-            (self.x, self.phi, self.h, self.last,
-             self.real) = _sample_dense(spec, cells)
-            self.weights = simpson_weights(self.x)
-            self.phase = cumulative_simpson(self.phi, self.weights)
+            _float_floor(*np.array(cells).T)
+            # the bound's own sample first: its phase sets the first panels
+            x, a, b, last, real = _uniform_rows(ts, _BOUND_DIVISIONS)
+            phi, h, size = _sample_dense(spec, x, a, b, real)
+            phase = cumulative_simpson(phi, simpson_weights(x))
+            self.bound = x, phi, h, phase, real
+            turns = 2.0 * phase[np.arange(self.rows), last] / _PHASE_CUT
+            scales = np.stack([np.where(real, phi, 0.0).max(axis=1),
+                               size.max(axis=1)], axis=-1)
+            (self.x, self.phi, self.h, self.half, self.panels,
+             self.rounds) = _panel_grid(spec, cells, turns, scales)
+            self.last = (self.panels * _NODES - 1).tolist()
+            self.phase = _panel_integrals(self.phi, self.half)
             U = np.exp(1j * self.phase)
             self.E = np.empty_like(U)
             # each row's last node, as a flat index into a (cells, nodes) plane
             self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
+        self.E_in = []  # the E each dense row starts from
         # in time order: a dense row's index or a jump's (phi, E, muW)
         self.events = []
         jumps = []  # each jump's (phi, E, h, 1 / D, muW)
@@ -463,6 +688,7 @@ class _SeriesEngine:
                 if isinstance(seg, Interval):
                     # E carries on from the row's last node: the scalar
                     # product E * U[row, last] would round differently
+                    self.E_in.append(E)
                     np.multiply(E, U[row], out=self.E[row])
                     E = self.E[row, self.last[row]]
                     # the row's last node holds phi's dense limit at its end
@@ -552,7 +778,7 @@ class _SeriesEngine:
                         # the running offsets of J and K at each row
                         off = np.array(offsets, dtype=complex)[..., None]
                         GH = self.phi * (self.E * (off + S)).real
-                    S = cumulative_simpson(self.W * GH, self.weights)
+                    S = _panel_integrals(self.W * GH, self.half)
                     totals = S.reshape(2, -1).take(self.tips, axis=1)
                     (accJ, accK), offsets, at_jumps = walk(totals, at_jumps)
                     A = -(E_T * accJ).imag + ratio * (E_T * accK).real
@@ -622,20 +848,25 @@ class _SeriesEngine:
 
     # -- supremum grids for the truncation bound ---------------------------
 
-    def bound_nodes(self):
-        """The mask of the dense nodes the bound reads: every 8th node of a
-        row, closer where a row would keep under 16 intervals, and its last."""
-        last = np.array(self.last)[:, None]
-        stride = np.minimum(_BOUND_STRIDE, last // 16)
-        k = np.arange(self.x.shape[1])
-        return ((k % stride == 0) & self.real) | (k == last)
+    def bound_sample(self):
+        """The paper bound's own sample of the dense rows: ``_uniform_rows``
+        at ``_BOUND_DIVISIONS`` per period, sampled by ``_sample_dense``,
+        with the phase integrated by ``cumulative_simpson`` and E carried
+        on from the E each row starts from in the period walk. Returns
+        (x, phi, h, E, real), the nodes, phi, h and E there and the mask of
+        real nodes."""
+        x, phi, h, phase, real = self.bound
+        with _quiet():
+            E = np.array(self.E_in, dtype=complex)[:, None] * np.exp(
+                1j * phase)
+        return x, phi, h, E, real
 
     # on long periods E overflows and the tables hold inf and NaN;
     # error_bound reads a NaN constant as an infinite bound
     @_quiet()
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|, over
-        the ``bound_nodes`` of the series grid and every jump.
+        the real nodes of ``bound_sample`` and every jump.
 
         K2 is the maximum of |Re(u_t M_s)| and K1 of |a_t QT_s - b_t PT_s|
         over every pair (t, s) of nodes and jumps. Each entry is the 2-D
@@ -657,9 +888,9 @@ class _SeriesEngine:
         # the constants are maxima, so the order of the nodes does not matter
         phi_t, E_t, h_t, M_s = [], [], [], []
         if self.rows:
-            nodes = self.bound_nodes()
-            phi_t, E_t, h_t, M_s = (self.phi[nodes], self.E[nodes],
-                                    self.h[nodes], 1.0 / self.D[nodes])
+            _, phi, h, E, nodes = self.bound_sample()
+            phi_t, E_t, h_t, M_s = (phi[nodes], E[nodes], h[nodes],
+                                    1.0 / (phi * E)[nodes])
         phi, E, h, M, _ = self.jump_table
         phi_t = np.concatenate([phi_t, phi.real, [self.phiT]])
         E_t = np.concatenate([E_t, E, [self.E_T]])
@@ -813,8 +1044,9 @@ def a_partial(spec: SystemSpec, table: PhaseTable, n: int) -> float:
 
 def estimate_bounds(spec: SystemSpec, table: PhaseTable):
     """(K1, K2, K3): suprema of the two-argument kernel |h(t,s)|, of
-    |Q(t,s)| and of |h(t)|, estimated on all scattered points plus every
-    8th node of the table's series grid, at least 16 intervals per cell."""
+    |Q(t,s)| and of |h(t)|, estimated on all scattered points plus the
+    series engine's uniform bound sample, 512 divisions per period and at
+    least 16 per cell."""
     return _engine(spec, table).bound_constants()
 
 
@@ -916,7 +1148,7 @@ def shi_continuous_a(spec: SystemSpec, table: PhaseTable, n: int,
     F = np.ones(phase.shape, dtype=complex)
     for level in range(1, n + 1):
         factor = engine.h / u if level % 2 == 1 else engine.h * u
-        F = cumulative_simpson(factor * F, engine.weights)
+        F = _panel_integrals(factor * F, engine.half)
         if level % 2 == 0:
             total += 2.0 ** (1 - level) * (outer_phase * F[0, -1]).real
     return total

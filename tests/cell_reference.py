@@ -1,11 +1,15 @@
 """Reference for the stacked series engine on scales with dense cells.
 
 The per-cell level loop the stacked engine replaced: each dense cell is
-sampled on its own grid, makes its own cumulative Simpson call for its
-phase and for J and K at every order, and the running offsets are added
-cell by cell. Tests compare ``tsfloquet.floquet._SeriesEngine``'s terms
-and bound constants against it for equality, since the stacked engine
-keeps every floating-point operation of this loop.
+laid out on its own Chebyshev panels (``floquet._panel_grid`` on that cell
+alone), integrates its phase and J and K at every order panel by panel,
+one matrix product per panel and a running sum of the panel totals, and
+the running offsets are added cell by cell. The truncation bound samples
+each cell on its own uniform grid of 512 divisions per period and
+integrates the phase there with SciPy's ``cumulative_simpson``. Tests
+compare ``tsfloquet.floquet._SeriesEngine``'s terms and bound constants
+against it for equality, since the stacked engine keeps every
+floating-point operation of this loop.
 """
 from __future__ import annotations
 
@@ -17,11 +21,14 @@ from scipy.integrate import cumulative_simpson
 from tsfloquet import expr as ex
 from tsfloquet.errors import NegativeQOnDense
 from tsfloquet.floquet import (
-    _BOUND_STRIDE,
+    _BOUND_DIVISIONS,
     _BOUNDS_ROWS,
-    _GRID_DIVISIONS,
+    _INTEGRATE,
+    _NODES,
+    _PHASE_CUT,
     PhaseTable,
     SystemSpec,
+    _panel_grid,
 )
 from tsfloquet.timescale import Interval, Point
 
@@ -29,9 +36,9 @@ from calculus_reference import phase_value
 
 
 def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
-    """(x, sqrt(q), h) on the n + 1 equally spaced nodes x of [a, b],
-    where h = -p - q' / (2 q) is the perturbation coefficient for
-    phi = sqrt(q)."""
+    """(x, sqrt(q), h, |p| + |q' / (2 q)|) on the n + 1 equally spaced
+    nodes x of [a, b], where h = -p - q' / (2 q) is the perturbation
+    coefficient for phi = sqrt(q)."""
     x = np.linspace(a, b, n + 1)
     # endpoint samples are nudged inward: coefficient values on a dense
     # part are one-sided limits, and isolated-point redefinitions live
@@ -46,24 +53,54 @@ def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
         raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
     p = ex.evaluate_array(spec.p, xe)
     qp = ex.evaluate_array(spec.qprime, xe)
-    return x, np.sqrt(q), -p - qp / (2.0 * q)
+    drift = qp / (2.0 * q)
+    return x, np.sqrt(q), -p - drift, np.abs(p) + np.abs(drift)
+
+
+def _panel_integrals(y, half):
+    """Running integrals of y over a cell's panels, one after the other:
+    each panel's real and imaginary parts are the columns of one product
+    with the integration matrix, scaled by its half-width, and the sum of
+    the totals of the panels before it is added."""
+    out = np.empty(len(half) * _NODES, dtype=complex)
+    before = None  # the panels' totals so far, as (real, imaginary)
+    for k, w in enumerate(half):
+        cut = slice(k * _NODES, (k + 1) * _NODES)
+        panel = np.ascontiguousarray(y[cut], dtype=complex)
+        local = np.matmul(_INTEGRATE, panel.view(float).reshape(_NODES, 2))
+        local *= w
+        total = local[-1].copy()
+        if before is not None:
+            local += before
+            total = before + total
+        before = total
+        out[cut] = local.view(complex)[:, 0]
+    return out if np.iscomplexobj(y) else out.real.copy()
 
 
 class _DenseCell:
-    """One dense interval on its refinement grid x, with the fields it
+    """One dense interval on its own panel grid x, with the fields it
     shares per node with this module's ``_Jump`` and the engine's jump
     table: phi = sqrt(q), the phase factor E, h, D = phi E (sigma(t) = t
-    here) and the level weight W = h / D."""
+    here) and the level weight W = h / D. The bound's uniform grid is
+    sampled first, as ``bound``: its nodes, phi and h there, and its
+    Simpson phase, whose total sets the first panel count. E0 is E at the
+    interval's start."""
 
-    __slots__ = ("x", "phi", "E", "h", "D", "W")
+    __slots__ = ("bound", "x", "half", "phi", "E0", "E", "h", "D", "W")
 
     def __init__(self, spec: SystemSpec, a: float, b: float, E0: complex):
-        spacing = spec.ts.period / _GRID_DIVISIONS
-        n = max(16, int(math.ceil((b - a) / spacing)))
-        n += n % 2
-        self.x, self.phi, self.h = _sample_dense(spec, a, b, n)
-        phase = cumulative_simpson(self.phi, x=self.x, initial=0.0)
-        self.E = E0 * np.exp(1j * phase)
+        n = max(16, int(math.ceil((b - a) / (spec.ts.period
+                                             / _BOUND_DIVISIONS))))
+        x, phi, h, size = _sample_dense(spec, a, b, n + n % 2)
+        phase = cumulative_simpson(phi, x=x, initial=0.0)
+        self.bound = x, phi, h, phase
+        turns = np.array([2.0 * phase[-1] / _PHASE_CUT])
+        scales = np.array([[phi.max(), size.max()]])
+        x, phi, h, half, _, _ = _panel_grid(spec, [(a, b)], turns, scales)
+        self.x, self.phi, self.h, self.half = x[0], phi[0], h[0], half[0]
+        self.E0 = E0
+        self.E = E0 * np.exp(1j * _panel_integrals(self.phi, self.half))
         self.D = self.phi * self.E
         self.W = self.h / self.D
 
@@ -93,9 +130,9 @@ class CellEngine:
     Walks the period once, carrying the complex phase factor
     E(t) = e_{i phi}(t, t0) across dense cells and scattered jumps, which
     hold their nodes' phi, E, h, D and W under the same names; each series
-    order is then two running integrals over those nodes: Simpson within a
-    cell, the exact mu W step at a jump. State is per-instance, never
-    shared.
+    order is then two running integrals over those nodes: panel by panel
+    within a cell, the exact mu W step at a jump. State is per-instance,
+    never shared.
     """
 
     def __init__(self, spec: SystemSpec, table: PhaseTable):
@@ -137,10 +174,8 @@ class CellEngine:
             newG, newH = [], []
             for ev, g, h in zip(self.events, G, H):
                 if isinstance(ev, _DenseCell):
-                    runJ = accJ + cumulative_simpson(ev.W * g, x=ev.x,
-                                                     initial=0.0)
-                    runK = accK + cumulative_simpson(ev.W * h, x=ev.x,
-                                                     initial=0.0)
+                    runJ = accJ + _panel_integrals(ev.W * g, ev.half)
+                    runK = accK + _panel_integrals(ev.W * h, ev.half)
                     accJ = runJ[-1]
                     accK = runK[-1]
                 else:
@@ -164,14 +199,15 @@ class CellEngine:
     @np.errstate(invalid="ignore", over="ignore")
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)| over
-        every jump and every 8th node of each cell, closer where a cell
-        would get under 16 intervals, and each cell's last node."""
+        every jump and every node of each cell's uniform grid of 512
+        divisions per period, at least 16 per cell, whose phase is
+        integrated by Simpson's rule from the E the cell starts from."""
         fields = []  # (phi, E, h, 1 / D) at the nodes read, in time order
         for e in self.events:
             if isinstance(e, _DenseCell):
-                n = len(e.x) - 1
-                k = np.r_[0:n:min(_BOUND_STRIDE, n // 16), n]
-                fields.append((e.phi[k], e.E[k], e.h[k], 1.0 / e.D[k]))
+                _, phi, h, phase = e.bound
+                E = e.E0 * np.exp(1j * phase)
+                fields.append((phi, E, h, 1.0 / (phi * E)))
             else:
                 fields.append(([e.phi], [e.E], [e.h], [1.0 / e.D]))
         phi_t, E_t, h_t, M_s = (np.hstack(f) for f in zip(*fields))

@@ -276,10 +276,16 @@ def test_config_content_errors_exit_3(tmp_path, text, args):
     pytest.param("t0 = 1e15\nperiod = 1\nintervals = [[1e15, 1e15+1]]\n",
                  "[1000000000000000.0, 1000000000000001.0]",
                  id="steps-below-the-spacing"),
-    # T / 4096 underflows to 0: every grid step is 0
+    # a dense part under 4096 float spacings: its panel's nodes would
+    # round far off the Chebyshev points, or repeat
     pytest.param("t0 = 0\nperiod = 1e-320\nintervals = [[0, 1e-320]]\n",
-                 "[0.0, 1e-320] is too short for its 4096 grid steps",
+                 "[0.0, 1e-320] is too short for its 32 grid steps",
                  id="spacing-underflows"),
+    # the bound's spacing T / 512 underflows to 0 as well: refused before
+    # any grid is sampled, not an IndexError (exit 4)
+    pytest.param("t0 = 0\nperiod = 1e-322\nintervals = [[0, 1e-322]]\n",
+                 "[0.0, 1e-322] is too short for its 32 grid steps",
+                 id="bound-spacing-underflows"),
 ])
 def test_interval_too_short_for_its_grid_exits_3(tmp_path, text, named):
     # the grid's nodes of the named interval collapse at the float spacing

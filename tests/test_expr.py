@@ -443,17 +443,19 @@ def _assert_walk_equal(e, ts):
 
 
 def _system_nodes(spec):
-    """The series grid's nodes, with its endpoints nudged inward as the
-    grid samples them, the scattered points and their successors."""
+    """The nodes of the series grid's panels and of the bound's sample,
+    with the dense ends nudged inward as the grids sample them, the
+    scattered points and their successors."""
     from tsfloquet.floquet import _SeriesEngine, solve_phi
 
     ts = [x for t, mu in spec.ts.scattered_with_mu() for x in (t, t + mu)]
     engine = _SeriesEngine(spec, solve_phi(spec))
     if engine.rows:
-        for row, last, (a, b) in zip(engine.x, engine.last,
-                                     spec.ts.dense_intervals()):
+        x, _, _, _, real = engine.bound_sample()
+        for panels, row, last, (a, b) in zip(
+                engine.x, x, real, spec.ts.dense_intervals()):
             eps = (b - a) * 1e-9
-            ts += row[:last + 1].tolist() + [a + eps, b - eps]
+            ts += panels.tolist() + row[last].tolist() + [a + eps, b - eps]
     return ts
 
 

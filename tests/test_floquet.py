@@ -71,6 +71,7 @@ from conftest import (
     random_hybrid_system,
     unit_step_overflow_system,
 )
+import cell_reference
 from cell_reference import CellEngine
 from discrete_reference import discrete_terms
 
@@ -441,23 +442,29 @@ def test_discrete_series_matches_monodromy(k):
 
 def test_complex_cumulative_simpson_is_the_split(example_hybrid):
     # the engine integrates the complex samples of all stacked cells in one
-    # call; that must equal integrating the real and imaginary parts apart,
-    # bit for bit. Seeds 0 and 12 have two cells of unequal node counts, so
-    # the shorter row of the stack is padded
+    # call, on its panels and on the bound's uniform rows; that must equal
+    # integrating the real and imaginary parts apart, bit for bit. Seed
+    # 145's cells have 2 and 1 panels, and seeds 0 and 12 have two bound
+    # rows of unequal node counts, so the shorter row of a stack is padded
     for spec in (example_hybrid, random_hybrid_system(0),
-                 random_hybrid_system(12)):
+                 random_hybrid_system(12), random_hybrid_system(145)):
         engine = _SeriesEngine(spec, solve_phi(spec))
-        assert engine.rows == 1 or engine.last[0] != engine.last[1]
         W = engine.h / engine.D
-        for y in (engine.E, W * engine.phi * engine.E.imag):
-            assert np.iscomplexobj(y)
-            for integrate in (
-                    lambda v: cumulative_simpson(v, x=engine.x, initial=0.0),
-                    lambda v: floquet.cumulative_simpson(v, engine.weights)):
+        x, phi, _, E, _ = engine.bound_sample()
+        weights = floquet.simpson_weights(x)
+        for integrate, ys in (
+                (lambda v: floquet._panel_integrals(v, engine.half),
+                 (engine.E, W * engine.phi * engine.E.imag)),
+                (lambda v: cumulative_simpson(v, x=x, initial=0.0), (E,)),
+                (lambda v: floquet.cumulative_simpson(v, weights), (E,))):
+            for y in ys:
+                assert np.iscomplexobj(y)
                 whole = integrate(y)
                 split = integrate(y.real) + 1j * integrate(y.imag)
                 assert np.iscomplexobj(whole)
                 assert np.array_equal(whole, split)
+    spec = random_hybrid_system(145)
+    assert _SeriesEngine(spec, solve_phi(spec)).panels.tolist() == [2, 1]
 
 
 def _two_cell_system(p_text, q_text):
@@ -580,12 +587,13 @@ def test_scattered_runs_around_dense_cells(layout):
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # at least 30 seeded hybrids (9 of these 32 have two cells of unequal
-# length), seeded discrete scales, every layout above, every committed
-# config with intervals, the benchmark's 100-cell hybrids (seed 1) and a
-# 64-point scale from its discrete generator; the last three have 64
-# events or more, so the engine walks them as arrays
+# length, and seed 145's two cells have 2 and 1 panels, so a row of
+# panels is padded), seeded discrete scales, every layout above, every
+# committed config with intervals, the benchmark's 100-cell hybrids (seed
+# 1) and a 64-point scale from its discrete generator; the last three have
+# 64 events or more, so the engine walks them as arrays
 _REFERENCE_CASES = (
-    [("seed", s) for s in range(32)]
+    [("seed", s) for s in (*range(32), 145)]
     + [("discrete", s) for s in range(16)]
     + [("layout", k) for k in sorted(_LAYOUTS)]
     + [("config", p.relative_to(_CONFIGS).as_posix())
@@ -792,25 +800,99 @@ def _counted(built, cls, *args):
     return built[-1]
 
 
+def _dense_system(p_text, q_text, b=2 * PI):
+    """p and q on the one dense interval [0, b], period b."""
+    ts = validate(PeriodicTimeScale(0.0, b, [Interval(0.0, b)]))
+    return SystemSpec(ts, parse(p_text), parse(q_text))
+
+
+@pytest.mark.parametrize("q_text", ["1 + t", "exp(4*t)"])
+def test_panel_tail_does_not_see_the_inward_read_ends(q_text):
+    # a row's end values are read (b - a) 1e-9 inside it: taken as values
+    # at the ends, they put a tail into the 33-node interpolant of a smooth
+    # q that no cut removes, and a tail test that saw them cut to the width
+    # floor (40 rounds). The tail reads the interior nodes
+    spec = _dense_system("0", q_text, 1.0)
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    assert engine.rounds == 1 and engine.panels.tolist() == [1]
+    j = np.arange(floquet._NODES)
+    T = np.cos(np.outer(np.pi * (floquet._PANEL_DEGREE - j)
+                        / floquet._PANEL_DEGREE, j))
+    seen = [abs(np.linalg.solve(T, v[0])[-1]) / np.abs(v).max()
+            for v in (engine.phi, engine.h)]
+    assert max(seen) > floquet._TAIL_TOL
+
+
+def test_smooth_one_cell_configs_take_few_panels():
+    # phi's phase sets the first cut, which is the last on most configs
+    for path in sorted((ROOT / "configs").rglob("*.cfg")):
+        spec = build_system(load_config(path))
+        if len(spec.ts.dense_intervals()) == 1:
+            engine = _SeriesEngine(spec, solve_phi(spec))
+            assert engine.rounds <= 2 and engine.panels[0] <= 4, path.stem
+
+
+def test_a_kink_stops_at_the_width_floor():
+    # |sin(1.7 t)| has kinks at the irrational k pi / 1.7: the tail of the
+    # panel holding one halves with each cut, so refinement runs until the
+    # width floor, 2^-40 of the row, after at most 41 sampling rounds. A is
+    # then closer to the oracle's than the 4097-node Simpson grid's 2.9e-8
+    spec = _dense_system("0.1*abs(sin(1.7*t))", "1 + 0.3*cos(t)")
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    assert 30 <= engine.rounds <= 41
+    oracle = float(np.trace(monodromy(spec)))
+    assert abs(analyze(spec, n=8).A_partial - oracle) <= 1e-8
+
+
+def test_a_jump_on_a_panel_cut_is_read_from_each_side():
+    # Meissner's q jumps at pi, where the phase cut puts the two panels'
+    # common end; each panel reads its end just inside itself, so phi's
+    # integral is exact and A_0 = 2 cos(pi (sqrt(1.5) + sqrt(0.5))), which
+    # a cut read at pi itself missed by 3.4e-4
+    spec = _dense_system("0", "if(lt(t, pi), 1.5, 0.5)")
+    table = solve_phi(spec)
+    assert _SeriesEngine(spec, table).panels.tolist() == [2]
+    exact = 2.0 * math.cos(PI * (math.sqrt(1.5) + math.sqrt(0.5)))
+    assert a_term(spec, table, 0) == pytest.approx(exact, abs=1e-14)
+
+
+def test_node_cap_stops_refinement_and_the_analysis_goes_on(monkeypatch):
+    # the phase of s = 1e4 of the s-family asks for 235 panels; with a cap
+    # of 5 panels the first round keeps one, no later round starts, and the
+    # analysis completes on it
+    spec = _dense_system("0.01*sin(t)", "1e4*(1 + 0.3*cos(t))")
+    monkeypatch.setattr(floquet, "_NODE_CAP", 5 * floquet._NODES)
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    assert engine.panels.tolist() == [1] and engine.rounds == 1
+    assert math.isfinite(analyze(spec, n=3).A_partial)
+
+
+def test_node_cap_holds_the_largest_s_family_grid():
+    # s = 1e6 winds Phi ~6000 radians: the cap must leave its grid whole
+    spec = _dense_system("0.01*sin(t)", "1e6*(1 + 0.3*cos(t))")
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    nodes = engine.panels.sum() * floquet._NODES
+    assert 60_000 <= nodes <= floquet._NODE_CAP
+
+
 @pytest.mark.parametrize("path", [
     path for path in sorted((ROOT / "configs").rglob("*.cfg"))
     if len(build_system(load_config(path)).ts.dense_intervals()) == 1],
     ids=lambda path: path.stem)
 def test_one_cell_bound_reads_the_512_grid(path):
-    # the bound reads every 8th node of the series grid: on a one-cell
-    # config those are the nodes of the grid that a bound of 512 divisions
-    # per period took for the cell, and x, phi and h there are those of
-    # sampling that grid itself
+    # the bound reads its own sample, not the series grid: on a one-cell
+    # config the nodes of a grid of 512 divisions per period, where x, phi
+    # and h are those of sampling that grid on its own
     spec = build_system(load_config(path))
     (a, b), = spec.ts.dense_intervals()
     engine = _SeriesEngine(spec, solve_phi(spec))
-    nodes = engine.bound_nodes()
+    x, phi, h, _, real = engine.bound_sample()
+    assert real.all()
     n = max(16, math.ceil((b - a) / (spec.ts.period / 512)))
     n += n % 2
-    x, phi, h = (r[0, :n + 1] for r in floquet._sample_dense(
-        spec, [(a, b, n)])[:3])
-    for fine, coarse in ((engine.x, x), (engine.phi, phi), (engine.h, h)):
-        assert [v.hex() for v in fine[nodes]] == [v.hex() for v in coarse]
+    for got, want in zip((x[0], phi[0], h[0]),
+                         cell_reference._sample_dense(spec, a, b, n)[:3]):
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -845,17 +927,23 @@ def test_valid_grids_never_replay_the_scalar_walk(monkeypatch, tmp_path):
         grids.append((e, x))
         return array(e, x)
 
-    with monkeypatch.context() as m:
-        m.setattr(ex, "evaluate_array", record)
-        for path in sorted((ROOT / "configs").rglob("*.cfg")) + [hybrid]:
-            spec = build_system(load_config(path))
+    expected = 0
+    for path in sorted((ROOT / "configs").rglob("*.cfg")) + [hybrid]:
+        spec = build_system(load_config(path))
+        if not spec.ts.dense_intervals():
+            continue
+        # p, q and q' in each round of the series grid, which the phase
+        # form reads too, and on the bound's sample, and p on the first
+        # GK15 panels of B. 15 scales have intervals, 13 of them are
+        # continuous
+        rounds = _SeriesEngine(spec, solve_phi(spec)).rounds
+        expected += (3 * (rounds + 1) + 1) * (1 + spec.ts.is_continuous)
+        with monkeypatch.context() as m:
+            m.setattr(ex, "evaluate_array", record)
             analyze(spec, n=3)
             if spec.ts.is_continuous:
                 analyze(spec, n=3, use_shi=True)
-    # p, q and q' on the series grid, which the bound and the phase form
-    # read too, and p on the first GK15 panels of B. 15 scales have
-    # intervals, 13 of them are continuous
-    assert len(grids) == (3 + 1) * 15 + (3 + 1) * 13
+    assert len(grids) == expected
 
     def replay(e, t):
         raise AssertionError(f"scalar replay at t={t}")
@@ -1183,10 +1271,10 @@ def test_shi_matches_series(path, n):
 
 
 @pytest.mark.parametrize("config, n, A, B, bound, v", [
-    ("example_continuous.cfg", 3, "-0x1.0c152382d78e6p-4",
+    ("example_continuous.cfg", 3, "-0x1.0c152382d7362p-4",
      "0x1.0000000000000p+0", 0.3600164065280393, Verdict.STABLE),
-    ("mathieu/h2_2.cfg", 8, "0x1.0002eab4675a9p+1",
-     "0x1.0000000000000p+0", 0.023827398495469106, Verdict.UNDETERMINED),
+    ("mathieu/h2_2.cfg", 8, "0x1.0002eab4675e2p+1",
+     "0x1.0000000000000p+0", 0.023827398495473575, Verdict.UNDETERMINED),
 ])
 def test_shi_analysis_computes_B_once(config, n, A, B, bound, v,
                                       monkeypatch):

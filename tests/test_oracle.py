@@ -15,6 +15,7 @@ from tsfloquet import (
     error_bound,
     parse,
     solve_phi,
+    verdict,
 )
 from tsfloquet import expr as ex
 from tsfloquet import floquet as floquet_mod
@@ -30,6 +31,7 @@ from conftest import (
     random_hybrid_system,
 )
 from oracle_reference import _propagators as reference_propagators
+from report_digest import S_FAMILY, s_family
 
 PI = math.pi
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -65,6 +67,23 @@ def test_cross_check_examples(example_z, example_2z, example_continuous):
     assert abs(r.a_oracle - (-0.752)) <= 1e-9
     r = cross_check(example_continuous, analyze(example_continuous, n=3))
     assert r.a_delta <= 0.360017
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("s", S_FAMILY)
+def test_s_family_agrees_with_the_oracle(s, n, tmp_path):
+    # p = 0.01 sin t and q = s (1 + 0.3 cos t): the phase winds ~sqrt(s)
+    # radians over the period. A grid of T/4096 missed the oracle's A by
+    # 2.84e-5 at s = 1e6, past the 2.60e-5 that n = 8 allows. The verdict
+    # must be the one the oracle's A gives with the same bound and B
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(s_family(s))
+    spec = build_system(load_config(cfg))
+    report = analyze(spec, n=n)
+    check = cross_check(spec, report)
+    err = report.err_bound.value
+    assert verdict((check.a_oracle - err, check.a_oracle + err),
+                   report.B)[0] is report.verdict
 
 
 def test_cross_check_failure(example_z):

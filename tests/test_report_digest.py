@@ -29,13 +29,14 @@ def test_report_digest_of_a_tree_against_itself_differs_nowhere():
 
 def test_report_digest_names_the_cases_a_change_moves(tmp_path):
     # a finer dense grid moves every report on the continuous example,
-    # whose own n is 3 (h = 0 on the hybrid example's dense part)
+    # whose own n is 3 (h = 0 on the hybrid example's dense part): at 2
+    # radians of 2 Phi per panel its pi radians take two panels, not one
     shutil.copytree(ROOT / "src", tmp_path / "src")
     floquet = tmp_path / "src" / "tsfloquet" / "floquet.py"
     text = floquet.read_text()
-    assert "_GRID_DIVISIONS = 4096\n" in text
-    floquet.write_text(text.replace("_GRID_DIVISIONS = 4096\n",
-                                    "_GRID_DIVISIONS = 8192\n"))
+    assert "_PHASE_CUT = 8.0\n" in text
+    floquet.write_text(text.replace("_PHASE_CUT = 8.0\n",
+                                    "_PHASE_CUT = 2.0\n"))
     run = _digest(tmp_path, ROOT)
     assert run.returncode == 1, run.stderr
     lines = run.stdout.splitlines()

@@ -1,22 +1,30 @@
-"""The grid-owned cumulative Simpson kernel against SciPy's, bit for bit.
+"""The grid-owned cumulative Simpson kernel against SciPy's, bit for bit,
+and the series grid's Chebyshev panel kernel.
 
 SciPy's ``cumulative_simpson(y, x=x, initial=0.0)`` is the reference: the
 kernel must give its values exactly, signs of zero included, so that the
-series terms stay those of the per-cell reference loop in
-``cell_reference.py``, which calls SciPy itself.
+truncation bound's phase on its uniform sample stays that of the per-cell
+reference loop in ``cell_reference.py``, which calls SciPy itself.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
+from scipy.integrate import quad
+
+from tsfloquet import expr as ex
 from tsfloquet.floquet import (
+    _NODES,
     _SeriesEngine,
+    _panel_integrals,
+    _panel_nodes,
     cumulative_simpson,
     simpson_weights,
     solve_phi,
 )
 
+import cell_reference
 from conftest import random_hybrid_system
 
 
@@ -77,25 +85,26 @@ def test_kernel_on_uniform_rows(nodes):
 
 @pytest.mark.parametrize("seed", [0, 12])
 def test_kernel_on_the_engine_stacks(seed):
-    # two cells of unequal node counts: the shorter row of the stack is
-    # padded past its last node
+    # the bound's sample of two cells of unequal node counts: the shorter
+    # row of the stack is padded past its last node
     spec = random_hybrid_system(seed)
     engine = _SeriesEngine(spec, solve_phi(spec))
-    assert engine.rows == 2 and engine.last[0] != engine.last[1]
-    W = engine.h / engine.D
-    for y in (engine.phi, engine.E, W * engine.phi * engine.E.imag,
-              W * engine.phi * engine.E.real):
+    x, phi, h, E, real = engine.bound_sample()
+    assert engine.rows == 2 and real[0].sum() != real[1].sum()
+    W = h / (phi * E)
+    for y in (phi, E, W * phi * E.imag, W * phi * E.real):
         assert_bitwise_equal(
-            cumulative_simpson(y, engine.weights),
-            scipy_cumulative_simpson(y, x=engine.x, initial=0.0))
+            cumulative_simpson(y, simpson_weights(x)),
+            scipy_cumulative_simpson(y, x=x, initial=0.0))
 
 
-def test_kernel_on_the_phase_form_grid(example_continuous):
-    # the phase form integrates sqrt(q) and h e^{2i Phi} on the one row of
-    # the series engine
+def test_kernel_on_the_bound_sample(example_continuous):
+    # the bound integrates sqrt(q) on its one uniform row, and the level
+    # integrands h e^{2i Phi} take the same weights
     engine = _SeriesEngine(example_continuous, solve_phi(example_continuous))
-    assert engine.rows == 1
-    x, sqrtq, h = engine.x[0], engine.phi[0], engine.h[0]
+    x, sqrtq, h, _, real = engine.bound_sample()
+    assert engine.rows == 1 and real.all()
+    x, sqrtq, h = x[0], sqrtq[0], h[0]
     phase = scipy_cumulative_simpson(sqrtq, x=x, initial=0.0)
     assert_matches_scipy(sqrtq, x)
     assert_matches_scipy(h * np.exp(2j * phase), x)
@@ -110,3 +119,53 @@ def test_even_or_short_grids_are_refused(nodes):
 def test_non_increasing_grid_is_refused():
     with pytest.raises(ValueError):
         simpson_weights(np.array([0.0, 1.0, 1.0, 2.0, 3.0]))
+
+
+# -- the panel kernel ---------------------------------------------------------
+
+def test_kernel_on_the_phase_form_grid(example_continuous):
+    # the phase form integrates sqrt(q) and h e^{2i Phi} on the one row of
+    # the series engine's panels; one panel at a time gives the same
+    # floats, and the phase over the period is sqrt(q)'s integral
+    spec = example_continuous
+    engine = _SeriesEngine(spec, solve_phi(spec))
+    assert engine.rows == 1
+    sqrtq, h, half = engine.phi[0], engine.h[0], engine.half[0]
+    phase = _panel_integrals(sqrtq, half)
+    assert_bitwise_equal(phase, cell_reference._panel_integrals(sqrtq, half))
+    y = h * np.exp(2j * phase)
+    assert_bitwise_equal(_panel_integrals(y, half),
+                         cell_reference._panel_integrals(y, half))
+    (a, b), = spec.ts.dense_intervals()
+    exact, _ = quad(lambda t: ex.evaluate(spec.q, t) ** 0.5, a, b,
+                    epsabs=0.0, epsrel=1e-13, limit=200)
+    assert phase[-1] == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("degree", range(0, 33, 4))
+def test_panel_rule_is_exact_to_degree_32(degree):
+    # a polynomial of degree <= 32 is integrated exactly on every panel, so
+    # the running integral is its antiderivative at every node, to rounding
+    edges = np.array([-1.0, -0.2, 0.5, 1.0])
+    x = _panel_nodes(edges[:-1], edges[1:]).ravel()
+    half = np.diff(edges) / 2.0
+    run = _panel_integrals(x[None] ** degree, half[None])[0]
+    exact = (x ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+    assert np.abs(run - exact).max() <= 1e-14
+
+
+def test_panel_integrals_do_not_depend_on_the_stack():
+    # a stacked product may round a row differently with the stack's
+    # shape; every panel here is its own product, so a row integrated
+    # alone and inside any stack gives the same floats
+    rng = np.random.default_rng(5)
+    half = rng.uniform(0.1, 2.0, (4, 3))
+    y = rng.normal(size=(2, 4, 3 * _NODES)) + 1j * rng.normal(
+        size=(2, 4, 3 * _NODES))
+    whole = _panel_integrals(y, half)
+    for j in range(2):
+        for r in range(4):
+            assert_bitwise_equal(_panel_integrals(y[j, r:r + 1], half[r:r + 1]),
+                                 whole[j, r:r + 1])
+            assert_bitwise_equal(cell_reference._panel_integrals(
+                y[j, r], half[r]), whole[j, r])
