@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -42,7 +41,6 @@ class ConfigFile:
     q: str
     qprime: Optional[str] = None
     n: Optional[int] = None
-    tol: Optional[float] = None
 
 
 def _const(text: str, line: int) -> float:
@@ -114,8 +112,7 @@ def load_config(path) -> ConfigFile:
         raw[key] = value.strip()
         lines[key] = lineno
 
-    known = {"t0", "period", "points", "intervals", "p", "q", "qprime",
-             "n", "tol"}
+    known = {"t0", "period", "points", "intervals", "p", "q", "qprime", "n"}
     for key in raw:
         if key not in known:
             raise ConfigParseError(f"unknown key {key!r}", lines[key])
@@ -156,7 +153,6 @@ def load_config(path) -> ConfigFile:
         q=_unquote(raw["q"]),
         qprime=_unquote(raw["qprime"]) if "qprime" in raw else None,
         n=n,
-        tol=_const(raw["tol"], lines["tol"]) if "tol" in raw else None,
     )
 
 
@@ -169,8 +165,6 @@ def _expression(key: str, text: str) -> ex.Expression:
 
 def build_system(config: ConfigFile) -> SystemSpec:
     """SystemSpec of a config; its content errors raise ValidationError."""
-    if config.tol is not None and not 0 < config.tol < math.inf:
-        raise ValidationError(f"tol must be finite and > 0, got {config.tol}")
     segments = [Point(x) for x in config.points]
     segments += [Interval(a, b) for a, b in config.intervals]
     try:
@@ -183,7 +177,6 @@ def build_system(config: ConfigFile) -> SystemSpec:
         p=_expression("p", config.p),
         q=_expression("q", config.q),
         qprime=_expression("qprime", config.qprime) if config.qprime else None,
-        quad_tol=config.tol if config.tol is not None else 1e-9,
     )
 
 
@@ -255,16 +248,13 @@ _EXIT = {
 }
 
 
-def run(config: ConfigFile, n: Optional[int] = None,
-        tol: Optional[float] = None, oracle: bool = False,
+def run(config: ConfigFile, n: Optional[int] = None, oracle: bool = False,
         use_shi: bool = False, as_json: bool = False):
     """Analyze one config; returns (output text, exit code)."""
     if n is None:
         n = config.n
     elif n < 0:
         raise ValidationError(f"n must be a non-negative integer, got {n}")
-    if tol is not None:
-        config = dataclasses.replace(config, tol=tol)
     start = time.perf_counter()
     spec = build_system(config)
     report = analyze(spec, n=n, use_shi=use_shi)
@@ -304,8 +294,6 @@ def main():
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "n", type=int, default=None,
               help="Series truncation order (default: config, else k or 3).")
-@click.option("--tol", type=float, default=None,
-              help="Quadrature tolerance (default 1e-9).")
 @click.option("--oracle", is_flag=True,
               help="Cross-check A and B against an independent monodromy "
                    "(Gauss-Legendre panels on dense parts).")
@@ -315,7 +303,7 @@ def main():
               help="Full-precision JSON instead of text.")
 @click.option("--batch", type=click.Path(exists=True, file_okay=False),
               default=None, help="Process every *.cfg file in a directory.")
-def analyze_cmd(config, n, tol, oracle, use_shi, as_json, batch):
+def analyze_cmd(config, n, oracle, use_shi, as_json, batch):
     """Analyze the system described by CONFIG (or --batch DIR)."""
     if (config is None) == (batch is None):
         click.echo("error: give exactly one of CONFIG or --batch DIR",
@@ -325,18 +313,18 @@ def analyze_cmd(config, n, tol, oracle, use_shi, as_json, batch):
         worst = 0
         for path in sorted(Path(batch).glob("*.cfg")):
             click.echo(f"== {path.name} ==")
-            code = _run_one(path, n, tol, oracle, use_shi, as_json)
+            code = _run_one(path, n, oracle, use_shi, as_json)
             if code > 2:
                 worst = max(worst, code)
         sys.exit(worst)
-    sys.exit(_run_one(Path(config), n, tol, oracle, use_shi, as_json))
+    sys.exit(_run_one(Path(config), n, oracle, use_shi, as_json))
 
 
-def _run_one(path: Path, n, tol, oracle, use_shi, as_json) -> int:
+def _run_one(path: Path, n, oracle, use_shi, as_json) -> int:
     try:
         cfg = load_config(path)
-        out, code = run(cfg, n=n, tol=tol, oracle=oracle,
-                        use_shi=use_shi, as_json=as_json)
+        out, code = run(cfg, n=n, oracle=oracle, use_shi=use_shi,
+                        as_json=as_json)
     except (ConfigError, TimeScaleError) as exc:
         # a time scale the analysis cannot grid is a config error too
         click.echo(f"config error: {exc}", err=True)

@@ -131,13 +131,12 @@ _quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 @dataclass
 class SystemSpec:
-    """The analyzed system: time scale, coefficients and tolerances."""
+    """The analyzed system: time scale and coefficients."""
 
     ts: ValidatedTimeScale
     p: ex.Expression
     q: ex.Expression
     qprime: Optional[ex.Expression] = None
-    quad_tol: float = 1e-9
 
     def __post_init__(self):
         if self.qprime is None:
@@ -243,7 +242,8 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
     scattered run ending at a dense start is back-substituted from sqrt(q)
     there, and the run after the last dense segment from
     phi(t0+T) = phi(t0). The table holds phi at every segment's end;
-    the series engine compares it with sqrt(q) at each dense end.
+    the series engine compares it and sqrt(q) at each dense start with
+    phi's dense limits there.
 
     ``sample`` is ``validate_system``'s sample of p and q at the scattered
     points; without it, solve_phi samples them itself. The table keeps it.
@@ -292,14 +292,15 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     ``sample`` is ``validate_system``'s sample of p and q at the scattered
     points; without it, compute_B samples them itself.
 
-    The dense integrals come from ``tscalc.quad_intervals``: one
-    ``evaluate_array`` call of p on the first GK15 panel of every dense
-    interval, then the scalar panel-halving loop on each interval whose
-    first panel falls short of ``quad_tol`` or holds a NaN or infinite p,
-    which raises DomainError at the first node the loop meets. Where
-    numpy's exp or power differ from the scalar ones in the last ulp, B can
-    move by about an ulp. A B past the float range, once the integral of -p
-    exceeds ~709.78, is an infinity with the product's sign."""
+    The dense integrals come from ``tscalc.quad_intervals``, to its fixed
+    absolute target 1e-9: one ``evaluate_array`` call of p on the first
+    GK15 panel of every dense interval, then the scalar panel-halving loop
+    on each interval whose first panel falls short of it or holds a NaN or
+    infinite p, which raises DomainError at the first node the loop
+    meets. Where numpy's exp or power differ from the scalar ones in the
+    last ulp, B can move by about an ulp. A B past the float range, once
+    the integral of -p exceeds ~709.78, is an infinity with the product's
+    sign."""
     prod = 1.0
     for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
         prod *= _step_factor(t, mu, p, q)
@@ -307,7 +308,7 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     for value in tscalc.quad_intervals(
             lambda t: -_check_finite("p", spec.p_at(t), t, "on a dense part"),
             lambda x: -_finite("p", ex.evaluate_array(spec.p, x), x),
-            spec.ts.dense_intervals(), spec.quad_tol):
+            spec.ts.dense_intervals()):
         integral += value
     try:
         growth = math.exp(integral)
@@ -328,20 +329,11 @@ def _sample_dense(spec: SystemSpec, x, lo, hi, real=None):
     increasing, and hold phi = 1, h = 0 and size 0.
 
     Each expression is evaluated once, on the real nodes of all rows in
-    order, which the callers keep in time order. A row that does not
-    strictly increase raises InvalidSegment naming its [lo, hi], before
-    any coefficient is evaluated; a NaN or infinite coefficient value
-    raises DomainError naming the first node, and q <= 0 NegativeQOnDense
-    naming the minimum of the first row where it occurs.
+    order, which the callers keep in time order. A NaN or infinite
+    coefficient value raises DomainError naming the first node, and
+    q <= 0 NegativeQOnDense naming the minimum of the first row where it
+    occurs.
     """
-    # a part shorter than its grid steps at the float spacing repeats nodes
-    stalled = x[:, 1:] <= x[:, :-1]
-    if stalled.any():
-        r = int(np.argmax(stalled.any(axis=1)))
-        steps = x.shape[1] - 1 if real is None else real[r].sum() - 1
-        raise InvalidSegment(
-            f"interval [{float(lo[r])}, {float(hi[r])}] is too short for its "
-            f"{steps} grid steps at the float spacing")
     a, b = lo[:, None], hi[:, None]
     a_in, b_in = inward(a, b)
     xe = np.where(x == a, a_in, np.where(x == b, b_in, x))
@@ -623,8 +615,9 @@ class _SeriesEngine:
     each row's panel count and ``rounds`` the layout's sampling rounds.
     The period walk, after the dense sampling, so a NaN q at a dense start
     is named after the grid's nodes, records the E each row starts from,
-    raises ``PhiDiscontinuityWarning`` where a row's last phi, its dense
-    limit, is more than 1e-6 from the chain's ``table.ends`` there, and
+    raises ``PhiDiscontinuityWarning`` where a row's first or last phi, its
+    dense limit at that end, is more than 1e-6 from the chain's value
+    there, ``table.starts`` or ``table.ends``, and
     computes each scattered point t's fields once, in CPython scalars:
     phi(t), E before the point's own step, h(t) = -p - (phi(sigma(t)) -
     phi(t)) / (mu phi(t)), 1 / D with D = phi(sigma(t)) E(sigma(t)), and
@@ -676,6 +669,9 @@ class _SeriesEngine:
             self.E = np.empty_like(U)
             # each row's last node, as a flat index into a (cells, nodes) plane
             self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
+            # phi's dense limits at each row's ends, its first and last nodes
+            limits = np.stack([self.phi[:, 0], self.phi.take(self.tips)],
+                              axis=-1).tolist()
         self.E_in = []  # the E each dense row starts from
         # in time order: a dense row's index or a jump's (phi, E, muW)
         self.events = []
@@ -691,13 +687,16 @@ class _SeriesEngine:
                     self.E_in.append(E)
                     np.multiply(E, U[row], out=self.E[row])
                     E = self.E[row, self.last[row]]
-                    # the row's last node holds phi's dense limit at its end
-                    limit = float(self.phi[row, self.last[row]])
-                    if abs(table.ends[i] - limit) > 1e-6:
-                        warnings.warn(
-                            f"phi is discontinuous at t={seg.b}: chain value "
-                            f"{table.ends[i]} vs dense limit {limit}",
-                            PhiDiscontinuityWarning)
+                    # the chain reads sqrt(q) at the start itself and its
+                    # own value at the end
+                    for t, chain, limit in zip((seg.a, seg.b),
+                                               (table.starts[i], table.ends[i]),
+                                               limits[row]):
+                        if abs(chain - limit) > 1e-6:
+                            warnings.warn(
+                                f"phi is discontinuous at t={t}: chain value "
+                                f"{chain} vs dense limit {limit}",
+                                PhiDiscontinuityWarning)
                     self.events.append(row)
                     row += 1
                 if step is not None:  # the point t ending segment i

@@ -16,7 +16,7 @@ import math
 from functools import partial
 from typing import Callable
 
-from tsfloquet import expr as ex
+from tsfloquet import expr as ex, tscalc
 from tsfloquet.errors import (
     CalculusError,
     NotRegressive,
@@ -172,7 +172,7 @@ def kernel_P(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
     ss = spec.ts.sigma(s)
     phi = partial(phase_value, table)
     return (
-        sin_phi(phi, t, ss, spec.ts, spec.quad_tol)
+        sin_phi(phi, t, ss, spec.ts, tscalc._QUAD_TOL)
         / phase_value(table, ss)
     )
 
@@ -183,6 +183,6 @@ def kernel_Q(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
     phi = partial(phase_value, table)
     return (
         phase_value(table, t)
-        * cos_phi(phi, t, ss, spec.ts, spec.quad_tol)
+        * cos_phi(phi, t, ss, spec.ts, tscalc._QUAD_TOL)
         / phase_value(table, ss)
     )

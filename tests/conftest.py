@@ -19,6 +19,9 @@ from tsfloquet import (
     solve_phi,
     validate,
 )
+# tscalc's constants are read at call time: report_digest.py imports this
+# module on another tree's package, which may not define them
+from tsfloquet import tscalc
 from tsfloquet.errors import FloquetError
 from tsfloquet.floquet import validate_system
 
@@ -205,8 +208,8 @@ def fundamental_matrix(spec: SystemSpec, table: PhaseTable, t: float):
     phi0 = phase_value(table, ts.t0)
     phi_t = phase_value(table, t)
     phi = partial(phase_value, table)
-    c = cos_phi(phi, t, ts.t0, ts, spec.quad_tol)
-    s = sin_phi(phi, t, ts.t0, ts, spec.quad_tol)
+    c = cos_phi(phi, t, ts.t0, ts, tscalc._QUAD_TOL)
+    s = sin_phi(phi, t, ts.t0, ts, tscalc._QUAD_TOL)
     return np.array([[c, s / phi0], [-phi_t * s, phi_t * c / phi0]])
 
 
@@ -216,8 +219,8 @@ def fundamental_matrix_inverse(spec: SystemSpec, table: PhaseTable, t: float):
     phi0 = phase_value(table, ts.t0)
     phi_t = phase_value(table, t)
     phi = partial(phase_value, table)
-    c = cos_phi(phi, t, ts.t0, ts, spec.quad_tol)
-    s = sin_phi(phi, t, ts.t0, ts, spec.quad_tol)
+    c = cos_phi(phi, t, ts.t0, ts, tscalc._QUAD_TOL)
+    s = sin_phi(phi, t, ts.t0, ts, tscalc._QUAD_TOL)
     e = c * c + s * s
     return np.array([
         [c / e, -s / (phi_t * e)],

@@ -17,7 +17,7 @@ package:
 * every operation and probe of the four benchmark workloads at seeds 1-3
   that does not run the oracle;
 * the ``ROWS`` configs, each at its own n: scales whose phi jumps where a
-  dense part ends, so the analysis warns;
+  dense part ends or starts, so the analysis warns;
 * the s-family (``s_family``) at n = 3 and 8: phi = sqrt(q) winds ~sqrt(s)
   times over the period, so it shows what the dense grid resolves.
 
@@ -41,7 +41,8 @@ from pathlib import Path
 EXAMPLES = ("example_continuous", "example_discrete_2z",
             "example_discrete_z", "example_hybrid")
 SEEDS = (1, 2, 3)
-# the table rows of ROADMAP item 1 and a two-interval scale of q = 1 + t/2
+# the table rows of ROADMAP item 1, a two-interval scale of q = 1 + t/2
+# and one whose q is redefined at the dense start 2
 ROWS = {
     "meissner": "period = 2*pi\nintervals = [[0, 2*pi]]\np = 0\n"
                 "q = if(lt(t, pi), 1.5, 0.5)\n",
@@ -54,6 +55,8 @@ ROWS = {
                 "p = 0.1\nq = 2 + cos(t)\nn = 8\n",
     "two intervals": "period = 4\nintervals = [[0, 1], [2, 4]]\np = 0\n"
                      "q = 1 + t/2\n",
+    "dense start": "period = 3\nintervals = [[0, 1], [2, 3]]\np = 0\n"
+                   "q = if(eq(t, 2), 4, if(eq(t, 1), 2, 1))\nn = 8\n",
 }
 # the scales s of the s-family
 S_FAMILY = (1e2, 1e4, 1e6)

@@ -251,8 +251,6 @@ _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
     pytest.param(_VALID + "tol = -1\n", (), id="tol-negative"),
     pytest.param(_VALID + "tol = 1e300*1e300 - 1e300*1e300\n", (),
                  id="tol-nan"),
-    pytest.param(_VALID, ("--tol", "-1"), id="tol-flag-negative"),
-    pytest.param(_VALID, ("--tol", "nan"), id="tol-flag-nan"),
     pytest.param(_VALID + "n = 1e400\n", (), id="n-inf"),
     pytest.param(_VALID + "n = 1e400 - 1e400\n", (), id="n-nan"),
     pytest.param("period = 1e400\nintervals = [[0, 1e400]]\nq = 1\n", (),
@@ -267,6 +265,16 @@ def test_config_content_errors_exit_3(tmp_path, text, args):
     result = invoke(str(f), *args)
     assert result.exit_code == 3
     assert "config error" in result.stderr
+
+
+def test_tol_is_an_unknown_config_key(tmp_path):
+    # even the value every analysis uses: B's quadrature target is fixed
+    f = tmp_path / "tol.cfg"
+    f.write_text(_VALID + "tol = 1e-9\n")
+    result = invoke(str(f))
+    assert result.exit_code == 3
+    assert result.stderr.startswith("config error: ")
+    assert result.stderr.endswith("unknown key 'tol'\n")
 
 
 @pytest.mark.parametrize("text, named", [
@@ -296,6 +304,17 @@ def test_interval_too_short_for_its_grid_exits_3(tmp_path, text, named):
     assert result.stderr.startswith("config error: interval " + named)
     with pytest.raises(InvalidSegment, match=re.escape(named)):
         analyze(build_system(load_config(f)))
+
+
+def test_interval_just_above_the_float_floor_analyzes(tmp_path):
+    # 520 > 4096 spacings of 0.125 at 1e15: the panels' and the bound
+    # sample's nodes stay distinct, and A = 2 cos(520) as for q = 1 anywhere
+    f = tmp_path / "floor.cfg"
+    f.write_text("t0 = 1e15\nperiod = 520\nintervals = [[1e15, 1e15+520]]\n"
+                 "p = 0\nq = 1\n")
+    result = invoke(str(f))
+    assert result.exit_code == 0
+    assert f"A(3) = {2 * math.cos(520):.6f}" in result.output.splitlines()
 
 
 @pytest.mark.parametrize("points, named", [
@@ -569,6 +588,11 @@ def test_missing_file_exit_code():
     pytest.param(["analyze", "/nonexistent.cfg"], "/nonexistent.cfg",
                  id="missing-config"),
     pytest.param(["bogus"], "bogus", id="unknown-subcommand"),
+    # B's quadrature target is fixed, not an option
+    pytest.param(["analyze", str(CONFIGS / "example_hybrid.cfg"),
+                  "--tol", "-1"], "--tol", id="tol-flag-negative"),
+    pytest.param(["analyze", str(CONFIGS / "example_hybrid.cfg"),
+                  "--tol", "nan"], "--tol", id="tol-flag-nan"),
 ])
 def test_usage_errors_exit_3(args, named):
     # click's own usage exit code 2 would read as "undetermined"; its

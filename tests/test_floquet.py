@@ -54,6 +54,7 @@ from tsfloquet.floquet import (
 )
 from tsfloquet.oracle import monodromy
 from tsfloquet.timescale import inward
+from tsfloquet.tscalc import _QUAD_TOL
 
 from calculus_reference import (
     h_fn,
@@ -157,6 +158,42 @@ def test_no_phi_warning_at_redefined_right_endpoint():
         analyze(spec)
 
 
+# [0, 1] and [2, 3], joined by the scattered point 1. The first q is
+# redefined at the dense start 2: the chain reads phi(2) = sqrt(q(2)) = 2
+# there, against the dense limit 1 just inside. Its twin keeps q(2) = 1, so
+# the chain's phi(1) = q(1) / phi(2) = 2 misses at the right end 1 instead
+_DENSE_START_Q = {
+    2.0: "if(eq(t, 2), 4, if(eq(t, 1), 2, 1))",
+    1.0: "if(eq(t, 1), 2, 1)",
+}
+
+
+def _dense_start_system(q):
+    ts = validate(PeriodicTimeScale(
+        0.0, 3.0, [Interval(0.0, 1.0), Interval(2.0, 3.0)]))
+    return SystemSpec(ts, parse("0"), parse(q))
+
+
+@pytest.mark.parametrize("at", sorted(_DENSE_START_Q))
+def test_phi_discontinuity_warns_at_dense_starts_and_ends(at):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PhiDiscontinuityWarning)
+        analyze(_dense_start_system(_DENSE_START_Q[at]), n=8)
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, PhiDiscontinuityWarning)] == [
+        f"phi is discontinuous at t={at}: chain value 2.0 vs dense limit 1.0"]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "phi jumps at the dense start t=2 and the series has no event there "
+    "(oracle A = -3.560186, A(8) = -2.442815); ROADMAP item 1a's events, "
+    "placed at dense starts as well as ends, would carry the jump"))
+def test_dense_start_jump_meets_the_oracle():
+    spec = _dense_start_system(_DENSE_START_Q[2.0])
+    A = analyze(spec, n=8).A_partial
+    assert abs(A - float(np.trace(monodromy(spec)))) <= 1e-8
+
+
 def test_gauge_invariance_of_A(example_z):
     t1 = solve_phi(example_z, seed=1.0)
     t2 = solve_phi(example_z, seed=-2.5)
@@ -226,7 +263,7 @@ def _reference_B(spec):
         mu, p = ts.mu(t), spec.p_at(t)
         return -p + mu * spec.q_at(t) if mu else -p
 
-    return float(ts_exponential(g, ts.t_end, ts.t0, ts, spec.quad_tol))
+    return float(ts_exponential(g, ts.t_end, ts.t0, ts, _QUAD_TOL))
 
 
 @pytest.mark.parametrize("family", ["configs", "hybrid", "discrete",
@@ -261,7 +298,7 @@ def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
     for spec in systems:
         assert compute_B(spec).hex() == _reference_B(spec).hex()
     if family == "kinked":
-        # first panels that fall short of quad_tol go on to the scalar loop,
+        # first panels that fall short of _QUAD_TOL go on to the scalar loop,
         # which evaluates p through expr.evaluate at each panel's 15 nodes
         samples = [validate_system(spec) for spec in systems]
         panels = _record_panels(monkeypatch)
@@ -302,7 +339,7 @@ def _scalar_B(spec):
     integral = 0.0
     for a, b in spec.ts.dense_intervals():
         integral += tscalc._adaptive_quad(lambda t: -spec.p_at(t), a, b,
-                                          spec.quad_tol)
+                                          _QUAD_TOL)
     return float(prod * math.exp(integral))
 
 
