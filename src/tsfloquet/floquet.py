@@ -81,7 +81,7 @@ from .errors import (
     NotRegressive,
     PhiVanishes,
 )
-from .timescale import Interval, ValidatedTimeScale, inward
+from .timescale import Interval, ValidatedTimeScale, inward, split_panels
 
 class PhiDiscontinuityWarning(UserWarning):
     """phi does not match sqrt(q) where a dense interval meets its
@@ -507,36 +507,27 @@ def _cuts(phi, h, lo, hi, limits, floor):
     return np.maximum(k, 1.0).astype(int)
 
 
-def _split(lo, hi, k):
-    """The panels [lo, hi] cut into k equal panels each: (parent, lo, hi),
-    each new panel's parent index and ends, in time order; a cut lies where
-    both panels that share it compute it."""
-    parent = np.repeat(np.arange(len(k)), k)
-    kp, start = k[parent], lo[parent]
-    j = np.arange(len(parent)) - (np.cumsum(k) - k)[parent]
-    width = hi[parent] - start
-    return parent, start + width * (j / kp), np.where(
-        j + 1 == kp, hi[parent], start + width * ((j + 1) / kp))
-
-
 def _float_floor(a, b):
-    """4096 float spacings at the larger end of each dense cell [a, b]: the
-    narrowest panel whose 33 nodes stay distinct and near the Chebyshev
-    points. A narrower cell raises InvalidSegment, as too short for its
-    grid steps; the engine asks before it samples anything, as a period
-    that small would underflow the bound's spacing T / 512 to 0."""
+    """The narrowest panel of each dense cell [a, b]: 2^-40 of the cell
+    (``_WIDTH_FLOOR``), and at least 4096 float spacings at its larger
+    end, where a panel's 33 nodes stay distinct and near the Chebyshev
+    points. A cell narrower than those spacings raises InvalidSegment, as
+    too short for its grid steps; the engine asks once, before it samples
+    anything, as a period that small would underflow the bound's spacing
+    T / 512 to 0."""
     ulps = 4096.0 * np.spacing(np.maximum(abs(a), abs(b)))
     if np.any(b - a < ulps):
         r = int(np.argmax(b - a < ulps))
         raise InvalidSegment(
             f"interval [{float(a[r])}, {float(b[r])}] is too short for its "
             f"{_PANEL_DEGREE} grid steps at the float spacing")
-    return ulps
+    return np.maximum(_WIDTH_FLOOR * (b - a), ulps)
 
 
-def _panel_grid(spec: SystemSpec, cells: list, turns, scales):
-    """The series grid of the dense cells [(a, b), ...], ascending, laid
-    out in rounds from what the bound's sample shows of each cell: its
+def _panel_grid(spec: SystemSpec, a, b, floor, turns, scales):
+    """The series grid of the dense cells [a, b], ascending, whose panels
+    are no narrower than ``floor`` (``_float_floor``), laid out in rounds
+    by ``split_panels`` from what the bound's sample shows of each cell: its
     ``turns``, 2 Delta Phi / ``_PHASE_CUT``, and its ``scales``, its
     largest phi and |p| + |q' / (2 q)| (see ``_sample_dense``), the sizes
     the tails of phi and h are measured against. The first round cuts each
@@ -546,21 +537,19 @@ def _panel_grid(spec: SystemSpec, cells: list, turns, scales):
     end values read 1e-9 of its width inside it (``inward``), so a jump
     that falls on a cut is read from its own side by each panel. The
     layout is final when no panel is cut, or when the next round would pass
-    ``_NODE_CAP`` nodes, and no panel is cut below ``_float_floor``.
+    ``_NODE_CAP`` nodes, and no panel is cut below its cell's floor.
 
     Returns (x, phi, h, half, panels, rounds): (cells, nodes) rows of the
     nodes and of phi and h, a row's panels in time order and padded with
     whole panels at x = b, phi = 1 and h = 0 to the longest row; the
     (cells, panels) half-widths, 0 on padding; each row's panel count; and
     the number of sampling rounds."""
-    a, b = np.array(cells, dtype=float).T
-    floor = np.maximum(_WIDTH_FLOOR * (b - a), _float_floor(a, b))
     limits = _TAIL_TOL * scales
     k = np.maximum(np.minimum(np.ceil(turns), np.floor((b - a) / floor)),
                    1.0).astype(int)
     if k.sum() * _NODES > _NODE_CAP:
         k[:] = 1
-    row, lo, hi = _split(a, b, k)
+    row, lo, hi = split_panels(a, b, k)
     x = _panel_nodes(lo, hi)
     phi, h, _ = _sample_dense(spec, x, lo, hi)
     rounds = 1
@@ -568,40 +557,39 @@ def _panel_grid(spec: SystemSpec, cells: list, turns, scales):
         k = _cuts(phi, h, lo, hi, limits[row], floor[row])
         if k.sum() == len(k) or k.sum() * _NODES > _NODE_CAP:
             break
-        parent, lo, hi = _split(lo, hi, k)
+        parent, lo, hi = split_panels(lo, hi, k)
         row, new = row[parent], k[parent] > 1
         x, phi, h = x[parent], phi[parent], h[parent]
         x[new] = _panel_nodes(lo[new], hi[new])
         phi[new], h[new], _ = _sample_dense(spec, x[new], lo[new], hi[new])
         rounds += 1
-    panels = np.bincount(row, minlength=len(cells))
+    panels = np.bincount(row, minlength=len(a))
     half = (hi - lo) / 2.0
     if panels.min() < panels.max():  # pad the shorter rows
         at = (row, np.arange(len(row)) - (np.cumsum(panels) - panels)[row])
-        shape = (len(cells), panels.max())
+        shape = (len(a), panels.max())
         X = np.repeat(b, shape[1] * _NODES).reshape(*shape, _NODES)
         PHI, H, HALF = np.ones(X.shape), np.zeros(X.shape), np.zeros(shape)
         X[at], PHI[at], H[at], HALF[at] = x, phi, h, half
         x, phi, h, half = X, PHI, H, HALF
-    rows = (len(cells), -1)
+    rows = (len(a), -1)
     return (x.reshape(rows), phi.reshape(rows), h.reshape(rows),
             half.reshape(rows), panels, rounds)
 
 
-def _uniform_rows(ts: ValidatedTimeScale, divisions: int):
-    """The dense cells as rows of equally spaced nodes, ``divisions`` per
-    period and at least 16 per cell, an even number: row c holds the n + 1
-    nodes a + k (b - a) / n of cell c, as np.linspace computes them, padded
-    past its last node, b, to the longest row with x still increasing.
-    Returns (x, a, b, last, real): the nodes, the cells' ends, each row's
-    last node index and the mask of real nodes."""
-    a, b = np.array(ts.dense_intervals()).T
-    n = np.maximum(16.0, np.ceil((b - a) / (ts.period / divisions)))
+def _uniform_rows(a, b, step):
+    """The dense cells [a, b] as rows of equally spaced nodes, no further
+    apart than ``step`` and at least 16 per cell, an even number: row c
+    holds the n + 1 nodes a + k (b - a) / n of cell c, as np.linspace
+    computes them, padded past its last node, b, to the longest row with x
+    still increasing. Returns (x, last, real): the nodes, each row's last
+    node index and the mask of real nodes."""
+    n = np.maximum(16.0, np.ceil((b - a) / step))
     n += n % 2
     last = n.astype(int)
     x = np.arange(last.max() + 1.0) * ((b - a) / n)[:, None] + a[:, None]
     x[np.arange(len(a)), last] = b
-    return x, a, b, last, np.arange(x.shape[1]) <= last[:, None]
+    return x, last, np.arange(x.shape[1]) <= last[:, None]
 
 
 class _SeriesEngine:
@@ -649,12 +637,12 @@ class _SeriesEngine:
 
     def __init__(self, spec: SystemSpec, table: PhaseTable):
         ts = spec.ts
-        cells = ts.dense_intervals()
-        self.rows = len(cells)
-        if cells:
-            _float_floor(*np.array(cells).T)
+        a, b = np.array(ts.dense_intervals(), dtype=float).reshape(-1, 2).T
+        self.rows = len(a)
+        if self.rows:
+            floor = _float_floor(a, b)
             # the bound's own sample first: its phase sets the first panels
-            x, a, b, last, real = _uniform_rows(ts, _BOUND_DIVISIONS)
+            x, last, real = _uniform_rows(a, b, ts.period / _BOUND_DIVISIONS)
             phi, h, size = _sample_dense(spec, x, a, b, real)
             phase = cumulative_simpson(phi, simpson_weights(x))
             self.bound = x, phi, h, phase, real
@@ -662,7 +650,7 @@ class _SeriesEngine:
             scales = np.stack([np.where(real, phi, 0.0).max(axis=1),
                                size.max(axis=1)], axis=-1)
             (self.x, self.phi, self.h, self.half, self.panels,
-             self.rounds) = _panel_grid(spec, cells, turns, scales)
+             self.rounds) = _panel_grid(spec, a, b, floor, turns, scales)
             self.last = (self.panels * _NODES - 1).tolist()
             self.phase = _panel_integrals(self.phi, self.half)
             U = np.exp(1j * self.phase)
@@ -710,7 +698,7 @@ class _SeriesEngine:
                     self.events.append((phi, E, muW))
                     jumps.append((phi, E, h, 1.0 / D, muW))
                     E = E_sigma
-            if cells:
+            if self.rows:
                 self.D = self.phi * self.E
                 self.W = self.h / self.D
             self.E_T = E

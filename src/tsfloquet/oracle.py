@@ -35,7 +35,7 @@ from .errors import CheckFailed, StepSizeUnderflow
 from .floquet import FloquetReport, SystemSpec
 # unused here; kept because benchmarks/tracer.py wraps them in this module
 from .floquet import a_partial, compute_B, error_bound, solve_phi  # noqa: F401
-from .timescale import Interval, inward
+from .timescale import Interval, inward, split_panels
 
 # coefficient samples (p and q at one node count once) over all rounds
 _EVAL_BUDGET = 1_000_000
@@ -200,26 +200,14 @@ def _dense_flows(spec: SystemSpec, intervals: list) -> tuple[list, int]:
         ratio = err[bad] / allowed[bad]
         k = np.where(np.isfinite(ratio), np.clip(
             np.ceil((np.log2(ratio) + _MARGIN) / 7), 1, 6), 1)
-        interval, lo, hi = _cut(interval[bad], lo[bad], hi[bad],
-                                2 ** k.astype(int))
+        parent, lo, hi = split_panels(lo[bad], hi[bad], 2 ** k.astype(int))
+        interval = interval[bad][parent]
     interval, lo, R = (np.concatenate(parts) for parts in zip(*done))
     order = np.lexsort((lo, interval))
     R = R[order]
     cuts = np.searchsorted(interval[order], np.arange(len(ends) + 1))
     return ([_ordered_product(R[i:j]) for i, j in zip(cuts[:-1], cuts[1:])],
             len(R))
-
-
-def _cut(interval, lo, hi, m):
-    """Panel i of [lo, hi] cut into m[i] equal panels: the new panels'
-    interval index, left and right ends. Neighbours share their end bit
-    for bit, and the last panel ends at hi."""
-    edge = np.repeat(np.arange(len(m)), m + 1)
-    j = np.arange(len(edge)) - np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)
-    x = np.where(j == m[edge], hi[edge],
-                 lo[edge] + (hi - lo)[edge] * (j / m[edge]))
-    left = j < m[edge]
-    return interval[edge[left]], x[left], x[j > 0]
 
 
 def monodromy(spec: SystemSpec, factors: list | None = None) -> np.ndarray:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from operator import attrgetter
 
+import numpy as np
+
 from .errors import (
     EndpointNotCovered,
     InvalidSegment,
@@ -195,6 +197,20 @@ def inward(a, b):
     isolated-point redefinition lives exactly on the segment boundary."""
     eps = (b - a) * 1e-9
     return a + eps, b - eps
+
+
+def split_panels(lo, hi, k):
+    """The panels [lo, hi] cut into k equal panels each: (parent, lo, hi),
+    each new panel's parent index and ends, in time order. A cut lies
+    where both panels that share it compute it, and each parent's first
+    panel starts at its lo and its last ends at its hi. The series grid
+    and the oracle both cut their panels here."""
+    parent = np.repeat(np.arange(len(k)), k)
+    kp, start = k[parent], lo[parent]
+    j = np.arange(len(parent)) - (np.cumsum(k) - k)[parent]
+    width = hi[parent] - start
+    return parent, start + width * (j / kp), np.where(
+        j + 1 == kp, hi[parent], start + width * ((j + 1) / kp))
 
 
 def validate(ts: PeriodicTimeScale) -> ValidatedTimeScale:

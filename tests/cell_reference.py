@@ -28,6 +28,7 @@ from tsfloquet.floquet import (
     _PHASE_CUT,
     PhaseTable,
     SystemSpec,
+    _float_floor,
     _panel_grid,
 )
 from tsfloquet.timescale import Interval, Point
@@ -97,7 +98,9 @@ class _DenseCell:
         self.bound = x, phi, h, phase
         turns = np.array([2.0 * phase[-1] / _PHASE_CUT])
         scales = np.array([[phi.max(), size.max()]])
-        x, phi, h, half, _, _ = _panel_grid(spec, [(a, b)], turns, scales)
+        ends = np.array([a]), np.array([b])
+        x, phi, h, half, _, _ = _panel_grid(spec, *ends, _float_floor(*ends),
+                                            turns, scales)
         self.x, self.phi, self.h, self.half = x[0], phi[0], h[0], half[0]
         self.E0 = E0
         self.E = E0 * np.exp(1j * _panel_integrals(self.phi, self.half))

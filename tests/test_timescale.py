@@ -1,8 +1,9 @@
 import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tsfloquet import Interval, PeriodicTimeScale, Point, validate
 from tsfloquet.errors import (
@@ -13,6 +14,7 @@ from tsfloquet.errors import (
     PointNotInTimeScale,
     TimeScaleError,
 )
+from tsfloquet.timescale import split_panels
 
 from calculus_reference import scattered_points_in
 
@@ -176,3 +178,24 @@ def test_steps_walk_the_period(period, segments):
         t, mu = jump
         assert t == seg.end
         assert ts.mu(t) == mu
+
+
+_end = st.floats(min_value=-1e16, max_value=1e16)
+
+
+@given(st.lists(st.tuples(st.tuples(_end, _end).map(sorted),
+                          st.integers(1, 70)), min_size=1, max_size=6))
+def test_split_panels_tiles_each_parent(parents):
+    # the series grid and the oracle both cut here: each parent's panels
+    # come in order, start at its lo, end at its hi and share their cuts
+    # bit for bit, also far from 0, where a cut may round onto a neighbour
+    assume(all(a < b for (a, b), _ in parents))
+    lo, hi = np.array([ends for ends, _ in parents]).T
+    k = np.array([m for _, m in parents])
+    parent, left, right = split_panels(lo, hi, k)
+    assert parent.tolist() == np.repeat(np.arange(len(k)), k).tolist()
+    first, last = np.cumsum(k) - k, np.cumsum(k) - 1
+    assert (left[first] == lo).all()
+    assert right[last].tobytes() == hi.tobytes()
+    inner = parent[1:] == parent[:-1]
+    assert right[:-1][inner].tobytes() == left[1:][inner].tobytes()
