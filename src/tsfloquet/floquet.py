@@ -508,13 +508,12 @@ def _cuts(phi, h, lo, hi, limits, floor):
 
 
 def _float_floor(a, b):
-    """The narrowest panel of each dense cell [a, b]: 2^-40 of the cell
-    (``_WIDTH_FLOOR``), and at least 4096 float spacings at its larger
-    end, where a panel's 33 nodes stay distinct and near the Chebyshev
-    points. A cell narrower than those spacings raises InvalidSegment, as
-    too short for its grid steps; the engine asks once, before it samples
-    anything, as a period that small would underflow the bound's spacing
-    T / 512 to 0."""
+    """The narrowest panel of each dense cell [a, b]: 2^-40 of the cell,
+    and at least 4096 float spacings at its larger end, where a panel's 33
+    nodes stay distinct and near the Chebyshev points. A cell narrower
+    than those spacings raises InvalidSegment, as too short for its grid
+    steps; the engine asks once, before it samples anything, as a period
+    that small would underflow the bound's spacing T / 512 to 0."""
     ulps = 4096.0 * np.spacing(np.maximum(abs(a), abs(b)))
     if np.any(b - a < ulps):
         r = int(np.argmax(b - a < ulps))

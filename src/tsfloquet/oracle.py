@@ -1,8 +1,9 @@
 """Brute-force monodromy matrix, independent of the series code.
 
 Propagates the 2x2 identity across one period of the first-order system
-Y' = S(t) Y with S = [[0, 1], [-q, -p]]. Each dense interval is cut into
-panels, and each panel's propagator comes from one step of the 3-stage
+Y' = S(t) Y with S = [[0, 1], [-q, -p]]. Each dense interval [a, b] is
+cut into panels, their ends offsets from a so that halving is exact far
+from 0, and each panel's propagator is one step of the 3-stage
 Gauss-Legendre method (order 6): for a linear system its stage equations
 are one 6x6 linear solve, batched over every panel of the period at once.
 Refinement runs in rounds. Each round takes one step over every active
@@ -17,9 +18,9 @@ and at most six (64 equal panels) per round. Smooth coefficients and most
 committed Mathieu equations finish in two rounds, the others in three.
 The accepted propagators of an interval are multiplied in time order by
 pairwise products, and each scattered point applies its exact one-step
-product Y <- (I + mu S) Y. Shares nothing with the series path but expression
-evaluation and the time scale's one-sided-limit convention,
-``timescale.inward``. ``cross_check`` compares the trace and determinant
+product Y <- (I + mu S) Y. Shares nothing with the series path but
+expression evaluation and panel geometry (``timescale.inward`` and
+``split_panels``). ``cross_check`` compares the trace and determinant
 with the A(n), B and error bound of a report that ``analyze`` produced,
 so it checks the numbers the user sees without recomputing them.
 """
@@ -84,14 +85,15 @@ def _S(spec: SystemSpec, t: float) -> np.ndarray:
 
 def _propagators(spec, lo, hi, ends, interval):
     """One Gauss-Legendre step of Y' = S Y from Y = I across each panel
-    [lo, hi] of the dense interval ends[interval]: a (panels, 2, 2) stack.
+    [a + lo, a + hi] of the dense interval [a, b] = ends[interval]: a
+    (panels, 2, 2) stack.
 
-    With h = hi - lo and S_j = S(lo + c_j h), the stage values Y_i solve
-    Y_i - h sum_j a_ij S_j Y_j = I, one 6x6 system per panel with entries
-    M[(i, r), (j, c)] = delta_ij delta_rc - h a_ij S_j[r, c], and the step
-    is I + h sum_i b_i S_i Y_i. As S_j's first row is (0, 1), M's first
-    block row holds delta_ij and -h a_ij, its second h a_ij q_j and
-    delta_ij + h a_ij p_j. S_i Y_i has rows Y_i[1] and
+    With h = hi - lo and S_j = S(a + (lo + c_j h)), the stage values
+    Y_i solve Y_i - h sum_j a_ij S_j Y_j = I, one 6x6 system per panel
+    with entries M[(i, r), (j, c)] = delta_ij delta_rc - h a_ij S_j[r, c],
+    and the step is I + h sum_i b_i S_i Y_i. As S_j's first row is (0, 1),
+    M's first block row holds delta_ij and -h a_ij, its second h a_ij q_j
+    and delta_ij + h a_ij p_j. S_i Y_i has rows Y_i[1] and
     -q_i Y_i[0] - p_i Y_i[1], so the sum is W Y, with Y's rows Y_i[k]
     stacked over (i, k) and W[0, (i, k)] = b_i delta_k1,
     W[1, (i, k)] = -b_i (q_i, p_i)[k].
@@ -101,7 +103,7 @@ def _propagators(spec, lo, hi, ends, interval):
     # nodes are clamped inward: coefficient values on a dense part are
     # one-sided limits at the segment boundary
     a_in, b_in = inward(a, b)
-    t = np.clip(lo[:, None] + h[:, None] * _C, a_in[:, None],
+    t = np.clip(a[:, None] + (lo[:, None] + h[:, None] * _C), a_in[:, None],
                 b_in[:, None]).ravel()
     # q_j and p_j with axes (panel, j, c)
     qp = np.empty((len(t), 2))
@@ -169,9 +171,10 @@ def _dense_flows(spec: SystemSpec, intervals: list) -> tuple[list, int]:
         return [], 0
     ends = np.array(intervals, dtype=float)
     interval = np.arange(len(ends))
-    lo, hi = ends.T
+    # offsets from each interval's left end, so that halving is exact
+    lo, hi = np.zeros(len(ends)), ends[:, 1] - ends[:, 0]
     evals = 0
-    done = []  # (interval index, left end, propagator) of accepted panels
+    done = []  # (interval index, left offset, propagator) of accepted panels
     while True:
         evals += 9 * len(interval)
         if evals > _EVAL_BUDGET:

@@ -201,10 +201,9 @@ def inward(a, b):
 
 def split_panels(lo, hi, k):
     """The panels [lo, hi] cut into k equal panels each: (parent, lo, hi),
-    each new panel's parent index and ends, in time order. A cut lies
-    where both panels that share it compute it, and each parent's first
-    panel starts at its lo and its last ends at its hi. The series grid
-    and the oracle both cut their panels here."""
+    each new panel's parent index and ends, in time order; a cut lies
+    where both panels that share it compute it, and a parent's last panel
+    ends at its hi. The series grid and the oracle both cut here."""
     parent = np.repeat(np.arange(len(k)), k)
     kp, start = k[parent], lo[parent]
     j = np.arange(len(parent)) - (np.cumsum(k) - k)[parent]

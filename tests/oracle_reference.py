@@ -23,9 +23,10 @@ _STAGE_RHS = np.tile(np.eye(2), (3, 1))
 
 def _propagators(spec, lo, hi, ends, interval):
     """One Gauss-Legendre step of Y' = S Y from Y = I across each panel
-    [lo, hi] of the dense interval ends[interval]: a (panels, 2, 2) stack.
+    [a + lo, a + hi] of the dense interval [a, b] = ends[interval], its
+    ends given as offsets from a: a (panels, 2, 2) stack.
 
-    With h = hi - lo and S_j = S(lo + c_j h), the stage values Y_i solve
+    With h = hi - lo and S_j = S(a + (lo + c_j h)), the stage values Y_i solve
     Y_i - h sum_j a_ij S_j Y_j = I, one 6x6 system per panel with entries
     M[(i, r), (j, c)] = delta_ij delta_rc - h a_ij S_j[r, c], and the step
     is I + h sum_i b_i S_i Y_i.
@@ -35,7 +36,7 @@ def _propagators(spec, lo, hi, ends, interval):
     # nodes are clamped inward: coefficient values on a dense part are
     # one-sided limits at the segment boundary
     a_in, b_in = inward(a, b)
-    t = np.clip(lo[:, None] + h[:, None] * _C, a_in[:, None],
+    t = np.clip(a[:, None] + (lo[:, None] + h[:, None] * _C), a_in[:, None],
                 b_in[:, None]).ravel()
     q = ex.evaluate_array(spec.q, t).reshape(-1, 3)
     p = ex.evaluate_array(spec.p, t).reshape(-1, 3)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tsfloquet import Verdict, analyze
+from tsfloquet import SystemSpec, Verdict, analyze, parse
+from tsfloquet.timescale import Interval, PeriodicTimeScale, validate
 
 import charts
 
@@ -49,4 +50,17 @@ def test_conservative_systems_outside_the_B_band_are_not_unstable(seed):
     # the integral of p is 0, so B = 1, and the oracle's traces (0.43, 2.00
     # and -1.13) leave the verdict open; none of them is unstable
     spec = charts.conservative_system(random.Random(seed))
+    assert analyze(spec, n=8).verdict is not Verdict.UNSTABLE
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "B's quadrature error puts compute_B 11 and 28 ulps above 1, outside "
+    "_B_ROUNDING, so |B| > 1 reads unstable; ROADMAP item 5's B enclosure "
+    "would contain 1"))
+@pytest.mark.parametrize("period, amp", [(100.0, 0.3), (1e4, 0.01)])
+def test_long_conservative_periods_are_not_unstable(period, amp):
+    # p = amp sin(2 pi t / T) and q = 1 on [0, T]: the integral of p is 0,
+    # so B = 1, and the oracle's traces (0.9136 and -1.9388) are stable
+    ts = validate(PeriodicTimeScale(0, period, [Interval(0, period)]))
+    spec = SystemSpec(ts, parse(f"{amp}*sin(2*pi*t/{period})"), parse("1"))
     assert analyze(spec, n=8).verdict is not Verdict.UNSTABLE

@@ -258,6 +258,13 @@ _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
     pytest.param("t0 = -1e308\nperiod = 1.9e308\n"
                  "intervals = [[-1e308, 0.9e308]]\nq = 1\n", (),
                  id="period-parses-to-inf"),
+    pytest.param(_VALID + "q = 2\n", (), id="duplicate-key"),
+    pytest.param("intervals = [[0, 2]]\nq = 1\n", (), id="no-period"),
+    pytest.param("period = 2\nintervals = [[0, 1, 2]]\nq = 1\n", (),
+                 id="interval-three-endpoints"),
+    pytest.param("period = 2\nq = 1\n", (), id="no-segments"),
+    pytest.param("period = 2\npoints = [0, t]\nq = 1\n", (),
+                 id="point-not-constant"),
 ])
 def test_config_content_errors_exit_3(tmp_path, text, args):
     f = tmp_path / "bad.cfg"
@@ -265,6 +272,15 @@ def test_config_content_errors_exit_3(tmp_path, text, args):
     result = invoke(str(f), *args)
     assert result.exit_code == 3
     assert "config error" in result.stderr
+
+
+def test_quoted_expressions_are_accepted(tmp_path):
+    quoted, bare = tmp_path / "quoted.cfg", tmp_path / "bare.cfg"
+    quoted.write_text("period = 2\nintervals = [[0, 2]]\nq = \"1\"\n")
+    bare.write_text(_VALID)
+    result = invoke(str(quoted))
+    assert result.exit_code == 0
+    assert result.output == invoke(str(bare)).output
 
 
 def test_tol_is_an_unknown_config_key(tmp_path):
@@ -490,6 +506,38 @@ def test_non_finite_A_is_never_exact(tmp_path):
     assert payload["err_bound"] == {"value": math.inf, "exact": False}
     assert payload["verdict"] == "unstable"
     assert result.exit_code == 1
+
+
+def test_tail_bound_past_the_float_range_is_undetermined(tmp_path):
+    # on a period of 1e80 the bound's z = 5.0e79 overflows e^z: the bound is
+    # infinite and no verdict is certified
+    f = tmp_path / "huge.cfg"
+    f.write_text("period = 1e80\nintervals = [[0, 1e80]]\np = 0\n"
+                 "q = 2 + cos(t)\n")
+    result = invoke(str(f))
+    lines = result.output.splitlines()
+    assert "error bound = inf" in lines
+    assert "verdict = undetermined" in lines
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("text, args, message", [
+    # the chain from the default seed phi(0) = sqrt(q(0)) = 1e5 reads
+    # phi(2) = q(1) / phi(1) = 1e-10 / 1e5, under 1e-14 (ROADMAP item 15
+    # counts such a regressive scale as wrongly refused)
+    pytest.param("period = 3\npoints = [0, 1, 2, 3]\np = 0\n"
+                 "q = if(eq(t, 0), 1e10, 1e-10)\n", (),
+                 "phi vanishes at t=2.0", id="phi-vanishes-on-the-chain"),
+    pytest.param((CONFIGS / "example_continuous.cfg").read_text(),
+                 ("--shi", "--n", "17"), "n=17 exceeds the depth budget",
+                 id="phase-form-depth-budget"),
+])
+def test_refused_analyses_exit_4(tmp_path, text, args, message):
+    f = tmp_path / "refused.cfg"
+    f.write_text(text)
+    result = invoke(str(f), *args)
+    assert result.exit_code == 4
+    assert result.stderr == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("args", [(), ("--oracle",)])

@@ -15,6 +15,7 @@ from tsfloquet import differentiate, evaluate, parse, serialize
 from tsfloquet import expr as ex
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.errors import (
+    ArityError,
     DomainError,
     ExpressionSyntaxError,
     NonConstantExponent,
@@ -52,6 +53,26 @@ def test_syntax_error_offsets():
         parse("sin(t")
     with pytest.raises(ExpressionSyntaxError):
         parse("")
+
+
+@pytest.mark.parametrize("text, offset", [
+    (".", 0),  # malformed number
+    ("$", 0),  # unexpected character
+    ("1 2", 2),  # trailing input
+    ("foo", 0),  # unknown name
+    ("lt(t, 1)", 0),  # a comparison outside an if-condition
+    ("if(t, 1, 2)", 3),  # an if-condition that is not a comparison
+])
+def test_syntax_errors_name_their_offset(text, offset):
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("text", ["mod(t)", "sin(t, 1)"])
+def test_wrong_argument_counts_raise(text):
+    with pytest.raises(ArityError):
+        parse(text)
 
 
 def test_variable_exponent_rejected():
@@ -97,6 +118,19 @@ def test_differentiate_smooth():
         d = differentiate(parse(text))
         for t in (0.3, 1.1, 2.5):
             assert evaluate(d, t) == pytest.approx(want(t), rel=1e-12)
+
+
+def test_differentiate_edge_nodes():
+    # t^0 is the constant 1; the placeholder for mod's derivative is its
+    # own derivative; anything that is not a node is a TypeError, as it is
+    # for evaluate_array and serialize
+    assert differentiate(parse("t^0")) == ex.Const(0.0)
+    d = differentiate(parse("mod(t, 2)"))
+    assert differentiate(d) is d
+    for call in (differentiate, serialize,
+                 lambda e: ex.evaluate_array(e, [0.0])):
+        with pytest.raises(TypeError):
+            call(object())
 
 
 def test_differentiate_if_both_branches():

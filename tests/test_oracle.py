@@ -166,6 +166,17 @@ def test_cross_check_uses_the_given_report(example_continuous, monkeypatch):
     assert r.b_delta == abs(r.b_oracle - report.B)
 
 
+@pytest.mark.parametrize("t0", [1e15, -3e14])
+def test_cross_check_far_from_zero(t0):
+    # q = 1 on 520 time units, where the float spacing of t is 0.125 or
+    # 0.0625: absolute panel ends would halve onto themselves, leave a
+    # panel's half empty and accept it unchecked. As offsets they miss
+    # A = 2 cos(520) by 6.7e-10, as at t0 = 0
+    ts = validate(PeriodicTimeScale(t0, 520, [Interval(t0, t0 + 520)]))
+    spec = SystemSpec(ts, parse("0"), parse("1"))
+    assert cross_check(spec, analyze(spec, n=3)).a_delta <= 1e-9
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_discrete_equivalence(seed):
     spec = random_discrete_system(1000 + seed)
@@ -286,9 +297,10 @@ def test_refinement_panels_stay_few(workloads, tmp_path, monkeypatch):
 
 
 def _first_round(spec):
-    """The first round's panels: every dense interval and both halves."""
+    """The first round's panels, as offsets from their interval's left
+    end: every dense interval and both halves."""
     ends = np.array(spec.ts.dense_intervals(), dtype=float)
-    lo, hi = ends.T
+    lo, hi = np.zeros(len(ends)), ends[:, 1] - ends[:, 0]
     mid = 0.5 * (lo + hi)
     interval = np.arange(len(ends))
     return (np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]),
@@ -324,7 +336,7 @@ def test_propagators_match_the_reference(seed):
     interval = rng.integers(len(ends), size=200)
     a, b = ends[interval].T
     width = (b - a) * 10.0 ** rng.uniform(-6, 0, size=200)
-    lo = a + (b - a - width) * rng.uniform(size=200)
+    lo = (b - a - width) * rng.uniform(size=200)
     _assert_matches_reference(spec, lo, lo + width, ends, interval)
 
 
@@ -335,7 +347,7 @@ def _uniform_monodromy(spec, panels):
     Y = np.eye(2)
     for seg, step in spec.ts.steps():
         if isinstance(seg, Interval):
-            edges = np.linspace(seg.start, seg.end, panels + 1)
+            edges = np.linspace(0.0, seg.end - seg.start, panels + 1)
             R = oracle._propagators(spec, edges[:-1], edges[1:],
                                     np.array([[seg.start, seg.end]]),
                                     np.zeros(panels, dtype=int))

@@ -92,6 +92,8 @@ def test_endpoints_must_be_covered():
         validate(PeriodicTimeScale(0, 2, [Point(0), Point(1)]))
     with pytest.raises(EndpointNotCovered):
         validate(PeriodicTimeScale(0, 2, [Point(0), Point(2), Point(3)]))
+    with pytest.raises(EndpointNotCovered, match="empty segment list"):
+        validate(PeriodicTimeScale(0, 2, []))
 
 
 def test_mu_hybrid():
@@ -131,6 +133,14 @@ def test_locate_and_contains():
     # snapping within the membership tolerance
     _, snapped = ts.locate(PI + 1e-13)
     assert snapped == PI
+
+
+def test_locate_in_a_gap():
+    # past an interval's end, before the next segment's start
+    ts = validate(PeriodicTimeScale(0, 2, [Interval(0, 1), Point(2)]))
+    with pytest.raises(PointNotInTimeScale, match="1.5 not in time scale"):
+        ts.locate(1.5)
+    assert ts.locate(2.0) == (1, 2.0)
 
 
 def test_segments_sorted_regardless_of_input_order():
