@@ -135,14 +135,6 @@ def test_locate_and_contains():
     assert snapped == PI
 
 
-def test_locate_in_a_gap():
-    # past an interval's end, before the next segment's start
-    ts = validate(PeriodicTimeScale(0, 2, [Interval(0, 1), Point(2)]))
-    with pytest.raises(PointNotInTimeScale, match="1.5 not in time scale"):
-        ts.locate(1.5)
-    assert ts.locate(2.0) == (1, 2.0)
-
-
 def test_segments_sorted_regardless_of_input_order():
     ts = validate(PeriodicTimeScale(0, 2, [Point(2), Point(0), Point(1)]))
     assert [s.x for s in ts.segments] == [0.0, 1.0, 2.0]
