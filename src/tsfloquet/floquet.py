@@ -38,11 +38,10 @@ recursion is exact up to rounding and costs O(n k) for k scattered points.
 
 The paper's truncation bound reads its own uniform sample of the dense
 cells, 512 divisions per period and at least 16 per cell, whose phase is
-a cumulative Simpson integral: the grid owns its Simpson weights
-(``simpson_weights``), and the running integral is a few array products
-and one cumulative sum, equal bit for bit to SciPy's
-``cumulative_simpson``. That sample is taken first, and its phase sets
-the panels' first cut.
+a cumulative Simpson integral (``cumulative_simpson``): the grid's
+Simpson weights, a few array products and one cumulative sum, equal bit
+for bit to SciPy's ``cumulative_simpson``. That sample is taken first,
+and its phase sets the panels' first cut.
 
 Per-point work is done once per analysis. ``validate_system`` samples p
 and q once at every scattered point, in time order, and checks the
@@ -293,20 +292,18 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     points; without it, compute_B samples them itself.
 
     The dense integrals come from ``tscalc.quad_intervals``, to its fixed
-    absolute target 1e-9: one ``evaluate_array`` call of p on the first
-    GK15 panel of every dense interval, then the scalar panel-halving loop
-    on each interval whose first panel falls short of it or holds a NaN or
-    infinite p, which raises DomainError at the first node the loop
-    meets. Where numpy's exp or power differ from the scalar ones in the
-    last ulp, B can move by about an ulp. A B past the float range, once
-    the integral of -p exceeds ~709.78, is an infinity with the product's
-    sign."""
+    absolute target 1e-9, in rounds of panel halving: each round samples
+    p with one ``evaluate_array`` call on every open GK15 panel of every
+    dense interval, and a NaN or infinite p raises DomainError at the
+    round's first such node. Where numpy's exp or power differ from the
+    scalar ones in the last ulp, B can move by a few ulps. A B past the
+    float range, once the integral of -p exceeds ~709.78, is an infinity
+    with the product's sign."""
     prod = 1.0
     for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
         prod *= _step_factor(t, mu, p, q)
     integral = 0.0
     for value in tscalc.quad_intervals(
-            lambda t: -_check_finite("p", spec.p_at(t), t, "on a dense part"),
             lambda x: -_finite("p", ex.evaluate_array(spec.p, x), x),
             spec.ts.dense_intervals()):
         integral += value
@@ -376,18 +373,17 @@ def _check_finite(name: str, value: float, t: float, where: str) -> float:
     return value
 
 
-def simpson_weights(x):
-    """The cumulative Simpson weights of the grid x (odd node count >= 3,
-    strictly increasing along the last axis; 2-D for a stack of rows).
+def cumulative_simpson(y, x):
+    """Running Simpson integrals of y along its last axis, 0 at the first
+    node, on the grid x (odd node count >= 3, strictly increasing along
+    the last axis; one row per y row, or one row for all): SciPy's
+    ``cumulative_simpson(y, x=x, initial=0.0)``, bit for bit.
 
-    Returns ((w, c1, c2, c3) for the even subintervals, (w, c1, c2, c3)
-    for the odd ones), each with one value per pair of subintervals.
     Subinterval 2m is integrated forward over nodes 2m, 2m + 1, 2m + 2
     with x21 = dx[2m], x32 = dx[2m + 1]; subinterval 2m + 1 over the same
     nodes backward, with x21 = dx[2m + 1], x32 = dx[2m]. The coefficients are
     SciPy's unequal-interval ones, x21 / 6 and 3 - x21/x31,
-    3 + x21^2/(x31 x32) + x21/x31, -x21^2/(x31 x32), in its operation order,
-    so ``cumulative_simpson`` reproduces its values bit for bit.
+    3 + x21^2/(x31 x32) + x21/x31, -x21^2/(x31 x32), in its operation order.
     """
     if x.shape[-1] < 3 or x.shape[-1] % 2 == 0:
         raise ValueError("Simpson grids need an odd number of nodes >= 3, "
@@ -402,15 +398,8 @@ def simpson_weights(x):
         return (x21 / 6, 3 - x21_x31, 3 + x21x21_x31x32 + x21_x31,
                 -x21x21_x31x32)
 
-    return (coefficients(dx[..., 0::2], dx[..., 1::2]),
-            coefficients(dx[..., 1::2], dx[..., 0::2]))
-
-
-def cumulative_simpson(y, weights):
-    """Running Simpson integrals of y along its last axis, 0 at the first
-    node, on the grid whose ``simpson_weights`` are given: SciPy's
-    ``cumulative_simpson(y, x=x, initial=0.0)``, bit for bit."""
-    (w, c1, c2, c3), (v, d1, d2, d3) = weights
+    w, c1, c2, c3 = coefficients(dx[..., 0::2], dx[..., 1::2])
+    v, d1, d2, d3 = coefficients(dx[..., 1::2], dx[..., 0::2])
     f0, f1, f2 = y[..., 0:-2:2], y[..., 1:-1:2], y[..., 2::2]
     out = np.empty(y.shape, dtype=np.result_type(y, 1.0))
     out[..., 0] = 0.0
@@ -643,7 +632,7 @@ class _SeriesEngine:
             # the bound's own sample first: its phase sets the first panels
             x, last, real = _uniform_rows(a, b, ts.period / _BOUND_DIVISIONS)
             phi, h, size = _sample_dense(spec, x, a, b, real)
-            phase = cumulative_simpson(phi, simpson_weights(x))
+            phase = cumulative_simpson(phi, x)
             self.bound = x, phi, h, phase, real
             turns = 2.0 * phase[np.arange(self.rows), last] / _PHASE_CUT
             scales = np.stack([np.where(real, phi, 0.0).max(axis=1),

@@ -1,25 +1,22 @@
 """Adaptive Gauss-Kronrod quadrature for the dense parts of a time scale.
 
-One GK(7,15) panel and its adaptive panel-halving loop, with an
-absolute tolerance and an evaluation budget. The panel nodes are strictly
-interior, so isolated-point redefinitions of piecewise coefficients at
-segment endpoints never contaminate a dense integral. ``compute_B``
-integrates -p over every dense interval with ``quad_intervals`` to the
-fixed absolute target ``_QUAD_TOL``: one array pass over the first panels
-of all intervals, then the scalar loop on the intervals whose first panel
-falls short of it. The time-scale calculus built on it (delta integrals,
-e_g(t, s), cos_phi/sin_phi) is kept, as the literal definitions the engine
-is tested against, in ``tests/calculus_reference.py``.
+``compute_B`` integrates -p over every dense interval with
+``quad_intervals`` to the fixed absolute target ``_QUAD_TOL``, by
+panel-halving GK(7,15) (Kronrod's rule, as in QUADPACK) in rounds: each
+round evaluates every open panel of every interval with one call of the
+array function (``_gk15``), accepts the panels that meet the round's
+budget and halves the rest. The panel nodes are strictly interior, so
+isolated-point redefinitions of piecewise coefficients at segment
+endpoints never contaminate a dense integral. The time-scale calculus
+built on the same rule (delta integrals, e_g(t, s), cos_phi/sin_phi) is
+kept, with the scalar panel-halving loop it uses, as the literal
+definitions the engine is tested against, in ``tests/calculus_reference.py``.
 """
 from __future__ import annotations
-
-from typing import Union
 
 import numpy as np
 
 from .errors import QuadratureNonConvergence
-
-Number = Union[float, complex]
 
 _EVAL_BUDGET = 1_000_000
 # the absolute target of every dense integral of B, not a setting: at
@@ -42,95 +39,82 @@ _WGK = (
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
 
-
-# The panel arithmetic is one IEEE operation per step, so floats and
-# arrays of panels (elementwise) give the same values bit for bit.
-
-def _panel_nodes(a, b):
-    """(h, nodes): the half-width of [a, b] and its 15 GK(7,15) nodes in
-    evaluation order: the midpoint c, then c - x_j and c + x_j for
-    j = 0..6."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    nodes = [c]
-    for j in range(7):
-        x = h * _XGK[j]
-        nodes += [c - x, c + x]
-    return h, nodes
+# the nodes c - x_j, c + x_j (j = 0..6) of a panel as multiples of its
+# half-width h, one row each: c + h (-x) is c - h x bit for bit
+_OFFSETS = np.array([[s * x] for x in _XGK[:7] for s in (-1.0, 1.0)])
+# the weights of K15 and G7 on f(c) and the pair sums
+# f(c - x_j) + f(c + x_j), one row each: K15 takes every pair, G7 the odd j
+_KRONROD = np.array(_WGK[7:] + _WGK[:7])[:, None]
+_GAUSS = np.array(_WG[3:] + _WG[:3])[:, None]
 
 
-def _panel_sums(h, fx):
-    """(K15, |K15 - G7|) from the values fx at ``_panel_nodes``' nodes."""
-    kron = _WGK[7] * fx[0]
-    gauss = _WG[3] * fx[0]
-    for j in range(7):
-        fsum = fx[2 * j + 1] + fx[2 * j + 2]
-        kron = kron + _WGK[j] * fsum
-        if j % 2 == 1:
-            gauss = gauss + _WG[j // 2] * fsum
-    kron = kron * h
-    gauss = gauss * h
-    return kron, abs(kron - gauss)
+def _gk15(f, lo, hi):
+    """(K15, |K15 - G7|) of each panel [lo[i], hi[i]], from one call of f
+    on the 15 nodes of every panel: panel by panel, each in evaluation
+    order, the midpoint c, then c - x_j and c + x_j for j = 0..6."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = np.empty((15, len(c)))  # node by node, a column per panel
+    x[0] = c
+    np.multiply(_OFFSETS, h, out=x[1:])
+    x[1:] += c
+    fx = f(x.T.ravel()).reshape(-1, 15).T
+    pairs = np.empty((8, len(c)))
+    pairs[0] = fx[0]
+    np.add(fx[1::2], fx[2::2], out=pairs[1:])
+    # accumulate adds each panel's weighted terms in order, from the first
+    kron = np.add.accumulate(pairs * _KRONROD)[-1] * h
+    gauss = np.add.accumulate(pairs[::2] * _GAUSS)[-1] * h
+    return kron, np.abs(kron - gauss)
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod panel: returns (K15, |K15 - G7|)."""
-    h, nodes = _panel_nodes(a, b)
-    return _panel_sums(h, [f(x) for x in nodes])
+def quad_intervals(f, intervals: list) -> list:
+    """The integral of f over each (a, b) of ``intervals``, in order, to
+    the absolute target ``_QUAD_TOL``, and 0.0 where b <= a. f maps an
+    array of nodes to f's values there.
 
-
-def _adaptive_quad(f, a: float, b: float, tol: float) -> Number:
-    """Adaptive panel-halving GK(7,15) with absolute tolerance tol."""
-    if b <= a:
-        return 0.0
-    evals = 0
-    total = 0.0
-    stack = [(a, b, tol)]
-    while stack:
-        lo, hi, budget = stack.pop()
-        value, err = _gk15(f, lo, hi)
-        evals += 15
-        if evals > _EVAL_BUDGET:
-            raise QuadratureNonConvergence(
-                f"tolerance {tol} unreachable within {_EVAL_BUDGET} evaluations"
-            )
-        if err <= budget or (hi - lo) <= 1e-14 * max(1.0, abs(hi)):
-            total += value
-        else:
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, 0.5 * budget))
-            stack.append((mid, hi, 0.5 * budget))
-    return total
-
-
-def quad_intervals(f, f_array, intervals: list) -> list:
-    """``_adaptive_quad(f, a, b, _QUAD_TOL)`` for each (a, b) of
-    ``intervals``, in order, bit for bit where ``f_array`` agrees with f.
-
-    ``f_array`` gives f at every node of an array. It is called once, on
-    the first panel's nodes of all intervals; an interval whose first
-    panel meets the acceptance rule gives 0.0 + K15, as the loop does,
-    and any other runs the loop from its start. If ``f_array`` raises,
-    every interval runs the loop, so the exception raised is the one the
-    loop meets first.
+    Panel-halving GK(7,15) in rounds, from one panel per interval. A
+    round evaluates its open panels, in interval order and left to right
+    within one, with one ``_gk15`` call. It accepts a panel whose
+    |K15 - G7| is at most the round's budget, _QUAD_TOL / 2^(round - 1),
+    or whose width is at most 1e-14 max(1, |hi|), and halves the others
+    at mid = 0.5 (lo + hi) for the next round. Each interval's accepted
+    panels are added right to left from 0.0, the order in which a
+    depth-first loop that takes the right half first meets them. Each
+    interval may take ``_EVAL_BUDGET`` samples: QuadratureNonConvergence
+    is raised before a round that would take one past it.
     """
-    if not intervals:
-        return []
-    a, b = np.array(intervals, dtype=float).T
+    totals = [0.0] * len(intervals)
+    ends = np.array(intervals, dtype=float).reshape(-1, 2)
+    owner = np.flatnonzero(ends[:, 0] < ends[:, 1])
+    panels = ends[owner]  # the open panels' (lo, hi), in evaluation order
+    spent = np.zeros(len(ends), dtype=int)
+    budget = _QUAD_TOL
+    accepted = []  # (owner, lo, K15) of each round's accepted panels
     # Python float arithmetic overflows silently, numpy's would warn
     with np.errstate(all="ignore"):
-        h, nodes = _panel_nodes(a, b)
-        try:
-            fx = f_array(np.array(nodes).T.ravel())
-        except Exception:
-            # the array pass may name a later t than the loop meets first
-            return [_adaptive_quad(f, lo, hi, _QUAD_TOL)
-                    for lo, hi in intervals]
-        value, err = _panel_sums(h, fx.reshape(len(intervals), 15).T)
-        # the loop's acceptance rule for a first panel, whose budget is
-        # the whole target
-        done = (a < b) & ((err <= _QUAD_TOL)
-                          | ((b - a) <= 1e-14 * np.maximum(1.0, abs(b))))
-    return [0.0 + v if ok else _adaptive_quad(f, lo, hi, _QUAD_TOL)
-            for (lo, hi), v, ok in zip(intervals, value.tolist(),
-                                       done.tolist())]
+        while len(owner):
+            spent += 15 * np.bincount(owner, minlength=len(ends))
+            if spent.max() > _EVAL_BUDGET:
+                raise QuadratureNonConvergence(
+                    f"tolerance {_QUAD_TOL} unreachable within "
+                    f"{_EVAL_BUDGET} evaluations")
+            lo, hi = panels.T
+            value, err = _gk15(f, lo, hi)
+            ok = (err <= budget) | (hi - lo
+                                    <= 1e-14 * np.maximum(1.0, np.abs(hi)))
+            accepted.append((owner[ok], lo[ok], value[ok]))
+            if ok.all():
+                break
+            # each rejected panel becomes its two halves, left first
+            owner = owner[~ok].repeat(2)
+            panels = panels[~ok].repeat(2, axis=0)
+            panels[::2, 1] = panels[1::2, 0] = 0.5 * (panels[::2, 0]
+                                                      + panels[1::2, 1])
+            budget *= 0.5
+    if accepted:
+        owner, lo, value = (np.concatenate(part) for part in zip(*accepted))
+        order = np.lexsort((-lo, owner))
+        for i, v in zip(owner[order].tolist(), value[order].tolist()):
+            totals[i] += v
+    return totals

@@ -3,24 +3,26 @@
 Delta integrals, the generalized exponential e_g(t,s), the time-scale
 trigonometric functions cos_phi/sin_phi, and the pointwise phi^Delta,
 h and kernels P, Q of the Floquet series, each evaluated from its
-definition with the scale's own mu/sigma/locate queries and the
-adaptive GK(7,15) quadrature of ``tsfloquet.tscalc``. The runtime never
-calls them: ``compute_B`` walks the period once, and the series engine
-folds the kernels into running integrals. Tests check the engine against
-these.
+definition with the scale's own mu/sigma/locate queries and a scalar
+adaptive GK(7,15) quadrature (``_adaptive_quad``) on the nodes and weights
+of ``tsfloquet.tscalc``. The runtime never calls them: ``compute_B`` walks
+the period once and refines its dense integrals in array rounds, and the
+series engine folds the kernels into running integrals. Tests check the
+engine against these.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from functools import partial
-from typing import Callable
+from typing import Callable, Union
 
 from tsfloquet import expr as ex, tscalc
 from tsfloquet.errors import (
     CalculusError,
     NotRegressive,
     PointNotInTimeScale,
+    QuadratureNonConvergence,
 )
 from tsfloquet.floquet import (
     PhaseTable,
@@ -29,11 +31,59 @@ from tsfloquet.floquet import (
     _sqrt_q,
 )
 from tsfloquet.timescale import ValidatedTimeScale
-from tsfloquet.tscalc import Number, _adaptive_quad
+from tsfloquet.tscalc import _EVAL_BUDGET, _WG, _WGK, _XGK
+
+Number = Union[float, complex]
 
 
 class EndpointsNotInTimeScale(CalculusError):
     """A delta integral's endpoints are not in the time scale, or a > b."""
+
+
+def _gk15(f, a: float, b: float):
+    """One Gauss-Kronrod panel: returns (K15, |K15 - G7|), with f called
+    once per node, in ``tscalc._gk15``'s order."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    nodes = [c]
+    for j in range(7):
+        x = h * _XGK[j]
+        nodes += [c - x, c + x]
+    fx = [f(x) for x in nodes]
+    kron = _WGK[7] * fx[0]
+    gauss = _WG[3] * fx[0]
+    for j in range(7):
+        fsum = fx[2 * j + 1] + fx[2 * j + 2]
+        kron = kron + _WGK[j] * fsum
+        if j % 2 == 1:
+            gauss = gauss + _WG[j // 2] * fsum
+    kron = kron * h
+    gauss = gauss * h
+    return kron, abs(kron - gauss)
+
+
+def _adaptive_quad(f, a: float, b: float, tol: float) -> Number:
+    """Adaptive panel-halving GK(7,15) with absolute tolerance tol."""
+    if b <= a:
+        return 0.0
+    evals = 0
+    total = 0.0
+    stack = [(a, b, tol)]
+    while stack:
+        lo, hi, budget = stack.pop()
+        value, err = _gk15(f, lo, hi)
+        evals += 15
+        if evals > _EVAL_BUDGET:
+            raise QuadratureNonConvergence(
+                f"tolerance {tol} unreachable within {_EVAL_BUDGET} evaluations"
+            )
+        if err <= budget or (hi - lo) <= 1e-14 * max(1.0, abs(hi)):
+            total += value
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, 0.5 * budget))
+            stack.append((mid, hi, 0.5 * budget))
+    return total
 
 
 def _dense_overlaps(ts: ValidatedTimeScale, a: float, b: float):

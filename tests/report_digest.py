@@ -17,7 +17,8 @@ package:
 * every operation and probe of the four benchmark workloads at seeds 1-3
   that does not run the oracle;
 * the ``ROWS`` configs, each at its own n: scales whose phi jumps where a
-  dense part ends or starts, so the analysis warns;
+  dense part ends or starts, so the analysis warns, and p whose dense
+  integral refines past the first round of B's quadrature;
 * the s-family (``s_family``) at n = 3 and 8: phi = sqrt(q) winds ~sqrt(s)
   times over the period, so it shows what the dense grid resolves.
 
@@ -41,8 +42,11 @@ from pathlib import Path
 EXAMPLES = ("example_continuous", "example_discrete_2z",
             "example_discrete_z", "example_hybrid")
 SEEDS = (1, 2, 3)
-# the table rows of ROADMAP item 1, a two-interval scale of q = 1 + t/2
-# and one whose q is redefined at the dense start 2
+# the table rows of ROADMAP item 1, a two-interval scale of q = 1 + t/2,
+# one whose q is redefined at the dense start 2, and four whose B's
+# quadrature refines past its first round: p with kinks, a step, an exp of
+# a kink (numpy's exp and libm's differ in the last ulp), and a dense part
+# 1e6 long that spends the evaluation budget
 ROWS = {
     "meissner": "period = 2*pi\nintervals = [[0, 2*pi]]\np = 0\n"
                 "q = if(lt(t, pi), 1.5, 0.5)\n",
@@ -57,6 +61,13 @@ ROWS = {
                      "q = 1 + t/2\n",
     "dense start": "period = 3\nintervals = [[0, 1], [2, 3]]\np = 0\n"
                    "q = if(eq(t, 2), 4, if(eq(t, 1), 2, 1))\nn = 8\n",
+    "kinked": "period = 3\nintervals = [[0, 1], [2, 3]]\n"
+              "p = 0.3 + 0.1*abs(sin(pi*t/1.3))\nq = 1\n",
+    "step p": "period = 2*pi\nintervals = [[0, 2*pi]]\n"
+              "p = if(lt(t, 1), 0.2, -0.1)\nq = 1\n",
+    "exp kink": "period = 2*pi\nintervals = [[0, 2*pi]]\n"
+                "p = exp(abs(sin(3*t)))/10\nq = 1\n",
+    "long dense": "period = 1e6\nintervals = [[0, 1e6]]\np = -1\nq = 1\n",
 }
 # the scales s of the s-family
 S_FAMILY = (1e2, 1e4, 1e6)

@@ -57,6 +57,7 @@ from tsfloquet.timescale import inward
 from tsfloquet.tscalc import _QUAD_TOL
 
 from calculus_reference import (
+    _adaptive_quad,
     h_fn,
     kernel_P,
     kernel_Q,
@@ -266,6 +267,39 @@ def _reference_B(spec):
     return float(ts_exponential(g, ts.t_end, ts.t0, ts, _QUAD_TOL))
 
 
+def _hybrid_config(monkeypatch, tmp_path, cells: int, p: str = None):
+    """The benchmark's seeded hybrid of ``cells`` dense cells, with its p
+    replaced by ``p`` if given."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    import workloads
+
+    text = workloads.hybrid_system(random.Random(1), "h", cells, True).text
+    if p is not None:
+        text = re.sub(r"(?m)^p = .*$", f"p = {p}", text)
+    cfg = tmp_path / f"hybrid{cells}.cfg"
+    cfg.write_text(text)
+    return build_system(load_config(cfg))
+
+
+# p = 0.3 + 0.1 |sin(pi t / 1.3)| kinks at multiples of 1.3, inside several
+# cells of the benchmark's hybrids
+_KINKED_P = "0.3 + 0.1*abs(sin(pi*t/1.3))"
+
+
+def _kinked_systems(p_texts):
+    """random_hybrid_system 0-49 with each p of ``p_texts``; a {step} in
+    one is a step at 0.3 of the first dense interval."""
+    systems = []
+    for seed in range(50):
+        spec = random_hybrid_system(seed)
+        a, b = spec.ts.dense_intervals()[0]
+        step = f"if(lt(t, {a + 0.3 * (b - a)!r}), 0.2, -0.1)"
+        for p in p_texts:
+            systems.append(SystemSpec(spec.ts, parse(p.format(step=step)),
+                                      spec.q))
+    return systems
+
+
 @pytest.mark.parametrize("family", ["configs", "hybrid", "discrete",
                                     "workload", "kinked"])
 def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
@@ -279,67 +313,65 @@ def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
     elif family == "discrete":
         systems = [random_discrete_system(seed) for seed in range(100)]
     elif family == "kinked":  # p with a kink or a step on the dense parts
-        systems = []
-        for seed in range(50):
-            spec = random_hybrid_system(seed)
-            a, b = spec.ts.dense_intervals()[0]
-            step = f"if(lt(t, {a + 0.3 * (b - a)!r}), 0.2, -0.1)"
-            for p in ("abs(sin(3*t))", step):
-                systems.append(SystemSpec(spec.ts, parse(p), spec.q))
+        # and the 100-cell hybrid, whose cells refine to different depths
+        systems = _kinked_systems(["abs(sin(3*t))", "{step}"])
+        systems.append(_hybrid_config(monkeypatch, tmp_path, 100, _KINKED_P))
     else:  # a 100-cell benchmark hybrid
-        monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
-        import workloads
-
-        cfg = tmp_path / "hybrid.cfg"
-        cfg.write_text(
-            workloads.hybrid_system(random.Random(1), "h", 100, True).text)
-        systems = [build_system(load_config(cfg))]
+        systems = [_hybrid_config(monkeypatch, tmp_path, 100)]
     assert systems
     for spec in systems:
         assert compute_B(spec).hex() == _reference_B(spec).hex()
     if family == "kinked":
-        # first panels that fall short of _QUAD_TOL go on to the scalar loop,
-        # which evaluates p through expr.evaluate at each panel's 15 nodes
+        # the refinement rounds sample p through evaluate_array alone
         samples = [validate_system(spec) for spec in systems]
-        panels = _record_panels(monkeypatch)
-        evaluated = []
-        evaluate = ex.evaluate
+        rounds = _record_rounds(monkeypatch)
 
-        def counted(e, t):
-            evaluated.append(e)
-            return evaluate(e, t)
-        monkeypatch.setattr(ex, "evaluate", counted)
-        refined = 0
+        def scalar(e, t):
+            raise AssertionError(f"scalar evaluate at t={t}")
+        monkeypatch.setattr(ex, "evaluate", scalar)
+        depths = []
         for spec, sample in zip(systems, samples):
-            del panels[:], evaluated[:]
+            del rounds[:]
             compute_B(spec, sample)
-            assert evaluated == [spec.p] * (15 * len(panels))
-            refined += len(panels)
-        assert refined
+            depths.append(len(rounds))
+        assert max(depths) > 1
+        assert depths[-1] > 1  # the 100-cell hybrid refines
 
 
-def _record_panels(monkeypatch) -> list:
-    """The list that (a, b) of every panel of the scalar loop goes to."""
-    panels = []
+def test_compute_B_of_exp_kinks_is_within_4_ulps():
+    # numpy's exp differs from libm's in the last ulp, so B may move by a
+    # few ulps from the scalar reference; the verdict must not
+    for spec in _kinked_systems(["exp(abs(sin(3*t)))"]):
+        want = _reference_B(spec)
+        report = analyze(spec)
+        assert abs(report.B - want) <= 4 * math.ulp(want)
+        err = report.err_bound.value
+        interval = (report.A_partial - err, report.A_partial + err)
+        assert report.verdict == verdict(interval, want)[0]
+
+
+def _record_rounds(monkeypatch) -> list:
+    """The list that (lo, hi) of every round of B's quadrature goes to,
+    one pair of arrays per round."""
+    rounds = []
     gk15 = tscalc._gk15
 
-    def record(f, a, b):
-        panels.append((a, b))
-        return gk15(f, a, b)
+    def record(f, lo, hi):
+        rounds.append((lo.copy(), hi.copy()))
+        return gk15(f, lo, hi)
     monkeypatch.setattr(tscalc, "_gk15", record)
-    return panels
+    return rounds
 
 
 def _scalar_B(spec):
-    """compute_B with every dense interval integrated by the scalar
-    panel-halving loop from its start, in time order."""
+    """compute_B with every dense interval integrated by the reference's
+    scalar panel-halving loop from its start, in time order."""
     prod = 1.0
     for t, mu in spec.ts.scattered_with_mu():
         prod *= floquet._step_factor(t, mu, spec.p_at(t), spec.q_at(t))
     integral = 0.0
     for a, b in spec.ts.dense_intervals():
-        integral += tscalc._adaptive_quad(lambda t: -spec.p_at(t), a, b,
-                                          _QUAD_TOL)
+        integral += _adaptive_quad(lambda t: -spec.p_at(t), a, b, _QUAD_TOL)
     return float(prod * math.exp(integral))
 
 
@@ -351,18 +383,41 @@ def _outcome(B, spec):
         return type(exc), str(exc)
 
 
-def test_compute_B_raises_what_the_scalar_loop_raises():
-    # p fails at a refinement node of [0, 1], where sqrt's argument is
-    # negative between the first panel's nodes, and at the first panel's
-    # midpoint 2.5 of [2, 3]; the array pass meets t = 2.5 first, the
-    # scalar loop the refinement node
-    ts = validate(PeriodicTimeScale(
+def _two_interval_scale():
+    """Dense cells [0, 1] and [2, 3], period 3."""
+    return validate(PeriodicTimeScale(
         0.0, 3.0, [Interval(0.0, 1.0), Interval(2.0, 3.0)]))
-    spec = SystemSpec(ts, parse("sqrt(abs(t - 0.25) - 0.01) + 1/(t - 2.5)"),
-                      parse("1"))
+
+
+def test_compute_B_raises_what_the_scalar_loop_raises():
+    # p fails on [0, 1] at t = 0.25, where sqrt's argument is negative:
+    # the midpoint of round 2's first panel, between round 1's nodes. On
+    # [0, 1] alone the rounds and the scalar loop meet it first. With
+    # 1/(t - 2.5) on [2, 3], round 1 meets t = 2.5 first, the midpoint of
+    # [2, 3]'s first panel, where the loop, which finishes [0, 1] before
+    # it starts [2, 3], names t = 0.25
+    kink = "sqrt(abs(t - 0.25) - 0.01)"
+    one = validate(PeriodicTimeScale(0.0, 1.0, [Interval(0.0, 1.0)]))
+    spec = SystemSpec(one, parse(kink), parse("1"))
     want = _outcome(_scalar_B, spec)
-    assert want[0] is DomainError and "t=2.5" not in want[1]
+    assert want[0] is DomainError and "t=0.25" in want[1]
     assert _outcome(compute_B, spec) == want
+    spec = SystemSpec(_two_interval_scale(), parse(f"{kink} + 1/(t - 2.5)"),
+                      parse("1"))
+    loop = _outcome(_scalar_B, spec)
+    assert loop[0] is DomainError and "t=0.25" in loop[1]
+    got = _outcome(compute_B, spec)
+    assert got[0] is DomainError and "t=2.5" in got[1]
+    # p fails at 0.375 and 0.625, the midpoints of round 3's second and
+    # third panels of [0, 1]; a round evaluates its panels left to right,
+    # so it names 0.375, where the loop, which takes the right half first,
+    # names 0.625
+    spec = SystemSpec(one, parse("1/(t - 0.375) + 2/(t - 0.625)"),
+                      parse("1"))
+    loop = _outcome(_scalar_B, spec)
+    assert loop[0] is DomainError and "t=0.625" in loop[1]
+    got = _outcome(compute_B, spec)
+    assert got[0] is DomainError and "t=0.375" in got[1]
 
 
 _BUDGET_SPENT = (QuadratureNonConvergence,
@@ -378,7 +433,7 @@ def test_compute_B_overflowing_panel_sums(width, p, want):
     # f(c - x) + f(c + x) overflows on every panel: on the short interval
     # the first panel is accepted by its width, so B is 0 or inf; on
     # [1, 2] the NaN error refines until the budget runs out. Tier-1 turns
-    # a RuntimeWarning of the array pass into an error.
+    # a RuntimeWarning of the panel arithmetic into an error.
     ts = validate(PeriodicTimeScale(1.0, width, [Interval(1.0, 1.0 + width)]))
     spec = SystemSpec(ts, parse(p), parse("1"))
     assert _outcome(_scalar_B, spec) == want
@@ -386,16 +441,23 @@ def test_compute_B_overflowing_panel_sums(width, p, want):
 
 
 def test_compute_B_quadrature_nonconvergence(monkeypatch):
-    # the array pass settles [0, 1]; [2, 3] runs the scalar loop from its
-    # start and spends its whole budget of 1,000,000 evaluations there
-    ts = validate(PeriodicTimeScale(
-        0.0, 3.0, [Interval(0.0, 1.0), Interval(2.0, 3.0)]))
-    spec = SystemSpec(ts, parse("if(lt(t, 1.5), 0.5, sin(1e6*t))"),
-                      parse("1"))
-    panels = _record_panels(monkeypatch)
+    # round 1 settles [0, 1]; [2, 3] halves every panel in every round, so
+    # 16 rounds take 2^16 - 1 = 65,535 panels (983,025 samples) there, and
+    # the 17th, 2^16 more panels, would take it past the budget of
+    # 1,000,000 samples, so it is never evaluated
+    spec = SystemSpec(_two_interval_scale(),
+                      parse("if(lt(t, 1.5), 0.5, sin(1e6*t))"), parse("1"))
+    rounds = _record_rounds(monkeypatch)
     assert _outcome(compute_B, spec) == _BUDGET_SPENT
-    assert len(panels) == 1_000_000 // 15 + 1
-    assert min(panels)[0] == 2.0 and max(panels)[1] == 3.0
+    assert len(rounds) == 16
+    assert [len(lo) for lo, _ in rounds] == [2] + [2 ** k
+                                                  for k in range(1, 16)]
+    (lo, hi), *later = rounds
+    assert lo.tolist() == [0.0, 2.0] and hi.tolist() == [1.0, 3.0]
+    assert all(lo.min() == 2.0 and hi.max() == 3.0 for lo, hi in later)
+    panels = 1 + sum(len(lo) for lo, _ in later)
+    assert panels == 65_535 and 15 * panels == 983_025
+    assert 15 * (panels + 2 ** 16) > tscalc._EVAL_BUDGET
 
 
 # -- series terms ------------------------------------------------------------
@@ -488,12 +550,11 @@ def test_complex_cumulative_simpson_is_the_split(example_hybrid):
         engine = _SeriesEngine(spec, solve_phi(spec))
         W = engine.h / engine.D
         x, phi, _, E, _ = engine.bound_sample()
-        weights = floquet.simpson_weights(x)
         for integrate, ys in (
                 (lambda v: floquet._panel_integrals(v, engine.half),
                  (engine.E, W * engine.phi * engine.E.imag)),
                 (lambda v: cumulative_simpson(v, x=x, initial=0.0), (E,)),
-                (lambda v: floquet.cumulative_simpson(v, weights), (E,))):
+                (lambda v: floquet.cumulative_simpson(v, x), (E,))):
             for y in ys:
                 assert np.iscomplexobj(y)
                 whole = integrate(y)
