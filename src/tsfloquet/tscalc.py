@@ -69,9 +69,9 @@ def _gk15(f, lo, hi):
 
 
 def quad_intervals(f, intervals: list) -> list:
-    """The integral of f over each (a, b) of ``intervals``, in order, to
-    the absolute target ``_QUAD_TOL``, and 0.0 where b <= a. f maps an
-    array of nodes to f's values there.
+    """The integral of f over each (a, b), a < b, of ``intervals``, in
+    order, to the absolute target ``_QUAD_TOL``. f maps an array of nodes
+    to f's values there.
 
     Panel-halving GK(7,15) in rounds, from one panel per interval. A
     round evaluates its open panels, in interval order and left to right
@@ -84,17 +84,17 @@ def quad_intervals(f, intervals: list) -> list:
     interval may take ``_EVAL_BUDGET`` samples: QuadratureNonConvergence
     is raised before a round that would take one past it.
     """
-    totals = [0.0] * len(intervals)
-    ends = np.array(intervals, dtype=float).reshape(-1, 2)
-    owner = np.flatnonzero(ends[:, 0] < ends[:, 1])
-    panels = ends[owner]  # the open panels' (lo, hi), in evaluation order
-    spent = np.zeros(len(ends), dtype=int)
+    if not intervals:
+        return []
+    panels = np.array(intervals, dtype=float)  # open panels' (lo, hi)
+    owner = np.arange(len(panels))  # each open panel's interval
+    spent = np.zeros(len(panels), dtype=int)
     budget = _QUAD_TOL
     accepted = []  # (owner, lo, K15) of each round's accepted panels
     # Python float arithmetic overflows silently, numpy's would warn
     with np.errstate(all="ignore"):
-        while len(owner):
-            spent += 15 * np.bincount(owner, minlength=len(ends))
+        while True:
+            spent += 15 * np.bincount(owner, minlength=len(spent))
             if spent.max() > _EVAL_BUDGET:
                 raise QuadratureNonConvergence(
                     f"tolerance {_QUAD_TOL} unreachable within "
@@ -112,9 +112,9 @@ def quad_intervals(f, intervals: list) -> list:
             panels[::2, 1] = panels[1::2, 0] = 0.5 * (panels[::2, 0]
                                                       + panels[1::2, 1])
             budget *= 0.5
-    if accepted:
-        owner, lo, value = (np.concatenate(part) for part in zip(*accepted))
-        order = np.lexsort((-lo, owner))
-        for i, v in zip(owner[order].tolist(), value[order].tolist()):
-            totals[i] += v
+    owner, lo, value = (np.concatenate(part) for part in zip(*accepted))
+    order = np.lexsort((-lo, owner))
+    totals = [0.0] * len(spent)
+    for i, v in zip(owner[order].tolist(), value[order].tolist()):
+        totals[i] += v
     return totals
