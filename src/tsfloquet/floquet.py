@@ -293,12 +293,13 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
 
     The dense integrals come from ``tscalc.quad_intervals``, to its fixed
     absolute target 1e-9, in rounds of panel halving: each round samples
-    p with one ``evaluate_array`` call on every open GK15 panel of every
-    dense interval, and a NaN or infinite p raises DomainError at the
-    round's first such node. Where numpy's exp or power differ from the
-    scalar ones in the last ulp, B can move by a few ulps. A B past the
-    float range, once the integral of -p exceeds ~709.78, is an infinity
-    with the product's sign."""
+    p with one ``evaluate_array`` call on the open GK15 panels of the
+    dense intervals, in time order and at most 66,666 of them, and a NaN
+    or infinite p raises DomainError at the round's first such node.
+    Where numpy's exp or power differ from the scalar ones in the last
+    ulp, B can move by a few ulps. A B past the float range, once the
+    integral of -p exceeds ~709.78, is an infinity with the product's
+    sign."""
     prod = 1.0
     for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
         prod *= _step_factor(t, mu, p, q)

@@ -3,14 +3,15 @@
 ``compute_B`` integrates -p over every dense interval with
 ``quad_intervals`` to the fixed absolute target ``_QUAD_TOL``, by
 panel-halving GK(7,15) (Kronrod's rule, as in QUADPACK) in rounds: each
-round evaluates every open panel of every interval with one call of the
-array function (``_gk15``), accepts the panels that meet the round's
-budget and halves the rest. The panel nodes are strictly interior, so
-isolated-point redefinitions of piecewise coefficients at segment
-endpoints never contaminate a dense integral. The time-scale calculus
-built on the same rule (delta integrals, e_g(t, s), cos_phi/sin_phi) is
-kept, with the scalar panel-halving loop it uses, as the literal
-definitions the engine is tested against, in ``tests/calculus_reference.py``.
+round evaluates the open panels of every interval, at most
+``_ROUND_PANELS`` of them, with one call of the array function
+(``_gk15``), accepts the panels that meet their budget and halves the
+rest. The panel nodes are strictly interior, so isolated-point
+redefinitions of piecewise coefficients at segment endpoints never
+contaminate a dense integral. The time-scale calculus built on the same
+rule (delta integrals, e_g(t, s), cos_phi/sin_phi) is kept, with the
+scalar panel-halving loop it uses, as the literal definitions the engine
+is tested against, in ``tests/calculus_reference.py``.
 """
 from __future__ import annotations
 
@@ -24,6 +25,10 @@ _EVAL_BUDGET = 1_000_000
 # hybrids, while a loose target can carry B across 1 unseen, as the
 # verdict allows B only 8 ulps of rounding
 _QUAD_TOL = 1e-9
+# the most panels one round evaluates, _EVAL_BUDGET samples, so that a
+# round's arrays stay small however many intervals refine at once; one
+# interval's round never reaches it before its budget runs out
+_ROUND_PANELS = _EVAL_BUDGET // 15
 
 # Gauss-Kronrod (7,15) abscissae and weights on [-1, 1], positive half.
 _XGK = (
@@ -73,48 +78,58 @@ def quad_intervals(f, intervals: list) -> list:
     order, to the absolute target ``_QUAD_TOL``. f maps an array of nodes
     to f's values there.
 
-    Panel-halving GK(7,15) in rounds, from one panel per interval. A
-    round evaluates its open panels, in interval order and left to right
-    within one, with one ``_gk15`` call. It accepts a panel whose
-    |K15 - G7| is at most the round's budget, _QUAD_TOL / 2^(round - 1),
-    or whose width is at most 1e-14 max(1, |hi|), and halves the others
-    at mid = 0.5 (lo + hi) for the next round. Each interval's accepted
-    panels are added right to left from 0.0, the order in which a
-    depth-first loop that takes the right half first meets them. Each
-    interval may take ``_EVAL_BUDGET`` samples: QuadratureNonConvergence
-    is raised before a round that would take one past it.
+    Panel-halving GK(7,15) in rounds, from one panel per interval. The
+    open panels are kept in order, by interval and left to right within
+    one. A round evaluates the first ``_ROUND_PANELS`` of them (all of
+    them, unless many intervals refine at once) with one ``_gk15`` call.
+    It accepts a panel whose |K15 - G7| is at most its budget, _QUAD_TOL
+    halved once per halving that made it, or whose width is at most
+    1e-14 max(1, |hi|), and puts each other one back in its place as its
+    two halves, split at mid = 0.5 (lo + hi). So the earliest intervals
+    refine first once a round is full, and the open panels grow by at
+    most ``_ROUND_PANELS`` a round. Each interval's accepted panels are
+    added right to left from 0.0, the order in which a depth-first loop
+    that takes the right half first meets them. Each interval may take
+    ``_EVAL_BUDGET`` samples: QuadratureNonConvergence is raised before a
+    round that would take one past it.
     """
     if not intervals:
         return []
-    panels = np.array(intervals, dtype=float)  # open panels' (lo, hi)
-    owner = np.arange(len(panels))  # each open panel's interval
-    spent = np.zeros(len(panels), dtype=int)
-    budget = _QUAD_TOL
+    n = len(intervals)
+    panels = np.empty((n, 3))  # the open panels' (lo, hi, budget)
+    panels[:, :2] = intervals
+    panels[:, 2] = _QUAD_TOL
+    owner = np.arange(n)  # and each one's interval
+    spent = np.zeros(n, dtype=int)
     accepted = []  # (owner, lo, K15) of each round's accepted panels
     # Python float arithmetic overflows silently, numpy's would warn
     with np.errstate(all="ignore"):
         while True:
-            spent += 15 * np.bincount(owner, minlength=len(spent))
+            head, mine = panels[:_ROUND_PANELS], owner[:_ROUND_PANELS]
+            spent += 15 * np.bincount(mine, minlength=n)
             if spent.max() > _EVAL_BUDGET:
                 raise QuadratureNonConvergence(
                     f"tolerance {_QUAD_TOL} unreachable within "
                     f"{_EVAL_BUDGET} evaluations")
-            lo, hi = panels.T
+            lo, hi, budget = head.T
             value, err = _gk15(f, lo, hi)
             ok = (err <= budget) | (hi - lo
                                     <= 1e-14 * np.maximum(1.0, np.abs(hi)))
-            accepted.append((owner[ok], lo[ok], value[ok]))
-            if ok.all():
+            accepted.append((mine[ok], lo[ok], value[ok]))
+            if len(mine) == len(owner) and ok.all():
                 break
-            # each rejected panel becomes its two halves, left first
-            owner = owner[~ok].repeat(2)
-            panels = panels[~ok].repeat(2, axis=0)
-            panels[::2, 1] = panels[1::2, 0] = 0.5 * (panels[::2, 0]
-                                                      + panels[1::2, 1])
-            budget *= 0.5
+            # each rejected panel becomes its two halves, left first, in
+            # its place
+            halves = head[~ok].repeat(2, axis=0)
+            halves[::2, 1] = halves[1::2, 0] = 0.5 * (halves[::2, 0]
+                                                      + halves[1::2, 1])
+            halves[:, 2] *= 0.5
+            panels = np.concatenate((halves, panels[_ROUND_PANELS:]))
+            owner = np.concatenate((mine[~ok].repeat(2),
+                                    owner[_ROUND_PANELS:]))
     owner, lo, value = (np.concatenate(part) for part in zip(*accepted))
     order = np.lexsort((-lo, owner))
-    totals = [0.0] * len(spent)
+    totals = [0.0] * n
     for i, v in zip(owner[order].tolist(), value[order].tolist()):
         totals[i] += v
     return totals

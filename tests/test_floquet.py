@@ -460,6 +460,35 @@ def test_compute_B_quadrature_nonconvergence(monkeypatch):
     assert 15 * (panels + 2 ** 16) > tscalc._EVAL_BUDGET
 
 
+
+def test_compute_B_rounds_stay_bounded_over_many_intervals(monkeypatch):
+    # 64 cells that never settle: from round 12 their open panels outnumber
+    # a round, which takes the earliest cells' panels first, so the first
+    # cell spends its budget in 16 rounds, as it does alone, and no round
+    # evaluates more than _ROUND_PANELS panels
+    cells = 64
+    ts = validate(PeriodicTimeScale(0.0, 2.0 * cells - 1, [
+        Interval(2.0 * k, 2.0 * k + 1) for k in range(cells)]))
+    spec = SystemSpec(ts, parse("sin(1e6*t)"), parse("1"))
+    rounds = _record_rounds(monkeypatch)
+    assert _outcome(compute_B, spec) == _BUDGET_SPENT
+    assert [len(lo) for lo, _ in rounds] == (
+        [cells * 2 ** k for k in range(11)] + [tscalc._ROUND_PANELS] * 5)
+    # each round runs left to right from the first cell
+    assert all(lo[0] == 0.0 and (np.diff(lo) > 0).all() for lo, _ in rounds)
+
+
+def test_compute_B_is_the_same_in_rounds_of_any_size(monkeypatch, tmp_path):
+    # a full round leaves the later open panels for the next one; the
+    # panels accepted, their budgets and their sums do not depend on it
+    systems = _kinked_systems(["abs(sin(3*t))", "{step}"])[:20]
+    systems.append(_hybrid_config(monkeypatch, tmp_path, 100, _KINKED_P))
+    want = [compute_B(spec).hex() for spec in systems]
+    rounds = _record_rounds(monkeypatch)
+    monkeypatch.setattr(tscalc, "_ROUND_PANELS", 3)
+    assert [compute_B(spec).hex() for spec in systems] == want
+    assert max(len(lo) for lo, _ in rounds) == 3
+
 # -- series terms ------------------------------------------------------------
 
 def test_terms_integer_example(example_z):
