@@ -43,9 +43,12 @@ Simpson weights, a few array products and one cumulative sum, equal bit
 for bit to SciPy's ``cumulative_simpson``. That sample is taken first,
 and its phase sets the panels' first cut.
 
-Per-point work is done once per analysis. ``validate_system`` samples p
-and q once at every scattered point, in time order, and checks the
-sample; ``solve_phi`` and ``compute_B`` read it. The ``PhaseTable`` keeps
+Per-point work is done once per analysis, on arrays. ``validate_system``
+samples p and then q at every scattered point with one ``evaluate_array``
+call each, in time order, and q at every dense start with one more, and
+checks the sample with array masks; ``solve_phi``, ``compute_B`` and the
+series engine's period walk read it, and a valid analysis makes no
+scalar ``expr.evaluate`` call. The ``PhaseTable`` keeps
 phi by segment, at each end and each dense start, and the one series
 engine per analysis, with one table of each jump's phi, E, h, 1 / D and
 mu W, computed once in the period walk: the terms read its panels and
@@ -141,85 +144,94 @@ class SystemSpec:
         if self.qprime is None:
             self.qprime = ex.differentiate(self.q)
 
-    def p_at(self, t: float) -> float:
-        return ex.evaluate(self.p, t)
 
-    def q_at(self, t: float) -> float:
-        return ex.evaluate(self.q, t)
+@dataclass(frozen=True)
+class PointSample:
+    """``validate_system``'s checked sample, as Python floats: t, mu, p(t),
+    q(t) and the step factor 1 - mu p + mu^2 q at every right-scattered
+    point, in time order, and sqrt(q) at each dense start by segment index.
+    """
 
-
-def _scattered_sample(spec: SystemSpec):
-    """(t, mu, p(t), q(t)) at every right-scattered t, in time order; p is
-    evaluated before q at each point."""
-    for t, mu in spec.ts.scattered_with_mu():
-        yield t, mu, spec.p_at(t), spec.q_at(t)
-
-
-def validate_system(spec: SystemSpec) -> list:
-    """Check that p and q are finite at the scattered points, and there
-    regressivity and the sign conditions on q.
-
-    Returns the checked sample ``[(t, mu, p(t), q(t)), ...]`` for
-    ``solve_phi`` and ``compute_B``. Each point is checked as soon as it is
-    sampled, so the first failing point in time order is named."""
-    sample = []
-    for t, mu, p, q in _scattered_sample(spec):
-        _check_finite("p", p, t, "at a scattered point")
-        _check_finite("q", q, t, "at a scattered point")
-        _step_factor(t, mu, p, q)
-        if abs(q) <= _PHI_MIN:
-            raise PhiVanishes(f"q(t)=0 at scattered t={t}")
-        sample.append((t, mu, p, q))
-    return sample
+    t: list
+    mu: list
+    p: list
+    q: list
+    factor: list
+    starts: dict
 
 
-def _step_factor(t: float, mu: float, p: float, q: float) -> float:
-    """The factor 1 - mu p + mu^2 q of one step from the scattered point t;
-    NotRegressive where it vanishes within 1e-12."""
-    factor = 1.0 + mu * (-p + mu * q)
-    if abs(factor) <= 1e-12:
-        raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t}")
-    return factor
+def validate_system(spec: SystemSpec) -> PointSample:
+    """Sample p and q at the scattered points and q at the dense starts,
+    and check them, for ``solve_phi``, ``compute_B`` and the series engine.
 
-
-def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
-    """sqrt(q(t)), the value of phi on a dense part: NaN or infinite where
-    q(t) is, as the callers name such a value later, in time order."""
-    q = ex.evaluate(q_expr, t)
-    if q <= 0:
-        raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
-    return math.sqrt(q)
+    p at every right-scattered point is one ``evaluate_array`` call, in
+    time order, then q there another, so an error p's evaluation raises
+    comes before q's. There p and q must be finite, the step factor must
+    not vanish within 1e-12 (regressivity) and |q| must exceed
+    ``_PHI_MIN``; then q at the dense starts, one more call, must be
+    positive and finite. Each set of checks is one array mask: the first
+    failing t in time order raises, its checks in that order."""
+    ts = spec.ts
+    points = ts.scattered_with_mu()
+    t, mu = [t for t, _ in points], [mu for _, mu in points]
+    p = q = factor = []
+    if points:
+        m = np.array(mu, dtype=float)
+        p, q = (ex.evaluate_array(e, t) for e in (spec.p, spec.q))
+        with _quiet():
+            factor = 1.0 + m * (-p + m * q)
+            bad = (~(np.isfinite(p) & np.isfinite(q))
+                   | (np.abs(factor) <= 1e-12) | (np.abs(q) <= _PHI_MIN))
+        p, q, factor = p.tolist(), q.tolist(), factor.tolist()
+        if bad.any():
+            i = int(np.argmax(bad))
+            _check_finite("p", p[i], t[i], "at a scattered point")
+            _check_finite("q", q[i], t[i], "at a scattered point")
+            if abs(factor[i]) <= 1e-12:
+                raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t[i]}")
+            raise PhiVanishes(f"q = {q[i]} is within {_PHI_MIN} of 0 at "
+                              f"t={t[i]} at a scattered point")
+    dense = [i for i, s in enumerate(ts.segments) if isinstance(s, Interval)]
+    starts = {}
+    if dense:
+        a = [ts.segments[i].a for i in dense]
+        q_a = ex.evaluate_array(spec.q, a)
+        bad = (q_a <= 0) | ~np.isfinite(q_a)
+        if bad.any():
+            j = int(np.argmax(bad))
+            v = float(q_a[j])
+            if v <= 0:
+                raise NegativeQOnDense(f"q({a[j]}) = {v} <= 0 on a dense part")
+            _check_finite("q", v, a[j], "on a dense part")
+        starts = dict(zip(dense, np.sqrt(q_a).tolist()))
+    return PointSample(t, mu, p, q, factor, starts)
 
 
 @dataclass
 class PhaseTable:
-    """phi by segment index, and the scattered sample it was built from;
+    """phi by segment index, and the checked sample it was built from;
     on a dense part phi = sqrt(q).
 
     ``ends[i]`` is phi at the right end of segment i, the scattered point
     there or t0 + T for the last segment, from the chain alone even where
-    segment i is dense. ``starts`` keeps phi = sqrt(q)
-    where ``solve_phi`` evaluated it, at the start of each dense segment.
-    ``engine`` is the analysis's one ``_SeriesEngine``, which ``_engine``
-    builds on first use for the terms, the truncation bound and the phase form.
+    segment i is dense. ``starts`` keeps phi = sqrt(q) at the start of each
+    dense segment, from the sample. ``engine`` is the analysis's one
+    ``_SeriesEngine``, which ``_engine`` builds on first use for the terms,
+    the truncation bound and the phase form.
     """
 
     ts: ValidatedTimeScale
     q: ex.Expression
     qprime: ex.Expression
-    sample: list  # [(t, mu, p(t), q(t))] at the scattered points, in order
+    sample: PointSample
     ends: list = field(default_factory=list)  # segment index -> phi at its end
     starts: dict = field(default_factory=dict)  # dense segment index -> phi
     engine: Optional[_SeriesEngine] = field(default=None, repr=False)
 
     def start_phi(self, i: int) -> float:
-        """phi at the start of segment i: sqrt(q) from ``starts``, checked
-        for a NaN or infinite q (phi is one where q is, and prints as q
-        does), else ``ends[i]``, since a point starts where it ends."""
-        if i not in self.starts:
-            return self.ends[i]
-        return _check_finite("q", self.starts[i], self.ts.segments[i].start,
-                             "on a dense part")
+        """phi at the start of segment i: sqrt(q) from ``starts``, else
+        ``ends[i]``, since a point starts where it ends."""
+        return self.starts.get(i, self.ends[i])
 
 
 def _check_phi(v: float, where: float) -> float:
@@ -229,32 +241,32 @@ def _check_phi(v: float, where: float) -> float:
 
 
 def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
-              sample: Optional[list] = None) -> PhaseTable:
+              sample: Optional[PointSample] = None) -> PhaseTable:
     """Construct the phase function phi with phi(sigma(t)) phi(t) = q(t).
 
     Dense parts use phi = sqrt(q). On a purely discrete scale the chain
     starts from phi(t0) = seed and runs forward; the default seed
     sqrt(|q(t0)|) keeps phi of the order of sqrt(|q|) along the chain,
     where phi(t0) = 1 would alternate between 1 and q and blow up h on
-    long periods. A does not depend on the seed. On hybrid scales sqrt(q)
-    is evaluated at every dense start first, in time order; then each
+    long periods. A does not depend on the seed. On hybrid scales each
     scattered run ending at a dense start is back-substituted from sqrt(q)
     there, and the run after the last dense segment from
     phi(t0+T) = phi(t0). The table holds phi at every segment's end;
     the series engine compares it and sqrt(q) at each dense start with
     phi's dense limits there.
 
-    ``sample`` is ``validate_system``'s sample of p and q at the scattered
-    points; without it, solve_phi samples them itself. The table keeps it.
+    ``sample`` is ``validate_system``'s sample, which holds q at the
+    scattered points and sqrt(q) at the dense starts; without it,
+    solve_phi takes ``validate_system(spec)``. The table keeps it.
     """
     ts = spec.ts
     if sample is None:
-        sample = list(_scattered_sample(spec))
+        sample = validate_system(spec)
     table = PhaseTable(ts, spec.q, spec.qprime, sample)
     segs = ts.segments
     ends = table.ends = [None] * len(segs)
     # q at the right end of segs[i], for every segment but the last
-    q_end = [q for _, _, _, q in sample]
+    q_end = sample.q
 
     if ts.is_discrete:
         if seed is None:
@@ -264,32 +276,30 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
             ends[i] = _check_phi(q / ends[i - 1], segs[i].x)
         return table
 
-    # unchecked: a NaN or infinite q is named later, in time order. The
-    # series grid names the first such node inside a dense part, then
-    # PhaseTable.start_phi a dense start where the series reads phi
-    starts = table.starts = {i: _sqrt_q(spec.q, s.a) for i, s in
-                             enumerate(segs) if isinstance(s, Interval)}
+    starts = table.starts = sample.starts
 
     def back_substitute(last, first):
         # phi at the scattered ends of segs[last], ..., segs[first], each
         # from phi at the start of the next segment
         for i in range(last, first - 1, -1):
-            phi_succ = starts.get(i + 1, ends[i + 1])
-            ends[i] = _check_phi(q_end[i] / phi_succ, segs[i].end)
+            ends[i] = _check_phi(q_end[i] / table.start_phi(i + 1),
+                                 segs[i].end)
 
     last_interval = max(starts)
     back_substitute(last_interval - 1, 0)  # the runs ending at dense starts
-    ends[-1] = _check_phi(starts.get(0, ends[0]), ts.t_end)
+    ends[-1] = _check_phi(table.start_phi(0), ts.t_end)
     back_substitute(len(segs) - 2, last_interval)  # through t0+T
     return table
 
 
-def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
+def compute_B(spec: SystemSpec,
+              sample: Optional[PointSample] = None) -> float:
     """Multiplier product B = e_{-p + mu q}(t0+T, t0) by Liouville's
     formula: the product of 1 - mu p + mu^2 q over the scattered points
     times exp(-integral of p) over the dense intervals, in time order.
-    ``sample`` is ``validate_system``'s sample of p and q at the scattered
-    points; without it, compute_B samples them itself.
+    The factors are ``sample``'s, ``validate_system``'s checked sample,
+    multiplied left to right; without it, compute_B takes
+    ``validate_system(spec)``.
 
     The dense integrals come from ``tscalc.quad_intervals``, to its fixed
     absolute target 1e-9, in rounds of panel halving: each round samples
@@ -300,9 +310,9 @@ def compute_B(spec: SystemSpec, sample: Optional[list] = None) -> float:
     ulp, B can move by a few ulps. A B past the float range, once the
     integral of -p exceeds ~709.78, is an infinity with the product's
     sign."""
-    prod = 1.0
-    for t, mu, p, q in _scattered_sample(spec) if sample is None else sample:
-        prod *= _step_factor(t, mu, p, q)
+    if sample is None:
+        sample = validate_system(spec)
+    prod = math.prod(sample.factor)
     integral = 0.0
     for value in tscalc.quad_intervals(
             lambda x: -_finite("p", ex.evaluate_array(spec.p, x), x),
@@ -590,12 +600,12 @@ class _SeriesEngine:
     E(t) = e_{i phi}(t, t0), D = phi E (sigma(t) = t there) and the level
     weight W = h / D; ``half`` holds the panels' half-widths, ``panels``
     each row's panel count and ``rounds`` the layout's sampling rounds.
-    The period walk, after the dense sampling, so a NaN q at a dense start
-    is named after the grid's nodes, records the E each row starts from,
-    raises ``PhiDiscontinuityWarning`` where a row's first or last phi, its
+    The period walk records the E each row starts from, raises
+    ``PhiDiscontinuityWarning`` where a row's first or last phi, its
     dense limit at that end, is more than 1e-6 from the chain's value
-    there, ``table.starts`` or ``table.ends``, and
-    computes each scattered point t's fields once, in CPython scalars:
+    there, ``table.starts`` or ``table.ends``, and, from the checked
+    sample's mu and p, computes each scattered point t's fields once, in
+    CPython scalars:
     phi(t), E before the point's own step, h(t) = -p - (phi(sigma(t)) -
     phi(t)) / (mu phi(t)), 1 / D with D = phi(sigma(t)) E(sigma(t)), and
     mu W = mu (h / D), the weight of a level's step at t. ``jump_table``
@@ -677,7 +687,7 @@ class _SeriesEngine:
                     self.events.append(row)
                     row += 1
                 if step is not None:  # the point t ending segment i
-                    _, mu, p, _ = table.sample[i]
+                    mu, p = step[1], table.sample.p[i]
                     phi = table.ends[i]
                     phi_sigma = table.start_phi(i + 1)  # sigma(t) starts i + 1
                     h = -p - (phi_sigma - phi) / (mu * phi)

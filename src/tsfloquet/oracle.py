@@ -18,11 +18,13 @@ and at most six (64 equal panels) per round. Smooth coefficients and most
 committed Mathieu equations finish in two rounds, the others in three.
 The accepted propagators of an interval are multiplied in time order by
 pairwise products, and each scattered point applies its exact one-step
-product Y <- (I + mu S) Y. Shares nothing with the series path but
-expression evaluation and panel geometry (``timescale.inward`` and
-``split_panels``). ``cross_check`` compares the trace and determinant
-with the A(n), B and error bound of a report that ``analyze`` produced,
-so it checks the numbers the user sees without recomputing them.
+product Y <- (I + mu S) Y, from q and p at all the points sampled with
+one ``evaluate_array`` call each, after the dense flows. Shares nothing
+with the series path but expression evaluation and panel geometry
+(``timescale.inward`` and ``split_panels``). ``cross_check`` compares
+the trace and determinant with the A(n), B and error bound of a report
+that ``analyze`` produced, so it checks the numbers the user sees
+without recomputing them.
 """
 from __future__ import annotations
 
@@ -77,10 +79,6 @@ def __getattr__(name: str):
         from scipy.integrate import solve_ivp
         return solve_ivp
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _S(spec: SystemSpec, t: float) -> np.ndarray:
-    return np.array([[0.0, 1.0], [-spec.q_at(t), -spec.p_at(t)]])
 
 
 def _propagators(spec, lo, hi, ends, interval):
@@ -228,6 +226,10 @@ def monodromy(spec: SystemSpec, factors: list | None = None) -> np.ndarray:
     ts = spec.ts
     flows, m = _dense_flows(spec, ts.dense_intervals())
     flows = iter(flows)
+    t = [t for t, _ in ts.scattered_with_mu()]
+    # q and p at the scattered points, one evaluate_array call each
+    at_points = zip(*(ex.evaluate_array(e, t).tolist() if t else []
+                      for e in (spec.q, spec.p)))
     Y = np.eye(2)
     # on long discrete periods Y overflows to inf and NaN, which fails
     # cross_check
@@ -236,8 +238,9 @@ def monodromy(spec: SystemSpec, factors: list | None = None) -> np.ndarray:
             if isinstance(seg, Interval):
                 Y = next(flows) @ Y
             if step is not None:
-                t, mu = step
-                Y = (np.eye(2) + mu * _S(spec, t)) @ Y
+                q, p = next(at_points)
+                S = np.array([[0.0, 1.0], [-q, -p]])
+                Y = (np.eye(2) + step[1] * S) @ Y
                 m += 1
     if factors is not None:
         factors.append(m)

@@ -60,7 +60,8 @@ class PeriodicTimeScale:
 
 
 class ValidatedTimeScale:
-    """Canonicalized time scale with sigma/mu/classification queries.
+    """Canonicalized time scale with scattered-point and classification
+    queries.
 
     Immutable after construction; safe for concurrent reads.
     """
@@ -160,34 +161,6 @@ class ValidatedTimeScale:
             if seg.a - _tol(t) <= t <= seg.b + _tol(t):
                 return i, min(max(t, seg.a), seg.b)
         raise PointNotInTimeScale(f"{t} not in time scale")
-
-    def contains(self, t: float) -> bool:
-        try:
-            self.locate(t)
-            return True
-        except PointNotInTimeScale:
-            return False
-
-    # -- jump operators ----------------------------------------------------
-
-    def mu(self, t: float) -> float:
-        """Graininess: gap to the next time-scale point, 0 at dense points.
-
-        mu(t0+T) = mu(t0) by T-periodicity.
-        """
-        i, t = self.locate(t)
-        seg = self.segments[i]
-        if t == self.t_end:
-            return self.mu(self.t0)
-        if t < seg.end:
-            return 0.0
-        # a Point, or the right end of an Interval
-        return self._starts[i + 1] - t
-
-    def sigma(self, t: float) -> float:
-        """Forward jump operator sigma(t) = t + mu(t)."""
-        _, t = self.locate(t)
-        return t + self.mu(t)
 
 
 def inward(a, b):

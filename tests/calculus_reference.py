@@ -3,12 +3,19 @@
 Delta integrals, the generalized exponential e_g(t,s), the time-scale
 trigonometric functions cos_phi/sin_phi, and the pointwise phi^Delta,
 h and kernels P, Q of the Floquet series, each evaluated from its
-definition with the scale's own mu/sigma/locate queries and a scalar
-adaptive GK(7,15) quadrature (``_adaptive_quad``) on the nodes and weights
-of ``tsfloquet.tscalc``. The runtime never calls them: ``compute_B`` walks
+definition with the scalar ``expr.evaluate``, the scale's locate query
+and the pointwise mu and sigma written out here, and a scalar adaptive
+GK(7,15) quadrature (``_adaptive_quad``) on the nodes and weights of
+``tsfloquet.tscalc``. The runtime never calls them: ``compute_B`` walks
 the period once and refines its dense integrals in array rounds, and the
 series engine folds the kernels into running integrals. Tests check the
 engine against these.
+
+``reference_sample`` is the per-point sample of p and q that
+``validate_system`` replaced with array masks: one scalar evaluation of p
+and then q at each scattered point, in time order, each point checked as
+soon as it is sampled, then sqrt(q) at every dense start, whose NaN or
+infinity the analysis used to name only where the series read it.
 """
 from __future__ import annotations
 
@@ -20,17 +27,19 @@ from typing import Callable, Union
 from tsfloquet import expr as ex, tscalc
 from tsfloquet.errors import (
     CalculusError,
+    NegativeQOnDense,
     NotRegressive,
+    PhiVanishes,
     PointNotInTimeScale,
     QuadratureNonConvergence,
 )
 from tsfloquet.floquet import (
+    _PHI_MIN,
     PhaseTable,
     SystemSpec,
     _check_finite,
-    _sqrt_q,
 )
-from tsfloquet.timescale import ValidatedTimeScale
+from tsfloquet.timescale import Interval, ValidatedTimeScale
 from tsfloquet.tscalc import _EVAL_BUDGET, _WG, _WGK, _XGK
 
 Number = Union[float, complex]
@@ -38,6 +47,99 @@ Number = Union[float, complex]
 
 class EndpointsNotInTimeScale(CalculusError):
     """A delta integral's endpoints are not in the time scale, or a > b."""
+
+
+# -- pointwise coefficients and jump operators -------------------------------
+
+def p_at(spec: SystemSpec, t: float) -> float:
+    """p(t) by the scalar evaluator."""
+    return ex.evaluate(spec.p, t)
+
+
+def q_at(spec: SystemSpec, t: float) -> float:
+    """q(t) by the scalar evaluator."""
+    return ex.evaluate(spec.q, t)
+
+
+def contains(ts: ValidatedTimeScale, t: float) -> bool:
+    """Whether t lies in the scale, within ``locate``'s tolerance."""
+    try:
+        ts.locate(t)
+        return True
+    except PointNotInTimeScale:
+        return False
+
+
+def mu_at(ts: ValidatedTimeScale, t: float) -> float:
+    """Graininess: gap to the next time-scale point, 0 at dense points.
+
+    mu(t0+T) = mu(t0) by T-periodicity.
+    """
+    i, t = ts.locate(t)
+    seg = ts.segments[i]
+    if t == ts.t_end:
+        return mu_at(ts, ts.t0)
+    if t < seg.end:
+        return 0.0
+    # a Point, or the right end of an Interval
+    return ts.segments[i + 1].start - t
+
+
+def sigma_at(ts: ValidatedTimeScale, t: float) -> float:
+    """Forward jump operator sigma(t) = t + mu(t)."""
+    _, t = ts.locate(t)
+    return t + mu_at(ts, t)
+
+
+# -- the per-point sample ------------------------------------------------------
+
+def _scattered_sample(spec: SystemSpec):
+    """(t, mu, p(t), q(t)) at every right-scattered t, in time order; p is
+    evaluated before q at each point."""
+    for t, mu in spec.ts.scattered_with_mu():
+        yield t, mu, p_at(spec, t), q_at(spec, t)
+
+
+def _step_factor(t: float, mu: float, p: float, q: float) -> float:
+    """The factor 1 - mu p + mu^2 q of one step from the scattered point t;
+    NotRegressive where it vanishes within 1e-12."""
+    factor = 1.0 + mu * (-p + mu * q)
+    if abs(factor) <= 1e-12:
+        raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={t}")
+    return factor
+
+
+def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
+    """sqrt(q(t)), the value of phi on a dense part: NaN or infinite where
+    q(t) is, as the callers name such a value later, in time order."""
+    q = ex.evaluate(q_expr, t)
+    if q <= 0:
+        raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
+    return math.sqrt(q)
+
+
+def reference_sample(spec: SystemSpec) -> tuple:
+    """(t, mu, p, q, factor, starts) as ``validate_system`` returns them,
+    lists over the scattered points and sqrt(q) by dense segment index,
+    from one scalar evaluation at a time: each point is checked as soon as
+    it is sampled, then sqrt(q) is taken at every dense start in time
+    order, and last the starts are checked for a NaN or infinite q."""
+    sample = []
+    for t, mu, p, q in _scattered_sample(spec):
+        _check_finite("p", p, t, "at a scattered point")
+        _check_finite("q", q, t, "at a scattered point")
+        factor = _step_factor(t, mu, p, q)
+        if abs(q) <= _PHI_MIN:
+            raise PhiVanishes(f"q = {q} is within {_PHI_MIN} of 0 at t={t} "
+                              "at a scattered point")
+        sample.append((t, mu, p, q, factor))
+    segs = spec.ts.segments
+    starts = {i: _sqrt_q(spec.q, s.a) for i, s in enumerate(segs)
+              if isinstance(s, Interval)}
+    for i, phi in starts.items():
+        _check_finite("q", phi, segs[i].start, "on a dense part")
+    columns = [list(c) for c in zip(*sample)] or [[] for _ in range(5)]
+    return (*columns, starts)
 
 
 def _gk15(f, a: float, b: float):
@@ -119,7 +221,7 @@ def delta_integral(
         raise EndpointsNotInTimeScale(f"need a <= b, got {a} > {b}")
     total: Number = 0.0
     for t in scattered_points_in(ts, a, b):
-        total += ts.mu(t) * f(t)
+        total += mu_at(ts, t) * f(t)
     for lo, hi in _dense_overlaps(ts, a, b):
         total += _adaptive_quad(f, lo, hi, tol)
     return total
@@ -149,7 +251,7 @@ def ts_exponential(
         return 1.0 / ts_exponential(g, s, t, ts, tol)
     prod: Number = 1.0
     for tau in scattered_points_in(ts, s, t):
-        factor = 1.0 + ts.mu(tau) * g(tau)
+        factor = 1.0 + mu_at(ts, tau) * g(tau)
         if abs(factor) < 1e-14:
             raise NotRegressive(f"1 + mu*g vanishes at t={tau}")
         prod *= factor
@@ -205,7 +307,7 @@ def phi_delta(table: PhaseTable, t: float) -> float:
     q'(t) / (2 sqrt(q(t))) at dense t."""
     ts = table.ts
     _, t = ts.locate(t)
-    mu = ts.mu(t)
+    mu = mu_at(ts, t)
     if mu > 0 and t != ts.t_end:
         return (phase_value(table, t + mu) - phase_value(table, t)) / mu
     sqrt_q = _checked_sqrt_q(table.q, t)
@@ -214,12 +316,12 @@ def phi_delta(table: PhaseTable, t: float) -> float:
 
 def h_fn(spec: SystemSpec, table: PhaseTable, t: float) -> float:
     """Perturbation coefficient h(t) = -p(t) - phi^D(t) / phi(t)."""
-    return -spec.p_at(t) - phi_delta(table, t) / phase_value(table, t)
+    return -p_at(spec, t) - phi_delta(table, t) / phase_value(table, t)
 
 
 def kernel_P(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
     """P(t, s) = sin_phi(t, sigma(s)) / phi(sigma(s))."""
-    ss = spec.ts.sigma(s)
+    ss = sigma_at(spec.ts, s)
     phi = partial(phase_value, table)
     return (
         sin_phi(phi, t, ss, spec.ts, tscalc._QUAD_TOL)
@@ -229,7 +331,7 @@ def kernel_P(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
 
 def kernel_Q(spec: SystemSpec, table: PhaseTable, t: float, s: float) -> float:
     """Q(t, s) = phi(t) cos_phi(t, sigma(s)) / phi(sigma(s))."""
-    ss = spec.ts.sigma(s)
+    ss = sigma_at(spec.ts, s)
     phi = partial(phase_value, table)
     return (
         phase_value(table, t)

@@ -33,7 +33,7 @@ from tsfloquet.floquet import (
 )
 from tsfloquet.timescale import Interval, Point
 
-from calculus_reference import phase_value
+from calculus_reference import p_at, phase_value
 
 
 def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
@@ -119,7 +119,7 @@ class _Jump:
         self.mu = mu
         self.phi = phase_value(table, t)
         phi_sigma = phase_value(table, t + mu)
-        self.h = -spec.p_at(t) - (phi_sigma - self.phi) / (mu * self.phi)
+        self.h = -p_at(spec, t) - (phi_sigma - self.phi) / (mu * self.phi)
         self.E = E
         self.E_after = (1.0 + 1j * mu * self.phi) * E
         self.D = phi_sigma * self.E_after

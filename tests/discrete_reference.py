@@ -12,7 +12,7 @@ import numpy as np
 
 from tsfloquet.floquet import PhaseTable, SystemSpec
 
-from calculus_reference import phase_value
+from calculus_reference import p_at, phase_value
 
 
 def discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
@@ -31,7 +31,7 @@ def discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
         E = (1.0 + 1j * mu * phi) * E
         E_after.append(E)
         phi_sigma = phase_value(table, t + mu)
-        hs.append(-spec.p_at(t) - (phi_sigma - phi) / (mu * phi))
+        hs.append(-p_at(spec, t) - (phi_sigma - phi) / (mu * phi))
     E_T = E
     phi0 = phase_value(table, ts.t0)
     phiT = phase_value(table, ts.t_end)

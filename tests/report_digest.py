@@ -17,8 +17,10 @@ package:
 * every operation and probe of the four benchmark workloads at seeds 1-3
   that does not run the oracle;
 * the ``ROWS`` configs, each at its own n: scales whose phi jumps where a
-  dense part ends or starts, so the analysis warns, and p whose dense
-  integral refines past the first round of B's quadrature;
+  dense part ends or starts, so the analysis warns, p whose dense
+  integral refines past the first round of B's quadrature, and two
+  analyses that fail at two places, where the order of the checks decides
+  which is named;
 * the s-family (``s_family``) at n = 3 and 8: phi = sqrt(q) winds ~sqrt(s)
   times over the period, so it shows what the dense grid resolves.
 
@@ -46,7 +48,10 @@ SEEDS = (1, 2, 3)
 # one whose q is redefined at the dense start 2, and four whose B's
 # quadrature refines past its first round: p with kinks, a step, an exp of
 # a kink (numpy's exp and libm's differ in the last ulp), and a dense part
-# 1e6 long that spends the evaluation budget
+# 1e6 long that spends the evaluation budget; then two failures each: q
+# fails at t = 1 and p at t = 2, and p is NaN on [0, 0.5) and q at the
+# dense start 2
+_NAN = "0*(1e200*1e200 - 1e200*1e200)"
 ROWS = {
     "meissner": "period = 2*pi\nintervals = [[0, 2*pi]]\np = 0\n"
                 "q = if(lt(t, pi), 1.5, 0.5)\n",
@@ -68,6 +73,11 @@ ROWS = {
     "exp kink": "period = 2*pi\nintervals = [[0, 2*pi]]\n"
                 "p = exp(abs(sin(3*t)))/10\nq = 1\n",
     "long dense": "period = 1e6\nintervals = [[0, 1e6]]\np = -1\nq = 1\n",
+    "p before q": "period = 3\npoints = [0, 1, 2, 3]\n"
+                  "p = 0.5 + 0*sqrt(1.5 - t)\nq = 1 + 0*sqrt(0.5 - t)\n",
+    "nan dense start": "period = 3\nintervals = [[0, 1], [2, 3]]\n"
+                       f"p = if(lt(t, 0.5), {_NAN}, 0.1)\n"
+                       f"q = if(eq(t, 2), 1 + {_NAN}, 1)\n",
 }
 # the scales s of the s-family
 S_FAMILY = (1e2, 1e4, 1e6)

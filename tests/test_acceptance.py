@@ -26,7 +26,9 @@ from tsfloquet.oracle import monodromy
 from calculus_reference import (
     cos_phi,
     delta_integral,
+    mu_at,
     phase_value,
+    q_at,
     sin_phi,
     ts_exponential,
 )
@@ -176,7 +178,7 @@ def test_criterion_7_identity_suites():
                               - (sn + mu * phi(s) * c)) <= 1e-9)
             checks.append(abs(cos_phi(phi, s + mu, t0, ts)
                               - (c - mu * phi(s) * sn)) <= 1e-9)
-        e = ts_exponential(lambda u: ts.mu(u) * phi(u) ** 2, t, t0, ts)
+        e = ts_exponential(lambda u: mu_at(ts, u) * phi(u) ** 2, t, t0, ts)
         checks.append(abs(sin_phi(phi, t, t0, ts)
                           + e * sin_phi(phi, t0, t, ts)) <= 1e-9 * (1 + e))
         checks.append(abs(cos_phi(phi, t, t0, ts)
@@ -214,7 +216,7 @@ def test_criterion_7_identity_suites():
         for t, mu in ts.scattered_with_mu():
             checks.append(abs(phase_value(table, t + mu)
                               * phase_value(table, t)
-                              - spec.q_at(t)) <= 1e-10)
+                              - q_at(spec, t)) <= 1e-10)
         instances += 1
 
     # 30 instances: simplex bound for nested constant integrals

@@ -15,6 +15,8 @@ from tsfloquet.cli import build_system, load_config, main, run
 from tsfloquet.errors import ConfigParseError, InvalidSegment, ValidationError
 from tsfloquet.floquet import analyze
 
+from calculus_reference import q_at
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -31,7 +33,7 @@ def test_load_integer_example_config():
     assert cfg.n == 2
     spec = build_system(cfg)
     assert spec.ts.is_discrete
-    assert spec.q_at(0) == pytest.approx(-7 / 8)
+    assert q_at(spec, 0) == pytest.approx(-7 / 8)
 
 
 def test_load_hybrid_example_config():
@@ -528,6 +530,11 @@ def test_tail_bound_past_the_float_range_is_undetermined(tmp_path):
     pytest.param("period = 3\npoints = [0, 1, 2, 3]\np = 0\n"
                  "q = if(eq(t, 0), 1e10, 1e-10)\n", (),
                  "phi vanishes at t=2.0", id="phi-vanishes-on-the-chain"),
+    # a q within 1e-14 of 0 at a scattered point is named with its value,
+    # where the message read "q(t)=0" for any such q
+    pytest.param("period = 2\npoints = [0, 1, 2]\nq = 1e-300\n", (),
+                 "q = 1e-300 is within 1e-14 of 0 at t=0.0 at a scattered "
+                 "point", id="q-near-zero-at-a-point"),
     pytest.param((CONFIGS / "example_continuous.cfg").read_text(),
                  ("--shi", "--n", "17"), "n=17 exceeds the depth budget",
                  id="phase-form-depth-budget"),
@@ -542,8 +549,10 @@ def test_refused_analyses_exit_4(tmp_path, text, args, message):
 
 @pytest.mark.parametrize("args", [(), ("--oracle",)])
 def test_non_finite_coefficient_exits_4(tmp_path, args):
-    # q is 1 + 0 * (inf - inf) = NaN on the dense part: it is named before
-    # any NaN reaches A or a numpy warning, with or without the oracle
+    # q is 1 + 0 * (inf - inf) = NaN on the dense part: it is named at the
+    # dense start 0, where the sample of q at the dense starts meets it
+    # before any grid reads q, and before any NaN reaches A or a numpy
+    # warning, with or without the oracle
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("period = 1\nintervals = [[0, 1]]\n"
                    "q = 1 + 0*(1e200*1e200 - 1e200*1e200)\n")
@@ -551,7 +560,7 @@ def test_non_finite_coefficient_exits_4(tmp_path, args):
         warnings.simplefilter("always")
         result = invoke(str(cfg), *args)
     assert result.exit_code == 4
-    assert result.stderr == ("error: q = nan is not finite at t=1e-09 on a "
+    assert result.stderr == ("error: q = nan is not finite at t=0.0 on a "
                              "dense part\n")
     assert result.output == result.stderr
     assert caught == []

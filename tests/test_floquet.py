@@ -53,16 +53,19 @@ from tsfloquet.floquet import (
     validate_system,
 )
 from tsfloquet.oracle import monodromy
-from tsfloquet.timescale import inward
 from tsfloquet.tscalc import _QUAD_TOL
 
 from calculus_reference import (
     _adaptive_quad,
+    _step_factor,
     h_fn,
     kernel_P,
     kernel_Q,
+    mu_at,
+    p_at,
     phase_value,
     phi_delta,
+    q_at,
     ts_exponential,
 )
 from conftest import (
@@ -104,11 +107,11 @@ def test_phi_defining_equation(seed):
     ts = spec.ts
     for t, mu in ts.scattered_with_mu():
         product = phase_value(table, t + mu) * phase_value(table, t)
-        assert product == pytest.approx(spec.q_at(t), rel=1e-12)
+        assert product == pytest.approx(q_at(spec, t), rel=1e-12)
     for a, b in ts.dense_intervals():
         mid = (a + b) / 2
         assert phase_value(table, mid) == pytest.approx(
-            math.sqrt(spec.q_at(mid)), rel=1e-14)
+            math.sqrt(q_at(spec, mid)), rel=1e-14)
 
 
 def test_phi_vanishes():
@@ -261,8 +264,8 @@ def _reference_B(spec):
     ts = spec.ts
 
     def g(t):
-        mu, p = ts.mu(t), spec.p_at(t)
-        return -p + mu * spec.q_at(t) if mu else -p
+        mu, p = mu_at(ts, t), p_at(spec, t)
+        return -p + mu * q_at(spec, t) if mu else -p
 
     return float(ts_exponential(g, ts.t_end, ts.t0, ts, _QUAD_TOL))
 
@@ -340,14 +343,20 @@ def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
 
 def test_compute_B_of_exp_kinks_is_within_4_ulps():
     # numpy's exp differs from libm's in the last ulp, so B may move by a
-    # few ulps from the scalar reference; the verdict must not
+    # few ulps from the scalar reference; the verdict must not. p at the
+    # scattered points is numpy's too, each value within an ulp of the
+    # scalar one; with the sample's own step factors, the dense integrals
+    # alone move B by at most 4 ulps
     for spec in _kinked_systems(["exp(abs(sin(3*t)))"]):
-        want = _reference_B(spec)
+        sample = validate_system(spec)
+        for t, p in zip(sample.t, sample.p):
+            assert abs(p - p_at(spec, t)) <= math.ulp(p)
+        want = _scalar_B(spec, sample.factor)
         report = analyze(spec)
         assert abs(report.B - want) <= 4 * math.ulp(want)
         err = report.err_bound.value
         interval = (report.A_partial - err, report.A_partial + err)
-        assert report.verdict == verdict(interval, want)[0]
+        assert report.verdict == verdict(interval, _reference_B(spec))[0]
 
 
 def _record_rounds(monkeypatch) -> list:
@@ -363,15 +372,20 @@ def _record_rounds(monkeypatch) -> list:
     return rounds
 
 
-def _scalar_B(spec):
+def _scalar_B(spec, factors=None):
     """compute_B with every dense interval integrated by the reference's
-    scalar panel-halving loop from its start, in time order."""
+    scalar panel-halving loop from its start, in time order, and the step
+    factors at the scattered points from scalar evaluations, or
+    ``factors``."""
+    if factors is None:
+        factors = [_step_factor(t, mu, p_at(spec, t), q_at(spec, t))
+                   for t, mu in spec.ts.scattered_with_mu()]
     prod = 1.0
-    for t, mu in spec.ts.scattered_with_mu():
-        prod *= floquet._step_factor(t, mu, spec.p_at(t), spec.q_at(t))
+    for factor in factors:
+        prod *= factor
     integral = 0.0
     for a, b in spec.ts.dense_intervals():
-        integral += _adaptive_quad(lambda t: -spec.p_at(t), a, b, _QUAD_TOL)
+        integral += _adaptive_quad(lambda t: -p_at(spec, t), a, b, _QUAD_TOL)
     return float(prod * math.exp(integral))
 
 
@@ -641,14 +655,16 @@ def test_evaluation_error_in_the_second_cell():
 ])
 def test_non_finite_coefficient_is_named(p_text, q_text, named):
     # a NaN or infinite sample on a dense part raises before any term is
-    # formed, naming the coefficient and its first node in time order
+    # formed, naming the coefficient and its first node in time order: the
+    # NaN q at the dense start 2, where the sample at the dense starts
+    # meets it, and the infinite p at the series grid's first node past 2.5
     spec = _two_cell_system(p_text, q_text)
     with pytest.raises(DomainError) as exc:
         _SeriesEngine(spec, solve_phi(spec))
     message = re.fullmatch(r"(.*) is not finite at t=(.*) on a dense part",
                            str(exc.value))
     assert message[1] == named
-    assert 2.0 < float(message[2]) < 3.0
+    assert 2.0 <= float(message[2]) < 3.0
 
 
 def _layout_system(segs, T):
@@ -883,40 +899,38 @@ def test_dense_starts_are_named_in_time_order():
     ("config", "example_continuous.cfg"), ("benchmark", "hybrid100_damped")])
 def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
                                                      tmp_path, monkeypatch):
-    # validate_system, solve_phi, compute_B and the one engine, which the
-    # series and the bound share, read one sample of p and q per scattered
-    # point and one sample of q per dense start, in time order; the engine
-    # holds one jump table column per scattered point. q's dense limit at a
-    # dense interval's right end comes from the series grid alone, never
-    # from a scalar evaluation
+    # validate_system samples p and then q at the scattered points with one
+    # evaluate_array call each, in time order, and q at the dense starts
+    # with one more; solve_phi, compute_B and the one engine, which the
+    # series and the bound share, read that sample, and the engine holds
+    # one jump table column per scattered point. No analysis calls the
+    # scalar evaluate, so q's dense limit at a dense interval's right end
+    # comes from the series grid alone
     spec = _reference_spec(kind, key, workloads, tmp_path)
-    scattered = {t for t, _ in spec.ts.scattered_with_mu()}
+    scattered = [t for t, _ in spec.ts.scattered_with_mu()]
     starts = [a for a, _ in spec.ts.dense_intervals()]
-    limits = {inward(a, b)[1] for a, b in spec.ts.dense_intervals()}
+    places = set(scattered) | set(starts)
     names = {id(spec.p): "p", id(spec.q): "q"}
-    evaluated = []
-    at_starts = []
-    at_limits = []
-    evaluate = ex.evaluate
+    sampled = []
+    array = ex.evaluate_array
 
-    def counted(e, t):
-        if t in scattered and id(e) in names:
-            evaluated.append((names[id(e)], t))
-        if t in starts and e is spec.q:
-            at_starts.append(t)
-        if t in limits and e is spec.q:
-            at_limits.append(t)
-        return evaluate(e, t)
+    def counted(e, x):
+        x = np.asarray(x, dtype=float).tolist()
+        if id(e) in names and places.issuperset(x):
+            sampled.append((names[id(e)], x))
+        return array(e, x)
 
-    monkeypatch.setattr(ex, "evaluate", counted)
+    def scalar(e, t):
+        raise AssertionError(f"scalar evaluate at t={t}")
+
+    monkeypatch.setattr(ex, "evaluate_array", counted)
+    monkeypatch.setattr(ex, "evaluate", scalar)
     engines = []
     monkeypatch.setattr(floquet, "_SeriesEngine", functools.partial(
         _counted, engines, _SeriesEngine))
     report = analyze(spec, n=3)
-    # in time order, p before q
-    assert evaluated == [(c, t) for t in sorted(scattered) for c in "pq"]
-    assert at_starts == starts
-    assert at_limits == []
+    want = [("p", scattered), ("q", scattered)] if scattered else []
+    assert sampled == want + ([("q", starts)] if starts else [])
     assert len(engines) == 1
     assert engines[0].jump_table.shape == (5, len(scattered))
     assert not report.err_bound.exact
@@ -1060,11 +1074,13 @@ def test_valid_grids_never_replay_the_scalar_walk(monkeypatch, tmp_path):
         if not spec.ts.dense_intervals():
             continue
         # p, q and q' in each round of the series grid, which the phase
-        # form reads too, and on the bound's sample, and p on the first
-        # GK15 panels of B. 15 scales have intervals, 13 of them are
-        # continuous
+        # form reads too, and on the bound's sample, p on the first GK15
+        # panels of B, q at the dense starts, and p and q at the scattered
+        # points. 15 scales have intervals, 13 of them are continuous
         rounds = _SeriesEngine(spec, solve_phi(spec)).rounds
-        expected += (3 * (rounds + 1) + 1) * (1 + spec.ts.is_continuous)
+        points = 2 * bool(spec.ts.scattered_with_mu())
+        expected += ((3 * (rounds + 1) + 2 + points)
+                     * (1 + spec.ts.is_continuous))
         with monkeypatch.context() as m:
             m.setattr(ex, "evaluate_array", record)
             analyze(spec, n=3)
@@ -1303,7 +1319,7 @@ def test_fundamental_matrix_dense_derivative(example_continuous):
               - fundamental_matrix(spec, table, t - h)) / (2 * h)
         phi = phase_value(table, t)
         C = np.array([[0.0, 1.0],
-                      [-spec.q_at(t), phi_delta(table, t) / phi]])
+                      [-q_at(spec, t), phi_delta(table, t) / phi]])
         rhs = C @ fundamental_matrix(spec, table, t)
         assert float(np.max(np.abs(dX - rhs))) <= 1e-8
 
@@ -1468,7 +1484,7 @@ def test_fundamental_matrix_identities(seed):
     for s, mu in ts.scattered_with_mu():
         C = np.array([
             [0.0, 1.0],
-            [-spec.q_at(s), phi_delta(table, s) / phase_value(table, s)],
+            [-q_at(spec, s), phi_delta(table, s) / phase_value(table, s)],
         ])
         lhs = fundamental_matrix(spec, table, s + mu)
         rhs = (np.eye(2) + mu * C) @ fundamental_matrix(spec, table, s)
@@ -1483,7 +1499,7 @@ def test_fundamental_matrix_det(seed):
     table = solve_phi(spec)
     t = ts.t_end
     X = fundamental_matrix(spec, table, t)
-    e = ts_exponential(lambda u: ts.mu(u) * phase_value(table, u) ** 2,
+    e = ts_exponential(lambda u: mu_at(ts, u) * phase_value(table, u) ** 2,
                        t, ts.t0, ts)
     want = phase_value(table, t) * e / phase_value(table, ts.t0)
     assert float(np.linalg.det(X)) == pytest.approx(want, rel=1e-8)

@@ -25,6 +25,7 @@ from tsfloquet.errors import CheckFailed, StepSizeUnderflow
 from tsfloquet.oracle import cross_check, monodromy
 from tsfloquet.timescale import Interval, PeriodicTimeScale, validate
 
+from calculus_reference import p_at, q_at
 from conftest import (
     points_scale,
     random_discrete_system,
@@ -355,7 +356,8 @@ def _uniform_monodromy(spec, panels):
                 Y = r @ Y
         if step is not None:
             t, mu = step
-            Y = (np.eye(2) + mu * oracle._S(spec, t)) @ Y
+            S = np.array([[0.0, 1.0], [-q_at(spec, t), -p_at(spec, t)]])
+            Y = (np.eye(2) + mu * S) @ Y
     return Y
 
 

@@ -16,7 +16,7 @@ from tsfloquet.errors import (
 )
 from tsfloquet.timescale import split_panels
 
-from calculus_reference import scattered_points_in
+from calculus_reference import contains, mu_at, scattered_points_in, sigma_at
 
 PI = math.pi
 
@@ -98,22 +98,22 @@ def test_endpoints_must_be_covered():
 
 def test_mu_hybrid():
     ts = hybrid_scale()
-    assert ts.mu(PI) == pytest.approx(PI, abs=1e-12)
-    assert ts.mu(1.0) == 0.0
-    assert ts.mu(0.0) == 0.0
+    assert mu_at(ts, PI) == pytest.approx(PI, abs=1e-12)
+    assert mu_at(ts, 1.0) == 0.0
+    assert mu_at(ts, 0.0) == 0.0
     # periodic wrap: graininess at the right extremity equals that at t0
-    assert ts.mu(2 * PI) == ts.mu(0.0)
+    assert mu_at(ts, 2 * PI) == mu_at(ts, 0.0)
 
 
 def test_mu_discrete_wrap():
     ts = validate(PeriodicTimeScale(0, 2, [Point(0), Point(1), Point(2)]))
-    assert ts.mu(2) == ts.mu(0) == 1.0
+    assert mu_at(ts, 2) == mu_at(ts, 0) == 1.0
 
 
 def test_sigma():
     ts = hybrid_scale()
-    assert ts.sigma(PI) == pytest.approx(2 * PI, abs=1e-12)
-    assert ts.sigma(1.0) == 1.0
+    assert sigma_at(ts, PI) == pytest.approx(2 * PI, abs=1e-12)
+    assert sigma_at(ts, 1.0) == 1.0
 
 
 def test_scattered_points_in():
@@ -124,10 +124,10 @@ def test_scattered_points_in():
 
 def test_locate_and_contains():
     ts = hybrid_scale()
-    assert ts.contains(1.23)
-    assert ts.contains(2 * PI)
-    assert not ts.contains(4.0)
-    assert not ts.contains(-1.0)
+    assert contains(ts, 1.23)
+    assert contains(ts, 2 * PI)
+    assert not contains(ts, 4.0)
+    assert not contains(ts, -1.0)
     with pytest.raises(PointNotInTimeScale):
         ts.locate(4.0)
     # snapping within the membership tolerance
@@ -150,8 +150,8 @@ def test_discrete_mu_sigma_properties(gaps):
     ts = validate(PeriodicTimeScale(0.0, acc, [Point(x) for x in pts]))
     for t, mu in ts.scattered_with_mu():
         assert mu > 0
-        assert ts.sigma(t) == pytest.approx(t + mu)
-        assert ts.contains(ts.sigma(t))
+        assert sigma_at(ts, t) == pytest.approx(t + mu)
+        assert contains(ts, sigma_at(ts, t))
     assert len(ts.scattered_with_mu()) == len(pts) - 1
 
 
@@ -179,7 +179,7 @@ def test_steps_walk_the_period(period, segments):
     for seg, jump in steps[:-1]:
         t, mu = jump
         assert t == seg.end
-        assert ts.mu(t) == mu
+        assert mu_at(ts, t) == mu
 
 
 _end = st.floats(min_value=-1e16, max_value=1e16)

@@ -18,7 +18,10 @@ from calculus_reference import (
     EndpointsNotInTimeScale,
     cos_phi,
     delta_integral,
+    mu_at,
+    p_at,
     phase_value,
+    q_at,
     sin_phi,
     ts_exponential,
 )
@@ -73,7 +76,7 @@ def test_exponential_hybrid_B():
     p = parse("if(eq(mod(t, 2*pi), pi), 0.25, 0)")
 
     def g(t):
-        return -evaluate(p, t) + ts.mu(t) * 1.0
+        return -evaluate(p, t) + mu_at(ts, t) * 1.0
 
     got = ts_exponential(g, 2 * PI, 0, ts, tol=1e-12)
     assert got == pytest.approx(PI * PI - PI / 4 + 1, abs=1e-10)
@@ -83,7 +86,7 @@ def test_exponential_discrete_B(example_z):
     ts = example_z.ts
 
     def g(t):
-        return -example_z.p_at(t) + ts.mu(t) * example_z.q_at(t)
+        return -p_at(example_z, t) + mu_at(ts, t) * q_at(example_z, t)
 
     assert ts_exponential(g, 2, 0, ts) == pytest.approx(1.0, abs=1e-14)
 
@@ -146,7 +149,7 @@ def test_trig_flip_identities(seed):
     table = solve_phi(spec)
     phi = partial(phase_value, table)
     s, t = ts.t0, ts.t_end
-    e = ts_exponential(lambda u: ts.mu(u) * phi(u) ** 2, t, s, ts)
+    e = ts_exponential(lambda u: mu_at(ts, u) * phi(u) ** 2, t, s, ts)
     assert sin_phi(phi, t, s, ts) == pytest.approx(
         -e * sin_phi(phi, s, t, ts), rel=1e-9, abs=1e-11)
     assert cos_phi(phi, t, s, ts) == pytest.approx(
