@@ -72,7 +72,7 @@ def _inject(spec, coefficient, test, value, tau, mu):
 
 
 @pytest.mark.parametrize("coefficient, where, test, value", INJECTIONS)
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 99), hybrid=st.booleans(), data=st.data())
 def test_sample_matches_the_per_point_reference(coefficient, where, test,
                                                 value, seed, hybrid, data):
