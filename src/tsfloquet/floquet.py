@@ -147,13 +147,10 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class PointSample:
-    """``validate_system``'s checked sample, as Python floats: t, mu, p(t),
-    q(t) and the step factor 1 - mu p + mu^2 q at every right-scattered
-    point, in time order, and sqrt(q) at each dense start by segment index.
-    """
+    """``validate_system``'s checked sample, as Python floats: p(t), q(t)
+    and the step factor 1 - mu p + mu^2 q at every right-scattered point,
+    in time order, and sqrt(q) at each dense start by segment index."""
 
-    t: list
-    mu: list
     p: list
     q: list
     factor: list
@@ -173,13 +170,13 @@ def validate_system(spec: SystemSpec) -> PointSample:
     failing t in time order raises, its checks in that order."""
     ts = spec.ts
     points = ts.scattered_with_mu()
-    t, mu = [t for t, _ in points], [mu for _, mu in points]
+    t = [t for t, _ in points]
     p = q = factor = []
     if points:
-        m = np.array(mu, dtype=float)
+        mu = np.array([mu for _, mu in points])
         p, q = (ex.evaluate_array(e, t) for e in (spec.p, spec.q))
         with _quiet():
-            factor = 1.0 + m * (-p + m * q)
+            factor = 1.0 + mu * (-p + mu * q)
             bad = (~(np.isfinite(p) & np.isfinite(q))
                    | (np.abs(factor) <= 1e-12) | (np.abs(q) <= _PHI_MIN))
         p, q, factor = p.tolist(), q.tolist(), factor.tolist()
@@ -204,7 +201,7 @@ def validate_system(spec: SystemSpec) -> PointSample:
                 raise NegativeQOnDense(f"q({a[j]}) = {v} <= 0 on a dense part")
             _check_finite("q", v, a[j], "on a dense part")
         starts = dict(zip(dense, np.sqrt(q_a).tolist()))
-    return PointSample(t, mu, p, q, factor, starts)
+    return PointSample(p, q, factor, starts)
 
 
 @dataclass
@@ -214,10 +211,10 @@ class PhaseTable:
 
     ``ends[i]`` is phi at the right end of segment i, the scattered point
     there or t0 + T for the last segment, from the chain alone even where
-    segment i is dense. ``starts`` keeps phi = sqrt(q) at the start of each
-    dense segment, from the sample. ``engine`` is the analysis's one
-    ``_SeriesEngine``, which ``_engine`` builds on first use for the terms,
-    the truncation bound and the phase form.
+    segment i is dense; at the start of each dense segment phi = sqrt(q)
+    is the sample's. ``engine`` is the analysis's one ``_SeriesEngine``,
+    which ``_engine`` builds on first use for the terms, the truncation
+    bound and the phase form.
     """
 
     ts: ValidatedTimeScale
@@ -225,13 +222,12 @@ class PhaseTable:
     qprime: ex.Expression
     sample: PointSample
     ends: list = field(default_factory=list)  # segment index -> phi at its end
-    starts: dict = field(default_factory=dict)  # dense segment index -> phi
     engine: Optional[_SeriesEngine] = field(default=None, repr=False)
 
     def start_phi(self, i: int) -> float:
-        """phi at the start of segment i: sqrt(q) from ``starts``, else
-        ``ends[i]``, since a point starts where it ends."""
-        return self.starts.get(i, self.ends[i])
+        """phi at the start of segment i: sqrt(q) from the sample's
+        ``starts``, else ``ends[i]``, since a point starts where it ends."""
+        return self.sample.starts.get(i, self.ends[i])
 
 
 def _check_phi(v: float, where: float) -> float:
@@ -257,7 +253,9 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
 
     ``sample`` is ``validate_system``'s sample, which holds q at the
     scattered points and sqrt(q) at the dense starts; without it,
-    solve_phi takes ``validate_system(spec)``. The table keeps it.
+    solve_phi takes ``validate_system(spec)``, so it refuses every system
+    the analysis refuses, a NaN p or a non-regressive step too, though phi
+    reads neither. The table keeps the sample.
     """
     ts = spec.ts
     if sample is None:
@@ -276,8 +274,6 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
             ends[i] = _check_phi(q / ends[i - 1], segs[i].x)
         return table
 
-    starts = table.starts = sample.starts
-
     def back_substitute(last, first):
         # phi at the scattered ends of segs[last], ..., segs[first], each
         # from phi at the start of the next segment
@@ -285,7 +281,7 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
             ends[i] = _check_phi(q_end[i] / table.start_phi(i + 1),
                                  segs[i].end)
 
-    last_interval = max(starts)
+    last_interval = max(sample.starts)
     back_substitute(last_interval - 1, 0)  # the runs ending at dense starts
     ends[-1] = _check_phi(table.start_phi(0), ts.t_end)
     back_substitute(len(segs) - 2, last_interval)  # through t0+T
@@ -299,7 +295,9 @@ def compute_B(spec: SystemSpec,
     times exp(-integral of p) over the dense intervals, in time order.
     The factors are ``sample``'s, ``validate_system``'s checked sample,
     multiplied left to right; without it, compute_B takes
-    ``validate_system(spec)``.
+    ``validate_system(spec)``, so it refuses every system the analysis
+    refuses, also where B alone is defined, as for q <= 0 at a dense start
+    or q = 0 at a scattered point.
 
     The dense integrals come from ``tscalc.quad_intervals``, to its fixed
     absolute target 1e-9, in rounds of panel halving: each round samples
@@ -376,12 +374,11 @@ def _finite(name: str, values, x):
     return values
 
 
-def _check_finite(name: str, value: float, t: float, where: str) -> float:
-    """value, unless it is NaN or infinite: then DomainError naming the
-    coefficient, t and where t lies."""
+def _check_finite(name: str, value: float, t: float, where: str) -> None:
+    """DomainError naming the coefficient, t and where t lies if value is
+    NaN or infinite."""
     if not math.isfinite(value):
         raise DomainError(f"{name} = {value} is not finite at t={t} {where}")
-    return value
 
 
 def cumulative_simpson(y, x):
@@ -603,8 +600,8 @@ class _SeriesEngine:
     The period walk records the E each row starts from, raises
     ``PhiDiscontinuityWarning`` where a row's first or last phi, its
     dense limit at that end, is more than 1e-6 from the chain's value
-    there, ``table.starts`` or ``table.ends``, and, from the checked
-    sample's mu and p, computes each scattered point t's fields once, in
+    there, ``table.sample.starts`` or ``table.ends``, and, from mu and the
+    sample's p, computes each scattered point t's fields once, in
     CPython scalars:
     phi(t), E before the point's own step, h(t) = -p - (phi(sigma(t)) -
     phi(t)) / (mu phi(t)), 1 / D with D = phi(sigma(t)) E(sigma(t)), and
@@ -676,9 +673,9 @@ class _SeriesEngine:
                     E = self.E[row, self.last[row]]
                     # the chain reads sqrt(q) at the start itself and its
                     # own value at the end
-                    for t, chain, limit in zip((seg.a, seg.b),
-                                               (table.starts[i], table.ends[i]),
-                                               limits[row]):
+                    for t, chain, limit in zip(
+                            (seg.a, seg.b),
+                            (table.start_phi(i), table.ends[i]), limits[row]):
                         if abs(chain - limit) > 1e-6:
                             warnings.warn(
                                 f"phi is discontinuous at t={t}: chain value "
@@ -1117,7 +1114,7 @@ def shi_continuous_a(spec: SystemSpec, table: PhaseTable, n: int,
         raise NotContinuousScale("the phase-form series needs a purely "
                                  "continuous scale")
     if B is None:
-        B = compute_B(spec)
+        B = compute_B(spec, table.sample)
     if abs(B - 1.0) > 1e-9:
         raise BNotOne(f"B = {B} differs from 1 beyond 1e-9")
     if n < 0:

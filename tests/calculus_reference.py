@@ -119,7 +119,7 @@ def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
 
 
 def reference_sample(spec: SystemSpec) -> tuple:
-    """(t, mu, p, q, factor, starts) as ``validate_system`` returns them,
+    """(p, q, factor, starts) as ``validate_system`` returns them,
     lists over the scattered points and sqrt(q) by dense segment index,
     from one scalar evaluation at a time: each point is checked as soon as
     it is sampled, then sqrt(q) is taken at every dense start in time
@@ -132,13 +132,13 @@ def reference_sample(spec: SystemSpec) -> tuple:
         if abs(q) <= _PHI_MIN:
             raise PhiVanishes(f"q = {q} is within {_PHI_MIN} of 0 at t={t} "
                               "at a scattered point")
-        sample.append((t, mu, p, q, factor))
+        sample.append((p, q, factor))
     segs = spec.ts.segments
     starts = {i: _sqrt_q(spec.q, s.a) for i, s in enumerate(segs)
               if isinstance(s, Interval)}
     for i, phi in starts.items():
         _check_finite("q", phi, segs[i].start, "on a dense part")
-    columns = [list(c) for c in zip(*sample)] or [[] for _ in range(5)]
+    columns = [list(c) for c in zip(*sample)] or [[] for _ in range(3)]
     return (*columns, starts)
 
 

@@ -141,6 +141,33 @@ def test_one_step_factor_rule(q):
     assert str(checked.value).endswith("at t=1")
 
 
+_NAN = "0*(1e200*1e200 - 1e200*1e200)"  # inf - inf, no expression error
+
+
+@pytest.mark.parametrize("p, q, refused", [
+    ("0.5", "-1", NegativeQOnDense),
+    ("0.5", "if(lt(t, 1), 0, 1)", PhiVanishes),
+    ("0.5", f"if(eq(t, 1), {_NAN}, 1)", DomainError),
+    (f"if(eq(t, 0.5), {_NAN}, 0.5)", "1", DomainError),
+    ("2.5", "1", NotRegressive),  # 1 + mu (-p + mu q) = 0 with mu = 0.5
+])
+def test_compute_B_and_solve_phi_check_the_whole_system(p, q, refused):
+    # without a sample, both take validate_system's, so they refuse what
+    # the analysis refuses: here q <= 0 at the dense start 1, q = 0 at the
+    # scattered points, a NaN q at the dense start, a NaN p at a point and
+    # a step that is not regressive, though B alone is defined for the
+    # first three and phi for the last two
+    ts = validate(PeriodicTimeScale(0.0, 2.0, [Point(0.0), Point(0.5),
+                                               Interval(1.0, 2.0)]))
+    spec = SystemSpec(ts, parse(p), parse(q))
+    with pytest.raises(refused) as checked:
+        validate_system(spec)
+    for part in (compute_B, solve_phi):
+        with pytest.raises(refused) as exc:
+            part(spec)
+        assert str(exc.value) == str(checked.value)
+
+
 def test_phi_discontinuity_warning():
     # q whose chain value at the dense junction differs from sqrt(q): the
     # analysis warns where the series grid's last node of a dense interval
@@ -343,20 +370,38 @@ def test_compute_B_matches_the_reference(family, monkeypatch, tmp_path):
 
 def test_compute_B_of_exp_kinks_is_within_4_ulps():
     # numpy's exp differs from libm's in the last ulp, so B may move by a
-    # few ulps from the scalar reference; the verdict must not. p at the
-    # scattered points is numpy's too, each value within an ulp of the
-    # scalar one; with the sample's own step factors, the dense integrals
-    # alone move B by at most 4 ulps
+    # few ulps from the fully scalar reference; the verdict must not. The
+    # dense integrals alone move B by at most 4 ulps; p at the scattered
+    # points is numpy's too, each value within an ulp of the scalar one,
+    # and each such ulp moves B by at most _point_ulps_allowance
     for spec in _kinked_systems(["exp(abs(sin(3*t)))"]):
         sample = validate_system(spec)
-        for t, p in zip(sample.t, sample.p):
+        for (t, _), p in zip(spec.ts.scattered_with_mu(), sample.p):
             assert abs(p - p_at(spec, t)) <= math.ulp(p)
-        want = _scalar_B(spec, sample.factor)
+        want = _reference_B(spec)
         report = analyze(spec)
-        assert abs(report.B - want) <= 4 * math.ulp(want)
+        assert (abs(report.B - want)
+                <= 4 * math.ulp(want) + _point_ulps_allowance(spec, want))
         err = report.err_bound.value
         interval = (report.A_partial - err, report.A_partial + err)
-        assert report.verdict == verdict(interval, _reference_B(spec))[0]
+        assert report.verdict == verdict(interval, want)[0]
+
+
+def _point_ulps_allowance(spec, B: float) -> float:
+    """How far B may move, to first order, when p at each scattered point
+    moves by one ulp, from the scalar values there. The step factor
+    f = 1 + mu s, s = -p + mu q, then moves by at most mu (ulp(p) + ulp(s))
+    + ulp(mu s) + ulp(f): the ulp of p, and one ulp where each rounding
+    may fall the other way. The product moves by that over |f| per point,
+    plus one ulp per rounding of its multiplication, relative to B."""
+    rel = 0.0
+    for t, mu in spec.ts.scattered_with_mu():
+        p, q = p_at(spec, t), q_at(spec, t)
+        s = -p + mu * q
+        f = 1.0 + mu * s
+        rel += (mu * (math.ulp(p) + math.ulp(s)) + math.ulp(mu * s)
+                + 2 * math.ulp(f)) / abs(f)
+    return rel * abs(B)
 
 
 def _record_rounds(monkeypatch) -> list:
@@ -372,17 +417,12 @@ def _record_rounds(monkeypatch) -> list:
     return rounds
 
 
-def _scalar_B(spec, factors=None):
+def _scalar_B(spec):
     """compute_B with every dense interval integrated by the reference's
-    scalar panel-halving loop from its start, in time order, and the step
-    factors at the scattered points from scalar evaluations, or
-    ``factors``."""
-    if factors is None:
-        factors = [_step_factor(t, mu, p_at(spec, t), q_at(spec, t))
-                   for t, mu in spec.ts.scattered_with_mu()]
+    scalar panel-halving loop from its start, in time order."""
     prod = 1.0
-    for factor in factors:
-        prod *= factor
+    for t, mu in spec.ts.scattered_with_mu():
+        prod *= _step_factor(t, mu, p_at(spec, t), q_at(spec, t))
     integral = 0.0
     for a, b in spec.ts.dense_intervals():
         integral += _adaptive_quad(lambda t: -p_at(spec, t), a, b, _QUAD_TOL)

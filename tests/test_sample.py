@@ -45,8 +45,8 @@ INJECTIONS = [
 
 
 def _outcome(sample, spec):
-    """The sample's t, mu, p, q, step factors and sqrt(q) at the dense
-    starts, floats by ``hex``, or the type and message of what it raises."""
+    """The sample's p, q, step factors and sqrt(q) at the dense starts,
+    floats by ``hex``, or the type and message of what it raises."""
     try:
         got = sample(spec)
     except Exception as exc:
