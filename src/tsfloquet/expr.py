@@ -1,7 +1,7 @@
 """Expression language for the periodic coefficients p(t), q(t).
 
-Small recursive-descent parser, scalar and array evaluators and symbolic
-derivative for the grammar:
+Small recursive-descent parser, array evaluator and symbolic derivative
+for the grammar:
 
     expr  := term (('+'|'-') term)*
     term  := unary (('*'|'/') unary)*
@@ -14,36 +14,35 @@ ge}. Exponents and the second arguments of mod/comparisons must be
 constant. ``neg1pow(e)`` is (-1)**e for integer-valued e; comparison
 functions are only legal as the first argument of ``if``.
 
-``evaluate(e, t)`` evaluates at one point, and it alone defines the
-language's errors: whether an expression fails at t, and what it raises,
-always naming t. It calls a closure tree, built once per node from its
-children's closures and cached on the nodes, which makes the float
-operations of a recursive walk over the AST in the walk's order and raises
-its exceptions and messages (``tests/expr_reference.py`` keeps the walk).
-``evaluate_array(e, x)`` walks the AST once and applies numpy ufuncs to a
-whole array of nodes; an ``if`` evaluates each branch only on the nodes
-that take it (masking, not ``np.where``), so an error in an untaken branch
-is not raised. The array walk computes values only: where some node may
-fail, it replays ``evaluate`` over the nodes in order, so what it raises
-is the scalar walk's exception at the first offending t. No numpy warning
-escapes it.
+``evaluate_array(e, x)`` evaluates e at every node of the array x, and it
+alone defines the language's values and errors. One walk of the AST
+applies numpy ufuncs to whole node arrays; a node that does not depend on
+t is a 0-d value, which numpy broadcasts, and the result is made full
+length at the end. An ``if`` evaluates each branch only on the nodes that
+take it (masking, not ``np.where``), so an error in an untaken branch is
+not raised. A node that can fail records, in walk order, the first node
+where it fails and how to build its exception; the walk then raises the
+first error recorded at the lowest failing node, always naming its t.
+That is what a recursive walk over the nodes in order raises
+(``tests/expr_reference.py`` keeps that walk). No numpy warning escapes.
+``evaluate(e, t)`` is ``evaluate_array(e, [t])[0]``, so its sin, cos, exp
+and ``^`` round as numpy's do, which may differ from the math module's in
+the last ulp.
 
 Each rule is stated once, in a table that all its readers read:
 ``_LEVELS`` (and ``_BINARY``, by node) the binary operators' symbols,
-nodes and float operations, for the parser, ``serialize``, the closures
-and the array walk; ``_UNARY`` the one-argument nodes' scalar and array
-operations, the errors the scalar one raises and the array walk's test
-for them; ``_FUNCS`` the function names and ``_CMP`` the ``if``
-comparisons. Nodes whose evaluators differ keep their own branches: a
-``Div`` evaluates its denominator first and raises at zero; a ``Pow``
-turns Python's errors and complex results into DomainError, where numpy
-takes Python's results at zero and infinite bases; ``neg1pow`` rounds and
-tests its argument; mod by zero and a derivative placeholder raise at
-every node, and an ``if`` evaluates one branch per node.
+nodes and float operations, for the parser, ``serialize`` and the walk;
+``_UNARY`` the one-argument nodes' array operations, where each fails and
+what it raises there; ``_FUNCS`` the function names and ``_CMP`` the
+``if`` comparisons. Nodes with more to do keep their own branches: a
+``Div`` evaluates its denominator first and fails at zero; a ``Pow``
+takes Python's float results at zero and infinite bases and fails where
+Python raises or returns a complex number; ``neg1pow`` rounds and tests
+its argument; mod by zero and a derivative placeholder fail at every
+node, and an ``if`` evaluates one branch per node.
 
-Expressions are immutable after parsing and may be evaluated concurrently;
-two threads that build the same node's closure at once each build one
-that computes the same values, and either is kept.
+Expressions are immutable after parsing and may be evaluated
+concurrently: each evaluation keeps its state in its own walk.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,18 +75,6 @@ class Expression:
     """Base class for AST nodes."""
 
     __slots__ = ()
-
-    @cached_property
-    def _closure(self):
-        """``evaluate``'s closure t -> value of this node, built on first
-        use with those of the nodes below that have none yet, and kept in
-        each node's ``__dict__``: it is no dataclass field, so equality
-        and hash still compare the fields alone."""
-        return _compile(self)
-
-    def __getstate__(self):
-        # a closure does not pickle; an unpickled node builds its own
-        return {k: v for k, v in self.__dict__.items() if k != "_closure"}
 
 
 @dataclass(frozen=True)
@@ -210,37 +196,35 @@ _BINARY = {node: (symbol, op) for level in _LEVELS
 
 
 class _Unary(NamedTuple):
-    """A one-argument node's operation on floats and on arrays. Where
-    ``scalar`` raises ``error[0]``, ``evaluate`` raises ``error[1]`` with
-    the message ``error[2]``, formatted with the argument v, then " at
-    t=..."; ``fails(v, out)`` marks where that may be, out = ``array(v)``."""
+    """A one-argument node's array operation. Where ``fails(v, out)``
+    holds, for the argument v and out = ``array(v)``, the node fails and
+    raises ``error(v, t)`` at the node t."""
 
-    scalar: Callable
     array: Callable
-    error: tuple = None
     fails: Callable = None
+    error: Callable = None
 
 
-# math.sin and math.cos reject infinite arguments
+# as in the math module, sin and cos fail at an infinite argument and exp
+# where it overflows
 _UNARY = {
-    Neg: _Unary(operator.neg, operator.neg),
-    Abs: _Unary(abs, np.abs),
-    Sin: _Unary(math.sin, np.sin, (ValueError, ValueError, "sin of {v}"),
-                lambda v, out: np.isinf(v)),
-    Cos: _Unary(math.cos, np.cos, (ValueError, ValueError, "cos of {v}"),
-                lambda v, out: np.isinf(v)),
-    Exp: _Unary(math.exp, np.exp, (OverflowError, OverflowError, "exp({v})"),
-                lambda v, out: np.isinf(out) & np.isfinite(v)),
-    Sqrt: _Unary(math.sqrt, np.sqrt,
-                 (ValueError, DomainError, "sqrt of negative value {v}"),
-                 lambda v, out: v < 0),
+    Neg: _Unary(operator.neg),
+    Abs: _Unary(np.abs),
+    Sin: _Unary(np.sin, lambda v, out: np.isinf(v),
+                lambda v, t: ValueError(f"sin of {v} at t={t}")),
+    Cos: _Unary(np.cos, lambda v, out: np.isinf(v),
+                lambda v, t: ValueError(f"cos of {v} at t={t}")),
+    Exp: _Unary(np.exp, lambda v, out: np.isinf(out) & np.isfinite(v),
+                lambda v, t: OverflowError(f"exp({v}) at t={t}")),
+    Sqrt: _Unary(np.sqrt, lambda v, out: v < 0,
+                 lambda v, t: DomainError(
+                     f"sqrt of negative value {v} at t={t}")),
 }
 # the function names and their nodes, read by the parser and ``serialize``
 _FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp, "sqrt": Sqrt, "abs": Abs,
           "mod": Mod, "neg1pow": Neg1Pow, "if": If}
 _NAMES = {node: name for name, node in _FUNCS.items()}
-# the comparisons of an if-condition: v op ref within tol, elementwise when
-# v and tol are arrays
+# the comparisons of an if-condition: v op ref within tol, elementwise
 _CMP = {
     "eq": lambda v, ref, tol: abs(v - ref) <= tol,
     "lt": lambda v, ref, tol: v < ref - tol,
@@ -430,176 +414,67 @@ def is_constant(e: Expression) -> bool:
 
 def const_value(e: Expression) -> float:
     """Value of a constant expression; raises ValueError if it contains t."""
+    if isinstance(e, Const):
+        return e.value
     if not is_constant(e):
         raise ValueError("expression is not constant")
     return evaluate(e, 0.0)
 
 
 def evaluate(e: Expression, t: float) -> float:
-    """IEEE double evaluation at the point t, by the closure tree of e."""
-    try:
-        closure = e._closure
-    except AttributeError:  # not an Expression
-        raise TypeError(f"unknown node {e!r}") from None
-    return closure(t)
-
-
-def _compile(e):
-    """The closure t -> value of the node e, calling its children's: it
-    makes the float operations of e's step of the recursive walk, in the
-    walk's order, and raises what the walk raises there, with the same
-    message. A node's closure is built once and kept where
-    ``Expression._closure`` caches it; building recurses one call per tree
-    level, as the walk did.
-    """
-    if not isinstance(e, Expression):
-        return _raises(TypeError(f"unknown node {e!r}"))
-    closure = e.__dict__.get("_closure")
-    if closure is not None:
-        return closure
-    kind = type(e)
-    if kind in _BINARY:
-        left, right, op = _compile(e.left), _compile(e.right), _BINARY[kind][1]
-        if kind is Div:
-            def closure(t):
-                den = right(t)
-                if den == 0.0:
-                    raise DomainError(f"division by zero at t={t}")
-                return op(left(t), den)
-        else:
-            def closure(t):
-                return op(left(t), right(t))
-    elif kind in _UNARY:
-        arg, rule = _compile(e.arg), _UNARY[kind]
-        scalar, error = rule.scalar, rule.error
-        if error is None:
-            def closure(t):
-                return scalar(arg(t))
-        else:
-            caught, raised, message = error
-
-            def closure(t):
-                v = arg(t)
-                try:
-                    return scalar(v)
-                except caught as exc:
-                    raise raised(f"{message.format(v=v)} at t={t}") from exc
-    elif kind is Const:
-        value = e.value
-
-        def closure(t):
-            return value
-    elif kind is Var:
-        closure = _identity
-    elif kind is Pow:
-        arg, exponent = _compile(e.base), e.exponent
-
-        def closure(t):
-            base = arg(t)
-            try:
-                v = base ** exponent
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise DomainError(f"{base} ** {exponent} at t={t}") from exc
-            if isinstance(v, complex):
-                raise DomainError(f"{base} ** {exponent} is complex at t={t}")
-            return v
-    elif kind is Mod:
-        arg, modulus = _compile(e.arg), e.modulus
-        if modulus == 0.0:
-            def closure(t):
-                raise DomainError(f"mod with zero divisor at t={t}")
-        else:
-            def closure(t):
-                return arg(t) % modulus
-    elif kind is Neg1Pow:
-        arg = _compile(e.arg)
-
-        def closure(t):
-            v = arg(t)
-            try:
-                k = round(v)
-            except (ValueError, OverflowError) as exc:  # NaN, inf
-                raise type(exc)(f"neg1pow argument {v} at t={t}") from exc
-            if abs(v - k) > 1e-9:
-                raise NonIntegerNeg1Pow(f"neg1pow argument {v} at t={t}")
-            return -1.0 if k % 2 else 1.0
-    elif kind is If:
-        c = e.cond
-        closure = _if(c.op, _compile(c.arg), c.ref, _compile(e.then),
-                      _compile(e.other))
-    elif kind is _NonDiff:
-        reason = e.reason
-
-        def closure(t):
-            raise NonDifferentiableNode(f"{reason} at t={t}")
-    else:
-        closure = _raises(TypeError(f"unknown node {e!r}"))
-    e.__dict__["_closure"] = closure
-    return closure
-
-
-def _identity(t):
-    return t
-
-
-def _raises(exc: Exception):
-    """A closure that raises exc, the same message at every t."""
-    kind, message = type(exc), str(exc)
-
-    def closure(t):
-        raise kind(message)
-    return closure
-
-
-def _if(op: str, arg, ref: float, then, other):
-    """``then(t) if op(arg(t), ref) else other(t)``, the comparison within
-    1e-12 max(1, |t|) by the rule ``_CMP`` holds for op; an unknown op
-    raises ``_compare``'s TypeError once arg(t) is evaluated."""
-    rule = _CMP.get(op, lambda v, ref, tol: _compare(op, v, ref, tol))
-
-    def closure(t):
-        tol = 1e-12 * max(1.0, abs(t))
-        return then(t) if rule(arg(t), ref, tol) else other(t)
-    return closure
-
-
-def _compare(op: str, v, ref: float, tol):
-    """v op ref within tol by ``_CMP``; elementwise when v and tol are
-    arrays."""
-    if op not in _CMP:
-        raise TypeError(f"unknown comparison {op!r}")
-    return _CMP[op](v, ref, tol)
+    """IEEE double evaluation at the point t: ``evaluate_array`` at [t]."""
+    return float(evaluate_array(e, (t,))[0])
 
 
 def evaluate_array(e: Expression, x) -> np.ndarray:
     """IEEE double evaluation at every node of the array x.
 
-    One walk of the AST applies numpy ufuncs to whole node arrays; the
-    values agree with ``evaluate`` node for node up to the last-ulp
-    differences of numpy's sin, cos, exp and power. An ``if`` evaluates
-    each branch only on the nodes that take it, so an error in a branch
-    no node takes is not raised. The walk computes values only: where the
-    scalar walk could raise at some node, it replays ``evaluate`` over the
-    nodes in order, which raises its own exception at the first offending
-    t, or else returns the replayed values.
+    One walk of the AST applies numpy ufuncs to whole node arrays. An
+    ``if`` evaluates each branch only on the nodes that take it, so an
+    error in a branch no node takes is not raised. Where some node fails,
+    it raises what evaluating the nodes one by one in order would: the
+    error of the first node, in walk order, that fails at the lowest
+    failing index, naming that t.
     """
     x = np.array(x, dtype=float)
     walk = _ArrayWalk()
     with np.errstate(all="ignore"):
         v = walk.eval(e, x)
-    if walk.failed:
-        return np.array([evaluate(e, float(t)) for t in x], dtype=float)
-    return v
+    if walk.errors:
+        # the first error recorded at the lowest failing index
+        i, v, error = min(walk.errors, key=operator.itemgetter(0))
+        raise error(v, float(x[i]))
+    return np.full(len(x), v) if v.ndim == 0 else v
 
 
 class _ArrayWalk:
-    """One ``evaluate_array`` walk.
+    """One ``evaluate_array`` walk over the nodes x. A node that does not
+    depend on t evaluates to a 0-d value, which numpy broadcasts.
 
-    ``failed`` is set once any node meets a case where ``evaluate`` may
-    raise; the values at such a node are never read.
+    ``masks`` holds the masks of the enclosing ``if`` branches, each
+    selecting the nodes walked inside it from those walked outside.
+    ``errors`` holds, in walk order, each failing node's first failure:
+    its index into x, the node's argument there and its exception's
+    builder. A node's later failures are never raised, as an earlier
+    index wins.
     """
 
-    failed = False
+    def __init__(self):
+        self.masks = []
+        self.errors = []
+
+    def fail(self, where, error, v=None):
+        """Record ``error(v, t)`` at the first walked node where ``where``
+        holds (0-d: all or none of them), v the failing node's argument."""
+        if where.any():
+            i = int(np.argmax(where))
+            self.record(i, None if v is None else float(np.ravel(v)[i]), error)
+
+    def record(self, i: int, v, error):
+        """Record ``error(v, t)`` at the i-th walked node."""
+        for mask in reversed(self.masks):
+            i = int(np.flatnonzero(mask)[i])
+        self.errors.append((i, v, error))
 
     def eval(self, e: Expression, x):
         kind = type(e)
@@ -607,7 +482,8 @@ class _ArrayWalk:
             op = _BINARY[kind][1]
             if kind is Div:
                 den = self.eval(e.right, x)
-                self.failed |= (den == 0.0).any()
+                self.fail(den == 0.0, lambda v, t: DomainError(
+                    f"division by zero at t={t}"))
                 return op(self.eval(e.left, x), den)
             return op(self.eval(e.left, x), self.eval(e.right, x))
         rule = _UNARY.get(kind)
@@ -615,10 +491,10 @@ class _ArrayWalk:
             v = self.eval(e.arg, x)
             out = rule.array(v)
             if rule.fails is not None:
-                self.failed |= rule.fails(v, out).any()
+                self.fail(rule.fails(v, out), rule.error, v)
             return out
         if kind is Const:
-            return np.full(len(x), e.value)
+            return np.float64(e.value)
         if kind is Var:
             return x
         if kind is Pow:
@@ -629,37 +505,77 @@ class _ArrayWalk:
             v = self.eval(e.arg, x)
             k = np.round(v)
             # NaN and inf fail the test too, as round() rejects them
-            self.failed |= (~(np.abs(v - k) <= 1e-9)).any()
+            self.fail(~(np.abs(v - k) <= 1e-9), _neg1pow_error, v)
             return np.where(np.mod(k, 2.0) == 1.0, -1.0, 1.0)
         if kind is If:
-            c = e.cond
-            tol = 1e-12 * np.maximum(1.0, np.abs(x))
-            m = _compare(c.op, self.eval(c.arg, x), c.ref, tol)
-            out = np.empty(len(x))
-            for branch, mask in ((e.then, m), (e.other, ~m)):
-                if mask.any():
-                    out[mask] = self.eval(branch, x[mask])
-            return out
-        if kind in (Mod, _NonDiff):
-            # mod by zero or a derivative of mod or neg1pow: the scalar
-            # walk raises at every node
-            self.failed = True
-            return np.full(len(x), math.nan)
-        raise TypeError(f"unknown node {e!r}")
+            return self.branch(e, x)
+        # mod by zero, a derivative placeholder or an unknown node fails at
+        # every node, before any child is walked
+        self.fail(np.True_, lambda v, t: _node_error(e, t))
+        return np.float64(math.nan)
+
+    def branch(self, e: If, x):
+        c = e.cond
+        v = self.eval(c.arg, x)
+        rule = _CMP.get(c.op)
+        if rule is None:
+            self.fail(np.True_, lambda v, t: TypeError(
+                f"unknown comparison {c.op!r}"))
+            return np.float64(math.nan)
+        # fmax, as Python's max(1.0, abs(t)), takes 1 at a NaN t
+        m = rule(v, c.ref, 1e-12 * np.fmax(1.0, np.abs(x)))
+        if m.all():
+            return self.eval(e.then, x)
+        if not m.any():
+            return self.eval(e.other, x)
+        out = np.empty(len(x))
+        for branch, mask in ((e.then, m), (e.other, ~m)):
+            self.masks.append(mask)
+            out[mask] = self.eval(branch, x[mask])
+            self.masks.pop()
+        return out
 
     def pow(self, e: Pow, x):
         base = self.eval(e.base, x)
         p = float(e.exponent)
         out = np.power(base, p)
-        if math.isfinite(p):
-            # overflow, zero to a negative power or a complex result
-            self.failed |= (np.isfinite(base) & ~np.isfinite(out)).any()
-        if not self.failed:
-            # zero and infinite bases take Python's float results, which
-            # numpy's sqrt fast path for p = 0.5 does not share on -0.0 and -inf
-            for j in np.flatnonzero((base == 0.0) | np.isinf(base)):
-                out[j] = float(base[j]) ** p
+        # zero and infinite bases take Python's float results, which numpy's
+        # sqrt fast path for p = 0.5 does not share on -0.0 and -inf; where
+        # a power is not finite, Python may raise (overflow, zero to a
+        # negative power) or return a complex number, and the node fails
+        odd = (base == 0.0) | np.isinf(base) | ~np.isfinite(out)
+        if not odd.any():
+            return out
+        out, flat = np.array(out), np.ravel(base)
+        for j in np.flatnonzero(odd):
+            b = float(flat[j])
+            try:
+                value = b ** p
+            except (ValueError, ZeroDivisionError, OverflowError):
+                value = None
+            if value is None or isinstance(value, complex):
+                what = "" if value is None else " is complex"
+                self.record(int(j), b, lambda v, t: DomainError(
+                    f"{v} ** {e.exponent}{what} at t={t}"))
+                break  # the node's first failure is the one raised
+            out.flat[j] = value
         return out
+
+
+def _node_error(e: Expression, t: float) -> Exception:
+    """What a node that fails wherever it is evaluated raises at t."""
+    if type(e) is Mod:
+        return DomainError(f"mod with zero divisor at t={t}")
+    if type(e) is _NonDiff:
+        return NonDifferentiableNode(f"{e.reason} at t={t}")
+    return TypeError(f"unknown node {e!r}")
+
+
+def _neg1pow_error(v: float, t: float) -> Exception:
+    # round() raises ValueError at NaN and OverflowError at inf
+    kind = (ValueError if math.isnan(v) else OverflowError if math.isinf(v)
+            else NonIntegerNeg1Pow)
+    return kind(f"neg1pow argument {v} at t={t}")
 
 
 # -- symbolic derivative ---------------------------------------------------

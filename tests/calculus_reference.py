@@ -3,7 +3,8 @@
 Delta integrals, the generalized exponential e_g(t,s), the time-scale
 trigonometric functions cos_phi/sin_phi, and the pointwise phi^Delta,
 h and kernels P, Q of the Floquet series, each evaluated from its
-definition with the scalar ``expr.evaluate``, the scale's locate query
+definition with the scalar reference walk ``expr_reference.evaluate``
+(the math module's sin, cos, exp and ``**``), the scale's locate query
 and the pointwise mu and sigma written out here, and a scalar adaptive
 GK(7,15) quadrature (``_adaptive_quad``) on the nodes and weights of
 ``tsfloquet.tscalc``. The runtime never calls them: ``compute_B`` walks
@@ -42,6 +43,8 @@ from tsfloquet.floquet import (
 from tsfloquet.timescale import Interval, ValidatedTimeScale
 from tsfloquet.tscalc import _EVAL_BUDGET, _WG, _WGK, _XGK
 
+import expr_reference
+
 Number = Union[float, complex]
 
 
@@ -52,13 +55,13 @@ class EndpointsNotInTimeScale(CalculusError):
 # -- pointwise coefficients and jump operators -------------------------------
 
 def p_at(spec: SystemSpec, t: float) -> float:
-    """p(t) by the scalar evaluator."""
-    return ex.evaluate(spec.p, t)
+    """p(t) by the scalar reference walk."""
+    return expr_reference.evaluate(spec.p, t)
 
 
 def q_at(spec: SystemSpec, t: float) -> float:
-    """q(t) by the scalar evaluator."""
-    return ex.evaluate(spec.q, t)
+    """q(t) by the scalar reference walk."""
+    return expr_reference.evaluate(spec.q, t)
 
 
 def contains(ts: ValidatedTimeScale, t: float) -> bool:
@@ -112,7 +115,7 @@ def _step_factor(t: float, mu: float, p: float, q: float) -> float:
 def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
     """sqrt(q(t)), the value of phi on a dense part: NaN or infinite where
     q(t) is, as the callers name such a value later, in time order."""
-    q = ex.evaluate(q_expr, t)
+    q = expr_reference.evaluate(q_expr, t)
     if q <= 0:
         raise NegativeQOnDense(f"q({t}) = {q} <= 0 on a dense part")
     return math.sqrt(q)
@@ -288,7 +291,8 @@ def sin_phi(
 def _checked_sqrt_q(q_expr, t: float) -> float:
     """sqrt(q(t)) on a dense part; a NaN or infinite q(t) raises
     DomainError."""
-    _check_finite("q", ex.evaluate(q_expr, t), t, "on a dense part")
+    _check_finite("q", expr_reference.evaluate(q_expr, t), t,
+                  "on a dense part")
     return _sqrt_q(q_expr, t)
 
 
@@ -311,7 +315,7 @@ def phi_delta(table: PhaseTable, t: float) -> float:
     if mu > 0 and t != ts.t_end:
         return (phase_value(table, t + mu) - phase_value(table, t)) / mu
     sqrt_q = _checked_sqrt_q(table.q, t)
-    return ex.evaluate(table.qprime, t) / (2.0 * sqrt_q)
+    return expr_reference.evaluate(table.qprime, t) / (2.0 * sqrt_q)
 
 
 def h_fn(spec: SystemSpec, table: PhaseTable, t: float) -> float:

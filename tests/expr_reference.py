@@ -1,11 +1,17 @@
-"""Reference scalar evaluator: the recursive AST walk.
+"""Reference scalar evaluator: the recursive AST walk on the math module.
 
-``tsfloquet.expr.evaluate`` calls a closure tree built once per node. This
-is the walk it replaced, kept verbatim: one recursive call per node with
-an ``isinstance`` chain. Its five ``if`` comparisons are written out here,
-not read from the package's comparison table, so a wrong rule in that
-table shows as a difference. Tests check that the closures give the walk's
-values bit for bit and raise its exceptions with its messages.
+``tsfloquet.expr.evaluate_array`` walks the AST once over a whole node
+array with numpy. This is the scalar walk that defined the language
+before it: one recursive call per node with an ``isinstance`` chain, the
+math module's sin, cos, exp and sqrt and Python's float operators. Its
+five ``if`` comparisons are written out here, not read from the
+package's comparison table, so a wrong rule in that table shows as a
+difference. Tests check that the array walk, and ``evaluate``, which is
+one node of it, raise this walk's exceptions with its messages at the
+same t, and give its values bit for bit, except where numpy's exp and
+power differ from the math module's in the last ulp. It imports nothing
+from the package but the node classes and error types, so it stays
+independent of the code under test.
 """
 from __future__ import annotations
 

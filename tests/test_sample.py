@@ -151,8 +151,7 @@ def _analyses(workloads, tmp_path):
 
 
 def test_analyze_makes_no_scalar_evaluation(workloads, tmp_path, monkeypatch):
-    # every coefficient value an analysis reads comes from evaluate_array,
-    # which replays the scalar walk only where some node fails
+    # every coefficient value an analysis reads comes from evaluate_array
     analyses = list(_analyses(workloads, tmp_path))
     assert len(analyses) > 150
 

@@ -13,7 +13,6 @@ from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 
 from scipy.integrate import quad
 
-from tsfloquet import expr as ex
 from tsfloquet.floquet import (
     _NODES,
     _SeriesEngine,
@@ -24,6 +23,7 @@ from tsfloquet.floquet import (
 )
 
 import cell_reference
+import expr_reference
 from conftest import random_hybrid_system
 
 
@@ -134,8 +134,8 @@ def test_kernel_on_the_phase_form_grid(example_continuous):
     assert_bitwise_equal(_panel_integrals(y, half),
                          cell_reference._panel_integrals(y, half))
     (a, b), = spec.ts.dense_intervals()
-    exact, _ = quad(lambda t: ex.evaluate(spec.q, t) ** 0.5, a, b,
-                    epsabs=0.0, epsrel=1e-13, limit=200)
+    exact, _ = quad(lambda t: expr_reference.evaluate(spec.q, t) ** 0.5,
+                    a, b, epsabs=0.0, epsrel=1e-13, limit=200)
     assert phase[-1] == pytest.approx(exact, rel=1e-13)
 
 
