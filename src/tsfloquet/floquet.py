@@ -46,16 +46,17 @@ and its phase sets the panels' first cut.
 Per-point work is done once per analysis, on arrays. ``validate_system``
 samples p and then q at every scattered point with one ``evaluate_array``
 call each, in time order, and q at every dense start with one more, and
-checks the sample with array masks; ``solve_phi``, ``compute_B`` and the
-series engine's period walk read it, and a valid analysis makes no
-scalar ``expr.evaluate`` call. The ``PhaseTable`` keeps
-phi by segment, at each end and each dense start, and the one series
-engine per analysis, with one table of each jump's phi, E, h, 1 / D and
-mu W, computed once in the period walk: the terms read its panels and
-that table, the bound its uniform sample and the table, the phase form
-its row's phase. sqrt(q) at a dense part's right end is read once, as its
-row's last panel node, which the period walk checks against the chain's
-phi.
+checks the sample with array masks. The sample records its system, and
+the ``PhaseTable`` that ``solve_phi`` builds on it keeps it, so a spec
+met with another system's sample or table is refused; ``compute_B`` and
+the engine's period walk read it, and a valid analysis makes no scalar
+``expr.evaluate`` call. The table keeps phi by segment, at each end and
+each dense start, and the one series engine per analysis, with one table
+of each jump's phi, E, h, 1 / D and mu W, computed once in the period
+walk: the terms read its panels and that table, the bound its uniform
+sample and the table, the phase form its row's phase. The walk checks
+phi's dense limits, each row's first and last panel nodes, against the
+chain's phi at the dense starts and ends.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -86,8 +87,8 @@ from .errors import (
 from .timescale import Interval, ValidatedTimeScale, inward, split_panels
 
 class PhiDiscontinuityWarning(UserWarning):
-    """phi does not match sqrt(q) where a dense interval meets its
-    scattered right endpoint or t0 + T; the computation still proceeds."""
+    """phi's dense limit misses the chain's phi at a dense start or end (a
+    scattered point or t0 + T); the computation still proceeds."""
 
 
 _PHI_MIN = 1e-14
@@ -147,10 +148,11 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class PointSample:
-    """``validate_system``'s checked sample, as Python floats: p(t), q(t)
-    and the step factor 1 - mu p + mu^2 q at every right-scattered point,
+    """``validate_system``'s checked sample of ``spec``, as Python floats: p,
+    q and the step factor 1 - mu p + mu^2 q at every right-scattered point,
     in time order, and sqrt(q) at each dense start by segment index."""
 
+    spec: SystemSpec = field(repr=False)
     p: list
     q: list
     factor: list
@@ -201,13 +203,19 @@ def validate_system(spec: SystemSpec) -> PointSample:
                 raise NegativeQOnDense(f"q({a[j]}) = {v} <= 0 on a dense part")
             _check_finite("q", v, a[j], "on a dense part")
         starts = dict(zip(dense, np.sqrt(q_a).tolist()))
-    return PointSample(p, q, factor, starts)
+    return PointSample(spec, p, q, factor, starts)
+
+
+def _check_system(spec: SystemSpec, sample: PointSample) -> None:
+    """ValueError unless ``sample``, or its table, was taken of ``spec``."""
+    if sample.spec is not spec:
+        raise ValueError("the sample or phase table is of another system")
 
 
 @dataclass
 class PhaseTable:
-    """phi by segment index, and the checked sample it was built from;
-    on a dense part phi = sqrt(q).
+    """phi by segment index, and the checked sample it was built from,
+    which records the system; on a dense part phi = sqrt(q).
 
     ``ends[i]`` is phi at the right end of segment i, the scattered point
     there or t0 + T for the last segment, from the chain alone even where
@@ -217,9 +225,6 @@ class PhaseTable:
     bound and the phase form.
     """
 
-    ts: ValidatedTimeScale
-    q: ex.Expression
-    qprime: ex.Expression
     sample: PointSample
     ends: list = field(default_factory=list)  # segment index -> phi at its end
     engine: Optional[_SeriesEngine] = field(default=None, repr=False)
@@ -236,8 +241,7 @@ def _check_phi(v: float, where: float) -> float:
     return v
 
 
-def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
-              sample: Optional[PointSample] = None) -> PhaseTable:
+def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     """Construct the phase function phi with phi(sigma(t)) phi(t) = q(t).
 
     Dense parts use phi = sqrt(q). On a purely discrete scale the chain
@@ -251,16 +255,15 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None,
     the series engine compares it and sqrt(q) at each dense start with
     phi's dense limits there.
 
-    ``sample`` is ``validate_system``'s sample, which holds q at the
-    scattered points and sqrt(q) at the dense starts; without it,
-    solve_phi takes ``validate_system(spec)``, so it refuses every system
-    the analysis refuses, a NaN p or a non-regressive step too, though phi
-    reads neither. The table keeps the sample.
+    phi reads q at the scattered points and sqrt(q) at the dense starts
+    from ``validate_system(spec)``, which solve_phi takes itself, so it
+    refuses every system the analysis refuses, a NaN p or a non-regressive
+    step too, though phi reads neither. The table keeps the sample, and
+    with it the system.
     """
     ts = spec.ts
-    if sample is None:
-        sample = validate_system(spec)
-    table = PhaseTable(ts, spec.q, spec.qprime, sample)
+    sample = validate_system(spec)
+    table = PhaseTable(sample)
     segs = ts.segments
     ends = table.ends = [None] * len(segs)
     # q at the right end of segs[i], for every segment but the last
@@ -294,10 +297,10 @@ def compute_B(spec: SystemSpec,
     formula: the product of 1 - mu p + mu^2 q over the scattered points
     times exp(-integral of p) over the dense intervals, in time order.
     The factors are ``sample``'s, ``validate_system``'s checked sample,
-    multiplied left to right; without it, compute_B takes
-    ``validate_system(spec)``, so it refuses every system the analysis
-    refuses, also where B alone is defined, as for q <= 0 at a dense start
-    or q = 0 at a scattered point.
+    multiplied left to right; a sample of another system raises
+    ValueError. Without it, compute_B takes ``validate_system(spec)``, so
+    it refuses every system the analysis refuses, also where B alone is
+    defined, as for q <= 0 at a dense start or q = 0 at a scattered point.
 
     The dense integrals come from ``tscalc.quad_intervals``, to its fixed
     absolute target 1e-9, in rounds of panel halving: each round samples
@@ -310,6 +313,7 @@ def compute_B(spec: SystemSpec,
     sign."""
     if sample is None:
         sample = validate_system(spec)
+    _check_system(spec, sample)
     prod = math.prod(sample.factor)
     integral = 0.0
     for value in tscalc.quad_intervals(
@@ -325,43 +329,31 @@ def compute_B(spec: SystemSpec,
 
 # -- series engine ----------------------------------------------------------
 
-def _sample_dense(spec: SystemSpec, x, lo, hi, real=None):
+def _sample_dense(spec: SystemSpec, x, lo, hi):
     """phi = sqrt(q), the perturbation coefficient h = -p - q' / (2 q) for
-    that phi, and |p| + |q' / (2 q)|, the size of h's two parts, on the node
-    rows x (rows, nodes): row r lies in [lo[r], hi[r]], a dense part or a
-    panel of one, and a node at either end is read just inside it, as the
-    coefficients' values there are one-sided limits. ``real`` masks the real nodes (all by
-    default); the others are padding, past a row's last node with x still
-    increasing, and hold phi = 1, h = 0 and size 0.
+    that phi, and |p| + |q' / (2 q)|, the size of h's two parts, on the
+    nodes x, each in its [lo, hi], a dense part or a panel of one, with lo
+    and hi broadcast to x; a node at either end is read just inside it, as
+    the coefficients' values there are one-sided limits.
 
-    Each expression is evaluated once, on the real nodes of all rows in
-    order, which the callers keep in time order. A NaN or infinite
-    coefficient value raises DomainError naming the first node, and
-    q <= 0 NegativeQOnDense naming the minimum of the first row where it
-    occurs.
+    Each expression is evaluated once, on x in order, which the callers
+    keep in time order. A NaN or infinite coefficient value raises
+    DomainError naming the first node, and q <= 0 NegativeQOnDense naming
+    the minimum over the nodes that share the first failing node's lo.
     """
-    a, b = lo[:, None], hi[:, None]
-    a_in, b_in = inward(a, b)
-    xe = np.where(x == a, a_in, np.where(x == b, b_in, x))
-    xe = xe.ravel() if real is None else xe[real]
+    a_in, b_in = inward(lo, hi)
+    xe = np.where(x == lo, a_in, np.where(x == hi, b_in, x)).ravel()
     q = _finite("q", ex.evaluate_array(spec.q, xe), xe)
     if q.min() <= 0:
-        ends = np.cumsum(real.sum(axis=1) if real is not None
-                         else np.full(len(x), x.shape[1]))
-        r = int(np.searchsorted(ends, np.argmax(q <= 0), side="right"))
-        first = ends[r - 1] if r else 0
-        bad = xe[first + np.argmin(q[first:ends[r]])]
+        lo = np.broadcast_to(lo, x.shape).ravel()
+        same = lo == lo[np.argmax(q <= 0)]
+        bad = xe[same][np.argmin(q[same])]
         raise NegativeQOnDense(f"q({bad}) <= 0 on a dense part")
     p = _finite("p", ex.evaluate_array(spec.p, xe), xe)
     qp = _finite("qprime", ex.evaluate_array(spec.qprime, xe), xe)
     drift = qp / (2.0 * q)
-    values = np.sqrt(q), -p - drift, np.abs(p) + np.abs(drift)
-    if real is None:
-        return tuple(v.reshape(x.shape) for v in values)
-    rows = np.ones(x.shape), np.zeros(x.shape), np.zeros(x.shape)
-    for row, v in zip(rows, values):
-        row[real] = v
-    return rows
+    return tuple(v.reshape(x.shape)
+                 for v in (np.sqrt(q), -p - drift, np.abs(p) + np.abs(drift)))
 
 
 def _finite(name: str, values, x):
@@ -547,7 +539,7 @@ def _panel_grid(spec: SystemSpec, a, b, floor, turns, scales):
         k[:] = 1
     row, lo, hi = split_panels(a, b, k)
     x = _panel_nodes(lo, hi)
-    phi, h, _ = _sample_dense(spec, x, lo, hi)
+    phi, h, _ = _sample_dense(spec, x, lo[:, None], hi[:, None])
     rounds = 1
     while True:
         k = _cuts(phi, h, lo, hi, limits[row], floor[row])
@@ -557,7 +549,8 @@ def _panel_grid(spec: SystemSpec, a, b, floor, turns, scales):
         row, new = row[parent], k[parent] > 1
         x, phi, h = x[parent], phi[parent], h[parent]
         x[new] = _panel_nodes(lo[new], hi[new])
-        phi[new], h[new], _ = _sample_dense(spec, x[new], lo[new], hi[new])
+        phi[new], h[new], _ = _sample_dense(spec, x[new], lo[new, None],
+                                            hi[new, None])
         rounds += 1
     panels = np.bincount(row, minlength=len(a))
     half = (hi - lo) / 2.0
@@ -631,15 +624,20 @@ class _SeriesEngine:
     (``bound_sample``).
     """
 
-    def __init__(self, spec: SystemSpec, table: PhaseTable):
+    def __init__(self, table: PhaseTable):
+        spec = table.sample.spec
         ts = spec.ts
         a, b = np.array(ts.dense_intervals(), dtype=float).reshape(-1, 2).T
         self.rows = len(a)
         if self.rows:
             floor = _float_floor(a, b)
-            # the bound's own sample first: its phase sets the first panels
+            # the bound's own sample first, padded with phi = 1, h = size =
+            # 0: its phase sets the first panels
             x, last, real = _uniform_rows(a, b, ts.period / _BOUND_DIVISIONS)
-            phi, h, size = _sample_dense(spec, x, a, b, real)
+            cell = np.nonzero(real)[0]
+            phi, (h, size) = np.ones(x.shape), np.zeros((2, *x.shape))
+            phi[real], h[real], size[real] = _sample_dense(
+                spec, x[real], a[cell], b[cell])
             phase = cumulative_simpson(phi, x)
             self.bound = x, phi, h, phase, real
             turns = 2.0 * phase[np.arange(self.rows), last] / _PHASE_CUT
@@ -1009,9 +1007,11 @@ def _series_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
 
 
 def _engine(spec: SystemSpec, table: PhaseTable) -> _SeriesEngine:
-    """The table's series engine, built on first use: one per analysis."""
+    """The table's series engine, built on first use: one per analysis.
+    A table of another system than ``spec`` raises ValueError."""
+    _check_system(spec, table.sample)
     if table.engine is None:
-        table.engine = _SeriesEngine(spec, table)
+        table.engine = _SeriesEngine(table)
     return table.engine
 
 
@@ -1252,12 +1252,11 @@ def default_order(ts: ValidatedTimeScale) -> int:
 def analyze(spec: SystemSpec, n: Optional[int] = None,
             use_shi: bool = False) -> FloquetReport:
     """Run the full pipeline and assemble a certified report."""
-    sample = validate_system(spec)
     ts = spec.ts
     if n is None:
         n = default_order(ts)
-    table = solve_phi(spec, sample=sample)
-    B = compute_B(spec, sample)
+    table = solve_phi(spec)
+    B = compute_B(spec, table.sample)
     if use_shi:
         A = shi_continuous_a(spec, table, n, B)
         terms = []

@@ -254,8 +254,8 @@ class CheckResult:
     a_delta: float  # |A_oracle - A(n)|
     b_delta: float  # |B_oracle - B|
     allowed: float  # err_bound + _CHECK_TOL max(1, |A_oracle|)
-    # the larger of _CHECK_TOL max(1, |B_oracle|) and
-    # gamma_m (|Y00 Y11| + |Y01 Y10|)
+    # the larger of _CHECK_TOL |B_oracle| (_CHECK_TOL where B_oracle is not
+    # finite) and gamma_m (|Y00 Y11| + |Y01 Y10|)
     b_allowed: float
 
 
@@ -283,8 +283,9 @@ def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
     two cancel: with 12 unit steps of q = -2 + 0.1 cos(t) that sum is
     7.8e8 at det(Y) = 1.01, where _CHECK_TOL alone would fail a correct B.
     Where det(Y) does not cancel, the rounding term is far below
-    _CHECK_TOL max(1, |det(Y)|) (at most 3.7e-14 on the committed
-    configs), which stays the allowance. A non-finite rounding term is
+    _CHECK_TOL |det(Y)| (at most 3.7e-14 on the committed configs), which
+    stays the allowance, however small det(Y) is; where det(Y) is not
+    finite, the allowance is _CHECK_TOL. A non-finite rounding term is
     ignored, as an overflowed monodromy may not widen the check. A delta
     that is NaN fails the check.
     """
@@ -302,7 +303,8 @@ def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
         a_delta=abs(a_oracle - report.A_partial),
         b_delta=abs(b_oracle - report.B),
         allowed=report.err_bound.value + _CHECK_TOL * _scale(a_oracle),
-        b_allowed=max(_CHECK_TOL * _scale(b_oracle),
+        b_allowed=max(_CHECK_TOL * (abs(b_oracle) if math.isfinite(b_oracle)
+                                    else 1.0),
                       cancel if math.isfinite(cancel) else 0.0),
     )
     # written so that a NaN delta (an overflowed A, B or monodromy) fails

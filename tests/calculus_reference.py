@@ -299,23 +299,25 @@ def _checked_sqrt_q(q_expr, t: float) -> float:
 def phase_value(table: PhaseTable, t: float) -> float:
     """phi(t): the value ``solve_phi`` stored at the right end of a
     segment (a scattered point, or t0 + T), else sqrt(q(t)) on a dense
-    part."""
-    i, t = table.ts.locate(t)
-    if t == table.ts.segments[i].end:
+    part. The system is the one the table's sample records."""
+    spec = table.sample.spec
+    i, t = spec.ts.locate(t)
+    if t == spec.ts.segments[i].end:
         return table.ends[i]
-    return _checked_sqrt_q(table.q, t)
+    return _checked_sqrt_q(spec.q, t)
 
 
 def phi_delta(table: PhaseTable, t: float) -> float:
     """Delta derivative of phi: difference quotient at scattered t,
     q'(t) / (2 sqrt(q(t))) at dense t."""
-    ts = table.ts
+    spec = table.sample.spec
+    ts = spec.ts
     _, t = ts.locate(t)
     mu = mu_at(ts, t)
     if mu > 0 and t != ts.t_end:
         return (phase_value(table, t + mu) - phase_value(table, t)) / mu
-    sqrt_q = _checked_sqrt_q(table.q, t)
-    return expr_reference.evaluate(table.qprime, t) / (2.0 * sqrt_q)
+    sqrt_q = _checked_sqrt_q(spec.q, t)
+    return expr_reference.evaluate(spec.qprime, t) / (2.0 * sqrt_q)
 
 
 def h_fn(spec: SystemSpec, table: PhaseTable, t: float) -> float:

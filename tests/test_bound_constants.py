@@ -48,7 +48,7 @@ def test_long_hybrid_matches_the_full_table(workloads, tmp_path, seed,
                                             damped, geometry):
     spec = _hybrid(workloads, tmp_path, seed, damped, geometry)
     table = solve_phi(spec)
-    stacked = _SeriesEngine(spec, table)
+    stacked = _SeriesEngine(table)
     per_cell = CellEngine(spec, table)
     assert _hex(stacked.bound_constants()) == \
         _hex(per_cell.bound_constants())
@@ -68,7 +68,7 @@ def test_long_discrete_matches_the_full_table(workloads, tmp_path, kind, k):
     spec = (_discrete(workloads, tmp_path, k) if kind == "workload"
             else unit_step_overflow_system(k))
     table = solve_phi(spec)
-    K = _SeriesEngine(spec, table).bound_constants()
+    K = _SeriesEngine(table).bound_constants()
     assert _hex(K) == _hex(CellEngine(spec, table).bound_constants())
     # the overflowing scales reach the NaN path at both lengths
     assert np.isnan(K[0]) == (kind == "overflow")
@@ -99,7 +99,7 @@ def test_long_hybrid_builds_few_table_entries(workloads, tmp_path,
     # K1 and K2 over N nodes are maxima over 2 N^2 pairs; evaluating all
     # of them again would bring back the O(N^2) cost
     spec = _hybrid(workloads, tmp_path, 1, True, "gentle")
-    N, evaluated = _evaluated(_SeriesEngine(spec, solve_phi(spec)),
+    N, evaluated = _evaluated(_SeriesEngine(solve_phi(spec)),
                               monkeypatch)
     # 17 nodes on each of the 100 cells, 200 jumps and t0 + T
     assert N == 1901
@@ -113,7 +113,7 @@ def test_one_cell_config_evaluates_few_table_entries(config, monkeypatch):
     # rules anything out (example_continuous has every row's maximum at
     # s = t); only the angles can
     spec = build_system(load_config(CONFIGS / config))
-    N, evaluated = _evaluated(_SeriesEngine(spec, solve_phi(spec)),
+    N, evaluated = _evaluated(_SeriesEngine(solve_phi(spec)),
                               monkeypatch)
     assert 0 < evaluated < 0.05 * 2 * N * N
 

@@ -484,7 +484,7 @@ def _system_nodes(spec):
     from tsfloquet.floquet import _SeriesEngine, solve_phi
 
     ts = [x for t, mu in spec.ts.scattered_with_mu() for x in (t, t + mu)]
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     if engine.rows:
         x, _, _, _, real = engine.bound_sample()
         for panels, row, last, (a, b) in zip(

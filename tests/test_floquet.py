@@ -153,11 +153,11 @@ _NAN = "0*(1e200*1e200 - 1e200*1e200)"  # inf - inf, no expression error
     ("2.5", "1", NotRegressive),  # 1 + mu (-p + mu q) = 0 with mu = 0.5
 ])
 def test_compute_B_and_solve_phi_check_the_whole_system(p, q, refused):
-    # without a sample, both take validate_system's, so they refuse what
-    # the analysis refuses: here q <= 0 at the dense start 1, q = 0 at the
-    # scattered points, a NaN q at the dense start, a NaN p at a point and
-    # a step that is not regressive, though B alone is defined for the
-    # first three and phi for the last two
+    # solve_phi, and compute_B without a sample, take validate_system's,
+    # so they refuse what the analysis refuses: here q <= 0 at the dense
+    # start 1, q = 0 at the scattered points, a NaN q at the dense start,
+    # a NaN p at a point and a step that is not regressive, though B alone
+    # is defined for the first three and phi for the last two
     ts = validate(PeriodicTimeScale(0.0, 2.0, [Point(0.0), Point(0.5),
                                                Interval(1.0, 2.0)]))
     spec = SystemSpec(ts, parse(p), parse(q))
@@ -167,6 +167,29 @@ def test_compute_B_and_solve_phi_check_the_whole_system(p, q, refused):
         with pytest.raises(refused) as exc:
             part(spec)
         assert str(exc.value) == str(checked.value)
+
+
+def test_a_table_or_sample_of_another_system_is_refused(example_hybrid):
+    # the table and the sample record the system they were taken of: given
+    # with another spec, the engine would give the first system's A (p = 0
+    # here, 2.0005739715, against 1.9999999945 with p = 0.1 sin t), and B
+    # would multiply the first system's step factors
+    ts = validate(PeriodicTimeScale(0.0, 2 * PI, [Interval(0.0, 2 * PI)]))
+    q = parse("1 + 0.2*cos(t)")
+    first, other = (SystemSpec(ts, parse(p), q) for p in ("0", "0.1*sin(t)"))
+    table = solve_phi(first)
+    for call in (lambda: a_partial(other, table, 3),
+                 lambda: estimate_bounds(other, table),
+                 lambda: error_bound(other, table, 3),
+                 lambda: shi_continuous_a(other, table, 3)):
+        with pytest.raises(ValueError, match="of another system"):
+            call()
+    assert a_partial(first, table, 3) == analyze(first).A_partial
+    hybrid = SystemSpec(example_hybrid.ts, parse("0.25"), example_hybrid.q)
+    with pytest.raises(ValueError, match="of another system"):
+        compute_B(hybrid, validate_system(example_hybrid))
+    assert (compute_B(example_hybrid, validate_system(example_hybrid))
+            == compute_B(example_hybrid))
 
 
 def test_phi_discontinuity_warning():
@@ -605,7 +628,7 @@ def test_engine_matches_enumeration_on_discrete(seed):
     table = solve_phi(spec)
     k = len(spec.ts.scattered_with_mu())
     exact = discrete_terms(spec, table, k)
-    engine = _SeriesEngine(spec, table).terms(k)
+    engine = _SeriesEngine(table).terms(k)
     assert engine == pytest.approx(exact, rel=1e-9, abs=1e-11)
 
 
@@ -631,7 +654,7 @@ def test_complex_cumulative_simpson_is_the_split(example_hybrid):
     # rows of unequal node counts, so the shorter row of a stack is padded
     for spec in (example_hybrid, random_hybrid_system(0),
                  random_hybrid_system(12), random_hybrid_system(145)):
-        engine = _SeriesEngine(spec, solve_phi(spec))
+        engine = _SeriesEngine(solve_phi(spec))
         W = engine.h / engine.D
         x, phi, _, E, _ = engine.bound_sample()
         for integrate, ys in (
@@ -646,13 +669,13 @@ def test_complex_cumulative_simpson_is_the_split(example_hybrid):
                 assert np.iscomplexobj(whole)
                 assert np.array_equal(whole, split)
     spec = random_hybrid_system(145)
-    assert _SeriesEngine(spec, solve_phi(spec)).panels.tolist() == [2, 1]
+    assert _SeriesEngine(solve_phi(spec)).panels.tolist() == [2, 1]
 
 
-def _two_cell_system(p_text, q_text):
-    """Dense cells [0, 1] and [2, 3], period 3."""
+def _two_cell_system(p_text, q_text, b=3.0):
+    """Dense cells [0, 1] and [2, b], period b."""
     ts = validate(PeriodicTimeScale(
-        0.0, 3.0, [Interval(0.0, 1.0), Interval(2.0, 3.0)]))
+        0.0, b, [Interval(0.0, 1.0), Interval(2.0, b)]))
     return SystemSpec(ts, parse(p_text), parse(q_text))
 
 
@@ -664,16 +687,18 @@ def _two_cell_system(p_text, q_text):
 ])
 def test_negative_q_is_named_in_time_order(q_text, lo, hi):
     # all cells are sampled in one pass; the error still names a t in the
-    # first cell, in time order, where q <= 0, as the per-cell loop did
-    spec = _two_cell_system("0", q_text)
-    table = solve_phi(spec)
-    with pytest.raises(NegativeQOnDense) as stacked:
-        _SeriesEngine(spec, table)
-    with pytest.raises(NegativeQOnDense) as per_cell:
-        CellEngine(spec, table)
-    assert str(stacked.value) == str(per_cell.value)
-    named = re.match(r"q\((.*)\) <= 0", str(stacked.value))[1]
-    assert lo < float(named) < hi
+    # first cell, in time order, where q <= 0, as the per-cell loop did,
+    # also where the cells' bound rows differ in length ([2, 5])
+    for b in (3.0, 5.0):
+        spec = _two_cell_system("0", q_text, b)
+        table = solve_phi(spec)
+        with pytest.raises(NegativeQOnDense) as stacked:
+            _SeriesEngine(table)
+        with pytest.raises(NegativeQOnDense) as per_cell:
+            CellEngine(spec, table)
+        assert str(stacked.value) == str(per_cell.value)
+        named = re.match(r"q\((.*)\) <= 0", str(stacked.value))[1]
+        assert lo < float(named) < hi
 
 
 def test_evaluation_error_in_the_second_cell():
@@ -682,7 +707,7 @@ def test_evaluation_error_in_the_second_cell():
     spec = _two_cell_system("sqrt(2.2 - t)", "1")
     table = solve_phi(spec)
     with pytest.raises(DomainError) as stacked:
-        _SeriesEngine(spec, table)
+        _SeriesEngine(table)
     with pytest.raises(DomainError) as per_cell:
         CellEngine(spec, table)
     assert str(stacked.value) == str(per_cell.value)
@@ -701,7 +726,7 @@ def test_non_finite_coefficient_is_named(p_text, q_text, named):
     # meets it, and the infinite p at the series grid's first node past 2.5
     spec = _two_cell_system(p_text, q_text)
     with pytest.raises(DomainError) as exc:
-        _SeriesEngine(spec, solve_phi(spec))
+        _SeriesEngine(solve_phi(spec))
     message = re.fullmatch(r"(.*) is not finite at t=(.*) on a dense part",
                            str(exc.value))
     assert message[1] == named
@@ -822,7 +847,7 @@ def test_stacked_engine_matches_cell_reference(kind, key, workloads,
     # are equal to the loop's, not just close
     spec = _reference_spec(kind, key, workloads, tmp_path)
     table = solve_phi(spec)
-    stacked, per_cell = _SeriesEngine(spec, table), CellEngine(spec, table)
+    stacked, per_cell = _SeriesEngine(table), CellEngine(spec, table)
     n = 3 if kind == "benchmark-discrete" else 8
     assert stacked.terms(n) == per_cell.terms(n)
     assert stacked.bound_constants() == per_cell.bound_constants()
@@ -854,7 +879,7 @@ def test_array_walk_matches_scalar_walk(kind, key, workloads, tmp_path,
     walks = []
     for events, long in ((0, True), (math.inf, False)):
         monkeypatch.setattr(floquet, "_ARRAY_WALK_EVENTS", events)
-        engine = _SeriesEngine(spec, table)
+        engine = _SeriesEngine(table)
         assert (engine.slots is not None) == long
         walks.append([float(a).hex() for a in engine.terms(n)])
     assert walks[0] == walks[1]
@@ -873,7 +898,7 @@ def test_array_walk_rounds_each_step_as_cpython():
     # values at the jumps they give, must take the NaN too
     spec = SystemSpec(points_scale([1000.0 * i for i in range(71)]),
                       parse("if(eq(t, 0), 1e305, 0.1)"), parse("0.0001"))
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     assert engine.slots is not None
     muW = engine.jump_table[4, 0]
     assert math.isfinite(muW.real) and math.isinf(muW.imag)
@@ -911,7 +936,7 @@ def test_array_walk_leaves_numpy_error_state(spec, n):
     table = solve_phi(spec)
     with np.errstate(over="raise", invalid="raise"):
         state = np.geterr()
-        engine = _SeriesEngine(spec, table)
+        engine = _SeriesEngine(table)
         terms = engine.levels(engine.trace_seeds())
         for _ in range(n):
             assert math.isnan(next(terms))
@@ -995,7 +1020,7 @@ def test_panel_tail_does_not_see_the_inward_read_ends(q_text):
     # q that no cut removes, and a tail test that saw them cut to the width
     # floor (40 rounds). The tail reads the interior nodes
     spec = _dense_system("0", q_text, 1.0)
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     assert engine.rounds == 1 and engine.panels.tolist() == [1]
     j = np.arange(floquet._NODES)
     T = np.cos(np.outer(np.pi * (floquet._PANEL_DEGREE - j)
@@ -1010,7 +1035,7 @@ def test_smooth_one_cell_configs_take_few_panels():
     for path in sorted((ROOT / "configs").rglob("*.cfg")):
         spec = build_system(load_config(path))
         if len(spec.ts.dense_intervals()) == 1:
-            engine = _SeriesEngine(spec, solve_phi(spec))
+            engine = _SeriesEngine(solve_phi(spec))
             assert engine.rounds <= 2 and engine.panels[0] <= 4, path.stem
 
 
@@ -1020,7 +1045,7 @@ def test_a_kink_stops_at_the_width_floor():
     # width floor, 2^-40 of the row, after at most 41 sampling rounds. A is
     # then closer to the oracle's than the 4097-node Simpson grid's 2.9e-8
     spec = _dense_system("0.1*abs(sin(1.7*t))", "1 + 0.3*cos(t)")
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     assert 30 <= engine.rounds <= 41
     oracle = float(np.trace(monodromy(spec)))
     assert abs(analyze(spec, n=8).A_partial - oracle) <= 1e-8
@@ -1033,7 +1058,7 @@ def test_a_jump_on_a_panel_cut_is_read_from_each_side():
     # a cut read at pi itself missed by 3.4e-4
     spec = _dense_system("0", "if(lt(t, pi), 1.5, 0.5)")
     table = solve_phi(spec)
-    assert _SeriesEngine(spec, table).panels.tolist() == [2]
+    assert _SeriesEngine(table).panels.tolist() == [2]
     exact = 2.0 * math.cos(PI * (math.sqrt(1.5) + math.sqrt(0.5)))
     assert a_term(spec, table, 0) == pytest.approx(exact, abs=1e-14)
 
@@ -1044,7 +1069,7 @@ def test_node_cap_stops_refinement_and_the_analysis_goes_on(monkeypatch):
     # analysis completes on it
     spec = _dense_system("0.01*sin(t)", "1e4*(1 + 0.3*cos(t))")
     monkeypatch.setattr(floquet, "_NODE_CAP", 5 * floquet._NODES)
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     assert engine.panels.tolist() == [1] and engine.rounds == 1
     assert math.isfinite(analyze(spec, n=3).A_partial)
 
@@ -1052,7 +1077,7 @@ def test_node_cap_stops_refinement_and_the_analysis_goes_on(monkeypatch):
 def test_node_cap_holds_the_largest_s_family_grid():
     # s = 1e6 winds Phi ~6000 radians: the cap must leave its grid whole
     spec = _dense_system("0.01*sin(t)", "1e6*(1 + 0.3*cos(t))")
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     nodes = engine.panels.sum() * floquet._NODES
     assert 60_000 <= nodes <= floquet._NODE_CAP
 
@@ -1067,7 +1092,7 @@ def test_one_cell_bound_reads_the_512_grid(path):
     # and h are those of sampling that grid on its own
     spec = build_system(load_config(path))
     (a, b), = spec.ts.dense_intervals()
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     x, phi, h, _, real = engine.bound_sample()
     assert real.all()
     n = max(16, math.ceil((b - a) / (spec.ts.period / 512)))
@@ -1118,7 +1143,7 @@ def test_analyses_sample_the_stated_number_of_grids(monkeypatch, tmp_path):
         # form reads too, and on the bound's sample, p on the first GK15
         # panels of B, q at the dense starts, and p and q at the scattered
         # points. 15 scales have intervals, 13 of them are continuous
-        rounds = _SeriesEngine(spec, solve_phi(spec)).rounds
+        rounds = _SeriesEngine(solve_phi(spec)).rounds
         points = 2 * bool(spec.ts.scattered_with_mu())
         expected += ((3 * (rounds + 1) + 2 + points)
                      * (1 + spec.ts.is_continuous))

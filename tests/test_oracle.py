@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import re
 import time
 from pathlib import Path
 
@@ -132,10 +134,35 @@ def test_cross_check_still_fails_a_wrong_B(name):
     spec = build_system(load_config(CONFIGS / name))
     report = analyze(spec, n=3)
     r = cross_check(spec, report)
-    assert r.b_allowed == oracle._CHECK_TOL * max(1.0, abs(r.b_oracle))
+    assert r.b_allowed == oracle._CHECK_TOL * abs(r.b_oracle)
     with pytest.raises(CheckFailed):
         cross_check(spec, dataclasses.replace(report,
                                               B=report.B * (1 + 1e-6)))
+
+
+def test_cross_check_holds_a_small_B_to_its_relative_tolerance(
+        monkeypatch, tmp_path):
+    # the benchmark's 100-cell hybrid with p kinked inside several cells:
+    # B ~ 1.2e-15, so an absolute 1e-8 would pass any B below ~1e-8. The
+    # allowance is relative to the determinant, and B off by 1e-6
+    # relative fails
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "benchmarks"))
+    import workloads
+
+    text = workloads.hybrid_system(random.Random(1), "kinked100", 100,
+                                   True).text
+    cfg = tmp_path / "kinked100.cfg"
+    cfg.write_text(re.sub(r"(?m)^p = .*$",
+                          "p = 0.3 + 0.1*abs(sin(pi*t/1.3))", text))
+    spec = build_system(load_config(cfg))
+    report = analyze(spec, n=3)
+    with pytest.raises(CheckFailed) as exc:
+        cross_check(spec, dataclasses.replace(report,
+                                              B=report.B * (1 + 1e-6)))
+    assert exc.value.b_delta == pytest.approx(1e-6 * report.B, rel=1e-3)
+    r = cross_check(spec, report)
+    assert 0.0 < abs(r.b_oracle) < 1e-12
+    assert r.b_delta <= r.b_allowed < 1e-20
 
 
 @pytest.mark.parametrize("k", [500, 1000])

@@ -87,7 +87,7 @@ def test_kernel_on_the_engine_stacks(seed):
     # the bound's sample of two cells of unequal node counts: the shorter
     # row of the stack is padded past its last node
     spec = random_hybrid_system(seed)
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     x, phi, h, E, real = engine.bound_sample()
     assert engine.rows == 2 and real[0].sum() != real[1].sum()
     W = h / (phi * E)
@@ -98,7 +98,7 @@ def test_kernel_on_the_engine_stacks(seed):
 def test_kernel_on_the_bound_sample(example_continuous):
     # the bound integrates sqrt(q) on its one uniform row, and the level
     # integrands h e^{2i Phi} take the same weights
-    engine = _SeriesEngine(example_continuous, solve_phi(example_continuous))
+    engine = _SeriesEngine(solve_phi(example_continuous))
     x, sqrtq, h, _, real = engine.bound_sample()
     assert engine.rows == 1 and real.all()
     x, sqrtq, h = x[0], sqrtq[0], h[0]
@@ -125,7 +125,7 @@ def test_kernel_on_the_phase_form_grid(example_continuous):
     # the series engine's panels; one panel at a time gives the same
     # floats, and the phase over the period is sqrt(q)'s integral
     spec = example_continuous
-    engine = _SeriesEngine(spec, solve_phi(spec))
+    engine = _SeriesEngine(solve_phi(spec))
     assert engine.rows == 1
     sqrtq, h, half = engine.phi[0], engine.h[0], engine.half[0]
     phase = _panel_integrals(sqrtq, half)
