@@ -29,6 +29,16 @@ That is what a recursive walk over the nodes in order raises
 and ``^`` round as numpy's do, which may differ from the math module's in
 the last ulp.
 
+``Forest(roots).evaluate(x)`` yields each root's ``evaluate_array`` on x
+in turn, from one walk that evaluates a node shared by several places once
+per grid: ``differentiate`` reuses its argument's subtrees, so q and q'
+share q's ``if`` conditions and inner terms. A node is reused by identity,
+only where no ``if`` mask encloses it, and kept only while a later place
+needs it; which nodes those are, a ``Forest`` finds once for all its
+grids. The ``if`` tolerance is computed once per walk. Each root raises
+its own error when its values are asked for, so a caller checks one
+root's values before the next root is walked.
+
 Each rule is stated once, in a table that all its readers read:
 ``_LEVELS`` (and ``_BINARY``, by node) the binary operators' symbols,
 nodes and float operations, for the parser, ``serialize`` and the walk;
@@ -66,7 +76,8 @@ from .errors import (
 __all__ = [
     "Expression", "Const", "Var", "Add", "Sub", "Mul", "Div", "Pow", "Neg",
     "Sin", "Cos", "Exp", "Sqrt", "Abs", "Mod", "Neg1Pow", "Cmp", "If",
-    "parse", "evaluate", "evaluate_array", "differentiate", "serialize",
+    "parse", "evaluate", "evaluate_array", "Forest", "differentiate",
+    "serialize",
     "is_constant", "const_value",
 ]
 
@@ -434,34 +445,108 @@ def evaluate_array(e: Expression, x) -> np.ndarray:
     error in a branch no node takes is not raised. Where some node fails,
     it raises what evaluating the nodes one by one in order would: the
     error of the first node, in walk order, that fails at the lowest
-    failing index, naming that t.
+    failing index, naming that t. The walk keeps no node's value.
     """
     x = np.array(x, dtype=float)
-    walk = _ArrayWalk()
-    with np.errstate(all="ignore"):
-        v = walk.eval(e, x)
-    if walk.errors:
-        # the first error recorded at the lowest failing index
-        i, v, error = min(walk.errors, key=operator.itemgetter(0))
-        raise error(v, float(x[i]))
-    return np.full(len(x), v) if v.ndim == 0 else v
+    return _ArrayWalk({}).root(e, x)
+
+
+class Forest:
+    """Expressions evaluated together on one grid after another, such as a
+    system's q, p and q', which ``differentiate`` builds from q's subtrees.
+    The nodes met at several places are found once, here
+    (``_last_uses``); ``evaluate(x)`` then evaluates each of them once per
+    grid."""
+
+    def __init__(self, roots):
+        self.roots = tuple(roots)
+        self.last = _last_uses(self.roots)
+
+    def evaluate(self, x):
+        """Yield ``evaluate_array(e, x)`` for each root e in turn, from one
+        walk over x that evaluates a node met at several places once, where
+        no ``if`` mask encloses it. A root's error is raised when its values
+        are asked for, before any later root is walked. A yielded array may
+        be the walk's own, which a later root reads: do not change it in
+        place."""
+        x = np.array(x, dtype=float)
+        walk = _ArrayWalk(self.last)
+        for r, e in enumerate(self.roots):
+            v = walk.root(e, x)
+            walk.forget(r)
+            yield v
+
+
+def _last_uses(roots) -> dict:
+    """The nodes met more than once in a walk of ``roots`` that does not
+    enter a node met before, by identity: id -> the last root that meets
+    it again. Constants and t, which have no children, cost less to
+    evaluate than to keep."""
+    seen, last = set(), {}
+    for r, root in enumerate(roots):
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            children = _CHILDREN.get(type(e))
+            if children is None:
+                continue
+            if id(e) in seen:
+                last[id(e)] = r
+                continue
+            seen.add(id(e))
+            children = children(e)
+            if type(children) is tuple:
+                stack += children
+            else:
+                stack.append(children)
+    return last
+
+
+# each inner node kind's Expression-valued fields: one child, or a tuple
+_CHILDREN = {kind: operator.attrgetter(*names) for names, kinds in (
+    (("left", "right"), _BINARY), (("arg",), (*_UNARY, Mod, Neg1Pow, Cmp)),
+    (("base",), (Pow,)), (("cond", "then", "other"), (If,)))
+    for kind in kinds}
 
 
 class _ArrayWalk:
-    """One ``evaluate_array`` walk over the nodes x. A node that does not
-    depend on t evaluates to a 0-d value, which numpy broadcasts.
+    """One walk over the nodes x, through one root or a ``Forest``'s. A
+    node that does not depend on t evaluates to a 0-d value, which numpy
+    broadcasts.
 
     ``masks`` holds the masks of the enclosing ``if`` branches, each
     selecting the nodes walked inside it from those walked outside.
     ``errors`` holds, in walk order, each failing node's first failure:
     its index into x, the node's argument there and its exception's
     builder. A node's later failures are never raised, as an earlier
-    index wins.
+    index wins. ``last`` holds, by identity, each node that a later place
+    in the walk meets again (``_last_uses``), and ``values`` the value of
+    each such node walked outside every mask, until its last root is
+    done: such a value was walked without error, as any error ends the
+    walk, so reading it records what walking it again would.
     """
 
-    def __init__(self):
+    def __init__(self, last):
         self.masks = []
         self.errors = []
+        self.last = last
+        self.values = {}
+        self.tol = None  # the if tolerance on x, once a top-level if needs it
+
+    def root(self, e: Expression, x) -> np.ndarray:
+        """e's values on the nodes x, or the first error recorded at the
+        lowest failing index."""
+        with np.errstate(all="ignore"):
+            v = self.eval(e, x)
+        if self.errors:
+            i, v, error = min(self.errors, key=operator.itemgetter(0))
+            raise error(v, float(x[i]))
+        return np.full(len(x), v) if v.ndim == 0 else v
+
+    def forget(self, r: int):
+        """Drop the values that no root after the r-th reads."""
+        for key in [k for k in self.values if self.last[k] <= r]:
+            del self.values[key]
 
     def fail(self, where, error, v=None):
         """Record ``error(v, t)`` at the first walked node where ``where``
@@ -477,6 +562,9 @@ class _ArrayWalk:
         self.errors.append((i, v, error))
 
     def eval(self, e: Expression, x):
+        keep = self.last and not self.masks and id(e) in self.last
+        if keep and id(e) in self.values:
+            return self.values[id(e)]
         kind = type(e)
         if kind in _BINARY:
             op = _BINARY[kind][1]
@@ -484,46 +572,55 @@ class _ArrayWalk:
                 den = self.eval(e.right, x)
                 self.fail(den == 0.0, lambda v, t: DomainError(
                     f"division by zero at t={t}"))
-                return op(self.eval(e.left, x), den)
-            return op(self.eval(e.left, x), self.eval(e.right, x))
-        rule = _UNARY.get(kind)
-        if rule is not None:
+                out = op(self.eval(e.left, x), den)
+            else:
+                out = op(self.eval(e.left, x), self.eval(e.right, x))
+        elif (rule := _UNARY.get(kind)) is not None:
             v = self.eval(e.arg, x)
             out = rule.array(v)
             if rule.fails is not None:
                 self.fail(rule.fails(v, out), rule.error, v)
-            return out
-        if kind is Const:
-            return np.float64(e.value)
-        if kind is Var:
-            return x
-        if kind is Pow:
-            return self.pow(e, x)
-        if kind is Mod and e.modulus != 0.0:
-            return np.mod(self.eval(e.arg, x), e.modulus)
-        if kind is Neg1Pow:
+        elif kind is Const:
+            out = np.float64(e.value)
+        elif kind is Var:
+            out = x
+        elif kind is Pow:
+            out = self.pow(e, x)
+        elif kind is Mod and e.modulus != 0.0:
+            out = np.mod(self.eval(e.arg, x), e.modulus)
+        elif kind is Neg1Pow:
             v = self.eval(e.arg, x)
             k = np.round(v)
             # NaN and inf fail the test too, as round() rejects them
             self.fail(~(np.abs(v - k) <= 1e-9), _neg1pow_error, v)
-            return np.where(np.mod(k, 2.0) == 1.0, -1.0, 1.0)
-        if kind is If:
-            return self.branch(e, x)
-        # mod by zero, a derivative placeholder or an unknown node fails at
-        # every node, before any child is walked
-        self.fail(np.True_, lambda v, t: _node_error(e, t))
-        return np.float64(math.nan)
+            out = np.where(np.mod(k, 2.0) == 1.0, -1.0, 1.0)
+        elif kind is If:
+            out = self.branch(e, x)
+        else:
+            # mod by zero, a derivative placeholder or an unknown node fails
+            # at every node, before any child is walked
+            self.fail(np.True_, lambda v, t: _node_error(e, t))
+            out = np.float64(math.nan)
+        if keep:
+            self.values[id(e)] = out
+        return out
 
     def branch(self, e: If, x):
         c = e.cond
-        v = self.eval(c.arg, x)
-        rule = _CMP.get(c.op)
-        if rule is None:
-            self.fail(np.True_, lambda v, t: TypeError(
-                f"unknown comparison {c.op!r}"))
-            return np.float64(math.nan)
-        # fmax, as Python's max(1.0, abs(t)), takes 1 at a NaN t
-        m = rule(v, c.ref, 1e-12 * np.fmax(1.0, np.abs(x)))
+        top = not self.masks
+        m = self.values.get(id(c)) if top else None  # kept, if c is shared
+        if m is None:
+            v = self.eval(c.arg, x)
+            rule = _CMP.get(c.op)
+            if rule is None:
+                self.fail(np.True_, lambda v, t: TypeError(
+                    f"unknown comparison {c.op!r}"))
+                return np.float64(math.nan)
+            if top and self.tol is None:
+                self.tol = _tolerance(x)
+            m = rule(v, c.ref, self.tol if top else _tolerance(x))
+            if top and id(c) in self.last:
+                self.values[id(c)] = m
         if m.all():
             return self.eval(e.then, x)
         if not m.any():
@@ -560,6 +657,12 @@ class _ArrayWalk:
                 break  # the node's first failure is the one raised
             out.flat[j] = value
         return out
+
+
+def _tolerance(x):
+    """The if comparisons' tolerance at the nodes x: fmax, as Python's
+    max(1.0, abs(t)), takes 1 at a NaN t."""
+    return 1e-12 * np.fmax(1.0, np.abs(x))
 
 
 def _node_error(e: Expression, t: float) -> Exception:

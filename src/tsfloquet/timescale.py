@@ -63,6 +63,15 @@ class ValidatedTimeScale:
     """Canonicalized time scale with scattered-point and classification
     queries.
 
+    The checks raise for the first segment that fails them, in this order:
+    in input order a segment that is not one, an end that is not finite or
+    an interval with a >= b, then in time order overlap and coverage of
+    [t0, t0+T]. The per-segment checks and overlap are array masks. The
+    extremities are snapped to t0 and t0 + T exactly; an interval that
+    snapping would turn around is refused as written. ``scattered_t`` and
+    ``scattered_mu`` hold each right-scattered t in [t0, t0+T) and its
+    graininess, as float arrays in time order.
+
     Immutable after construction; safe for concurrent reads.
     """
 
@@ -72,77 +81,98 @@ class ValidatedTimeScale:
         if not math.isfinite(ts.t0 + ts.period):
             raise TimeScaleError("t0 and t0 + period must be finite, got "
                                  f"t0 = {ts.t0}, period = {ts.period}")
-        for seg in ts.segments:
-            if not isinstance(seg, (Point, Interval)):
-                raise InvalidSegment(f"not a segment: {seg!r}")
-            if not (math.isfinite(seg.start) and math.isfinite(seg.end)):
-                # a NaN would pass every overlap and coverage comparison
-                raise InvalidSegment(f"segment {seg} is not finite")
-            if isinstance(seg, Interval) and not seg.a < seg.b:
-                raise InvalidSegment(
-                    f"interval [{seg.a}, {seg.b}] must have a < b"
-                )
-        segs = sorted(ts.segments, key=attrgetter("start"))
-        for prev, cur in zip(segs, segs[1:]):
-            if cur.start <= prev.end + _tol(prev.end):
+        segs = ts.segments
+        known = [isinstance(seg, (Point, Interval)) for seg in segs]
+        k = known.index(False) if False in known else len(segs)
+        dense = [isinstance(seg, Interval) for seg in segs[:k]]
+        start = np.array([seg.start for seg in segs[:k]], dtype=float)
+        end = np.array([seg.end for seg in segs[:k]], dtype=float)
+        # a NaN would pass every overlap and coverage comparison; a point
+        # starts where it ends, so only intervals count as start < end
+        finite = np.isfinite(start) & np.isfinite(end)
+        ordered = start < end
+        if not finite.all() or np.count_nonzero(ordered) < dense.count(True):
+            i = np.argmax(~finite | (dense & ~ordered))
+            if not finite[i]:
+                raise InvalidSegment(f"segment {segs[i]} is not finite")
+            raise InvalidSegment(
+                f"interval [{segs[i].a}, {segs[i].b}] must have a < b")
+        if k < len(segs):
+            raise InvalidSegment(f"not a segment: {segs[k]!r}")
+        segs = list(segs)
+        if k > 1:  # in time order, each segment but the last against the next
+            order = start.argsort(kind="stable")
+            segs = [segs[i] for i in order.tolist()]
+            start, end = start[order], end[order]
+            tol = 1e-12 * np.maximum(1.0, np.abs(end[:-1]))  # _tol(end)
+            touch = start[1:] <= end[:-1] + tol
+            if touch.any():
+                i = np.argmax(touch)
                 raise OverlappingSegments(
-                    f"segments {prev} and {cur} overlap or touch"
+                    f"segments {segs[i]} and {segs[i + 1]} overlap or touch"
                 )
         if not segs:
             raise EndpointNotCovered("empty segment list")
         t0, t_end = ts.t0, ts.t0 + ts.period
-        if abs(segs[0].start - t0) > _tol(t0):
+        first, last = segs[0], segs[-1]
+        if abs(first.start - t0) > _tol(t0):
             raise EndpointNotCovered(f"t0={t0} is not the left extremity")
-        if abs(segs[-1].end - t_end) > _tol(t_end):
+        if abs(last.end - t_end) > _tol(t_end):
             raise EndpointNotCovered(f"t0+T={t_end} is not the right extremity")
-        lo = t0 - _tol(t0)
-        hi = t_end + _tol(t_end)
-        for seg in segs:
+        # without overlaps, starts and ends rise from segment to segment, so
+        # only the first and the last segment can leave the window
+        lo, hi = t0 - _tol(t0), t_end + _tol(t_end)
+        for seg in (first, last):
             if seg.start < lo or seg.end > hi:
                 raise EndpointNotCovered(f"segment {seg} outside [t0, t0+T]")
 
         # snap the extremities exactly
-        if isinstance(segs[0], Point):
+        if isinstance(first, Point):
             segs[0] = Point(t0)
+        elif t0 < first.b:
+            segs[0] = Interval(t0, first.b)
         else:
-            segs[0] = Interval(t0, segs[0].b)
-        if isinstance(segs[-1], Point):
+            raise InvalidSegment(
+                f"interval [{first.a}, {first.b}] would end at or before its "
+                f"start once that is snapped to t0={t0}")
+        if isinstance(last, Point):
             segs[-1] = Point(t_end)
-        else:
+        elif segs[-1].a < t_end:
             segs[-1] = Interval(segs[-1].a, t_end)
+        else:
+            raise InvalidSegment(
+                f"interval [{last.a}, {last.b}] would start at or after its "
+                f"end once that is snapped to t0+T={t_end}")
+        start[0], end[0] = segs[0].start, segs[0].end
+        start[-1], end[-1] = segs[-1].start, segs[-1].end
 
         self.t0 = t0
         self.period = ts.period
         self.t_end = t_end
         self.segments: tuple = tuple(segs)
-        self._starts = [s.start for s in segs]
-
-        # right-scattered coordinates in [t0, t0+T) with their graininess
-        self._scattered = [(seg.end, nxt.start - seg.end)
-                           for seg, nxt in zip(segs, segs[1:])]
+        self.is_discrete = True not in dense
+        self.is_continuous = len(segs) == 1 and not self.is_discrete
+        self._starts = start.tolist()
+        self.scattered_t = end[:-1]
+        self.scattered_mu = start[1:] - self.scattered_t
 
     # -- classification ----------------------------------------------------
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(isinstance(s, Point) for s in self.segments)
-
-    @property
-    def is_continuous(self) -> bool:
-        return len(self.segments) == 1 and isinstance(self.segments[0], Interval)
 
     def dense_intervals(self) -> list:
         """Closed dense subintervals [a, b] of the stored period, ascending."""
         return [(s.a, s.b) for s in self.segments if isinstance(s, Interval)]
 
     def scattered_with_mu(self) -> list:
-        """(t, mu(t)) for every right-scattered t in [t0, t0+T), ascending."""
-        return list(self._scattered)
+        """(t, mu(t)) for every right-scattered t in [t0, t0+T), ascending:
+        each segment's end but the last's, and the gap to the next one."""
+        segs = self.segments
+        return [(seg.end, nxt.start - seg.end)
+                for seg, nxt in zip(segs, segs[1:])]
 
     def steps(self) -> list:
         """The period walk: (segment, (t, mu)) in time order, the jump at
         the segment's right end t; None for the last segment, at t0+T."""
-        return list(zip(self.segments, self._scattered + [None]))
+        return list(zip(self.segments, self.scattered_with_mu() + [None]))
 
     # -- membership --------------------------------------------------------
 

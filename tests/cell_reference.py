@@ -99,8 +99,9 @@ class _DenseCell:
         turns = np.array([2.0 * phase[-1] / _PHASE_CUT])
         scales = np.array([[phi.max(), size.max()]])
         ends = np.array([a]), np.array([b])
-        x, phi, h, half, _, _ = _panel_grid(spec, *ends, _float_floor(*ends),
-                                            turns, scales)
+        coefficients = ex.Forest((spec.q, spec.p, spec.qprime))
+        x, phi, h, half, _, _ = _panel_grid(coefficients, *ends,
+                                            _float_floor(*ends), turns, scales)
         self.x, self.phi, self.h, self.half = x[0], phi[0], h[0], half[0]
         self.E0 = E0
         self.E = E0 * np.exp(1j * _panel_integrals(self.phi, self.half))

@@ -324,6 +324,28 @@ def test_interval_too_short_for_its_grid_exits_3(tmp_path, text, named):
         analyze(build_system(load_config(f)))
 
 
+@pytest.mark.parametrize("segments, named", [
+    pytest.param("intervals = [[-5e-13, -2e-13], [0.5, 1]]\npoints = [0.25]",
+                 "[-5e-13, -2e-13] would end at or before its start",
+                 id="left-end"),
+    pytest.param("intervals = [[0, 0.5], [1.0000000000002, 1.0000000000005]]"
+                 "\npoints = [0.75]",
+                 "[1.0000000000002, 1.0000000000005] would start at or after "
+                 "its end", id="right-end"),
+])
+def test_interval_turned_around_by_snapping_exits_3(tmp_path, segments,
+                                                     named):
+    # the extremity snapped to t0 or t0 + T inverted the interval, which
+    # was then refused as "[0.0, -2e-13] is too short", an interval the
+    # config does not hold; it is named as written, before any sampling
+    f = tmp_path / "inverted.cfg"
+    f.write_text(f"t0 = 0\nperiod = 1\n{segments}\np = 0\nq = 1\n")
+    result = invoke(str(f))
+    assert result.exit_code == 3
+    assert result.stderr.startswith(
+        "config error: t0/period/points/intervals: interval " + named)
+
+
 def test_interval_just_above_the_float_floor_analyzes(tmp_path):
     # 520 > 4096 spacings of 0.125 at 1e15: the panels' and the bound
     # sample's nodes stay distinct, and A = 2 cos(520) as for q = 1 anywhere
@@ -538,6 +560,11 @@ def test_tail_bound_past_the_float_range_is_undetermined(tmp_path):
     pytest.param((CONFIGS / "example_continuous.cfg").read_text(),
                  ("--shi", "--n", "17"), "n=17 exceeds the depth budget",
                  id="phase-form-depth-budget"),
+    # q' = (t - 0.5) / |t - 0.5| divides by zero at the middle node of the
+    # one panel: q and p succeed on the grid's shared walk, and q' raises
+    pytest.param("period = 1\nintervals = [[0, 1]]\np = 0\n"
+                 "q = 2 + abs(t - 0.5)\n", (), "division by zero at t=0.5",
+                 id="qprime-division-by-zero"),
 ])
 def test_refused_analyses_exit_4(tmp_path, text, args, message):
     f = tmp_path / "refused.cfg"

@@ -430,6 +430,102 @@ def test_evaluate_array_emits_no_warning():
         assert evaluate_array(e, [-1.0])[0] == evaluate(e, -1.0) == math.inf
 
 
+# -- one walk over several roots ----------------------------------------------
+
+def _roots_reference(roots, x):
+    """Each root's values as hex, from the reference walk one node at a
+    time in order, up to and including the first root that raises, whose
+    outcome is the exception's type and message."""
+    out = []
+    for e in roots:
+        try:
+            out.append([expr_reference.evaluate(e, t).hex() for t in x])
+        except Exception as exc:
+            return out + [(type(exc), str(exc))]
+    return out
+
+
+def _roots_outcome(roots, x):
+    out = []
+    values = ex.Forest(roots).evaluate(x)
+    try:
+        for _ in roots:
+            out.append([v.hex() for v in next(values).tolist()])
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def _shared_roots():
+    """Root tuples whose nodes meet at several places: q, p and q' of an
+    if/mod tree and of a quotient, whose derivatives reuse their parts, and
+    a node shared by roots that read it under a partial if mask and outside
+    every mask. No sin, cos or exp, whose numpy rounding may differ from
+    the reference's in the last ulp."""
+    q = parse("if(eq(mod(t, 1.0), 0.5), 2, if(eq(mod(t, 1.0), 0.25), 3, "
+              "(1 + 0.1*mod(t, 1.0))^2))")
+    yield q, parse("0.5 + 0.01*t"), differentiate(q)
+    q = parse("(t - 0.3) / (t*t + 1) + abs(t - 0.6)")
+    yield q, parse("t / 3"), differentiate(q)
+    pole = parse("1 / (t - 0.5)")
+    below, above = (ex.If(ex.Cmp(op, ex.Var(), 0.45), pole, ex.Const(0.0))
+                    for op in ("lt", "gt"))
+    yield below, pole, ex.Add(pole, below)  # fails outside the mask only
+    yield pole, below  # the first root fails, the second is never walked
+    yield below, above, pole  # fails under the mask of the second root
+    yield below, ex.Neg(below), differentiate(ex.Mul(below, below))
+
+
+@pytest.mark.parametrize("x", [
+    np.linspace(0.0, 1.0, 41),  # takes both branches, and t = 0.5, 0.25
+    np.linspace(0.01, 0.99, 40),  # misses the poles and the if points
+    [0.25, 0.5, 0.6, 0.3],
+])
+def test_a_walk_over_several_roots_is_the_reference_walk(x):
+    # values bit for bit, and the first failing root's error, where a node
+    # shared by several roots is walked once outside every if mask
+    for roots in _shared_roots():
+        assert _roots_outcome(roots, x) == _roots_reference(roots, x)
+
+
+def test_a_walk_evaluates_a_shared_node_once(monkeypatch):
+    q = parse("if(eq(mod(t, 1.0), 0.5), 2, if(eq(mod(t, 1.0), 0.25), 3, "
+              "(1 + 0.1*cos(2*pi*t))^2))")
+    roots = (q, parse("0.3 + 0.01*sin(2*pi*t)"), differentiate(q))
+    x = np.linspace(0.02, 0.97, 50)  # no node takes an if's first branch
+    walked = []
+    eval_node = ex._ArrayWalk.eval
+
+    def counted(walk, e, x):  # the nodes evaluated, not read back
+        if id(e) not in walk.values:
+            walked.append(id(e))
+        return eval_node(walk, e, x)
+
+    monkeypatch.setattr(ex._ArrayWalk, "eval", counted)
+    got = list(ex.Forest(roots).evaluate(x))
+    monkeypatch.undo()
+    # the first condition's mod(t, 1.0) and q's base 1 + 0.1 cos(2 pi t)
+    # are evaluated once for q and q' together, and q' reads both
+    # conditions' masks from q
+    mod, base = q.cond.arg, q.other.other.base
+    assert walked.count(id(mod)) == walked.count(id(base)) == 1
+    assert walked.count(id(q.other.cond.arg)) == 1
+    for g, e in zip(got, roots):
+        assert g.tobytes() == evaluate_array(e, x).tobytes()
+
+
+def test_a_walk_keeps_a_value_only_while_a_later_root_reads_it():
+    q = parse("(t - 0.3) / (t*t + 1)")
+    roots = (q, parse("t / 3"), differentiate(q), parse("2 * t"))
+    values = ex.Forest(roots).evaluate(np.linspace(0.0, 1.0, 9))
+    kept = []
+    for _ in roots:
+        next(values)
+        kept.append(len(values.gi_frame.f_locals["walk"].values))
+    # q's parts t - 0.3 and t*t + 1 until q' is done, and nothing after
+    assert kept == [2, 2, 0, 0]
+
+
 # every node type that can be parsed, that is all but the bare comparison,
 # legal only as an if-condition, and the derivative placeholder, which
 # raises wherever it is evaluated and has no text

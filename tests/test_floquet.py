@@ -239,6 +239,55 @@ def test_phi_discontinuity_warns_at_dense_starts_and_ends(at):
         f"phi is discontinuous at t={at}: chain value 2.0 vs dense limit 1.0"]
 
 
+def _loop_phi_messages(spec):
+    """The warnings of the period walk's per-row check, which compared
+    each dense row's first and last panel node with the chain's phi at the
+    row's start and end in a loop over the segments."""
+    table = solve_phi(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PhiDiscontinuityWarning)
+        engine = _SeriesEngine(table)
+    messages, row = [], 0
+    for i, seg in enumerate(spec.ts.segments):
+        if isinstance(seg, Interval):
+            limits = engine.phi[row, [0, engine.last[row]]].tolist()
+            for t, chain, limit in zip(
+                    (seg.a, seg.b), (table.start_phi(i), table.ends[i]),
+                    limits):
+                if abs(chain - limit) > 1e-6:
+                    messages.append(f"phi is discontinuous at t={t}: chain "
+                                    f"value {chain} vs dense limit {limit}")
+            row += 1
+    return engine, messages
+
+
+def test_phi_jumps_of_a_long_hybrid_warn_in_time_order():
+    # 40 cells and 40 points, 80 events, so the array walk: q is redefined
+    # at the dense starts 3 and 17, and at the dense ends 5.5 and 20.5,
+    # which moves the chain's phi at those ends; the one array check warns
+    # as the per-row loop did, with the same text and in the same order
+    cells = 40
+    phi = "(1 + 0.05*cos(2*pi*t))"
+    q = (f"if(eq(t, 3), 1.5, if(eq(t, 17), 1.3, if(eq(t, 5.5), 1.6, "
+         f"if(eq(t, 20.5), 0.9, if(eq(mod(t, 1), 0.5), {0.95 ** 2!r}, "
+         f"if(eq(mod(t, 1), 0.75), {0.95 * 1.05!r}, {phi}^2))))))")
+    segments = [Interval(float(i), i + 0.5) for i in range(cells)]
+    segments += [Point(i + 0.75) for i in range(cells)] + [Point(cells)]
+    ts = validate(PeriodicTimeScale(0.0, float(cells), segments))
+    spec = SystemSpec(ts, parse("0.3"), parse(q))
+    engine, want = _loop_phi_messages(spec)
+    assert engine.slots is not None  # the array walk
+    # a redefined start moves the chain back to the end before it too
+    assert [m.split(":")[0] for m in want] == [
+        f"phi is discontinuous at t={t}"
+        for t in (2.5, 3.0, 5.5, 16.5, 17.0, 20.5)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PhiDiscontinuityWarning)
+        analyze(spec, n=3)
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, PhiDiscontinuityWarning)] == want
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "phi jumps at the dense start t=2 and the series has no event there "
     "(oracle A = -3.560186, A(8) = -2.442815); ROADMAP item 1a's events, "
@@ -1108,8 +1157,13 @@ def test_array_sampling_matches_scalar_sampling(seed, monkeypatch):
     # ulp on some platforms; the series and the bound must not notice
     spec = random_hybrid_system(seed)
     fast = analyze(spec, n=8)
-    monkeypatch.setattr(ex, "evaluate_array", lambda e, x: np.array(
-        [expr_reference.evaluate(e, t) for t in x]))
+
+    def walk(e, x):
+        return np.array([expr_reference.evaluate(e, t) for t in x])
+
+    monkeypatch.setattr(ex, "evaluate_array", walk)
+    monkeypatch.setattr(ex.Forest, "evaluate",
+                        lambda forest, x: (walk(e, x) for e in forest.roots))
     slow = analyze(spec, n=8)
     scale = max(abs(a) for a in slow.A_terms)
     assert fast.A_terms == pytest.approx(slow.A_terms, rel=0,
@@ -1120,7 +1174,8 @@ def test_array_sampling_matches_scalar_sampling(seed, monkeypatch):
 
 def test_analyses_sample_the_stated_number_of_grids(monkeypatch, tmp_path):
     # every coefficient value an analysis with dense parts reads comes
-    # from one evaluate_array call per grid
+    # from one walk per grid: an evaluate_array call, or a Forest's
+    # evaluate for q, p and q' together
     monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
     import workloads
 
@@ -1128,27 +1183,30 @@ def test_analyses_sample_the_stated_number_of_grids(monkeypatch, tmp_path):
     hybrid.write_text(
         workloads.hybrid_system(random.Random(1), "h", 100, True).text)
     grids = []
-    array = ex.evaluate_array
 
-    def record(e, x):
-        grids.append((e, x))
-        return array(e, x)
+    def recorded(walk):
+        def record(e, x):
+            grids.append((e, x))
+            return walk(e, x)
+        return record
 
     expected = 0
     for path in sorted((ROOT / "configs").rglob("*.cfg")) + [hybrid]:
         spec = build_system(load_config(path))
         if not spec.ts.dense_intervals():
             continue
-        # p, q and q' in each round of the series grid, which the phase
-        # form reads too, and on the bound's sample, p on the first GK15
-        # panels of B, q at the dense starts, and p and q at the scattered
-        # points. 15 scales have intervals, 13 of them are continuous
+        # q, p and q' in one walk in each round of the series grid, which
+        # the phase form reads too, and on the bound's sample, p on the
+        # first GK15 panels of B, q at the dense starts, and p and q at the
+        # scattered points. 15 scales have intervals, 13 of them are
+        # continuous
         rounds = _SeriesEngine(solve_phi(spec)).rounds
         points = 2 * bool(spec.ts.scattered_with_mu())
-        expected += ((3 * (rounds + 1) + 2 + points)
+        expected += ((rounds + 1 + 2 + points)
                      * (1 + spec.ts.is_continuous))
         with monkeypatch.context() as m:
-            m.setattr(ex, "evaluate_array", record)
+            m.setattr(ex, "evaluate_array", recorded(ex.evaluate_array))
+            m.setattr(ex.Forest, "evaluate", recorded(ex.Forest.evaluate))
             analyze(spec, n=3)
             if spec.ts.is_continuous:
                 analyze(spec, n=3, use_shi=True)
@@ -1232,6 +1290,54 @@ def test_error_bound_is_at_least_the_first_omitted_term(z, n):
     except OverflowError:
         first = math.inf
     assert _unit_bound(z, n) >= first
+
+
+def _exp_tail_in_order(z: float, n: int) -> float:
+    """The tail sum as it read before its terms were sorted: the same
+    terms and stopping rule, ``fsum`` taking the terms in the order of k."""
+    k = n + 1
+    term = z ** k / math.factorial(k)
+    terms = [term]
+    total = term
+    while total < math.inf:
+        k += 1
+        term *= z / k
+        if z < k + 1:
+            rest = term / (1.0 - z / (k + 1))
+            if rest <= 2.0 ** -53 * total:
+                terms.append(rest)
+                return math.fsum(terms)
+        terms.append(term)
+        total += term
+    return math.inf
+
+
+def _tail_outcome(tail, z, n):
+    try:
+        return tail(z, n).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+_TAIL_CASES = (
+    [(z, n) for z in np.linspace(0.0, 800.0, 161).tolist()
+     for n in (0, 1, 2, 3, 5, 8, 16, 48)]
+    # around log(DBL_MAX) = 709.78, where e^z leaves the float range
+    + [(709.78 + d, n) for d in np.linspace(-0.05, 0.05, 41).tolist()
+       for n in (0, 1, 3)]
+    # first terms z^(n+1) past the float range: OverflowError
+    + [(1e200, 1), (1e300, 3), (800.0, 120)])
+
+
+def test_exp_tail_is_the_sum_in_the_order_of_k():
+    # fsum is correctly rounded, so the descending order it now takes gives
+    # the same float, inf and OverflowError as the order of k, bit for bit
+    rng = random.Random(5)
+    cases = _TAIL_CASES + [(rng.uniform(0.0, 800.0), rng.randrange(50))
+                           for _ in range(300)]
+    got = [_tail_outcome(floquet._exp_tail, z, n) for z, n in cases]
+    assert got == [_tail_outcome(_exp_tail_in_order, z, n) for z, n in cases]
+    assert {"inf", "OverflowError"} <= set(got)  # both ends are swept
 
 
 # -- multipliers and verdict --------------------------------------------------

@@ -79,6 +79,62 @@ def test_invalid_segment():
         validate(PeriodicTimeScale(0, 2, [Interval(1.5, 0.5), Point(2)]))
 
 
+@pytest.mark.parametrize("segments, named", [
+    # the left end's start lies within the tolerance of t0, its end before
+    ([Interval(-5e-13, -2e-13), Point(0.25), Interval(0.5, 1)],
+     "[-5e-13, -2e-13] would end at or before its start once that is "
+     "snapped to t0=0.0"),
+    ([Interval(-5e-13, 0.0), Point(0.25), Interval(0.5, 1)],
+     "[-5e-13, 0.0] would end at or before"),
+    # the right end's end lies within the tolerance of t0 + T, its start
+    # after it
+    ([Interval(0, 0.5), Point(0.75), Interval(1.0000000000002,
+                                              1.0000000000005)],
+     "[1.0000000000002, 1.0000000000005] would start at or after its end "
+     "once that is snapped to t0+T=1.0"),
+])
+def test_snapping_never_turns_an_interval_around(segments, named):
+    # snapping made Interval(0.0, -2e-13) and Interval(1.0000000000002,
+    # 1.0), whose B came out as 1.0239 and whose analysis named them
+    with pytest.raises(InvalidSegment, match=re.escape(f"interval {named}")):
+        validate(PeriodicTimeScale(0, 1, segments))
+
+
+@pytest.mark.parametrize("segments, error, named", [
+    # each segment's own checks in input order: type, finiteness, a < b
+    ([Interval(1.5, 0.5), Point(math.nan), Point(2)], InvalidSegment,
+     "interval [1.5, 0.5] must have a < b"),
+    ([Point(math.nan), Interval(1.5, 0.5), Point(2)], InvalidSegment,
+     "segment Point(x=nan) is not finite"),
+    ([Interval(1.5, 0.5), (0.5, 1.0)], InvalidSegment,
+     "interval [1.5, 0.5] must have a < b"),
+    ([(0.5, 1.0), Interval(1.5, 0.5)], InvalidSegment,
+     "not a segment: (0.5, 1.0)"),
+    # then, in time order, the first pair that overlaps, and the window's
+    # left extremity before its right one
+    ([Point(2), Interval(1, 1.5), Interval(0, 1.2), Point(1.5)],
+     OverlappingSegments,
+     "segments Interval(a=0, b=1.2) and Interval(a=1, b=1.5) overlap"),
+    ([Point(2.5), Point(-1e-13), Point(0), Point(1), Point(0.5)],
+     OverlappingSegments, "segments Point(x=-1e-13) and Point(x=0) overlap"),
+    ([Point(2 + 1e-11), Point(1e-11), Point(1)], EndpointNotCovered,
+     "t0=0.0 is not the left extremity"),
+    ([Point(2 + 1e-11), Point(0), Point(1)], EndpointNotCovered,
+     "t0+T=2.0 is not the right extremity"),
+])
+def test_the_first_failing_check_is_raised(segments, error, named):
+    with pytest.raises(error, match=re.escape(named)):
+        validate(PeriodicTimeScale(0, 2, segments))
+
+
+def test_snapping_one_interval_to_both_extremities():
+    # a period under the tolerance: the one interval's start snaps to t0
+    # first, and its end to t0 + T, after that start
+    ts = validate(PeriodicTimeScale(0.0, 1e-13, [Interval(5e-13, 6e-13)]))
+    assert ts.segments == (Interval(0.0, 1e-13),)
+    assert ts.is_continuous and not ts.is_discrete
+
+
 def test_non_segment_is_invalid():
     # checked before the segments are sorted by their start
     with pytest.raises(InvalidSegment):
@@ -201,3 +257,107 @@ def test_split_panels_tiles_each_parent(parents):
     assert right[last].tobytes() == hi.tobytes()
     inner = parent[1:] == parent[:-1]
     assert right[:-1][inner].tobytes() == left[1:][inner].tobytes()
+
+
+def _checked_in_a_loop(ts):
+    """The scale's checks as a loop over the segments, the way they read
+    before they became array masks, with snapping as it was: the segments
+    and (t, mu) pairs, or the error raised."""
+    for seg in ts.segments:
+        if not isinstance(seg, (Point, Interval)):
+            raise InvalidSegment(f"not a segment: {seg!r}")
+        if not (math.isfinite(seg.start) and math.isfinite(seg.end)):
+            raise InvalidSegment(f"segment {seg} is not finite")
+        if isinstance(seg, Interval) and not seg.a < seg.b:
+            raise InvalidSegment(
+                f"interval [{seg.a}, {seg.b}] must have a < b")
+    segs = sorted(ts.segments, key=lambda seg: seg.start)
+    for prev, cur in zip(segs, segs[1:]):
+        if cur.start <= prev.end + 1e-12 * max(1.0, abs(prev.end)):
+            raise OverlappingSegments(
+                f"segments {prev} and {cur} overlap or touch")
+    if not segs:
+        raise EndpointNotCovered("empty segment list")
+    t0, t_end = ts.t0, ts.t0 + ts.period
+    tol0, tol1 = (1e-12 * max(1.0, abs(t)) for t in (t0, t_end))
+    if abs(segs[0].start - t0) > tol0:
+        raise EndpointNotCovered(f"t0={t0} is not the left extremity")
+    if abs(segs[-1].end - t_end) > tol1:
+        raise EndpointNotCovered(f"t0+T={t_end} is not the right extremity")
+    for seg in segs:
+        if seg.start < t0 - tol0 or seg.end > t_end + tol1:
+            raise EndpointNotCovered(f"segment {seg} outside [t0, t0+T]")
+    if isinstance(segs[0], Point):
+        segs[0] = Point(t0)
+    else:
+        segs[0] = Interval(t0, segs[0].b)
+    if isinstance(segs[-1], Point):
+        segs[-1] = Point(t_end)
+    else:
+        segs[-1] = Interval(segs[-1].a, t_end)
+    return segs, [(seg.end, nxt.start - seg.end)
+                  for seg, nxt in zip(segs, segs[1:])]
+
+
+_place = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1e-13, 2 + 1e-13,
+                                    1e-11, math.nan, math.inf]),
+                   st.floats(min_value=-0.5, max_value=2.5))
+_segment = st.one_of(
+    _place.map(Point), st.tuples(_place, _place).map(lambda e: Interval(*e)),
+    st.tuples(_place, st.floats(min_value=0.0, max_value=1.0)).map(
+        lambda e: Interval(e[0], e[0] + e[1])))
+
+
+@st.composite
+def _scales(draw):
+    """Segments in shuffled order that tile [0, 2] with their ends up to
+    5e-13 off the window's, or that snapping would turn around there, and
+    now and then one that is not a segment."""
+    places = sorted(set(draw(st.lists(st.floats(0.001, 1.999), max_size=8))))
+    first = draw(st.sampled_from([0.0, -5e-13, 5e-13, (-5e-13, -2e-13)]))
+    last = draw(st.sampled_from([2.0, 2 - 5e-13, 2 + 5e-13,
+                                 (2 + 2e-13, 2 + 5e-13)]))
+    segments, i = [], 0
+    places = [first, *places, last]
+    while i < len(places):
+        if isinstance(places[i], tuple):
+            segments.append(Interval(*places[i]))
+            i += 1
+        elif (i + 1 < len(places) and not isinstance(places[i + 1], tuple)
+              and draw(st.booleans())):
+            segments.append(Interval(places[i], places[i + 1]))
+            i += 2
+        else:
+            segments.append(Point(places[i]))
+            i += 1
+    if draw(st.integers(0, 9)) == 9:
+        segments.append((0.5, 1.0))
+    return draw(st.permutations(segments))
+
+
+@given(st.one_of(_scales(), st.lists(_segment, max_size=6)))
+def test_the_array_checks_raise_what_the_loop_raised(segments):
+    # the same first error, or the same segments, (t, mu) pairs and class,
+    # except where the loop snapped an end interval the wrong way round
+    scale = PeriodicTimeScale(0.0, 2.0, segments)
+    try:
+        segs, scattered = _checked_in_a_loop(scale)
+    except TimeScaleError as exc:
+        with pytest.raises(type(exc)) as got:
+            validate(scale)
+        assert str(got.value) == str(exc)
+        return
+    try:
+        ts = validate(scale)
+    except InvalidSegment as exc:  # turned around by snapping
+        assert "snapped" in str(exc)
+        assert any(not seg.start < seg.end for seg in segs
+                   if isinstance(seg, Interval))
+        return
+    assert list(ts.segments) == segs
+    assert ts.scattered_with_mu() == scattered
+    assert ts.scattered_t.tolist() == [t for t, _ in scattered]
+    assert ts.scattered_mu.tolist() == [mu for _, mu in scattered]
+    assert ts.is_discrete == all(isinstance(s, Point) for s in segs)
+    assert ts.is_continuous == (len(segs) == 1
+                                and isinstance(segs[0], Interval))
