@@ -46,7 +46,7 @@ class ConfigFile:
 def _const(text: str, line: int) -> float:
     try:
         return ex.const_value(ex.parse(text))
-    except (TsfloquetError, ValueError) as exc:
+    except (TsfloquetError, ValueError, OverflowError) as exc:
         raise ConfigParseError(f"not a constant expression: {text!r} ({exc})",
                                line) from exc
 

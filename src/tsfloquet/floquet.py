@@ -43,20 +43,21 @@ Simpson weights, a few array products and one cumulative sum, equal bit
 for bit to SciPy's ``cumulative_simpson``. That sample is taken first,
 and its phase sets the panels' first cut.
 
-Per-point work is done once per analysis, on arrays. ``validate_system``
-samples p and then q at every scattered point with one ``evaluate_array``
-call each, in time order, and q at every dense start with one more, and
-checks the sample with array masks. The sample records its system, and
-the ``PhaseTable`` that ``solve_phi`` builds on it keeps it, so a spec
-met with another system's sample or table is refused; ``compute_B`` and
-the engine's period walk read it, and a valid analysis makes no scalar
-``expr.evaluate`` call. The table keeps phi by segment, at each end and
-each dense start, and the one series engine per analysis, with one table
-of each jump's phi, E, h, 1 / D and mu W, computed once in the period
-walk: the terms read its panels and that table, the bound its uniform
-sample and the table, the phase form its row's phase. One array
-comparison checks phi's dense limits, each row's first and last panel
-nodes, against the chain's phi at the dense starts and ends.
+The period is one array record that every stage reads: the time scale's
+``starts``, ``ends`` and ``dense`` mask by segment, the phase table's phi
+at every segment's start and end, and the engine's jump table, the only
+per-jump record. ``validate_system`` samples p and then q at every
+scattered point with one ``evaluate_array`` call each, in time order, and
+q at every dense start with one more, and checks the sample with array
+masks. The sample records its system, and the ``PhaseTable`` that
+``solve_phi`` builds on it keeps it, so a spec met with another system's
+sample or table is refused; a valid analysis makes no scalar
+``expr.evaluate`` call. The one series engine per analysis computes each
+jump's phi, E, h, 1 / D and mu W once, in the period walk: the terms read
+its panels and that table, the bound its uniform sample and the table,
+the phase form its row's phase. One array comparison checks phi's dense
+limits, each row's first and last panel nodes, against the table's phi
+at the dense starts and ends.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -84,7 +85,7 @@ from .errors import (
     NotRegressive,
     PhiVanishes,
 )
-from .timescale import Interval, ValidatedTimeScale, inward, split_panels
+from .timescale import ValidatedTimeScale, inward, split_panels
 
 class PhiDiscontinuityWarning(UserWarning):
     """phi's dense limit misses the chain's phi at a dense start or end (a
@@ -148,15 +149,16 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class PointSample:
-    """``validate_system``'s checked sample of ``spec``, as Python floats: p,
-    q and the step factor 1 - mu p + mu^2 q at every right-scattered point,
-    in time order, and sqrt(q) at each dense start by segment index."""
+    """``validate_system``'s checked sample of ``spec``: p, q and the step
+    factor 1 - mu p + mu^2 q at every right-scattered point, as Python
+    floats in time order, and ``starts``, the float array of sqrt(q) at
+    each dense start, by dense row."""
 
     spec: SystemSpec = field(repr=False)
     p: list
     q: list
     factor: list
-    starts: dict
+    starts: np.ndarray
 
 
 def validate_system(spec: SystemSpec) -> PointSample:
@@ -182,26 +184,25 @@ def validate_system(spec: SystemSpec) -> PointSample:
         p, q, factor = p.tolist(), q.tolist(), factor.tolist()
         if bad.any():
             i = int(np.argmax(bad))
-            at = ts.segments[i].end  # the i-th scattered point
+            at = float(t[i])
             _check_finite("p", p[i], at, "at a scattered point")
             _check_finite("q", q[i], at, "at a scattered point")
             if abs(factor[i]) <= 1e-12:
                 raise NotRegressive(f"1 - mu*p + mu^2*q vanishes at t={at}")
             raise PhiVanishes(f"q = {q[i]} is within {_PHI_MIN} of 0 at "
                               f"t={at} at a scattered point")
-    dense = [i for i, s in enumerate(ts.segments) if isinstance(s, Interval)]
-    starts = {}
-    if dense:
-        a = [ts.segments[i].a for i in dense]
+    a = ts.starts[ts.dense]
+    starts = a
+    if len(a):
         q_a = ex.evaluate_array(spec.q, a)
         bad = (q_a <= 0) | ~np.isfinite(q_a)
         if bad.any():
             j = int(np.argmax(bad))
-            v = float(q_a[j])
+            v, at = float(q_a[j]), float(a[j])
             if v <= 0:
-                raise NegativeQOnDense(f"q({a[j]}) = {v} <= 0 on a dense part")
-            _check_finite("q", v, a[j], "on a dense part")
-        starts = dict(zip(dense, np.sqrt(q_a).tolist()))
+                raise NegativeQOnDense(f"q({at}) = {v} <= 0 on a dense part")
+            _check_finite("q", v, at, "on a dense part")
+        starts = np.sqrt(q_a)
     return PointSample(spec, p, q, factor, starts)
 
 
@@ -213,25 +214,20 @@ def _check_system(spec: SystemSpec, sample: PointSample) -> None:
 
 @dataclass
 class PhaseTable:
-    """phi by segment index, and the checked sample it was built from,
-    which records the system; on a dense part phi = sqrt(q).
-
-    ``ends[i]`` is phi at the right end of segment i, the scattered point
-    there or t0 + T for the last segment, from the chain alone even where
-    segment i is dense; at the start of each dense segment phi = sqrt(q)
-    is the sample's. ``engine`` is the analysis's one ``_SeriesEngine``,
-    which ``_engine`` builds on first use for the terms, the truncation
-    bound and the phase form.
+    """phi at the start and the end of every segment, ``starts`` and
+    ``ends``, float arrays in time order, and the checked sample it was
+    built from, which records the system. At a point the two are equal; at
+    a dense start phi is the sample's sqrt(q), and every end, a scattered
+    point or t0 + T, holds the chain's phi, even where the segment is
+    dense. ``engine`` is the analysis's one ``_SeriesEngine``, which
+    ``_engine`` builds on first use for the terms, the truncation bound
+    and the phase form.
     """
 
     sample: PointSample
-    ends: list = field(default_factory=list)  # segment index -> phi at its end
+    starts: np.ndarray
+    ends: np.ndarray
     engine: Optional[_SeriesEngine] = field(default=None, repr=False)
-
-    def start_phi(self, i: int) -> float:
-        """phi at the start of segment i: sqrt(q) from the sample's
-        ``starts``, else ``ends[i]``, since a point starts where it ends."""
-        return self.sample.starts.get(i, self.ends[i])
 
 
 def _check_phi(v: float, where: float) -> float:
@@ -250,8 +246,8 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     long periods. A does not depend on the seed. On hybrid scales each
     scattered run ending at a dense start is back-substituted from sqrt(q)
     there, and the run after the last dense segment from
-    phi(t0+T) = phi(t0). The table holds phi at every segment's end;
-    the series engine compares it and sqrt(q) at each dense start with
+    phi(t0+T) = phi(t0). One loop fills phi at each segment's start and
+    end; the series engine compares the two at each dense segment with
     phi's dense limits there.
 
     phi reads q at the scattered points and sqrt(q) at the dense starts
@@ -262,32 +258,39 @@ def solve_phi(spec: SystemSpec, seed: Optional[float] = None) -> PhaseTable:
     """
     ts = spec.ts
     sample = validate_system(spec)
-    table = PhaseTable(sample)
-    segs = ts.segments
-    ends = table.ends = [None] * len(segs)
-    # q at the right end of segs[i], for every segment but the last
+    where = ts.ends.tolist()  # t at each segment's end
+    # q at the right end of each segment but the last
     q_end = sample.q
 
     if ts.is_discrete:
         if seed is None:
             seed = math.sqrt(abs(q_end[0]))
-        ends[0] = _check_phi(float(seed), ts.t0)
-        for i, q in enumerate(q_end, 1):
-            ends[i] = _check_phi(q / ends[i - 1], segs[i].x)
-        return table
+        ends = [_check_phi(float(seed), ts.t0)]
+        for q, t in zip(q_end, where[1:]):
+            ends.append(_check_phi(q / ends[-1], t))
+        ends = np.array(ends)
+        return PhaseTable(sample, ends, ends)
+
+    dense = ts.dense.tolist()
+    starts, ends = [None] * len(dense), [None] * len(dense)
+    rows = np.flatnonzero(ts.dense).tolist()
+    for i, phi in zip(rows, sample.starts.tolist()):
+        starts[i] = phi
 
     def back_substitute(last, first):
-        # phi at the scattered ends of segs[last], ..., segs[first], each
-        # from phi at the start of the next segment
+        # phi at the scattered ends of segments last, ..., first, each from
+        # phi at the start of the next segment; a point starts there too
         for i in range(last, first - 1, -1):
-            ends[i] = _check_phi(q_end[i] / table.start_phi(i + 1),
-                                 segs[i].end)
+            ends[i] = _check_phi(q_end[i] / starts[i + 1], where[i])
+            if not dense[i]:
+                starts[i] = ends[i]
 
-    last_interval = max(sample.starts)
-    back_substitute(last_interval - 1, 0)  # the runs ending at dense starts
-    ends[-1] = _check_phi(table.start_phi(0), ts.t_end)
-    back_substitute(len(segs) - 2, last_interval)  # through t0+T
-    return table
+    back_substitute(rows[-1] - 1, 0)  # the runs ending at dense starts
+    ends[-1] = _check_phi(starts[0], ts.t_end)
+    if not dense[-1]:
+        starts[-1] = ends[-1]
+    back_substitute(len(dense) - 2, rows[-1])  # through t0+T
+    return PhaseTable(sample, np.array(starts), np.array(ends))
 
 
 def compute_B(spec: SystemSpec,
@@ -313,11 +316,12 @@ def compute_B(spec: SystemSpec,
     if sample is None:
         sample = validate_system(spec)
     _check_system(spec, sample)
+    ts = spec.ts
     prod = math.prod(sample.factor)
     integral = 0.0
     for value in tscalc.quad_intervals(
             lambda x: -_finite("p", ex.evaluate_array(spec.p, x), x),
-            spec.ts.dense_intervals()):
+            ts.starts[ts.dense], ts.ends[ts.dense]):
         integral += value
     try:
         growth = math.exp(integral)
@@ -574,33 +578,17 @@ def _check_dense_limits(table: PhaseTable, first, last) -> None:
     from the chain's phi there: sqrt(q) from the sample at a start, and the
     chain's own value at an end. One ``PhiDiscontinuityWarning`` per such
     place, in time order, naming t as the time scale holds it."""
-    starts = table.sample.starts  # by segment index, in time order
+    ts = table.sample.spec.ts
     # every row's start, then every row's end
-    chain = np.array([*starts.values(), *map(table.ends.__getitem__, starts)])
+    chain = np.concatenate([table.starts[ts.dense], table.ends[ts.dense]])
     limits = np.concatenate([first, last])
     jumps = np.flatnonzero(np.abs(chain - limits) > 1e-6).tolist()
-    cells = table.sample.spec.ts.dense_intervals() if jumps else []
+    if jumps:
+        at = np.concatenate([ts.starts[ts.dense], ts.ends[ts.dense]]).tolist()
     for j in sorted(jumps, key=lambda j: (j % len(first), j)):
-        side, row = divmod(j, len(first))
         warnings.warn(
-            f"phi is discontinuous at t={cells[row][side]}: chain value "
+            f"phi is discontinuous at t={at[j]}: chain value "
             f"{chain[j]} vs dense limit {limits[j]}", PhiDiscontinuityWarning)
-
-
-def _jumps(table: PhaseTable):
-    """mu, phi, phi(sigma(t)) and h = -p - (phi(sigma(t)) - phi) / (mu phi)
-    at every scattered point t, as arrays in time order; t ends a segment
-    and sigma(t) starts the next one. The caller's ``_quiet`` keeps
-    overflow in the values."""
-    mu = table.sample.spec.ts.scattered_mu
-    if not len(mu):  # a continuous scale
-        return mu, mu, mu, mu
-    ends, dense = np.array(table.ends), table.sample.starts
-    starts = ends.copy()
-    starts[list(dense)] = list(dense.values())
-    phi, phi_sigma = ends[:-1], starts[1:]
-    return mu, phi, phi_sigma, -np.array(table.sample.p) - (
-        phi_sigma - phi) / (mu * phi)
 
 
 def _uniform_rows(a, b, step):
@@ -629,16 +617,16 @@ class _SeriesEngine:
     each row's panel count and ``rounds`` the layout's sampling rounds.
     ``_check_dense_limits`` warns (``PhiDiscontinuityWarning``) where a
     row's first or last phi, its dense limit at that end, is more than
-    1e-6 from the chain's value there, ``table.sample.starts`` or
-    ``table.ends``. From mu and the sample's p, each scattered point t's
-    fields are computed once: phi(t), and h(t) = -p - (phi(sigma(t)) -
-    phi(t)) / (mu phi(t)) as one array expression over the points; then
-    the period walk records the E each row starts from and, in CPython
+    1e-6 from ``table.starts`` or ``table.ends`` there. At the scattered
+    points, phi(t) = ``table.ends[:-1]``, phi(sigma(t)) =
+    ``table.starts[1:]`` and h(t) = -p - (phi(sigma(t)) - phi(t)) / (mu
+    phi(t)) are one array expression; then the period walk, over the
+    ``dense`` mask, records the E each row starts from and, in CPython
     scalars, E before the point's own step, 1 / D with D = phi(sigma(t))
     E(sigma(t)), and mu W = mu (h / D), the weight of a level's step at
     t. ``jump_table`` holds them as the (5, jumps) complex rows phi, E, h,
-    1 / D and mu W; ``events`` holds a row index or a jump's (phi, E,
-    mu W), in time order.
+    1 / D and mu W, and ``order`` the events in time order, True for a
+    row and False for a jump.
     Overflow on long periods stays in the values, and numpy's error state
     is the caller's at every return and yield. Each series order is the
     two running integrals J and K of W against the previous level's G and
@@ -650,7 +638,8 @@ class _SeriesEngine:
 
     There are two walks, chosen by the number of events. Below
     ``_ARRAY_WALK_EVENTS`` a scalar loop adds the steps in Python complex
-    arithmetic, reading the row totals with one ``tolist``. From there on
+    arithmetic, reading the row totals with one ``tolist`` and the jump
+    table's phi, E and mu W with one per analysis. From there on
     one order's steps fill a (2, events + 1) array behind a +0 slot and
     one ``np.cumsum`` adds them: it adds strictly left to right, so every
     running value is the loop's bit for bit. The steps and the next
@@ -665,7 +654,7 @@ class _SeriesEngine:
     def __init__(self, table: PhaseTable):
         spec = table.sample.spec
         ts = spec.ts
-        a, b = np.array(ts.dense_intervals(), dtype=float).reshape(-1, 2).T
+        a, b = ts.starts[ts.dense], ts.ends[ts.dense]
         self.rows = len(a)
         if self.rows:
             floor = _float_floor(a, b)
@@ -694,65 +683,63 @@ class _SeriesEngine:
             _check_dense_limits(table, self.phi[:, 0],
                                 self.phi.take(self.tips))
         self.E_in = []  # the E each dense row starts from
-        # in time order: a dense row's index or a jump's (phi, E, muW)
-        self.events = []
+        self.order = []  # in time order, True for a dense row, False a jump
         E_t, M_t, muW_t = [], [], []  # each jump's E, 1 / D and muW
         # past a dense row E is a numpy scalar; its overflow stays in the values
         with _quiet():
-            mu, phi_t, phi_sigma, h_t = _jumps(table)
+            # each point t ends a segment and sigma(t) starts the next one
+            mu, p = ts.scattered_mu, np.array(table.sample.p)
+            phi_t, phi_sigma = table.ends[:-1], table.starts[1:]
+            h_t = -p - (phi_sigma - phi_t) / (mu * phi_t)
             steps = zip(mu.tolist(), phi_t.tolist(), phi_sigma.tolist(),
                         h_t.tolist())
             E = 1.0 + 0.0j
             row = 0
-            for seg, step in zip(ts.segments, [*steps, None]):
-                if isinstance(seg, Interval):
+            for dense, step in zip(ts.dense.tolist(), [*steps, None]):
+                if dense:
                     # E carries on from the row's last node: the scalar
                     # product E * U[row, last] would round differently
                     self.E_in.append(E)
                     np.multiply(E, U[row], out=self.E[row])
                     E = self.E[row, self.last[row]]
-                    self.events.append(row)
+                    self.order.append(True)
                     row += 1
                 if step is not None:  # the point t ending the segment
                     mu, phi, phi_sigma, h = step
                     E_sigma = (1.0 + 1j * mu * phi) * E
                     D = phi_sigma * E_sigma
-                    muW = mu * (h / D)
-                    self.events.append((phi, E, muW))
                     E_t.append(E)
                     M_t.append(1.0 / D)
-                    muW_t.append(muW)
+                    muW_t.append(mu * (h / D))
+                    self.order.append(False)
                     E = E_sigma
             if self.rows:
                 self.D = self.phi * self.E
                 self.W = self.h / self.D
             self.E_T = E
-            self.phi0 = table.start_phi(0)
-            self.phiT = table.ends[-1]
+            self.phi0 = float(table.starts[0])
+            self.phiT = float(table.ends[-1])
             self.jump_table = np.array([phi_t, E_t, h_t, M_t, muW_t],
                                        dtype=complex)
             # the seeds G_0 and H_0 at the jumps, as Python's float products
             phi, E = self.jump_table[0].real, self.jump_table[1]
             self.jump_GH = phi * np.array([E.imag, E.real])
             self.slots = None
-            if len(self.events) >= _ARRAY_WALK_EVENTS:
-                self._array_walk_columns()
-
-    def _array_walk_columns(self):
-        """The array walk's columns: ``slots``, each row's and each jump's
-        slot, 1 + its place in time order, and the slots before them; and
-        ``step``, the (jumps, 2) factors and terms of a jump's step. With
-        mu W from the jump table, CPython's (mu W) * g is
-        (Re mu W g - Im mu W 0.0, Re mu W 0.0 + Im mu W g): the factors are
-        (Re mu W, Im mu W) and the terms (Im mu W (-0.0), Re mu W 0.0), NaN
-        where a part of mu W is infinite."""
-        slots = np.arange(1, len(self.events) + 1)
-        is_row = np.array([ev.__class__ is int for ev in self.events])
-        rows, jumps = slots[is_row], slots[~is_row]
-        self.slots = rows, jumps, rows - 1, jumps - 1
-        muW = self.jump_table[4]
-        factor = np.stack([muW.real, muW.imag], axis=-1)
-        self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
+            if len(self.order) >= _ARRAY_WALK_EVENTS:
+                # the array walk's columns: each row's and each jump's slot,
+                # 1 + its place in time order, and the slots before them;
+                # and the (jumps, 2) factors and terms of a jump's step.
+                # CPython's (mu W) * g is (Re mu W g - Im mu W 0.0,
+                # Re mu W 0.0 + Im mu W g): the factors are (Re mu W,
+                # Im mu W) and the terms (Im mu W (-0.0), Re mu W 0.0), NaN
+                # where a part of mu W is infinite
+                slots = np.arange(1, len(self.order) + 1)
+                is_row = np.array(self.order)
+                rows, jumps = slots[is_row], slots[~is_row]
+                self.slots = rows, jumps, rows - 1, jumps - 1
+                muW = self.jump_table[4]
+                factor = np.stack([muW.real, muW.imag], axis=-1)
+                self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
 
     def trace_seeds(self):
         """The seeds of the trace series, G_0 = phi sin_phi and
@@ -780,7 +767,8 @@ class _SeriesEngine:
         ratio = self.phiT / self.phi0
         E_T = self.E_T
         if self.slots is None:
-            walk, at_jumps = self._scalar_walk, at_jumps.T.tolist()
+            walk = functools.partial(self._scalar_walk, self._scalar_jumps())
+            at_jumps = at_jumps.T.tolist()
         else:
             walk = self._array_walk
         S = None
@@ -801,24 +789,33 @@ class _SeriesEngine:
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             yield A + 0.0
 
-    def _scalar_walk(self, totals, at_jumps):
+    def _scalar_jumps(self) -> list:
+        """Each jump's (phi, E, mu W) as Python numbers, from the jump
+        table, for ``_scalar_walk``."""
+        phi, E, _, _, muW = self.jump_table
+        return list(zip(phi.real.tolist(), E.tolist(), muW.tolist()))
+
+    def _scalar_walk(self, jumps, totals, at_jumps):
         """One order's walk in Python complex arithmetic: the final J and
         K, their offsets at each row and the next level's (g, h) pairs at
-        the jumps, from the (2, cells) row totals and this level's pairs."""
+        the jumps, from each jump's (phi, E, mu W), the (2, cells) row
+        totals and this level's pairs."""
         if self.rows:
             totalJ, totalK = totals.tolist()
         accJ = 0.0 + 0.0j
         accK = 0.0 + 0.0j
         offJ, offK = [], []
-        seeds, at_jumps = iter(at_jumps), []
-        for ev in self.events:
-            if ev.__class__ is int:  # a dense row
+        jumps, seeds, at_jumps = iter(jumps), iter(at_jumps), []
+        row = 0
+        for is_row in self.order:
+            if is_row:
                 offJ.append(accJ)
                 offK.append(accK)
-                accJ = accJ + totalJ[ev]
-                accK = accK + totalK[ev]
+                accJ = accJ + totalJ[row]
+                accK = accK + totalK[row]
+                row += 1
             else:
-                phi, E, muW = ev
+                phi, E, muW = next(jumps)
                 g, h = next(seeds)
                 # running value excludes the jump at the point itself
                 at_jumps.append((phi * (E * accJ).real, phi * (E * accK).real))
@@ -839,7 +836,7 @@ class _SeriesEngine:
         rows, jumps, before_rows, before_jumps = self.slots
         phi, E = self.jump_table[0].real, self.jump_table[1]
         factor, term = self.step
-        acc = np.empty((2, len(self.events) + 1), dtype=complex)
+        acc = np.empty((2, len(self.order) + 1), dtype=complex)
         parts = acc.view(float).reshape(2, -1, 2)  # (Re, Im) of each slot
         with _quiet():
             acc[:, 0] = 0.0
@@ -1130,7 +1127,7 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
     K1, K2, K3 = estimate_bounds(spec, table)
     if any(math.isnan(k) for k in (K1, K2, K3)):
         return ErrorBound(math.inf)
-    if K2 <= _PHI_MIN or K3 == 0.0:
+    if K3 == 0.0:
         return ErrorBound(0.0, exact=True)
     try:
         tail = _exp_tail(K2 * K3 * ts.period, n)

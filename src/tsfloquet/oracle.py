@@ -38,7 +38,7 @@ from .errors import CheckFailed, StepSizeUnderflow
 from .floquet import FloquetReport, SystemSpec
 # unused here; kept because benchmarks/tracer.py wraps them in this module
 from .floquet import a_partial, compute_B, error_bound, solve_phi  # noqa: F401
-from .timescale import Interval, inward, split_panels
+from .timescale import inward, split_panels
 
 # coefficient samples (p and q at one node count once) over all rounds
 _EVAL_BUDGET = 1_000_000
@@ -143,9 +143,9 @@ def _ordered_product(R) -> np.ndarray:
 
 # a panel whose propagator overflows is reported, not warned about
 @np.errstate(over="ignore", invalid="ignore")
-def _dense_flows(spec: SystemSpec, intervals: list) -> tuple[list, int]:
-    """The propagator of each dense interval [a, b], in the given order,
-    and the number of panels multiplied into them.
+def _dense_flows(spec: SystemSpec, a, b) -> tuple[list, int]:
+    """The propagator of each dense interval [a[i], b[i]], in the given
+    order, and the number of panels multiplied into them.
 
     Each round takes one ``_propagators`` call over every active panel and
     both of its halves. A rejected panel is cut into 2^k equal panels for
@@ -165,9 +165,9 @@ def _dense_flows(spec: SystemSpec, intervals: list) -> tuple[list, int]:
     far from that regime, whose error estimate says little, before it asks
     for 2^147 panels at once.
     """
-    if not intervals:
+    if not len(a):
         return [], 0
-    ends = np.array(intervals, dtype=float)
+    ends = np.stack([a, b], axis=-1)
     interval = np.arange(len(ends))
     # offsets from each interval's left end, so that halving is exact
     lo, hi = np.zeros(len(ends)), ends[:, 1] - ends[:, 0]
@@ -224,23 +224,25 @@ def monodromy(spec: SystemSpec, factors: list | None = None) -> np.ndarray:
     it.
     """
     ts = spec.ts
-    flows, m = _dense_flows(spec, ts.dense_intervals())
+    flows, m = _dense_flows(spec, ts.starts[ts.dense], ts.ends[ts.dense])
     flows = iter(flows)
-    t = [t for t, _ in ts.scattered_with_mu()]
+    t = ts.scattered_t
     # q and p at the scattered points, one evaluate_array call each
-    at_points = zip(*(ex.evaluate_array(e, t).tolist() if t else []
+    at_points = zip(*(ex.evaluate_array(e, t).tolist() if len(t) else []
                       for e in (spec.q, spec.p)))
     Y = np.eye(2)
     # on long discrete periods Y overflows to inf and NaN, which fails
     # cross_check
     with np.errstate(over="ignore", invalid="ignore"):
-        for seg, step in ts.steps():
-            if isinstance(seg, Interval):
+        # each segment in time order, and the jump at its end but the last's
+        for dense, mu in zip(ts.dense.tolist(),
+                             [*ts.scattered_mu.tolist(), None]):
+            if dense:
                 Y = next(flows) @ Y
-            if step is not None:
+            if mu is not None:
                 q, p = next(at_points)
                 S = np.array([[0.0, 1.0], [-q, -p]])
-                Y = (np.eye(2) + step[1] * S) @ Y
+                Y = (np.eye(2) + mu * S) @ Y
                 m += 1
     if factors is not None:
         factors.append(m)

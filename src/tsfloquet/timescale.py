@@ -3,11 +3,12 @@
 A time scale here is a closed subset of the reals described by an ordered
 list of segments: isolated points and closed intervals. Only the window
 [t0, t0+T] is stored; the scale repeats with period T, so the graininess
-at the right extremity equals the graininess at t0.
+at the right extremity equals the graininess at t0. A validated scale
+keeps the period as per-segment arrays in time order, which every stage
+of the analysis reads.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -68,9 +69,11 @@ class ValidatedTimeScale:
     an interval with a >= b, then in time order overlap and coverage of
     [t0, t0+T]. The per-segment checks and overlap are array masks. The
     extremities are snapped to t0 and t0 + T exactly; an interval that
-    snapping would turn around is refused as written. ``scattered_t`` and
-    ``scattered_mu`` hold each right-scattered t in [t0, t0+T) and its
-    graininess, as float arrays in time order.
+    snapping would turn around is refused as written. The arrays
+    ``starts``, ``ends`` and ``dense``, the mask of the intervals, hold
+    the snapped segments in time order; each segment but the last ends at
+    a right-scattered t, ``scattered_t = ends[:-1]``, whose graininess is
+    ``scattered_mu = starts[1:] - scattered_t``.
 
     Immutable after construction; safe for concurrent reads.
     """
@@ -99,11 +102,14 @@ class ValidatedTimeScale:
                 f"interval [{segs[i].a}, {segs[i].b}] must have a < b")
         if k < len(segs):
             raise InvalidSegment(f"not a segment: {segs[k]!r}")
-        segs = list(segs)
+        discrete = True not in dense
+        # past these checks a segment starts before it ends if and only if
+        # it is an interval
+        segs, dense = list(segs), ordered
         if k > 1:  # in time order, each segment but the last against the next
             order = start.argsort(kind="stable")
             segs = [segs[i] for i in order.tolist()]
-            start, end = start[order], end[order]
+            start, end, dense = start[order], end[order], dense[order]
             tol = 1e-12 * np.maximum(1.0, np.abs(end[:-1]))  # _tol(end)
             touch = start[1:] <= end[:-1] + tol
             if touch.any():
@@ -150,9 +156,9 @@ class ValidatedTimeScale:
         self.period = ts.period
         self.t_end = t_end
         self.segments: tuple = tuple(segs)
-        self.is_discrete = True not in dense
+        self.is_discrete = discrete
         self.is_continuous = len(segs) == 1 and not self.is_discrete
-        self._starts = start.tolist()
+        self.starts, self.ends, self.dense = start, end, dense
         self.scattered_t = end[:-1]
         self.scattered_mu = start[1:] - self.scattered_t
 
@@ -160,19 +166,13 @@ class ValidatedTimeScale:
 
     def dense_intervals(self) -> list:
         """Closed dense subintervals [a, b] of the stored period, ascending."""
-        return [(s.a, s.b) for s in self.segments if isinstance(s, Interval)]
+        return list(zip(self.starts[self.dense].tolist(),
+                        self.ends[self.dense].tolist()))
 
     def scattered_with_mu(self) -> list:
         """(t, mu(t)) for every right-scattered t in [t0, t0+T), ascending:
         each segment's end but the last's, and the gap to the next one."""
-        segs = self.segments
-        return [(seg.end, nxt.start - seg.end)
-                for seg, nxt in zip(segs, segs[1:])]
-
-    def steps(self) -> list:
-        """The period walk: (segment, (t, mu)) in time order, the jump at
-        the segment's right end t; None for the last segment, at t0+T."""
-        return list(zip(self.segments, self.scattered_with_mu() + [None]))
+        return list(zip(self.scattered_t.tolist(), self.scattered_mu.tolist()))
 
     # -- membership --------------------------------------------------------
 
@@ -180,16 +180,15 @@ class ValidatedTimeScale:
         """Return (segment_index, snapped_t) or raise PointNotInTimeScale."""
         if t < self.t0 - _tol(t) or t > self.t_end + _tol(t):
             raise PointNotInTimeScale(f"{t} outside [{self.t0}, {self.t_end}]")
-        i = bisect.bisect_right(self._starts, t + _tol(t)) - 1
+        i = int(np.searchsorted(self.starts, t + _tol(t), side="right")) - 1
         if i < 0:
             raise PointNotInTimeScale(f"{t} not in time scale")
-        seg = self.segments[i]
-        if isinstance(seg, Point):
-            if abs(t - seg.x) <= _tol(t):
-                return i, seg.x
-        else:
-            if seg.a - _tol(t) <= t <= seg.b + _tol(t):
-                return i, min(max(t, seg.a), seg.b)
+        a, b = float(self.starts[i]), float(self.ends[i])
+        if not self.dense[i]:
+            if abs(t - a) <= _tol(t):
+                return i, a
+        elif a - _tol(t) <= t <= b + _tol(t):
+            return i, min(max(t, a), b)
         raise PointNotInTimeScale(f"{t} not in time scale")
 
 

@@ -73,10 +73,10 @@ def _gk15(f, lo, hi):
     return kron, np.abs(kron - gauss)
 
 
-def quad_intervals(f, intervals: list) -> list:
-    """The integral of f over each (a, b), a < b, of ``intervals``, in
-    order, to the absolute target ``_QUAD_TOL``. f maps an array of nodes
-    to f's values there.
+def quad_intervals(f, a, b) -> list:
+    """The integral of f over each [a[i], b[i]], a[i] < b[i], in order, to
+    the absolute target ``_QUAD_TOL``. f maps an array of nodes to f's
+    values there.
 
     Panel-halving GK(7,15) in rounds, from one panel per interval. The
     open panels are kept in order, by interval and left to right within
@@ -93,12 +93,11 @@ def quad_intervals(f, intervals: list) -> list:
     ``_EVAL_BUDGET`` samples: QuadratureNonConvergence is raised before a
     round that would take one past it.
     """
-    if not intervals:
+    n = len(a)
+    if not n:
         return []
-    n = len(intervals)
     panels = np.empty((n, 3))  # the open panels' (lo, hi, budget)
-    panels[:, :2] = intervals
-    panels[:, 2] = _QUAD_TOL
+    panels[:, 0], panels[:, 1], panels[:, 2] = a, b, _QUAD_TOL
     owner = np.arange(n)  # and each one's interval
     spent = np.zeros(n, dtype=int)
     accepted = []  # (owner, lo, K15) of each round's accepted panels

@@ -73,6 +73,12 @@ def contains(ts: ValidatedTimeScale, t: float) -> bool:
         return False
 
 
+def steps(ts: ValidatedTimeScale) -> list:
+    """The period walk: (segment, (t, mu)) in time order, the jump at the
+    segment's right end t; None for the last segment, at t0+T."""
+    return list(zip(ts.segments, ts.scattered_with_mu() + [None]))
+
+
 def mu_at(ts: ValidatedTimeScale, t: float) -> float:
     """Graininess: gap to the next time-scale point, 0 at dense points.
 
@@ -123,7 +129,7 @@ def _sqrt_q(q_expr: ex.Expression, t: float) -> float:
 
 def reference_sample(spec: SystemSpec) -> tuple:
     """(p, q, factor, starts) as ``validate_system`` returns them,
-    lists over the scattered points and sqrt(q) by dense segment index,
+    lists over the scattered points and sqrt(q) by dense row,
     from one scalar evaluation at a time: each point is checked as soon as
     it is sampled, then sqrt(q) is taken at every dense start in time
     order, and last the starts are checked for a NaN or infinite q."""
@@ -136,13 +142,12 @@ def reference_sample(spec: SystemSpec) -> tuple:
             raise PhiVanishes(f"q = {q} is within {_PHI_MIN} of 0 at t={t} "
                               "at a scattered point")
         sample.append((p, q, factor))
-    segs = spec.ts.segments
-    starts = {i: _sqrt_q(spec.q, s.a) for i, s in enumerate(segs)
-              if isinstance(s, Interval)}
-    for i, phi in starts.items():
-        _check_finite("q", phi, segs[i].start, "on a dense part")
+    starts = [(s.a, _sqrt_q(spec.q, s.a)) for s in spec.ts.segments
+              if isinstance(s, Interval)]
+    for a, phi in starts:
+        _check_finite("q", phi, a, "on a dense part")
     columns = [list(c) for c in zip(*sample)] or [[] for _ in range(3)]
-    return (*columns, starts)
+    return (*columns, [phi for _, phi in starts])
 
 
 def _gk15(f, a: float, b: float):
@@ -303,7 +308,7 @@ def phase_value(table: PhaseTable, t: float) -> float:
     spec = table.sample.spec
     i, t = spec.ts.locate(t)
     if t == spec.ts.segments[i].end:
-        return table.ends[i]
+        return float(table.ends[i])  # a Python float, as the walk's are
     return _checked_sqrt_q(spec.q, t)
 
 

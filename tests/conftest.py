@@ -15,6 +15,7 @@ from tsfloquet import (
     PhaseTable,
     Point,
     SystemSpec,
+    evaluate,
     parse,
     solve_phi,
     validate,
@@ -190,14 +191,14 @@ def random_hybrid_system(seed):
         spec = SystemSpec(ts, p, parse(q_text))
         try:
             validate_system(spec)
-            table = solve_phi(spec)
+            solve_phi(spec)
         except FloquetError:
             continue
-        # start_phi, sqrt(q) from the sample: report_digest.py runs this on
-        # another tree's package, whose table may not record its system
-        for i, seg in enumerate(ts.segments):
-            if isinstance(seg, Interval):
-                assert abs(table.start_phi(i) - phi_val(seg.a)) < 1e-12
+        # phi = sqrt(q) at the dense starts, read through the evaluator
+        # alone: report_digest.py runs this on another tree's package,
+        # whose phase table may hold phi otherwise
+        for a, _ in ts.dense_intervals():
+            assert abs(math.sqrt(evaluate(spec.q, a)) - phi_val(a)) < 1e-12
         return spec
     raise AssertionError("could not generate a valid hybrid system")
 

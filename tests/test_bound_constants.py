@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsfloquet import floquet, solve_phi
+from tsfloquet import estimate_bounds, floquet, solve_phi
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.floquet import (
     _BOUNDS_ROWS,
@@ -21,7 +21,11 @@ from tsfloquet.floquet import (
 )
 
 from cell_reference import CellEngine
-from conftest import unit_step_overflow_system
+from conftest import (
+    random_discrete_system,
+    random_hybrid_system,
+    unit_step_overflow_system,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,6 +76,18 @@ def test_long_discrete_matches_the_full_table(workloads, tmp_path, kind, k):
     assert _hex(K) == _hex(CellEngine(spec, table).bound_constants())
     # the overflowing scales reach the NaN path at both lengths
     assert np.isnan(K[0]) == (kind == "overflow")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_K2_is_about_one_or_more(seed):
+    # the pair (t0 + T, t0 + T) is an entry, Re(phi_T E_T / (phi_T E_T)) =
+    # 1 within rounding, so K2 never comes near 0: error_bound's only
+    # exact case off a terminated discrete series is K3 = 0
+    configs = sorted(CONFIGS.rglob("*.cfg"))
+    for spec in (random_hybrid_system(seed), random_discrete_system(seed),
+                 build_system(load_config(configs[seed % len(configs)]))):
+        K2 = estimate_bounds(spec, solve_phi(spec))[1]
+        assert K2 >= 1.0 - 2.0 ** -48, (seed, K2)
 
 
 def _evaluated(engine, monkeypatch):

@@ -235,6 +235,21 @@ def test_batch_reports_an_unreadable_config_and_goes_on(tmp_path):
     assert "== y.cfg ==\nThe value of A(3) is -0.065450" in result.output
 
 
+def test_batch_reports_an_overflowing_constant_and_goes_on(tmp_path):
+    # exp(1000) raised OverflowError out of the config reader, which
+    # printed "error: OverflowError: ..." and raised the batch's exit to 4
+    (tmp_path / "x.cfg").write_text(
+        "period = exp(1000)\nintervals = [[0, 2]]\nq = 1\n")
+    (tmp_path / "y.cfg").write_text(
+        (CONFIGS / "example_continuous.cfg").read_text())
+    result = CliRunner().invoke(main, ["analyze", "--batch", str(tmp_path)])
+    assert result.exit_code == 3
+    assert result.stderr == ("config error: line 1: not a constant "
+                             "expression: 'exp(1000)' (exp(1000.0) at "
+                             "t=0.0)\n")
+    assert "== y.cfg ==\nThe value of A(3) is -0.065450" in result.output
+
+
 _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
 
 
@@ -267,6 +282,15 @@ _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
     pytest.param("period = 2\nq = 1\n", (), id="no-segments"),
     pytest.param("period = 2\npoints = [0, t]\nq = 1\n", (),
                  id="point-not-constant"),
+    # a constant whose evaluation overflows, as exp and neg1pow raise it
+    pytest.param("period = exp(1000)\nintervals = [[0, 2]]\nq = 1\n", (),
+                 id="period-exp-overflows"),
+    pytest.param(_VALID + "t0 = exp(710)\n", (), id="t0-exp-overflows"),
+    pytest.param("period = 2\npoints = [0, exp(800)]\nq = 1\n", (),
+                 id="point-exp-overflows"),
+    pytest.param("period = neg1pow(1e999)\nintervals = [[0, 2]]\nq = 1\n",
+                 (), id="period-neg1pow-of-inf"),
+    pytest.param(_VALID + "n = exp(1000)\n", (), id="n-exp-overflows"),
 ])
 def test_config_content_errors_exit_3(tmp_path, text, args):
     f = tmp_path / "bad.cfg"

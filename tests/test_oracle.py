@@ -27,7 +27,7 @@ from tsfloquet.errors import CheckFailed, StepSizeUnderflow
 from tsfloquet.oracle import cross_check, monodromy
 from tsfloquet.timescale import Interval, PeriodicTimeScale, validate
 
-from calculus_reference import p_at, q_at
+from calculus_reference import p_at, q_at, steps
 from conftest import (
     points_scale,
     random_discrete_system,
@@ -373,7 +373,7 @@ def _uniform_monodromy(spec, panels):
     panels, their propagators multiplied in time order, and the exact
     one-step product at each scattered point."""
     Y = np.eye(2)
-    for seg, step in spec.ts.steps():
+    for seg, step in steps(spec.ts):
         if isinstance(seg, Interval):
             edges = np.linspace(0.0, seg.end - seg.start, panels + 1)
             R = oracle._propagators(spec, edges[:-1], edges[1:],

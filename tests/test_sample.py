@@ -53,9 +53,7 @@ def _outcome(sample, spec):
         return type(exc), str(exc)
     if dataclasses.is_dataclass(got):  # its columns, not the system
         got = got.p, got.q, got.factor, got.starts
-    *columns, starts = got
-    return ([[float(v).hex() for v in c] for c in columns],
-            {i: v.hex() for i, v in starts.items()})
+    return [[float(v).hex() for v in c] for c in got]
 
 
 def _inject(spec, coefficient, test, value, tau, mu):

@@ -16,7 +16,13 @@ from tsfloquet.errors import (
 )
 from tsfloquet.timescale import split_panels
 
-from calculus_reference import contains, mu_at, scattered_points_in, sigma_at
+from calculus_reference import (
+    contains,
+    mu_at,
+    scattered_points_in,
+    sigma_at,
+    steps,
+)
 
 PI = math.pi
 
@@ -223,16 +229,20 @@ def test_segment_start_and_end():
                           Interval(2, PI), Point(4)], id="hybrid"),
 ])
 def test_steps_walk_the_period(period, segments):
-    # each segment in time order with the jump at its right end; the last
+    # the arrays hold each segment in time order, and the walk read from
+    # them pairs each segment with the jump at its right end; the last
     # segment ends at t0 + T and has none
     ts = validate(PeriodicTimeScale(0, period, segments))
-    steps = ts.steps()
-    assert [seg for seg, _ in steps] == list(ts.segments)
-    starts = [seg.start for seg in ts.segments]
-    assert starts == sorted(starts)
-    assert [jump for _, jump in steps[:-1]] == ts.scattered_with_mu()
-    assert steps[-1][1] is None
-    for seg, jump in steps[:-1]:
+    assert ts.starts.tolist() == [seg.start for seg in ts.segments]
+    assert ts.ends.tolist() == [seg.end for seg in ts.segments]
+    assert ts.dense.tolist() == [isinstance(seg, Interval)
+                                 for seg in ts.segments]
+    assert ts.starts.tolist() == sorted(ts.starts.tolist())
+    walk = steps(ts)
+    assert [seg for seg, _ in walk] == list(ts.segments)
+    assert [jump for _, jump in walk[:-1]] == ts.scattered_with_mu()
+    assert walk[-1][1] is None
+    for seg, jump in walk[:-1]:
         t, mu = jump
         assert t == seg.end
         assert mu_at(ts, t) == mu
@@ -337,8 +347,9 @@ def _scales(draw):
 
 @given(st.one_of(_scales(), st.lists(_segment, max_size=6)))
 def test_the_array_checks_raise_what_the_loop_raised(segments):
-    # the same first error, or the same segments, (t, mu) pairs and class,
-    # except where the loop snapped an end interval the wrong way round
+    # the same first error, or the same segments, arrays, (t, mu) pairs and
+    # class, except where the loop snapped an end interval the wrong way
+    # round
     scale = PeriodicTimeScale(0.0, 2.0, segments)
     try:
         segs, scattered = _checked_in_a_loop(scale)
@@ -355,6 +366,12 @@ def test_the_array_checks_raise_what_the_loop_raised(segments):
                    if isinstance(seg, Interval))
         return
     assert list(ts.segments) == segs
+    # the arrays, and the lists read from them, against the segment loops
+    assert ts.starts.tolist() == [seg.start for seg in segs]
+    assert ts.ends.tolist() == [seg.end for seg in segs]
+    assert ts.dense.tolist() == [isinstance(seg, Interval) for seg in segs]
+    assert ts.dense_intervals() == [(seg.a, seg.b) for seg in segs
+                                    if isinstance(seg, Interval)]
     assert ts.scattered_with_mu() == scattered
     assert ts.scattered_t.tolist() == [t for t, _ in scattered]
     assert ts.scattered_mu.tolist() == [mu for _, mu in scattered]
