@@ -1,11 +1,13 @@
 """One period of a T-periodic time scale.
 
-A time scale here is a closed subset of the reals described by an ordered
-list of segments: isolated points and closed intervals. Only the window
-[t0, t0+T] is stored; the scale repeats with period T, so the graininess
-at the right extremity equals the graininess at t0. A validated scale
-keeps the period as per-segment arrays in time order, which every stage
-of the analysis reads.
+A time scale here is a closed subset of the reals described by a list of
+segments: isolated points (``Point``) and closed intervals
+(``Interval``), in any order. Only the window [t0, t0+T] is stored; the
+scale repeats with period T, so the graininess at the right extremity
+equals the graininess at t0. The segment objects are only the input
+format: validation reads them once into per-segment arrays, sorts and
+snaps those, and keeps nothing else, and every stage of the analysis
+reads the arrays.
 """
 from __future__ import annotations
 
@@ -41,9 +43,10 @@ class Interval:
     end = property(attrgetter("b"))
 
 
-def _tol(t: float) -> float:
-    # membership tolerance; inputs contain pi-valued endpoints typed in decimal
-    return 1e-12 * max(1.0, abs(t))
+def _tol(t):
+    # membership tolerance, for floats or arrays; inputs contain pi-valued
+    # endpoints typed in decimal
+    return 1e-12 * np.maximum(1.0, np.abs(t))
 
 
 @dataclass(frozen=True)
@@ -61,18 +64,18 @@ class PeriodicTimeScale:
 
 
 class ValidatedTimeScale:
-    """Canonicalized time scale with scattered-point and classification
-    queries.
+    """A checked period, kept as per-segment arrays in time order.
 
     The checks raise for the first segment that fails them, in this order:
     in input order a segment that is not one, an end that is not finite or
     an interval with a >= b, then in time order overlap and coverage of
-    [t0, t0+T]. The per-segment checks and overlap are array masks. The
+    [t0, t0+T]; a message names the segment as it was written. The
     extremities are snapped to t0 and t0 + T exactly; an interval that
-    snapping would turn around is refused as written. The arrays
-    ``starts``, ``ends`` and ``dense``, the mask of the intervals, hold
-    the snapped segments in time order; each segment but the last ends at
-    a right-scattered t, ``scattered_t = ends[:-1]``, whose graininess is
+    snapping would turn around is refused as written. Nothing of the
+    input is kept but the arrays ``starts``, ``ends`` and ``dense``, the
+    mask of the intervals, which hold the snapped segments in time order
+    as floats; each segment but the last ends at a right-scattered t,
+    ``scattered_t = ends[:-1]``, whose graininess is
     ``scattered_mu = starts[1:] - scattered_t``.
 
     Immutable after construction; safe for concurrent reads.
@@ -102,72 +105,59 @@ class ValidatedTimeScale:
                 f"interval [{segs[i].a}, {segs[i].b}] must have a < b")
         if k < len(segs):
             raise InvalidSegment(f"not a segment: {segs[k]!r}")
-        discrete = True not in dense
-        # past these checks a segment starts before it ends if and only if
-        # it is an interval
-        segs, dense = list(segs), ordered
-        if k > 1:  # in time order, each segment but the last against the next
-            order = start.argsort(kind="stable")
-            segs = [segs[i] for i in order.tolist()]
-            start, end, dense = start[order], end[order], dense[order]
-            tol = 1e-12 * np.maximum(1.0, np.abs(end[:-1]))  # _tol(end)
-            touch = start[1:] <= end[:-1] + tol
-            if touch.any():
-                i = np.argmax(touch)
-                raise OverlappingSegments(
-                    f"segments {segs[i]} and {segs[i + 1]} overlap or touch"
-                )
         if not segs:
             raise EndpointNotCovered("empty segment list")
+        discrete = True not in dense
+        # past these checks a segment starts before it ends if and only if
+        # it is an interval; in time order, each segment but the last
+        # against the next, and segs[order[i]] is the i-th as written
+        order = start.argsort(kind="stable")
+        start, end, dense = start[order], end[order], ordered[order]
+        touch = start[1:] <= end[:-1] + _tol(end[:-1])
+        if touch.any():
+            i = np.argmax(touch)
+            raise OverlappingSegments(f"segments {segs[order[i]]} and "
+                                      f"{segs[order[i + 1]]} overlap or touch")
         t0, t_end = ts.t0, ts.t0 + ts.period
-        first, last = segs[0], segs[-1]
-        if abs(first.start - t0) > _tol(t0):
+        first, last = segs[order[0]], segs[order[-1]]
+        a0, a1, b0, b1 = map(float, (start[0], start[-1], end[0], end[-1]))
+        tol0, tol1 = _tol(np.array([t0, t_end])).tolist()
+        if abs(a0 - t0) > tol0:
             raise EndpointNotCovered(f"t0={t0} is not the left extremity")
-        if abs(last.end - t_end) > _tol(t_end):
+        if abs(b1 - t_end) > tol1:
             raise EndpointNotCovered(f"t0+T={t_end} is not the right extremity")
         # without overlaps, starts and ends rise from segment to segment, so
         # only the first and the last segment can leave the window
-        lo, hi = t0 - _tol(t0), t_end + _tol(t_end)
-        for seg in (first, last):
-            if seg.start < lo or seg.end > hi:
+        lo, hi = t0 - tol0, t_end + tol1
+        for seg, a, b in ((first, a0, b0), (last, a1, b1)):
+            if a < lo or b > hi:
                 raise EndpointNotCovered(f"segment {seg} outside [t0, t0+T]")
 
-        # snap the extremities exactly
-        if isinstance(first, Point):
-            segs[0] = Point(t0)
-        elif t0 < first.b:
-            segs[0] = Interval(t0, first.b)
-        else:
+        # snap the extremities exactly; a single interval's end is checked
+        # against its snapped start
+        if dense[0] and not t0 < b0:
             raise InvalidSegment(
                 f"interval [{first.a}, {first.b}] would end at or before its "
                 f"start once that is snapped to t0={t0}")
-        if isinstance(last, Point):
-            segs[-1] = Point(t_end)
-        elif segs[-1].a < t_end:
-            segs[-1] = Interval(segs[-1].a, t_end)
-        else:
+        start[0] = t0
+        if not dense[0]:
+            end[0] = t0
+        if dense[-1] and not start[-1] < t_end:
             raise InvalidSegment(
                 f"interval [{last.a}, {last.b}] would start at or after its "
                 f"end once that is snapped to t0+T={t_end}")
-        start[0], end[0] = segs[0].start, segs[0].end
-        start[-1], end[-1] = segs[-1].start, segs[-1].end
+        end[-1] = t_end
+        if not dense[-1]:
+            start[-1] = t_end
 
         self.t0 = t0
         self.period = ts.period
         self.t_end = t_end
-        self.segments: tuple = tuple(segs)
         self.is_discrete = discrete
-        self.is_continuous = len(segs) == 1 and not self.is_discrete
+        self.is_continuous = len(dense) == 1 and not self.is_discrete
         self.starts, self.ends, self.dense = start, end, dense
         self.scattered_t = end[:-1]
         self.scattered_mu = start[1:] - self.scattered_t
-
-    # -- classification ----------------------------------------------------
-
-    def dense_intervals(self) -> list:
-        """Closed dense subintervals [a, b] of the stored period, ascending."""
-        return list(zip(self.starts[self.dense].tolist(),
-                        self.ends[self.dense].tolist()))
 
     def scattered_with_mu(self) -> list:
         """(t, mu(t)) for every right-scattered t in [t0, t0+T), ascending:
@@ -178,16 +168,17 @@ class ValidatedTimeScale:
 
     def locate(self, t: float):
         """Return (segment_index, snapped_t) or raise PointNotInTimeScale."""
-        if t < self.t0 - _tol(t) or t > self.t_end + _tol(t):
+        tol = float(_tol(t))
+        if t < self.t0 - tol or t > self.t_end + tol:
             raise PointNotInTimeScale(f"{t} outside [{self.t0}, {self.t_end}]")
-        i = int(np.searchsorted(self.starts, t + _tol(t), side="right")) - 1
+        i = int(np.searchsorted(self.starts, t + tol, side="right")) - 1
         if i < 0:
             raise PointNotInTimeScale(f"{t} not in time scale")
         a, b = float(self.starts[i]), float(self.ends[i])
         if not self.dense[i]:
-            if abs(t - a) <= _tol(t):
+            if abs(t - a) <= tol:
                 return i, a
-        elif a - _tol(t) <= t <= b + _tol(t):
+        elif a - tol <= t <= b + tol:
             return i, min(max(t, a), b)
         raise PointNotInTimeScale(f"{t} not in time scale")
 

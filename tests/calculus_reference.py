@@ -40,7 +40,7 @@ from tsfloquet.floquet import (
     SystemSpec,
     _check_finite,
 )
-from tsfloquet.timescale import Interval, ValidatedTimeScale
+from tsfloquet.timescale import Interval, Point, ValidatedTimeScale
 from tsfloquet.tscalc import _EVAL_BUDGET, _WG, _WGK, _XGK
 
 import expr_reference
@@ -73,10 +73,22 @@ def contains(ts: ValidatedTimeScale, t: float) -> bool:
         return False
 
 
+def segments(ts: ValidatedTimeScale) -> list:
+    """The snapped segments in time order, rebuilt from the scale's arrays
+    as ``Point`` and ``Interval`` objects with float ends."""
+    return [Interval(a, b) if dense else Point(a) for a, b, dense in zip(
+        ts.starts.tolist(), ts.ends.tolist(), ts.dense.tolist())]
+
+
+def dense_intervals(ts: ValidatedTimeScale) -> list:
+    """The closed dense parts (a, b) of the stored period, ascending."""
+    return list(zip(ts.starts[ts.dense].tolist(), ts.ends[ts.dense].tolist()))
+
+
 def steps(ts: ValidatedTimeScale) -> list:
     """The period walk: (segment, (t, mu)) in time order, the jump at the
     segment's right end t; None for the last segment, at t0+T."""
-    return list(zip(ts.segments, ts.scattered_with_mu() + [None]))
+    return list(zip(segments(ts), ts.scattered_with_mu() + [None]))
 
 
 def mu_at(ts: ValidatedTimeScale, t: float) -> float:
@@ -85,13 +97,12 @@ def mu_at(ts: ValidatedTimeScale, t: float) -> float:
     mu(t0+T) = mu(t0) by T-periodicity.
     """
     i, t = ts.locate(t)
-    seg = ts.segments[i]
     if t == ts.t_end:
         return mu_at(ts, ts.t0)
-    if t < seg.end:
+    if t < ts.ends[i]:
         return 0.0
     # a Point, or the right end of an Interval
-    return ts.segments[i + 1].start - t
+    return float(ts.starts[i + 1]) - t
 
 
 def sigma_at(ts: ValidatedTimeScale, t: float) -> float:
@@ -142,8 +153,7 @@ def reference_sample(spec: SystemSpec) -> tuple:
             raise PhiVanishes(f"q = {q} is within {_PHI_MIN} of 0 at t={t} "
                               "at a scattered point")
         sample.append((p, q, factor))
-    starts = [(s.a, _sqrt_q(spec.q, s.a)) for s in spec.ts.segments
-              if isinstance(s, Interval)]
+    starts = [(a, _sqrt_q(spec.q, a)) for a, _ in dense_intervals(spec.ts)]
     for a, phi in starts:
         _check_finite("q", phi, a, "on a dense part")
     columns = [list(c) for c in zip(*sample)] or [[] for _ in range(3)]
@@ -197,7 +207,7 @@ def _adaptive_quad(f, a: float, b: float, tol: float) -> Number:
 
 
 def _dense_overlaps(ts: ValidatedTimeScale, a: float, b: float):
-    for ia, ib in ts.dense_intervals():
+    for ia, ib in dense_intervals(ts):
         lo, hi = max(a, ia), min(b, ib)
         if hi > lo:
             yield lo, hi
@@ -307,7 +317,7 @@ def phase_value(table: PhaseTable, t: float) -> float:
     part. The system is the one the table's sample records."""
     spec = table.sample.spec
     i, t = spec.ts.locate(t)
-    if t == spec.ts.segments[i].end:
+    if t == spec.ts.ends[i]:
         return float(table.ends[i])  # a Python float, as the walk's are
     return _checked_sqrt_q(spec.q, t)
 

@@ -31,9 +31,9 @@ from tsfloquet.floquet import (
     _float_floor,
     _panel_grid,
 )
-from tsfloquet.timescale import Interval, Point
+from tsfloquet.timescale import Interval
 
-from calculus_reference import p_at, phase_value
+from calculus_reference import p_at, phase_value, steps
 
 
 def _sample_dense(spec: SystemSpec, a: float, b: float, n: int):
@@ -145,15 +145,13 @@ class CellEngine:
         ts = spec.ts
         self.events = []  # _DenseCell | _Jump, in time order
         E = 1.0 + 0.0j
-        scattered = dict(ts.scattered_with_mu())
-        for i, seg in enumerate(ts.segments):
+        for seg, step in steps(ts):
             if isinstance(seg, Interval):
                 cell = _DenseCell(spec, seg.a, seg.b, E)
                 self.events.append(cell)
                 E = cell.E[-1]
-            end = seg.x if isinstance(seg, Point) else seg.b
-            if i < len(ts.segments) - 1:
-                jump = _Jump(spec, table, end, scattered[end], E)
+            if step is not None:
+                jump = _Jump(spec, table, *step, E)
                 self.events.append(jump)
                 E = jump.E_after
         self.E_T = E

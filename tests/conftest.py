@@ -26,7 +26,7 @@ from tsfloquet import tscalc
 from tsfloquet.errors import FloquetError
 from tsfloquet.floquet import validate_system
 
-from calculus_reference import cos_phi, phase_value, sin_phi
+from calculus_reference import cos_phi, dense_intervals, phase_value, sin_phi
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -197,7 +197,7 @@ def random_hybrid_system(seed):
         # phi = sqrt(q) at the dense starts, read through the evaluator
         # alone: report_digest.py runs this on another tree's package,
         # whose phase table may hold phi otherwise
-        for a, _ in ts.dense_intervals():
+        for a, _ in dense_intervals(ts):
             assert abs(math.sqrt(evaluate(spec.q, a)) - phi_val(a)) < 1e-12
         return spec
     raise AssertionError("could not generate a valid hybrid system")

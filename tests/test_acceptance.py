@@ -26,6 +26,7 @@ from tsfloquet.oracle import monodromy
 from calculus_reference import (
     cos_phi,
     delta_integral,
+    dense_intervals,
     mu_at,
     phase_value,
     q_at,
@@ -190,7 +191,7 @@ def test_criterion_7_identity_suites():
         spec = random_hybrid_system(6000 + seed)
         ts = spec.ts
         g = lambda u: 0.2 * math.cos(u) + 0.1
-        ia, ib = ts.dense_intervals()[0]
+        ia, ib = dense_intervals(ts)[0]
         _, mid = ts.locate((ia + ib) / 2)
         full = ts_exponential(g, ts.t_end, ts.t0, ts)
         split = (ts_exponential(g, ts.t_end, mid, ts)
@@ -205,7 +206,7 @@ def test_criterion_7_identity_suites():
         ts = spec.ts
         table = solve_phi(spec)
         samples = [t for t, _ in ts.scattered_with_mu()] + [ts.t_end]
-        for a, b in ts.dense_intervals():
+        for a, b in dense_intervals(ts):
             samples.append((a + b) / 2)
         for t in samples:
             X = fundamental_matrix(spec, table, t)

@@ -15,7 +15,7 @@ from tsfloquet.cli import build_system, load_config, main, run
 from tsfloquet.errors import ConfigParseError, InvalidSegment, ValidationError
 from tsfloquet.floquet import analyze
 
-from calculus_reference import q_at
+from calculus_reference import dense_intervals, q_at
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,7 +41,7 @@ def test_load_hybrid_example_config():
     assert cfg.points == [pytest.approx(2 * math.pi)]
     assert cfg.intervals == [(0, pytest.approx(math.pi))]
     spec = build_system(cfg)
-    assert spec.ts.dense_intervals() == [(0.0, pytest.approx(math.pi))]
+    assert dense_intervals(spec.ts) == [(0.0, pytest.approx(math.pi))]
 
 
 def test_missing_q(tmp_path):

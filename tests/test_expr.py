@@ -25,6 +25,7 @@ from tsfloquet.errors import (
 from tsfloquet.expr import const_value, evaluate_array, is_constant
 
 import expr_reference
+from calculus_reference import dense_intervals
 from conftest import random_discrete_system, random_hybrid_system
 
 
@@ -614,7 +615,7 @@ def _system_nodes(spec):
     if engine.rows:
         x, _, _, _, real = engine.bound_sample()
         for panels, row, last, (a, b) in zip(
-                engine.x, x, real, spec.ts.dense_intervals()):
+                engine.x, x, real, dense_intervals(spec.ts)):
             eps = (b - a) * 1e-9
             ts += panels.tolist() + row[last].tolist() + [a + eps, b - eps]
     return ts

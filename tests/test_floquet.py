@@ -58,6 +58,7 @@ from tsfloquet.tscalc import _QUAD_TOL
 from calculus_reference import (
     _adaptive_quad,
     _step_factor,
+    dense_intervals,
     h_fn,
     kernel_P,
     kernel_Q,
@@ -66,6 +67,7 @@ from calculus_reference import (
     phase_value,
     phi_delta,
     q_at,
+    segments,
     ts_exponential,
 )
 from conftest import (
@@ -109,7 +111,7 @@ def test_phi_defining_equation(seed):
     for t, mu in ts.scattered_with_mu():
         product = phase_value(table, t + mu) * phase_value(table, t)
         assert product == pytest.approx(q_at(spec, t), rel=1e-12)
-    for a, b in ts.dense_intervals():
+    for a, b in dense_intervals(ts):
         mid = (a + b) / 2
         assert phase_value(table, mid) == pytest.approx(
             math.sqrt(q_at(spec, mid)), rel=1e-14)
@@ -249,7 +251,7 @@ def _loop_phi_messages(spec):
         warnings.simplefilter("ignore", PhiDiscontinuityWarning)
         engine = _SeriesEngine(table)
     messages, row = [], 0
-    for i, seg in enumerate(spec.ts.segments):
+    for i, seg in enumerate(segments(spec.ts)):
         if isinstance(seg, Interval):
             limits = engine.phi[row, [0, engine.last[row]]].tolist()
             for t, chain, limit in zip(
@@ -396,7 +398,7 @@ def _kinked_systems(p_texts):
     systems = []
     for seed in range(50):
         spec = random_hybrid_system(seed)
-        a, b = spec.ts.dense_intervals()[0]
+        a, b = dense_intervals(spec.ts)[0]
         step = f"if(lt(t, {a + 0.3 * (b - a)!r}), 0.2, -0.1)"
         for p in p_texts:
             systems.append(SystemSpec(spec.ts, parse(p.format(step=step)),
@@ -498,7 +500,7 @@ def _scalar_B(spec):
     for t, mu in spec.ts.scattered_with_mu():
         prod *= _step_factor(t, mu, p_at(spec, t), q_at(spec, t))
     integral = 0.0
-    for a, b in spec.ts.dense_intervals():
+    for a, b in dense_intervals(spec.ts):
         integral += _adaptive_quad(lambda t: -p_at(spec, t), a, b, _QUAD_TOL)
     return float(prod * math.exp(integral))
 
@@ -1025,7 +1027,7 @@ def test_one_sample_and_one_jump_record_per_analysis(kind, key, workloads,
     # comes from the series grid alone
     spec = _reference_spec(kind, key, workloads, tmp_path)
     scattered = [t for t, _ in spec.ts.scattered_with_mu()]
-    starts = [a for a, _ in spec.ts.dense_intervals()]
+    starts = [a for a, _ in dense_intervals(spec.ts)]
     places = set(scattered) | set(starts)
     names = {id(spec.p): "p", id(spec.q): "q"}
     sampled = []
@@ -1085,7 +1087,7 @@ def test_smooth_one_cell_configs_take_few_panels():
     # phi's phase sets the first cut, which is the last on most configs
     for path in sorted((ROOT / "configs").rglob("*.cfg")):
         spec = build_system(load_config(path))
-        if len(spec.ts.dense_intervals()) == 1:
+        if len(dense_intervals(spec.ts)) == 1:
             engine = _SeriesEngine(solve_phi(spec))
             assert engine.rounds <= 2 and engine.panels[0] <= 4, path.stem
 
@@ -1135,14 +1137,14 @@ def test_node_cap_holds_the_largest_s_family_grid():
 
 @pytest.mark.parametrize("path", [
     path for path in sorted((ROOT / "configs").rglob("*.cfg"))
-    if len(build_system(load_config(path)).ts.dense_intervals()) == 1],
+    if len(dense_intervals(build_system(load_config(path)).ts)) == 1],
     ids=lambda path: path.stem)
 def test_one_cell_bound_reads_the_512_grid(path):
     # the bound reads its own sample, not the series grid: on a one-cell
     # config the nodes of a grid of 512 divisions per period, where x, phi
     # and h are those of sampling that grid on its own
     spec = build_system(load_config(path))
-    (a, b), = spec.ts.dense_intervals()
+    (a, b), = dense_intervals(spec.ts)
     engine = _SeriesEngine(solve_phi(spec))
     x, phi, h, _, real = engine.bound_sample()
     assert real.all()
@@ -1195,7 +1197,7 @@ def test_analyses_sample_the_stated_number_of_grids(monkeypatch, tmp_path):
     expected = 0
     for path in sorted((ROOT / "configs").rglob("*.cfg")) + [hybrid]:
         spec = build_system(load_config(path))
-        if not spec.ts.dense_intervals():
+        if not dense_intervals(spec.ts):
             continue
         # q, p and q' in one walk in each round of the series grid, which
         # the phase form reads too, and on the bound's sample, p on the
@@ -1638,7 +1640,7 @@ def test_fundamental_matrix_identities(seed):
     table = solve_phi(spec)
     assert fundamental_matrix(spec, table, ts.t0) == pytest.approx(np.eye(2))
     samples = [t for t, _ in ts.scattered_with_mu()] + [ts.t_end]
-    for a, b in ts.dense_intervals():
+    for a, b in dense_intervals(ts):
         samples.append((a + b) / 2)
     for t in samples:
         X = fundamental_matrix(spec, table, t)

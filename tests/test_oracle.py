@@ -27,7 +27,7 @@ from tsfloquet.errors import CheckFailed, StepSizeUnderflow
 from tsfloquet.oracle import cross_check, monodromy
 from tsfloquet.timescale import Interval, PeriodicTimeScale, validate
 
-from calculus_reference import p_at, q_at, steps
+from calculus_reference import dense_intervals, p_at, q_at, steps
 from conftest import (
     points_scale,
     random_discrete_system,
@@ -327,7 +327,7 @@ def test_refinement_panels_stay_few(workloads, tmp_path, monkeypatch):
 def _first_round(spec):
     """The first round's panels, as offsets from their interval's left
     end: every dense interval and both halves."""
-    ends = np.array(spec.ts.dense_intervals(), dtype=float)
+    ends = np.array(dense_intervals(spec.ts), dtype=float)
     lo, hi = np.zeros(len(ends)), ends[:, 1] - ends[:, 0]
     mid = 0.5 * (lo + hi)
     interval = np.arange(len(ends))
@@ -349,7 +349,7 @@ def _assert_matches_reference(spec, lo, hi, ends, interval):
 )
 def test_propagators_match_the_reference_on_committed_configs(path):
     spec = build_system(load_config(path))
-    if spec.ts.dense_intervals():
+    if dense_intervals(spec.ts):
         _assert_matches_reference(spec, *_first_round(spec))
 
 
@@ -360,7 +360,7 @@ def test_propagators_match_the_reference(seed):
     spec = random_hybrid_system(seed)
     _assert_matches_reference(spec, *_first_round(spec))
     rng = np.random.default_rng(seed)
-    ends = np.array(spec.ts.dense_intervals(), dtype=float)
+    ends = np.array(dense_intervals(spec.ts), dtype=float)
     interval = rng.integers(len(ends), size=200)
     a, b = ends[interval].T
     width = (b - a) * 10.0 ** rng.uniform(-6, 0, size=200)

@@ -17,7 +17,7 @@ from tsfloquet.cli import build_system, load_config
 from tsfloquet.errors import DomainError
 from tsfloquet.floquet import validate_system
 
-from calculus_reference import p_at, reference_sample
+from calculus_reference import dense_intervals, p_at, reference_sample
 from conftest import random_discrete_system, random_hybrid_system
 from report_digest import ROWS
 
@@ -80,7 +80,7 @@ def test_sample_matches_the_per_point_reference(coefficient, where, test,
             else random_discrete_system(seed, max_points=40))
     assert _outcome(validate_system, spec) == _outcome(reference_sample, spec)
     places = (spec.ts.scattered_with_mu() if where == "point" else
-              [(a, 0.0) for a, _ in spec.ts.dense_intervals()])
+              [(a, 0.0) for a, _ in dense_intervals(spec.ts)])
     if not places:  # a discrete scale has no dense start
         return
     tau, mu = data.draw(st.sampled_from(places))

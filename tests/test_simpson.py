@@ -24,6 +24,7 @@ from tsfloquet.floquet import (
 
 import cell_reference
 import expr_reference
+from calculus_reference import dense_intervals
 from conftest import random_hybrid_system
 
 
@@ -133,7 +134,7 @@ def test_kernel_on_the_phase_form_grid(example_continuous):
     y = h * np.exp(2j * phase)
     assert_bitwise_equal(_panel_integrals(y, half),
                          cell_reference._panel_integrals(y, half))
-    (a, b), = spec.ts.dense_intervals()
+    (a, b), = dense_intervals(spec.ts)
     exact, _ = quad(lambda t: expr_reference.evaluate(spec.q, t) ** 0.5,
                     a, b, epsabs=0.0, epsrel=1e-13, limit=200)
     assert phase[-1] == pytest.approx(exact, rel=1e-13)

@@ -18,6 +18,7 @@ from tsfloquet.timescale import split_panels
 
 from calculus_reference import (
     contains,
+    dense_intervals,
     mu_at,
     scattered_points_in,
     sigma_at,
@@ -42,7 +43,7 @@ def test_valid_integer_scale():
 def test_valid_hybrid_scale():
     ts = hybrid_scale()
     assert not ts.is_discrete and not ts.is_continuous
-    assert ts.dense_intervals() == [(0.0, PI)]
+    assert dense_intervals(ts) == [(0.0, PI)]
 
 
 def test_nonpositive_period():
@@ -127,17 +128,38 @@ def test_snapping_never_turns_an_interval_around(segments, named):
      "t0=0.0 is not the left extremity"),
     ([Point(2 + 1e-11), Point(0), Point(1)], EndpointNotCovered,
      "t0+T=2.0 is not the right extremity"),
+    # a point at t0 sorted before the interval that starts there
+    ([Interval(1, 2), Point(0), Interval(0, 1)], OverlappingSegments,
+     "segments Point(x=0) and Interval(a=0, b=1) overlap"),
 ])
 def test_the_first_failing_check_is_raised(segments, error, named):
     with pytest.raises(error, match=re.escape(named)):
         validate(PeriodicTimeScale(0, 2, segments))
 
 
+_E13 = 10 ** 13  # an int whose tolerance, 1e-12 |t|, is 10
+
+
+@pytest.mark.parametrize("segments, named", [
+    ([Point(_E13 + 10), Interval(_E13 - 5, _E13 - 2)],
+     "[9999999999995, 9999999999998] would end at or before its start "
+     "once that is snapped to t0=10000000000000.0"),
+    ([Interval(_E13 + 12, _E13 + 15), Point(_E13)],
+     "[10000000000012, 10000000000015] would start at or after its end "
+     "once that is snapped to t0+T=10000000000010.0"),
+])
+def test_snapping_names_int_ends_as_written(segments, named):
+    # the Python API takes ints; the message prints the interval as given
+    with pytest.raises(InvalidSegment, match=re.escape(f"interval {named}")):
+        validate(PeriodicTimeScale(_E13, 10, segments))
+
+
 def test_snapping_one_interval_to_both_extremities():
     # a period under the tolerance: the one interval's start snaps to t0
     # first, and its end to t0 + T, after that start
     ts = validate(PeriodicTimeScale(0.0, 1e-13, [Interval(5e-13, 6e-13)]))
-    assert ts.segments == (Interval(0.0, 1e-13),)
+    assert (ts.starts.tolist(), ts.ends.tolist()) == ([0.0], [1e-13])
+    assert ts.dense.tolist() == [True]
     assert ts.is_continuous and not ts.is_discrete
 
 
@@ -198,8 +220,11 @@ def test_locate_and_contains():
 
 
 def test_segments_sorted_regardless_of_input_order():
+    # ints given through the Python API are held as floats
     ts = validate(PeriodicTimeScale(0, 2, [Point(2), Point(0), Point(1)]))
-    assert [s.x for s in ts.segments] == [0.0, 1.0, 2.0]
+    assert ts.starts.dtype == ts.ends.dtype == np.float64
+    assert ts.starts.tolist() == ts.ends.tolist() == [0.0, 1.0, 2.0]
+    assert ts.dense.tolist() == [False] * 3
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=1.0),
@@ -233,13 +258,12 @@ def test_steps_walk_the_period(period, segments):
     # them pairs each segment with the jump at its right end; the last
     # segment ends at t0 + T and has none
     ts = validate(PeriodicTimeScale(0, period, segments))
-    assert ts.starts.tolist() == [seg.start for seg in ts.segments]
-    assert ts.ends.tolist() == [seg.end for seg in ts.segments]
-    assert ts.dense.tolist() == [isinstance(seg, Interval)
-                                 for seg in ts.segments]
-    assert ts.starts.tolist() == sorted(ts.starts.tolist())
+    segs = sorted(segments, key=lambda seg: seg.start)
+    assert ts.starts.tolist() == [seg.start for seg in segs]
+    assert ts.ends.tolist() == [seg.end for seg in segs]
+    assert ts.dense.tolist() == [isinstance(seg, Interval) for seg in segs]
     walk = steps(ts)
-    assert [seg for seg, _ in walk] == list(ts.segments)
+    assert [seg for seg, _ in walk] == segs
     assert [jump for _, jump in walk[:-1]] == ts.scattered_with_mu()
     assert walk[-1][1] is None
     for seg, jump in walk[:-1]:
@@ -365,12 +389,11 @@ def test_the_array_checks_raise_what_the_loop_raised(segments):
         assert any(not seg.start < seg.end for seg in segs
                    if isinstance(seg, Interval))
         return
-    assert list(ts.segments) == segs
     # the arrays, and the lists read from them, against the segment loops
     assert ts.starts.tolist() == [seg.start for seg in segs]
     assert ts.ends.tolist() == [seg.end for seg in segs]
     assert ts.dense.tolist() == [isinstance(seg, Interval) for seg in segs]
-    assert ts.dense_intervals() == [(seg.a, seg.b) for seg in segs
+    assert dense_intervals(ts) == [(seg.a, seg.b) for seg in segs
                                     if isinstance(seg, Interval)]
     assert ts.scattered_with_mu() == scattered
     assert ts.scattered_t.tolist() == [t for t, _ in scattered]

@@ -17,6 +17,7 @@ from calculus_reference import (
     EndpointsNotInTimeScale,
     cos_phi,
     delta_integral,
+    dense_intervals,
     mu_at,
     p_at,
     phase_value,
@@ -119,7 +120,7 @@ def test_exponential_semigroup(seed):
     ts = spec.ts
     g = lambda t: 0.3 * math.cos(t) + 0.1
     t0, tT = ts.t0, ts.t_end
-    ia, ib = ts.dense_intervals()[0]
+    ia, ib = dense_intervals(ts)[0]
     _, mid = ts.locate((ia + ib) / 2)
     full = ts_exponential(g, tT, t0, ts)
     split = ts_exponential(g, tT, mid, ts) * ts_exponential(g, mid, t0, ts)
