@@ -4,6 +4,7 @@ periodic linear dynamic equations on time scales."""
 from .errors import TsfloquetError
 from .expr import differentiate, evaluate, parse, serialize
 from .floquet import (
+    Enclosure,
     ErrorBound,
     FloquetReport,
     PhaseTable,
@@ -29,7 +30,7 @@ __all__ = [
     "parse", "evaluate", "differentiate", "serialize",
     "Point", "Interval", "PeriodicTimeScale", "validate",
     "SystemSpec", "PhaseTable", "solve_phi", "compute_B", "a_term",
-    "a_partial", "estimate_bounds", "ErrorBound", "error_bound",
+    "a_partial", "estimate_bounds", "ErrorBound", "error_bound", "Enclosure",
     "shi_continuous_a", "multipliers", "Verdict", "verdict", "analyze",
     "FloquetReport",
     "__version__",

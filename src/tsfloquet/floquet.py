@@ -69,7 +69,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -328,6 +328,17 @@ def compute_B(spec: SystemSpec,
     except OverflowError:
         return math.copysign(math.inf, prod)
     return float(prod * growth)
+
+
+# compute_B's rounding: a conservative system's B = 1 may come out this far
+# on either side of 1, so such a B may be exactly 1
+_B_ROUNDING = 8 * 2.0 ** -52
+
+
+def _b_enclosure(B: float) -> Enclosure:
+    """B's enclosure: ``compute_B``'s B, reaching 1 within ``_B_ROUNDING``."""
+    near = abs(B - 1.0) <= _B_ROUNDING
+    return Enclosure(min(B, 1.0), max(B, 1.0)) if near else Enclosure(B, B)
 
 
 # -- series engine ----------------------------------------------------------
@@ -1178,6 +1189,12 @@ def shi_continuous_a(spec: SystemSpec, table: PhaseTable, n: int,
 
 # -- multipliers and verdict -------------------------------------------------
 
+class Enclosure(NamedTuple):
+    """The closed interval [lo, hi] that holds A or B."""
+    lo: float
+    hi: float
+
+
 def _moduli_at(A: float, B: float):
     """(|A/2 - r|, |A/2 + r|) with r = sqrt(A^2/4 - B): the moduli of the
     two roots of rho^2 - A rho + B, unsorted. For two distinct real roots
@@ -1199,31 +1216,19 @@ def _moduli_at(A: float, B: float):
     return (small, large) if A >= 0.0 else (large, small)
 
 
-# compute_B's rounding: a conservative system's B = 1 may come out this far
-# on either side of 1, so such a B may be exactly 1
-_B_ROUNDING = 8 * 2.0 ** -52
-
-
-def _B_band(B: float) -> tuple:
-    """The values B may stand for: B and, within ``_B_ROUNDING`` of 1, 1."""
-    return (B, 1.0) if abs(B - 1.0) <= _B_ROUNDING else (B,)
-
-
-def multipliers(a_interval, B: float):
+def multipliers(a: Enclosure, b: Enclosure):
     """Modulus intervals (smaller, larger) of the two multipliers as A
-    ranges over ``a_interval`` and B over ``_B_band(B)``.
-
-    The modulus functions are piecewise monotone in A with breakpoints at
-    0 and +-2 sqrt(B), so endpoint plus breakpoint evaluation is exact. At
-    an infinite A the roots tend to B / A -> 0 and A -> inf.
-    """
-    lo, hi = a_interval
+    ranges over ``a`` and B over the ends of ``b``: the modulus functions
+    are piecewise monotone in A with breakpoints at 0 and +-2 sqrt(B), so
+    endpoint plus breakpoint evaluation is exact; at an infinite A the
+    roots tend to B / A -> 0 and A -> inf. Between b's ends only the larger
+    dips, to |A| / 2 at B = A^2 / 4, ulps from 1 in ``_b_enclosure``'s."""
     moduli = []
-    for b in _B_band(B):
-        r = 2.0 * math.sqrt(b) if b > 0 else 0.0
-        cands = [lo, hi] + [c for c in (0.0, r, -r) if lo < c < hi]
+    for B in dict.fromkeys(b):  # each end once
+        r = 2.0 * math.sqrt(B) if B > 0 else 0.0
+        cands = [a.lo, a.hi] + [c for c in (0.0, r, -r) if a.lo < c < a.hi]
         moduli += [(0.0, math.inf) if math.isinf(A)
-                   else sorted(_moduli_at(A, b)) for A in cands]
+                   else sorted(_moduli_at(A, B)) for A in cands]
     small, large = zip(*moduli)
     return (min(small), max(small)), (min(large), max(large))
 
@@ -1235,33 +1240,27 @@ class Verdict(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-def verdict(a_interval, B: float):
-    """(Verdict, justification) for A in ``a_interval`` and B, from the
-    larger-modulus interval of ``multipliers`` and ``_B_band(B)``. As
-    |rho1 rho2| = |B|, a band that lies above 1 in modulus, an overflowed
-    B's too, forces a modulus above 1, and one that reaches 1 rules out
-    exponential stability. STABLE needs B in [1 - 1e-9, 1]."""
-    band = _B_band(B)
-    _, (llo, lhi) = multipliers(a_interval, B)
+def verdict(a: Enclosure, b: Enclosure, larger: Optional[tuple] = None):
+    """(Verdict, justification) for A in ``a`` and B in ``b``, from
+    ``larger``, the larger-modulus interval of ``multipliers(a, b)``,
+    computed here unless given. As |rho1 rho2| = |B|, a b outside [-1, 1],
+    an overflowed B's too, forces a modulus above 1, and one that reaches 1
+    rules out exponential stability. STABLE needs b in [1 - 1e-9, 1]."""
+    llo, lhi = multipliers(a, b)[1] if larger is None else larger
     if llo > 1.0:
-        return Verdict.UNSTABLE, (
-            "a multiplier modulus interval lies entirely above 1"
-        )
-    if min(map(abs, band)) > 1.0:
+        return (Verdict.UNSTABLE,
+                "a multiplier modulus interval lies entirely above 1")
+    if b.lo > 1.0 or b.hi < -1.0:
         return Verdict.UNSTABLE, "|B| > 1 forces a multiplier modulus above 1"
-    if max(band) < 1.0 and lhi < 1.0:
-        return Verdict.EXPONENTIALLY_STABLE, (
-            "both multiplier modulus intervals lie entirely below 1"
-        )
-    if (-1e-9 <= B - 1.0 <= 0.0 and a_interval[0] > -2.0
-            and a_interval[1] < 2.0):
+    if b.hi < 1.0 and lhi < 1.0:
+        return (Verdict.EXPONENTIALLY_STABLE,
+                "both multiplier modulus intervals lie entirely below 1")
+    if 1.0 - 1e-9 <= b.lo and b.hi <= 1.0 and a.lo > -2.0 and a.hi < 2.0:
         return Verdict.STABLE, (
             "B = 1 and the A interval lies inside (-2, 2): two distinct "
-            "unit-circle multipliers"
-        )
-    return Verdict.UNDETERMINED, (
-        "increase n or handle the unit-modulus critical case manually"
-    )
+            "unit-circle multipliers")
+    return (Verdict.UNDETERMINED,
+            "increase n or handle the unit-modulus critical case manually")
 
 
 # -- top-level report --------------------------------------------------------
@@ -1307,10 +1306,9 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
     err = error_bound(spec, table, n)
     if not math.isfinite(A):  # a NaN or infinite A(n) is never exact
         err = ErrorBound(math.inf)
-    interval = (A - err.value, A + err.value)
-    rho = multipliers(interval, B)
-    point_moduli = _moduli_at(A, B)
-    v, why = verdict(interval, B)
+    a, b = Enclosure(A - err.value, A + err.value), _b_enclosure(B)
+    rho = multipliers(a, b)
+    v, why = verdict(a, b, rho[1])
     return FloquetReport(
         n=n,
         A_terms=list(terms),
@@ -1318,7 +1316,7 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
         B=B,
         err_bound=err,
         rho_moduli=rho,
-        point_moduli=point_moduli,
+        point_moduli=_moduli_at(A, B),
         verdict=v,
         justification=why,
         method=method,

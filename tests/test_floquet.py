@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tsfloquet import (
+    Enclosure,
     ErrorBound,
     Interval,
     PeriodicTimeScale,
@@ -459,8 +460,8 @@ def test_compute_B_of_exp_kinks_is_within_4_ulps():
         assert (abs(report.B - want)
                 <= 4 * math.ulp(want) + _point_ulps_allowance(spec, want))
         err = report.err_bound.value
-        interval = (report.A_partial - err, report.A_partial + err)
-        assert report.verdict == verdict(interval, want)[0]
+        a = Enclosure(report.A_partial - err, report.A_partial + err)
+        assert report.verdict == verdict(a, _b(want))[0]
 
 
 def _point_ulps_allowance(spec, B: float) -> float:
@@ -1346,15 +1347,19 @@ def test_exp_tail_is_the_sum_in_the_order_of_k():
 
 # -- multipliers and verdict --------------------------------------------------
 
+# B's enclosure as the analysis builds it from compute_B's value
+_b = floquet._b_enclosure
+
+
 def test_multipliers_point_interval():
-    (slo, shi_), (llo, lhi) = multipliers((17 / 4, 17 / 4), 1.0)
+    (slo, shi_), (llo, lhi) = multipliers(Enclosure(17 / 4, 17 / 4), _b(1.0))
     assert (slo, shi_) == pytest.approx((0.25, 0.25), abs=1e-10)
     assert (llo, lhi) == pytest.approx((4.0, 4.0), abs=1e-10)
 
 
 def test_multipliers_complex_pair():
-    (slo, shi_), (llo, lhi) = multipliers((-1.2147, -1.2145),
-                                          PI * PI - PI / 4 + 1)
+    (slo, shi_), (llo, lhi) = multipliers(Enclosure(-1.2147, -1.2145),
+                                          _b(PI * PI - PI / 4 + 1))
     root = math.sqrt(PI * PI - PI / 4 + 1)
     for v in (slo, shi_, llo, lhi):
         assert v == pytest.approx(root, abs=1e-4)
@@ -1364,15 +1369,15 @@ def test_multipliers_complex_pair():
 def test_multipliers_breakpoint_inside_interval():
     # interval straddles 2*sqrt(B): the larger-modulus max is attained at
     # an endpoint, the smaller-modulus min at the breakpoint
-    (slo, _), (_, lhi) = multipliers((1.5, 2.5), 1.0)
+    (slo, _), (_, lhi) = multipliers(Enclosure(1.5, 2.5), _b(1.0))
     assert slo == pytest.approx(0.5)  # at A=2.5: (2.5-1.5)/2
     assert lhi == pytest.approx(2.0)  # at A=2.5: (2.5+1.5)/2
-    (smin, smax), _ = multipliers((1.9, 2.1), 1.0)
+    (smin, smax), _ = multipliers(Enclosure(1.9, 2.1), _b(1.0))
     assert smax == pytest.approx(1.0)  # attained at the breakpoint A=2
 
 
 def test_multipliers_pure_imaginary():
-    (slo, shi_), (llo, lhi) = multipliers((0.0, 0.0), 1.0)
+    (slo, shi_), (llo, lhi) = multipliers(Enclosure(0.0, 0.0), _b(1.0))
     assert (slo, shi_, llo, lhi) == pytest.approx((1, 1, 1, 1))
 
 
@@ -1412,7 +1417,7 @@ def test_moduli_stay_finite_where_A_squared_overflows():
         got = floquet._moduli_at(A, B)
         assert all(map(math.isfinite, got)), (A, B)
         assert _within_4_ulps(got, _mp_moduli(A, B, 1000)), (A, B)
-    small, large = multipliers((1e170, 1e171), 2.0)
+    small, large = multipliers(Enclosure(1e170, 1e171), _b(2.0))
     ends = [sorted(_mp_moduli(A, 2.0, 1000)) for A in (1e170, 1e171)]
     assert _within_4_ulps(small, [ends[1][0], ends[0][0]])
     assert _within_4_ulps(large, [ends[0][1], ends[1][1]])
@@ -1496,33 +1501,34 @@ def test_fundamental_matrix_dense_derivative(example_continuous):
 def test_infinite_bound_verdict():
     # an infinite A interval leaves the smaller modulus in [0, sqrt(B)] and
     # the larger in [sqrt(B), inf]; only B > 1 decides
-    (slo, shi_), (llo, lhi) = multipliers((-math.inf, math.inf), 0.25)
+    (slo, shi_), (llo, lhi) = multipliers(Enclosure(-math.inf, math.inf),
+                                          _b(0.25))
     assert (slo, shi_, llo, lhi) == (0.0, 0.5, 0.5, math.inf)
-    v, _ = verdict((-math.inf, math.inf), 0.25)
+    v, _ = verdict(Enclosure(-math.inf, math.inf), _b(0.25))
     assert v is Verdict.UNDETERMINED
-    v, _ = verdict((-math.inf, math.inf), 4.0)
+    v, _ = verdict(Enclosure(-math.inf, math.inf), _b(4.0))
     assert v is Verdict.UNSTABLE
 
 
 def test_verdict_examples():
-    v, _ = verdict((17 / 4, 17 / 4), 1.0)
+    v, _ = verdict(Enclosure(17 / 4, 17 / 4), _b(1.0))
     assert v is Verdict.UNSTABLE
-    v, _ = verdict((-0.752, -0.752), 1.0)
+    v, _ = verdict(Enclosure(-0.752, -0.752), _b(1.0))
     assert v is Verdict.STABLE
-    v, _ = verdict((0.5, 0.5), 0.25)
+    v, _ = verdict(Enclosure(0.5, 0.5), _b(0.25))
     assert v is Verdict.EXPONENTIALLY_STABLE
-    v, _ = verdict((1.9, 2.1), 1.0)
+    v, _ = verdict(Enclosure(1.9, 2.1), _b(1.0))
     assert v is Verdict.UNDETERMINED
     # B one ulp above 1 (rounding of a true B = 1) leaves the critical
     # case undetermined: |B| > 1 decides only beyond that rounding
-    v, _ = verdict((1.9, 2.1), 1.0 + 2**-52)
+    v, _ = verdict(Enclosure(1.9, 2.1), _b(1.0 + 2**-52))
     assert v is Verdict.UNDETERMINED
-    v, _ = verdict((-600.0, 600.0), 1.0 + 4e-16)
+    v, _ = verdict(Enclosure(-600.0, 600.0), _b(1.0 + 4e-16))
     assert v is Verdict.UNDETERMINED
-    v, _ = verdict((math.nan, math.nan), math.inf)
+    v, _ = verdict(Enclosure(math.nan, math.nan), _b(math.inf))
     assert v is Verdict.UNSTABLE
     # B > 1 forces a multiplier off the unit circle for any A
-    v, _ = verdict((-600.0, 600.0), PI * PI - PI / 4 + 1)
+    v, _ = verdict(Enclosure(-600.0, 600.0), _b(PI * PI - PI / 4 + 1))
     assert v is Verdict.UNSTABLE
 
 
@@ -1531,22 +1537,22 @@ def test_verdict_near_B_one(A):
     # a B within compute_B's rounding above 1 may be exactly 1: neither
     # unstable nor, as B may also be above 1, stable
     for B in (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 1.0 + 8 * 2.0 ** -52):
-        (slo, shi_), (llo, lhi) = multipliers((A, A), B)
+        (slo, shi_), (llo, lhi) = multipliers(Enclosure(A, A), _b(B))
         assert slo <= 1.0 <= lhi and llo <= 1.0
-        v, _ = verdict((A, A), B)
+        v, _ = verdict(Enclosure(A, A), _b(B))
         assert v is Verdict.UNDETERMINED
     # beyond that rounding B is above 1, so a modulus is too
     for B in (1.0 + 9 * 2.0 ** -52, 1.0 + 1e-10):
-        v, _ = verdict((A, A), B)
+        v, _ = verdict(Enclosure(A, A), _b(B))
         assert v is Verdict.UNSTABLE
     # the band only widens the intervals: an A far outside [-2, 2] still
     # forces a modulus above 1
-    v, _ = verdict((A + 10.0, A + 20.0), 1.0 + 2.0 ** -51)
+    v, _ = verdict(Enclosure(A + 10.0, A + 20.0), _b(1.0 + 2.0 ** -51))
     assert v is Verdict.UNSTABLE
     # the mirror below 1: such a B may be exactly 1 too, so |rho1 rho2|
     # may be 1 and neither modulus surely below it; as B <= 1, stable
     for B in (1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52, 1.0 - 8 * 2.0 ** -52):
-        v, _ = verdict((A, A), B)
+        v, _ = verdict(Enclosure(A, A), _b(B))
         assert v is Verdict.STABLE
 
 
@@ -1560,7 +1566,7 @@ def test_verdict_near_B_one(A):
 def test_verdict_B_within_rounding_of_one(A, B):
     # B may be exactly 1 and A lies inside (-2, 2): the multipliers may be
     # two distinct points of the unit circle, and are nowhere else
-    v, _ = verdict((A, A), B)
+    v, _ = verdict(Enclosure(A, A), _b(B))
     assert v not in (Verdict.EXPONENTIALLY_STABLE, Verdict.UNSTABLE)
     if B <= 1.0:
         assert v is Verdict.STABLE

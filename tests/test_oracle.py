@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tsfloquet import (
+    Enclosure,
     SystemSpec,
     a_partial,
     a_term,
@@ -85,8 +86,9 @@ def test_s_family_agrees_with_the_oracle(s, n, tmp_path):
     report = analyze(spec, n=n)
     check = cross_check(spec, report)
     err = report.err_bound.value
-    assert verdict((check.a_oracle - err, check.a_oracle + err),
-                   report.B)[0] is report.verdict
+    a = Enclosure(check.a_oracle - err, check.a_oracle + err)
+    assert (verdict(a, floquet_mod._b_enclosure(report.B))[0]
+            is report.verdict)
 
 
 def test_cross_check_failure(example_z):
