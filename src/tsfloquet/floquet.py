@@ -1241,24 +1241,34 @@ class Verdict(str, Enum):
 
 
 def verdict(a: Enclosure, b: Enclosure, larger: Optional[tuple] = None):
-    """(Verdict, justification) for A in ``a`` and B in ``b``, from
-    ``larger``, the larger-modulus interval of ``multipliers(a, b)``,
-    computed here unless given. As |rho1 rho2| = |B|, a b outside [-1, 1],
-    an overflowed B's too, forces a modulus above 1, and one that reaches 1
-    rules out exponential stability. STABLE needs b in [1 - 1e-9, 1]."""
-    llo, lhi = multipliers(a, b)[1] if larger is None else larger
-    if llo > 1.0:
+    """(Verdict, justification) for A in ``a`` and B in ``b``, decided on
+    the exact box, not on rounded moduli. By Schur-Cohn both roots of
+    rho^2 - A rho + B lie in the closed unit disk iff B <= 1 and |A| <= 1 +
+    B, and in the open one iff B < 1 and |A| < 1 + B; fsum takes the sign
+    of |A| - 1 - B exactly. UNSTABLE needs every (A, B) of the box to put
+    a root outside the closed disk, EXPONENTIALLY_STABLE every one to hold
+    both in the open disk, and STABLE every one to hold both in the closed
+    disk with |A| < 2, so that a root on the circle is simple. UNSTABLE's
+    justification names the larger-modulus interval, ``larger`` or
+    ``multipliers(a, b)[1]``, if it lies above 1, else |B| where ``b`` lies
+    outside [-1, 1]."""
+    least, most = max(a.lo, -a.hi, 0.0), max(-a.lo, a.hi)  # min, max |A|
+    if b.lo > 1.0 or least > 2.0 or math.fsum((least, -1.0, -b.hi)) > 0.0:
+        llo = (multipliers(a, b)[1] if larger is None else larger)[0]
+        if not llo > 1.0 and (b.lo > 1.0 or b.hi < -1.0):
+            return (Verdict.UNSTABLE,
+                    "|B| > 1 forces a multiplier modulus above 1")
         return (Verdict.UNSTABLE,
                 "a multiplier modulus interval lies entirely above 1")
-    if b.lo > 1.0 or b.hi < -1.0:
-        return Verdict.UNSTABLE, "|B| > 1 forces a multiplier modulus above 1"
-    if b.hi < 1.0 and lhi < 1.0:
-        return (Verdict.EXPONENTIALLY_STABLE,
-                "both multiplier modulus intervals lie entirely below 1")
-    if 1.0 - 1e-9 <= b.lo and b.hi <= 1.0 and a.lo > -2.0 and a.hi < 2.0:
-        return Verdict.STABLE, (
-            "B = 1 and the A interval lies inside (-2, 2): two distinct "
-            "unit-circle multipliers")
+    if b.hi <= 1.0 and -2.0 < a.lo and a.hi < 2.0:
+        gap = math.fsum((most, -1.0, -b.lo))
+        if b.hi < 1.0 and gap < 0.0:
+            return (Verdict.EXPONENTIALLY_STABLE,
+                    "both multiplier modulus intervals lie entirely below 1")
+        if gap <= 0.0:
+            return Verdict.STABLE, (
+                "B = 1 and the A interval lies inside (-2, 2): two distinct "
+                "unit-circle multipliers")
     return (Verdict.UNDETERMINED,
             "increase n or handle the unit-modulus critical case manually")
 

@@ -1530,6 +1530,11 @@ def test_verdict_examples():
     # B > 1 forces a multiplier off the unit circle for any A
     v, _ = verdict(Enclosure(-600.0, 600.0), _b(PI * PI - PI / 4 + 1))
     assert v is Verdict.UNSTABLE
+    # B 5e-10 below 1 and A up to 1.9999999999 > 1 + B: the larger modulus
+    # reaches 1.00002, so the A interval inside (-2, 2) is not enough
+    v, _ = verdict(Enclosure(1.999999999, 1.9999999999), _b(1 - 5e-10))
+    assert v is Verdict.UNDETERMINED
+    assert max(_mp_moduli(1.9999999999, 1 - 5e-10)) > 1.00001
 
 
 @pytest.mark.parametrize("A", [0.5, -1.6275858])
@@ -1563,13 +1568,90 @@ def test_verdict_near_B_one(A):
                  max_value=1.0 + floquet._B_ROUNDING))
 @example(-1.6275858, 1.0)  # both moduli round below 1 at B = 1.0
 @example(0.5, 0.9999999999999999)
+# |A| > 1 + B: at this B the larger modulus is 1 + 3.6e-8, so not stable
+@example(1.9999999999999996, 0.9999999999999982)
 def test_verdict_B_within_rounding_of_one(A, B):
     # B may be exactly 1 and A lies inside (-2, 2): the multipliers may be
-    # two distinct points of the unit circle, and are nowhere else
+    # two distinct points of the unit circle, so the verdict is neither
+    # exponentially stable nor unstable. It is stable exactly where both
+    # multipliers lie in the closed unit disk at B as well as at 1, which
+    # for B <= 1 is |A| <= 1 + B (Schur-Cohn), taken exactly
     v, _ = verdict(Enclosure(A, A), _b(B))
-    assert v not in (Verdict.EXPONENTIALLY_STABLE, Verdict.UNSTABLE)
-    if B <= 1.0:
-        assert v is Verdict.STABLE
+    assert v in (Verdict.STABLE, Verdict.UNDETERMINED)
+    inside = B <= 1.0 and abs(Fraction(A)) <= 1 + Fraction(B)
+    assert (v is Verdict.STABLE) == inside
+    if v is Verdict.UNDETERMINED and B <= 1.0:
+        assert max(_mp_moduli(A, B)) > 1.0
+
+
+def _near(x: float, ulps: int) -> float:
+    """x moved by ``ulps`` float spacings, up for positive ulps."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _sub_enclosure(draw, outer):
+    """An enclosure inside ``outer``: two of its points, in order, each an
+    end, an end moved inward by a few ulps, or a point between the ends."""
+    lo, hi = outer
+    if lo == hi:
+        return outer
+
+    def point():
+        return draw(st.one_of(
+            st.sampled_from([lo, hi]),
+            st.integers(1, 3).map(lambda k: min(max(_near(lo, k), lo), hi)),
+            st.integers(1, 3).map(lambda k: max(min(_near(hi, -k), hi), lo)),
+            st.floats(min_value=lo if lo > -math.inf else None,
+                      max_value=hi if hi < math.inf else None,
+                      allow_nan=False)))
+    return Enclosure(*sorted((point(), point())))
+
+
+@st.composite
+def _refined_enclosures(draw):
+    """Enclosures of A and B as the analysis builds them, A(n) +- err and
+    ``_b``'s B, and a sub-enclosure of each. A is drawn anywhere, near +-2,
+    or within a few ulps of +-(1 + B), where the larger modulus crosses 1."""
+    B = draw(st.one_of(
+        st.floats(-3.0, 3.0),
+        st.floats(1.0 - 1e-8, 1.0 + 1e-8),
+        st.floats(1.0 - floquet._B_ROUNDING, 1.0 + floquet._B_ROUNDING),
+        st.sampled_from([1.0, -1.0, math.inf, -math.inf])))
+    edge = 1.0 + B if math.isfinite(B) else 2.0
+    A = draw(st.one_of(
+        st.floats(-4.0, 4.0),
+        st.floats(1.99, 2.01), st.floats(-2.01, -1.99),
+        st.integers(-4, 4).map(lambda k: _near(edge, k)),
+        st.integers(-4, 4).map(lambda k: -_near(edge, k))))
+    err = draw(st.one_of(
+        st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 1e-6),
+        st.floats(0.0, 2.0), st.just(math.inf)))
+    a, b = Enclosure(A - err, A + err), _b(B)
+    return a, b, draw(_sub_enclosure(a)), draw(_sub_enclosure(b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_refined_enclosures())
+@example((Enclosure(1.8, 1.8782983255570211),
+          Enclosure(0.8782983255570211, 0.8782983255570211),
+          Enclosure(1.8782983255570211, 1.8782983255570211),
+          Enclosure(0.8782983255570211, 0.8782983255570211)))
+@example((Enclosure(1.999999999, 1.9999999999), _b(1 - 1e-9),
+          Enclosure(1.9999999999, 1.9999999999), _b(1 - 1e-9)))
+def test_refining_the_enclosures_never_flips_a_verdict(enclosures):
+    # a sub-enclosure holds fewer (A, B) pairs, so a verdict proven for
+    # every pair of the outer ones still holds: stable kinds stay stable,
+    # unstable stays unstable, and neither turns undetermined. At
+    # A = 1.8782983255570211 = 1 + B - 1 ulp the rounded larger modulus is
+    # 1 + 4e-16, though the exact one is below 1
+    a, b, a_in, b_in = enclosures
+    outer, inner = verdict(a, b)[0], verdict(a_in, b_in)[0]
+    if outer is not Verdict.UNDETERMINED:
+        assert inner is not Verdict.UNDETERMINED
+        assert (inner is Verdict.UNSTABLE) == (outer is Verdict.UNSTABLE)
 
 
 # -- phase-form series --------------------------------------------------------
