@@ -583,12 +583,13 @@ def _panel_grid(coefficients: ex.Forest, a, b, floor, turns, scales):
             half.reshape(rows), panels, rounds)
 
 
-def _check_dense_limits(table: PhaseTable, first, last) -> None:
+def _check_dense_limits(table: PhaseTable, first, last) -> bool:
     """Warn where phi's dense limit at the start or the end of a dense
     cell, the ``first`` or ``last`` node of its row, is more than 1e-6
     from the chain's phi there: sqrt(q) from the sample at a start, and the
     chain's own value at an end. One ``PhiDiscontinuityWarning`` per such
-    place, in time order, naming t as the time scale holds it."""
+    place, in time order, naming t as the time scale holds it. Returns
+    whether phi jumps anywhere."""
     ts = table.sample.spec.ts
     # every row's start, then every row's end
     chain = np.concatenate([table.starts[ts.dense], table.ends[ts.dense]])
@@ -600,6 +601,7 @@ def _check_dense_limits(table: PhaseTable, first, last) -> None:
         warnings.warn(
             f"phi is discontinuous at t={at[j]}: chain value "
             f"{chain[j]} vs dense limit {limits[j]}", PhiDiscontinuityWarning)
+    return bool(jumps)
 
 
 def _uniform_rows(a, b, step):
@@ -628,7 +630,8 @@ class _SeriesEngine:
     each row's panel count and ``rounds`` the layout's sampling rounds.
     ``_check_dense_limits`` warns (``PhiDiscontinuityWarning``) where a
     row's first or last phi, its dense limit at that end, is more than
-    1e-6 from ``table.starts`` or ``table.ends`` there. At the scattered
+    1e-6 from ``table.starts`` or ``table.ends`` there, and ``phi_jumps``
+    records whether it warned. At the scattered
     points, phi(t) = ``table.ends[:-1]``, phi(sigma(t)) =
     ``table.starts[1:]`` and h(t) = -p - (phi(sigma(t)) - phi(t)) / (mu
     phi(t)) are one array expression; then the period walk, over the
@@ -667,6 +670,7 @@ class _SeriesEngine:
         ts = spec.ts
         a, b = ts.starts[ts.dense], ts.ends[ts.dense]
         self.rows = len(a)
+        self.phi_jumps = False
         if self.rows:
             floor = _float_floor(a, b)
             coefficients = ex.Forest((spec.q, spec.p, spec.qprime))
@@ -691,8 +695,8 @@ class _SeriesEngine:
             self.E = np.empty_like(U)
             # each row's last node, as a flat index into a (cells, nodes) plane
             self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
-            _check_dense_limits(table, self.phi[:, 0],
-                                self.phi.take(self.tips))
+            self.phi_jumps = _check_dense_limits(table, self.phi[:, 0],
+                                                 self.phi.take(self.tips))
         self.E_in = []  # the E each dense row starts from
         self.order = []  # in time order, True for a dense row, False a jump
         E_t, M_t, muW_t = [], [], []  # each jump's E, 1 / D and muW
@@ -1314,7 +1318,9 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
         A = math.fsum(terms)
         method = "discrete" if ts.is_discrete else "series"
     err = error_bound(spec, table, n)
-    if not math.isfinite(A):  # a NaN or infinite A(n) is never exact
+    # a NaN or infinite A(n) is never exact, and the series does not hold
+    # across a jump of phi: A's enclosure is then the whole line
+    if not math.isfinite(A) or table.engine.phi_jumps:
         err = ErrorBound(math.inf)
     a, b = Enclosure(A - err.value, A + err.value), _b_enclosure(B)
     rho = multipliers(a, b)

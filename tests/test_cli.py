@@ -556,6 +556,25 @@ def test_non_finite_A_is_never_exact(tmp_path):
     assert result.exit_code == 1
 
 
+def test_a_phi_jump_gives_an_infinite_bound(tmp_path):
+    # Meissner's q, 1.5 on [0, pi) and 0.5 on [pi, 2 pi): the chain's phi
+    # at t0 + T is sqrt(q(0)), against the dense limit sqrt(0.5) there, so
+    # phi jumps and the series does not hold across the jump. A(3) =
+    # 1.954338 read "stable" with the bound 0, where the closed form gives
+    # A = 2.114075 and a multiplier of modulus 1.40. The bound is now
+    # infinite and B = 1 decides nothing: undetermined (exit 2). The oracle
+    # then meets A within that bound, where it found a disagreement (exit 4)
+    f = tmp_path / "meissner.cfg"
+    f.write_text("period = 2*pi\nintervals = [[0, 2*pi]]\np = 0\n"
+                 "q = if(lt(t, pi), 1.5, 0.5)\n")
+    for args in ((), ("--oracle",)):
+        result = invoke(str(f), *args)
+        lines = result.stdout.splitlines()
+        assert "error bound = inf" in lines
+        assert "verdict = undetermined" in lines
+        assert result.exit_code == 2
+
+
 def test_tail_bound_past_the_float_range_is_undetermined(tmp_path):
     # on a period of 1e80 the bound's z = 5.0e79 overflows e^z: the bound is
     # infinite and no verdict is certified
