@@ -6,8 +6,11 @@ Computes, for x^DD + p(t) x^D + q(t) x = 0 on a periodic time scale:
 * the multiplier sum A as a convergent series A = sum_n A_n of nested
   delta integrals, truncated at order n with a rigorous tail bound,
 * the multiplier product B by Liouville's formula,
-* modulus intervals for the two multipliers and a stability verdict that
-  accounts for the truncation error.
+* enclosures of A and B (``Enclosure``): A(n) plus or minus the
+  truncation bound, and B widened to 1 within its rounding,
+* modulus intervals for the two multipliers over them, and a stability
+  verdict decided exactly on the two enclosures by the Schur-Cohn
+  conditions.
 
 The nested integrals are never evaluated as literal n-fold quadratures.
 On every scale the series is folded into two one-dimensional running
@@ -57,7 +60,8 @@ jump's phi, E, h, 1 / D and mu W once, in the period walk: the terms read
 its panels and that table, the bound its uniform sample and the table,
 the phase form its row's phase. One array comparison checks phi's dense
 limits, each row's first and last panel nodes, against the table's phi
-at the dense starts and ends.
+at the dense starts and ends; where phi jumps, the series does not hold,
+and A's enclosure is the whole line.
 The level recursion is a resumable iterator over orders, seeded by its caller.
 """
 from __future__ import annotations
@@ -1303,7 +1307,9 @@ def default_order(ts: ValidatedTimeScale) -> int:
 
 def analyze(spec: SystemSpec, n: Optional[int] = None,
             use_shi: bool = False) -> FloquetReport:
-    """Run the full pipeline and assemble a certified report."""
+    """Run the full pipeline and assemble a certified report: the verdict
+    reads A's enclosure, A(n) +- err (infinite where A(n) is not finite or
+    phi jumps), and B's (``_b_enclosure``)."""
     ts = spec.ts
     if n is None:
         n = default_order(ts)
