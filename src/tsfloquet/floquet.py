@@ -1248,7 +1248,7 @@ class Verdict(str, Enum):
     UNDETERMINED = "undetermined"
 
 
-def verdict(a: Enclosure, b: Enclosure, larger: Optional[tuple] = None):
+def verdict(a: Enclosure, b: Enclosure):
     """(Verdict, justification) for A in ``a`` and B in ``b``, decided on
     the exact box, not on rounded moduli. By Schur-Cohn both roots of
     rho^2 - A rho + B lie in the closed unit disk iff B <= 1 and |A| <= 1 +
@@ -1256,20 +1256,19 @@ def verdict(a: Enclosure, b: Enclosure, larger: Optional[tuple] = None):
     of |A| - 1 - B exactly. UNSTABLE needs every (A, B) of the box to put
     a root outside the closed disk, EXPONENTIALLY_STABLE every one to hold
     both in the open disk, and STABLE every one to hold both in the closed
-    disk with |A| < 2, so that a root on the circle is simple. UNSTABLE's
-    justification names the larger-modulus interval, ``larger`` or
-    ``multipliers(a, b)[1]``, if it lies above 1, else |B| where ``b`` lies
-    outside [-1, 1]."""
-    least, most = max(a.lo, -a.hi, 0.0), max(-a.lo, a.hi)  # min, max |A|
+    disk with |A| < 2, so that a root on the circle is simple. An ``a``
+    with a NaN end, from a NaN or infinite A(n), says nothing of A, and
+    then only B can decide."""
+    known = a.lo <= a.hi
+    least = max(a.lo, -a.hi, 0.0) if known else 0.0  # the least |A|
     if b.lo > 1.0 or least > 2.0 or math.fsum((least, -1.0, -b.hi)) > 0.0:
-        llo = (multipliers(a, b)[1] if larger is None else larger)[0]
-        if not llo > 1.0 and (b.lo > 1.0 or b.hi < -1.0):
+        if known:
             return (Verdict.UNSTABLE,
-                    "|B| > 1 forces a multiplier modulus above 1")
+                    "a multiplier modulus interval lies entirely above 1")
         return (Verdict.UNSTABLE,
-                "a multiplier modulus interval lies entirely above 1")
+                "|B| > 1 forces a multiplier modulus above 1")
     if b.hi <= 1.0 and -2.0 < a.lo and a.hi < 2.0:
-        gap = math.fsum((most, -1.0, -b.lo))
+        gap = math.fsum((max(-a.lo, a.hi), -1.0, -b.lo))  # max|A| - 1 - B
         if b.hi < 1.0 and gap < 0.0:
             return (Verdict.EXPONENTIALLY_STABLE,
                     "both multiplier modulus intervals lie entirely below 1")
@@ -1330,7 +1329,7 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
         err = ErrorBound(math.inf)
     a, b = Enclosure(A - err.value, A + err.value), _b_enclosure(B)
     rho = multipliers(a, b)
-    v, why = verdict(a, b, rho[1])
+    v, why = verdict(a, b)
     return FloquetReport(
         n=n,
         A_terms=list(terms),

@@ -1508,6 +1508,13 @@ def test_infinite_bound_verdict():
     assert v is Verdict.UNDETERMINED
     v, _ = verdict(Enclosure(-math.inf, math.inf), _b(4.0))
     assert v is Verdict.UNSTABLE
+    # an infinite A(n) gives an enclosure with a NaN end, (nan, inf) or
+    # (-inf, nan), that says nothing of A: either way only B decides
+    for a in (Enclosure(math.nan, math.inf), Enclosure(-math.inf, math.nan)):
+        for B in (0.25, 1.0):
+            assert verdict(a, _b(B))[0] is Verdict.UNDETERMINED
+        assert verdict(a, _b(-4.0)) == (
+            Verdict.UNSTABLE, "|B| > 1 forces a multiplier modulus above 1")
 
 
 def test_verdict_examples():
