@@ -1259,7 +1259,7 @@ def verdict(a: Enclosure, b: Enclosure):
     disk with |A| < 2, so that a root on the circle is simple. An ``a``
     with a NaN end, from a NaN or infinite A(n), says nothing of A, and
     then only B can decide."""
-    known = a.lo <= a.hi
+    known = a.lo <= a.hi  # False where an end is NaN
     least = max(a.lo, -a.hi, 0.0) if known else 0.0  # the least |A|
     if b.lo > 1.0 or least > 2.0 or math.fsum((least, -1.0, -b.hi)) > 0.0:
         if known:
@@ -1328,7 +1328,6 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
     if not math.isfinite(A) or table.engine.phi_jumps:
         err = ErrorBound(math.inf)
     a, b = Enclosure(A - err.value, A + err.value), _b_enclosure(B)
-    rho = multipliers(a, b)
     v, why = verdict(a, b)
     return FloquetReport(
         n=n,
@@ -1336,7 +1335,7 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
         A_partial=A,
         B=B,
         err_bound=err,
-        rho_moduli=rho,
+        rho_moduli=multipliers(a, b),
         point_moduli=_moduli_at(A, B),
         verdict=v,
         justification=why,

@@ -1557,8 +1557,8 @@ def test_verdict_near_B_one(A):
     for B in (1.0 + 9 * 2.0 ** -52, 1.0 + 1e-10):
         v, _ = verdict(Enclosure(A, A), _b(B))
         assert v is Verdict.UNSTABLE
-    # the band only widens the intervals: an A far outside [-2, 2] still
-    # forces a modulus above 1
+    # B's enclosure reaching 1 does not save an A far outside [-2, 2],
+    # which forces a modulus above 1
     v, _ = verdict(Enclosure(A + 10.0, A + 20.0), _b(1.0 + 2.0 ** -51))
     assert v is Verdict.UNSTABLE
     # the mirror below 1: such a B may be exactly 1 too, so |rho1 rho2|
@@ -1651,9 +1651,9 @@ def _refined_enclosures(draw):
 def test_refining_the_enclosures_never_flips_a_verdict(enclosures):
     # a sub-enclosure holds fewer (A, B) pairs, so a verdict proven for
     # every pair of the outer ones still holds: stable kinds stay stable,
-    # unstable stays unstable, and neither turns undetermined. At
-    # A = 1.8782983255570211 = 1 + B - 1 ulp the rounded larger modulus is
-    # 1 + 4e-16, though the exact one is below 1
+    # unstable stays unstable, and neither turns undetermined. The first
+    # example has A = 1 + B exactly at its upper end, where the multipliers
+    # are 1 and B but the rounded larger modulus is 1 + 4e-16
     a, b, a_in, b_in = enclosures
     outer, inner = verdict(a, b)[0], verdict(a_in, b_in)[0]
     if outer is not Verdict.UNDETERMINED:
