@@ -1272,6 +1272,11 @@ def verdict(a: Enclosure, b: Enclosure):
         if b.hi < 1.0 and gap < 0.0:
             return (Verdict.EXPONENTIALLY_STABLE,
                     "both multiplier modulus intervals lie entirely below 1")
+        if b.hi < 1.0 and gap <= 0.0:
+            # max|A| = 1 + B exactly, where the roots are +-1 and +-B
+            return Verdict.STABLE, (
+                "|A| reaches 1 + B with B < 1: a simple multiplier at +-1 "
+                "and the other inside the unit circle")
         if gap <= 0.0:
             return Verdict.STABLE, (
                 "B = 1 and the A interval lies inside (-2, 2): two distinct "

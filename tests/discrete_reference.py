@@ -1,15 +1,19 @@
-"""Reference for the series engine on purely discrete scales.
+"""References on purely discrete scales.
 
 A_n written out as the literal finite sum over decreasing n-tuples of
 scattered points, O(C(k, n)) work. Tests compare the level recursion of
-``tsfloquet.floquet._SeriesEngine`` against it term by term.
+``tsfloquet.floquet._SeriesEngine`` against it term by term. And the
+monodromy of the oracle's own float steps, multiplied exactly, against
+which tests hold the rounding of ``tsfloquet.oracle.monodromy``.
 """
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
+from tsfloquet import expr as ex
 from tsfloquet.floquet import PhaseTable, SystemSpec
 
 from calculus_reference import p_at, phase_value
@@ -69,3 +73,22 @@ def discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
             total += val
         terms.append(total)
     return terms
+
+
+def fraction_monodromy(spec: SystemSpec) -> list:
+    """The monodromy of a purely discrete scale as a 2x2 list of Fractions:
+    the exact product, in time order, of the float steps I + mu S that
+    ``tsfloquet.oracle.monodromy`` multiplies, their entries 1, mu, -mu q
+    and 1 - mu p each a rounded float, with q and p at all the points from
+    one ``evaluate_array`` call each."""
+    ts = spec.ts
+    t = ts.scattered_t
+    Y = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for mu, q, p in zip(ts.scattered_mu.tolist(),
+                        ex.evaluate_array(spec.q, t).tolist(),
+                        ex.evaluate_array(spec.p, t).tolist()):
+        step = [[Fraction(1), Fraction(mu)],
+                [Fraction(-mu * q), Fraction(1 - mu * p)]]
+        Y = [[step[i][0] * Y[0][j] + step[i][1] * Y[1][j] for j in range(2)]
+             for i in range(2)]
+    return Y

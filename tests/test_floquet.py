@@ -1542,6 +1542,12 @@ def test_verdict_examples():
     v, _ = verdict(Enclosure(1.999999999, 1.9999999999), _b(1 - 5e-10))
     assert v is Verdict.UNDETERMINED
     assert max(_mp_moduli(1.9999999999, 1 - 5e-10)) > 1.00001
+    # B < 1 and max|A| = 1 + B exactly: STABLE with one multiplier at 1 and
+    # the other, B, inside the circle, not two on it
+    b = 0.8782983255570211
+    assert verdict(Enclosure(1.8, 1 + b), Enclosure(b, b)) == (
+        Verdict.STABLE, "|A| reaches 1 + B with B < 1: a simple multiplier "
+        "at +-1 and the other inside the unit circle")
 
 
 @pytest.mark.parametrize("A", [0.5, -1.6275858])

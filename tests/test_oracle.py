@@ -3,6 +3,7 @@ import math
 import random
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,10 @@ from tsfloquet import oracle
 from tsfloquet.cli import build_system, load_config
 from tsfloquet.errors import CheckFailed, StepSizeUnderflow
 from tsfloquet.oracle import cross_check, monodromy
-from tsfloquet.timescale import Interval, PeriodicTimeScale, validate
+from tsfloquet.timescale import Interval, PeriodicTimeScale, Point, validate
 
 from calculus_reference import dense_intervals, p_at, q_at, steps
+from discrete_reference import fraction_monodromy
 from conftest import (
     points_scale,
     random_discrete_system,
@@ -400,6 +402,51 @@ def test_adaptive_panels_match_a_uniform_grid(seed):
     tol = 1e-9 * max(1.0, np.abs(want).max())
     assert abs(np.trace(Y) - np.trace(want)) <= tol
     assert abs(np.linalg.det(Y) - np.linalg.det(want)) <= tol
+
+
+@pytest.mark.parametrize("segments", [
+    # two points from t0, two points in a row between intervals, and a
+    # dense last segment
+    [Point(0), Point(0.5), Interval(1, 2), Point(2.4), Point(2.7),
+     Interval(3, 4)],
+    # a point ends the period
+    [Interval(0, 1), Point(1.5), Point(2), Interval(2.5, 3.5), Point(4)],
+], ids=["points-first", "point-last"])
+def test_factor_order_on_other_scale_shapes(segments):
+    # the interleaving of panels and point steps on scale shapes that
+    # random_hybrid_system does not build; q oscillates, so every dense
+    # interval takes several panels
+    spec = SystemSpec(validate(PeriodicTimeScale(0.0, 4.0, segments)),
+                      parse("0.3 + 0.1*sin(t)"), parse("2 + cos(7*t)"))
+    factors = []
+    Y = monodromy(spec, factors)
+    assert factors[0] - len(spec.ts.scattered_t) >= 4 * spec.ts.dense.sum()
+    want = _uniform_monodromy(spec, 2048)
+    tol = 1e-9 * max(1.0, np.abs(want).max())
+    assert abs(np.trace(Y) - np.trace(want)) <= tol
+    assert abs(np.linalg.det(Y) - np.linalg.det(want)) <= tol
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_long_discrete_matches_the_exact_product(workloads, tmp_path, seed):
+    # the benchmark's 200-point discrete scales against the exact product
+    # of the same float steps. The a priori bound of the product's
+    # rounding, gamma_2(k-1) times the product of the |I + mu S| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, section 3.5),
+    # says nothing here: the product of the |I + mu S| grows along the
+    # period, to ~1e16 on seed 0, while the product itself decays to
+    # ~5e-14, so that bound exceeds its largest entry ~1e16 times. The
+    # entries meet the exact product within ~2e-15 of the largest
+    cfg = tmp_path / "disc200.cfg"
+    cfg.write_text(workloads.discrete_system(random.Random(seed), "disc200",
+                                             200).text)
+    spec = build_system(load_config(cfg))
+    Y = monodromy(spec)
+    exact = fraction_monodromy(spec)
+    scale = max(abs(x) for row in exact for x in row)
+    for i in range(2):
+        for j in range(2):
+            assert abs(Fraction(Y[i, j]) - exact[i][j]) <= 1e-13 * scale
 
 
 # -- accuracy against the benchmark's independent reference ------------------
