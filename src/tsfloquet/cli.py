@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import click
 
@@ -27,8 +27,10 @@ from .errors import (
     ValidationError,
 )
 from .floquet import FloquetReport, SystemSpec, analyze
-from .oracle import CheckResult, cross_check
 from .timescale import Interval, PeriodicTimeScale, Point, validate
+
+if TYPE_CHECKING:
+    from .oracle import CheckResult
 
 
 @dataclasses.dataclass
@@ -44,6 +46,10 @@ class ConfigFile:
 
 
 def _const(text: str, line: int) -> float:
+    # a number literal of the expression grammar, negated or not, is the
+    # parser's value bit for bit: float(text)
+    if ex._NUMBER.fullmatch(text, text.startswith("-")):
+        return float(text)
     try:
         return ex.const_value(ex.parse(text))
     except (TsfloquetError, ValueError, OverflowError) as exc:
@@ -178,6 +184,13 @@ def build_system(config: ConfigFile) -> SystemSpec:
         q=_expression("q", config.q),
         qprime=_expression("qprime", config.qprime) if config.qprime else None,
     )
+
+
+def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
+    """``oracle.cross_check``; the oracle is imported on the first call,
+    so that only an ``--oracle`` analysis loads it."""
+    from . import oracle
+    return oracle.cross_check(spec, report)
 
 
 def _text_report(report: FloquetReport, check: Optional[CheckResult]) -> str:

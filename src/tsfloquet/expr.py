@@ -59,7 +59,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -88,104 +88,119 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """The frozen dataclass of one field shape. Node kinds that share a
+    shape are its undecorated subclasses, so the methods are generated
+    once per shape: equality holds only within a class, and ``repr``
+    names the subclass. Its ``__setattr__`` and ``__delattr__`` raise
+    FrozenInstanceError on every name, where the generated ones would
+    let a subclass's instance take a name that is not a field."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__setattr__ = _no_setattr
+    cls.__delattr__ = _no_delattr
+    return cls
+
+
+def _no_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _no_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@_record
 class Const(Expression):
     value: float
 
 
-@dataclass(frozen=True)
+@_record
 class Var(Expression):
     pass
 
 
-@dataclass(frozen=True)
-class Add(Expression):
+@_record
+class _BinaryNode(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
-class Sub(Expression):
-    left: Expression
-    right: Expression
+class Add(_BinaryNode):
+    pass
 
 
-@dataclass(frozen=True)
-class Mul(Expression):
-    left: Expression
-    right: Expression
+class Sub(_BinaryNode):
+    pass
 
 
-@dataclass(frozen=True)
-class Div(Expression):
-    left: Expression
-    right: Expression
+class Mul(_BinaryNode):
+    pass
 
 
-@dataclass(frozen=True)
+class Div(_BinaryNode):
+    pass
+
+
+@_record
 class Pow(Expression):
     base: Expression
     exponent: float  # exponents are restricted to constants
 
 
-@dataclass(frozen=True)
-class Neg(Expression):
+@_record
+class _UnaryNode(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True)
-class Sin(Expression):
-    arg: Expression
+class Neg(_UnaryNode):
+    pass
 
 
-@dataclass(frozen=True)
-class Cos(Expression):
-    arg: Expression
+class Sin(_UnaryNode):
+    pass
 
 
-@dataclass(frozen=True)
-class Exp(Expression):
-    arg: Expression
+class Cos(_UnaryNode):
+    pass
 
 
-@dataclass(frozen=True)
-class Sqrt(Expression):
-    arg: Expression
+class Exp(_UnaryNode):
+    pass
 
 
-@dataclass(frozen=True)
-class Abs(Expression):
-    arg: Expression
+class Sqrt(_UnaryNode):
+    pass
 
 
-@dataclass(frozen=True)
+class Abs(_UnaryNode):
+    pass
+
+
+class Neg1Pow(_UnaryNode):
+    """(-1)**arg; arg must evaluate to an integer within 1e-9."""
+
+
+@_record
 class Mod(Expression):
     arg: Expression
     modulus: float
 
 
-@dataclass(frozen=True)
-class Neg1Pow(Expression):
-    """(-1)**arg; arg must evaluate to an integer within 1e-9."""
-
-    arg: Expression
-
-
-@dataclass(frozen=True)
+@_record
 class Cmp(Expression):
     op: str  # eq | lt | le | gt | ge
     arg: Expression
     ref: float
 
 
-@dataclass(frozen=True)
+@_record
 class If(Expression):
     cond: Cmp
     then: Expression
     other: Expression
 
 
-@dataclass(frozen=True)
+@_record
 class _NonDiff(Expression):
     """Placeholder produced by differentiate() for mod/neg1pow arguments.
 

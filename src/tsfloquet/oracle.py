@@ -250,7 +250,7 @@ class CheckResult:
     b_delta: float  # |B_oracle - B|
     allowed: float  # err_bound + _CHECK_TOL max(1, |A_oracle|)
     # the larger of _CHECK_TOL |B_oracle| (_CHECK_TOL where B_oracle is not
-    # finite) and gamma_m (|Y00 Y11| + |Y01 Y10|)
+    # finite) and gamma_{4m-2} (|Y00 Y11| + |Y01 Y10|)
     b_allowed: float
 
 
@@ -267,42 +267,42 @@ def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
     relative to the trace. B is exact up to quadrature, so the B comparison
     allows _CHECK_TOL relative to the determinant or, where it is larger,
     the rounding that det(Y) can amplify. In the model
-    fl(x op y) = (x op y)(1 + delta), |delta| <= u = 2^-53, each of the m
-    factors multiplied into Y (panels and scattered points) perturbs each
-    term of Y00 Y11 and of Y01 Y10, a product of one entry from every
-    factor, by at most one such relative amount, and m of them compound
-    to at most gamma_m = m u / (1 - m u) (Higham, Accuracy and Stability
-    of Numerical Algorithms, Lemma 3.1). Each computed product is then
-    within a relative gamma_m of its exact-arithmetic value, and their
-    difference within gamma_m (|Y00 Y11| + |Y01 Y10|), however much the
-    two cancel: with 12 unit steps of q = -2 + 0.1 cos(t) that sum is
-    7.8e8 at det(Y) = 1.01, where _CHECK_TOL alone would fail a correct B.
-    Where det(Y) does not cancel, the rounding term is far below
-    _CHECK_TOL |det(Y)| (at most 3.7e-14 on the committed configs), which
-    stays the allowance, however small det(Y) is; where det(Y) is not
-    finite, the allowance is _CHECK_TOL. A non-finite rounding term is
-    ignored, as an overflowed monodromy may not widen the check. A delta
-    that is NaN fails the check.
-
-    However the m - 1 products of the stack are parenthesized, every term
-    passes through all of them, so the count of roundings per term does
-    not depend on the order of the pairwise products. The count above is
-    one per factor, where a 2x2 product rounds each term twice, in its
-    multiply and in its add: 2 (m - 1) roundings, and det's own on top,
-    which gamma_m does not cover for m > 2. On the 12-step example the
-    computed det(Y) lies within 0.4 u (|Y00 Y11| + |Y01 Y10|) of the exact
-    determinant of the exact product of the same float factors, 3% of the
-    allowance.
+    fl(x op y) = (x op y)(1 + delta), |delta| <= u = 2^-53, a 2x2 product
+    rounds each term of an entry twice, in its multiply and in its add.
+    However the m - 1 products of the m factors (panels and scattered
+    points) are parenthesized, every term of an entry of Y, a product of
+    one entry from every factor, passes through all of them: 2 (m - 1)
+    roundings, which compound to at most gamma_k = k u / (1 - k u) with
+    k = 2 (m - 1) (Higham, Accuracy and Stability of Numerical Algorithms,
+    Lemma 3.1 and section 3.5). A term of Y00 Y11 or of Y01 Y10 multiplies
+    two entries, 4 (m - 1) roundings, and det(Y) = Y00 Y11 - Y01 Y10,
+    formed as written, rounds each term twice more, in its multiply and in
+    the subtraction. Where no entry's terms cancel, as when every factor
+    is nonnegative, det's rounding is then at most
+    gamma_{4m-2} (|Y00 Y11| + |Y01 Y10|), however much the two products
+    cancel: with 12 unit steps of q = -2 + 0.1 cos(t) that sum is 7.8e8
+    at det(Y) = 1.01, where _CHECK_TOL alone would fail a correct B, and
+    the computed det(Y) lies within 0.4 u (|Y00 Y11| + |Y01 Y10|) of the
+    exact determinant of the exact product of the same float factors,
+    under 1% of the allowance. det(Y) is not ``np.linalg.det``, which
+    multiplies its LU pivots as exp(log|u00| + log|u11|), an error
+    relative to det(Y) that grows with the logarithms, not a count of
+    roundings. Where det(Y) does not cancel, the rounding term is far
+    below _CHECK_TOL |det(Y)| (at most 1.5e-13 on the committed configs),
+    which stays the allowance, however small det(Y) is; where det(Y) is
+    not finite, the allowance is _CHECK_TOL. A non-finite rounding term
+    is ignored, as an overflowed monodromy may not widen the check. A
+    delta that is NaN fails the check.
     """
     factors = []
     Y = monodromy(spec, factors)
     # an overflowed Y can hold infinities of both signs on its diagonal
     with np.errstate(over="ignore", invalid="ignore"):
         a_oracle = float(np.trace(Y))
-        b_oracle = float(np.linalg.det(Y))
-        m_u = factors[0] * _U
-        cancel = m_u / (1 - m_u) * float(
-            abs(Y[0, 0] * Y[1, 1]) + abs(Y[0, 1] * Y[1, 0]))
+        terms = float(Y[0, 0] * Y[1, 1]), float(Y[0, 1] * Y[1, 0])
+        b_oracle = terms[0] - terms[1]
+        k_u = (4 * factors[0] - 2) * _U
+        cancel = k_u / (1 - k_u) * (abs(terms[0]) + abs(terms[1]))
     result = CheckResult(
         a_oracle=a_oracle,
         b_oracle=b_oracle,

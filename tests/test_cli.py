@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, strategies as st
 
+from tsfloquet import cli
+from tsfloquet import expr as ex
 from tsfloquet.cli import build_system, load_config, main, run
 from tsfloquet.errors import ConfigParseError, InvalidSegment, ValidationError
 from tsfloquet.floquet import analyze
@@ -79,6 +82,36 @@ def test_comments_and_constant_expressions(tmp_path):
     assert cfg.intervals[1] == (pytest.approx(1.5 * math.pi),
                                 pytest.approx(2 * math.pi))
     assert cfg.p == "0"  # default
+
+
+@given(st.from_regex(rf"-?(?:{ex._NUMBER.pattern})", fullmatch=True))
+@example("0")
+@example("-0")
+@example("1.")
+@example(".5")
+@example("-1.5e3")
+@example("1e-400")
+@example("1e400")
+@example("-1e400")
+def test_a_number_literal_is_the_parsers_float(text):
+    # a config number, negated or not, is read as float(text): the
+    # parser's value bit for bit, the sign of a zero and infinities
+    # included
+    assert cli._const(text, 1).hex() == ex.const_value(ex.parse(text)).hex()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("pi", math.pi), ("2*pi", 2 * math.pi), ("--1", 1.0), ("- 1", -1.0),
+    ("+1", None), ("1_000", None), ("inf", None), ("nan", None),
+    ("1e", None), ("-", None)])
+def test_other_constants_are_parsed(text, want):
+    # texts outside the number grammar, some of which float() would
+    # accept, keep the parser's value or its error
+    if want is None:
+        with pytest.raises(ConfigParseError, match="not a constant"):
+            cli._const(text, 1)
+    else:
+        assert cli._const(text, 1).hex() == want.hex()
 
 
 def test_list_entries_keep_their_parentheses(tmp_path):
@@ -749,20 +782,28 @@ def test_batch_and_config_are_exclusive(tmp_path):
 
 def test_the_runtime_loads_no_scipy():
     # SciPy serves the tests and the benchmark; importing the CLI and
-    # analyzing a hybrid config with the oracle loads none of it
+    # analyzing a hybrid config with the oracle loads none of it. The
+    # oracle itself is loaded by the first --oracle analysis, and
+    # cli.cross_check, which the benchmark's tracer wraps, stays a
+    # module attribute
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys, tsfloquet.cli as cli\n"
         "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print('tsfloquet.oracle' in sys.modules)\n"
         f"cfg = cli.load_config({str(CONFIGS / 'example_hybrid.cfg')!r})\n"
+        "cli.run(cfg)\n"
+        "print('tsfloquet.oracle' in sys.modules)\n"
         "cli.run(cfg, oracle=True)\n"
+        "print('tsfloquet.oracle' in sys.modules)\n"
+        "print(callable(vars(cli)['cross_check']))\n"
         "loaded += [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
         "print(loaded)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    assert result.stdout == "False\nFalse\nTrue\nTrue\n[]\n"
     # the oracle module still resolves solve_ivp, imported on first access
     from scipy.integrate import solve_ivp
 

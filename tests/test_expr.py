@@ -537,12 +537,26 @@ def test_a_walk_keeps_a_value_only_while_a_later_root_reads_it():
     assert kept == [2, 2, 0, 0]
 
 
+def _kinds(cls):
+    """The node kinds under cls: the classes without subclasses, which
+    leaves out the record that kinds of one field shape share."""
+    subclasses = cls.__subclasses__()
+    return [kind for sub in subclasses for kind in _kinds(sub)] or [cls]
+
+
 # every node type that can be parsed, that is all but the bare comparison,
 # legal only as an if-condition, and the derivative placeholder, which
 # raises wherever it is evaluated and has no text
-_PARSED_NODES = sorted(
-    set(ex.Expression.__subclasses__()) - {ex.Cmp, ex._NonDiff},
-    key=lambda node: node.__name__)
+_PARSED_NODES = sorted(set(_kinds(ex.Expression)) - {ex.Cmp, ex._NonDiff},
+                       key=lambda node: node.__name__)
+
+
+def test_every_parsed_node_kind_is_a_test_input():
+    # Add, Sub, Mul and Div share one record, and so do Neg and the
+    # one-argument functions; each kind is still a node type of its own
+    assert [node.__name__ for node in _PARSED_NODES] == [
+        "Abs", "Add", "Const", "Cos", "Div", "Exp", "If", "Mod", "Mul",
+        "Neg", "Neg1Pow", "Pow", "Sin", "Sqrt", "Sub", "Var"]
 
 
 @pytest.mark.parametrize("node", _PARSED_NODES, ids=lambda n: n.__name__)
@@ -550,13 +564,32 @@ def test_every_node_type_has_every_rule(node):
     # t for every child, 2 for every number and lt(t, 1.5) as a condition
     fields = {"Expression": ex.Var(), "float": 2.0,
               "Cmp": ex.Cmp("lt", ex.Var(), 1.5)}
-    e = node(*[fields[f.type] for f in dataclasses.fields(node)])
+    args = [fields[f.type] for f in dataclasses.fields(node)]
+    e = node(*args)
     x = [1.0, 2.0]
     want = [expr_reference.evaluate(e, t) for t in x]
     assert [evaluate(e, t) for t in x] == pytest.approx(want, rel=1e-15)
     assert list(evaluate_array(e, x)) == pytest.approx(want, rel=1e-15)
     assert isinstance(differentiate(e), ex.Expression)
     assert parse(serialize(e)) == e
+    # a dataclass of its own kind: fields, repr, replace, equality and
+    # hashing by kind and fields, frozen on every name
+    names = [f.name for f in dataclasses.fields(e)]
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, args))
+    assert repr(e) == f"{node.__name__}({shown})"
+    assert dataclasses.replace(e) == e == node(*args)
+    assert type(dataclasses.replace(e)) is node
+    assert hash(e) == hash(node(*args)) == hash(tuple(args))
+    for other in _PARSED_NODES:
+        if other is not node and [f.name for f in dataclasses.fields(
+                other)] == names:
+            assert e != other(*args) and not e == other(*args)
+    for name in names + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, ex.Var())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(e, name)
+    assert vars(e) == dict(zip(names, args))
 
 
 # -- evaluate against the recursive reference walk ----------------------------

@@ -121,13 +121,15 @@ def test_cross_check_tolerances_are_relative_to_the_oracle():
 def test_cross_check_allows_for_det_cancellation():
     # 12 unit steps of q = -2 + 0.1 cos(t): det(Y) = 1.01 subtracts two
     # products of ~3.9e8, so the rounding of Y alone moves it by ~3e-8,
-    # past _CHECK_TOL; gamma_12 times their sum allows for it
+    # past _CHECK_TOL; gamma_46 times their sum allows for it: 4 roundings
+    # in each of the 11 products, 2 for each entry of a term, and 2 in det
     spec = SystemSpec(points_scale(list(range(13))), parse("0"),
                       parse("-2 + 0.1*cos(t)"))
     r = cross_check(spec, analyze(spec, n=3))
     assert 1e-8 < r.b_delta <= r.b_allowed
     Y = monodromy(spec)
-    u = 12 * 2.0 ** -53
+    assert r.b_oracle == Y[0, 0] * Y[1, 1] - Y[0, 1] * Y[1, 0]
+    u = 46 * 2.0 ** -53
     assert r.b_allowed == u / (1 - u) * (abs(Y[0, 0] * Y[1, 1])
                                          + abs(Y[0, 1] * Y[1, 0]))
 
