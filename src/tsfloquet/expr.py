@@ -33,8 +33,9 @@ the last ulp.
 in turn, from one walk that evaluates a node shared by several places once
 per grid: ``differentiate`` reuses its argument's subtrees, so q and q'
 share q's ``if`` conditions and inner terms. A node is reused by identity,
-only where no ``if`` mask encloses it, and kept only while a later place
-needs it; which nodes those are, a ``Forest`` finds once for all its
+only where no ``if`` mask encloses it: the walk keeps the value of each
+node met at more than one place, and a shared ``if`` condition's mask,
+until it ends. Which nodes those are, a ``Forest`` finds once for all its
 grids. The ``if`` tolerance is computed once per walk. Each root raises
 its own error when its values are asked for, so a caller checks one
 root's values before the next root is walked.
@@ -279,8 +280,8 @@ def _tokenize(text: str):
             tokens.append(("num", float(m.group()), i))
             i = m.end()
             continue
-        if c.isalpha() or c == "_":
-            m = _NAME.match(text, i)
+        # a letter outside ASCII starts no name: an unexpected character
+        if (m := _NAME.match(text, i)) is not None:
             tokens.append(("name", m.group(), i))
             i = m.end()
             continue
@@ -422,8 +423,15 @@ class _Parser:
 
 
 def parse(text: str) -> Expression:
-    """Parse ``text`` into an Expression AST."""
-    return _Parser(text).parse()
+    """Parse ``text`` into an Expression AST. Text nested deeper than the
+    parser can recurse under the interpreter's recursion limit raises
+    ExpressionSyntaxError at the offset of the last token read."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionSyntaxError("expression nested too deeply",
+                                    parser.tokens[parser.pos - 1][2]) from None
 
 
 # -- evaluation ------------------------------------------------------------
@@ -463,19 +471,18 @@ def evaluate_array(e: Expression, x) -> np.ndarray:
     failing index, naming that t. The walk keeps no node's value.
     """
     x = np.array(x, dtype=float)
-    return _ArrayWalk({}).root(e, x)
+    return _ArrayWalk(frozenset()).root(e, x)
 
 
 class Forest:
     """Expressions evaluated together on one grid after another, such as a
     system's q, p and q', which ``differentiate`` builds from q's subtrees.
-    The nodes met at several places are found once, here
-    (``_last_uses``); ``evaluate(x)`` then evaluates each of them once per
-    grid."""
+    The nodes met at several places are found once, here (``_shared``);
+    ``evaluate(x)`` then evaluates each of them once per grid."""
 
     def __init__(self, roots):
         self.roots = tuple(roots)
-        self.last = _last_uses(self.roots)
+        self.shared = _shared(self.roots)
 
     def evaluate(self, x):
         """Yield ``evaluate_array(e, x)`` for each root e in turn, from one
@@ -485,20 +492,17 @@ class Forest:
         be the walk's own, which a later root reads: do not change it in
         place."""
         x = np.array(x, dtype=float)
-        walk = _ArrayWalk(self.last)
-        for r, e in enumerate(self.roots):
-            v = walk.root(e, x)
-            walk.forget(r)
-            yield v
+        walk = _ArrayWalk(self.shared)
+        for e in self.roots:
+            yield walk.root(e, x)
 
 
-def _last_uses(roots) -> dict:
-    """The nodes met more than once in a walk of ``roots`` that does not
-    enter a node met before, by identity: id -> the last root that meets
-    it again. Constants and t, which have no children, cost less to
-    evaluate than to keep."""
-    seen, last = set(), {}
-    for r, root in enumerate(roots):
+def _shared(roots) -> set:
+    """The ids of the nodes met more than once in a walk of ``roots`` that
+    does not enter a node met before. Constants and t, which have no
+    children, cost less to evaluate than to keep."""
+    seen, shared = set(), set()
+    for root in roots:
         stack = [root]
         while stack:
             e = stack.pop()
@@ -506,7 +510,7 @@ def _last_uses(roots) -> dict:
             if children is None:
                 continue
             if id(e) in seen:
-                last[id(e)] = r
+                shared.add(id(e))
                 continue
             seen.add(id(e))
             children = children(e)
@@ -514,7 +518,7 @@ def _last_uses(roots) -> dict:
                 stack += children
             else:
                 stack.append(children)
-    return last
+    return shared
 
 
 # each inner node kind's Expression-valued fields: one child, or a tuple
@@ -534,17 +538,18 @@ class _ArrayWalk:
     ``errors`` holds, in walk order, each failing node's first failure:
     its index into x, the node's argument there and its exception's
     builder. A node's later failures are never raised, as an earlier
-    index wins. ``last`` holds, by identity, each node that a later place
-    in the walk meets again (``_last_uses``), and ``values`` the value of
-    each such node walked outside every mask, until its last root is
-    done: such a value was walked without error, as any error ends the
-    walk, so reading it records what walking it again would.
+    index wins. ``shared`` holds the ids of the nodes that the walk meets
+    at more than one place (``_shared``), and ``values`` the value of each
+    such node walked outside every mask, and of each such ``if``
+    condition its mask, until the walk ends: such a value was walked
+    without error, as any error ends the walk, so reading it records what
+    walking it again would.
     """
 
-    def __init__(self, last):
+    def __init__(self, shared):
         self.masks = []
         self.errors = []
-        self.last = last
+        self.shared = shared
         self.values = {}
         self.tol = None  # the if tolerance on x, once a top-level if needs it
 
@@ -557,11 +562,6 @@ class _ArrayWalk:
             i, v, error = min(self.errors, key=operator.itemgetter(0))
             raise error(v, float(x[i]))
         return np.full(len(x), v) if v.ndim == 0 else v
-
-    def forget(self, r: int):
-        """Drop the values that no root after the r-th reads."""
-        for key in [k for k in self.values if self.last[k] <= r]:
-            del self.values[key]
 
     def fail(self, where, error, v=None):
         """Record ``error(v, t)`` at the first walked node where ``where``
@@ -577,7 +577,7 @@ class _ArrayWalk:
         self.errors.append((i, v, error))
 
     def eval(self, e: Expression, x):
-        keep = self.last and not self.masks and id(e) in self.last
+        keep = self.shared and not self.masks and id(e) in self.shared
         if keep and id(e) in self.values:
             return self.values[id(e)]
         kind = type(e)
@@ -634,7 +634,7 @@ class _ArrayWalk:
             if top and self.tol is None:
                 self.tol = _tolerance(x)
             m = rule(v, c.ref, self.tol if top else _tolerance(x))
-            if top and id(c) in self.last:
+            if top and id(c) in self.shared:
                 self.values[id(c)] = m
         if m.all():
             return self.eval(e.then, x)

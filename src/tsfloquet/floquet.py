@@ -629,9 +629,10 @@ class _SeriesEngine:
     The dense cells are the rows of one stacked (cells, nodes) grid of
     Chebyshev panels (``_panel_grid``), which holds x, phi, h, the phase
     (the running integral of phi), the complex phase factor
-    E(t) = e_{i phi}(t, t0), D = phi E (sigma(t) = t there) and the level
-    weight W = h / D; ``half`` holds the panels' half-widths, ``panels``
-    each row's panel count and ``rounds`` the layout's sampling rounds.
+    E(t) = e_{i phi}(t, t0) and the level weight W = h / D, where
+    D = phi E (sigma(t) = t there); ``half`` holds the panels'
+    half-widths, ``panels`` each row's panel count and ``rounds`` the
+    layout's sampling rounds.
     ``_check_dense_limits`` warns (``PhiDiscontinuityWarning``) where a
     row's first or last phi, its dense limit at that end, is more than
     1e-6 from ``table.starts`` or ``table.ends`` there, and ``phi_jumps``
@@ -644,7 +645,15 @@ class _SeriesEngine:
     E(sigma(t)), and mu W = mu (h / D), the weight of a level's step at
     t. ``jump_table`` holds them as the (5, jumps) complex rows phi, E, h,
     1 / D and mu W, and ``order`` the events in time order, True for a
-    row and False for a jump.
+    row and False for a jump. From the walk the engine forms, once:
+    ``seeds``, the trace's G_0 = phi sin_phi and H_0 = phi cos_phi as the
+    (2, cells, nodes) stack on the rows (None without rows) and the
+    (2, jumps) array at the jumps; ``jumps``, each jump's (phi, E, mu W)
+    as Python numbers for the scalar walk (None for the array walk); and
+    ``bound``, the paper bound's own sample (x, phi, h, E, real): the
+    nodes of ``_uniform_rows`` at ``_BOUND_DIVISIONS`` per period, phi, h
+    and E there, E carried on from the E each row starts from, and the
+    mask of real nodes.
     Overflow on long periods stays in the values, and numpy's error state
     is the caller's at every return and yield. Each series order is the
     two running integrals J and K of W against the previous level's G and
@@ -656,17 +665,16 @@ class _SeriesEngine:
 
     There are two walks, chosen by the number of events. Below
     ``_ARRAY_WALK_EVENTS`` a scalar loop adds the steps in Python complex
-    arithmetic, reading the row totals with one ``tolist`` and the jump
-    table's phi, E and mu W with one per analysis. From there on
-    one order's steps fill a (2, events + 1) array behind a +0 slot and
-    one ``np.cumsum`` adds them: it adds strictly left to right, so every
-    running value is the loop's bit for bit. The steps and the next
+    arithmetic, reading the row totals with one ``tolist`` and the jumps'
+    numbers from ``jumps``. From there on one order's steps fill a
+    (2, events + 1) array behind a +0 slot and one ``np.cumsum`` adds
+    them: it adds strictly left to right, so every running value is the
+    loop's bit for bit. The steps and the next
     level's values at the jumps are the loop's complex products written
     out as float ufuncs, never numpy's complex product, which may fuse
     into an FMA and round once where CPython rounds twice. State is
     per-instance, and no method changes it, so the series and the bound
-    share one engine; the bound reads its own uniform sample
-    (``bound_sample``).
+    share one engine; the bound reads its own uniform sample (``bound``).
     """
 
     def __init__(self, table: PhaseTable):
@@ -682,13 +690,12 @@ class _SeriesEngine:
             # 0: its phase sets the first panels
             x, last, real = _uniform_rows(a, b, ts.period / _BOUND_DIVISIONS)
             cell = np.nonzero(real)[0]
-            phi, (h, size) = np.ones(x.shape), np.zeros((2, *x.shape))
-            phi[real], h[real], size[real] = _sample_dense(
+            phi_u, (h_u, size) = np.ones(x.shape), np.zeros((2, *x.shape))
+            phi_u[real], h_u[real], size[real] = _sample_dense(
                 coefficients, x[real], a[cell], b[cell])
-            phase = cumulative_simpson(phi, x)
-            self.bound = x, phi, h, phase, real
+            phase = cumulative_simpson(phi_u, x)
             turns = 2.0 * phase[np.arange(self.rows), last] / _PHASE_CUT
-            scales = np.stack([np.where(real, phi, 0.0).max(axis=1),
+            scales = np.stack([np.where(real, phi_u, 0.0).max(axis=1),
                                size.max(axis=1)], axis=-1)
             (self.x, self.phi, self.h, self.half, self.panels,
              self.rounds) = _panel_grid(coefficients, a, b, floor, turns,
@@ -701,7 +708,7 @@ class _SeriesEngine:
             self.tips = np.arange(self.rows) * self.x.shape[1] + self.last
             self.phi_jumps = _check_dense_limits(table, self.phi[:, 0],
                                                  self.phi.take(self.tips))
-        self.E_in = []  # the E each dense row starts from
+        E_in = []  # the E each dense row starts from
         self.order = []  # in time order, True for a dense row, False a jump
         E_t, M_t, muW_t = [], [], []  # each jump's E, 1 / D and muW
         # past a dense row E is a numpy scalar; its overflow stays in the values
@@ -718,7 +725,7 @@ class _SeriesEngine:
                 if dense:
                     # E carries on from the row's last node: the scalar
                     # product E * U[row, last] would round differently
-                    self.E_in.append(E)
+                    E_in.append(E)
                     np.multiply(E, U[row], out=self.E[row])
                     E = self.E[row, self.last[row]]
                     self.order.append(True)
@@ -732,19 +739,30 @@ class _SeriesEngine:
                     muW_t.append(mu * (h / D))
                     self.order.append(False)
                     E = E_sigma
-            if self.rows:
-                self.D = self.phi * self.E
-                self.W = self.h / self.D
             self.E_T = E
             self.phi0 = float(table.starts[0])
             self.phiT = float(table.ends[-1])
             self.jump_table = np.array([phi_t, E_t, h_t, M_t, muW_t],
                                        dtype=complex)
-            # the seeds G_0 and H_0 at the jumps, as Python's float products
-            phi, E = self.jump_table[0].real, self.jump_table[1]
-            self.jump_GH = phi * np.array([E.imag, E.real])
-            self.slots = None
-            if len(self.order) >= _ARRAY_WALK_EVENTS:
+            # the seeds G_0 = phi sin_phi and H_0 = phi cos_phi: the
+            # (2, cells, nodes) stack on the rows, None without rows, and
+            # the (2, jumps) array at the jumps, as Python's float products
+            phi, E, _, _, muW = self.jump_table
+            GH = None
+            if self.rows:
+                self.W = self.h / (self.phi * self.E)
+                GH = self.phi * np.stack([self.E.imag, self.E.real])
+                # the bound's sample, its E carried on from the E each row
+                # starts from in the period walk
+                self.bound = x, phi_u, h_u, np.array(
+                    E_in, dtype=complex)[:, None] * np.exp(1j * phase), real
+            self.seeds = GH, phi.real * np.array([E.imag, E.real])
+            self.slots = self.jumps = None
+            if len(self.order) < _ARRAY_WALK_EVENTS:
+                # each jump's (phi, E, mu W) as Python numbers
+                self.jumps = list(zip(phi.real.tolist(), E.tolist(),
+                                      muW.tolist()))
+            else:
                 # the array walk's columns: each row's and each jump's slot,
                 # 1 + its place in time order, and the slots before them;
                 # and the (jumps, 2) factors and terms of a jump's step.
@@ -756,24 +774,12 @@ class _SeriesEngine:
                 is_row = np.array(self.order)
                 rows, jumps = slots[is_row], slots[~is_row]
                 self.slots = rows, jumps, rows - 1, jumps - 1
-                muW = self.jump_table[4]
                 factor = np.stack([muW.real, muW.imag], axis=-1)
                 self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
 
-    def trace_seeds(self):
-        """The seeds of the trace series, G_0 = phi sin_phi and
-        H_0 = phi cos_phi: the (2, cells, nodes) stack GH on the rows (None
-        without rows) and ``jump_GH``, the (2, jumps) array of g and h at
-        the jumps, formed once from the jump table."""
-        if not self.rows:
-            return None, self.jump_GH
-        with _quiet():
-            return (self.phi * np.stack([self.E.imag, self.E.real]),
-                    self.jump_GH)
-
     def levels(self, seeds):
         """Yield the terms A_1, A_2, ... of the level recursion started
-        from ``seeds``, as ``trace_seeds`` gives them.
+        from ``seeds``, a pair shaped as the trace's ``seeds``.
 
         The walk of a level leaves that level's G and H at the jumps as a
         by-product; its G and H on the rows, the (2, cells, nodes) stack,
@@ -786,7 +792,7 @@ class _SeriesEngine:
         ratio = self.phiT / self.phi0
         E_T = self.E_T
         if self.slots is None:
-            walk = functools.partial(self._scalar_walk, self._scalar_jumps())
+            walk = functools.partial(self._scalar_walk, self.jumps)
             at_jumps = at_jumps.T.tolist()
         else:
             walk = self._array_walk
@@ -807,12 +813,6 @@ class _SeriesEngine:
                 A = -(E_T * accJ).imag + ratio * (E_T * accK).real
             # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             yield A + 0.0
-
-    def _scalar_jumps(self) -> list:
-        """Each jump's (phi, E, mu W) as Python numbers, from the jump
-        table, for ``_scalar_walk``."""
-        phi, E, _, _, muW = self.jump_table
-        return list(zip(phi.real.tolist(), E.tolist(), muW.tolist()))
 
     def _scalar_walk(self, jumps, totals, at_jumps):
         """One order's walk in Python complex arithmetic: the final J and
@@ -872,30 +872,17 @@ class _SeriesEngine:
     def terms(self, n: int) -> list:
         """[A_0, ..., A_n] by the level recursion."""
         out = [(1.0 + self.phiT / self.phi0) * self.E_T.real]
-        out += islice(self.levels(self.trace_seeds()), n)
+        out += islice(self.levels(self.seeds), n)
         return out
 
     # -- supremum grids for the truncation bound ---------------------------
-
-    def bound_sample(self):
-        """The paper bound's own sample of the dense rows: ``_uniform_rows``
-        at ``_BOUND_DIVISIONS`` per period, sampled by ``_sample_dense``,
-        with the phase integrated by ``cumulative_simpson`` and E carried
-        on from the E each row starts from in the period walk. Returns
-        (x, phi, h, E, real), the nodes, phi, h and E there and the mask of
-        real nodes."""
-        x, phi, h, phase, real = self.bound
-        with _quiet():
-            E = np.array(self.E_in, dtype=complex)[:, None] * np.exp(
-                1j * phase)
-        return x, phi, h, E, real
 
     # on long periods E overflows and the tables hold inf and NaN;
     # error_bound reads a NaN constant as an infinite bound
     @_quiet()
     def bound_constants(self):
         """(K1, K2, K3): grid suprema of |h(t,s)|, |Q(t,s)|, |h(t)|, over
-        the real nodes of ``bound_sample`` and every jump.
+        the real nodes of the engine's ``bound`` sample and every jump.
 
         K2 is the maximum of |Re(u_t M_s)| and K1 of |a_t QT_s - b_t PT_s|
         over every pair (t, s) of nodes and jumps. Each entry is the 2-D
@@ -917,7 +904,7 @@ class _SeriesEngine:
         # the constants are maxima, so the order of the nodes does not matter
         phi_t, E_t, h_t, M_s = [], [], [], []
         if self.rows:
-            _, phi, h, E, nodes = self.bound_sample()
+            _, phi, h, E, nodes = self.bound
             phi_t, E_t, h_t, M_s = (phi[nodes], E[nodes], h[nodes],
                                     1.0 / (phi * E)[nodes])
         phi, E, h, M, _ = self.jump_table

@@ -94,7 +94,7 @@ def _evaluated(engine, monkeypatch):
     """The number of K1 and K2 table entries ``bound_constants`` evaluates,
     against the 2 N^2 of the full tables over N nodes and jumps: the real
     nodes of the bound's own sample, every jump and t0 + T."""
-    real = engine.bound_sample()[-1]
+    real = engine.bound[-1]
     N = real.sum() + engine.jump_table.shape[1] + 1
     counts = []
 

@@ -333,6 +333,26 @@ def test_config_content_errors_exit_3(tmp_path, text, args):
     assert "config error" in result.stderr
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("q", "1 + é", "unexpected character 'é' (offset 4)"),
+    ("p", "ß*t", "unexpected character 'ß' (offset 0)"),
+    ("qprime", "tµ", "unexpected character 'µ' (offset 1)"),
+    ("q", "(" * 200 + "1" + ")" * 200, "expression nested too deeply"),
+    ("q", "sqrt(" * 150 + "t" + ")" * 150, "expression nested too deeply"),
+], ids=["q-non-ascii", "p-non-ascii", "qprime-non-ascii", "q-parentheses",
+        "q-sqrt"])
+def test_malformed_expressions_exit_3(tmp_path, key, text, message):
+    # each printed "error: AttributeError: ..." or "error: RecursionError:
+    # ..." and exited 4
+    f = tmp_path / "bad.cfg"
+    lines = {"q": "1", key: text}
+    f.write_text("period = 2\nintervals = [[0, 2]]\n" + "".join(
+        f"{k} = {v}\n" for k, v in lines.items()), encoding="utf-8")
+    result = invoke(str(f))
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"config error: {key}: {message}")
+
+
 def test_quoted_expressions_are_accepted(tmp_path):
     quoted, bare = tmp_path / "quoted.cfg", tmp_path / "bare.cfg"
     quoted.write_text("period = 2\nintervals = [[0, 2]]\nq = \"1\"\n")

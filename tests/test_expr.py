@@ -70,6 +70,28 @@ def test_syntax_errors_name_their_offset(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("text, message", [
+    # a letter outside ASCII starts no name
+    ("1 + é", "unexpected character 'é' (offset 4)"),
+    ("ß*t", "unexpected character 'ß' (offset 0)"),
+    ("tµ", "unexpected character 'µ' (offset 1)"),
+    # nesting deeper than the recursion limit lets the parser follow
+    ("(" * 200 + "1" + ")" * 200, "expression nested too deeply (offset "),
+    ("sqrt(" * 150 + "t" + ")" * 150, "expression nested too deeply (offset "),
+])
+def test_malformed_text_is_a_syntax_error(text, message):
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(message)
+    assert 0 <= exc.value.offset < len(text)
+
+
+def test_nesting_the_parser_follows_still_parses():
+    assert const_value(parse("(" * 100 + "1" + ")" * 100)) == 1.0
+    e = parse("sqrt(" * 100 + "t" + ")" * 100)
+    assert evaluate(e, 1.0) == 1.0
+
+
 @pytest.mark.parametrize("text", ["mod(t)", "sin(t, 1)"])
 def test_wrong_argument_counts_raise(text):
     with pytest.raises(ArityError):
@@ -525,16 +547,31 @@ def test_a_walk_evaluates_a_shared_node_once(monkeypatch):
         assert g.tobytes() == evaluate_array(e, x).tobytes()
 
 
-def test_a_walk_keeps_a_value_only_while_a_later_root_reads_it():
-    q = parse("(t - 0.3) / (t*t + 1)")
-    roots = (q, parse("t / 3"), differentiate(q), parse("2 * t"))
-    values = ex.Forest(roots).evaluate(np.linspace(0.0, 1.0, 9))
-    kept = []
-    for _ in roots:
-        next(values)
-        kept.append(len(values.gi_frame.f_locals["walk"].values))
-    # q's parts t - 0.3 and t*t + 1 until q' is done, and nothing after
-    assert kept == [2, 2, 0, 0]
+@settings(max_examples=400, deadline=None)
+@given(_array_expr_text, _array_expr_text, _nodes)
+def test_a_walk_over_random_roots_is_one_walk_per_root(q, p, x):
+    # q' reuses q's subtrees, which the one walk evaluates once and keeps
+    # to its end: each root's bytes, and the first root's error, are those
+    # of a walk of that root alone
+    q, p = parse(q), parse(p)
+    roots = (q, p, differentiate(q))
+    want = []
+    for e in roots:
+        try:
+            want.append(evaluate_array(e, x).tobytes())
+        except Exception as exc:
+            want.append((type(exc), str(exc)))
+            break
+    got = []
+    values = ex.Forest(roots).evaluate(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            for _ in roots:
+                got.append(next(values).tobytes())
+        except Exception as exc:
+            got.append((type(exc), str(exc)))
+    assert got == want
 
 
 def _kinds(cls):
@@ -646,7 +683,7 @@ def _system_nodes(spec):
     ts = [x for t, mu in spec.ts.scattered_with_mu() for x in (t, t + mu)]
     engine = _SeriesEngine(solve_phi(spec))
     if engine.rows:
-        x, _, _, _, real = engine.bound_sample()
+        x, _, _, _, real = engine.bound
         for panels, row, last, (a, b) in zip(
                 engine.x, x, real, dense_intervals(spec.ts)):
             eps = (b - a) * 1e-9

@@ -708,8 +708,8 @@ def test_complex_cumulative_simpson_is_the_split(example_hybrid):
     for spec in (example_hybrid, random_hybrid_system(0),
                  random_hybrid_system(12), random_hybrid_system(145)):
         engine = _SeriesEngine(solve_phi(spec))
-        W = engine.h / engine.D
-        x, phi, _, E, _ = engine.bound_sample()
+        W = engine.W
+        x, phi, _, E, _ = engine.bound
         for integrate, ys in (
                 (lambda v: floquet._panel_integrals(v, engine.half),
                  (engine.E, W * engine.phi * engine.E.imag)),
@@ -955,11 +955,13 @@ def test_array_walk_rounds_each_step_as_cpython():
     assert engine.slots is not None
     muW = engine.jump_table[4, 0]
     assert math.isfinite(muW.real) and math.isinf(muW.imag)
-    _, GH = engine.trace_seeds()
+    _, GH = engine.seeds
     pairs = GH.T.tolist()
+    # the scalar walk's numbers, which the engine forms for short engines
+    phi, E, _, _, weights = engine.jump_table
+    jumps = list(zip(phi.real.tolist(), E.tolist(), weights.tolist()))
     for _ in range(3):
-        acc, _, pairs = engine._scalar_walk(engine._scalar_jumps(), None,
-                                            pairs)
+        acc, _, pairs = engine._scalar_walk(jumps, None, pairs)
         array_acc, _, GH = engine._array_walk(None, GH)
         assert _hex_parts(array_acc) == _hex_parts(acc)
         assert _hex_parts(GH.T.ravel()) == _hex_parts(np.ravel(pairs))
@@ -991,7 +993,7 @@ def test_array_walk_leaves_numpy_error_state(spec, n):
     with np.errstate(over="raise", invalid="raise"):
         state = np.geterr()
         engine = _SeriesEngine(table)
-        terms = engine.levels(engine.trace_seeds())
+        terms = engine.levels(engine.seeds)
         for _ in range(n):
             assert math.isnan(next(terms))
             assert np.geterr() == state
@@ -1147,7 +1149,7 @@ def test_one_cell_bound_reads_the_512_grid(path):
     spec = build_system(load_config(path))
     (a, b), = dense_intervals(spec.ts)
     engine = _SeriesEngine(solve_phi(spec))
-    x, phi, h, _, real = engine.bound_sample()
+    x, phi, h, _, real = engine.bound
     assert real.all()
     n = max(16, math.ceil((b - a) / (spec.ts.period / 512)))
     n += n % 2

@@ -89,7 +89,7 @@ def test_kernel_on_the_engine_stacks(seed):
     # row of the stack is padded past its last node
     spec = random_hybrid_system(seed)
     engine = _SeriesEngine(solve_phi(spec))
-    x, phi, h, E, real = engine.bound_sample()
+    x, phi, h, E, real = engine.bound
     assert engine.rows == 2 and real[0].sum() != real[1].sum()
     W = h / (phi * E)
     for y in (phi, E, W * phi * E.imag, W * phi * E.real):
@@ -100,7 +100,7 @@ def test_kernel_on_the_bound_sample(example_continuous):
     # the bound integrates sqrt(q) on its one uniform row, and the level
     # integrands h e^{2i Phi} take the same weights
     engine = _SeriesEngine(solve_phi(example_continuous))
-    x, sqrtq, h, _, real = engine.bound_sample()
+    x, sqrtq, h, _, real = engine.bound
     assert engine.rows == 1 and real.all()
     x, sqrtq, h = x[0], sqrtq[0], h[0]
     phase = scipy_cumulative_simpson(sqrtq, x=x, initial=0.0)
