@@ -40,17 +40,27 @@ grids. The ``if`` tolerance is computed once per walk. Each root raises
 its own error when its values are asked for, so a caller checks one
 root's values before the next root is walked.
 
-Each rule is stated once, in a table that all its readers read:
-``_LEVELS`` (and ``_BINARY``, by node) the binary operators' symbols,
-nodes and float operations, for the parser, ``serialize`` and the walk;
+The one shape of unbounded depth is the one the parser builds as long as
+the text: the chain of binary nodes down the left operands of a flat sum,
+difference, product or quotient. Every pass walks that chain in a loop,
+down to the node below it and back up through the right operands, in the
+order a recursive walk takes; every other node is walked by recursion,
+which the parser's own nesting limit bounds. Which nodes a tree holds,
+for ``is_constant`` and ``Forest``, is found by one walk with a stack.
+
+Each rule is stated once, in one of six tables that all its readers
+read: ``_LEVELS`` (and ``_BINARY``, by node) the binary operators'
+symbols, nodes, float operations and precedence levels, for the parser,
+``serialize`` and the walk;
 ``_UNARY`` the one-argument nodes' array operations, where each fails and
 what it raises there; ``_FUNCS`` the function names and ``_CMP`` the
-``if`` comparisons. Nodes with more to do keep their own branches: a
-``Div`` evaluates its denominator first and fails at zero; a ``Pow``
-takes Python's float results at zero and infinite bases and fails where
-Python raises or returns a complex number; ``neg1pow`` rounds and tests
-its argument; mod by zero and a derivative placeholder fail at every
-node, and an ``if`` evaluates one branch per node.
+``if`` comparisons; ``_DERIVATIVES`` each node's derivative and
+``_TEXTS`` its text. Nodes with more to do keep their own branches in the
+walk: a ``Div`` evaluates its denominator first and fails at zero; a
+``Pow`` takes Python's float results at zero and infinite bases and fails
+where Python raises or returns a complex number; ``neg1pow`` rounds and
+tests its argument; mod by zero and a derivative placeholder fail at
+every node, and an ``if`` evaluates one branch per node.
 
 Expressions are immutable after parsing and may be evaluated
 concurrently: each evaluation keeps its state in its own walk.
@@ -218,8 +228,8 @@ class _NonDiff(Expression):
 # and its float operation, which numpy applies elementwise to arrays
 _LEVELS = ({"+": (Add, operator.add), "-": (Sub, operator.sub)},
            {"*": (Mul, operator.mul), "/": (Div, operator.truediv)})
-_BINARY = {node: (symbol, op) for level in _LEVELS
-           for symbol, (node, op) in level.items()}
+_BINARY = {node: (symbol, op, level) for level, ops in enumerate(_LEVELS)
+           for symbol, (node, op) in ops.items()}
 
 
 class _Unary(NamedTuple):
@@ -260,7 +270,8 @@ _CMP = {
     "ge": lambda v, ref, tol: v >= ref - tol,
 }
 
-_NUMBER = re.compile(r"\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?")
+# numbers and names are ASCII: any other character is unexpected
+_NUMBER = re.compile(r"([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -273,14 +284,13 @@ def _tokenize(text: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or c == ".":
+        if c in "0123456789.":
             m = _NUMBER.match(text, i)
             if m is None:
                 raise ExpressionSyntaxError("malformed number", i)
             tokens.append(("num", float(m.group()), i))
             i = m.end()
             continue
-        # a letter outside ASCII starts no name: an unexpected character
         if (m := _NAME.match(text, i)) is not None:
             tokens.append(("name", m.group(), i))
             i = m.end()
@@ -296,7 +306,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -336,10 +345,7 @@ class _Parser:
     def unary(self) -> Expression:
         if self.peek()[0] == "-":
             self.next()
-            arg = self.unary()
-            if isinstance(arg, Const):
-                return Const(-arg.value)
-            return Neg(arg)
+            return _negate(self.unary())
         return self.power()
 
     def power(self) -> Expression:
@@ -422,6 +428,11 @@ class _Parser:
                 f"{what} must be constant (offset {off})") from None
 
 
+def _negate(e: Expression) -> Expression:
+    """-e, as the parser builds it: a constant's negation is a constant."""
+    return Const(-e.value) if type(e) is Const else Neg(e)
+
+
 def parse(text: str) -> Expression:
     """Parse ``text`` into an Expression AST. Text nested deeper than the
     parser can recurse under the interpreter's recursion limit raises
@@ -437,13 +448,9 @@ def parse(text: str) -> Expression:
 # -- evaluation ------------------------------------------------------------
 
 def is_constant(e: Expression) -> bool:
-    """True if the expression contains no occurrence of t: a walk over
-    each node's Expression-valued fields, in which a derivative
-    placeholder stands for a function of t."""
-    if isinstance(e, (Var, _NonDiff)):
-        return False
-    return all(is_constant(v) for v in vars(e).values()
-               if isinstance(v, Expression))
+    """True if the expression contains no occurrence of t, for which a
+    derivative placeholder stands too."""
+    return not any(type(node) in (Var, _NonDiff) for node in _nodes((e,))[0])
 
 
 def const_value(e: Expression) -> float:
@@ -477,12 +484,12 @@ def evaluate_array(e: Expression, x) -> np.ndarray:
 class Forest:
     """Expressions evaluated together on one grid after another, such as a
     system's q, p and q', which ``differentiate`` builds from q's subtrees.
-    The nodes met at several places are found once, here (``_shared``);
+    The nodes met at several places are found once, here (``_nodes``);
     ``evaluate(x)`` then evaluates each of them once per grid."""
 
     def __init__(self, roots):
         self.roots = tuple(roots)
-        self.shared = _shared(self.roots)
+        self.shared = _nodes(self.roots)[1]
 
     def evaluate(self, x):
         """Yield ``evaluate_array(e, x)`` for each root e in turn, from one
@@ -497,35 +504,30 @@ class Forest:
             yield walk.root(e, x)
 
 
-def _shared(roots) -> set:
-    """The ids of the nodes met more than once in a walk of ``roots`` that
-    does not enter a node met before. Constants and t, which have no
-    children, cost less to evaluate than to keep."""
-    seen, shared = set(), set()
-    for root in roots:
-        stack = [root]
-        while stack:
-            e = stack.pop()
-            children = _CHILDREN.get(type(e))
-            if children is None:
-                continue
-            if id(e) in seen:
+def _nodes(roots):
+    """The nodes of ``roots``, each once, and the ids of the inner nodes
+    met more than once in a walk that does not enter a node met before.
+    Constants and t, which have no children, cost less to evaluate than
+    to keep."""
+    nodes, shared = {}, set()
+    stack = list(roots)
+    while stack:
+        e = stack.pop()
+        children = _CHILDREN.get(type(e))
+        if id(e) in nodes:
+            if children is not None:
                 shared.add(id(e))
-                continue
-            seen.add(id(e))
-            children = children(e)
-            if type(children) is tuple:
-                stack += children
-            else:
-                stack.append(children)
-    return shared
+            continue
+        nodes[id(e)] = e
+        if children is not None:
+            stack += children(e)
+    return nodes.values(), shared
 
 
-# each inner node kind's Expression-valued fields: one child, or a tuple
-_CHILDREN = {kind: operator.attrgetter(*names) for names, kinds in (
-    (("left", "right"), _BINARY), (("arg",), (*_UNARY, Mod, Neg1Pow, Cmp)),
-    (("base",), (Pow,)), (("cond", "then", "other"), (If,)))
-    for kind in kinds}
+# each inner node kind's Expression-valued fields
+_CHILDREN = {**dict.fromkeys(_BINARY, lambda e: (e.left, e.right)),
+             **dict.fromkeys((*_UNARY, Mod, Neg1Pow, Cmp), lambda e: (e.arg,)),
+             Pow: lambda e: (e.base,), If: lambda e: (e.cond, e.then, e.other)}
 
 
 class _ArrayWalk:
@@ -539,7 +541,7 @@ class _ArrayWalk:
     its index into x, the node's argument there and its exception's
     builder. A node's later failures are never raised, as an earlier
     index wins. ``shared`` holds the ids of the nodes that the walk meets
-    at more than one place (``_shared``), and ``values`` the value of each
+    at more than one place (``_nodes``), and ``values`` the value of each
     such node walked outside every mask, and of each such ``if``
     condition its mask, until the walk ends: such a value was walked
     without error, as any error ends the walk, so reading it records what
@@ -577,20 +579,34 @@ class _ArrayWalk:
         self.errors.append((i, v, error))
 
     def eval(self, e: Expression, x):
+        """e's value on x. The chain of binary nodes down the left operands
+        is walked in a loop: down to a node whose value is kept or that is
+        not binary, evaluating each Div's denominator on the way, then back
+        up through the other right operands, as a recursive walk orders
+        them."""
+        kind = type(e)
+        if kind in _BINARY:
+            top = not self.masks and self.shared
+            chain = []  # the nodes from the top down, each Div's den first
+            while type(e) in _BINARY and not (top and id(e) in self.values):
+                if type(e) is Div:
+                    chain.append(den := self.eval(e.right, x))
+                    self.fail(den == 0.0, _division_error)
+                chain.append(e)
+                e = e.left
+            # a binary node that stops the chain has its value kept
+            out = self.values[id(e)] if type(e) in _BINARY else self.eval(e, x)
+            while chain:
+                kind = type(e := chain.pop())
+                right = chain.pop() if kind is Div else self.eval(e.right, x)
+                out = _BINARY[kind][1](out, right)
+                if top and id(e) in self.shared:
+                    self.values[id(e)] = out
+            return out
         keep = self.shared and not self.masks and id(e) in self.shared
         if keep and id(e) in self.values:
             return self.values[id(e)]
-        kind = type(e)
-        if kind in _BINARY:
-            op = _BINARY[kind][1]
-            if kind is Div:
-                den = self.eval(e.right, x)
-                self.fail(den == 0.0, lambda v, t: DomainError(
-                    f"division by zero at t={t}"))
-                out = op(self.eval(e.left, x), den)
-            else:
-                out = op(self.eval(e.left, x), self.eval(e.right, x))
-        elif (rule := _UNARY.get(kind)) is not None:
+        if (rule := _UNARY.get(kind)) is not None:
             v = self.eval(e.arg, x)
             out = rule.array(v)
             if rule.fails is not None:
@@ -614,7 +630,7 @@ class _ArrayWalk:
         else:
             # mod by zero, a derivative placeholder or an unknown node fails
             # at every node, before any child is walked
-            self.fail(np.True_, lambda v, t: _node_error(e, t))
+            self.fail(np.True_, lambda v, t, e=e: _node_error(e, t))
             out = np.float64(math.nan)
         if keep:
             self.values[id(e)] = out
@@ -674,6 +690,10 @@ class _ArrayWalk:
         return out
 
 
+def _division_error(v, t):
+    return DomainError(f"division by zero at t={t}")
+
+
 def _tolerance(x):
     """The if comparisons' tolerance at the nodes x: fmax, as Python's
     max(1.0, abs(t)), takes 1 at a NaN t."""
@@ -699,94 +719,104 @@ def _neg1pow_error(v: float, t: float) -> Exception:
 # -- symbolic derivative ---------------------------------------------------
 
 def differentiate(e: Expression) -> Expression:
-    """Symbolic derivative with respect to t.
+    """Symbolic derivative with respect to t, by the rules of
+    ``_DERIVATIVES``.
 
     mod/neg1pow subtrees yield a placeholder that raises
     NonDifferentiableNode when evaluated, and that ``serialize`` cannot
     write; if-nodes differentiate both branches and keep the condition.
     Every other derivative tree round-trips through ``serialize``.
     """
-    if isinstance(e, (Const, Cmp)):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0)
-    if isinstance(e, (Add, Sub)):
-        return type(e)(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Mul):
-        return Add(
-            Mul(differentiate(e.left), e.right),
-            Mul(e.left, differentiate(e.right)),
-        )
-    if isinstance(e, Div):
-        num = Sub(
-            Mul(differentiate(e.left), e.right),
-            Mul(e.left, differentiate(e.right)),
-        )
-        return Div(num, Mul(e.right, e.right))
-    if isinstance(e, Neg):
-        d = differentiate(e.arg)
-        # folded as the parser folds it, so serialize round-trips the tree
-        return Const(-d.value) if isinstance(d, Const) else Neg(d)
-    if isinstance(e, Pow):
-        if e.exponent == 0.0:
-            return Const(0.0)
-        return Mul(
-            Mul(Const(e.exponent), Pow(e.base, e.exponent - 1.0)),
-            differentiate(e.base),
-        )
-    if isinstance(e, Sin):
-        return Mul(Cos(e.arg), differentiate(e.arg))
-    if isinstance(e, Cos):
-        return Neg(Mul(Sin(e.arg), differentiate(e.arg)))
-    if isinstance(e, Exp):
-        return Mul(Exp(e.arg), differentiate(e.arg))
-    if isinstance(e, Sqrt):
-        return Div(differentiate(e.arg), Mul(Const(2.0), Sqrt(e.arg)))
-    if isinstance(e, Abs):
-        # d|u| = u u' / |u|; DomainError at u = 0
-        return Div(Mul(e.arg, differentiate(e.arg)), Abs(e.arg))
-    if isinstance(e, Mod):
-        return _NonDiff("derivative of mod(...) used on a dense region")
-    if isinstance(e, Neg1Pow):
-        return _NonDiff("derivative of neg1pow(...) used on a dense region")
-    if isinstance(e, If):
-        return If(e.cond, differentiate(e.then), differentiate(e.other))
-    if isinstance(e, _NonDiff):
-        return e
-    raise TypeError(f"unknown node {e!r}")
+    chain = []  # the binary nodes down the left operands
+    while type(e) in _BINARY:
+        chain.append(e)
+        e = e.left
+    if (rule := _DERIVATIVES.get(type(e))) is None:
+        raise TypeError(f"unknown node {e!r}")
+    d = rule(e, differentiate(e.arg)) if type(e) in _UNARY else rule(e)
+    for node in reversed(chain):
+        d = _DERIVATIVES[type(node)](node, d, differentiate(node.right))
+    return d
+
+
+# each node kind's derivative: a binary node's from the node and its
+# operands' derivatives (dl, dr), a ``_UNARY`` node's from the node and its
+# argument's (d), any other's from the node alone
+_DERIVATIVES = {
+    Const: lambda e: Const(0.0),
+    Cmp: lambda e: Const(0.0),
+    Var: lambda e: Const(1.0),
+    Add: lambda e, dl, dr: Add(dl, dr),
+    Sub: lambda e, dl, dr: Sub(dl, dr),
+    Mul: lambda e, dl, dr: Add(Mul(dl, e.right), Mul(e.left, dr)),
+    Div: lambda e, dl, dr: Div(Sub(Mul(dl, e.right), Mul(e.left, dr)),
+                               Mul(e.right, e.right)),
+    # folded as the parser folds it, so serialize round-trips the tree
+    Neg: lambda e, d: _negate(d),
+    Pow: lambda e: Const(0.0) if e.exponent == 0.0 else Mul(
+        Mul(Const(e.exponent), Pow(e.base, e.exponent - 1.0)),
+        differentiate(e.base)),
+    Sin: lambda e, d: Mul(Cos(e.arg), d),
+    Cos: lambda e, d: Neg(Mul(Sin(e.arg), d)),
+    Exp: lambda e, d: Mul(Exp(e.arg), d),
+    Sqrt: lambda e, d: Div(d, Mul(Const(2.0), Sqrt(e.arg))),
+    # d|u| = u u' / |u|; DomainError at u = 0
+    Abs: lambda e, d: Div(Mul(e.arg, d), Abs(e.arg)),
+    Mod: lambda e: _NonDiff("derivative of mod(...) used on a dense region"),
+    Neg1Pow: lambda e: _NonDiff(
+        "derivative of neg1pow(...) used on a dense region"),
+    If: lambda e: If(e.cond, differentiate(e.then), differentiate(e.other)),
+    _NonDiff: lambda e: e,
+}
 
 
 # -- serialization ---------------------------------------------------------
 
 def serialize(e: Expression) -> str:
-    """Render e in the input grammar, as an atom; parse(serialize(e)) is
-    structurally e for every e that parse or differentiate returns (a NaN
-    exponent, modulus or reference is written as the constant
-    (1e999 - 1e999)). The placeholder that differentiate leaves for mod
-    and neg1pow cannot be written: TypeError."""
-    kind = type(e)
-    if kind is Const:
-        return _number(e.value)
-    if kind is Var:
-        return "t"
-    if kind in _BINARY:
-        return f"({serialize(e.left)} {_BINARY[kind][0]} {serialize(e.right)})"
-    if kind is Neg:
-        return f"(-{serialize(e.arg)})"
-    if kind is Pow:
-        return f"({serialize(e.base)} ^ {_number(e.exponent)})"
-    name = _NAMES.get(kind)
-    if kind is Mod:
-        return f"{name}({serialize(e.arg)}, {_number(e.modulus)})"
-    if kind is If:
-        c = e.cond
-        return (
-            f"{name}({c.op}({serialize(c.arg)}, {_number(c.ref)}), "
-            f"{serialize(e.then)}, {serialize(e.other)})"
-        )
-    if name is not None:
-        return f"{name}({serialize(e.arg)})"
-    raise TypeError(f"cannot serialize {e!r}")
+    """Render e in the input grammar, as an atom, by the rules of
+    ``_TEXTS``; parse(serialize(e)) is structurally e for every e that
+    parse or differentiate returns (a NaN exponent, modulus or reference
+    is written as the constant (1e999 - 1e999)). The chain of binary
+    nodes down the left operands is written as one atom, with
+    parentheses only around a left operand whose operator binds looser,
+    so that a flat sum's text is flat. The placeholder that differentiate
+    leaves for mod and neg1pow cannot be written: TypeError."""
+    chain = []  # the binary nodes down the left operands
+    while type(e) in _BINARY:
+        chain.append(e)
+        e = e.left
+    if (rule := _TEXTS.get(type(e))) is None:
+        raise TypeError(f"cannot serialize {e!r}")
+    texts = [rule(e, serialize(e.arg)) if type(e) in _UNARY else rule(e)]
+    opens, top = 0, len(_LEVELS)  # the level of the text's last operator
+    for node in reversed(chain):
+        symbol, _, level = _BINARY[type(node)]
+        if top < level:
+            texts.append(")")
+            opens += 1
+        texts.append(f" {symbol} {serialize(node.right)}")
+        top = level
+    if chain:
+        texts.append(")")
+        opens += 1
+    return "(" * opens + "".join(texts)
+
+
+# each node kind's text but a binary node's: a ``_UNARY`` node's from the
+# node and its argument's text (a), any other's from the node alone; a
+# function is written by its name in ``_FUNCS``
+_TEXTS = {
+    **dict.fromkeys(_UNARY, lambda e, a: f"{_NAMES[type(e)]}({a})"),
+    Neg: lambda e, a: f"(-{a})",
+    Const: lambda e: _number(e.value),
+    Var: lambda e: "t",
+    Pow: lambda e: f"({serialize(e.base)} ^ {_number(e.exponent)})",
+    Mod: lambda e: f"mod({serialize(e.arg)}, {_number(e.modulus)})",
+    Neg1Pow: lambda e: f"neg1pow({serialize(e.arg)})",
+    If: lambda e: (f"if({e.cond.op}({serialize(e.cond.arg)}, "
+                   f"{_number(e.cond.ref)}), {serialize(e.then)}, "
+                   f"{serialize(e.other)})"),
+}
 
 
 def _number(v: float) -> str:

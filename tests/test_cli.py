@@ -339,8 +339,10 @@ def test_config_content_errors_exit_3(tmp_path, text, args):
     ("qprime", "tµ", "unexpected character 'µ' (offset 1)"),
     ("q", "(" * 200 + "1" + ")" * 200, "expression nested too deeply"),
     ("q", "sqrt(" * 150 + "t" + ")" * 150, "expression nested too deeply"),
+    # a digit outside ASCII, which read as a number
+    ("q", "１", "unexpected character '１' (offset 0)"),
 ], ids=["q-non-ascii", "p-non-ascii", "qprime-non-ascii", "q-parentheses",
-        "q-sqrt"])
+        "q-sqrt", "q-non-ascii-digit"])
 def test_malformed_expressions_exit_3(tmp_path, key, text, message):
     # each printed "error: AttributeError: ..." or "error: RecursionError:
     # ..." and exited 4
@@ -351,6 +353,54 @@ def test_malformed_expressions_exit_3(tmp_path, key, text, message):
     result = invoke(str(f))
     assert result.exit_code == 3
     assert result.stderr.startswith(f"config error: {key}: {message}")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("period = ٢\nintervals = [[0, 2]]\nq = 1\n", 1),
+    ("period = 2\nintervals = [[0, ٢]]\nq = 1\n", 2),
+], ids=["period", "interval-end"])
+def test_non_ascii_digits_exit_3(tmp_path, text, line):
+    # each read as 2 and analyzed, exit 0
+    f = tmp_path / "bad.cfg"
+    f.write_text(text, encoding="utf-8")
+    result = invoke(str(f))
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"config error: line {line}: ")
+    assert "unexpected character '٢' (offset 0)" in result.stderr
+
+
+_SUM500 = " + ".join(["0.001"] * 500)
+_SUM900 = " + ".join(["0.001"] * 900)
+_TSUM1000 = " + ".join(["t"] * 1000)
+
+
+@pytest.mark.parametrize("text, args, code", [
+    # a constant sum as a scalar key exited 4 with RecursionError, and as
+    # an exponent 3, read as nested too deeply
+    (f"period = {_SUM500}\nintervals = [[0, {_SUM500}]]\np = 0.1\nq = 2\n",
+     (), 0),
+    (f"period = {_SUM900}\nintervals = [[0, {_SUM900}]]\np = 0.1\nq = 2\n",
+     (), 0),
+    (f"period = 1\nintervals = [[0, 1]]\np = 0.1\nq = 1 + t^({_SUM500})\n",
+     (), 2),
+    # 1000-term sums of t in q and in p exited 4 with RecursionError; the
+    # oracle's monodromy agrees with each analysis
+    (f"period = 1\nintervals = [[0, 1]]\np = 0\nq = 1 + 0.001*({_TSUM1000})\n",
+     (), 2),
+    (f"period = 1\nintervals = [[0, 1]]\np = 0\nq = 1 + 0.001*({_TSUM1000})\n",
+     ("--oracle",), 2),
+    (f"period = 1\nintervals = [[0, 1]]\np = 0.1 + 0.0001*({_TSUM1000})\n"
+     "q = 2\n", (), 0),
+    (f"period = 1\nintervals = [[0, 1]]\np = 0.1 + 0.0001*({_TSUM1000})\n"
+     "q = 2\n", ("--oracle",), 0),
+], ids=["period-500-terms", "period-900-terms", "exponent-500-terms",
+        "q-1000-terms", "q-1000-terms-oracle", "p-1000-terms",
+        "p-1000-terms-oracle"])
+def test_long_sums_analyze(tmp_path, text, args, code):
+    f = tmp_path / "long.cfg"
+    f.write_text(text)
+    result = invoke(str(f), *args)
+    assert result.exit_code == code, result.output + result.stderr
 
 
 def test_quoted_expressions_are_accepted(tmp_path):
@@ -643,7 +693,7 @@ def test_tail_bound_past_the_float_range_is_undetermined(tmp_path):
 
 @pytest.mark.parametrize("text, args, message", [
     # the chain from the default seed phi(0) = sqrt(q(0)) = 1e5 reads
-    # phi(2) = q(1) / phi(1) = 1e-10 / 1e5, under 1e-14 (ROADMAP item 15
+    # phi(2) = q(1) / phi(1) = 1e-10 / 1e5, under 1e-14 (ROADMAP item 26
     # counts such a regressive scale as wrongly refused)
     pytest.param("period = 3\npoints = [0, 1, 2, 3]\np = 0\n"
                  "q = if(eq(t, 0), 1e10, 1e-10)\n", (),

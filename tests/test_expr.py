@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 import pickle
 import random
 import sys
@@ -75,6 +77,10 @@ def test_syntax_errors_name_their_offset(text, offset):
     ("1 + é", "unexpected character 'é' (offset 4)"),
     ("ß*t", "unexpected character 'ß' (offset 0)"),
     ("tµ", "unexpected character 'µ' (offset 1)"),
+    # a digit outside ASCII starts no number
+    ("٢", "unexpected character '٢' (offset 0)"),
+    ("t * １", "unexpected character '１' (offset 4)"),
+    ("1٢", "unexpected character '٢' (offset 1)"),
     # nesting deeper than the recursion limit lets the parser follow
     ("(" * 200 + "1" + ")" * 200, "expression nested too deeply (offset "),
     ("sqrt(" * 150 + "t" + ")" * 150, "expression nested too deeply (offset "),
@@ -126,6 +132,21 @@ def test_const_value():
     assert not is_constant(parse("t + 1"))
     with pytest.raises(ValueError):
         const_value(parse("t + 1"))
+
+
+def test_a_long_constant_sum_is_its_left_fold():
+    # is_constant recursed two frames a term, so a few hundred terms
+    # raised RecursionError, and an exponent of them read as nested too
+    # deeply
+    rng = random.Random(1)
+    terms = [rng.uniform(-1.0, 1.0) for _ in range(5000)]
+    e = parse(" + ".join(map(repr, terms)))
+    assert is_constant(e)
+    assert const_value(e).hex() == functools.reduce(operator.add, terms).hex()
+    assert not is_constant(ex.Add(e, ex.Var()))
+    power = parse("1 + t^(" + " + ".join(["0.001"] * 500) + ")")
+    assert power.right.exponent == functools.reduce(operator.add,
+                                                    [0.001] * 500)
 
 
 def test_differentiate_smooth():
@@ -554,7 +575,12 @@ def test_a_walk_over_random_roots_is_one_walk_per_root(q, p, x):
     # to its end: each root's bytes, and the first root's error, are those
     # of a walk of that root alone
     q, p = parse(q), parse(p)
-    roots = (q, p, differentiate(q))
+    _assert_one_walk_per_root((q, p, differentiate(q)), x)
+
+
+def _assert_one_walk_per_root(roots, x):
+    """A Forest's walk over roots gives each root's bytes, and the first
+    failing root's error, of a walk of that root alone, with no warning."""
     want = []
     for e in roots:
         try:
@@ -880,7 +906,158 @@ def test_threads_building_one_tree_agree_with_the_walk():
 
 
 def test_building_recurses_no_deeper_than_evaluating():
-    # a left-deep sum as deep as the reference walk can evaluate: the
-    # array walk, too, recurses one call per tree level
-    e = parse(" + ".join(["t"] * 600))
-    assert evaluate(e, 0.5) == expr_reference.evaluate(e, 0.5) == 300.0
+    # the parser builds a flat sum in a loop, and every pass walks it in
+    # one, so a sum far longer than the recursion limit is walked; what a
+    # pass recurses through is the nesting the parser recursed through, one
+    # frame a level for the deepest run of unary minus signs it takes
+    n = 10 * sys.getrecursionlimit()
+    e = parse(" + ".join(["t"] * n))
+    assert evaluate(e, 0.5) == n / 2 and not is_constant(e)
+    assert evaluate(differentiate(e), 0.5) == n
+    assert serialize(e) == "(" + " + ".join(["t"] * n) + ")"
+    k = sys.getrecursionlimit()
+    while True:
+        try:
+            e = parse("-" * k + "sin(t)")
+            break
+        except ExpressionSyntaxError:
+            k -= 10
+    assert k > sys.getrecursionlimit() // 2
+    sign = -1.0 if k % 2 else 1.0
+    assert evaluate(e, 0.5) == sign * math.sin(0.5)
+    assert evaluate(differentiate(e), 0.5) == sign * math.cos(0.5)
+    assert list(ex.Forest((e, differentiate(e))).evaluate([0.5]))[0] == \
+        evaluate(e, 0.5)
+    assert serialize(e) == "(-" * k + "sin(t)" + ")" * k
+
+
+# -- long chains: the one shape of unbounded depth ---------------------------
+
+# each operand's value on the nodes x but a number's, which is 0-d; 0
+# reaches a division by zero, and sqrt(t - c) fails at t < c naming its
+# argument, so two of them failing at one node show which the walk met
+# first
+_CHAIN_OPERANDS = {"t": lambda x: x, "sin(t)": np.sin,
+                   "sqrt(t - 1)": lambda x: np.sqrt(x - 1.0),
+                   "sqrt(t - 2)": lambda x: np.sqrt(x - 2.0),
+                   "0": None, "1.5": None, "0.25": None}
+_SQRT_SHIFTS = {"sqrt(t - 1)": 1.0, "sqrt(t - 2)": 2.0}
+
+
+def _operand(v, x):
+    f = _CHAIN_OPERANDS.get(v)
+    return np.float64(float(v)) if f is None else f(x)
+_CHAIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+def _chain_fold(operands, ops, x):
+    """The bytes of operands joined by ops on the nodes x, or the type and
+    message of the error that the recursive walk raises first. The terms,
+    each a left fold of its operands by * and /, are left-folded by + and
+    -. In a term the walk tests each division's denominator, from the last
+    division to the first, then the first operand and the other right
+    operands from the left; it raises the first error at the lowest
+    failing node."""
+    with np.errstate(all="ignore"):
+        values = [_operand(v, x) for v in operands]
+    terms = [[0]]  # each term's operand positions
+    for k, op in enumerate(ops, 1):
+        if op in "+-":
+            terms.append([k])
+        else:
+            terms[-1].append(k)
+    errors = []
+    for term in terms:
+        divisions = [k for k in term[:0:-1] if ops[k - 1] == "/"]
+        for k in divisions + [term[0]] + [
+                k for k in term[1:] if ops[k - 1] != "/"]:
+            arg = x - _SQRT_SHIFTS.get(operands[k], 0.0)
+            if operands[k] in _SQRT_SHIFTS and (arg < 0).any():
+                i = int(np.argmax(arg < 0))
+                errors.append((i, f"sqrt of negative value {float(arg[i])} "
+                                  f"at t={float(x[i])}"))
+            zero = np.broadcast_to(values[k], x.shape) == 0.0
+            if k in divisions and zero.any():
+                t = float(x[np.argmax(zero)])
+                errors.append((int(np.argmax(zero)),
+                               f"division by zero at t={t}"))
+    if errors:
+        return DomainError, min(errors, key=operator.itemgetter(0))[1]
+    acc = None
+    with np.errstate(all="ignore"):
+        for term in terms:
+            v = values[term[0]]
+            for k in term[1:]:
+                v = _CHAIN_OPS[ops[k - 1]](v, values[k])
+            acc = v if acc is None else _CHAIN_OPS[ops[term[0] - 1]](acc, v)
+    return np.broadcast_to(acc, x.shape).astype(float).tobytes()
+
+
+def _chain_text(operands, ops):
+    return operands[0] + "".join(
+        f" {op} {v}" for op, v in zip(ops, operands[1:]))
+
+
+def _array_outcome(e, x):
+    try:
+        return evaluate_array(e, x).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1000, max_value=3000),
+       st.sets(st.sampled_from(sorted(_CHAIN_OPERANDS)), min_size=1),
+       st.sets(st.sampled_from("-*/"), max_size=3),
+       st.randoms(use_true_random=False), _nodes)
+# both square roots fail at the first node, so the first error shows the
+# walk's order
+@example(2000, set(_CHAIN_OPERANDS), {"-", "*", "/"}, random.Random(1),
+         [0.5, 2.5])
+@example(1000, {"sqrt(t - 1)", "sqrt(t - 2)", "t"}, {"/"}, random.Random(2),
+         [0.0])
+def test_long_chains_are_their_left_folds(n, operands, ops, rng, xs):
+    # a chain of 1000 to 3000 operands, which the recursive walks met with
+    # RecursionError; + among the operators keeps each run of * and /, a
+    # chain of its own, short enough for the walk of q' alone
+    operands = rng.choices(sorted(operands), k=n)
+    ops = rng.choices(sorted(ops | {"+"}), k=n - 1)
+    x = np.array(xs)
+    q = parse(_chain_text(operands, ops))
+    want = _chain_fold(operands, ops, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _array_outcome(q, x) == want
+    p = parse(_chain_text(operands[::-1], ops))
+    _assert_one_walk_per_root((q, p, differentiate(q)), x)
+    # compared as text: the dataclasses' generated ==, hash and repr
+    # recurse once a level
+    text = serialize(q)
+    assert serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("op", ["*", "/"])
+def test_long_product_and_quotient_chains(op):
+    # 3000 factors and their derivative, a chain of its own that reads
+    # each partial product: the walk of q and q' together is the forward
+    # fold of the derivative rules, (uv)' = u'v + uv' and
+    # (u/v)' = (u'v - uv') / (v v), with t' = 1 and c' = 0
+    rng = random.Random(3)
+    operands = rng.choices(["t", "1.0001", "0.9999"], k=3000)
+    x = np.array([0.9995, 1.0, 1.0004])
+    q = parse(_chain_text(operands, [op] * 2999))
+    assert _array_outcome(q, x) == _chain_fold(operands, [op] * 2999, x)
+    acc, d = _operand(operands[0], x), np.float64(operands[0] == "t")
+    for v in operands[1:]:
+        r, dr = _operand(v, x), np.float64(v == "t")
+        if op == "*":
+            d = d * r + acc * dr
+        else:
+            d = (d * r - acc * dr) / (r * r)
+        acc = _CHAIN_OPS[op](acc, r)
+    got = list(ex.Forest((q, differentiate(q))).evaluate(x))
+    assert got[0].tobytes() == np.broadcast_to(acc, x.shape).tobytes()
+    assert got[1].tobytes() == np.broadcast_to(d, x.shape).tobytes()
+    text = serialize(q)
+    assert serialize(parse(text)) == text
