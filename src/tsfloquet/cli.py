@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -57,53 +58,81 @@ def _const(text: str, line: int) -> float:
                                line) from exc
 
 
-def _split_top(text: str, line: int) -> list:
-    """Split a comma-separated list outside all brackets and parentheses."""
-    parts, opened, cur = [], [], []
-    for ch in text:
+# the characters that open, close or split a list entry
+_LIST_MARKS = re.compile(r"[][(),]")
+
+
+def _entries(text: str, line: int) -> list:
+    """The stripped entries of the stripped ``[...]`` list text, split at
+    the commas outside all brackets and parentheses."""
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ConfigParseError(f"expected a [...] list, got {text!r}", line)
+    parts, opened, start = [], [], 1
+    for mark in _LIST_MARKS.finditer(text, 1, len(text) - 1):
+        ch = mark.group()
         if ch in "[(":
             opened.append(ch)
-        elif ch in "])":
+        elif ch != ",":
             if not opened or opened.pop() + ch not in ("[]", "()"):
                 raise ConfigParseError(f"unbalanced {ch!r}", line)
-        if ch == "," and not opened:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
+        elif not opened:
+            parts.append(text[start:mark.start()].strip())
+            start = mark.end()
     if opened:
         raise ConfigParseError(f"unbalanced {opened[-1]!r}", line)
-    tail = "".join(cur).strip()
+    tail = text[start:-1].strip()
     if tail:
         parts.append(tail)
     return parts
 
 
-def _parse_list(text: str, line: int) -> list:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ConfigParseError(f"expected a [...] list, got {text!r}", line)
-    return _split_top(text[1:-1], line)
+def _points(text: str, line: int) -> list:
+    return [_const(s, line) for s in _entries(text, line)]
 
 
-def _unquote(text: str) -> str:
-    text = text.strip()
+def _intervals(text: str, line: int) -> list:
+    intervals = []
+    for item in _entries(text, line):
+        pair = _points(item, line)
+        if len(pair) != 2:
+            raise ConfigParseError(
+                f"interval needs exactly two endpoints, got {item!r}", line)
+        intervals.append(tuple(pair))
+    return intervals
+
+
+def _order(text: str, line: int) -> int:
+    value = _const(text, line)
+    if not (value >= 0 and float(value).is_integer()):
+        raise ValidationError(f"n must be a non-negative integer, got "
+                              f"{text!r}")
+    return int(value)
+
+
+def _unquote(text: str, line: int) -> str:
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
         return text[1:-1]
     return text
 
 
+# each key's reader, from its value's text and line, in the order the keys
+# are read: a missing scale is reported before n, t0 and period are read
+_READERS = {"points": _points, "intervals": _intervals, "n": _order,
+            "t0": _const, "period": _const,
+            "p": _unquote, "q": _unquote, "qprime": _unquote}
+
+
 def load_config(path) -> ConfigFile:
     """Parse a ``key = value`` config file into a ConfigFile; a file that
-    cannot be read as UTF-8 text raises ConfigError naming its path."""
+    cannot be read as UTF-8 text raises ConfigError naming its path. A
+    leading byte-order mark is skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:  # its message repeats the path
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    raw = {}
-    lines = {}
+    given = {}  # each key's value text and line
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -113,53 +142,25 @@ def load_config(path) -> ConfigFile:
                                    lineno)
         key, value = line.split("=", 1)
         key = key.strip()
-        if key in raw:
+        if key in given:
             raise ConfigParseError(f"duplicate key {key!r}", lineno)
-        raw[key] = value.strip()
-        lines[key] = lineno
+        given[key] = value.strip(), lineno
 
-    known = {"t0", "period", "points", "intervals", "p", "q", "qprime", "n"}
-    for key in raw:
-        if key not in known:
-            raise ConfigParseError(f"unknown key {key!r}", lines[key])
-    if "q" not in raw:
-        raise ValidationError("q required")
-    if "period" not in raw:
-        raise ValidationError("period required")
-
-    points = []
-    if "points" in raw:
-        ln = lines["points"]
-        points = [_const(s, ln) for s in _parse_list(raw["points"], ln)]
-    intervals = []
-    if "intervals" in raw:
-        ln = lines["intervals"]
-        for item in _parse_list(raw["intervals"], ln):
-            pair = [_const(s, ln) for s in _parse_list(item, ln)]
-            if len(pair) != 2:
-                raise ConfigParseError(
-                    f"interval needs exactly two endpoints, got {item!r}", ln)
-            intervals.append(tuple(pair))
-    if not points and not intervals:
-        raise ValidationError("at least one point or interval required")
-
-    n = None
-    if "n" in raw:
-        value = _const(raw["n"], lines["n"])
-        if not (value >= 0 and float(value).is_integer()):
-            raise ValidationError(f"n must be a non-negative integer, got "
-                                  f"{raw['n']!r}")
-        n = int(value)
-    return ConfigFile(
-        t0=_const(raw["t0"], lines["t0"]) if "t0" in raw else 0.0,
-        period=_const(raw["period"], lines["period"]),
-        points=points,
-        intervals=intervals,
-        p=_unquote(raw.get("p", "0")),
-        q=_unquote(raw["q"]),
-        qprime=_unquote(raw["qprime"]) if "qprime" in raw else None,
-        n=n,
-    )
+    for key, (_, lineno) in given.items():
+        if key not in _READERS:
+            raise ConfigParseError(f"unknown key {key!r}", lineno)
+    for key in ("q", "period"):
+        if key not in given:
+            raise ValidationError(f"{key} required")
+    # the values of the keys a file may leave out; qprime and n default to
+    # ConfigFile's None
+    fields = {"t0": 0.0, "points": [], "intervals": [], "p": "0"}
+    for key, read in _READERS.items():
+        if key == "n" and not (fields["points"] or fields["intervals"]):
+            raise ValidationError("at least one point or interval required")
+        if key in given:
+            fields[key] = read(*given[key])
+    return ConfigFile(**fields)
 
 
 def _expression(key: str, text: str) -> ex.Expression:

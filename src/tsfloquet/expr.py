@@ -804,10 +804,12 @@ def serialize(e: Expression) -> str:
 
 # each node kind's text but a binary node's: a ``_UNARY`` node's from the
 # node and its argument's text (a), any other's from the node alone; a
-# function is written by its name in ``_FUNCS``
+# function is written by its name in ``_FUNCS``. A run of minus signs is
+# written in one pair of parentheses, (--x), which the parser reads one
+# frame a sign, where (-(-x)) would cost it a nesting level each
 _TEXTS = {
     **dict.fromkeys(_UNARY, lambda e, a: f"{_NAMES[type(e)]}({a})"),
-    Neg: lambda e, a: f"(-{a})",
+    Neg: lambda e, a: f"(-{a[1:-1] if type(e.arg) is Neg else a})",
     Const: lambda e: _number(e.value),
     Var: lambda e: "t",
     Pow: lambda e: f"({serialize(e.base)} ^ {_number(e.exponent)})",

@@ -131,6 +131,91 @@ def test_list_entries_keep_their_parentheses(tmp_path):
         assert result.exit_code == 3 and "config error" in result.stderr
 
 
+_SCALE = "period = 2\nq = 1\npoints = [0, 2]\n"
+
+
+# each row: a config's text, and the type, message and line (None for a
+# ValidationError, which names none) of the error that load_config raises
+@pytest.mark.parametrize("text, kind, message, line", [
+    ("period = 2\njunk line\n", ConfigParseError,
+     "expected 'key = value', got 'junk line'", 2),
+    ("period = 2\nq = 1\nperiod = 3\n", ConfigParseError,
+     "duplicate key 'period'", 3),
+    ("period = 2\nfoo = 1\nq = 1\npoints = [0, 2]\n", ConfigParseError,
+     "unknown key 'foo'", 2),
+    ("period = 2\npoints = [0, 2]\n", ValidationError, "q required", None),
+    ("q = 1\npoints = [0, 2]\n", ValidationError, "period required", None),
+    ("points = [0, 2]\n", ValidationError, "q required", None),
+    ("period = 2\nq = 1\npoints = 0, 2\n", ConfigParseError,
+     "expected a [...] list, got '0, 2'", 3),
+    ("period = 2\nq = 1\npoints = [0, 2\n", ConfigParseError,
+     "expected a [...] list, got '[0, 2'", 3),
+    ("period = 2\nq = 1\nintervals = [0, 2]\n", ConfigParseError,
+     "expected a [...] list, got '0'", 3),
+    ("period = 2\nq = 1\npoints = [0, mod(1, 2]\n", ConfigParseError,
+     "unbalanced '('", 3),
+    ("period = 2\nq = 1\npoints = [0, 1), 2]\n", ConfigParseError,
+     "unbalanced ')'", 3),
+    ("period = 2\nq = 1\nintervals = [[0, 1], [1, 2]\n", ConfigParseError,
+     "unbalanced '['", 3),
+    ("period = 2\nq = 1\npoints = [0, (1], 2]\n", ConfigParseError,
+     "unbalanced ']'", 3),
+    ("period = 2\nq = 1\npoints = [0, t]\n", ConfigParseError,
+     "not a constant expression: 't' (expression is not constant)", 3),
+    ("period = 2\nq = 1\npoints = [0, , 2]\n", ConfigParseError,
+     "not a constant expression: '' (expected an atom (offset 0))", 3),
+    ("period = 2\nq = 1\nintervals = [[0, 1, 2]]\n", ConfigParseError,
+     "interval needs exactly two endpoints, got '[0, 1, 2]'", 3),
+    ("period = 2\nq = 1\n", ValidationError,
+     "at least one point or interval required", None),
+    (_SCALE + "n = 1.5\n", ValidationError,
+     "n must be a non-negative integer, got '1.5'", None),
+    (_SCALE + "n = -1\n", ValidationError,
+     "n must be a non-negative integer, got '-1'", None),
+    (_SCALE + "t0 = x\n", ConfigParseError,
+     "not a constant expression: 'x' (unknown name 'x' (offset 0))", 4),
+    # two errors each: the order of the checks sets which one is raised,
+    # the line loop's first, then unknown keys, q and period required,
+    # points, intervals, a missing scale, n, t0 and period
+    ("period = 2\nfoo = 1\nq = 1\nperiod = 3\n", ConfigParseError,
+     "duplicate key 'period'", 4),
+    ("period = 2\nfoo = 1\npoints = [0, 2]\n", ConfigParseError,
+     "unknown key 'foo'", 2),
+    ("period = 2\nq = 1\nn = 1.5\npoints = [0, t]\n", ConfigParseError,
+     "not a constant expression: 't' (expression is not constant)", 4),
+    ("period = 2\nq = 1\nn = 1.5\npoints = []\n", ValidationError,
+     "at least one point or interval required", None),
+    ("t0 = x\n" + _SCALE + "n = 1.5\n", ValidationError,
+     "n must be a non-negative integer, got '1.5'", None),
+    ("period = t\nq = 1\npoints = [0, 2]\nt0 = x\n", ConfigParseError,
+     "not a constant expression: 'x' (unknown name 'x' (offset 0))", 4),
+])
+def test_config_errors_and_their_order(tmp_path, text, kind, message, line):
+    f = tmp_path / "bad.cfg"
+    f.write_text(text)
+    with pytest.raises(kind) as exc:
+        load_config(f)
+    assert type(exc.value) is kind
+    if line is None:
+        assert str(exc.value) == message
+    else:
+        assert str(exc.value) == f"line {line}: {message}"
+        assert exc.value.line == line
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path):
+    # a Windows editor may begin the file with one; its first key read as
+    # '\ufeffperiod', an unknown key (exit 3)
+    text = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_config(marked) == load_config(plain)
+    result, want = invoke(str(marked)), invoke(str(plain))
+    assert result.exit_code == want.exit_code == 0
+    assert result.output == want.output
+
+
 # -- golden transcripts ------------------------------------------------------
 
 GOLDEN_Z = """\

@@ -242,6 +242,28 @@ def test_serialize_roundtrip_derivatives(text):
     assert serialize(again) == serialize(d)
 
 
+def test_a_run_of_minus_signs_round_trips():
+    # a run of signs is written in one pair of parentheses: (-(-x)) cost
+    # the parser a nesting level a sign, so from ~160 signs on the text of
+    # a run that parse took was refused as nested too deeply
+    assert serialize(ex.Neg(ex.Neg(ex.Var()))) == "(--t)"
+    assert serialize(differentiate(parse("-cos(t)"))) == "(--(sin(t) * 1.0))"
+    k = sys.getrecursionlimit()
+    while True:
+        try:
+            parse("-" * k + "sin(t)")
+            break
+        except ExpressionSyntaxError:
+            k -= 1
+    # trees this deep are compared by their text: == recurses a few frames
+    # a level
+    for e in (parse("-" * (k - 20) + "sin(t)"),
+              differentiate(parse("-" * (k - 20) + "cos(t)"))):
+        text = serialize(e)
+        assert serialize(parse(text)) == text
+        assert evaluate(parse(text), 0.5) == evaluate(e, 0.5)
+
+
 # -- array evaluator ---------------------------------------------------------
 
 def _combine_array(children):
@@ -928,7 +950,7 @@ def test_building_recurses_no_deeper_than_evaluating():
     assert evaluate(differentiate(e), 0.5) == sign * math.cos(0.5)
     assert list(ex.Forest((e, differentiate(e))).evaluate([0.5]))[0] == \
         evaluate(e, 0.5)
-    assert serialize(e) == "(-" * k + "sin(t)" + ")" * k
+    assert serialize(e) == "(" + "-" * k + "sin(t)" + ")"
 
 
 # -- long chains: the one shape of unbounded depth ---------------------------
