@@ -106,7 +106,16 @@ def _order(text: str, line: int) -> int:
     if not (value >= 0 and float(value).is_integer()):
         raise ValidationError(f"n must be a non-negative integer, got "
                               f"{text!r}")
+    # the float read may round past the text: '9223372036854775807' reads 2^63
+    _check_order_limit(value, f"{text!r} = {value!r}")
     return int(value)
+
+
+def _check_order_limit(n, shown: str) -> None:
+    # the series takes its n terms through an islice, whose stop is at most
+    # sys.maxsize
+    if n > sys.maxsize:
+        raise ValidationError(f"n must be at most {sys.maxsize}, got {shown}")
 
 
 def _unquote(text: str, line: int) -> str:
@@ -222,36 +231,78 @@ def _text_report(report: FloquetReport, check: Optional[CheckResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the JSON report as json.dumps(payload, indent=2, sort_keys=True) writes
+# it: the keys sorted, each level two spaces further in
+_JSON_REPORT = """{{
+  "A_partial": {A_partial},
+  "A_terms": {A_terms},
+  "B": {B},
+  "err_bound": {{
+    "exact": {exact},
+    "value": {bound}
+  }},
+  "justification": {justification},
+  "method": {method},
+  "moduli": {{
+    "larger_interval": [
+      {large[0]},
+      {large[1]}
+    ],
+    "point": [
+      {point[0]},
+      {point[1]}
+    ],
+    "smaller_interval": [
+      {small[0]},
+      {small[1]}
+    ]
+  }},
+  "n": {n},
+  "oracle": {oracle},
+  "timing_seconds": {elapsed},
+  "verdict": {verdict}
+}}
+"""
+_JSON_ORACLE = """{{
+    "a_delta": {},
+    "a_oracle": {},
+    "allowed": {},
+    "b_allowed": {},
+    "b_delta": {},
+    "b_oracle": {}
+  }}"""
+# json's words for the floats that float.__repr__ writes nan, inf and -inf
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _JSON_WORDS.get(text, text)
+
+
 def _json_report(report: FloquetReport, check: Optional[CheckResult],
                  elapsed: float) -> str:
-    payload = {
-        "n": report.n,
-        "A_partial": report.A_partial,
-        "A_terms": report.A_terms,
-        "B": report.B,
-        "err_bound": {
-            "value": report.err_bound.value,
-            "exact": report.err_bound.exact,
-        },
-        "moduli": {
-            "point": list(report.point_moduli),
-            "smaller_interval": list(report.rho_moduli[0]),
-            "larger_interval": list(report.rho_moduli[1]),
-        },
-        "verdict": report.verdict.value,
-        "justification": report.justification,
-        "method": report.method,
-        "timing_seconds": elapsed,
-        "oracle": None if check is None else {
-            "a_oracle": check.a_oracle,
-            "b_oracle": check.b_oracle,
-            "a_delta": check.a_delta,
-            "b_delta": check.b_delta,
-            "allowed": check.allowed,
-            "b_allowed": check.b_allowed,
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The report in JSON, as ``json.dumps`` writes its payload with
+    indent=2 and sorted keys, byte for byte: floats by ``float.__repr__``,
+    strings by json's ASCII encoder."""
+    number, text = _json_float, json.encoder.encode_basestring_ascii
+    terms = "[]"
+    if report.A_terms:
+        terms = "[\n    {}\n  ]".format(
+            ",\n    ".join(map(number, report.A_terms)))
+    oracle = "null" if check is None else _JSON_ORACLE.format(*map(number, (
+        check.a_delta, check.a_oracle, check.allowed, check.b_allowed,
+        check.b_delta, check.b_oracle)))
+    small, large = ([number(x) for x in pair] for pair in report.rho_moduli)
+    return _JSON_REPORT.format(
+        A_partial=number(report.A_partial), A_terms=terms,
+        B=number(report.B),
+        exact="true" if report.err_bound.exact else "false",
+        bound=number(report.err_bound.value),
+        justification=text(report.justification), method=text(report.method),
+        large=large, point=[number(x) for x in report.point_moduli],
+        small=small, n=report.n, oracle=oracle, elapsed=number(elapsed),
+        verdict=text(report.verdict.value))
 
 
 _EXIT = {
@@ -269,6 +320,8 @@ def run(config: ConfigFile, n: Optional[int] = None, oracle: bool = False,
         n = config.n
     elif n < 0:
         raise ValidationError(f"n must be a non-negative integer, got {n}")
+    else:
+        _check_order_limit(n, str(n))
     start = time.perf_counter()
     spec = build_system(config)
     report = analyze(spec, n=n, use_shi=use_shi)

@@ -37,7 +37,10 @@ order's walk is one ``np.cumsum`` over its steps, which adds in the
 loop's order, with the loop's complex products written out as float
 products, so both walks give the same floats.
 On a purely discrete scale there are only jumps, so the same level
-recursion is exact up to rounding and costs O(n k) for k scattered points.
+recursion is exact up to rounding. Level m is zero at the first m of the k
+scattered points, so its walk starts at point m - 1, or at the first point
+whose phi, E or mu W is not finite if that comes first: n <= k levels take
+n k - n (n - 1) / 2 steps, and n >= k levels k (k + 1) / 2.
 
 The paper's truncation bound reads its own uniform sample of the dense
 cells, 512 divisions per period and at least 16 per cell, whose phase is
@@ -672,9 +675,20 @@ class _SeriesEngine:
     loop's bit for bit. The steps and the next
     level's values at the jumps are the loop's complex products written
     out as float ufuncs, never numpy's complex product, which may fuse
-    into an FMA and round once where CPython rounds twice. State is
-    per-instance, and no method changes it, so the series and the bound
-    share one engine; the bound reads its own uniform sample (``bound``).
+    into an FMA and round once where CPython rounds twice.
+
+    A purely discrete scale has no rows, and its level m is +-0 at jumps
+    0, ..., m - 1, so its walk (``_triangle``) starts at jump m - 1 from
+    zero sums, and no later than ``last_start``, the first jump whose phi,
+    E or mu W is not finite (k if none). It walks the contiguous slice of
+    the jump table from there, in the scalar loop or as one ``np.cumsum``,
+    where the jumps fill the slots after the +0 one and ``slots`` holds
+    that slice and the one before it. Levels 1 to n take
+    n k - n (n - 1) / 2 steps for n <= k, and k (k + 1) / 2 for n >= k.
+
+    State is per-instance, and no method changes it, so the series and the
+    bound share one engine; the bound reads its own uniform sample
+    (``bound``).
     """
 
     def __init__(self, table: PhaseTable):
@@ -764,18 +778,31 @@ class _SeriesEngine:
                                       muW.tolist()))
             else:
                 # the array walk's columns: each row's and each jump's slot,
-                # 1 + its place in time order, and the slots before them;
-                # and the (jumps, 2) factors and terms of a jump's step.
-                # CPython's (mu W) * g is (Re mu W g - Im mu W 0.0,
+                # 1 + its place in time order, and the slots before them,
+                # as slices where the jumps fill every slot past the +0
+                # one; and the (jumps, 2) factors and terms of a jump's
+                # step. CPython's (mu W) * g is (Re mu W g - Im mu W 0.0,
                 # Re mu W 0.0 + Im mu W g): the factors are (Re mu W,
                 # Im mu W) and the terms (Im mu W (-0.0), Re mu W 0.0), NaN
                 # where a part of mu W is infinite
-                slots = np.arange(1, len(self.order) + 1)
-                is_row = np.array(self.order)
-                rows, jumps = slots[is_row], slots[~is_row]
-                self.slots = rows, jumps, rows - 1, jumps - 1
+                if self.rows:
+                    slots = np.arange(1, len(self.order) + 1)
+                    is_row = np.array(self.order)
+                    rows, jumps = slots[is_row], slots[~is_row]
+                    self.slots = rows, jumps, rows - 1, jumps - 1
+                else:
+                    self.slots = slice(1, None), slice(None, -1)
                 factor = np.stack([muW.real, muW.imag], axis=-1)
                 self.step = factor, factor[:, ::-1] * [-0.0, 0.0]
+            if not self.rows:
+                # the first jump whose phi, E or mu W is not finite, else
+                # k: a discrete level's walk starts at no later jump
+                steps = self.jumps or zip(phi.real.tolist(), E.tolist(),
+                                          muW.tolist())
+                self.last_start = next(
+                    (j for j, (phi_j, E_j, muW_j) in enumerate(steps)
+                     if not (math.isfinite(phi_j) and cmath.isfinite(E_j)
+                             and cmath.isfinite(muW_j))), len(E_t))
 
     def levels(self, seeds):
         """Yield the terms A_1, A_2, ... of the level recursion started
@@ -786,9 +813,13 @@ class _SeriesEngine:
         are formed only when the next level is pulled, so a caller that
         stops after A_n forms no row stack past level n - 1. Long engines
         walk the events as one prefix sum per order, short ones in a
-        scalar loop (see the class); both yield the same floats.
+        scalar loop (see the class); both yield the same floats. A purely
+        discrete scale walks only its levels' nonzero triangle.
         """
         GH, at_jumps = seeds
+        if not self.rows:
+            yield from self._triangle(at_jumps.T)
+            return
         ratio = self.phiT / self.phi0
         E_T = self.E_T
         if self.slots is None:
@@ -798,29 +829,87 @@ class _SeriesEngine:
             walk = self._array_walk
         S = None
         while True:
-            if self.rows:
-                with _quiet():
-                    if S is not None:  # this level's rows, from the last's
-                        # the running offsets of J and K at each row
-                        off = np.array(offsets, dtype=complex)[..., None]
-                        GH = self.phi * (self.E * (off + S)).real
-                    S = _panel_integrals(self.W * GH, self.half)
-                    totals = S.reshape(2, -1).take(self.tips, axis=1)
-                    (accJ, accK), offsets, at_jumps = walk(totals, at_jumps)
-                    A = -(E_T * accJ).imag + ratio * (E_T * accK).real
-            else:  # Python's arithmetic, or the array walk's own error state
-                (accJ, accK), _, at_jumps = walk(None, at_jumps)
+            with _quiet():
+                if S is not None:  # this level's rows, from the last's
+                    # the running offsets of J and K at each row
+                    off = np.array(offsets, dtype=complex)[..., None]
+                    GH = self.phi * (self.E * (off + S)).real
+                S = _panel_integrals(self.W * GH, self.half)
+                totals = S.reshape(2, -1).take(self.tips, axis=1)
+                (accJ, accK), offsets, at_jumps = walk(totals, at_jumps)
                 A = -(E_T * accJ).imag + ratio * (E_T * accK).real
-            # + 0.0 turns the -0.0 of a terminated discrete series into 0.0
             yield A + 0.0
+
+    def _triangle(self, pairs):
+        """The terms of a purely discrete scale from the (jumps, 2) seed
+        pairs: level m walks the jumps from min(m - 1, ``last_start``) on,
+        from zero sums.
+
+        Where phi, E and mu W are finite, mu W times a +-0 value adds +-0
+        to the sums, and phi Re(E J) of +-0 sums is +-0. So level m - 1,
+        +-0 at its first m - 1 jumps, leaves level m's sums +-0 up to jump
+        m - 1 and level m +-0 up to jump m - 1 too. Sums started at +0
+        there give every later value and the term bit for bit: they differ
+        at most in the sign of a zero, which a sum with a nonzero value
+        drops, and the term adds + 0.0. At a jump that is not finite, a
+        +-0 value or sum gives NaN, so the walks start there from then on.
+        """
+        ratio = self.phiT / self.phi0
+        E_T = self.E_T
+        if self.slots is None:
+            walk = functools.partial(self._jump_loop, self.jumps)
+            pairs = pairs.tolist()
+        else:
+            walk = self._jump_cumsum
+        start = 0
+        while True:
+            (accJ, accK), pairs = walk(start, pairs)
+            A = -(E_T * accJ).imag + ratio * (E_T * accK).real
+            # + 0.0 turns the -0.0 of a terminated series into 0.0
+            yield A + 0.0
+            if start < self.last_start:  # the next level is +-0 here
+                start += 1
+                pairs = pairs[1:]
+
+    @staticmethod
+    def _jump_loop(jumps, start, pairs):
+        """One discrete level's walk in Python complex arithmetic over
+        jumps ``start``, ... from zero sums: the final J and K and the next
+        level's (g, h) pairs there, from each jump's (phi, E, mu W) and
+        this level's pairs from ``start`` on."""
+        accJ = 0.0 + 0.0j
+        accK = 0.0 + 0.0j
+        out = []
+        for (phi, E, muW), (g, h) in zip(jumps[start:], pairs):
+            # running value excludes the jump at the point itself
+            out.append((phi * (E * accJ).real, phi * (E * accK).real))
+            accJ = accJ + muW * g
+            accK = accK + muW * h
+        return (accJ, accK), out
+
+    def _jump_cumsum(self, start, pairs):
+        """``_jump_loop`` as one prefix sum over the jumps' slots, as
+        ``_array_walk`` forms it; ``pairs`` and the returned values are
+        (jumps, 2) arrays from ``start`` on."""
+        jumps, before = self.slots
+        phi, E = self.jump_table[0, start:].real, self.jump_table[1, start:]
+        factor, term = (a[start:] for a in self.step)
+        acc = np.empty((2, len(pairs) + 1), dtype=complex)
+        parts = acc.view(float).reshape(2, -1, 2)  # (Re, Im) of each slot
+        with _quiet():
+            acc[:, 0] = 0.0
+            parts[:, jumps] = pairs.T[..., None] * factor + term
+            np.cumsum(acc, axis=1, out=acc)
+            run = acc[:, before]
+            GH = phi * (E.real * run.real - E.imag * run.imag)
+        return acc[:, -1].tolist(), GH.T
 
     def _scalar_walk(self, jumps, totals, at_jumps):
         """One order's walk in Python complex arithmetic: the final J and
         K, their offsets at each row and the next level's (g, h) pairs at
         the jumps, from each jump's (phi, E, mu W), the (2, cells) row
         totals and this level's pairs."""
-        if self.rows:
-            totalJ, totalK = totals.tolist()
+        totalJ, totalK = totals.tolist()
         accJ = 0.0 + 0.0j
         accK = 0.0 + 0.0j
         offJ, offK = [], []
@@ -859,8 +948,7 @@ class _SeriesEngine:
         parts = acc.view(float).reshape(2, -1, 2)  # (Re, Im) of each slot
         with _quiet():
             acc[:, 0] = 0.0
-            if self.rows:
-                acc[:, rows] = totals
+            acc[:, rows] = totals
             parts[:, jumps] = GH[..., None] * factor + term
             np.cumsum(acc, axis=1, out=acc)
             # running values exclude the event at their own slot
@@ -1056,8 +1144,18 @@ def a_term(spec: SystemSpec, table: PhaseTable, n: int) -> float:
 
 
 def a_partial(spec: SystemSpec, table: PhaseTable, n: int) -> float:
-    """The partial sum A(n) = A_0 + ... + A_n."""
-    return math.fsum(_series_terms(spec, table, n))
+    """The partial sum A(n) = A_0 + ... + A_n (``_partial_sum``)."""
+    return _partial_sum(_series_terms(spec, table, n))
+
+
+def _partial_sum(terms) -> float:
+    """fsum of the terms, or NaN where fsum raises: where they hold both
+    infinities (ValueError), where ``sum`` gives NaN too, and where a
+    partial sum passes the float range (OverflowError)."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def estimate_bounds(spec: SystemSpec, table: PhaseTable):
@@ -1122,8 +1220,8 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
 
     On a purely discrete scale with k scattered points the series is a
     finite sum, computed by the same level recursion as on other scales
-    (exact up to rounding, O(n k) work), so the bound is exact zero once
-    n >= k. When the remainder, z^(n+1) or (n+1)! is beyond the float
+    (exact up to rounding, k (k + 1) / 2 steps for n >= k), so the bound is
+    exact zero once n >= k. When the remainder, z^(n+1) or (n+1)! is beyond the float
     range, or a bound constant or the bound is NaN, the bound is
     infinite, which leaves the verdict undetermined unless B decides it.
     """
@@ -1312,7 +1410,7 @@ def analyze(spec: SystemSpec, n: Optional[int] = None,
         method = "phase-form"
     else:
         terms = _series_terms(spec, table, n)
-        A = math.fsum(terms)
+        A = _partial_sum(terms)
         method = "discrete" if ts.is_discrete else "series"
     err = error_bound(spec, table, n)
     # a NaN or infinite A(n) is never exact, and the series does not hold

@@ -2,18 +2,22 @@
 
 A_n written out as the literal finite sum over decreasing n-tuples of
 scattered points, O(C(k, n)) work. Tests compare the level recursion of
-``tsfloquet.floquet._SeriesEngine`` against it term by term. And the
-monodromy of the oracle's own float steps, multiplied exactly, against
-which tests hold the rounding of ``tsfloquet.oracle.monodromy``.
+``tsfloquet.floquet._SeriesEngine`` against it term by term. The square
+walk of that recursion, every level over every jump from the first, which
+tests hold the engine's triangle walk to bit for bit. And the monodromy of
+the oracle's own float steps, multiplied exactly, against which tests hold
+the rounding of ``tsfloquet.oracle.monodromy``.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from tsfloquet import expr as ex
+from tsfloquet import floquet
 from tsfloquet.floquet import PhaseTable, SystemSpec
 
 from calculus_reference import p_at, phase_value
@@ -73,6 +77,57 @@ def discrete_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
             total += val
         terms.append(total)
     return terms
+
+
+def square_terms(engine: floquet._SeriesEngine, n: int) -> list:
+    """[A_0, ..., A_n] of a purely discrete engine by the square walk: each
+    level walks every jump from the first, from zero sums, in Python
+    complex arithmetic below ``_ARRAY_WALK_EVENTS`` jumps and as one prefix
+    sum per level from there on."""
+    phi, E, _, _, muW = engine.jump_table
+    ratio = engine.phiT / engine.phi0
+    E_T = engine.E_T
+    _, at_jumps = engine.seeds
+    if len(phi) < floquet._ARRAY_WALK_EVENTS:
+        jumps = list(zip(phi.real.tolist(), E.tolist(), muW.tolist()))
+        walk = functools.partial(_square_loop, jumps)
+        at_jumps = at_jumps.T.tolist()
+    else:
+        walk = functools.partial(_square_cumsum, phi.real, E, muW)
+    terms = [(1.0 + engine.phiT / engine.phi0) * E_T.real]
+    for _ in range(n):
+        (accJ, accK), at_jumps = walk(at_jumps)
+        A = -(E_T * accJ).imag + ratio * (E_T * accK).real
+        terms.append(A + 0.0)
+    return terms
+
+
+def _square_loop(jumps, at_jumps):
+    accJ = 0.0 + 0.0j
+    accK = 0.0 + 0.0j
+    out = []
+    for (phi, E, muW), (g, h) in zip(jumps, at_jumps):
+        # running value excludes the jump at the point itself
+        out.append((phi * (E * accJ).real, phi * (E * accK).real))
+        accJ = accJ + muW * g
+        accK = accK + muW * h
+    return (accJ, accK), out
+
+
+def _square_cumsum(phi, E, muW, GH):
+    # CPython's (mu W) * g is (Re mu W g - Im mu W 0.0, Re mu W 0.0 +
+    # Im mu W g), each product rounded on its own
+    factor = np.stack([muW.real, muW.imag], axis=-1)
+    term = factor[:, ::-1] * [-0.0, 0.0]
+    acc = np.empty((2, len(phi) + 1), dtype=complex)
+    parts = acc.view(float).reshape(2, -1, 2)  # (Re, Im) of each slot
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc[:, 0] = 0.0
+        parts[:, 1:] = GH[..., None] * factor + term
+        np.cumsum(acc, axis=1, out=acc)
+        run = acc[:, :-1]
+        GH = phi * (E.real * run.real - E.imag * run.imag)
+    return acc[:, -1].tolist(), GH
 
 
 def fraction_monodromy(spec: SystemSpec) -> list:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -284,6 +285,96 @@ def test_json_roundtrip():
     assert payload["verdict"] == "stable"
 
 
+def reference_payload(report, check, elapsed):
+    """The JSON report's payload, for json.dumps(payload, indent=2,
+    sort_keys=True), which ``cli._json_report`` must write byte for
+    byte."""
+    return {
+        "n": report.n,
+        "A_partial": report.A_partial,
+        "A_terms": report.A_terms,
+        "B": report.B,
+        "err_bound": {
+            "value": report.err_bound.value,
+            "exact": report.err_bound.exact,
+        },
+        "moduli": {
+            "point": list(report.point_moduli),
+            "smaller_interval": list(report.rho_moduli[0]),
+            "larger_interval": list(report.rho_moduli[1]),
+        },
+        "verdict": report.verdict.value,
+        "justification": report.justification,
+        "method": report.method,
+        "timing_seconds": elapsed,
+        "oracle": None if check is None else {
+            "a_oracle": check.a_oracle,
+            "b_oracle": check.b_oracle,
+            "a_delta": check.a_delta,
+            "b_delta": check.b_delta,
+            "allowed": check.allowed,
+            "b_allowed": check.b_allowed,
+        },
+    }
+
+
+def _assert_json_is_dumps(report, check=None):
+    for elapsed in (0.0123, 1e-05, 3.0):
+        want = json.dumps(reference_payload(report, check, elapsed),
+                          indent=2, sort_keys=True) + "\n"
+        assert cli._json_report(report, check, elapsed) == want
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(CONFIGS.glob("*.cfg")) + sorted(CONFIGS.glob("mathieu/*.cfg")),
+    ids=lambda p: p.relative_to(CONFIGS).as_posix(),
+)
+def test_json_report_is_json_dumps(path):
+    # at the config's own n, at n = 8, with --shi where the scale is
+    # continuous (empty A_terms) and with --oracle
+    config = load_config(path)
+    spec = build_system(config)
+    report = analyze(spec, n=config.n)
+    _assert_json_is_dumps(report)
+    _assert_json_is_dumps(report, cli.cross_check(spec, report))
+    _assert_json_is_dumps(analyze(spec, n=8))
+    if spec.ts.is_continuous:
+        shi = analyze(spec, use_shi=True)
+        assert shi.A_terms == []
+        _assert_json_is_dumps(shi)
+        _assert_json_is_dumps(shi, cli.cross_check(spec, shi))
+
+
+@pytest.mark.parametrize("k, raised", [(3000, ValueError),
+                                      (2900, OverflowError)])
+def test_terms_that_fsum_refuses_are_undetermined(tmp_path, workloads, k,
+                                                  raised):
+    # the discrete generator at the exact order n = k, whose terms lost
+    # every digit: at 3000 points they hold +inf, -inf and NaN, where fsum
+    # raises "-inf + inf in fsum", and at 2900 a partial sum passes the
+    # float range, "intermediate overflow in fsum" (each exited 4). A(n) is
+    # NaN, so the bound is infinite and B decides nothing: undetermined
+    f = tmp_path / "long.cfg"
+    f.write_text(workloads.discrete_system(random.Random(0), "long", k).text)
+    config = load_config(f)
+    report = analyze(build_system(config))
+    assert report.n == k
+    with pytest.raises(raised):
+        math.fsum(report.A_terms)
+    if k == 3000:
+        terms = report.A_terms
+        assert math.inf in terms and -math.inf in terms
+        assert any(math.isnan(a) for a in terms)
+    assert math.isnan(report.A_partial)
+    assert report.err_bound.value == math.inf
+    assert report.verdict.value == "undetermined"
+    _assert_json_is_dumps(report)
+    out, code = run(config)
+    assert f"A({k}) = nan" in out.splitlines()
+    assert code == 2
+
+
 @pytest.mark.parametrize(
     "path",
     sorted(CONFIGS.glob("*.cfg")) + sorted(CONFIGS.glob("mathieu/*.cfg")),
@@ -369,6 +460,41 @@ def test_batch_reports_an_overflowing_constant_and_goes_on(tmp_path):
 
 
 _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
+_DISCRETE = "period = 2\npoints = [0, 1, 2]\nq = 1\n"
+
+
+@pytest.mark.parametrize("text, args, shown", [
+    pytest.param(_DISCRETE, ("--n", "9223372036854775808"),
+                 "9223372036854775808", id="n-flag"),
+    pytest.param(_DISCRETE + "n = 1e300\n", (), "'1e300' = 1e+300",
+                 id="n-1e300"),
+    # the config's number is a float, and sys.maxsize reads 2^63
+    pytest.param(_DISCRETE + "n = 9223372036854775807\n", (),
+                 "'9223372036854775807' = 9.223372036854776e+18",
+                 id="n-maxsize-as-float"),
+])
+def test_an_order_past_sys_maxsize_exits_3(tmp_path, text, args, shown):
+    # the terms are taken through an islice, whose stop must not pass
+    # sys.maxsize: such an n exited 4 with islice's ValueError
+    f = tmp_path / "huge.cfg"
+    f.write_text(text)
+    result = invoke(str(f), *args)
+    assert result.exit_code == 3
+    assert result.stderr == (f"config error: n must be at most {sys.maxsize}"
+                             f", got {shown}\n")
+
+
+def test_the_largest_order_below_sys_maxsize_is_read(tmp_path):
+    # 2^63 - 1024, the largest float under sys.maxsize, passes both checks;
+    # it is not analyzed, as it would walk for hours
+    f = tmp_path / "large.cfg"
+    f.write_text(_DISCRETE + "n = 9223372036854774784\n")
+    config = load_config(f)
+    assert config.n == 2 ** 63 - 1024
+    cli._check_order_limit(sys.maxsize, str(sys.maxsize))
+    with pytest.raises(ValidationError, match="at most"):
+        run(config, n=sys.maxsize + 1)
+
 
 
 @pytest.mark.parametrize("text, args", [

@@ -81,7 +81,8 @@ from conftest import (
 )
 import cell_reference
 from cell_reference import CellEngine
-from discrete_reference import discrete_terms
+import discrete_reference
+from discrete_reference import discrete_terms, square_terms
 import expr_reference
 
 PI = math.pi
@@ -947,24 +948,76 @@ def _hex_parts(values):
 def test_array_walk_rounds_each_step_as_cpython():
     # mu W = (-9.9e307, inf) at the first point: CPython's (mu W) * g takes
     # Im mu W * 0.0 = NaN into the real part, where the parts' own products
-    # would give (finite, inf); the array walk's running values, and the
-    # values at the jumps they give, must take the NaN too
+    # would give (finite, inf); the discrete walk's prefix sum, its running
+    # values and the values at the jumps they give, must take the NaN too.
+    # The first jump is not finite, so every level starts there
     spec = SystemSpec(points_scale([1000.0 * i for i in range(71)]),
                       parse("if(eq(t, 0), 1e305, 0.1)"), parse("0.0001"))
     engine = _SeriesEngine(solve_phi(spec))
     assert engine.slots is not None
+    assert engine.last_start == 0
     muW = engine.jump_table[4, 0]
     assert math.isfinite(muW.real) and math.isinf(muW.imag)
-    _, GH = engine.seeds
-    pairs = GH.T.tolist()
+    GH = engine.seeds[1].T
+    pairs = GH.tolist()
     # the scalar walk's numbers, which the engine forms for short engines
     phi, E, _, _, weights = engine.jump_table
     jumps = list(zip(phi.real.tolist(), E.tolist(), weights.tolist()))
     for _ in range(3):
-        acc, _, pairs = engine._scalar_walk(jumps, None, pairs)
-        array_acc, _, GH = engine._array_walk(None, GH)
+        acc, pairs = engine._jump_loop(jumps, 0, pairs)
+        array_acc, GH = engine._jump_cumsum(0, GH)
         assert _hex_parts(array_acc) == _hex_parts(acc)
-        assert _hex_parts(GH.T.ravel()) == _hex_parts(np.ravel(pairs))
+        assert _hex_parts(GH.ravel()) == _hex_parts(np.ravel(pairs))
+
+
+# the discrete generator's k points at seeds 0 and 1, at n = 0, 1, k - 1,
+# k and k + 3 (k = 1000 at n = k only), on both sides of the array walk's
+# 64 jumps; and the unit-step scales whose terms overflow, where a jump
+# that is not finite stops the walks' start
+_TRIANGLE_CASES = (
+    [("generator", k, seed, n)
+     for k in (1, 2, 3, 12, 63, 64, 65, 200, 1000) for seed in (0, 1)
+     for n in (sorted({0, 1, k - 1, k, k + 3}) if k < 1000 else [k])]
+    + [("overflow", k, None, n) for k in (500, 1000) for n in (3, 8, k)])
+
+
+@pytest.mark.parametrize("kind, k, seed, n", _TRIANGLE_CASES,
+                         ids=[f"{c[0]}{c[1]}-{c[2]}-n{c[3]}"
+                              for c in _TRIANGLE_CASES])
+def test_triangle_walk_matches_square_walk(kind, k, seed, n, workloads,
+                                           tmp_path):
+    # level m is +-0 at the first m jumps, so walking it from jump m - 1
+    # on leaves every term as the full square walk gives it, NaN included
+    if kind == "generator":
+        path = tmp_path / "discrete.cfg"
+        path.write_text(workloads.discrete_system(random.Random(seed), "d",
+                                                  k).text)
+        spec = build_system(load_config(path))
+    else:
+        spec = unit_step_overflow_system(k)
+    engine = _SeriesEngine(solve_phi(spec))
+    assert (engine.slots is not None) == (k >= 64)
+    want = [float(a).hex() for a in square_terms(engine, n)]
+    assert [float(a).hex() for a in engine.terms(n)] == want
+    # at 1000 unit steps mu W is NaN from jump 889 on, where E nears the
+    # float range
+    assert engine.last_start == (889 if (kind, k) == ("overflow", 1000)
+                                 else k)
+
+
+def test_discrete_level_m_is_zero_at_the_first_m_jumps(workloads, tmp_path):
+    # the triangle the walk keeps to: on the generator's 12 points, the
+    # square walk's level m is first nonzero at jump m (level 12 nowhere)
+    path = tmp_path / "discrete.cfg"
+    path.write_text(workloads.discrete_system(random.Random(0), "d",
+                                              12).text)
+    engine = _SeriesEngine(solve_phi(build_system(load_config(path))))
+    pairs, first = engine.seeds[1].T.tolist(), []
+    for _ in range(12):
+        _, pairs = discrete_reference._square_loop(engine.jumps, pairs)
+        nonzero = [g != 0 or h != 0 for g, h in pairs]
+        first.append(nonzero.index(True) if any(nonzero) else 12)
+    assert first == list(range(1, 13))
 
 
 def _hybrid_overflow_system(cells):
