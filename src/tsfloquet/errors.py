@@ -59,6 +59,16 @@ class DomainError(ExpressionError):
     """sqrt of a negative number, division by zero, and similar."""
 
 
+class ValuePastRange(DomainError, OverflowError):
+    """exp past the float range, or neg1pow of +-inf: an OverflowError, as
+    the math module raises there."""
+
+
+class UndefinedValue(DomainError, ValueError):
+    """sin or cos of +-inf, or neg1pow of NaN: a ValueError, as the math
+    module raises there."""
+
+
 class NonIntegerNeg1Pow(ExpressionError):
     pass
 

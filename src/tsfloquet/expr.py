@@ -24,7 +24,9 @@ not raised. A node that can fail records, in walk order, the first node
 where it fails and how to build its exception; the walk then raises the
 first error recorded at the lowest failing node, always naming its t.
 That is what a recursive walk over the nodes in order raises
-(``tests/expr_reference.py`` keeps that walk). No numpy warning escapes.
+(``tests/expr_reference.py`` keeps that walk), where the math module's
+OverflowError and ValueError become the ``DomainError`` subclasses
+``ValuePastRange`` and ``UndefinedValue``. No numpy warning escapes.
 ``evaluate(e, t)`` is ``evaluate_array(e, [t])[0]``, so its sin, cos, exp
 and ``^`` round as numpy's do, which may differ from the math module's in
 the last ulp.
@@ -82,6 +84,8 @@ from .errors import (
     NonConstantExponent,
     NonDifferentiableNode,
     NonIntegerNeg1Pow,
+    UndefinedValue,
+    ValuePastRange,
 )
 
 __all__ = [
@@ -243,16 +247,16 @@ class _Unary(NamedTuple):
 
 
 # as in the math module, sin and cos fail at an infinite argument and exp
-# where it overflows
+# where it overflows, with a DomainError that is the math module's class too
 _UNARY = {
     Neg: _Unary(operator.neg),
     Abs: _Unary(np.abs),
     Sin: _Unary(np.sin, lambda v, out: np.isinf(v),
-                lambda v, t: ValueError(f"sin of {v} at t={t}")),
+                lambda v, t: UndefinedValue(f"sin of {v} at t={t}")),
     Cos: _Unary(np.cos, lambda v, out: np.isinf(v),
-                lambda v, t: ValueError(f"cos of {v} at t={t}")),
+                lambda v, t: UndefinedValue(f"cos of {v} at t={t}")),
     Exp: _Unary(np.exp, lambda v, out: np.isinf(out) & np.isfinite(v),
-                lambda v, t: OverflowError(f"exp({v}) at t={t}")),
+                lambda v, t: ValuePastRange(f"exp({v}) at t={t}")),
     Sqrt: _Unary(np.sqrt, lambda v, out: v < 0,
                  lambda v, t: DomainError(
                      f"sqrt of negative value {v} at t={t}")),
@@ -711,8 +715,8 @@ def _node_error(e: Expression, t: float) -> Exception:
 
 def _neg1pow_error(v: float, t: float) -> Exception:
     # round() raises ValueError at NaN and OverflowError at inf
-    kind = (ValueError if math.isnan(v) else OverflowError if math.isinf(v)
-            else NonIntegerNeg1Pow)
+    kind = (UndefinedValue if math.isnan(v) else ValuePastRange
+            if math.isinf(v) else NonIntegerNeg1Pow)
     return kind(f"neg1pow argument {v} at t={t}")
 
 

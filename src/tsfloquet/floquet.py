@@ -40,7 +40,8 @@ On a purely discrete scale there are only jumps, so the same level
 recursion is exact up to rounding. Level m is zero at the first m of the k
 scattered points, so its walk starts at point m - 1, or at the first point
 whose phi, E or mu W is not finite if that comes first: n <= k levels take
-n k - n (n - 1) / 2 steps, and n >= k levels k (k + 1) / 2.
+n k - n (n - 1) / 2 steps; levels past k are zero (Theorem 12.113) and
+never walked, so an n > k reports A(k) and its k + 1 terms.
 
 The paper's truncation bound reads its own uniform sample of the dense
 cells, 512 divisions per period and at least 16 per cell, whose phase is
@@ -684,7 +685,8 @@ class _SeriesEngine:
     the jump table from there, in the scalar loop or as one ``np.cumsum``,
     where the jumps fill the slots after the +0 one and ``slots`` holds
     that slice and the one before it. Levels 1 to n take
-    n k - n (n - 1) / 2 steps for n <= k, and k (k + 1) / 2 for n >= k.
+    n k - n (n - 1) / 2 steps for n <= k; ``_series_terms`` asks for no
+    level past k.
 
     State is per-instance, and no method changes it, so the series and the
     bound share one engine; the bound reads its own uniform sample
@@ -1119,9 +1121,12 @@ def _half_turn(angle):
 
 
 def _series_terms(spec: SystemSpec, table: PhaseTable, n: int) -> list:
+    """[A_0, ..., A_n], ending at level k on a discrete scale of k points."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not spec.ts.is_discrete and n > _MAX_DEPTH_DENSE:
+    if spec.ts.is_discrete:
+        n = min(n, len(spec.ts.scattered_t))
+    elif n > _MAX_DEPTH_DENSE:
         raise DepthBudgetExceeded(
             f"n={n} exceeds the depth budget {_MAX_DEPTH_DENSE} on a "
             "non-discrete scale"
@@ -1139,8 +1144,9 @@ def _engine(spec: SystemSpec, table: PhaseTable) -> _SeriesEngine:
 
 
 def a_term(spec: SystemSpec, table: PhaseTable, n: int) -> float:
-    """The n-th series term A_n."""
-    return _series_terms(spec, table, n)[n]
+    """The n-th series term A_n, +0.0 past level k on a discrete scale."""
+    terms = _series_terms(spec, table, n)
+    return terms[n] if n < len(terms) else 0.0
 
 
 def a_partial(spec: SystemSpec, table: PhaseTable, n: int) -> float:
@@ -1220,10 +1226,11 @@ def error_bound(spec: SystemSpec, table: PhaseTable, n: int) -> ErrorBound:
 
     On a purely discrete scale with k scattered points the series is a
     finite sum, computed by the same level recursion as on other scales
-    (exact up to rounding, k (k + 1) / 2 steps for n >= k), so the bound is
-    exact zero once n >= k. When the remainder, z^(n+1) or (n+1)! is beyond the float
-    range, or a bound constant or the bound is NaN, the bound is
-    infinite, which leaves the verdict undetermined unless B decides it.
+    (exact up to rounding, k (k + 1) / 2 steps for n >= k, as no level past
+    k is walked), so the bound is exact zero once n >= k. When the
+    remainder, z^(n+1) or (n+1)! is beyond the float range, or a bound
+    constant or the bound is NaN, the bound is infinite, which leaves the
+    verdict undetermined unless B decides it.
     """
     ts = spec.ts
     if ts.is_discrete and n >= len(ts.scattered_t):

@@ -249,8 +249,8 @@ class CheckResult:
     a_delta: float  # |A_oracle - A(n)|
     b_delta: float  # |B_oracle - B|
     allowed: float  # err_bound + _CHECK_TOL max(1, |A_oracle|)
-    # the larger of _CHECK_TOL |B_oracle| (_CHECK_TOL where B_oracle is not
-    # finite) and gamma_{4m-2} (|Y00 Y11| + |Y01 Y10|)
+    # the largest of _CHECK_TOL |B_oracle| (_CHECK_TOL where B_oracle is not
+    # finite), gamma_{4m-2} (|Y00 Y11| + |Y01 Y10|) and (4m - 2) 2^-1074
     b_allowed: float
 
 
@@ -291,8 +291,14 @@ def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
     below _CHECK_TOL |det(Y)| (at most 1.5e-13 on the committed configs),
     which stays the allowance, however small det(Y) is; where det(Y) is
     not finite, the allowance is _CHECK_TOL. A non-finite rounding term
-    is ignored, as an overflowed monodromy may not widen the check. A
-    delta that is NaN fails the check.
+    is ignored, as an overflowed monodromy may not widen the check.
+    Below the smallest normal float a rounding is no longer relative: a
+    product there adds up to 2^-1075 whatever its size (Higham's model
+    with underflow), so a det(Y) or B that underflows, as on long damped
+    discrete scales, is allowed at least 2^-1074 per rounding of the two
+    products, (4m - 2) 2^-1074 in all: half of it for det(Y)'s roundings,
+    and the other half covers compute_B's k - 1 <= m products. A delta
+    that is NaN fails the check.
     """
     factors = []
     Y = monodromy(spec, factors)
@@ -301,7 +307,8 @@ def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
         a_oracle = float(np.trace(Y))
         terms = float(Y[0, 0] * Y[1, 1]), float(Y[0, 1] * Y[1, 0])
         b_oracle = terms[0] - terms[1]
-        k_u = (4 * factors[0] - 2) * _U
+        roundings = 4 * factors[0] - 2
+        k_u = roundings * _U
         cancel = k_u / (1 - k_u) * (abs(terms[0]) + abs(terms[1]))
     result = CheckResult(
         a_oracle=a_oracle,
@@ -311,7 +318,8 @@ def cross_check(spec: SystemSpec, report: FloquetReport) -> CheckResult:
         allowed=report.err_bound.value + _CHECK_TOL * _scale(a_oracle),
         b_allowed=max(_CHECK_TOL * (abs(b_oracle) if math.isfinite(b_oracle)
                                     else 1.0),
-                      cancel if math.isfinite(cancel) else 0.0),
+                      cancel if math.isfinite(cancel) else 0.0,
+                      roundings * 2.0 ** -1074),
     )
     # written so that a NaN delta (an overflowed A, B or monodromy) fails
     if not (result.a_delta <= result.allowed

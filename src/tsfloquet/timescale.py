@@ -71,12 +71,13 @@ class ValidatedTimeScale:
     an interval with a >= b, then in time order overlap and coverage of
     [t0, t0+T]; a message names the segment as it was written. The
     extremities are snapped to t0 and t0 + T exactly; an interval that
-    snapping would turn around is refused as written. Nothing of the
-    input is kept but the arrays ``starts``, ``ends`` and ``dense``, the
-    mask of the intervals, which hold the snapped segments in time order
-    as floats; each segment but the last ends at a right-scattered t,
-    ``scattered_t = ends[:-1]``, whose graininess is
-    ``scattered_mu = starts[1:] - scattered_t``.
+    snapping would turn around is refused as written, and so is a scale
+    of one point, which only a period within the tolerance lets cover
+    both extremities. Nothing of the input is kept but the arrays
+    ``starts``, ``ends`` and ``dense``, the mask of the intervals, which
+    hold the snapped segments in time order as floats; each segment but
+    the last ends at a right-scattered t, ``scattered_t = ends[:-1]``,
+    whose graininess is ``scattered_mu = starts[1:] - scattered_t``.
 
     Immutable after construction; safe for concurrent reads.
     """
@@ -134,7 +135,13 @@ class ValidatedTimeScale:
                 raise EndpointNotCovered(f"segment {seg} outside [t0, t0+T]")
 
         # snap the extremities exactly; a single interval's end is checked
-        # against its snapped start
+        # against its snapped start, and a single point would be both
+        # extremities, leaving no scattered point
+        if len(dense) == 1 and not dense[0]:
+            raise TimeScaleError(
+                f"the only segment {first} is both t0={t0} and t0+T={t_end}: "
+                f"the period {ts.period} is within the tolerance "
+                "1e-12 max(1, |t|)")
         if dense[0] and not t0 < b0:
             raise InvalidSegment(
                 f"interval [{first.a}, {first.b}] would end at or before its "

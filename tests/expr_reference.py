@@ -3,20 +3,25 @@
 ``tsfloquet.expr.evaluate_array`` walks the AST once over a whole node
 array with numpy. This is the scalar walk that defined the language
 before it: one recursive call per node with an ``isinstance`` chain, the
-math module's sin, cos, exp and sqrt and Python's float operators. Its
-five ``if`` comparisons are written out here, not read from the
-package's comparison table, so a wrong rule in that table shows as a
-difference. Tests check that the array walk, and ``evaluate``, which is
-one node of it, raise this walk's exceptions with its messages at the
-same t, and give its values bit for bit, except where numpy's exp and
-power differ from the math module's in the last ulp. It imports nothing
-from the package but the node classes and error types, so it stays
-independent of the code under test.
+math module's sin, cos, exp and sqrt and Python's float operators. Where
+the math module raises OverflowError or ValueError, it raises the
+package's ``DomainError`` subclass of that class with the same message,
+looked up when raised, so that ``report_digest.py`` can import this
+module on an older tree that lacks those classes. Its five ``if``
+comparisons are written out here, not read from the package's comparison
+table, so a wrong rule in that table shows as a difference. Tests check
+that the array walk, and ``evaluate``, which is one node of it, raise
+this walk's exceptions with its messages at the same t, and give its
+values bit for bit, except where numpy's exp and power differ from the
+math module's in the last ulp. It imports nothing from the package but
+the node classes and error types, so it stays independent of the code
+under test.
 """
 from __future__ import annotations
 
 import math
 
+from tsfloquet import errors
 from tsfloquet.errors import DomainError, NonDifferentiableNode, NonIntegerNeg1Pow
 from tsfloquet.expr import (
     Abs,
@@ -74,19 +79,19 @@ def evaluate(e: Expression, t: float) -> float:
         try:
             return math.sin(v)
         except ValueError as exc:  # inf
-            raise ValueError(f"sin of {v} at t={t}") from exc
+            raise errors.UndefinedValue(f"sin of {v} at t={t}") from exc
     if isinstance(e, Cos):
         v = evaluate(e.arg, t)
         try:
             return math.cos(v)
         except ValueError as exc:  # inf
-            raise ValueError(f"cos of {v} at t={t}") from exc
+            raise errors.UndefinedValue(f"cos of {v} at t={t}") from exc
     if isinstance(e, Exp):
         v = evaluate(e.arg, t)
         try:
             return math.exp(v)
         except OverflowError as exc:
-            raise OverflowError(f"exp({v}) at t={t}") from exc
+            raise errors.ValuePastRange(f"exp({v}) at t={t}") from exc
     if isinstance(e, Sqrt):
         v = evaluate(e.arg, t)
         if v < 0:
@@ -103,7 +108,9 @@ def evaluate(e: Expression, t: float) -> float:
         try:
             k = round(v)
         except (ValueError, OverflowError) as exc:  # NaN, inf
-            raise type(exc)(f"neg1pow argument {v} at t={t}") from exc
+            named = (errors.UndefinedValue if isinstance(exc, ValueError)
+                     else errors.ValuePastRange)
+            raise named(f"neg1pow argument {v} at t={t}") from exc
         if abs(v - k) > 1e-9:
             raise NonIntegerNeg1Pow(f"neg1pow argument {v} at t={t}")
         return -1.0 if k % 2 else 1.0

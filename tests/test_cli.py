@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -463,37 +464,103 @@ _VALID = "period = 2\nintervals = [[0, 2]]\nq = 1\n"
 _DISCRETE = "period = 2\npoints = [0, 1, 2]\nq = 1\n"
 
 
-@pytest.mark.parametrize("text, args, shown", [
-    pytest.param(_DISCRETE, ("--n", "9223372036854775808"),
-                 "9223372036854775808", id="n-flag"),
-    pytest.param(_DISCRETE + "n = 1e300\n", (), "'1e300' = 1e+300",
-                 id="n-1e300"),
+@pytest.mark.parametrize("text, args, n", [
+    pytest.param(_DISCRETE, ("--n", "9223372036854775808"), 2 ** 63,
+                 id="n-flag"),
+    pytest.param(_DISCRETE + "n = 1e300\n", (), int(1e300), id="n-1e300"),
     # the config's number is a float, and sys.maxsize reads 2^63
-    pytest.param(_DISCRETE + "n = 9223372036854775807\n", (),
-                 "'9223372036854775807' = 9.223372036854776e+18",
+    pytest.param(_DISCRETE + "n = 9223372036854775807\n", (), 2 ** 63,
                  id="n-maxsize-as-float"),
 ])
-def test_an_order_past_sys_maxsize_exits_3(tmp_path, text, args, shown):
-    # the terms are taken through an islice, whose stop must not pass
-    # sys.maxsize: such an n exited 4 with islice's ValueError
+def test_an_order_past_sys_maxsize_is_analyzed(tmp_path, text, args, n):
+    # such an n exited 3, as the terms were taken through an islice whose
+    # stop may not pass sys.maxsize; the series of k = 2 points ends at
+    # level 2, so the report is A(2)'s, under its own n
     f = tmp_path / "huge.cfg"
     f.write_text(text)
+    result = invoke(str(f), "--json", *args)
+    exact = invoke(str(f), "--json", "--n", "2")
+    got, want = json.loads(result.stdout), json.loads(exact.stdout)
+    assert (got.pop("n"), want.pop("n")) == (n, 2)
+    assert (result.exit_code, result.stderr) == (exact.exit_code, "")
+    for report in (got, want):
+        del report["timing_seconds"]
+    assert got == want
+    assert len(got["A_terms"]) == 3
+
+
+def _overflow_system(p, q):
+    return f"period = 2\nintervals = [[0, 2]]\np = {p}\nq = {q}\n"
+
+
+def _example(name, order=""):
+    """A committed example config's text, its own n line replaced by
+    ``order``."""
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    return re.sub(r"(?m)^n = .*\n", "", text) + order
+
+
+_HUGE_N = "100000000000000000000"
+_BUILTIN_ERRORS = [name for name in dir(builtins) if name.endswith("Error")
+                   or name == "Exception"]
+
+
+@pytest.mark.parametrize("system, args, code, out, err", [
+    # an order far past k on a discrete scale walks k levels: A(n) = A(k)
+    pytest.param(_example("example_discrete_z"), ("--n", _HUGE_N), 1,
+                 f"A({_HUGE_N}) = 4.250000", "", id="discrete-n-flag"),
+    pytest.param(_example("example_discrete_z", "n = 1e300\n"), (), 1,
+                 f"A({int(1e300)}) = 4.250000", "", id="discrete-n-1e300"),
+    pytest.param(_example("example_continuous"), ("--n", _HUGE_N), 4, "",
+                 f"error: n={_HUGE_N} exceeds the depth budget 8 on a "
+                 "non-discrete scale\n", id="continuous-n-flag"),
+    pytest.param(_example("example_continuous", "n = 1e300\n"), (), 4, "",
+                 f"error: n={int(1e300)} exceeds the depth budget 8 on a "
+                 "non-discrete scale\n", id="continuous-n-1e300"),
+    # the 1e-12 tolerance snaps the one point to both t0 and t0 + T, which
+    # left no scattered point and raised IndexError in solve_phi
+    pytest.param("period = 1e-13\npoints = [0]\np = 0.1\nq = 0.5\n", (), 3,
+                 "", "config error: t0/period/points/intervals: the only "
+                 "segment Point(x=0.0) is both t0=0.0 and t0+T=1e-13: the "
+                 "period 1e-13 is within the tolerance 1e-12 max(1, |t|)\n",
+                 id="tiny-period"),
+    # each printed its builtin class, "error: OverflowError: ..." or
+    # "error: ValueError: ..."
+    pytest.param(_overflow_system("0", "exp(t*400)"), (), 4, "",
+                 "error: exp(710.9375) at t=1.77734375\n", id="exp-overflow"),
+    pytest.param(_overflow_system("sin(t * 1e300 * 1e300)", "1"), (), 4, "",
+                 "error: sin of inf at t=1.0\n", id="sin-of-inf"),
+    pytest.param(_overflow_system("neg1pow(t * 1e300 * 1e300)", "1"), (), 4,
+                 "", "error: neg1pow argument inf at t=1.0\n",
+                 id="neg1pow-of-inf"),
+    pytest.param(_overflow_system("neg1pow(t * 1e300 * 1e300 - 1e300 * 1e300"
+                                  " * t)", "1"), (), 4, "",
+                 "error: neg1pow argument nan at t=1.0\n",
+                 id="neg1pow-of-nan"),
+])
+def test_input_hardening_rows(tmp_path, system, args, code, out, err):
+    # each row exits with its verdict's code or a named error's 3 or 4, and
+    # none reaches _run_one's catch-all, which names a builtin class
+    f = tmp_path / "row.cfg"
+    f.write_text(system)
     result = invoke(str(f), *args)
-    assert result.exit_code == 3
-    assert result.stderr == (f"config error: n must be at most {sys.maxsize}"
-                             f", got {shown}\n")
+    assert (result.exit_code, result.stderr) == (code, err)
+    assert out in result.stdout
+    assert not any(f"{name}:" in result.stderr for name in _BUILTIN_ERRORS)
 
 
-def test_the_largest_order_below_sys_maxsize_is_read(tmp_path):
-    # 2^63 - 1024, the largest float under sys.maxsize, passes both checks;
-    # it is not analyzed, as it would walk for hours
-    f = tmp_path / "large.cfg"
-    f.write_text(_DISCRETE + "n = 9223372036854774784\n")
-    config = load_config(f)
-    assert config.n == 2 ** 63 - 1024
-    cli._check_order_limit(sys.maxsize, str(sys.maxsize))
-    with pytest.raises(ValidationError, match="at most"):
-        run(config, n=sys.maxsize + 1)
+def test_a_subnormal_b_passes_the_oracle(tmp_path, workloads):
+    # 3000 points of the discrete generator: B = 1e-323 and det(Y) = 0.0,
+    # whose delta, two subnormal spacings, was allowed 0.0 and exited 4
+    f = tmp_path / "long.cfg"
+    f.write_text(workloads.discrete_system(random.Random(0), "long", 3000).text)
+    result = invoke(str(f), "--n", "3", "--oracle", "--json")
+    assert (result.exit_code, result.stderr) == (2, "")
+    report = json.loads(result.stdout)
+    oracle = report["oracle"]
+    assert report["B"] == 1e-323 and oracle["b_oracle"] == 0.0
+    assert oracle["b_delta"] == 1e-323
+    assert oracle["b_allowed"] == (4 * 3000 - 2) * 2.0 ** -1074
 
 
 

@@ -635,11 +635,20 @@ def test_terms_integer_example(example_z):
 
 
 def test_terminated_discrete_terms_are_positive_zero(example_z):
-    # past the termination order the level recursion's running sums are
-    # zero; the report must show 0.0, not -0.0
+    # the series ends at level k: an order past it reports A(k) and its k + 1
+    # terms, and a term past it is 0.0, not -0.0
     k = len(example_z.ts.scattered_with_mu())
-    terms = analyze(example_z, n=k + 3).A_terms
-    assert all(math.copysign(1.0, t) == 1.0 for t in terms[k + 1:])
+    past, exact = analyze(example_z, n=k + 3), analyze(example_z, n=k)
+    assert past.n == k + 3
+    for report in (past, exact):
+        assert len(report.A_terms) == k + 1
+    assert [t.hex() for t in past.A_terms] == [t.hex() for t in exact.A_terms]
+    assert past.A_partial.hex() == exact.A_partial.hex()
+    assert past.err_bound == exact.err_bound == ErrorBound(0.0, exact=True)
+    table = solve_phi(example_z)
+    for n in (k + 1, k + 3, 10 ** 20):
+        assert math.copysign(1.0, a_term(example_z, table, n)) == 1.0
+        assert a_term(example_z, table, n) == 0.0
 
 
 def test_terms_hybrid_example(example_hybrid):
