@@ -48,7 +48,8 @@ difference, product or quotient. Every pass walks that chain in a loop,
 down to the node below it and back up through the right operands, in the
 order a recursive walk takes; every other node is walked by recursion,
 which the parser's own nesting limit bounds. Which nodes a tree holds,
-for ``is_constant`` and ``Forest``, is found by one walk with a stack.
+for ``is_constant`` and ``Forest``, is found by one walk with a stack,
+and a node's ``==``, ``hash``, ``repr`` and pickling walk with one too.
 
 Each rule is stated once, in one of six tables that all its readers
 read: ``_LEVELS`` (and ``_BINARY``, by node) the binary operators'
@@ -98,19 +99,125 @@ __all__ = [
 
 
 class Expression:
-    """Base class for AST nodes."""
+    """Base class for AST nodes. Equality, hashing, ``repr`` and pickling
+    give what a dataclass generates for its fields: equal by kind and
+    fields, ``hash(e) == hash(tuple(fields))``, the text
+    ``Add(left=Var(), right=Const(value=1.0))``, and a copy with equal
+    ``vars``. Each walks the tree with a stack, where the generated ones
+    recurse a few frames a level, so a tree of any depth has them."""
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs, seen = [(self, other)], set()
+        while pairs:
+            a, b = pairs.pop()
+            # as a tuple compares its items: identical, or equal
+            for x, y in zip(_fields(a), _fields(b)):
+                if x is y or (id(x), id(y)) in seen:
+                    continue
+                if x.__class__ is y.__class__ and isinstance(x, Expression):
+                    seen.add((id(x), id(y)))
+                    pairs.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        hashes = {}
+        for e, values in _postorder(self):
+            hashes[id(e)] = _Hash(hash(tuple(
+                hashes[id(v)] if isinstance(v, Expression) else v
+                for v in values)))
+        return hashes[id(self)].value
+
+    def __repr__(self):
+        texts, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            if not isinstance(e, Expression):
+                texts.append(e)
+                continue
+            texts.append(f"{e.__class__.__qualname__}(")
+            parts = []
+            for i, name in enumerate(e.__dataclass_fields__):
+                v = getattr(e, name)
+                parts += [f"{', ' if i else ''}{name}=",
+                          v if isinstance(v, Expression) else repr(v)]
+            stack += reversed(parts + [")"])
+        return "".join(texts)
+
+    def __reduce__(self):
+        # the nodes as a program that builds each after its fields' nodes,
+        # which refer to the nodes built before by their indices
+        index, program = {}, []
+        for e, values in _postorder(self):
+            nodes = tuple(i for i, v in enumerate(values)
+                          if isinstance(v, Expression))
+            for i in nodes:
+                values[i] = index[id(values[i])]
+            index[id(e)] = len(program)
+            program.append((e.__class__, tuple(values), nodes))
+        return _build, (program,)
+
+
+def _fields(e: Expression) -> list:
+    return [getattr(e, name) for name in e.__dataclass_fields__]
+
+
+def _postorder(root: Expression):
+    """Each node of root once, with its field values, after the nodes
+    among them."""
+    done, stack = set(), [(root, None)]
+    while stack:
+        e, values = stack.pop()
+        if id(e) in done:
+            continue
+        if values is None:
+            values = _fields(e)
+            stack.append((e, values))
+            stack += [(v, None) for v in values
+                      if isinstance(v, Expression) and id(v) not in done]
+        else:
+            done.add(id(e))
+            yield e, values
+
+
+class _Hash:
+    """A node's hash, which a tuple holding it hashes as it would the
+    node."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _build(program) -> Expression:
+    """The last node of a program of ``Expression.__reduce__``."""
+    nodes = []
+    for kind, values, below in program:
+        values = list(values)
+        for i in below:
+            values[i] = nodes[values[i]]
+        nodes.append(kind(*values))
+    return nodes[-1]
 
 
 def _record(cls):
     """The frozen dataclass of one field shape. Node kinds that share a
     shape are its undecorated subclasses, so the methods are generated
-    once per shape: equality holds only within a class, and ``repr``
-    names the subclass. Its ``__setattr__`` and ``__delattr__`` raise
-    FrozenInstanceError on every name, where the generated ones would
-    let a subclass's instance take a name that is not a field."""
-    cls = dataclass(frozen=True)(cls)
+    once per shape; equality holds only within a class, and ``repr``
+    names the subclass, as ``Expression`` defines them. Its
+    ``__setattr__`` and ``__delattr__`` raise FrozenInstanceError on
+    every name, where the generated ones would let a subclass's instance
+    take a name that is not a field."""
+    cls = dataclass(frozen=True, eq=False, repr=False)(cls)
     cls.__setattr__ = _no_setattr
     cls.__delattr__ = _no_delattr
     return cls

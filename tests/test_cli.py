@@ -17,9 +17,15 @@ from hypothesis import example, given, strategies as st
 from tsfloquet import cli
 from tsfloquet import expr as ex
 from tsfloquet.cli import build_system, load_config, main, run
-from tsfloquet.errors import ConfigParseError, InvalidSegment, ValidationError
+from tsfloquet.errors import (
+    ConfigParseError,
+    InvalidSegment,
+    TsfloquetError,
+    ValidationError,
+)
 from tsfloquet.floquet import analyze
 
+import config_fuzz
 from calculus_reference import dense_intervals, q_at
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -505,48 +511,163 @@ _BUILTIN_ERRORS = [name for name in dir(builtins) if name.endswith("Error")
                    or name == "Exception"]
 
 
-@pytest.mark.parametrize("system, args, code, out, err", [
+def _hybrid(cells, p=None):
+    """The text of the benchmark's seeded damped hybrid of ``cells`` dense
+    cells, from ``workloads``, with its p replaced by ``p`` if given."""
+    def text(workloads):
+        text = workloads.hybrid_system(random.Random(1), "row", cells,
+                                       True).text
+        return text if p is None else re.sub(r"(?m)^p = .*$", f"p = {p}",
+                                             text)
+    return text
+
+
+def _phi_jump(at, chain, limit):
+    return (f"PhiDiscontinuityWarning: phi is discontinuous at t={at}: "
+            f"chain value {chain} vs dense limit {limit}")
+
+
+# p with a kink at multiples of 1.3, inside several cells of the hybrids, so
+# that B's dense integrals refine each cell to its own depth
+_KINKED_P = "0.3 + 0.1*abs(sin(pi*t/1.3))"
+
+
+@pytest.mark.parametrize("system, args, code, out, err, warned", [
     # an order far past k on a discrete scale walks k levels: A(n) = A(k)
     pytest.param(_example("example_discrete_z"), ("--n", _HUGE_N), 1,
-                 f"A({_HUGE_N}) = 4.250000", "", id="discrete-n-flag"),
+                 f"A({_HUGE_N}) = 4.250000", "", [], id="discrete-n-flag"),
     pytest.param(_example("example_discrete_z", "n = 1e300\n"), (), 1,
-                 f"A({int(1e300)}) = 4.250000", "", id="discrete-n-1e300"),
+                 f"A({int(1e300)}) = 4.250000", "", [],
+                 id="discrete-n-1e300"),
     pytest.param(_example("example_continuous"), ("--n", _HUGE_N), 4, "",
                  f"error: n={_HUGE_N} exceeds the depth budget 8 on a "
-                 "non-discrete scale\n", id="continuous-n-flag"),
+                 "non-discrete scale\n", [], id="continuous-n-flag"),
     pytest.param(_example("example_continuous", "n = 1e300\n"), (), 4, "",
                  f"error: n={int(1e300)} exceeds the depth budget 8 on a "
-                 "non-discrete scale\n", id="continuous-n-1e300"),
+                 "non-discrete scale\n", [], id="continuous-n-1e300"),
     # the 1e-12 tolerance snaps the one point to both t0 and t0 + T, which
     # left no scattered point and raised IndexError in solve_phi
     pytest.param("period = 1e-13\npoints = [0]\np = 0.1\nq = 0.5\n", (), 3,
                  "", "config error: t0/period/points/intervals: the only "
                  "segment Point(x=0.0) is both t0=0.0 and t0+T=1e-13: the "
                  "period 1e-13 is within the tolerance 1e-12 max(1, |t|)\n",
-                 id="tiny-period"),
+                 [], id="tiny-period"),
     # each printed its builtin class, "error: OverflowError: ..." or
     # "error: ValueError: ..."
     pytest.param(_overflow_system("0", "exp(t*400)"), (), 4, "",
-                 "error: exp(710.9375) at t=1.77734375\n", id="exp-overflow"),
+                 "error: exp(710.9375) at t=1.77734375\n", [],
+                 id="exp-overflow"),
     pytest.param(_overflow_system("sin(t * 1e300 * 1e300)", "1"), (), 4, "",
-                 "error: sin of inf at t=1.0\n", id="sin-of-inf"),
+                 "error: sin of inf at t=1.0\n", [], id="sin-of-inf"),
     pytest.param(_overflow_system("neg1pow(t * 1e300 * 1e300)", "1"), (), 4,
-                 "", "error: neg1pow argument inf at t=1.0\n",
+                 "", "error: neg1pow argument inf at t=1.0\n", [],
                  id="neg1pow-of-inf"),
     pytest.param(_overflow_system("neg1pow(t * 1e300 * 1e300 - 1e300 * 1e300"
                                   " * t)", "1"), (), 4, "",
-                 "error: neg1pow argument nan at t=1.0\n",
+                 "error: neg1pow argument nan at t=1.0\n", [],
                  id="neg1pow-of-nan"),
+    # the benchmark's 100-cell hybrid, 200 scattered points and a nested
+    # if/mod q, and its 1000-cell one, 2000 points and ~33,000 panel nodes
+    # through the grid's one walk over q, p and q'; the oracle over the 100
+    # dense cells at once
+    pytest.param(_hybrid(100), ("--n", "3"), 2,
+                 "verdict = undetermined", "", [], id="hybrid-100-cells-n3"),
+    pytest.param(_hybrid(100), ("--n", "8"), 2,
+                 "verdict = undetermined", "", [], id="hybrid-100-cells-n8"),
+    pytest.param(_hybrid(100), ("--n", "3", "--oracle"),
+                 2, "oracle B delta = ", "", [],
+                 id="hybrid-100-cells-oracle"),
+    pytest.param(_hybrid(1000), ("--n", "3"), 2,
+                 "verdict = undetermined", "", [], id="hybrid-1000-cells-n3"),
+    # the 10- and 100-cell hybrids with a kinked p, whose B the oracle
+    # checks against the determinant of the monodromy (B = 0.0318 and
+    # ~1.2e-15), relative to it
+    pytest.param(_hybrid(10, _KINKED_P), ("--n", "3"),
+                 2, "B = 0.031799", "", [], id="kinked-10-cells"),
+    pytest.param(_hybrid(10, _KINKED_P),
+                 ("--n", "3", "--oracle"), 2, "oracle B delta = ", "", [],
+                 id="kinked-10-cells-oracle"),
+    pytest.param(_hybrid(100, _KINKED_P), ("--n", "3"),
+                 2, "verdict = undetermined", "", [], id="kinked-100-cells"),
+    pytest.param(_hybrid(100, _KINKED_P),
+                 ("--n", "3", "--oracle"), 2, "oracle B delta = ", "", [],
+                 id="kinked-100-cells-oracle"),
+    # 1000 unit steps with |1 + i mu phi| > 2: E overflows, so the array
+    # walk of the series carries inf and NaN, and 400 unit dense cells and
+    # one point with q = 400, where E overflows past a dense row as a numpy
+    # scalar: A(3) = nan and B = inf read unstable, with no RuntimeWarning
+    pytest.param("t0 = 0\nperiod = 1000\npoints = [" + ", ".join(
+        map(str, range(1001))) + "]\np = 0.1\nq = 4 + 0.5*cos(2*pi*t/1000)\n",
+                 ("--n", "3"), 1, "A(3) = nan", "", [],
+                 id="unit-steps-1000-overflow"),
+    pytest.param("t0 = 0\nperiod = 800\npoints = [800]\nintervals = [" +
+                 ", ".join(f"[{2 * i}, {2 * i + 1}]" for i in range(400)) +
+                 "]\np = 0.1\nq = 400\n", ("--n", "3"), 1, "A(3) = nan", "",
+                 [], id="hybrid-400-cells-overflow"),
+    # the junction row of ROADMAP item 1: phi jumps where [0, pi] meets its
+    # scattered right end, and B = 7.71 > 1 reads unstable
+    pytest.param("t0 = 0\nperiod = 2*pi\npoints = [2*pi]\n"
+                 "intervals = [[0, pi]]\np = 0.1\nq = 2 + cos(t)\nn = 8\n",
+                 (), 1, "B = 7.709726", "",
+                 [_phi_jump(math.pi, 0.5773502691896258, 1.0)],
+                 id="junction-phi-jump"),
+    # q redefined at the dense start 2: the chain reads phi = 2 there
+    # against the dense limit 1 just inside, and B = 3 > 1 reads unstable
+    pytest.param("period = 3\nintervals = [[0, 1], [2, 3]]\np = 0\n"
+                 "q = if(eq(t, 2), 4, if(eq(t, 1), 2, 1))\nn = 8\n", (), 1,
+                 "B = 3.000000", "", [_phi_jump(2.0, 2.0, 1.0)],
+                 id="dense-start-phi-jump"),
+    # s = 1e6 of the s-family: the phase winds ~6000 radians, and the
+    # series meets the oracle's A within the n = 8 bound, which a grid of
+    # T/4096 missed by 2.84e-5 (exit 4)
+    pytest.param("period = 2*pi\nintervals = [[0, 2*pi]]\np = 0.01*sin(t)\n"
+                 "q = 1e6*(1 + 0.3*cos(t))\n", ("--n", "8", "--oracle"), 0,
+                 "verdict = stable", "", [], id="s-family-1e6-oracle"),
+    # q = 1 on [1e15, 1e15 + 520], where t's float spacing is 0.125: the
+    # oracle cuts its panels as offsets within the interval, so it meets
+    # A(3) = 2 cos(520) within 1e-8; absolute panel ends halved onto
+    # themselves and missed it by 3.9e-8 (exit 4)
+    pytest.param("t0 = 1e15\nperiod = 520\nintervals = [[1e15, 1e15+520]]\n"
+                 "p = 0\nq = 1\n", ("--oracle",), 0,
+                 f"A(3) = {2 * math.cos(520):.6f}", "", [],
+                 id="far-t0-oracle"),
 ])
-def test_input_hardening_rows(tmp_path, system, args, code, out, err):
-    # each row exits with its verdict's code or a named error's 3 or 4, and
-    # none reaches _run_one's catch-all, which names a builtin class
+def test_input_hardening_rows(tmp_path, workloads, system, args, code, out,
+                              err, warned):
+    # each row exits with its verdict's code or a named error's 3 or 4,
+    # with only the warnings named, and none reaches _run_one's catch-all,
+    # which names a builtin class
     f = tmp_path / "row.cfg"
-    f.write_text(system)
-    result = invoke(str(f), *args)
+    f.write_text(system if isinstance(system, str) else system(workloads))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = invoke(str(f), *args)
     assert (result.exit_code, result.stderr) == (code, err)
     assert out in result.stdout
+    assert [f"{w.category.__name__}: {w.message}" for w in caught] == warned
     assert not any(f"{name}:" in result.stderr for name in _BUILTIN_ERRORS)
+
+
+# the seeds of the fuzzed configs whose analysis reaches _run_one's
+# catch-all, each with its FOUND line in CHANGES.md
+_FUZZ_CATCH_ALL = set()
+
+
+def test_fuzzed_configs_reach_no_catch_all(tmp_path):
+    # the first 300 configs of ROADMAP item 20's seeded stream: each exits
+    # 0-4 and names no builtin class, and only the known seeds raise an
+    # error that is no TsfloquetError
+    caught, codes = set(), set()
+    for seed, code, stderr, error in config_fuzz.outcomes(
+            config_fuzz.configs(300), tmp_path):
+        assert 0 <= code <= 4, seed
+        assert not any(f"{name}:" in stderr for name in _BUILTIN_ERRORS), \
+            (seed, stderr)
+        if error is not None and not isinstance(error, TsfloquetError):
+            caught.add(seed)
+        codes.add(code)
+    assert caught == _FUZZ_CATCH_ALL
+    assert {0, 1, 2, 4} <= codes
 
 
 def test_a_subnormal_b_passes_the_oracle(tmp_path, workloads):
@@ -650,6 +771,7 @@ def test_non_ascii_digits_exit_3(tmp_path, text, line):
 _SUM500 = " + ".join(["0.001"] * 500)
 _SUM900 = " + ".join(["0.001"] * 900)
 _TSUM1000 = " + ".join(["t"] * 1000)
+_TSUM10000 = " + ".join(["t"] * 10000)
 
 
 @pytest.mark.parametrize("text, args, code", [
@@ -671,9 +793,14 @@ _TSUM1000 = " + ".join(["t"] * 1000)
      "q = 2\n", (), 0),
     (f"period = 1\nintervals = [[0, 1]]\np = 0.1 + 0.0001*({_TSUM1000})\n"
      "q = 2\n", ("--oracle",), 0),
+    # 10^4-term sums of t in q, which keeps phi continuous, and in p
+    (f"period = 1\nintervals = [[0, 1]]\np = 0.1\n"
+     f"q = 2 + sin(2*pi*0.0001*({_TSUM10000}))\n", (), 2),
+    (f"period = 1\nintervals = [[0, 1]]\np = 0.1 + 0.0001*({_TSUM10000})\n"
+     "q = 2\n", (), 0),
 ], ids=["period-500-terms", "period-900-terms", "exponent-500-terms",
         "q-1000-terms", "q-1000-terms-oracle", "p-1000-terms",
-        "p-1000-terms-oracle"])
+        "p-1000-terms-oracle", "q-10000-terms", "p-10000-terms"])
 def test_long_sums_analyze(tmp_path, text, args, code):
     f = tmp_path / "long.cfg"
     f.write_text(text)
@@ -1101,6 +1228,8 @@ def test_missing_file_exit_code():
                   "--tol", "-1"], "--tol", id="tol-flag-negative"),
     pytest.param(["analyze", str(CONFIGS / "example_hybrid.cfg"),
                   "--tol", "nan"], "--tol", id="tol-flag-nan"),
+    pytest.param(["analyze", str(CONFIGS / "example_continuous.cfg"),
+                  "--tol", "1e-9"], "--tol", id="tol-flag"),
 ])
 def test_usage_errors_exit_3(args, named):
     # click's own usage exit code 2 would read as "undetermined"; its

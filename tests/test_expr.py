@@ -255,11 +255,10 @@ def test_a_run_of_minus_signs_round_trips():
             break
         except ExpressionSyntaxError:
             k -= 1
-    # trees this deep are compared by their text: == recurses a few frames
-    # a level
     for e in (parse("-" * (k - 20) + "sin(t)"),
               differentiate(parse("-" * (k - 20) + "cos(t)"))):
         text = serialize(e)
+        assert parse(text) == e
         assert serialize(parse(text)) == text
         assert evaluate(parse(text), 0.5) == evaluate(e, 0.5)
 
@@ -953,6 +952,45 @@ def test_building_recurses_no_deeper_than_evaluating():
     assert serialize(e) == "(" + "-" * k + "sin(t)" + ")"
 
 
+def test_deep_trees_compare_hash_print_and_pickle():
+    # a 10^4-term sum, its derivative and the deepest run of minus signs
+    # the parser takes, less 20, and that run's derivative: ==, hash, repr
+    # and pickling give what the dataclass-generated methods give on short
+    # trees, which raised RecursionError from a 333-term sum and from a run
+    # of 331 signs on (hash from 499 terms and 497 signs)
+    n = 10 ** 4
+    k = sys.getrecursionlimit()
+    while True:
+        try:
+            parse("-" * k + "sin(t)")
+            break
+        except ExpressionSyntaxError:
+            k -= 1
+    run = "-" * (k - 20) + "sin(t)"
+    trees = [
+        (parse(" + ".join(["t"] * n)), "Add(left=", "Var()", ", right=Var())"),
+        (differentiate(parse(" + ".join(["t"] * n))), "Add(left=",
+         "Const(value=1.0)", ", right=Const(value=1.0))"),
+        (parse(run), "Neg(arg=", "Sin(arg=Var())", ")"),
+        (differentiate(parse(run)), "Neg(arg=",
+         "Mul(left=Cos(arg=Var()), right=Const(value=1.0))", ")"),
+    ]
+    for e, opens, inner, closes in trees:
+        depth = n - 1 if type(e) is ex.Add else k - 20
+        assert repr(e) == opens * depth + inner + closes * depth
+        twin = parse(serialize(e))
+        assert twin is not e and twin == e and not twin != e
+        fields = tuple(getattr(e, f.name) for f in dataclasses.fields(e))
+        assert hash(e) == hash(twin) == hash(fields)
+        again = pickle.loads(pickle.dumps(e))
+        assert type(again) is type(e) and again == e
+        assert vars(again) == vars(e)
+        assert repr(again) == repr(e)
+    # a difference at the deepest leaf is seen
+    assert parse(" + ".join(["1"] + ["t"] * (n - 1))) != trees[0][0]
+    assert parse(run[:-6] + "cos(t)") != trees[2][0]
+
+
 # -- long chains: the one shape of unbounded depth ---------------------------
 
 # each operand's value on the nodes x but a number's, which is 0-d; 0
@@ -1053,9 +1091,9 @@ def test_long_chains_are_their_left_folds(n, operands, ops, rng, xs):
         assert _array_outcome(q, x) == want
     p = parse(_chain_text(operands[::-1], ops))
     _assert_one_walk_per_root((q, p, differentiate(q)), x)
-    # compared as text: the dataclasses' generated ==, hash and repr
-    # recurse once a level
+    # the text parses back to the same tree
     text = serialize(q)
+    assert parse(text) == q
     assert serialize(parse(text)) == text
 
 
